@@ -108,6 +108,11 @@ if grep -q '"continuous_beats_static": false' "$SERVING_SMOKE_OUT"; then
   exit 1
 fi
 
+# The exact GEMM-call pin of the selectively-batched round lives in its own
+# test binary (matmul::stats is process-global); run it by name so a
+# filtered or partial test run cannot skip it.
+cargo test -q -p stronghold-integration-tests --test serve_gemm_calls
+
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

@@ -7,11 +7,13 @@
 //! * [`StaticBatchGenerator`] — a *real* fully-resident generation loop
 //!   with naive static batching: a batch is admitted, every slot computes
 //!   every round until the batch's **longest** request finishes (padded
-//!   compute), and the next batch waits for the full drain. It runs the
-//!   exact same decode kernels as [`stronghold_core::serve::ServeEngine`],
-//!   so it doubles as the bit-equality reference proving layer streaming
-//!   does not change the math — and as the throughput baseline continuous
-//!   batching is measured against.
+//!   compute), and the next batch waits for the full drain. It drives its
+//!   padded batch through the exact same stacked decode entries
+//!   ([`DecodeBatch`]: one GEMM per linear over the whole batch) as
+//!   [`stronghold_core::serve::ServeEngine`], so it doubles as the
+//!   bit-equality reference proving layer streaming does not change the
+//!   math — and as the throughput baseline continuous batching is measured
+//!   against, differing in schedule only.
 
 use std::time::Instant;
 
@@ -19,14 +21,12 @@ use rand_chacha::ChaCha8Rng;
 use stronghold_core::error::{Result, RuntimeError};
 use stronghold_core::method::IterationReport;
 use stronghold_core::serve::{sample, GenRequest, GenResult};
-use stronghold_model::block::BlockDecodeScratch;
 use stronghold_model::config::ModelConfig;
 use stronghold_model::memory;
-use stronghold_model::transformer::{HeadDecodeScratch, Transformer};
+use stronghold_model::transformer::{DecodeBatch, Transformer};
 use stronghold_sim::{CostModel, FifoResource, Lane, Platform, SimTime, Timeline};
 use stronghold_tensor::attention::KvCache;
 use stronghold_tensor::init::seeded_rng;
-use stronghold_tensor::Tensor;
 
 use crate::common::{gpu_capacity, layers_of};
 
@@ -107,16 +107,6 @@ impl Default for StaticBatchConfig {
     }
 }
 
-/// Per-slot decode state: KV caches and workspaces, preallocated once.
-struct StaticSlot {
-    kv: Vec<KvCache>,
-    ws: BlockDecodeScratch,
-    head_ws: HeadDecodeScratch,
-    x: Tensor,
-    y: Tensor,
-    logits: Tensor,
-}
-
 /// Naive static-batching generation over a fully-resident model.
 ///
 /// The framework-default serving loop: requests are grouped into fixed
@@ -127,7 +117,10 @@ struct StaticSlot {
 /// to [`stronghold_core::serve::ServeEngine`] — only the schedule differs.
 pub struct StaticBatchGenerator {
     model: Transformer,
-    slots: Vec<StaticSlot>,
+    /// KV caches `[layer][slot]`, preallocated once.
+    kv: Vec<Vec<KvCache>>,
+    batch: DecodeBatch,
+    slots: usize,
     max_seq: usize,
     temperature: f32,
 }
@@ -149,21 +142,18 @@ impl StaticBatchGenerator {
         };
         let heads = mcfg.heads;
         let dh = mcfg.hidden / heads;
-        let slots = (0..cfg.slots)
-            .map(|_| StaticSlot {
-                kv: (0..mcfg.layers)
+        let kv = (0..mcfg.layers)
+            .map(|_| {
+                (0..cfg.slots)
                     .map(|_| KvCache::new(heads, dh, max_seq))
-                    .collect(),
-                ws: BlockDecodeScratch::new(),
-                head_ws: HeadDecodeScratch::new(),
-                x: Tensor::zeros([1]),
-                y: Tensor::zeros([1]),
-                logits: Tensor::zeros([1]),
+                    .collect()
             })
             .collect();
         StaticBatchGenerator {
             model,
-            slots,
+            kv,
+            batch: DecodeBatch::new(),
+            slots: cfg.slots,
             max_seq,
             temperature: cfg.temperature,
         }
@@ -181,7 +171,7 @@ impl StaticBatchGenerator {
     pub fn generate(&mut self, reqs: Vec<GenRequest>) -> Vec<GenResult> {
         let clock = Instant::now();
         let mut out = Vec::with_capacity(reqs.len());
-        for batch in reqs.chunks(self.slots.len()) {
+        for batch in reqs.chunks(self.slots) {
             let batch_max_new = batch.iter().map(|r| r.max_new_tokens).max().unwrap_or(0);
             for r in batch {
                 assert!(!r.prompt.is_empty(), "static batching: empty prompt");
@@ -203,56 +193,48 @@ impl StaticBatchGenerator {
                     id: r.id,
                     prompt_len: r.prompt.len(),
                     tokens: Vec::with_capacity(r.max_new_tokens),
+                    queue_ns: submit_ns,
                     ttft_ns: 0,
                     latency_ns: 0,
                     rounds: 0,
                 })
                 .collect();
-            for slot in self.slots.iter_mut().take(batch.len()) {
-                for kv in slot.kv.iter_mut() {
+            for layer in self.kv.iter_mut() {
+                for kv in layer.iter_mut().take(batch.len()) {
                     kv.clear();
                 }
             }
             // Padded rounds: round 0 is the batch prefill, every later
             // round decodes one token; ALL slots run ALL rounds until the
-            // longest request finishes.
+            // longest request finishes, stacked into one activation.
             for round in 0..batch_max_new {
+                self.batch.clear();
+                for (b, run) in pending.iter().enumerate() {
+                    self.batch.push(&self.model, b, run, self.kv[0][b].len());
+                }
+                for (block, caches) in self.model.blocks.iter().zip(self.kv.iter_mut()) {
+                    self.batch.block_forward(block, caches, 1);
+                }
+                self.batch.head(&self.model);
+                let now = clock.elapsed().as_nanos() as u64;
                 for (b, req) in batch.iter().enumerate() {
-                    let slot = &mut self.slots[b];
-                    let pos = slot.kv[0].len();
-                    self.model.embed_at_into(&pending[b], pos, &mut slot.x);
-                    for i in 0..slot.kv.len() {
-                        self.model.block_forward_decode(
-                            i,
-                            &slot.x,
-                            &mut slot.kv[i],
-                            &mut slot.ws,
-                            &mut slot.y,
-                        );
-                        std::mem::swap(&mut slot.x, &mut slot.y);
-                    }
                     let res = &mut results[b];
-                    if res.tokens.len() < req.max_new_tokens {
-                        self.model.lm_logits_last_into(
-                            &slot.x,
-                            &mut slot.head_ws,
-                            &mut slot.logits,
-                        );
-                        let tok = sample(slot.logits.data(), self.temperature, &mut rngs[b]);
-                        res.tokens.push(tok);
-                        res.rounds = round as u64 + 1;
-                        let now = clock.elapsed().as_nanos() as u64;
-                        if res.tokens.len() == 1 {
-                            res.ttft_ns = now.saturating_sub(submit_ns);
-                        }
-                        if res.tokens.len() == req.max_new_tokens {
-                            res.latency_ns = now.saturating_sub(submit_ns);
-                        }
-                        pending[b].clear();
-                        pending[b].push(tok);
-                    }
                     // A finished sequence keeps burning padded compute on
                     // its last token until the batch drains.
+                    if res.tokens.len() == req.max_new_tokens {
+                        continue;
+                    }
+                    let tok = sample(self.batch.logits(b), self.temperature, &mut rngs[b]);
+                    res.tokens.push(tok);
+                    res.rounds = round as u64 + 1;
+                    if res.tokens.len() == 1 {
+                        res.ttft_ns = now.saturating_sub(submit_ns);
+                    }
+                    if res.tokens.len() == req.max_new_tokens {
+                        res.latency_ns = now.saturating_sub(submit_ns);
+                    }
+                    pending[b].clear();
+                    pending[b].push(tok);
                 }
             }
             out.append(&mut results);

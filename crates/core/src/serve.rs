@@ -32,14 +32,21 @@
 //! round in-flight sequences run their single pending token — *decode*),
 //! then the tied LM head and per-request sampling. Parameter H2D overlaps
 //! decode compute exactly as it overlaps training compute: the prefetcher
-//! thread stages layer `i+1` while the compute loop walks every active
-//! slot through layer `i`.
+//! thread stages layer `i+1` while the compute loop runs layer `i`.
+//!
+//! The pass is **selectively batched** (Orca): the pending rows of every
+//! active sequence are stacked into one `[ΣR, hidden]` activation
+//! ([`DecodeBatch`]), so each streamed layer runs one GEMM per linear — the
+//! weight is packed once per round, not once per slot — and the head one
+//! product over the last rows. Only attention stays per sequence, against
+//! that sequence's own KV cache.
 //!
 //! ## Determinism
 //!
 //! Each sequence's math touches only its own KV cache, the shared streamed
 //! weights, and its own seeded sampling RNG; every product runs through the
-//! batch-stable GEMM entries and every softmax covers exactly the causal
+//! batch-stable GEMM entries (a row's bits do not depend on which other
+//! rows share the product) and every softmax covers exactly the causal
 //! prefix. Token streams are therefore bit-identical across window sizes,
 //! slot counts, worker counts, arrival interleavings, and prefill/decode
 //! splits — asserted by the integration suite.
@@ -52,12 +59,12 @@ use bytes::Bytes;
 use crossbeam_channel::bounded;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use stronghold_model::block::{Block, BlockDecodeScratch};
+use stronghold_model::block::Block;
 use stronghold_model::config::ModelConfig;
-use stronghold_model::transformer::{HeadDecodeScratch, Transformer};
+use stronghold_model::transformer::{DecodeBatch, Transformer};
 use stronghold_tensor::attention::KvCache;
 use stronghold_tensor::init::seeded_rng;
-use stronghold_tensor::{PackedHalf, Precision, Tensor};
+use stronghold_tensor::{PackedHalf, Precision};
 
 use crate::error::RuntimeError;
 use crate::host::device::HostDevice;
@@ -76,7 +83,8 @@ pub struct ServeConfig {
     /// Per-sequence token capacity; `0` means the model's trained context
     /// (`cfg.seq`). Clamped to the positional table.
     pub max_seq: usize,
-    /// Compute threads fanning active slots within one layer. `1` keeps the
+    /// Compute threads fanning the per-sequence attention segments within
+    /// one layer (the stacked linears are one product each). `1` keeps the
     /// whole round on the driver thread.
     pub compute_workers: usize,
     /// Device-side parameter precision: H2D payloads shrink to half width
@@ -128,9 +136,12 @@ pub struct GenResult {
     pub prompt_len: usize,
     /// Generated tokens, in order.
     pub tokens: Vec<u32>,
-    /// Nanoseconds from submission to the first generated token.
+    /// Nanoseconds from submission to admission into a slot.
+    pub queue_ns: u64,
+    /// Nanoseconds from **admission** to the first generated token (add
+    /// `queue_ns` for the caller-visible time to first token).
     pub ttft_ns: u64,
-    /// Nanoseconds from submission to completion.
+    /// Nanoseconds from **admission** to completion.
     pub latency_ns: u64,
     /// Engine rounds this request was active in.
     pub rounds: u64,
@@ -148,21 +159,10 @@ struct ActiveReq {
     /// Tokens to run this round: the prompt on the admission round
     /// (prefill), the last sampled token after (decode).
     pending: Vec<u32>,
-    submit_ns: u64,
+    queue_ns: u64,
+    admit_ns: u64,
     ttft_ns: Option<u64>,
     rounds: u64,
-}
-
-/// One sequence slot: per-layer KV caches plus the per-slot compute
-/// workspace, all preallocated so slot reuse never allocates.
-struct Slot {
-    kv: Vec<KvCache>,
-    ws: BlockDecodeScratch,
-    head_ws: HeadDecodeScratch,
-    x: Tensor,
-    y: Tensor,
-    logits: Tensor,
-    active: Option<ActiveReq>,
 }
 
 /// The continuous-batching generation engine.
@@ -173,8 +173,15 @@ pub struct ServeEngine {
     prefetch_stage: Vec<f32>,
     prefetch_pack: PackedHalf,
     device: Arc<HostDevice>,
-    slots: Vec<Slot>,
-    queue: VecDeque<GenRequest>,
+    /// The request holding each sequence slot.
+    slots: Vec<Option<ActiveReq>>,
+    /// The KV arena, `[layer][slot]`, preallocated so slot reuse never
+    /// allocates.
+    kv: Vec<Vec<KvCache>>,
+    /// The round's packed activation workspace, grown once.
+    batch: DecodeBatch,
+    /// Waiting requests with their submission time.
+    queue: VecDeque<(GenRequest, u64)>,
     window: usize,
     block_bytes: u64,
     kv_bytes: u64,
@@ -194,6 +201,7 @@ pub struct ServeEngine {
     g_active: Gauge,
     g_queue: Gauge,
     h_round: Histogram,
+    h_queue_wait: Histogram,
     h_ttft: Histogram,
     h_latency: Histogram,
 }
@@ -253,17 +261,11 @@ impl ServeEngine {
 
         let heads = mcfg.heads;
         let dh = mcfg.hidden / heads;
-        let slots = (0..cfg.slots)
-            .map(|_| Slot {
-                kv: (0..layers)
+        let kv = (0..layers)
+            .map(|_| {
+                (0..cfg.slots)
                     .map(|_| KvCache::new(heads, dh, max_seq))
-                    .collect(),
-                ws: BlockDecodeScratch::new(),
-                head_ws: HeadDecodeScratch::new(),
-                x: Tensor::zeros([1]),
-                y: Tensor::zeros([1]),
-                logits: Tensor::zeros([1]),
-                active: None,
+                    .collect()
             })
             .collect();
 
@@ -275,7 +277,9 @@ impl ServeEngine {
             prefetch_stage: Vec::new(),
             prefetch_pack: PackedHalf::new(cfg.precision),
             device,
-            slots,
+            slots: (0..cfg.slots).map(|_| None).collect(),
+            kv,
+            batch: DecodeBatch::new(),
             queue: VecDeque::new(),
             window,
             block_bytes,
@@ -295,6 +299,7 @@ impl ServeEngine {
             g_active: tel.gauge("serve.active_slots"),
             g_queue: tel.gauge("serve.queue_depth"),
             h_round: tel.histogram("serve.round_ns"),
+            h_queue_wait: tel.histogram("serve.queue_wait_ns"),
             h_ttft: tel.histogram("serve.ttft_ns"),
             h_latency: tel.histogram("serve.request_latency_ns"),
             tel,
@@ -361,7 +366,7 @@ impl ServeEngine {
 
     /// Sequences currently holding a slot.
     pub fn active_slots(&self) -> usize {
-        self.slots.iter().filter(|s| s.active.is_some()).count()
+        self.slots.iter().flatten().count()
     }
 
     /// Requests waiting for a slot.
@@ -369,23 +374,50 @@ impl ServeEngine {
         self.queue.len()
     }
 
-    /// Enqueues a request (FIFO admission at the next round boundary).
+    /// Enqueues a request (FIFO admission at the next round boundary),
+    /// validating it at the door: a request the engine could not run to
+    /// completion is refused here, never mid-round with a slot taken.
+    ///
+    /// # Errors
+    /// [`RuntimeError::Config`] if the prompt is empty, no tokens are
+    /// requested, `prompt + max_new_tokens` exceeds the per-sequence token
+    /// capacity, or a prompt token is outside the vocabulary.
+    pub fn try_submit(&mut self, req: GenRequest) -> Result<(), RuntimeError> {
+        let need = req.prompt.len() + req.max_new_tokens;
+        let vocab = self.model.embedding.vocab();
+        let refusal = if req.prompt.is_empty() {
+            Some("empty prompt".to_string())
+        } else if req.max_new_tokens == 0 {
+            Some("zero tokens requested".to_string())
+        } else if need > self.max_seq {
+            Some(format!(
+                "request needs {need} tokens, slot capacity is {}",
+                self.max_seq
+            ))
+        } else {
+            (req.prompt.iter().find(|&&t| t as usize >= vocab))
+                .map(|t| format!("token {t} out of vocab {vocab}"))
+        };
+        if let Some(why) = refusal {
+            return Err(RuntimeError::Config(format!("serve: {why}")));
+        }
+        self.c_requests.incr();
+        self.queue.push_back((req, self.now_ns()));
+        self.g_queue.set(self.queue.len() as i64);
+        Ok(())
+    }
+
+    /// [`ServeEngine::try_submit`] for callers that treat a bad request as
+    /// a bug.
     ///
     /// # Panics
-    /// Panics if the prompt is empty or `prompt + max_new_tokens` cannot
-    /// fit the per-sequence token capacity.
+    /// Panics if the prompt is empty, no tokens are requested, a token is
+    /// out of vocabulary, or `prompt + max_new_tokens` cannot fit the
+    /// per-sequence token capacity.
     pub fn submit(&mut self, req: GenRequest) {
-        assert!(!req.prompt.is_empty(), "serve: empty prompt");
-        assert!(req.max_new_tokens > 0, "serve: zero tokens requested");
-        assert!(
-            req.prompt.len() + req.max_new_tokens <= self.max_seq,
-            "serve: request needs {} tokens, slot capacity is {}",
-            req.prompt.len() + req.max_new_tokens,
-            self.max_seq
-        );
-        self.c_requests.incr();
-        self.queue.push_back(req);
-        self.g_queue.set(self.queue.len() as i64);
+        if let Err(e) = self.try_submit(req) {
+            panic!("{e}");
+        }
     }
 
     /// Submits a batch and runs rounds until every request finishes.
@@ -409,26 +441,28 @@ impl ServeEngine {
     /// its prefill rides the same layer stream as everyone else's decode.
     fn admit(&mut self) {
         let now = self.now_ns();
-        for slot in self.slots.iter_mut() {
-            if slot.active.is_some() {
+        for (s, slot) in self.slots.iter_mut().enumerate() {
+            if slot.is_some() {
                 continue;
             }
-            let Some(req) = self.queue.pop_front() else {
+            let Some((req, submitted_ns)) = self.queue.pop_front() else {
                 break;
             };
-            for kv in slot.kv.iter_mut() {
-                kv.clear();
+            for layer in self.kv.iter_mut() {
+                layer[s].clear();
             }
-            let prompt_len = req.prompt.len();
-            slot.active = Some(ActiveReq {
+            let queue_ns = now.saturating_sub(submitted_ns);
+            self.h_queue_wait.record(queue_ns);
+            *slot = Some(ActiveReq {
                 id: req.id,
                 rng: seeded_rng(req.seed),
                 max_new_tokens: req.max_new_tokens,
-                prompt_len,
+                prompt_len: req.prompt.len(),
                 generated: Vec::with_capacity(req.max_new_tokens),
                 pos: 0,
                 pending: req.prompt,
-                submit_ns: now,
+                queue_ns,
+                admit_ns: now,
                 ttft_ns: None,
                 rounds: 0,
             });
@@ -444,39 +478,36 @@ impl ServeEngine {
 
     /// Runs one engine round; returns the requests that finished in it.
     ///
-    /// A round is: admission → embed every active slot's pending tokens →
-    /// one streamed pass over all layers (prefetcher thread staging H2D
-    /// ahead of compute, `m+1` shells circulating through the device
-    /// budget) → last-token logits → one sampled token per active slot.
+    /// A round is: admission → stack and embed every active slot's pending
+    /// tokens → one streamed pass over all layers (prefetcher thread
+    /// staging H2D ahead of compute, `m+1` shells circulating through the
+    /// device budget), one GEMM per linear over the whole stack → last-row
+    /// logits in one head product → one sampled token per active slot.
     pub fn step(&mut self) -> Vec<GenResult> {
         self.admit();
         let t_round = Instant::now();
-        let nb = self.store.len();
         let mut finished = Vec::new();
         if self.active_slots() == 0 {
             return finished;
         }
         self.c_rounds.incr();
 
-        // Embed each active slot's pending run at its absolute position.
-        let mut prefill_tokens = 0u64;
-        let mut decode_tokens = 0u64;
-        for slot in self.slots.iter_mut() {
-            let Some(req) = slot.active.as_mut() else {
-                continue;
-            };
-            self.model.embed_at_into(&req.pending, req.pos, &mut slot.x);
+        // Stack each active slot's pending run, embedded at its absolute
+        // position, into the round's packed activation.
+        self.batch.clear();
+        for (s, slot) in self.slots.iter_mut().enumerate() {
+            let Some(req) = slot else { continue };
+            self.batch.push(&self.model, s, &req.pending, req.pos);
             req.rounds += 1;
+            let run = req.pending.len() as u64;
             if req.pos == 0 {
-                prefill_tokens += req.pending.len() as u64;
+                self.c_prefill_tokens.add(run);
             } else {
-                decode_tokens += req.pending.len() as u64;
+                self.c_decode_tokens.add(run);
             }
         }
-        self.c_prefill_tokens.add(prefill_tokens);
-        self.c_decode_tokens.add(decode_tokens);
 
-        // ---- one layer-streamed pass over every active sequence ----
+        // ---- one layer-streamed pass over the stacked sequences ----
         let m = self.window;
         let bb = self.block_bytes;
         let cw = self.compute_workers;
@@ -486,18 +517,18 @@ impl ServeEngine {
         let store = &self.store;
         let stage = &mut self.prefetch_stage;
         let pack = &mut self.prefetch_pack;
-        let shells = &mut self.shells;
-        let slots = &mut self.slots;
+        let batch = &mut self.batch;
+        let kv = &mut self.kv;
         let (fp_tx, fp_rx) = bounded::<(usize, Block)>(m);
         let (free_tx, free_rx) = bounded::<Block>(m + 1);
-        for sh in shells.drain(..) {
+        for sh in self.shells.drain(..) {
             free_tx.send(sh).expect("seed free shells");
         }
 
         std::thread::scope(|scope| {
             // Prefetcher: identical shape to the training H2D engine —
-            // recv a free shell, stage the layer (rounding through the
-            // half-width payload when configured), account the copy.
+            // recv a free shell, load the layer (through the half-width
+            // payload's value grid when configured), account the copy.
             let device_pf = Arc::clone(&device);
             let free_rx_pf = free_rx.clone();
             let tel_pf = tel.clone();
@@ -508,16 +539,17 @@ impl ServeEngine {
                     };
                     let span = tel_pf.span("h2d-copy", format!("h2d L{i}"));
                     device_pf.begin_h2d();
-                    stage.clear();
-                    stage.extend_from_slice(flat);
                     device_pf.alloc(bb);
                     let h2d_bytes = if precision.is_half() {
-                        pack.round_through(stage);
+                        pack.pack_from(flat);
+                        stage.resize(flat.len(), 0.0);
+                        pack.unpack_into(stage);
+                        shell.load_flat_params(stage);
                         pack.nbytes()
                     } else {
-                        (stage.len() * 4) as u64
+                        shell.load_flat_params(flat);
+                        (flat.len() * 4) as u64
                     };
-                    shell.load_flat_params(stage);
                     device_pf.end_h2d(h2d_bytes);
                     span.end();
                     if fp_tx.send((i, shell)).is_err() {
@@ -526,38 +558,11 @@ impl ServeEngine {
                 }
             });
 
-            // Compute: walk every active slot through each layer as it
-            // lands, then release the shell back to the window. Slots are
-            // independent (own KV, own workspace), so fanning them across
-            // threads cannot change any slot's bits.
-            let mut active: Vec<&mut Slot> =
-                slots.iter_mut().filter(|s| s.active.is_some()).collect();
+            // Compute: run the whole stack through each layer as it lands,
+            // then release the shell back to the window.
             while let Ok((i, block)) = fp_rx.recv() {
                 let span = tel.span("serve-compute", format!("L{i}"));
-                if cw > 1 && active.len() > 1 {
-                    let per = active.len().div_ceil(cw);
-                    std::thread::scope(|cs| {
-                        for chunk in active.chunks_mut(per) {
-                            let block = &block;
-                            cs.spawn(move || {
-                                for slot in chunk.iter_mut() {
-                                    block.forward_decode(
-                                        &slot.x,
-                                        &mut slot.kv[i],
-                                        &mut slot.ws,
-                                        &mut slot.y,
-                                    );
-                                    std::mem::swap(&mut slot.x, &mut slot.y);
-                                }
-                            });
-                        }
-                    });
-                } else {
-                    for slot in active.iter_mut() {
-                        block.forward_decode(&slot.x, &mut slot.kv[i], &mut slot.ws, &mut slot.y);
-                        std::mem::swap(&mut slot.x, &mut slot.y);
-                    }
-                }
+                batch.block_forward(&block, &mut kv[i], cw);
                 span.end();
                 device.free(bb);
                 free_tx.send(block).expect("return shell");
@@ -568,37 +573,32 @@ impl ServeEngine {
             self.shells.push(sh);
         }
         debug_assert_eq!(self.shells.len(), m + 1, "window shells must all return");
-        let _ = nb;
 
         // ---- head + sampling + completion ----
+        self.batch.head(&self.model);
         let now = self.now_ns();
-        let temperature = self.temperature;
-        for slot in self.slots.iter_mut() {
-            let Some(req) = slot.active.as_mut() else {
-                continue;
-            };
-            self.model
-                .lm_logits_last_into(&slot.x, &mut slot.head_ws, &mut slot.logits);
-            let tok = sample(slot.logits.data(), temperature, &mut req.rng);
+        for (n, slot) in self.slots.iter_mut().filter(|s| s.is_some()).enumerate() {
+            let req = slot.as_mut().expect("filtered to active slots");
+            let tok = sample(self.batch.logits(n), self.temperature, &mut req.rng);
             req.pos += req.pending.len();
             req.generated.push(tok);
             self.c_tokens.incr();
+            let since_admit = now.saturating_sub(req.admit_ns);
             if req.ttft_ns.is_none() {
-                req.ttft_ns = Some(now.saturating_sub(req.submit_ns));
-                self.h_ttft.record(now.saturating_sub(req.submit_ns));
+                req.ttft_ns = Some(since_admit);
+                self.h_ttft.record(since_admit);
             }
-            let done = req.generated.len() >= req.max_new_tokens || req.pos >= self.max_seq;
-            if done {
-                let req = slot.active.take().expect("active request");
+            if req.generated.len() >= req.max_new_tokens || req.pos >= self.max_seq {
+                let req = slot.take().expect("active request");
                 self.c_completed.incr();
-                let latency = now.saturating_sub(req.submit_ns);
-                self.h_latency.record(latency);
+                self.h_latency.record(since_admit);
                 finished.push(GenResult {
                     id: req.id,
                     prompt_len: req.prompt_len,
                     tokens: req.generated,
-                    ttft_ns: req.ttft_ns.unwrap_or(latency),
-                    latency_ns: latency,
+                    queue_ns: req.queue_ns,
+                    ttft_ns: req.ttft_ns.unwrap_or(since_admit),
+                    latency_ns: since_admit,
                     rounds: req.rounds,
                 });
             } else {

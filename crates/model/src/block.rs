@@ -3,7 +3,7 @@
 
 use rand_chacha::ChaCha8Rng;
 use stronghold_tensor::attention::{
-    Attention, AttentionCache, AttentionGrads, DecodeScratch, KvCache,
+    Attention, AttentionCache, AttentionGrads, DecodeScratch, KvCache, Segment,
 };
 use stronghold_tensor::linear::{Linear, LinearGrads};
 use stronghold_tensor::ops::{
@@ -59,7 +59,7 @@ impl BlockCache {
     }
 }
 
-/// Reusable per-sequence workspace for [`Block::forward_decode`]: every
+/// Reusable workspace for [`Block::forward_decode_segments`]: every
 /// intermediate activation of the serving path, sized on first use and
 /// recycled across decode steps so the steady state never allocates.
 #[derive(Clone)]
@@ -176,19 +176,42 @@ impl Block {
         y
     }
 
-    /// Incremental forward for serving: runs `R` new tokens `x: [R, H]` of
-    /// one sequence through the block, reading and extending the sequence's
-    /// per-layer [`KvCache`]. All products go through the batch-stable GEMM
-    /// entries and the attention softmax covers exactly the causal prefix,
-    /// so one token's output bits are independent of how many tokens ride
-    /// the call — prefill and token-at-a-time decode agree bit-for-bit.
-    /// Writes the block output into `y` (reused across calls).
+    /// Incremental forward for one sequence: the one-segment case of
+    /// [`Block::forward_decode_segments`] over `x: [R, H]`.
     pub fn forward_decode(
         &self,
         x: &Tensor,
         cache: &mut KvCache,
         ws: &mut BlockDecodeScratch,
         y: &mut Tensor,
+    ) {
+        let seg = Segment {
+            cache: 0,
+            len: x.shape().dim(0),
+        };
+        self.forward_decode_segments(x, &[seg], std::slice::from_mut(cache), ws, y, 1);
+    }
+
+    /// Incremental forward for serving with selective batching: `x: [ΣR, H]`
+    /// stacks the new tokens of several sequences (`segs` partitions its
+    /// rows; see [`Segment`]), each reading and extending its own
+    /// per-layer [`KvCache`] in `caches`. Layernorm, GELU and the residual
+    /// adds are row-wise and the four linears run as one product each over
+    /// all `ΣR` rows — each weight is packed once per call however many
+    /// sequences ride it — while attention stays per sequence (fanned over
+    /// `workers` threads). All products go through the batch-stable GEMM
+    /// entries and the attention softmax covers exactly the causal prefix,
+    /// so one token's output bits are independent of what else rides the
+    /// call — prefill, token-at-a-time decode and any stacking agree
+    /// bit-for-bit. Writes the block output into `y` (reused across calls).
+    pub fn forward_decode_segments(
+        &self,
+        x: &Tensor,
+        segs: &[Segment],
+        caches: &mut [KvCache],
+        ws: &mut BlockDecodeScratch,
+        y: &mut Tensor,
+        workers: usize,
     ) {
         layernorm_into(
             x,
@@ -198,8 +221,14 @@ impl Block {
             &mut ws.ln1_out,
             &mut ws.ln_cache,
         );
-        self.attn
-            .forward_decode(&ws.ln1_out, cache, &mut ws.attn, &mut ws.attn_out);
+        self.attn.forward_decode_segments(
+            &ws.ln1_out,
+            segs,
+            caches,
+            &mut ws.attn,
+            &mut ws.attn_out,
+            workers,
+        );
         // after_attn = x + attn_out, reusing the attention output buffer.
         add_assign(&mut ws.attn_out, x);
         layernorm_into(
@@ -462,7 +491,70 @@ impl BlockGrads {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use stronghold_tensor::init::{normal, seeded_rng};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Selective batching moves no bits: a random mix of prefill
+        /// (empty cache) and decode (warm cache) segments stacked into one
+        /// call equals each sequence run alone through the one-segment
+        /// entry — block outputs and resulting KV caches, bit for bit, at
+        /// any worker count.
+        #[test]
+        fn prop_stacked_segments_equal_each_sequence_alone(
+            lens in proptest::collection::vec(1usize..41, 1..7),
+            cached in proptest::collection::vec(0usize..9, 6..7),
+            workers in 1usize..4,
+            seed in 0u64..1000,
+        ) {
+            let (h, heads, max_seq) = (16, 2, 48);
+            let mut rng = seeded_rng(seed);
+            let block = Block::new(h, heads, &mut rng);
+            let mut ws = BlockDecodeScratch::new();
+            let mut y = Tensor::zeros([1]);
+
+            // Every other cache slot stays idle, as in a half-full engine.
+            let mut alone: Vec<KvCache> = (0..2 * lens.len())
+                .map(|_| KvCache::new(heads, h / heads, max_seq))
+                .collect();
+            for (s, &warm) in cached.iter().take(lens.len()).enumerate() {
+                if warm > 0 {
+                    let x = normal([warm, h], 1.0, &mut rng);
+                    block.forward_decode(&x, &mut alone[2 * s], &mut ws, &mut y);
+                }
+            }
+            let mut stacked = alone.clone();
+
+            let mut xs = Vec::new();
+            let mut want = Vec::new();
+            for (s, &len) in lens.iter().enumerate() {
+                let x = normal([len, h], 1.0, &mut rng);
+                block.forward_decode(&x, &mut alone[2 * s], &mut ws, &mut y);
+                xs.extend_from_slice(x.data());
+                want.extend(y.data().iter().map(|v| v.to_bits()));
+            }
+
+            let segs: Vec<Segment> = lens
+                .iter()
+                .enumerate()
+                .map(|(s, &len)| Segment { cache: 2 * s, len })
+                .collect();
+            let x = Tensor::from_vec([xs.len() / h, h], xs);
+            block.forward_decode_segments(&x, &segs, &mut stacked, &mut ws, &mut y, workers);
+
+            let got: Vec<u32> = y.data().iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got, want);
+            for (a, b) in alone.iter().zip(stacked.iter()) {
+                prop_assert_eq!(a.len(), b.len());
+                for head in 0..heads {
+                    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(a.keys(head)), bits(b.keys(head)));
+                    prop_assert_eq!(bits(a.values(head)), bits(b.values(head)));
+                }
+            }
+        }
+    }
 
     #[test]
     fn param_count_formula() {

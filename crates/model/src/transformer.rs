@@ -7,7 +7,7 @@
 //! entry points for tests and examples.
 
 use rand_chacha::ChaCha8Rng;
-use stronghold_tensor::attention::KvCache;
+use stronghold_tensor::attention::{KvCache, Segment};
 use stronghold_tensor::embedding::{Embedding, EmbeddingGrads};
 use stronghold_tensor::init::seeded_rng;
 use stronghold_tensor::loss::cross_entropy;
@@ -67,7 +67,7 @@ impl HeadCache {
     }
 }
 
-/// Reusable workspace for [`Transformer::lm_logits_last_into`].
+/// Reusable workspace for [`Transformer::lm_logits_rows_into`].
 #[derive(Clone)]
 pub struct HeadDecodeScratch {
     last_row: Tensor,
@@ -87,6 +87,98 @@ impl HeadDecodeScratch {
 }
 
 impl Default for HeadDecodeScratch {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// The packed workspace of one selectively-batched serving round: the
+/// pending token runs of every active sequence stacked into one
+/// `[ΣR, hidden]` activation, walked through the blocks with one GEMM per
+/// linear ([`Block::forward_decode_segments`]) and through the head with
+/// one product over each sequence's last row. Buffers grow to the largest
+/// round seen and are reused, so steady-state rounds allocate nothing.
+pub struct DecodeBatch {
+    segs: Vec<Segment>,
+    last_rows: Vec<usize>,
+    x: Tensor,
+    y: Tensor,
+    ws: BlockDecodeScratch,
+    head_ws: HeadDecodeScratch,
+    logits: Tensor,
+}
+
+impl DecodeBatch {
+    /// An empty workspace; buffers grow on first use.
+    pub fn new() -> Self {
+        DecodeBatch {
+            segs: Vec::new(),
+            last_rows: Vec::new(),
+            x: Tensor::zeros([1]),
+            y: Tensor::zeros([1]),
+            ws: BlockDecodeScratch::new(),
+            head_ws: HeadDecodeScratch::new(),
+            logits: Tensor::zeros([1]),
+        }
+    }
+
+    /// Starts a new round with no sequences stacked.
+    pub fn clear(&mut self) {
+        self.segs.clear();
+        self.last_rows.clear();
+    }
+
+    /// Stacks one sequence's pending run: embeds `tokens` at absolute
+    /// position `pos0` into the next rows and binds them to cache index
+    /// `cache` (indices must arrive strictly ascending).
+    pub fn push(&mut self, model: &Transformer, cache: usize, tokens: &[u32], pos0: usize) {
+        assert!(!tokens.is_empty(), "DecodeBatch: empty token run");
+        let h = model.embedding.hidden();
+        let r0 = self.last_rows.last().map_or(0, |&r| r + 1);
+        self.x.reset_for([r0 + tokens.len(), h]);
+        model
+            .embedding
+            .forward_at_rows(tokens, pos0, &mut self.x.data_mut()[r0 * h..]);
+        self.segs.push(Segment {
+            cache,
+            len: tokens.len(),
+        });
+        self.last_rows.push(r0 + tokens.len() - 1);
+    }
+
+    /// Runs the stacked rows through one block, each sequence against
+    /// `caches[its cache index]` (that layer's KV caches).
+    pub fn block_forward(&mut self, block: &Block, caches: &mut [KvCache], workers: usize) {
+        block.forward_decode_segments(
+            &self.x,
+            &self.segs,
+            caches,
+            &mut self.ws,
+            &mut self.y,
+            workers,
+        );
+        std::mem::swap(&mut self.x, &mut self.y);
+    }
+
+    /// Final layernorm + tied head over every sequence's last row.
+    pub fn head(&mut self, model: &Transformer) {
+        model.lm_logits_rows_into(
+            &self.x,
+            &self.last_rows,
+            &mut self.head_ws,
+            &mut self.logits,
+        );
+    }
+
+    /// The logits row of the `n`-th stacked sequence (after
+    /// [`DecodeBatch::head`]).
+    pub fn logits(&self, n: usize) -> &[f32] {
+        let v = self.logits.shape().dim(1);
+        &self.logits.data()[n * v..(n + 1) * v]
+    }
+}
+
+impl Default for DecodeBatch {
     fn default() -> Self {
         Self::new()
     }
@@ -221,16 +313,32 @@ impl Transformer {
     }
 
     /// Final layernorm + tied LM head for the *last* row of `x` only:
-    /// writes `[1, vocab]` logits into `logits`. Layernorm is per-row and
-    /// the head product is batch-stable, so the result is bit-identical
-    /// whether the row arrived via prefill or single-token decode.
+    /// writes `[1, vocab]` logits into `logits` — the one-row case of
+    /// [`Transformer::lm_logits_rows_into`].
     pub fn lm_logits_last_into(&self, x: &Tensor, ws: &mut HeadDecodeScratch, logits: &mut Tensor) {
-        let (t, h) = x.shape().as_2d();
+        let t = x.shape().dim(0);
         assert!(t > 0, "lm_logits_last_into: empty input");
-        ws.last_row.reset_for([1, h]);
-        ws.last_row
-            .data_mut()
-            .copy_from_slice(&x.data()[(t - 1) * h..t * h]);
+        self.lm_logits_rows_into(x, &[t - 1], ws, logits);
+    }
+
+    /// Final layernorm + tied LM head for the listed rows of `x` (each
+    /// stacked sequence's last token): writes `[rows.len(), vocab]` logits
+    /// with **one** product against the embedding table. Layernorm is
+    /// per-row and the head product is batch-stable, so a row's logits are
+    /// bit-identical whether it arrived via prefill or single-token decode
+    /// and however many other rows share the call.
+    pub fn lm_logits_rows_into(
+        &self,
+        x: &Tensor,
+        rows: &[usize],
+        ws: &mut HeadDecodeScratch,
+        logits: &mut Tensor,
+    ) {
+        let h = x.shape().dim(1);
+        ws.last_row.reset_for([rows.len(), h]);
+        for (dst, &r) in ws.last_row.data_mut().chunks_exact_mut(h).zip(rows) {
+            dst.copy_from_slice(&x.data()[r * h..(r + 1) * h]);
+        }
         layernorm_into(
             &ws.last_row,
             &self.lnf_g,
@@ -240,12 +348,12 @@ impl Transformer {
             &mut ws.ln_cache,
         );
         let v = self.embedding.vocab();
-        logits.reset_for([1, v]);
+        logits.reset_for([rows.len(), v]);
         matmul_nt_stable(
             ws.lnf_out.data(),
             self.embedding.token.data(),
             logits.data_mut(),
-            1,
+            rows.len(),
             h,
             v,
         );
@@ -367,6 +475,38 @@ impl TransformerGrads {
 mod tests {
     use super::*;
     use crate::config::tiny;
+    use proptest::prelude::*;
+    use stronghold_tensor::init::normal;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// The multi-row head is the row-at-a-time head: one product over
+        /// any selection of rows gives each row the bits it gets alone.
+        #[test]
+        fn prop_multi_row_head_equals_row_at_a_time(
+            rows in proptest::collection::vec(0usize..40, 1..7),
+            seed in 0u64..1000,
+        ) {
+            let cfg = tiny(1);
+            let model = Transformer::new(cfg, seed);
+            let x = normal([40, cfg.hidden], 1.0, &mut seeded_rng(seed + 1));
+            let mut ws = HeadDecodeScratch::new();
+            let mut all = Tensor::zeros([1]);
+            model.lm_logits_rows_into(&x, &rows, &mut ws, &mut all);
+            let mut one = Tensor::zeros([1]);
+            for (n, &r) in rows.iter().enumerate() {
+                let upto = Tensor::from_vec(
+                    [r + 1, cfg.hidden],
+                    x.data()[..(r + 1) * cfg.hidden].to_vec(),
+                );
+                model.lm_logits_last_into(&upto, &mut ws, &mut one);
+                let got = &all.data()[n * cfg.vocab..(n + 1) * cfg.vocab];
+                for (a, b) in got.iter().zip(one.data()) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
+            }
+        }
+    }
 
     #[test]
     fn param_count_matches_config() {

@@ -282,16 +282,16 @@ impl KvCache {
         (2 * self.heads * self.max_seq * self.dh * std::mem::size_of::<f32>()) as u64
     }
 
-    /// The cached `[len, dh]` K prefix of one head.
-    fn head_k(&self, head: usize, len: usize) -> &[f32] {
+    /// The cached keys of one head: a contiguous `[len, dh]` slice.
+    pub fn keys(&self, head: usize) -> &[f32] {
         let base = head * self.max_seq * self.dh;
-        &self.k[base..base + len * self.dh]
+        &self.k[base..base + self.len * self.dh]
     }
 
-    /// The cached `[len, dh]` V prefix of one head.
-    fn head_v(&self, head: usize, len: usize) -> &[f32] {
+    /// The cached values of one head: a contiguous `[len, dh]` slice.
+    pub fn values(&self, head: usize) -> &[f32] {
         let base = head * self.max_seq * self.dh;
-        &self.v[base..base + len * self.dh]
+        &self.v[base..base + self.len * self.dh]
     }
 
     /// Appends one token's K/V rows, sliced per head out of a fused
@@ -309,9 +309,21 @@ impl KvCache {
     }
 }
 
-/// Reusable workspace for [`Attention::forward_decode`]; holds the fused
-/// QKV activation, one score row, and the per-token context so repeated
-/// decode steps are allocation-free after warm-up.
+/// One sequence's share of a stacked decode activation: `len` consecutive
+/// rows, attended against `caches[cache]`. A segment list partitions the
+/// activation's rows in order, with strictly ascending cache indices (one
+/// segment per sequence).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Segment {
+    /// Index of this sequence's [`KvCache`] in the call's cache slice.
+    pub cache: usize,
+    /// Rows this sequence contributes (a whole prompt, or one decode token).
+    pub len: usize,
+}
+
+/// Reusable workspace for [`Attention::forward_decode_segments`]; holds the
+/// fused QKV activation, one score row per worker, and the stacked context
+/// so repeated decode steps are allocation-free after warm-up.
 #[derive(Clone)]
 pub struct DecodeScratch {
     qkv_out: Tensor,
@@ -337,17 +349,8 @@ impl Default for DecodeScratch {
 }
 
 impl Attention {
-    /// Incremental causal forward for serving: runs `R` new tokens
-    /// `x: [R, H]` of one sequence whose first `cache.len()` tokens are
-    /// already cached, appends their K/V rows, and writes the attention
-    /// output into `y: [R, H]`.
-    ///
-    /// Bit-compatibility contract: every product uses the batch-stable
-    /// GEMM entries and every softmax runs over exactly the causal prefix
-    /// `0..=pos`, so the bits of one token's output depend only on the
-    /// tokens before it — a full-prompt prefill (`R = T`) and a
-    /// token-at-a-time replay (`R = 1` repeatedly) produce identical
-    /// streams, and co-batching other sequences cannot perturb either.
+    /// Incremental causal forward for one sequence: the one-segment case
+    /// of [`Attention::forward_decode_segments`] over `x: [R, H]`.
     pub fn forward_decode(
         &self,
         x: &Tensor,
@@ -355,43 +358,140 @@ impl Attention {
         ws: &mut DecodeScratch,
         y: &mut Tensor,
     ) {
-        let r = x.shape().dim(0);
-        let h = x.shape().dim(1);
-        let dh = h / self.heads;
-        let scale = 1.0 / (dh as f32).sqrt();
-        assert_eq!(cache.heads, self.heads, "KvCache heads mismatch");
-        assert_eq!(cache.dh, dh, "KvCache head width mismatch");
+        let seg = Segment {
+            cache: 0,
+            len: x.shape().dim(0),
+        };
+        self.forward_decode_segments(x, &[seg], std::slice::from_mut(cache), ws, y, 1);
+    }
 
-        self.qkv.forward_stable_into(x, &mut ws.qkv_out); // [R, 3H]
-        ws.scores.resize(cache.max_seq, 0.0);
+    /// Incremental causal forward for serving with selective batching:
+    /// `x: [ΣR, H]` stacks the new tokens of several sequences (`segs`
+    /// partitions its rows). The QKV and output projections run as **one**
+    /// product each over all `ΣR` rows, so the weights are packed once per
+    /// call; between them every segment appends its K/V rows to its own
+    /// cache and attends causally against that cache only. `workers > 1`
+    /// fans the segments — independent by construction — across threads.
+    /// Writes the attention output into `y: [ΣR, H]`.
+    ///
+    /// Bit-compatibility contract: every product uses the batch-stable
+    /// GEMM entries and every softmax runs over exactly the causal prefix
+    /// `0..=pos`, so the bits of one token's output depend only on the
+    /// tokens before it in its own sequence — a full-prompt prefill, a
+    /// token-at-a-time replay, and any stacking with other sequences (at
+    /// any worker count) produce identical streams.
+    ///
+    /// # Panics
+    /// Panics if `segs` does not partition `x`'s rows, its cache indices
+    /// are not strictly ascending, or a cache's geometry mismatches.
+    pub fn forward_decode_segments(
+        &self,
+        x: &Tensor,
+        segs: &[Segment],
+        caches: &mut [KvCache],
+        ws: &mut DecodeScratch,
+        y: &mut Tensor,
+        workers: usize,
+    ) {
+        let (r, h) = x.shape().as_2d();
+        assert_eq!(
+            segs.iter().map(|s| s.len).sum::<usize>(),
+            r,
+            "segments must partition the stacked rows"
+        );
+        assert!(
+            segs.windows(2).all(|w| w[0].cache < w[1].cache),
+            "segment cache indices must be strictly ascending"
+        );
+
+        self.qkv.forward_stable_into(x, &mut ws.qkv_out); // [ΣR, 3H]
         ws.ctx.reset_for([r, h]);
+        let max_seq = caches.iter().map(|c| c.max_seq).max().unwrap_or(0);
+        let per = segs.len().div_ceil(workers.max(1)).max(1);
+        ws.scores.resize(segs.len().div_ceil(per) * max_seq, 0.0);
 
-        for row in 0..r {
-            let qkv_row = &ws.qkv_out.data()[row * 3 * h..(row + 1) * 3 * h];
-            // Append this token's K/V first: causal attention includes self.
-            cache.push_token(qkv_row, h);
-            let pos = cache.len; // tokens visible to this query
-            for head in 0..self.heads {
-                let q_row = &qkv_row[head * dh..(head + 1) * dh];
-                let scores = &mut ws.scores[..pos];
-                matmul_nt_stable(q_row, cache.head_k(head, pos), scores, 1, dh, pos);
-                for s in scores.iter_mut() {
-                    *s *= scale;
+        if segs.len() <= per {
+            self.attend(
+                segs,
+                caches,
+                0,
+                ws.qkv_out.data(),
+                ws.ctx.data_mut(),
+                &mut ws.scores,
+            );
+        } else {
+            // Ascending cache indices and in-order rows let every chunk of
+            // segments split off its own caches, rows and score buffer.
+            let mut caches = caches;
+            let mut base = 0;
+            let mut qkv = ws.qkv_out.data();
+            let mut ctx = ws.ctx.data_mut();
+            let mut scores = ws.scores.chunks_mut(max_seq);
+            std::thread::scope(|scope| {
+                let mut chunks = segs.chunks(per).peekable();
+                while let Some(chunk) = chunks.next() {
+                    let rows: usize = chunk.iter().map(|s| s.len).sum();
+                    let hi = chunk[chunk.len() - 1].cache + 1;
+                    let (mine, rest) = std::mem::take(&mut caches).split_at_mut(hi - base);
+                    let (q, q_rest) = qkv.split_at(rows * 3 * h);
+                    let (c, c_rest) = std::mem::take(&mut ctx).split_at_mut(rows * h);
+                    let sc = scores.next().expect("one score buffer per chunk");
+                    // The calling thread takes the last chunk itself.
+                    if chunks.peek().is_some() {
+                        scope.spawn(move || self.attend(chunk, mine, base, q, c, sc));
+                    } else {
+                        self.attend(chunk, mine, base, q, c, sc);
+                    }
+                    (caches, base, qkv, ctx) = (rest, hi, q_rest, c_rest);
                 }
-                softmax_row_inplace(scores);
-                let ctx_row =
-                    &mut ws.ctx.data_mut()[row * h + head * dh..row * h + (head + 1) * dh];
-                matmul_nn_stable(
-                    &ws.scores[..pos],
-                    cache.head_v(head, pos),
-                    ctx_row,
-                    1,
-                    pos,
-                    dh,
-                );
-            }
+            });
         }
         self.proj.forward_stable_into(&ws.ctx, y);
+    }
+
+    /// Per-sequence score → softmax → context for a run of segments whose
+    /// rows start at row 0 of `qkv: [rows, 3H]` / `ctx: [rows, H]` and
+    /// whose caches are `caches[seg.cache - base]`.
+    fn attend(
+        &self,
+        segs: &[Segment],
+        caches: &mut [KvCache],
+        base: usize,
+        qkv: &[f32],
+        ctx: &mut [f32],
+        scores: &mut [f32],
+    ) {
+        let h = self.proj.in_features();
+        let dh = h / self.heads;
+        let scale = 1.0 / (dh as f32).sqrt();
+        let mut rows = qkv.chunks_exact(3 * h).zip(ctx.chunks_exact_mut(h));
+        for seg in segs {
+            let cache = &mut caches[seg.cache - base];
+            assert_eq!(cache.heads, self.heads, "KvCache heads mismatch");
+            assert_eq!(cache.dh, dh, "KvCache head width mismatch");
+            for (qkv_row, ctx_row) in rows.by_ref().take(seg.len) {
+                // Append this token's K/V first: causal attention includes self.
+                cache.push_token(qkv_row, h);
+                let pos = cache.len; // tokens visible to this query
+                for head in 0..self.heads {
+                    let q_row = &qkv_row[head * dh..(head + 1) * dh];
+                    let scores = &mut scores[..pos];
+                    matmul_nt_stable(q_row, cache.keys(head), scores, 1, dh, pos);
+                    for s in scores.iter_mut() {
+                        *s *= scale;
+                    }
+                    softmax_row_inplace(scores);
+                    matmul_nn_stable(
+                        scores,
+                        cache.values(head),
+                        &mut ctx_row[head * dh..(head + 1) * dh],
+                        1,
+                        pos,
+                        dh,
+                    );
+                }
+            }
+        }
     }
 }
 

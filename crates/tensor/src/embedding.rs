@@ -88,14 +88,24 @@ impl Embedding {
     /// Panics if any token id is out of vocabulary or `pos0 + T` exceeds
     /// the positional table.
     pub fn forward_at_into(&self, tokens: &[u32], pos0: usize, out: &mut Tensor) {
+        out.reset_for([tokens.len(), self.hidden()]);
+        self.forward_at_rows(tokens, pos0, out.data_mut());
+    }
+
+    /// [`Embedding::forward_at_into`] writing the `[T, H]` rows into a raw
+    /// row-major slice — the serving round embeds every sequence's run
+    /// straight into its row range of one stacked activation.
+    ///
+    /// # Panics
+    /// As [`Embedding::forward_at_into`], or if `rows.len() != T · H`.
+    pub fn forward_at_rows(&self, tokens: &[u32], pos0: usize, rows: &mut [f32]) {
         let h = self.hidden();
-        let t = tokens.len();
         assert!(
-            pos0 + t <= self.position.shape().dim(0),
+            pos0 + tokens.len() <= self.position.shape().dim(0),
             "sequence longer than positional table"
         );
-        out.reset_for([t, h]);
-        for (i, &tok) in tokens.iter().enumerate() {
+        assert_eq!(rows.len(), tokens.len() * h, "forward_at_rows: output rows");
+        for (i, (&tok, row)) in tokens.iter().zip(rows.chunks_exact_mut(h)).enumerate() {
             let tok = tok as usize;
             assert!(
                 tok < self.vocab(),
@@ -104,7 +114,6 @@ impl Embedding {
             );
             let te = &self.token.data()[tok * h..(tok + 1) * h];
             let pe = &self.position.data()[(pos0 + i) * h..(pos0 + i + 1) * h];
-            let row = &mut out.data_mut()[i * h..(i + 1) * h];
             for ((r, a), b) in row.iter_mut().zip(te.iter()).zip(pe.iter()) {
                 *r = a + b;
             }

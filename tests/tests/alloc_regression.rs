@@ -13,6 +13,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use stronghold_core::adam::AdamParams;
 use stronghold_core::host::{
@@ -50,6 +51,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// The counter tallies every thread of the process, so tests that measure
+/// it must not overlap: each takes this lock for its whole body.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the guarded unit has no state to
+    // corrupt, so later tests still run.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn allocs_during(mut f: impl FnMut()) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
     f();
@@ -71,6 +82,7 @@ const STEADY_STATE_CAP: u64 = 600;
 
 #[test]
 fn resident_step_allocations_stop_growing() {
+    let _serial = serial();
     let cfg = tiny(3);
     let batch = batch_for(&cfg, 41);
     let mut t = HostResidentTrainer::new(cfg, 7, adam());
@@ -100,6 +112,7 @@ fn resident_step_allocations_stop_growing() {
 
 #[test]
 fn offloaded_step_allocations_stop_growing() {
+    let _serial = serial();
     let cfg = tiny(4);
     let batch = batch_for(&cfg, 42);
     let mut t = HostOffloadTrainer::new(
@@ -149,6 +162,7 @@ fn offloaded_step_allocations_stop_growing() {
 /// spilled step allocates no more than the window before it.
 #[test]
 fn spilled_step_allocations_stop_growing() {
+    let _serial = serial();
     let cfg = tiny(4);
     let batch = batch_for(&cfg, 46);
     let mut t = HostOffloadTrainer::new(
@@ -202,6 +216,7 @@ fn spilled_step_allocations_stop_growing() {
 /// included.
 #[test]
 fn data_parallel_step_allocations_stop_growing() {
+    let _serial = serial();
     let cfg = tiny(4).with_batch(8);
     let batch = batch_for(&cfg, 44);
     let mut t = DataParallelTrainer::new(
@@ -250,6 +265,7 @@ fn data_parallel_step_allocations_stop_growing() {
 /// resize can fire — resizes themselves are exempt from the contract.
 #[test]
 fn autotuner_at_fixed_point_allocations_stop_growing() {
+    let _serial = serial();
     use stronghold_core::host::AutotuneConfig;
     let cfg = tiny(4);
     let batch = batch_for(&cfg, 45);
@@ -307,13 +323,14 @@ fn autotuner_at_fixed_point_allocations_stop_growing() {
 
 /// The serving engine's steady-state decode round must be allocation-
 /// bounded too: KV appends write into storage preallocated at engine
-/// construction, slot workspaces and the staging buffer are reused, and
+/// construction, the round's packed workspace is reused, and
 /// the `m+1` parameter shells circulate without reallocation. Per-round
 /// incidentals (the prefetcher thread spawn, channel nodes, span labels)
 /// are constant, so a later window of decode rounds may not allocate more
 /// than an earlier one.
 #[test]
 fn serving_decode_round_allocations_stop_growing() {
+    let _serial = serial();
     use stronghold_core::serve::{GenRequest, ServeConfig, ServeEngine};
     let mut eng = ServeEngine::new(
         tiny(4),
@@ -358,6 +375,48 @@ fn serving_decode_round_allocations_stop_growing() {
         "serving steady-state decode round allocates too much: {} allocs/round",
         late / 3
     );
+
+    // Mixed rounds: beside two long decodes a third slot admits a fresh
+    // prompt every other round (prefill + 2 decodes, then 3 decodes). The
+    // packed workspace grew to the mixed shape during warm-up, so a later
+    // window may not allocate more than an earlier one.
+    let mut eng = ServeEngine::new(
+        tiny(4),
+        7,
+        ServeConfig {
+            window: 2,
+            slots: 3,
+            ..ServeConfig::default()
+        },
+    );
+    for i in 0..2u64 {
+        eng.submit(GenRequest {
+            id: i,
+            prompt: vec![3 + i as u32, 5],
+            max_new_tokens: 13,
+            seed: 99 + i,
+        });
+    }
+    let mixed_window = |eng: &mut ServeEngine| {
+        for id in 0..2u64 {
+            eng.submit(GenRequest {
+                id: 10 + id,
+                prompt: vec![7, 1, 4, 2],
+                max_new_tokens: 2,
+                seed: id,
+            });
+            assert!(eng.step().is_empty(), "prefill beside two decodes");
+            assert_eq!(eng.step().len(), 1, "the short request finishes");
+        }
+    };
+    mixed_window(&mut eng);
+    let early = allocs_during(|| mixed_window(&mut eng));
+    let late = allocs_during(|| mixed_window(&mut eng));
+    assert!(
+        late <= early + 8,
+        "per-round allocations grew in steady-state mixed rounds: early window {early}, \
+         late window {late}"
+    );
 }
 
 /// The engine's policy path (global-norm clip + LR schedule + hook
@@ -366,6 +425,7 @@ fn serving_decode_round_allocations_stop_growing() {
 /// arithmetic, and hook dispatch is a map lookup.
 #[test]
 fn engine_policy_path_allocations_stop_growing() {
+    let _serial = serial();
     let cfg = tiny(4);
     let batch = batch_for(&cfg, 43);
     let build = || {

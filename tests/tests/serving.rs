@@ -251,3 +251,62 @@ fn continuous_and_static_agree_on_a_trained_model() {
         );
     }
 }
+
+/// Bad requests are refused at the door with a typed error — before a slot
+/// is taken or a round starts — and the engine keeps serving.
+#[test]
+fn bad_requests_are_refused_at_submission() {
+    use stronghold_core::error::RuntimeError;
+    let cfg = tiny(2);
+    let mut eng = ServeEngine::new(cfg, 9, ServeConfig::default());
+    let req = |prompt: Vec<u32>, max_new_tokens| GenRequest {
+        id: 0,
+        prompt,
+        max_new_tokens,
+        seed: 0,
+    };
+    for (bad, why) in [
+        (req(vec![], 2), "empty prompt"),
+        (req(vec![1, 2], 0), "zero tokens"),
+        (req(vec![1; cfg.seq], 1), "slot capacity"),
+        (req(vec![1, cfg.vocab as u32], 2), "out of vocab"),
+    ] {
+        match eng.try_submit(bad) {
+            Err(RuntimeError::Config(msg)) => assert!(msg.contains(why), "{msg} vs {why}"),
+            other => panic!("{why}: expected a Config error, got {other:?}"),
+        }
+    }
+    assert_eq!(eng.queue_depth(), 0, "a refused request is never queued");
+    let out = eng.generate(vec![req(vec![1, 2], 3)]);
+    assert_eq!(out[0].tokens.len(), 3);
+}
+
+/// The request clocks say what they measure: `queue_ns` covers submission
+/// to admission, `ttft_ns`/`latency_ns` start at admission, and the engine
+/// records the same wait in `serve.queue_wait_ns`.
+#[test]
+fn queue_wait_is_reported_separately_from_service_time() {
+    let tel = Telemetry::enabled();
+    let mut eng = ServeEngine::from_model(
+        Transformer::new(tiny(2), 9),
+        ServeConfig {
+            slots: 1,
+            ..ServeConfig::default()
+        },
+        tel.clone(),
+    );
+    let mut reqs = workload();
+    reqs.truncate(2);
+    let out = by_id(eng.generate(reqs));
+    // One slot: the second request waits out the first one's whole service.
+    assert!(out[0].queue_ns < out[0].latency_ns);
+    assert!(
+        out[1].queue_ns >= out[0].latency_ns,
+        "request 1 queued {} ns behind a {} ns request",
+        out[1].queue_ns,
+        out[0].latency_ns
+    );
+    let h = tel.histogram("serve.queue_wait_ns");
+    assert_eq!(h.count(), 2);
+    assert_eq!(h.sum(), out[0].queue_ns + out[1].queue_ns);
+}
