@@ -19,6 +19,13 @@ test -s "$SMOKE_OUT"
 grep -q '"mode": "quick"' "$SMOKE_OUT"
 grep -q '"gflops_new"' "$SMOKE_OUT"
 grep -q '"gflops_seed"' "$SMOKE_OUT"
+# The shapes the runtime issues (M = 127 / 15 linears, per-head products),
+# one-thread and all-cores rows with the parallel verdict.
+grep -q '"runtime_shapes"' "$SMOKE_OUT"
+grep -q '"shape": "qkv_m127_fwd"' "$SMOKE_OUT"
+grep -q '"shape": "fc2_m15_dw"' "$SMOKE_OUT"
+grep -q '"parallel_speedup"' "$SMOKE_OUT"
+grep -q '"parallel_never_slower"' "$SMOKE_OUT"
 
 echo "==> op-bench smoke (quick mode)"
 # Bounded non-GEMM op sweep: catches ops bench bit-rot and BENCH_ops.json

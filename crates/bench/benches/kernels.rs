@@ -6,6 +6,14 @@
 //! to `BENCH_kernels.json` (override the path with `BENCH_KERNELS_OUT`)
 //! so the kernel perf trajectory is diffable across PRs.
 //!
+//! A second section measures **what the runtime runs**: the three GEMMs
+//! each of a block's four linears issues (forward `nt`, input-gradient
+//! `nn`, weight-gradient `tn`) at the row counts of the strongbench
+//! trainers — `M = 127` over hidden 256 and `M = 15` over hidden 512 — and
+//! the two per-head attention products, each once on one thread and once
+//! at `threads = cores`, with the parallel speedup per shape and a
+//! `parallel_never_slower` verdict (`"unverified"` below two cores).
+//!
 //! `STRONGHOLD_KBENCH_QUICK=1` switches to a bounded smoke sweep (small
 //! shapes, one rep) used by the `ci.sh` kernel-bench step to catch bench
 //! bit-rot and output-format drift without paying for the full sweep.
@@ -49,10 +57,137 @@ const FULL_SWEEP: &[SweepShape] = &[
 /// Smoke sweep: tiny, deliberately non-multiple-of-tile shapes.
 const QUICK_SWEEP: &[SweepShape] = &[shape("sq96", 96, 96, 96), shape("odd", 129, 67, 93)];
 
+/// The products one linear layer (`in → out` features) issues for an
+/// `rows`-token sample: forward `x·Wᵀ`, input gradient `dy·W`, weight
+/// gradient `dyᵀ·x`.
+fn linear_gemms(label: &str, rows: usize, inf: usize, out: usize) -> Vec<RuntimeShape> {
+    vec![
+        RuntimeShape::new(format!("{label}_fwd"), "nt", rows, inf, out),
+        RuntimeShape::new(format!("{label}_dx"), "nn", rows, out, inf),
+        RuntimeShape::new(format!("{label}_dw"), "tn", out, rows, inf),
+    ]
+}
+
+/// One product the training runtime issues, in one layout.
+struct RuntimeShape {
+    label: String,
+    layout: &'static str,
+    m: usize,
+    k: usize,
+    n: usize,
+}
+
+impl RuntimeShape {
+    fn new(label: String, layout: &'static str, m: usize, k: usize, n: usize) -> Self {
+        RuntimeShape {
+            label,
+            layout,
+            m,
+            k,
+            n,
+        }
+    }
+}
+
+/// Every GEMM of a strongbench training step: `train-compute` (hidden
+/// 256, 127 rows, 8 heads of width 32) and `train-stream` / `train-spill`
+/// (hidden 512, 15 rows).
+fn runtime_shapes() -> Vec<RuntimeShape> {
+    let mut shapes = Vec::new();
+    for (rows, h) in [(127usize, 256usize), (15, 512)] {
+        for (name, inf, out) in [
+            ("qkv", h, 3 * h),
+            ("proj", h, h),
+            ("fc1", h, 4 * h),
+            ("fc2", 4 * h, h),
+        ] {
+            shapes.extend(linear_gemms(&format!("{name}_m{rows}"), rows, inf, out));
+        }
+    }
+    shapes.push(RuntimeShape::new(
+        "head_scores_m127".into(),
+        "nt",
+        127,
+        32,
+        127,
+    ));
+    shapes.push(RuntimeShape::new(
+        "head_context_m127".into(),
+        "nn",
+        127,
+        127,
+        32,
+    ));
+    shapes
+}
+
+/// A parallel row this much below its one-thread twin still counts as
+/// "not slower": best-of timings of ~100 µs kernels repeat to a few percent.
+const NEVER_SLOWER_TOLERANCE: f64 = 0.95;
+
+/// Times every runtime shape on one thread and on `cores` threads; returns
+/// the rows and whether no parallel row lost to its one-thread twin.
+fn runtime_sweep(reps: usize, cores: usize) -> (Vec<Value>, bool) {
+    let pool = |threads: usize| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool")
+    };
+    println!(
+        "\n{:<22} {:>5} {:>5} {:>5}  {:>3}  {:>10} {:>12} {:>8}",
+        "runtime shape", "m", "k", "n", "op", "1t GF/s", "cores GF/s", "speedup"
+    );
+    let mut rows = Vec::new();
+    let mut never_slower = true;
+    for s in runtime_shapes() {
+        let (m, k, n) = (s.m, s.k, s.n);
+        let flops = 2 * (m * k * n) as u64;
+        let mut rng = seeded_rng(0xB00D);
+        let (a, b) = match s.layout {
+            "nn" => (normal([m, k], 1.0, &mut rng), normal([k, n], 1.0, &mut rng)),
+            "nt" => (normal([m, k], 1.0, &mut rng), normal([n, k], 1.0, &mut rng)),
+            _ => (normal([k, m], 1.0, &mut rng), normal([k, n], 1.0, &mut rng)),
+        };
+        let mut c = Tensor::zeros([m, n]);
+        let mut run = |threads: usize| {
+            pool(threads).install(|| {
+                time_gflops(flops, reps, || match s.layout {
+                    "nn" => matmul::matmul_into(&a, &b, &mut c),
+                    "nt" => matmul::matmul_nt_into(&a, &b, &mut c),
+                    _ => matmul::matmul_tn_into(&a, &b, &mut c),
+                })
+            })
+        };
+        let gf_1t = run(1);
+        let gf_par = run(cores);
+        let speedup = gf_par / gf_1t;
+        never_slower &= speedup >= NEVER_SLOWER_TOLERANCE;
+        println!(
+            "{:<22} {:>5} {:>5} {:>5}  {:>3}  {:>10.2} {:>12.2} {:>7.2}x",
+            s.label, m, k, n, s.layout, gf_1t, gf_par, speedup
+        );
+        for (threads, gflops) in [(1, gf_1t), (cores, gf_par)] {
+            let mut row = Map::new();
+            row.insert("shape".into(), Value::from(s.label.as_str()));
+            row.insert("m".into(), Value::from(m as u64));
+            row.insert("k".into(), Value::from(k as u64));
+            row.insert("n".into(), Value::from(n as u64));
+            row.insert("layout".into(), Value::from(s.layout));
+            row.insert("flops".into(), Value::from(flops));
+            row.insert("threads".into(), Value::from(threads as u64));
+            row.insert("gflops".into(), Value::from(gflops));
+            row.insert("parallel_speedup".into(), Value::from(speedup));
+            rows.push(Value::Object(row));
+        }
+    }
+    (rows, never_slower)
+}
+
 /// Best-of-`reps` wall time for `f`, as mean GFLOP/s of the fastest rep.
 /// One untimed warmup call first, so one-time costs (ISA detection,
 /// thread-local pack-scratch growth) don't skew small shapes.
-fn time_gflops(flops: u64, reps: usize, mut f: impl FnMut() -> Tensor) -> f64 {
+fn time_gflops<R>(flops: u64, reps: usize, mut f: impl FnMut() -> R) -> f64 {
     std::hint::black_box(f());
     let mut best = f64::INFINITY;
     for _ in 0..reps {
@@ -163,6 +298,17 @@ fn main() {
         Value::from(cores < rayon::current_num_threads() as u64),
     );
     root.insert("results".into(), Value::Array(rows));
+    // µs-scale kernels: many reps, so best-of finds a quiet one.
+    let (runtime_rows, never_slower) = runtime_sweep(if quick { 3 } else { 300 }, cores as usize);
+    root.insert("runtime_shapes".into(), Value::Array(runtime_rows));
+    root.insert(
+        "parallel_never_slower".into(),
+        if cores < 2 {
+            Value::from("unverified")
+        } else {
+            Value::from(never_slower)
+        },
+    );
     let json = serde_json::to_string_pretty(&Value::Object(root)).expect("sweep serializes");
     std::fs::write(&out_path, json).expect("write BENCH_kernels.json");
     println!("wrote {out_path}");

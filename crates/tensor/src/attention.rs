@@ -1,8 +1,7 @@
 //! Causal multi-head self-attention with explicit forward/backward.
 //!
 //! Operates on a single sequence `x: [T, H]`; batching is handled one level
-//! up (the model loops samples, in parallel across rayon tasks when running
-//! on the functional substrate).
+//! up (the model loops samples).
 //!
 //! Every per-head product runs on the blocked GEMM kernels of
 //! [`crate::matmul`]: heads are gathered out of the fused QKV activation
@@ -10,15 +9,26 @@
 //! (`Q·Kᵀ` via `matmul_nt`), context (`P·V` via `matmul`), and all five
 //! backward products are straight kernel calls — no strided hand-rolled
 //! dot loops, and no transposes are ever materialized.
+//!
+//! Heads are independent — each owns its probability matrix and disjoint
+//! columns of the context (forward) or of `dQKV` (backward) — so the
+//! per-head loops of [`Attention::forward`] / [`Attention::backward`] fan
+//! out over the same fork-join pool as the GEMM tile grid when the
+//! sequence is long enough to pay for it. Which thread runs a head never
+//! changes its arithmetic.
+
+use std::cell::RefCell;
 
 use rand_chacha::ChaCha8Rng;
 
 use crate::linear::{Linear, LinearGrads};
 use crate::matmul::{
-    matmul_into, matmul_nn_stable, matmul_nt, matmul_nt_into, matmul_nt_stable, matmul_tn_into,
+    fan_out, matmul_into, matmul_nn_stable, matmul_nt_into, matmul_nt_stable, matmul_tn_into,
+    worth_forking,
 };
-use crate::ops::{scale_assign, softmax_row_inplace, softmax_rows_backward_into};
+use crate::ops::{scale_assign, softmax_row_inplace, softmax_rows_, softmax_rows_backward_into};
 use crate::scratch;
+use crate::simd::SendPtr;
 use crate::tensor::Tensor;
 
 /// Copies `width` columns starting at `col0` out of `src: [T, W]` into a
@@ -34,16 +44,31 @@ fn gather_cols_into(src: &Tensor, col0: usize, width: usize, out: &mut Tensor) {
     }
 }
 
-/// Writes `src: [T, width]` into columns `col0..col0+width` of
-/// `dst: [T, W]` (the per-head scatter; heads own disjoint columns).
-fn scatter_cols(dst: &mut Tensor, src: &Tensor, col0: usize) {
-    let t = dst.shape().dim(0);
-    let w = dst.shape().dim(1);
+/// Writes `src: [T, width]` into columns `col0..col0+width` of the
+/// `[T, w]` matrix behind `dst` (the per-head scatter).
+///
+/// # Safety
+/// `dst` must point to a live `[T, w]` row-major matrix with `T` the row
+/// count of `src`, and no other thread may access columns
+/// `col0..col0+width` of it during the call (heads own disjoint columns).
+unsafe fn scatter_cols(dst: SendPtr, w: usize, src: &Tensor, col0: usize) {
     let width = src.shape().dim(1);
-    for i in 0..t {
-        dst.data_mut()[i * w + col0..i * w + col0 + width]
-            .copy_from_slice(&src.data()[i * width..(i + 1) * width]);
+    for (i, row) in src.data().chunks_exact(width).enumerate() {
+        std::ptr::copy_nonoverlapping(row.as_ptr(), dst.get().add(i * w + col0), width);
     }
+}
+
+thread_local! {
+    /// One head's temporaries for [`Attention::forward`] /
+    /// [`Attention::backward`] — `[q, k, v, ctx_h, dctx_h, dprobs, ds, dq,
+    /// dk, dv]`: the gathered `[T, dh]` operands and the per-head results
+    /// on their way to the scatter. Each thread that runs heads keeps one
+    /// set, sized on first use — head tasks land on pool helpers in no
+    /// fixed order, and renting these from the shared [`scratch`] pool
+    /// would reshuffle (and so keep regrowing) the buffers the rest of the
+    /// step cycles through it.
+    static HEAD_SCRATCH: RefCell<[Tensor; 10]> =
+        RefCell::new(std::array::from_fn(|_| Tensor::zeros([0])));
 }
 
 /// Multi-head causal self-attention: fused QKV projection plus output
@@ -118,40 +143,42 @@ impl Attention {
 
         let qkv_out = self.qkv.forward(x); // [T, 3H]
         let mut ctx = scratch::take([t, h]); // fully overwritten by scatters
-        let mut probs = Vec::with_capacity(self.heads);
-        let mut q = scratch::empty();
-        let mut kk = scratch::empty();
-        let mut v = scratch::empty();
-        let mut ctx_h = scratch::empty();
+        let mut probs: Vec<Tensor> = (0..self.heads).map(|_| scratch::take([t, t])).collect();
+        let ctx_ptr = SendPtr(ctx.data_mut().as_mut_ptr());
+        let probs_ptr = SendPtr(probs.as_mut_ptr());
 
-        for head in 0..self.heads {
-            gather_cols_into(&qkv_out, head * dh, dh, &mut q); // [T, dh]
-            gather_cols_into(&qkv_out, h + head * dh, dh, &mut kk); // [T, dh]
-            gather_cols_into(&qkv_out, 2 * h + head * dh, dh, &mut v); // [T, dh]
+        // Two [T, T, dh] products per head.
+        let flops = self.heads * 4 * t * t * dh;
+        fan_out(self.heads, worth_forking(flops), |head| {
+            HEAD_SCRATCH.with(|ws| {
+                let [q, k, v, ctx_h, ..] = &mut *ws.borrow_mut();
+                gather_cols_into(&qkv_out, head * dh, dh, q); // [T, dh]
+                gather_cols_into(&qkv_out, h + head * dh, dh, k); // [T, dh]
+                gather_cols_into(&qkv_out, 2 * h + head * dh, dh, v); // [T, dh]
 
-            // scores = Q·Kᵀ · scale, causally masked, then row softmax.
-            // Masked positions soften to exact zeros, so the full P·V
-            // product below contributes nothing from future tokens.
-            let mut p = matmul_nt(&q, &kk); // [T, T]
-            for i in 0..t {
-                let row = &mut p.data_mut()[i * t..(i + 1) * t];
-                for rj in row.iter_mut().take(i + 1) {
-                    *rj *= scale;
+                // scores = Q·Kᵀ · scale, causally masked, then row softmax.
+                // Masked positions soften to exact zeros, so the full P·V
+                // product below contributes nothing from future tokens.
+                // SAFETY: `probs` holds one tensor per head and each head
+                // index is run by exactly one task.
+                let p = unsafe { &mut *probs_ptr.get().add(head) };
+                matmul_nt_into(q, k, p); // [T, T]
+                for i in 0..t {
+                    let row = &mut p.data_mut()[i * t..(i + 1) * t];
+                    for rj in &mut row[..=i] {
+                        *rj *= scale;
+                    }
+                    row[i + 1..].fill(f32::NEG_INFINITY);
                 }
-                for rj in row.iter_mut().skip(i + 1) {
-                    *rj = f32::NEG_INFINITY;
-                }
-                softmax_row_inplace(row);
-            }
+                softmax_rows_(p);
 
-            matmul_into(&p, &v, &mut ctx_h); // [T, dh]
-            scatter_cols(&mut ctx, &ctx_h, head * dh);
-            probs.push(p);
-        }
-        scratch::give(q);
-        scratch::give(kk);
-        scratch::give(v);
-        scratch::give(ctx_h);
+                // ctx_h = P·V, [T, dh].
+                matmul_into(p, v, ctx_h);
+                // SAFETY: `ctx` is `[T, H]` and this head alone writes its
+                // `dh` columns.
+                unsafe { scatter_cols(ctx_ptr, h, ctx_h, head * dh) };
+            });
+        });
 
         let y = self.proj.forward(&ctx);
         (
@@ -182,42 +209,41 @@ impl Attention {
         let dctx = self.proj.backward(dy, &cache.ctx, &mut grads.proj); // [T, H]
 
         let mut dqkv = scratch::take([t, 3 * h]); // fully overwritten by scatters
-        let mut q = scratch::empty();
-        let mut kk = scratch::empty();
-        let mut v = scratch::empty();
-        let mut dctx_h = scratch::empty();
-        let mut dprobs = scratch::empty();
-        let mut dv = scratch::empty();
-        let mut ds = scratch::empty();
-        let mut dq = scratch::empty();
-        let mut dk = scratch::empty();
-        for head in 0..self.heads {
-            let p = &cache.probs[head];
-            gather_cols_into(&cache.qkv_out, head * dh, dh, &mut q);
-            gather_cols_into(&cache.qkv_out, h + head * dh, dh, &mut kk);
-            gather_cols_into(&cache.qkv_out, 2 * h + head * dh, dh, &mut v);
-            gather_cols_into(&dctx, head * dh, dh, &mut dctx_h);
+        let dqkv_ptr = SendPtr(dqkv.data_mut().as_mut_ptr());
+        // Five [T, T, dh] products per head.
+        let flops = self.heads * 10 * t * t * dh;
+        fan_out(self.heads, worth_forking(flops), |head| {
+            HEAD_SCRATCH.with(|ws| {
+                let [q, k, v, _, dctx_h, dprobs, ds, dq, dk, dv] = &mut *ws.borrow_mut();
+                let p = &cache.probs[head];
+                gather_cols_into(&cache.qkv_out, head * dh, dh, q);
+                gather_cols_into(&cache.qkv_out, h + head * dh, dh, k);
+                gather_cols_into(&cache.qkv_out, 2 * h + head * dh, dh, v);
+                gather_cols_into(&dctx, head * dh, dh, dctx_h);
 
-            // dP = dCtx·Vᵀ ; dV = Pᵀ·dCtx. Masked positions of dP feed
-            // the softmax backward below, which zeroes them because the
-            // cached probabilities are exactly zero there.
-            matmul_nt_into(&dctx_h, &v, &mut dprobs); // [T, T]
-            matmul_tn_into(p, &dctx_h, &mut dv); // [T, dh]
+                // dP = dCtx·Vᵀ ; dV = Pᵀ·dCtx. Masked positions of dP feed
+                // the softmax backward below, which zeroes them because the
+                // cached probabilities are exactly zero there.
+                matmul_nt_into(dctx_h, v, dprobs); // [T, T]
+                matmul_tn_into(p, dctx_h, dv); // [T, dh]
 
-            // Through the softmax, then fold in the score scale once:
-            // dQ = (dS·scale)·K ; dK = (dS·scale)ᵀ·Q.
-            softmax_rows_backward_into(&dprobs, p, &mut ds); // [T, T]
-            scale_assign(&mut ds, scale);
-            matmul_into(&ds, &kk, &mut dq); // [T, dh]
-            matmul_tn_into(&ds, &q, &mut dk); // [T, dh]
+                // Through the softmax, then fold in the score scale once:
+                // dQ = (dS·scale)·K ; dK = (dS·scale)ᵀ·Q.
+                softmax_rows_backward_into(dprobs, p, ds); // [T, T]
+                scale_assign(ds, scale);
+                matmul_into(ds, k, dq); // [T, dh]
+                matmul_tn_into(ds, q, dk); // [T, dh]
 
-            scatter_cols(&mut dqkv, &dq, head * dh);
-            scatter_cols(&mut dqkv, &dk, h + head * dh);
-            scatter_cols(&mut dqkv, &dv, 2 * h + head * dh);
-        }
-        for tmp in [q, kk, v, dctx_h, dprobs, dv, ds, dq, dk, dctx] {
-            scratch::give(tmp);
-        }
+                // SAFETY: `dqkv` is `[T, 3H]` and this head alone writes
+                // its `dh` columns of each of the Q, K and V thirds.
+                unsafe {
+                    scatter_cols(dqkv_ptr, 3 * h, dq, head * dh);
+                    scatter_cols(dqkv_ptr, 3 * h, dk, h + head * dh);
+                    scatter_cols(dqkv_ptr, 3 * h, dv, 2 * h + head * dh);
+                }
+            });
+        });
+        scratch::give(dctx);
 
         // Through the fused QKV projection.
         let dx = self.qkv.backward(&dqkv, x, &mut grads.qkv);

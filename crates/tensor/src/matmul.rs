@@ -12,8 +12,10 @@
 //!
 //! * **Packing.** For each `KC`-deep slice of the reduction dimension, the
 //!   engine packs `A` into `MR`-row strips (`pa[kk·MR + r]`) and `B` into
-//!   `NR`-column panels (`pb[kk·NR + j]`) inside per-thread scratch
-//!   buffers reused across calls via `thread_local`. Packing absorbs the
+//!   `NR`-column panels (`pb[kk·NR + j]`) inside per-thread `thread_local`
+//!   scratch buffers. Parallel tasks run on the calling thread and on the
+//!   persistent helpers of the fork-join pool, so every thread's scratch
+//!   is grown once and reused by all later calls. Packing absorbs the
 //!   layout differences — `nt` and `tn` read their transposed operand
 //!   contiguously while packing — so the micro-kernel only ever sees one
 //!   canonical format and no transpose is ever materialized as a tensor.
@@ -25,10 +27,15 @@
 //! * **Cache blocking.** The reduction dimension is processed in `KC`
 //!   blocks so one packed `A` strip (`MR·KC` floats) stays L1-resident
 //!   and one packed `B` panel block (`NR·KC`) streams from L2.
-//! * **2D parallelism.** Work is split over an (M-tile × N-tile) grid —
-//!   disjoint output tiles — and fanned out with rayon when the
-//!   estimated FLOP count (`2·M·N·K`, see [`PAR_FLOPS_THRESHOLD`])
-//!   justifies the dispatch overhead.
+//! * **Task grid.** Work is split over an (M tile × N panel group) grid —
+//!   disjoint output tiles — chosen from the shape alone. With several
+//!   `MR·MC_STRIPS`-row M tiles, groups are `NC_TARGET` columns wide and
+//!   each task packs its own `A` tile. A single M tile (every `M = seq`
+//!   product of a training step) is instead packed once by the caller and
+//!   shared, and its panels are dealt into `SINGLE_TILE_TASKS` equal
+//!   groups, so even an `N = 256` product splits evenly. The grid fans
+//!   out over the pool when the estimated FLOP count (`2·M·N·K`, see
+//!   [`PAR_FLOPS_THRESHOLD`]) covers a fork-join.
 //!
 //! # Determinism contract
 //!
@@ -54,13 +61,16 @@ use crate::shape::Shape;
 use crate::simd::{self, SendPtr};
 use crate::tensor::Tensor;
 
-/// Below this many estimated FLOPs (`2·M·N·K`) the engine runs
-/// sequentially: fanning out scoped threads costs tens of microseconds,
-/// which only amortizes once a product is several hundred microseconds of
-/// arithmetic (~8 MFLOP at the >30 GFLOP/s the blocked kernels sustain).
-/// Using FLOPs rather than `M·N` means tall-skinny gradient GEMMs (large
-/// K, small M·N) parallelize too.
-pub const PAR_FLOPS_THRESHOLD: usize = 1 << 23;
+/// Below this many estimated FLOPs (`2·M·N·K`) a kernel runs on the
+/// calling thread alone. Derived from the measured cost of a fork-join on
+/// the persistent pool: about 1 µs to the caller while the helper is still
+/// polling for work, and — once it has parked — about 10 µs for the wake
+/// plus ~35 µs until the helper arrives, so the split only wins from
+/// roughly 45 µs of sequential work, which is ~4 MFLOP at the 70–110
+/// GFLOP/s the blocked kernels sustain on one core at `M = 127`. Using
+/// FLOPs rather than `M·N` means tall-skinny gradient GEMMs (large K,
+/// small M·N) parallelize too.
+pub const PAR_FLOPS_THRESHOLD: usize = 1 << 22;
 
 /// Below this many estimated FLOPs the packed engine is skipped entirely
 /// in favor of simple sequential loops — for tiny operands the packing
@@ -75,6 +85,11 @@ const MC_STRIPS: usize = 16;
 
 /// Approximate N-side macro tile width; rounded to a multiple of `NR`.
 const NC_TARGET: usize = 256;
+
+/// Tasks a single-M-tile product is dealt into (when it has that many
+/// `NR` panels): a multiple of every small core count, so dynamic
+/// claiming balances 2, 4 or 8 threads with equal-sized tasks.
+const SINGLE_TILE_TASKS: usize = 8;
 
 fn dims2(t: &Tensor, op: &'static str) -> (usize, usize) {
     assert!(
@@ -473,14 +488,63 @@ unsafe fn mk_portable(pa: &[f32], pb: &[f32], kc: usize, acc: &mut [[f32; 16]; 4
 }
 
 thread_local! {
-    /// Per-thread packing scratch `(A strips, B panels)`, grown on demand
-    /// and reused across GEMM calls to avoid per-call allocation.
-    static PACK_SCRATCH: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+    /// Per-thread packed-`A` scratch, grown on demand and reused across
+    /// GEMM calls. Pool helpers are persistent threads, so theirs stays
+    /// warm too. Separate from [`PACK_B`] because a dispatching thread
+    /// keeps its shared packed `A` borrowed while it runs tasks itself.
+    static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread packed-`B` scratch (one panel group, one `KC` block).
+    static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The first `len` floats of a pack scratch, grown if needed.
+fn grown(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
+/// `NR`-column panels per task, from the shape alone. Several M tiles
+/// already make a grid, so their tasks take the widest group the cache
+/// blocking allows (`NC_TARGET` columns). A single M tile — every product
+/// with `M = seq ≤ 128` — would otherwise be one to four unequal tasks, so
+/// its panels are dealt into [`SINGLE_TILE_TASKS`] equal groups instead.
+fn panels_per_task<const NR: usize>(n_panels: usize, tiles_m: usize) -> usize {
+    let widest = (NC_TARGET / NR).max(1);
+    if tiles_m > 1 {
+        widest
+    } else {
+        n_panels.div_ceil(SINGLE_TILE_TASKS).clamp(1, widest)
+    }
+}
+
+/// Whether a kernel whose work is estimated at `flops` should fan out:
+/// the work must cover the fork-join (see [`PAR_FLOPS_THRESHOLD`]) and
+/// the calling thread must be allowed more than one worker.
+pub(crate) fn worth_forking(flops: usize) -> bool {
+    flops >= PAR_FLOPS_THRESHOLD && rayon::current_num_threads() > 1
+}
+
+/// Runs `task(0..tasks)` on the fork-join pool when `parallel`, else in
+/// index order on this thread. Tasks own disjoint outputs, so the choice
+/// never changes a bit.
+pub(crate) fn fan_out(tasks: usize, parallel: bool, task: impl Fn(usize) + Sync) {
+    if parallel && tasks > 1 {
+        (0..tasks).into_par_iter().for_each(task);
+    } else {
+        (0..tasks).for_each(task);
+    }
 }
 
 /// The blocked engine proper. Generic over the micro-tile so each ISA
 /// tier gets register-file-matched shapes; `mk` is the ISA-specific
 /// micro-kernel instantiation.
+///
+/// The task grid is (M tile × panel group). Every task packs its own `B`
+/// group per `KC` block; the `A` tile is packed per task when there are
+/// several M tiles, but a single M tile is shared by all tasks, so the
+/// caller packs it once for the whole of `K` before fanning out.
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked<const MR: usize, const NR: usize>(
     layout: Layout,
@@ -494,75 +558,98 @@ fn gemm_blocked<const MR: usize, const NR: usize>(
     mk: MicroKernel<MR, NR>,
 ) {
     let mc_max = MR * MC_STRIPS;
-    let nc_max = NR * (NC_TARGET / NR).max(1);
     let tiles_m = m.div_ceil(mc_max);
-    let tiles_n = n.div_ceil(nc_max);
-    let tasks = tiles_m * tiles_n;
+    let n_panels = n.div_ceil(NR);
+    let group = panels_per_task::<NR>(n_panels, tiles_m);
+    let n_groups = n_panels.div_ceil(group);
+    // Packed size of one KC block of the tallest A tile.
+    let a_block = m.min(mc_max).div_ceil(MR) * MR * KC;
     let cptr = SendPtr(c.as_mut_ptr());
 
-    let run_tile = |t: usize| {
-        let ti = t / tiles_n;
-        let tj = t % tiles_n;
+    // One task: rows of M tile `ti` × columns of panel group `g`, over
+    // ascending KC blocks — the only reduction order over k.
+    let run_task = |t: usize, shared_a: Option<&[f32]>| {
+        let (ti, g) = (t / n_groups, t % n_groups);
         let i0 = ti * mc_max;
         let mc = (m - i0).min(mc_max);
-        let j0 = tj * nc_max;
-        let nc = (n - j0).min(nc_max);
-        let m_strips = mc.div_ceil(MR);
-        let n_panels = nc.div_ceil(NR);
-        PACK_SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            let (pa, pb) = &mut *scratch;
-            if pa.len() < m_strips * MR * KC {
-                pa.resize(m_strips * MR * KC, 0.0);
-            }
-            if pb.len() < n_panels * NR * KC {
-                pb.resize(n_panels * NR * KC, 0.0);
-            }
-            // Ascending KC blocks: the only reduction order over k.
+        let j0 = g * group * NR;
+        let nc = (n - j0).min(group * NR);
+        let (m_strips, n_panels) = (mc.div_ceil(MR), nc.div_ceil(NR));
+        PACK_B.with(|pb| {
+            let mut pb = pb.borrow_mut();
+            let pb = grown(&mut pb, n_panels * NR * KC);
             for (kb, k0) in (0..k).step_by(KC).enumerate() {
                 let kc = (k - k0).min(KC);
-                pack_a::<MR>(layout == Layout::TN, a, pa, i0, mc, k0, kc, m, k);
                 pack_b::<NR>(layout == Layout::NT, b, pb, j0, nc, k0, kc, n, k);
                 let add = accumulate || kb > 0;
-                for p in 0..n_panels {
-                    let jr = p * NR;
-                    let nr_eff = (nc - jr).min(NR);
-                    let pbp = &pb[p * NR * kc..(p + 1) * NR * kc];
-                    for s in 0..m_strips {
-                        let ir = s * MR;
-                        let mr_eff = (mc - ir).min(MR);
-                        let pas = &pa[s * MR * kc..(s + 1) * MR * kc];
-                        let mut acc = [[0.0f32; NR]; MR];
-                        // SAFETY: `gemm` selected `mk` to match the
-                        // detected ISA; slices hold kc full steps.
-                        unsafe { mk(pas, pbp, kc, &mut acc) };
-                        // SAFETY: the (i0+ir, j0+jr) tile clipped to
-                        // (mr_eff, nr_eff) lies inside C, and no other
-                        // task touches it.
-                        unsafe {
-                            writeback::<MR, NR>(
-                                cptr,
-                                n,
-                                i0 + ir,
-                                j0 + jr,
-                                &acc,
-                                mr_eff,
-                                nr_eff,
-                                add,
-                            )
-                        };
+                let multiply = |pa: &[f32]| {
+                    for p in 0..n_panels {
+                        let jr = p * NR;
+                        let nr_eff = (nc - jr).min(NR);
+                        let pbp = &pb[p * NR * kc..(p + 1) * NR * kc];
+                        for s in 0..m_strips {
+                            let ir = s * MR;
+                            let mr_eff = (mc - ir).min(MR);
+                            let pas = &pa[s * MR * kc..(s + 1) * MR * kc];
+                            let mut acc = [[0.0f32; NR]; MR];
+                            // SAFETY: `gemm` selected `mk` to match the
+                            // detected ISA; slices hold kc full steps.
+                            unsafe { mk(pas, pbp, kc, &mut acc) };
+                            // SAFETY: the (i0+ir, j0+jr) tile clipped to
+                            // (mr_eff, nr_eff) lies inside C, and no other
+                            // task touches it.
+                            unsafe {
+                                writeback::<MR, NR>(
+                                    cptr,
+                                    n,
+                                    i0 + ir,
+                                    j0 + jr,
+                                    &acc,
+                                    mr_eff,
+                                    nr_eff,
+                                    add,
+                                )
+                            };
+                        }
                     }
+                };
+                match shared_a {
+                    Some(pa) => multiply(&pa[kb * a_block..]),
+                    None => PACK_A.with(|pa| {
+                        let mut pa = pa.borrow_mut();
+                        let pa = grown(&mut pa, a_block);
+                        pack_a::<MR>(layout == Layout::TN, a, pa, i0, mc, k0, kc, m, k);
+                        multiply(pa);
+                    }),
                 }
             }
         });
     };
 
-    if 2 * m * n * k >= PAR_FLOPS_THRESHOLD && tasks > 1 && rayon::current_num_threads() > 1 {
-        (0..tasks).into_par_iter().for_each(run_tile);
+    let parallel = worth_forking(2 * m * n * k);
+    if tiles_m > 1 {
+        fan_out(tiles_m * n_groups, parallel, |t| run_task(t, None));
     } else {
-        for t in 0..tasks {
-            run_tile(t);
-        }
+        PACK_A.with(|pa| {
+            let mut pa = pa.borrow_mut();
+            let pa = grown(&mut pa, k.div_ceil(KC) * a_block);
+            for (kb, k0) in (0..k).step_by(KC).enumerate() {
+                let block = &mut pa[kb * a_block..(kb + 1) * a_block];
+                pack_a::<MR>(
+                    layout == Layout::TN,
+                    a,
+                    block,
+                    0,
+                    m,
+                    k0,
+                    (k - k0).min(KC),
+                    m,
+                    k,
+                );
+            }
+            let pa = &*pa;
+            fan_out(n_groups, parallel, |t| run_task(t, Some(pa)));
+        });
     }
 }
 

@@ -42,29 +42,42 @@ use rayon::prelude::*;
 use crate::simd::{self, dispatch, exp_approx, hmax, hsum, tanh_approx, SendPtr, LANES};
 use crate::tensor::Tensor;
 
-/// Elements per parallel task for elementwise/chunked dispatch.
-const PAR_CHUNK: usize = 1 << 16;
-
-/// Below this many elements a kernel always runs sequentially: the
-/// scoped-thread fan-out costs tens of microseconds, which a memory-bound
-/// elementwise pass only amortizes at several hundred KiB of data.
+/// Smallest operand, in elements, that a *streaming* kernel (a few flops
+/// per element, memory-bound: add, axpy, scale, bias add, layernorm
+/// forward, softmax backward and the column reductions, measured at
+/// 0.1–0.4 ns per element) fans out. A fork-join costs the caller about
+/// 1 µs while the pool's helper is still polling and about 10 µs, plus
+/// ~35 µs until the helper arrives, once it has parked; the split then
+/// only wins above ~45 µs of sequential work, which these kernels reach
+/// at a few hundred thousand elements.
 const PAR_MIN_ELEMS: usize = 1 << 18;
+
+/// The same bound for the *transcendental* kernels (GELU forward and
+/// backward, softmax forward, layernorm backward: an `exp`/`tanh` or
+/// several passes per element, measured at 1–4 ns per element), which do
+/// 45 µs of work in a tenth of the elements — `[127, 1024]` is 310 µs of
+/// GELU.
+const PAR_MIN_ELEMS_HEAVY: usize = 1 << 15;
+
+/// Parallel tasks cover a quarter of the kernel's fan-out bound each, so
+/// the smallest operand that fans out still makes four.
+const TASKS_AT_MIN: usize = 4;
 
 /// Column-block width for parallel column reductions.
 const COL_BLOCK: usize = 256;
 
-/// Runs `run(lo, hi)` over `[0, n)` either as one sequential call or as
-/// disjoint `PAR_CHUNK` ranges fanned out over the thread pool. Safe to
-/// gate on thread count because callers are elementwise: each output
-/// element depends only on its own inputs, so the split never changes
-/// the arithmetic.
+/// Runs `run(lo, hi)` over `[0, n)` either as one sequential call or —
+/// from `min_elems` up — as disjoint ranges fanned out over the thread
+/// pool. Safe to gate on thread count because callers are elementwise:
+/// each output element depends only on its own inputs, so the split never
+/// changes the arithmetic.
 #[inline]
-fn for_each_chunk(n: usize, run: impl Fn(usize, usize) + Sync) {
-    if n >= PAR_MIN_ELEMS && rayon::current_num_threads() > 1 {
-        let tasks = n.div_ceil(PAR_CHUNK);
-        (0..tasks).into_par_iter().for_each(|t| {
-            let lo = t * PAR_CHUNK;
-            run(lo, (lo + PAR_CHUNK).min(n));
+fn for_each_chunk(n: usize, min_elems: usize, run: impl Fn(usize, usize) + Sync) {
+    if n >= min_elems && rayon::current_num_threads() > 1 {
+        let chunk = min_elems / TASKS_AT_MIN;
+        (0..n.div_ceil(chunk)).into_par_iter().for_each(|t| {
+            let lo = t * chunk;
+            run(lo, (lo + chunk).min(n));
         });
     } else {
         run(0, n);
@@ -74,11 +87,15 @@ fn for_each_chunk(n: usize, run: impl Fn(usize, usize) + Sync) {
 /// Row-block analogue of [`for_each_chunk`] for kernels that treat rows
 /// independently: `run(r0, r1)` receives disjoint row ranges.
 #[inline]
-fn for_each_row_block(rows: usize, cols: usize, run: impl Fn(usize, usize) + Sync) {
-    if rows * cols >= PAR_MIN_ELEMS && rows > 1 && rayon::current_num_threads() > 1 {
-        let rb = (PAR_CHUNK / cols.max(1)).max(1);
-        let tasks = rows.div_ceil(rb);
-        (0..tasks).into_par_iter().for_each(|t| {
+fn for_each_row_block(
+    rows: usize,
+    cols: usize,
+    min_elems: usize,
+    run: impl Fn(usize, usize) + Sync,
+) {
+    if rows * cols >= min_elems && rows > 1 && rayon::current_num_threads() > 1 {
+        let rb = (min_elems / TASKS_AT_MIN / cols.max(1)).max(1);
+        (0..rows.div_ceil(rb)).into_par_iter().for_each(|t| {
             let lo = t * rb;
             run(lo, (lo + rb).min(rows));
         });
@@ -646,7 +663,7 @@ pub fn add(a: &Tensor, b: &Tensor) -> Tensor {
     {
         let po = SendPtr(out.data_mut().as_mut_ptr());
         let (ad, bd) = (a.data(), b.data());
-        for_each_chunk(n, |lo, hi| {
+        for_each_chunk(n, PAR_MIN_ELEMS, |lo, hi| {
             // SAFETY: chunk ranges are disjoint; each task writes only its own.
             let o = unsafe { std::slice::from_raw_parts_mut(po.get().add(lo), hi - lo) };
             k_add(o, &ad[lo..hi], &bd[lo..hi]);
@@ -669,7 +686,7 @@ pub fn add_assign(a: &mut Tensor, b: &Tensor) {
     {
         let pa = SendPtr(a.data_mut().as_mut_ptr());
         let bd = b.data();
-        for_each_chunk(n, |lo, hi| {
+        for_each_chunk(n, PAR_MIN_ELEMS, |lo, hi| {
             // SAFETY: disjoint chunks.
             let s = unsafe { std::slice::from_raw_parts_mut(pa.get().add(lo), hi - lo) };
             k_add_assign(s, &bd[lo..hi]);
@@ -691,7 +708,7 @@ pub fn axpy(a: &mut Tensor, alpha: f32, b: &Tensor) {
     {
         let pa = SendPtr(a.data_mut().as_mut_ptr());
         let bd = b.data();
-        for_each_chunk(n, |lo, hi| {
+        for_each_chunk(n, PAR_MIN_ELEMS, |lo, hi| {
             // SAFETY: disjoint chunks.
             let s = unsafe { std::slice::from_raw_parts_mut(pa.get().add(lo), hi - lo) };
             k_axpy(s, alpha, &bd[lo..hi]);
@@ -708,7 +725,7 @@ pub fn scale(a: &Tensor, s: f32) -> Tensor {
     {
         let po = SendPtr(out.data_mut().as_mut_ptr());
         let ad = a.data();
-        for_each_chunk(n, |lo, hi| {
+        for_each_chunk(n, PAR_MIN_ELEMS, |lo, hi| {
             // SAFETY: disjoint chunks.
             let o = unsafe { std::slice::from_raw_parts_mut(po.get().add(lo), hi - lo) };
             k_scale(o, &ad[lo..hi], s);
@@ -724,7 +741,7 @@ pub fn scale_assign(a: &mut Tensor, s: f32) {
     let n = a.numel();
     {
         let pa = SendPtr(a.data_mut().as_mut_ptr());
-        for_each_chunk(n, |lo, hi| {
+        for_each_chunk(n, PAR_MIN_ELEMS, |lo, hi| {
             // SAFETY: disjoint chunks.
             let sl = unsafe { std::slice::from_raw_parts_mut(pa.get().add(lo), hi - lo) };
             k_scale_assign(sl, s);
@@ -746,7 +763,7 @@ pub fn add_bias(x: &mut Tensor, bias: &Tensor) {
     {
         let px = SendPtr(x.data_mut().as_mut_ptr());
         let bd = bias.data();
-        for_each_row_block(rows, cols, |r0, r1| {
+        for_each_row_block(rows, cols, PAR_MIN_ELEMS, |r0, r1| {
             // SAFETY: disjoint row blocks.
             let s = unsafe {
                 std::slice::from_raw_parts_mut(px.get().add(r0 * cols), (r1 - r0) * cols)
@@ -800,7 +817,7 @@ pub fn gelu_into(x: &Tensor, out: &mut Tensor) {
     {
         let po = SendPtr(out.data_mut().as_mut_ptr());
         let xd = x.data();
-        for_each_chunk(n, |lo, hi| {
+        for_each_chunk(n, PAR_MIN_ELEMS_HEAVY, |lo, hi| {
             // SAFETY: disjoint chunks.
             let o = unsafe { std::slice::from_raw_parts_mut(po.get().add(lo), hi - lo) };
             k_gelu(o, &xd[lo..hi]);
@@ -832,7 +849,7 @@ pub fn gelu_backward_into(dy: &Tensor, x: &Tensor, dx: &mut Tensor) {
     {
         let pd = SendPtr(dx.data_mut().as_mut_ptr());
         let (dyd, xd) = (dy.data(), x.data());
-        for_each_chunk(n, |lo, hi| {
+        for_each_chunk(n, PAR_MIN_ELEMS_HEAVY, |lo, hi| {
             // SAFETY: disjoint chunks.
             let o = unsafe { std::slice::from_raw_parts_mut(pd.get().add(lo), hi - lo) };
             k_gelu_bwd(o, &dyd[lo..hi], &xd[lo..hi]);
@@ -865,7 +882,7 @@ pub fn softmax_rows_(x: &mut Tensor) {
     let start = Instant::now();
     {
         let px = SendPtr(x.data_mut().as_mut_ptr());
-        for_each_row_block(rows, cols, |r0, r1| {
+        for_each_row_block(rows, cols, PAR_MIN_ELEMS_HEAVY, |r0, r1| {
             // SAFETY: disjoint row blocks.
             let s = unsafe {
                 std::slice::from_raw_parts_mut(px.get().add(r0 * cols), (r1 - r0) * cols)
@@ -904,7 +921,7 @@ pub fn softmax_rows_backward_into(dy: &Tensor, y: &Tensor, dx: &mut Tensor) {
     {
         let pd = SendPtr(dx.data_mut().as_mut_ptr());
         let (dyd, yd) = (dy.data(), y.data());
-        for_each_row_block(rows, cols, |r0, r1| {
+        for_each_row_block(rows, cols, PAR_MIN_ELEMS, |r0, r1| {
             // SAFETY: disjoint row blocks.
             let s = unsafe {
                 std::slice::from_raw_parts_mut(pd.get().add(r0 * cols), (r1 - r0) * cols)
@@ -962,7 +979,7 @@ pub fn layernorm_into(
         let pm = SendPtr(cache.mean.as_mut_ptr());
         let pr = SendPtr(cache.rstd.as_mut_ptr());
         let (xd, gd, bd) = (x.data(), gamma.data(), beta.data());
-        for_each_row_block(rows, cols, |r0, r1| {
+        for_each_row_block(rows, cols, PAR_MIN_ELEMS, |r0, r1| {
             // SAFETY: disjoint row blocks of out/mean/rstd.
             let (o, m, rs) = unsafe {
                 (
@@ -1038,7 +1055,7 @@ pub fn layernorm_backward_into(
     // dx: row-parallel.
     {
         let pd = SendPtr(dx.data_mut().as_mut_ptr());
-        for_each_row_block(rows, cols, |r0, r1| {
+        for_each_row_block(rows, cols, PAR_MIN_ELEMS_HEAVY, |r0, r1| {
             // SAFETY: disjoint row blocks.
             let s = unsafe {
                 std::slice::from_raw_parts_mut(pd.get().add(r0 * cols), (r1 - r0) * cols)

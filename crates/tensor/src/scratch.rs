@@ -64,6 +64,11 @@ pub fn give(t: Tensor) {
     POOL.with(|p| {
         let mut pool = p.borrow_mut();
         if pool.len() < MAX_POOLED {
+            // Size the index once, on the first return: a pool that fills
+            // up slowly would otherwise regrow it several steps into a
+            // loop that has stopped allocating.
+            let room = MAX_POOLED - pool.len();
+            pool.reserve_exact(room);
             pool.push(t.into_vec());
         }
     });

@@ -139,6 +139,11 @@ pub fn hmax(mut acc: [f32; LANES]) -> f32 {
 // exact zeros.
 const EXP_HI: f32 = 88.376_26;
 const EXP_LO: f32 = -87.336_55;
+/// Stand-in argument evaluated for inputs below `EXP_LO`, whose result the
+/// final select discards. Evaluating at `EXP_LO` itself would form
+/// `p · 2⁻¹²⁶`, a subnormal product that costs a microcode assist on every
+/// causally masked score; `e⁻⁸⁷` is comfortably normal.
+const EXP_DISCARDED: f32 = -87.0;
 const LOG2E: f32 = std::f32::consts::LOG2_E;
 const LN2_HI: f32 = 0.693_359_4;
 const LN2_LO: f32 = -2.121_944_4e-4;
@@ -154,7 +159,7 @@ const ROUND_MAGIC: f32 = 12_582_912.0;
 /// (including `-inf`) and saturates near `f32::MAX` at the high end.
 #[inline(always)]
 pub fn exp_approx(x: f32) -> f32 {
-    let xc = if x < EXP_LO { EXP_LO } else { x };
+    let xc = if x < EXP_LO { EXP_DISCARDED } else { x };
     let xc = if xc > EXP_HI { EXP_HI } else { xc };
     // n = round(x / ln 2) via the magic-number trick.
     let z = xc * LOG2E + ROUND_MAGIC;
@@ -270,23 +275,33 @@ cvt_wrapper!(
     cvt_f16_to_f32, k_f16_to_f32, CVT_F16_F32, u16, f32
 );
 
-/// `*mut f32` wrapper asserting to the compiler that disjoint index
-/// ranges are written from different threads. Shared by the GEMM engine's
-/// tile grid and the elementwise kernels' chunk grid.
-#[derive(Clone, Copy)]
-pub(crate) struct SendPtr(pub *mut f32);
-// SAFETY: every parallel task derives a slice over a range it exclusively
-// owns (disjoint output tiles/chunks), so aliased mutation cannot occur.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
+/// Raw-pointer wrapper asserting to the compiler that disjoint parts of
+/// one buffer are written from different threads. Shared by the GEMM
+/// engine's tile grid, the elementwise kernels' chunk grid and the
+/// attention head fan-out.
+pub(crate) struct SendPtr<T = f32>(pub *mut T);
+// SAFETY: every parallel task derives a slice or reference over a range it
+// exclusively owns (disjoint output tiles/chunks/heads), so aliased
+// mutation cannot occur; `T: Send` because those tasks mutate the `T`s
+// from other threads.
+unsafe impl<T: Send> Send for SendPtr<T> {}
+unsafe impl<T: Send> Sync for SendPtr<T> {}
 
-impl SendPtr {
+// Not derived: a derive would demand `T: Copy` for copying a pointer.
+impl<T> Clone for SendPtr<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<T> Copy for SendPtr<T> {}
+
+impl<T> SendPtr<T> {
     /// The wrapped pointer. A method taking `self` makes closures capture
     /// the whole `Send + Sync` wrapper; naming the `.0` field directly
     /// would capture only the raw pointer (edition-2021 disjoint capture),
     /// which is neither.
     #[inline(always)]
-    pub(crate) fn get(self) -> *mut f32 {
+    pub(crate) fn get(self) -> *mut T {
         self.0
     }
 }
@@ -320,6 +335,68 @@ mod tests {
         assert_eq!(exp_approx(-1.0e4), 0.0);
         assert_eq!(exp_approx(0.0), 1.0);
         assert!(exp_approx(88.0).is_finite());
+    }
+
+    /// `exp_approx` as it was before inputs below `EXP_LO` were evaluated
+    /// at `EXP_DISCARDED`, frozen for the bit-equality sweep below.
+    fn exp_approx_clamped_at_exp_lo(x: f32) -> f32 {
+        let xc = if x < EXP_LO { EXP_LO } else { x };
+        let xc = if xc > EXP_HI { EXP_HI } else { xc };
+        let z = xc * LOG2E + ROUND_MAGIC;
+        let n = z - ROUND_MAGIC;
+        let r = xc - n * LN2_HI - n * LN2_LO;
+        let mut p = 1.987_569_1e-4f32;
+        p = p * r + 1.398_199_9e-3;
+        p = p * r + 8.333_452e-3;
+        p = p * r + 4.166_579_6e-2;
+        p = p * r + 1.666_666_5e-1;
+        p = p * r + 0.5;
+        p = p * r * r + r + 1.0;
+        let scale = f32::from_bits((((n as i32) + 127) << 23) as u32);
+        let y = p * scale;
+        if x < EXP_LO {
+            0.0
+        } else {
+            y
+        }
+    }
+
+    #[test]
+    fn exp_bits_unchanged_by_the_discarded_argument() {
+        let ulps = |x: f32, d: i32| f32::from_bits((x.to_bits() as i32 + d) as u32);
+        let mut inputs = vec![
+            f32::NEG_INFINITY,
+            f32::MIN,
+            -1.0e4,
+            -1.0e2,
+            EXP_DISCARDED,
+            -0.0,
+            0.0,
+            f32::MIN_POSITIVE,
+            1.0,
+            EXP_HI,
+            1.0e4,
+            f32::INFINITY,
+        ];
+        // Both sides of each clamp, ulp by ulp (for negative floats a
+        // larger bit pattern is a smaller value).
+        for edge in [EXP_LO, EXP_DISCARDED, EXP_HI] {
+            inputs.extend((-8..=8).map(|d| ulps(edge, d)));
+        }
+        // And a dense sweep across the whole finite range of interest.
+        let mut x = -120.0f32;
+        while x < 100.0 {
+            inputs.push(x);
+            x += 0.003_7;
+        }
+        for x in inputs {
+            assert_eq!(
+                exp_approx(x).to_bits(),
+                exp_approx_clamped_at_exp_lo(x).to_bits(),
+                "exp_approx({x:e}) changed bits"
+            );
+        }
+        assert!(exp_approx(f32::NAN).is_nan());
     }
 
     #[test]

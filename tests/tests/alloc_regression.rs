@@ -22,7 +22,7 @@ use stronghold_core::host::{
 };
 use stronghold_core::schedule::LrSchedule;
 use stronghold_integration_tests::batch_for;
-use stronghold_model::config::tiny;
+use stronghold_model::config::{tiny, ModelConfig};
 
 struct CountingAlloc;
 
@@ -153,6 +153,96 @@ fn offloaded_step_allocations_stop_growing() {
         "offloaded steady-state step allocates too much: {} allocs/step",
         late / 3
     );
+}
+
+/// The tiny configs above never reach the kernels' fan-out thresholds, so
+/// they cannot see what a parallel dispatch allocates. At hidden 256 /
+/// seq 128 every linear product and the per-head attention loops go
+/// through the fork-join pool, whose helpers are persistent threads with
+/// their own warm pack scratch and tensor pools: a dispatch may allocate
+/// nothing on any thread, so the step's count stays at the same incidental
+/// level as the small shapes (starting threads and packing into fresh
+/// buffers on every dispatch cost ~45 allocations per kernel round below
+/// and put this step at ~615, over the cap).
+#[test]
+fn pooled_kernel_step_allocations_stop_growing() {
+    let _serial = serial();
+    let cfg = ModelConfig::new(2, 256, 8)
+        .with_seq(128)
+        .with_vocab(512)
+        .with_batch(2);
+    let batch = batch_for(&cfg, 47);
+    let mut t = HostOffloadTrainer::new(
+        cfg,
+        7,
+        HostOffloadConfig {
+            window: 2,
+            optimizer_workers: 2,
+            adam: adam(),
+            ..HostOffloadConfig::default()
+        },
+    );
+    // Pin the width so the pool engages whatever the machine: the helpers
+    // start on the first dispatch, inside the warm-up.
+    let two_wide = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .unwrap();
+    two_wide.install(|| {
+        for _ in 0..2 {
+            t.train_step(&batch);
+        }
+        t.flush();
+        let mut step = || {
+            allocs_during(|| {
+                t.train_step(&batch);
+                t.flush();
+            })
+        };
+        let early = step();
+        let late = step();
+        assert!(
+            late <= early + 8,
+            "per-step allocations grew after warm-up: early step {early}, late step {late}"
+        );
+        assert!(
+            late <= STEADY_STATE_CAP / 2,
+            "steady-state step above the fan-out thresholds allocates too much: {late} allocs"
+        );
+    });
+
+    // The kernels alone: once both threads' scratch is warm, a product over
+    // `PAR_FLOPS_THRESHOLD` allocates nothing and an attention forward only
+    // the `Vec` that holds its per-head probabilities (a few stragglers are
+    // tolerated — which thread first runs which task is up to the
+    // schedule).
+    use stronghold_tensor::attention::Attention;
+    use stronghold_tensor::init::{normal, seeded_rng};
+    use stronghold_tensor::matmul::matmul_nt_into;
+    use stronghold_tensor::{scratch, Tensor};
+    let mut rng = seeded_rng(48);
+    let x = normal([127, 256], 1.0, &mut rng);
+    let w = normal([768, 256], 1.0, &mut rng);
+    let attn = Attention::new(256, 8, &mut rng);
+    let mut grads = attn.zero_grads();
+    let mut y = Tensor::zeros([127, 768]);
+    let mut kernels = |rounds: usize| {
+        for _ in 0..rounds {
+            matmul_nt_into(&x, &w, &mut y);
+            let (out, cache) = attn.forward(&x);
+            scratch::give(attn.backward(&x, &x, &cache, &mut grads));
+            scratch::give(out);
+            cache.recycle();
+        }
+    };
+    two_wide.install(|| {
+        kernels(6);
+        let steady = allocs_during(|| kernels(10));
+        assert!(
+            steady <= 10 + 6,
+            "pooled kernels allocated {steady} times over 10 warm rounds"
+        );
+    });
 }
 
 /// With the file spill tier active (PR 9), the steady-state step must stay
