@@ -1,10 +1,10 @@
-//! GEMM kernel shape sweep: blocked engine vs frozen seed kernels.
+//! GEMM kernel shape sweep of the blocked engine.
 //!
 //! Runs every layout (`nn`, `nt`, `tn`) over the square sizes and the
-//! GPT-block shapes the paper experiments exercise, reports GFLOP/s for
-//! the blocked engine and the seed baselines, and writes the whole sweep
-//! to `BENCH_kernels.json` (override the path with `BENCH_KERNELS_OUT`)
-//! so the kernel perf trajectory is diffable across PRs.
+//! GPT-block shapes the paper experiments exercise, reports GFLOP/s, and
+//! writes the whole sweep to `BENCH_kernels.json` (override the path with
+//! `BENCH_KERNELS_OUT`) so the kernel perf trajectory is diffable across
+//! PRs.
 //!
 //! A second section measures **what the runtime runs**: the three GEMMs
 //! each of a block's four linears issues (forward `nt`, input-gradient
@@ -215,13 +215,13 @@ fn main() {
     };
 
     println!(
-        "GEMM kernel sweep ({} mode, {reps} rep(s), {} threads) — blocked engine vs seed",
+        "GEMM kernel sweep ({} mode, {reps} rep(s), {} threads)",
         if quick { "quick" } else { "full" },
         rayon::current_num_threads(),
     );
     println!(
-        "{:<18} {:>5} {:>5} {:>5}  {:>3}  {:>10} {:>10} {:>8}",
-        "shape", "m", "k", "n", "op", "new GF/s", "seed GF/s", "speedup"
+        "{:<18} {:>5} {:>5} {:>5}  {:>3}  {:>10}",
+        "shape", "m", "k", "n", "op", "GF/s"
     );
 
     let mut rows: Vec<Value> = Vec::new();
@@ -234,32 +234,15 @@ fn main() {
         let b_nt = normal([n, k], 1.0, &mut rng); // NT right operand (stored [N,K])
         let a_tn = normal([k, m], 1.0, &mut rng); // TN left operand (stored [K,M])
 
-        type Runner<'t> = Box<dyn FnMut() -> Tensor + 't>;
-        let cases: [(&str, Runner, Runner); 3] = [
-            (
-                "nn",
-                Box::new(|| matmul(&a_nn, &b_nn)),
-                Box::new(|| matmul::seed::matmul(&a_nn, &b_nn)),
-            ),
-            (
-                "nt",
-                Box::new(|| matmul_nt(&a_nn, &b_nt)),
-                Box::new(|| matmul::seed::matmul_nt(&a_nn, &b_nt)),
-            ),
-            (
-                "tn",
-                Box::new(|| matmul_tn(&a_tn, &b_nn)),
-                Box::new(|| matmul::seed::matmul_tn(&a_tn, &b_nn)),
-            ),
-        ];
-
-        for (layout, new_kernel, seed_kernel) in cases {
-            let gf_new = time_gflops(flops, reps, new_kernel);
-            let gf_seed = time_gflops(flops, reps, seed_kernel);
-            let speedup = gf_new / gf_seed;
+        for layout in ["nn", "nt", "tn"] {
+            let gf_new = time_gflops(flops, reps, || match layout {
+                "nn" => matmul(&a_nn, &b_nn),
+                "nt" => matmul_nt(&a_nn, &b_nt),
+                _ => matmul_tn(&a_tn, &b_nn),
+            });
             println!(
-                "{:<18} {:>5} {:>5} {:>5}  {:>3}  {:>10.2} {:>10.2} {:>7.2}x",
-                s.label, m, k, n, layout, gf_new, gf_seed, speedup
+                "{:<18} {:>5} {:>5} {:>5}  {:>3}  {:>10.2}",
+                s.label, m, k, n, layout, gf_new
             );
             let mut row = Map::new();
             row.insert("shape".into(), Value::from(s.label));
@@ -269,8 +252,6 @@ fn main() {
             row.insert("layout".into(), Value::from(layout));
             row.insert("flops".into(), Value::from(flops));
             row.insert("gflops_new".into(), Value::from(gf_new));
-            row.insert("gflops_seed".into(), Value::from(gf_seed));
-            row.insert("speedup".into(), Value::from(speedup));
             rows.push(Value::Object(row));
         }
     }

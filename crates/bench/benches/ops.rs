@@ -1,13 +1,11 @@
-//! Non-GEMM kernel sweep: vectorized row/elementwise engine vs frozen
-//! scalar seed kernels.
+//! Non-GEMM kernel sweep of the vectorized row/elementwise engine.
 //!
 //! Covers layernorm fwd/bwd, GELU fwd/bwd, row softmax fwd/bwd, bias
 //! add/grad, add/axpy, and the fused Adam step over GPT activation row
 //! shapes (`[tokens, d_model]`) and cache-resident flat Adam sizes.
-//! Reports per-op wall time and the speedup over the frozen baseline,
-//! and writes the whole sweep to `BENCH_ops.json` (override the path
-//! with `BENCH_OPS_OUT`) so the op perf trajectory is diffable across
-//! PRs.
+//! Reports per-op wall time and writes the whole sweep to `BENCH_ops.json`
+//! (override the path with `BENCH_OPS_OUT`) so the op perf trajectory is
+//! diffable across PRs.
 //!
 //! `STRONGHOLD_OBENCH_QUICK=1` switches to a bounded smoke sweep (small
 //! shapes, one rep) used by the `ci.sh` op-bench step to catch bench
@@ -19,7 +17,7 @@ use std::time::Instant;
 
 use serde_json::{Map, Value};
 use stronghold_tensor::init::{normal, seeded_rng};
-use stronghold_tensor::ops::{self, seed};
+use stronghold_tensor::ops;
 use stronghold_tensor::{scratch, Tensor};
 
 /// Best-of-`reps` wall nanoseconds for `f`. One untimed warmup call
@@ -41,7 +39,6 @@ struct Row {
     rows: usize,
     cols: usize,
     ns_new: f64,
-    ns_seed: f64,
 }
 
 /// Benchmarks every row-shaped op at `[rows, cols]`, pushing one result
@@ -54,30 +51,24 @@ fn sweep_row_ops(rows: usize, cols: usize, reps: usize, out: &mut Vec<Row>) {
     let beta = normal([cols], 0.2, &mut rng);
     let bias = normal([cols], 0.2, &mut rng);
     let sm = ops::softmax_rows(&x);
-    let mut push = |op, ns_new, ns_seed| {
+    let mut push = |op, ns_new| {
         out.push(Row {
             op,
             rows,
             cols,
             ns_new,
-            ns_seed,
         })
     };
 
     // The vectorized path draws outputs from the thread-local scratch
     // pool and the trainers give them back each step; the bench mirrors
-    // that steady state with `scratch::give`. The seed path predates the
-    // pool and allocates per call — that allocation is part of the
-    // frozen baseline being measured.
+    // that steady state with `scratch::give`.
     push(
         "layernorm_fwd",
         time_ns(reps, || {
             let (y, c) = ops::layernorm(&x, &gamma, &beta, 1e-5);
             std::hint::black_box((&y, &c));
             scratch::give(y);
-        }),
-        time_ns(reps, || {
-            std::hint::black_box(seed::layernorm(&x, &gamma, &beta, 1e-5));
         }),
     );
 
@@ -91,11 +82,6 @@ fn sweep_row_ops(rows: usize, cols: usize, reps: usize, out: &mut Vec<Row>) {
             std::hint::black_box(&dx);
             scratch::give(dx);
         }),
-        time_ns(reps, || {
-            std::hint::black_box(seed::layernorm_backward(
-                &dy, &x, &gamma, &cache, &mut dg, &mut db,
-            ));
-        }),
     );
 
     push(
@@ -105,9 +91,6 @@ fn sweep_row_ops(rows: usize, cols: usize, reps: usize, out: &mut Vec<Row>) {
             std::hint::black_box(&y);
             scratch::give(y);
         }),
-        time_ns(reps, || {
-            std::hint::black_box(seed::gelu(&x));
-        }),
     );
     push(
         "gelu_bwd",
@@ -115,9 +98,6 @@ fn sweep_row_ops(rows: usize, cols: usize, reps: usize, out: &mut Vec<Row>) {
             let y = ops::gelu_backward(&dy, &x);
             std::hint::black_box(&y);
             scratch::give(y);
-        }),
-        time_ns(reps, || {
-            std::hint::black_box(seed::gelu_backward(&dy, &x));
         }),
     );
 
@@ -128,9 +108,6 @@ fn sweep_row_ops(rows: usize, cols: usize, reps: usize, out: &mut Vec<Row>) {
             std::hint::black_box(&y);
             scratch::give(y);
         }),
-        time_ns(reps, || {
-            std::hint::black_box(seed::softmax_rows(&x));
-        }),
     );
     push(
         "softmax_bwd",
@@ -138,9 +115,6 @@ fn sweep_row_ops(rows: usize, cols: usize, reps: usize, out: &mut Vec<Row>) {
             let y = ops::softmax_rows_backward(&dy, &sm);
             std::hint::black_box(&y);
             scratch::give(y);
-        }),
-        time_ns(reps, || {
-            std::hint::black_box(seed::softmax_rows_backward(&dy, &sm));
         }),
     );
 
@@ -151,20 +125,12 @@ fn sweep_row_ops(rows: usize, cols: usize, reps: usize, out: &mut Vec<Row>) {
             ops::add_bias(&mut buf, &bias);
             std::hint::black_box(&buf);
         }),
-        time_ns(reps, || {
-            seed::add_bias(&mut buf, &bias);
-            std::hint::black_box(&buf);
-        }),
     );
     let mut dbias = Tensor::zeros([cols]);
     push(
         "bias_grad",
         time_ns(reps, || {
             ops::bias_grad_acc(&dy, &mut dbias);
-            std::hint::black_box(&dbias);
-        }),
-        time_ns(reps, || {
-            seed::bias_grad_acc(&dy, &mut dbias);
             std::hint::black_box(&dbias);
         }),
     );
@@ -176,19 +142,12 @@ fn sweep_row_ops(rows: usize, cols: usize, reps: usize, out: &mut Vec<Row>) {
             std::hint::black_box(&y);
             scratch::give(y);
         }),
-        time_ns(reps, || {
-            std::hint::black_box(seed::add(&x, &dy));
-        }),
     );
     let mut acc = x.clone();
     push(
         "axpy",
         time_ns(reps, || {
             ops::axpy(&mut acc, 1e-6, &dy);
-            std::hint::black_box(&acc);
-        }),
-        time_ns(reps, || {
-            seed::axpy(&mut acc, 1e-6, &dy);
             std::hint::black_box(&acc);
         }),
     );
@@ -198,8 +157,8 @@ fn sweep_row_ops(rows: usize, cols: usize, reps: usize, out: &mut Vec<Row>) {
 /// near-zero arithmetic: one multiply-add per stream, which LLVM
 /// auto-vectorizes. Establishes the machine's bandwidth floor for the
 /// `adam_bw_floor` row — no correct Adam kernel can run faster, so the
-/// row's `speedup` column is the ceiling any fused implementation can
-/// reach over the seed on this host.
+/// `adam` row over this one is how far the fused step sits from the
+/// ceiling on this host.
 fn adam_traffic_floor(p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32]) {
     for (((pi, &gi), mi), vi) in p.iter_mut().zip(g).zip(m.iter_mut()).zip(v.iter_mut()) {
         *mi = 0.999 * *mi + 0.001 * gi;
@@ -229,26 +188,11 @@ fn sweep_adam(n: usize, reps: usize, out: &mut Vec<Row>) {
         );
         std::hint::black_box(&params);
     });
-    let ns_seed = time_ns(reps, || {
-        seed::adam_step(
-            &mut params,
-            &grads,
-            &mut m,
-            &mut v,
-            0.9,
-            0.999,
-            1.5e-4,
-            1.5e-6,
-            1e-8,
-        );
-        std::hint::black_box(&params);
-    });
     out.push(Row {
         op: "adam",
         rows: 1,
         cols: n,
         ns_new,
-        ns_seed,
     });
     let ns_floor = time_ns(reps, || {
         adam_traffic_floor(&mut params, &grads, &mut m, &mut v);
@@ -259,7 +203,6 @@ fn sweep_adam(n: usize, reps: usize, out: &mut Vec<Row>) {
         rows: 1,
         cols: n,
         ns_new: ns_floor,
-        ns_seed,
     });
 }
 
@@ -288,7 +231,7 @@ fn main() {
     };
 
     println!(
-        "non-GEMM op sweep ({} mode, {reps} rep(s), {} rayon threads) — vectorized vs seed",
+        "non-GEMM op sweep ({} mode, {reps} rep(s), {} rayon threads)",
         if quick { "quick" } else { "full" },
         rayon::current_num_threads(),
     );
@@ -301,24 +244,18 @@ fn main() {
         sweep_adam(n, reps, &mut results);
     }
 
-    println!(
-        "{:<15} {:>6} {:>6}  {:>12} {:>12} {:>8}",
-        "op", "rows", "cols", "new ns", "seed ns", "speedup"
-    );
+    println!("{:<15} {:>6} {:>6}  {:>12}", "op", "rows", "cols", "ns");
     let mut rows_json: Vec<Value> = Vec::new();
     for r in &results {
-        let speedup = r.ns_seed / r.ns_new;
         println!(
-            "{:<15} {:>6} {:>6}  {:>12.0} {:>12.0} {:>7.2}x",
-            r.op, r.rows, r.cols, r.ns_new, r.ns_seed, speedup
+            "{:<15} {:>6} {:>6}  {:>12.0}",
+            r.op, r.rows, r.cols, r.ns_new
         );
         let mut row = Map::new();
         row.insert("op".into(), Value::from(r.op));
         row.insert("rows".into(), Value::from(r.rows as u64));
         row.insert("cols".into(), Value::from(r.cols as u64));
         row.insert("ns_new".into(), Value::from(r.ns_new));
-        row.insert("ns_seed".into(), Value::from(r.ns_seed));
-        row.insert("speedup".into(), Value::from(speedup));
         rows_json.push(Value::Object(row));
     }
 

@@ -71,13 +71,12 @@ pub struct DataParallelConfig {
     pub adam: AdamParams,
     /// Per-step learning-rate schedule (None → constant `adam.lr`).
     pub schedule: Option<LrSchedule>,
-    /// Global gradient-norm clip threshold (None → no clipping). The norm
-    /// is computed on the *reduced* gradients, so it equals the norm a
+    /// Global gradient-norm clip threshold. `None` → no clipping, and
+    /// per-layer optimizer updates stream as soon as a bucket's all-reduce
+    /// lands; `Some` defers them to the end of the step. The norm is
+    /// computed on the *reduced* gradients, so it equals the norm a
     /// single-replica run over the global batch would clip against.
     pub clip_norm: Option<f32>,
-    /// Stream per-layer optimizer updates as soon as a bucket's all-reduce
-    /// lands (ignored while `clip_norm` is set).
-    pub streaming_dispatch: bool,
     /// Closed-loop autotuning of the per-replica window/worker knobs. One
     /// controller runs at the *trainer* level (per-replica controllers
     /// could diverge and break the SPMD lockstep): it observes the global
@@ -112,7 +111,6 @@ impl Default for DataParallelConfig {
             adam: AdamParams::default(),
             schedule: None,
             clip_norm: None,
-            streaming_dispatch: true,
             autotune: None,
             precision: stronghold_tensor::Precision::F32,
             host_capacity: None,
@@ -132,7 +130,6 @@ impl DataParallelConfig {
             adam: self.adam,
             schedule: self.schedule,
             clip_norm: self.clip_norm,
-            streaming_dispatch: self.streaming_dispatch,
             // Tuning is driven by the single trainer-level controller, not
             // per-replica engine controllers (which could diverge).
             autotune: None,
@@ -149,7 +146,6 @@ impl DataParallelConfig {
             adam: self.adam,
             schedule: self.schedule,
             clip_norm: self.clip_norm,
-            streaming_dispatch: self.streaming_dispatch,
             autotune: None,
             precision: self.precision,
         }

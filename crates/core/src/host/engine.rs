@@ -46,14 +46,13 @@ pub struct EngineOptions {
     pub schedule: Option<LrSchedule>,
     /// Global gradient-norm clip threshold (None → no clipping; the
     /// gradient bits are then never touched between backward and the
-    /// optimizer, preserving historical results exactly).
+    /// optimizer, preserving historical results exactly). It also picks the
+    /// dispatch policy: without clipping, backends whose pipeline can stream
+    /// dispatch each layer's optimizer update as soon as its gradient lands
+    /// (during backward); with it, dispatch is deferred to the end of the
+    /// step — whole-step clipping needs every gradient before any update.
+    /// Both paths are bit-identical.
     pub clip_norm: Option<f32>,
-    /// Dispatch each layer's optimizer update as soon as its gradient lands
-    /// (during backward) instead of after the whole step. Only takes effect
-    /// when `clip_norm` is `None` — whole-step clipping needs every gradient
-    /// before any update — and only on backends whose pipeline can stream
-    /// (others fall back to deferred dispatch). Both paths are bit-identical.
-    pub streaming_dispatch: bool,
     /// Closed-loop window/worker autotuning (None → static configuration).
     /// Takes effect only on backends that declare [`ParamBackend::tune_limits`];
     /// the controller runs at every step boundary and resizes are applied
@@ -77,7 +76,6 @@ impl Default for EngineOptions {
             adam: AdamParams::default(),
             schedule: None,
             clip_norm: None,
-            streaming_dispatch: true,
             autotune: None,
             precision: Precision::F32,
         }
@@ -90,9 +88,9 @@ pub struct StepPlan {
     /// Adam hyper-parameters for this step, with the scheduled LR applied.
     pub hp: AdamParams,
     /// Whether the backend may dispatch block updates itself as gradients
-    /// land (true only when clipping is off and streaming is enabled). A
-    /// backend that streams must set [`StepWorkspace::streamed`]; one that
-    /// cannot stream simply ignores the flag.
+    /// land (true exactly when clipping is off). A backend that streams
+    /// must set [`StepWorkspace::streamed`]; one that cannot stream simply
+    /// ignores the flag.
     pub streaming: bool,
 }
 
@@ -612,7 +610,7 @@ impl<B: ParamBackend> Engine<B> {
         // every gradient before any update is applied.
         let plan = StepPlan {
             hp,
-            streaming: self.opts.streaming_dispatch && self.opts.clip_norm.is_none(),
+            streaming: self.opts.clip_norm.is_none(),
         };
         self.ws.streamed = false;
         if plan.streaming && self.tel.is_enabled() {

@@ -55,11 +55,10 @@ pub struct HostOffloadConfig {
     pub window: usize,
     /// Concurrent CPU optimizer actors.
     pub optimizer_workers: usize,
-    /// Dedicated gradient-offload (D2H copy engine) threads. With `0` the
-    /// flatten/copy/accounting runs inline on the compute thread between
-    /// layer backwards (the pre-pipeline behavior); with `≥ 1` layer `i`'s
-    /// offload overlaps layer `i−1`'s backward. Results are bit-identical
-    /// either way — only *where* the flatten runs changes.
+    /// Dedicated gradient-offload (D2H copy engine) threads (clamped to
+    /// ≥ 1): layer `i`'s flatten/copy/accounting overlaps layer `i−1`'s
+    /// backward. Results are bit-identical for every count — only *where*
+    /// the flatten runs changes.
     pub offload_workers: usize,
     /// Worker threads for the per-sample forward / recompute-backward
     /// fan-out inside one layer. `1` keeps compute single-threaded (and the
@@ -72,12 +71,11 @@ pub struct HostOffloadConfig {
     pub adam: AdamParams,
     /// Per-step learning-rate schedule (None → constant `adam.lr`).
     pub schedule: Option<LrSchedule>,
-    /// Global gradient-norm clip threshold (None → no clipping).
+    /// Global gradient-norm clip threshold. `None` → no clipping, and each
+    /// layer's Adam update is dispatched as soon as its gradient lands
+    /// (§III-E1 BP/optimizer overlap); `Some` defers dispatch to the end of
+    /// the step. See [`EngineOptions::clip_norm`].
     pub clip_norm: Option<f32>,
-    /// Dispatch each layer's Adam update as soon as its gradient lands
-    /// (§III-E1 BP/optimizer overlap). Only takes effect while `clip_norm`
-    /// is `None`; see [`EngineOptions::streaming_dispatch`].
-    pub streaming_dispatch: bool,
     /// Closed-loop autotuning of the window and worker counts (None →
     /// static configuration). The `window` / `*_workers` fields above
     /// become the controller's starting point; see
@@ -131,7 +129,6 @@ impl Default for HostOffloadConfig {
             adam: AdamParams::default(),
             schedule: None,
             clip_norm: None,
-            streaming_dispatch: true,
             autotune: None,
             precision: Precision::F32,
             device_capacity: None,
@@ -148,7 +145,6 @@ impl HostOffloadConfig {
             adam: self.adam,
             schedule: self.schedule,
             clip_norm: self.clip_norm,
-            streaming_dispatch: self.streaming_dispatch,
             autotune: self.autotune,
             precision: self.precision,
         }
@@ -431,7 +427,7 @@ impl WindowedBackend {
                 stage: Vec::new(),
                 pack: PackedHalf::new(precision),
             }),
-            offload_workers: hocfg.offload_workers,
+            offload_workers: hocfg.offload_workers.max(1),
             compute_workers: hocfg.compute_workers.max(1),
             stats: PipeStats::default(),
             tier_plan,
@@ -636,12 +632,11 @@ impl ParamBackend for WindowedBackend {
         }
 
         // ---- gradient offload (D2H copy engine) ----
-        // Shared by the dedicated engine threads (or called inline when
-        // `offload_workers == 0`): flatten the finished layer's gradient,
-        // account the D2H traffic, and either stream the optimizer update
-        // immediately (clip off) or park the flat gradient for the engine's
-        // deferred dispatch. Runs concurrently with the next layer's
-        // backward on the compute thread.
+        // Run by the dedicated engine threads: flatten the finished layer's
+        // gradient, account the D2H traffic, and either stream the optimizer
+        // update immediately (clip off) or park the flat gradient for the
+        // engine's deferred dispatch. Runs concurrently with the next
+        // layer's backward on the compute thread.
         let hp = plan.hp;
         let streaming = plan.streaming;
         let pool = &self.pool;
@@ -959,11 +954,7 @@ impl ParamBackend for WindowedBackend {
                     enqueue_ns: self.tel.now_nanos(),
                     enqueue_at: std::time::Instant::now(),
                 };
-                if ow == 0 {
-                    done_tx.send(offload_ref(job)).expect("offload done");
-                } else {
-                    off_tx.send(job).expect("offload queue");
-                }
+                off_tx.send(job).expect("offload queue");
             }
             // Close the offload queue: engine threads drain it and exit
             // while the embedding backward below proceeds.
@@ -1145,7 +1136,7 @@ impl ParamBackend for WindowedBackend {
                 self.device.set_capacity((m as u64 + 1) * self.block_bytes);
             }
         }
-        self.offload_workers = t.offload_workers;
+        self.offload_workers = t.offload_workers.max(1);
         self.compute_workers = t.compute_workers.max(1);
         if t.optimizer_workers != self.pool.workers() {
             self.pool.set_workers(t.optimizer_workers);
@@ -1507,7 +1498,7 @@ mod tests {
         assert_eq!(
             base,
             run(4, 0, 1),
-            "inline vs threaded gradient offload must not affect results"
+            "a configured 0 is clamped to one offload thread"
         );
         assert_eq!(
             base,

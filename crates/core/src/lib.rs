@@ -20,19 +20,17 @@
 //!
 //! | Paper | Module |
 //! |---|---|
-//! | §III-C working window, Fig. 3 pipelines | [`window`], [`offload`] |
+//! | §III-C working window, Fig. 3 pipelines | [`offload`] (sim), [`host::offloaded`] (real) |
 //! | §III-D analytical model (P1, P2, Eqs. 3–5) | [`analytic`], [`profile`] |
 //! | §III-E1 concurrent CPU optimizers | [`optimpool`], [`adam`] |
-//! | §III-E3 user-level memory management | [`bufpool`] |
+//! | §III-E3 user-level memory management | [`host::device::HostDevice`] arena + the `m + 1` shell pool in [`host::offloaded`] |
 //! | §III-G NVMe tier | [`nvme`], [`tier`] |
 //! | §IV-A multi-stream execution | [`multistream`] |
 //! | §VI-D3 inference / knowledge distillation | [`inference`] |
 
 pub mod adam;
 pub mod analytic;
-pub mod bufpool;
 pub mod clip;
-pub mod distill;
 pub mod error;
 pub mod graph;
 pub mod hooks;
@@ -50,7 +48,6 @@ pub mod serve;
 pub mod telemetry;
 pub mod tier;
 pub mod trainer;
-pub mod window;
 
 pub use error::RuntimeError;
 pub use method::{IterationReport, TrainingMethod};

@@ -4,8 +4,9 @@
 //! reads/writes so disk I/O overlaps with PCIe traffic and compute. The
 //! simulator side of this lives in [`crate::offload`] (the `Nvme` cold
 //! tier); this module provides the *functional* backing store — a real
-//! temporary swap file holding per-layer parameter blobs with async
-//! worker-thread I/O — used by the host substrate and the NVMe tests.
+//! temporary swap file of fixed-size slots with positional reads and
+//! writes. The asynchronous side (spill workers, schedule-driven fills,
+//! write-backs) lives in [`crate::tier::TierStore`].
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -13,8 +14,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crossbeam_channel::{unbounded, Sender};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 /// A swap file storing fixed-size per-layer parameter blobs.
 pub struct NvmeStore {
@@ -50,39 +50,6 @@ impl NvmeStore {
             bytes_read: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
         }))
-    }
-
-    /// Writes a layer blob to its slot.
-    ///
-    /// # Panics
-    /// Panics if `layer >= slots` or the data length mismatches.
-    pub fn write_layer(&self, layer: usize, data: &[f32]) -> std::io::Result<()> {
-        assert!(layer < self.slots, "slot {layer} out of {}", self.slots);
-        assert_eq!(data.len(), self.slot_floats, "blob size mismatch");
-        let bytes: Vec<u8> = data.iter().flat_map(|f| f.to_le_bytes()).collect();
-        let mut f = self.file.lock();
-        f.seek(SeekFrom::Start((layer * self.slot_floats * 4) as u64))?;
-        f.write_all(&bytes)?;
-        self.bytes_written
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Reads a layer blob back.
-    pub fn read_layer(&self, layer: usize) -> std::io::Result<Vec<f32>> {
-        assert!(layer < self.slots);
-        let mut buf = vec![0u8; self.slot_floats * 4];
-        {
-            let mut f = self.file.lock();
-            f.seek(SeekFrom::Start((layer * self.slot_floats * 4) as u64))?;
-            f.read_exact(&mut buf)?;
-        }
-        self.bytes_read
-            .fetch_add(buf.len() as u64, Ordering::Relaxed);
-        Ok(buf
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
     }
 
     /// Writes `data` at float offset `float_off` inside `slot`, recycling
@@ -196,278 +163,15 @@ impl Drop for NvmeStore {
     }
 }
 
-enum IoJob {
-    Read(usize, Arc<(Mutex<Option<Vec<f32>>>, Condvar)>),
-    Write(usize, Vec<f32>),
-}
-
-/// Asynchronous bulk I/O front-end over an [`NvmeStore`]: one worker thread
-/// services a request queue so reads prefetch ahead of use and writes drain
-/// in the background, overlapping with "PCIe" copies and compute exactly as
-/// §III-G describes.
-pub struct AsyncNvme {
-    store: Arc<NvmeStore>,
-    tx: Option<Sender<IoJob>>,
-    worker: Option<std::thread::JoinHandle<()>>,
-}
-
-/// Handle to an in-flight asynchronous read.
-pub struct ReadHandle {
-    cell: Arc<(Mutex<Option<Vec<f32>>>, Condvar)>,
-}
-
-impl ReadHandle {
-    /// Blocks until the read completes and returns the blob.
-    pub fn wait(self) -> Vec<f32> {
-        let (lock, cv) = &*self.cell;
-        let mut slot = lock.lock();
-        while slot.is_none() {
-            cv.wait(&mut slot);
-        }
-        slot.take().expect("read result")
-    }
-}
-
-impl AsyncNvme {
-    /// Spawns the I/O worker over `store`.
-    pub fn new(store: Arc<NvmeStore>) -> Self {
-        let (tx, rx) = unbounded::<IoJob>();
-        let st = Arc::clone(&store);
-        let worker = std::thread::Builder::new()
-            .name("nvme-io".into())
-            .spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    match job {
-                        IoJob::Read(layer, cell) => {
-                            let data = st.read_layer(layer).expect("nvme read");
-                            let (lock, cv) = &*cell;
-                            *lock.lock() = Some(data);
-                            cv.notify_all();
-                        }
-                        IoJob::Write(layer, data) => {
-                            st.write_layer(layer, &data).expect("nvme write");
-                        }
-                    }
-                }
-            })
-            .expect("spawn nvme worker");
-        AsyncNvme {
-            store,
-            tx: Some(tx),
-            worker: Some(worker),
-        }
-    }
-
-    /// Issues an asynchronous read (prefetch); returns a waitable handle.
-    pub fn read_async(&self, layer: usize) -> ReadHandle {
-        let cell = Arc::new((Mutex::new(None), Condvar::new()));
-        self.tx
-            .as_ref()
-            .expect("alive")
-            .send(IoJob::Read(layer, Arc::clone(&cell)))
-            .expect("nvme queue");
-        ReadHandle { cell }
-    }
-
-    /// Issues an asynchronous write (offload).
-    pub fn write_async(&self, layer: usize, data: Vec<f32>) {
-        self.tx
-            .as_ref()
-            .expect("alive")
-            .send(IoJob::Write(layer, data))
-            .expect("nvme queue");
-    }
-
-    /// The underlying store (for counters).
-    pub fn store(&self) -> &NvmeStore {
-        &self.store
-    }
-}
-
-impl Drop for AsyncNvme {
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        if let Some(w) = self.worker.take() {
-            let _ = w.join();
-        }
-    }
-}
-
-/// A layer store whose parameter images live on the NVMe swap file, with
-/// only the Adam moments and pending-flags resident in RAM — the functional
-/// counterpart of the §III-G tier. Drop-in compatible with the subset of
-/// [`crate::optimpool::LayerStore`]'s surface the pipeline uses.
-pub struct NvmeLayerStore {
-    io: AsyncNvme,
-    state: Vec<parking_lot::Mutex<NvmeSlotState>>,
-    cv: Vec<Condvar>,
-    hp: crate::adam::AdamParams,
-}
-
-struct NvmeSlotState {
-    adam: crate::adam::AdamState,
-    pending_update: bool,
-}
-
-impl NvmeLayerStore {
-    /// Creates the store, writing each layer's initial parameters to the
-    /// swap file.
-    pub fn new(layer_params: Vec<Vec<f32>>, hp: crate::adam::AdamParams) -> std::io::Result<Self> {
-        assert!(!layer_params.is_empty());
-        let floats = layer_params[0].len();
-        assert!(layer_params.iter().all(|p| p.len() == floats));
-        let store = NvmeStore::create(layer_params.len(), floats)?;
-        let io = AsyncNvme::new(Arc::clone(&store));
-        for (i, p) in layer_params.iter().enumerate() {
-            store.write_layer(i, p)?;
-        }
-        let state = layer_params
-            .iter()
-            .map(|p| {
-                parking_lot::Mutex::new(NvmeSlotState {
-                    adam: crate::adam::AdamState::new(p.len()),
-                    pending_update: false,
-                })
-            })
-            .collect();
-        let cv = layer_params.iter().map(|_| Condvar::new()).collect();
-        Ok(NvmeLayerStore { io, state, cv, hp })
-    }
-
-    /// Number of layers.
-    pub fn len(&self) -> usize {
-        self.state.len()
-    }
-
-    /// True when empty (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.state.is_empty()
-    }
-
-    /// Reads a layer's parameters from the swap file, waiting out any
-    /// pending update (the same cross-iteration dependency the RAM store
-    /// enforces).
-    pub fn read_params(&self, layer: usize) -> Vec<f32> {
-        {
-            let mut st = self.state[layer].lock();
-            while st.pending_update {
-                self.cv[layer].wait(&mut st);
-            }
-        }
-        self.io.read_async(layer).wait()
-    }
-
-    /// Marks a layer update in flight.
-    pub fn mark_pending(&self, layer: usize) {
-        self.state[layer].lock().pending_update = true;
-    }
-
-    /// Applies an Adam update: page in, step, page out.
-    pub fn apply_update(&self, layer: usize, grads: &[f32]) {
-        let mut params = self.io.read_async(layer).wait();
-        let mut st = self.state[layer].lock();
-        st.adam.step(&mut params, grads, &self.hp);
-        self.io.write_async(layer, params);
-        st.pending_update = false;
-        self.cv[layer].notify_all();
-    }
-
-    /// Total swap traffic so far (read + written bytes).
-    pub fn swap_traffic(&self) -> (u64, u64) {
-        (
-            self.io.store().bytes_read(),
-            self.io.store().bytes_written(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn write_read_round_trip() {
-        let store = NvmeStore::create(4, 16).unwrap();
-        let blob: Vec<f32> = (0..16).map(|i| i as f32 * 0.5).collect();
-        store.write_layer(2, &blob).unwrap();
-        assert_eq!(store.read_layer(2).unwrap(), blob);
-        assert_eq!(store.bytes_written(), 64);
-        assert_eq!(store.bytes_read(), 64);
-    }
-
-    #[test]
-    fn slots_are_independent() {
-        let store = NvmeStore::create(3, 4).unwrap();
-        store.write_layer(0, &[1.0; 4]).unwrap();
-        store.write_layer(1, &[2.0; 4]).unwrap();
-        store.write_layer(2, &[3.0; 4]).unwrap();
-        store.write_layer(1, &[9.0; 4]).unwrap();
-        assert_eq!(store.read_layer(0).unwrap(), vec![1.0; 4]);
-        assert_eq!(store.read_layer(1).unwrap(), vec![9.0; 4]);
-        assert_eq!(store.read_layer(2).unwrap(), vec![3.0; 4]);
-    }
-
-    #[test]
-    fn async_prefetch_sees_queued_writes() {
-        // A read issued after a write on the same queue must observe the
-        // write (FIFO service order — the property the offloading pipeline
-        // depends on).
-        let store = NvmeStore::create(2, 8).unwrap();
-        let io = AsyncNvme::new(Arc::clone(&store));
-        io.write_async(1, vec![7.0; 8]);
-        let h = io.read_async(1);
-        assert_eq!(h.wait(), vec![7.0; 8]);
-    }
-
-    #[test]
-    fn many_async_ops_complete() {
-        let store = NvmeStore::create(16, 32).unwrap();
-        let io = AsyncNvme::new(Arc::clone(&store));
-        for l in 0..16 {
-            io.write_async(l, vec![l as f32; 32]);
-        }
-        let handles: Vec<ReadHandle> = (0..16).map(|l| io.read_async(l)).collect();
-        for (l, h) in handles.into_iter().enumerate() {
-            assert_eq!(h.wait(), vec![l as f32; 32]);
-        }
-        assert_eq!(io.store().bytes_written(), 16 * 32 * 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "blob size mismatch")]
+    #[should_panic(expected = "out of slot")]
     fn wrong_blob_size_panics() {
         let store = NvmeStore::create(1, 4).unwrap();
-        let _ = store.write_layer(0, &[1.0; 5]);
-    }
-
-    #[test]
-    fn nvme_layer_store_matches_ram_store() {
-        use crate::adam::AdamParams;
-        use crate::optimpool::LayerStore;
-
-        let hp = AdamParams::default();
-        let init: Vec<Vec<f32>> = (0..3)
-            .map(|l| (0..16).map(|i| ((l * 16 + i) as f32).sin()).collect())
-            .collect();
-        let ram = LayerStore::new(init.clone());
-        let disk = NvmeLayerStore::new(init, hp).unwrap();
-
-        for step in 0..4 {
-            for l in 0..3 {
-                let g: Vec<f32> = (0..16)
-                    .map(|i| (step * 100 + l * 16 + i) as f32 * 1e-3)
-                    .collect();
-                ram.mark_pending(l);
-                ram.apply_update(l, &g, &hp);
-                disk.mark_pending(l);
-                disk.apply_update(l, &g);
-            }
-        }
-        for l in 0..3 {
-            assert_eq!(ram.read_params(l), disk.read_params(l), "layer {l}");
-        }
-        let (r, w) = disk.swap_traffic();
-        assert!(r > 0 && w > 0, "swap traffic recorded");
+        let _ = store.write_at(0, 0, &[1.0; 5], &mut Vec::new());
     }
 
     #[test]
@@ -508,21 +212,8 @@ mod tests {
         for (a, b) in weird.iter().zip(back.iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-    }
-
-    #[test]
-    fn nvme_store_read_waits_for_pending() {
-        use crate::adam::AdamParams;
-        let store =
-            Arc::new(NvmeLayerStore::new(vec![vec![1.0; 8]], AdamParams::default()).unwrap());
-        store.mark_pending(0);
-        let s2 = Arc::clone(&store);
-        let reader = std::thread::spawn(move || s2.read_params(0));
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert!(!reader.is_finished(), "reader should block");
-        store.apply_update(0, &[0.5; 8]);
-        let seen = reader.join().unwrap();
-        assert_eq!(seen.len(), 8);
-        assert!(seen.iter().all(|v| *v != 1.0), "observed updated params");
+        // Slots are independent: the slot-0 write left slot 1 alone.
+        store.read_at(1, 4, &mut out, &mut scratch).unwrap();
+        assert_eq!(out, [5.0; 4]);
     }
 }

@@ -816,24 +816,38 @@ mod tests {
 
     #[test]
     fn read_params_waits_for_pending_update() {
-        let store = store_with(1, 8);
+        use crate::tier::SpillPolicy;
         let hp = AdamParams::default();
-        store.mark_pending(0);
-        let store2 = Arc::clone(&store);
-        let reader = std::thread::spawn(move || store2.read_params(0));
-        // Give the reader time to block, then apply the update.
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert!(
-            !reader.is_finished(),
-            "reader should block on pending update"
-        );
-        store.apply_update(0, &[1.0; 8], &hp);
-        let seen = reader.join().unwrap();
-        assert_eq!(
-            seen,
-            store.snapshot(0),
-            "reader must observe post-update params"
-        );
+        // The resident store and the fully spilled one (whose write-back
+        // must land before the read is released) honour the same contract.
+        let spilled = LayerStore::tiered(
+            vec![(0..8).map(|i| i as f32 * 0.01).collect()],
+            &TierPlan::plan(1, 8, 1, None, SpillPolicy::All),
+            1,
+            &Telemetry::disabled(),
+        )
+        .unwrap();
+        assert_eq!(spilled.spilled_layers(), 1);
+        for store in [store_with(1, 8), spilled] {
+            let before = store.snapshot(0);
+            store.mark_pending(0);
+            let store2 = Arc::clone(&store);
+            let reader = std::thread::spawn(move || store2.read_params(0));
+            // Give the reader time to block, then apply the update.
+            std::thread::sleep(std::time::Duration::from_millis(30));
+            assert!(
+                !reader.is_finished(),
+                "reader should block on pending update"
+            );
+            store.apply_update(0, &[1.0; 8], &hp);
+            let seen = reader.join().unwrap();
+            assert_ne!(seen, before, "reader must not observe stale params");
+            assert_eq!(
+                seen,
+                store.snapshot(0),
+                "reader must observe post-update params"
+            );
+        }
     }
 
     #[test]

@@ -49,9 +49,7 @@
 //! [`SMALL_FLOPS_THRESHOLD`] take a simple sequential path; the path
 //! choice is also a function of shape only.)
 //!
-//! The pre-blocking row-parallel kernels are preserved verbatim in
-//! [`seed`] so the benchmark suite can report speedups against a frozen
-//! baseline, and [`matmul_naive`] remains the oracle for property tests.
+//! [`matmul_naive`] is the oracle for property tests.
 
 use std::cell::RefCell;
 
@@ -848,111 +846,6 @@ pub mod stats {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Frozen pre-blocking baselines.
-// ---------------------------------------------------------------------------
-
-/// The seed (pre-blocking) kernels, frozen verbatim: row-parallel loops
-/// with no packing, register tiling, or cache blocking, and the old
-/// `M·N` parallel threshold. Kept **only** as the baseline the kernel
-/// benchmark sweep reports speedups against — production paths always go
-/// through the blocked engine.
-pub mod seed {
-    use super::dims2;
-    use crate::tensor::Tensor;
-    use rayon::prelude::*;
-
-    /// The seed kernels' output-element parallel threshold.
-    const PAR_THRESHOLD: usize = 8 * 1024;
-
-    /// Seed `C = A·B`.
-    pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-        let (m, k) = dims2(a, "seed::matmul");
-        let (kb, n) = dims2(b, "seed::matmul");
-        assert_eq!(k, kb, "seed::matmul: inner dims {k} vs {kb}");
-        let mut c = Tensor::zeros([m, n]);
-        let (a, b) = (a.data(), b.data());
-        let body = |i: usize, row: &mut [f32]| {
-            let arow = &a[i * k..i * k + k];
-            for (kk, &av) in arow.iter().enumerate() {
-                if av != 0.0 {
-                    let brow = &b[kk * n..kk * n + n];
-                    for (cj, bj) in row.iter_mut().zip(brow.iter()) {
-                        *cj += av * bj;
-                    }
-                }
-            }
-        };
-        let cm = c.data_mut();
-        if m * n >= PAR_THRESHOLD {
-            cm.par_chunks_mut(n)
-                .enumerate()
-                .for_each(|(i, r)| body(i, r));
-        } else {
-            cm.chunks_mut(n).enumerate().for_each(|(i, r)| body(i, r));
-        }
-        c
-    }
-
-    /// Seed `C = A·Bᵀ`.
-    pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
-        let (m, k) = dims2(a, "seed::matmul_nt");
-        let (n, kb) = dims2(b, "seed::matmul_nt");
-        assert_eq!(k, kb, "seed::matmul_nt: inner dims {k} vs {kb}");
-        let mut c = Tensor::zeros([m, n]);
-        let (a, b) = (a.data(), b.data());
-        let body = |i: usize, row: &mut [f32]| {
-            let arow = &a[i * k..i * k + k];
-            for (j, cj) in row.iter_mut().enumerate() {
-                let brow = &b[j * k..j * k + k];
-                let mut sum = 0.0f32;
-                for (x, y) in arow.iter().zip(brow.iter()) {
-                    sum += x * y;
-                }
-                *cj = sum;
-            }
-        };
-        let cm = c.data_mut();
-        if m * n >= PAR_THRESHOLD {
-            cm.par_chunks_mut(n)
-                .enumerate()
-                .for_each(|(i, r)| body(i, r));
-        } else {
-            cm.chunks_mut(n).enumerate().for_each(|(i, r)| body(i, r));
-        }
-        c
-    }
-
-    /// Seed `C = Aᵀ·B`.
-    pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
-        let (k, m) = dims2(a, "seed::matmul_tn");
-        let (kb, n) = dims2(b, "seed::matmul_tn");
-        assert_eq!(k, kb, "seed::matmul_tn: inner dims {k} vs {kb}");
-        let mut c = Tensor::zeros([m, n]);
-        let (a, b) = (a.data(), b.data());
-        let body = |i: usize, row: &mut [f32]| {
-            for kk in 0..k {
-                let av = a[kk * m + i];
-                if av != 0.0 {
-                    let brow = &b[kk * n..kk * n + n];
-                    for (cj, bj) in row.iter_mut().zip(brow.iter()) {
-                        *cj += av * bj;
-                    }
-                }
-            }
-        };
-        let cm = c.data_mut();
-        if m * n >= PAR_THRESHOLD {
-            cm.par_chunks_mut(n)
-                .enumerate()
-                .for_each(|(i, r)| body(i, r));
-        } else {
-            cm.chunks_mut(n).enumerate().for_each(|(i, r)| body(i, r));
-        }
-        c
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1103,17 +996,6 @@ mod tests {
         let base = run(1);
         assert_eq!(base, run(2), "2-thread pool changed kernel bits");
         assert_eq!(base, run(8), "8-thread pool changed kernel bits");
-    }
-
-    #[test]
-    fn seed_kernels_match_naive() {
-        let mut rng = seeded_rng(18);
-        let a = normal([33, 21], 1.0, &mut rng);
-        let b = normal([21, 17], 1.0, &mut rng);
-        let slow = matmul_naive(&a, &b);
-        assert!(seed::matmul(&a, &b).max_abs_diff(&slow) < 1e-4);
-        assert!(seed::matmul_nt(&a, &transpose(&b)).max_abs_diff(&slow) < 1e-4);
-        assert!(seed::matmul_tn(&transpose(&a), &b).max_abs_diff(&slow) < 1e-4);
     }
 
     #[test]

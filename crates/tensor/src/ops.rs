@@ -30,8 +30,8 @@
 //! what lets the integration suite assert exact resident↔offloaded
 //! trainer equality.
 //!
-//! The pre-vectorization scalar kernels are preserved verbatim in
-//! [`seed`] as the frozen baseline for proptests and `benches/ops.rs`,
+//! The pre-vectorization scalar kernels are preserved verbatim in the
+//! test-only `seed` module as the oracle for the equivalence proptests,
 //! and per-op FLOP/time counters in [`stats`] bridge into the runtime
 //! telemetry as `op.*` gauges next to the GEMM engine's `kernel.*` ones.
 
@@ -1408,13 +1408,13 @@ pub mod stats {
 }
 
 // ---------------------------------------------------------------------------
-// Frozen scalar baseline.
+// Frozen scalar oracle.
 // ---------------------------------------------------------------------------
 
-/// The pre-vectorization kernels, preserved verbatim as the frozen
-/// baseline for `benches/ops.rs` and the equivalence proptests. Do not
-/// optimize these.
-pub mod seed {
+/// The pre-vectorization kernels, preserved verbatim as the oracle for the
+/// equivalence proptests. Do not optimize these.
+#[cfg(test)]
+mod seed {
     use rayon::prelude::*;
 
     use super::LayerNormCache;

@@ -5,8 +5,10 @@
 //! (scratch pools, staging buffers and per-layer gradient accumulators
 //! grow to their steady-state sizes), but after warm-up the per-step
 //! allocation count must stop growing: a later window of steps may not
-//! allocate more than an earlier one, and the absolute per-step count
-//! must stay far below one-allocation-per-tensor territory.
+//! allocate more than an earlier one (where worker-thread timing makes
+//! single windows noisy, the quietest of three later ones — see
+//! `early_and_late`), and the absolute per-step count must stay far below
+//! one-allocation-per-tensor territory.
 //!
 //! The counter tallies every thread, so the offloaded trainer's
 //! prefetcher and optimizer-pool threads are included.
@@ -65,6 +67,17 @@ fn allocs_during(mut f: impl FnMut()) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
     f();
     ALLOCS.load(Ordering::Relaxed) - before
+}
+
+/// Allocation counts of one early run of `window` and of the quietest of
+/// three later runs. Growth per step raises every later window; a one-off
+/// whose timing depends on the schedule (a worker finding a free list
+/// momentarily empty grows it by one buffer, for good) lands in one window
+/// and cannot raise the minimum.
+fn early_and_late(mut window: impl FnMut()) -> (u64, u64) {
+    let early = allocs_during(&mut window);
+    let late = (0..3).map(|_| allocs_during(&mut window)).min();
+    (early, late.expect("three late windows"))
 }
 
 fn adam() -> AdamParams {
@@ -132,13 +145,7 @@ fn offloaded_step_allocations_stop_growing() {
     // straddles a measurement window; the worker threads allocate queue
     // nodes whose timing is otherwise nondeterministic (±a few allocs).
     t.flush();
-    let early = allocs_during(|| {
-        for _ in 0..3 {
-            t.train_step(&batch);
-        }
-        t.flush();
-    });
-    let late = allocs_during(|| {
+    let (early, late) = early_and_late(|| {
         for _ in 0..3 {
             t.train_step(&batch);
         }
@@ -273,13 +280,7 @@ fn spilled_step_allocations_stop_growing() {
         t.train_step(&batch);
     }
     t.flush();
-    let early = allocs_during(|| {
-        for _ in 0..3 {
-            t.train_step(&batch);
-        }
-        t.flush();
-    });
-    let late = allocs_during(|| {
+    let (early, late) = early_and_late(|| {
         for _ in 0..3 {
             t.train_step(&batch);
         }
@@ -384,20 +385,14 @@ fn autotuner_at_fixed_point_allocations_stop_growing() {
         t.train_step(&batch);
     }
     t.flush();
-    let early = allocs_during(|| {
-        for _ in 0..3 {
-            t.train_step(&batch);
-        }
-        t.flush();
-    });
-    let late = allocs_during(|| {
+    let (early, late) = early_and_late(|| {
         for _ in 0..3 {
             t.train_step(&batch);
         }
         t.flush();
     });
     let ctrl = t.autotune().expect("controller must be live");
-    assert_eq!(ctrl.evaluations(), 9, "controller must run every step");
+    assert_eq!(ctrl.evaluations(), 15, "controller must run every step");
     assert_eq!(ctrl.resizes(), 0, "pinned config must never resize");
     assert!(
         late <= early + 4,

@@ -38,6 +38,9 @@ fn resident_reference(steps: usize) -> (Vec<f32>, Vec<Vec<f32>>) {
     (losses, params)
 }
 
+/// `streaming: false` selects deferred dispatch the only way there is one —
+/// through clipping — with a within-budget threshold, so `clip_scale` is
+/// exactly 1.0 and the gradient bits are never touched.
 fn dp_config(
     replicas: usize,
     window: usize,
@@ -53,8 +56,7 @@ fn dp_config(
         compute_workers: 1,
         adam: adam(),
         schedule: None,
-        clip_norm: None,
-        streaming_dispatch: streaming,
+        clip_norm: if streaming { None } else { Some(f32::MAX) },
         autotune: None,
         ..DataParallelConfig::default()
     }

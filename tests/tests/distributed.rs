@@ -74,7 +74,9 @@ fn dp_trainer(cfg: ModelConfig, replicas: usize, streaming: bool) -> DataParalle
         DataParallelConfig {
             replicas,
             window: 2,
-            streaming_dispatch: streaming,
+            // Clipping selects deferred dispatch; a within-budget threshold
+            // leaves the gradients (and the traffic) untouched.
+            clip_norm: if streaming { None } else { Some(f32::MAX) },
             adam: AdamParams {
                 lr: 2e-3,
                 ..AdamParams::default()

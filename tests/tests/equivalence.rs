@@ -166,8 +166,9 @@ fn convergence_on_synthetic_language() {
 /// Stress matrix for the overlapped pipeline: every combination of window
 /// size, dispatch policy (streaming vs deferred), and engine policy
 /// (clip + schedule on/off) must stay bit-identical to resident training
-/// after multiple steps. With clipping on, streaming silently degrades to
-/// deferred dispatch — the results must not care either way.
+/// after multiple steps. Clipping picks the dispatch policy: without it
+/// updates stream mid-backward, with it they are deferred to the end of the
+/// step — the results must not care either way.
 #[test]
 fn pipeline_matrix_stays_bit_identical_to_resident() {
     let cfg = tiny(6);
@@ -203,8 +204,16 @@ fn pipeline_matrix_stays_bit_identical_to_resident() {
         for _ in 0..4 {
             reference.push(resident.train_step(&batch));
         }
+        // Against the unclipped reference the deferred path is selected by
+        // a within-budget threshold: `clip_scale` is then exactly 1.0 and
+        // the gradient bits are never touched.
+        let clips: &[Option<f32>] = if policy_on {
+            &[clip_norm]
+        } else {
+            &[None, Some(f32::MAX)]
+        };
         for window in [1usize, 2] {
-            for streaming in [true, false] {
+            for &clip_norm in clips {
                 let mut t = HostOffloadTrainer::new(
                     cfg,
                     17,
@@ -214,11 +223,10 @@ fn pipeline_matrix_stays_bit_identical_to_resident() {
                         adam: adam(),
                         schedule,
                         clip_norm,
-                        streaming_dispatch: streaming,
                         ..HostOffloadConfig::default()
                     },
                 );
-                let tag = format!("policy={policy_on} window={window} streaming={streaming}");
+                let tag = format!("policy={policy_on} window={window} clip={clip_norm:?}");
                 for (step, want) in reference.iter().enumerate() {
                     let got = t.train_step(&batch);
                     assert_eq!(got, *want, "loss diverged at step {step} ({tag})");
@@ -238,43 +246,47 @@ fn pipeline_matrix_stays_bit_identical_to_resident() {
 
 /// Trace-level evidence that gradient offload left the compute thread's
 /// critical path: every `d2h-copy` span must come from a thread that never
-/// recorded a `compute` span.
+/// recorded a `compute` span — also when the engine is configured with `0`
+/// threads, which is clamped to one (and trains the same bits).
 #[test]
 fn d2h_copies_run_off_the_compute_thread() {
     let cfg = tiny(4);
     let batch = batch_for(&cfg, 106);
-    let tel = Telemetry::enabled();
-    let mut t = HostOffloadTrainer::with_telemetry(
-        cfg,
-        3,
-        HostOffloadConfig {
-            adam: adam(),
-            ..HostOffloadConfig::default()
-        },
-        tel.clone(),
-    );
-    for _ in 0..2 {
-        t.train_step(&batch);
-    }
-    t.flush();
-    let spans = tel.spans();
-    let compute_threads: HashSet<u64> = spans
-        .iter()
-        .filter(|s| s.track == "compute")
-        .map(|s| s.thread)
-        .collect();
-    let d2h: Vec<_> = spans.iter().filter(|s| s.track == "d2h-copy").collect();
-    assert!(!compute_threads.is_empty(), "compute spans must exist");
-    assert_eq!(
-        d2h.len(),
-        2 * cfg.layers,
-        "one gradient offload span per layer per step"
-    );
-    for s in &d2h {
-        assert!(
-            !compute_threads.contains(&s.thread),
-            "d2h span '{}' ran on a compute thread",
-            s.name
+    let run = |offload_workers: usize| {
+        let tel = Telemetry::enabled();
+        let mut t = HostOffloadTrainer::with_telemetry(
+            cfg,
+            3,
+            HostOffloadConfig {
+                offload_workers,
+                adam: adam(),
+                ..HostOffloadConfig::default()
+            },
+            tel.clone(),
         );
-    }
+        let losses: Vec<f32> = (0..2).map(|_| t.train_step(&batch)).collect();
+        t.flush();
+        let spans = tel.spans();
+        let compute_threads: HashSet<u64> = spans
+            .iter()
+            .filter(|s| s.track == "compute")
+            .map(|s| s.thread)
+            .collect();
+        let d2h: Vec<_> = spans.iter().filter(|s| s.track == "d2h-copy").collect();
+        assert!(!compute_threads.is_empty(), "compute spans must exist");
+        assert_eq!(
+            d2h.len(),
+            2 * cfg.layers,
+            "one gradient offload span per layer per step"
+        );
+        for s in &d2h {
+            assert!(
+                !compute_threads.contains(&s.thread),
+                "d2h span '{}' ran on a compute thread (offload_workers={offload_workers})",
+                s.name
+            );
+        }
+        losses
+    };
+    assert_eq!(run(1), run(0), "a configured 0 is clamped to 1");
 }

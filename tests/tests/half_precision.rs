@@ -46,16 +46,17 @@ fn hocfg(precision: Precision, window: usize) -> HostOffloadConfig {
     }
 }
 
-/// Runs `steps` training steps and returns the cumulative transfer
-/// counters `(h2d_bytes, d2h_bytes)`.
-fn transfer_bytes(precision: Precision, window: usize, offload_workers: usize) -> (u64, u64) {
+/// Runs `steps` training steps with `workers` offload and compute threads
+/// and returns the cumulative transfer counters `(h2d_bytes, d2h_bytes)`.
+fn transfer_bytes(precision: Precision, window: usize, workers: usize) -> (u64, u64) {
     let cfg = tiny(4);
     let batch = batch_for(&cfg, 55);
     let mut t = HostOffloadTrainer::new(
         cfg,
         SEED,
         HostOffloadConfig {
-            offload_workers,
+            offload_workers: workers,
+            compute_workers: workers,
             ..hocfg(precision, window)
         },
     );
@@ -68,27 +69,26 @@ fn transfer_bytes(precision: Precision, window: usize, offload_workers: usize) -
 
 /// The headline claim, zero tolerance: at the same window, bf16 and f16
 /// move **exactly** half the bytes FP32 moves, in both directions, for
-/// both the inline and the threaded offload engine.
+/// every window (up to the fully resident one) and both the single-threaded
+/// and the parallel pipeline shape.
 #[test]
 fn half_modes_move_exactly_half_the_bytes() {
-    for window in [1usize, 2] {
-        for offload_workers in [0usize, 1] {
-            let (h32, d32) = transfer_bytes(Precision::F32, window, offload_workers);
+    for window in [1usize, 2, 4] {
+        for workers in [1usize, 2] {
+            let (h32, d32) = transfer_bytes(Precision::F32, window, workers);
             assert!(h32 > 0 && d32 > 0, "FP32 baseline moved no bytes");
             for precision in [Precision::Bf16, Precision::F16] {
-                let (hh, dh) = transfer_bytes(precision, window, offload_workers);
+                let (hh, dh) = transfer_bytes(precision, window, workers);
                 assert_eq!(
                     2 * hh,
                     h32,
-                    "{} h2d not exactly half of FP32 (window={window}, \
-                     offload_workers={offload_workers})",
+                    "{} h2d not exactly half of FP32 (window={window}, workers={workers})",
                     precision.name()
                 );
                 assert_eq!(
                     2 * dh,
                     d32,
-                    "{} d2h not exactly half of FP32 (window={window}, \
-                     offload_workers={offload_workers})",
+                    "{} d2h not exactly half of FP32 (window={window}, workers={workers})",
                     precision.name()
                 );
             }
@@ -282,7 +282,9 @@ fn bf16_trajectory_invariant_to_pipeline_shape() {
             SEED,
             HostOffloadConfig {
                 offload_workers,
-                streaming_dispatch: streaming,
+                // Deferred dispatch is selected by a within-budget clip
+                // threshold (`clip_scale` exactly 1.0, bits untouched).
+                clip_norm: if streaming { None } else { Some(f32::MAX) },
                 ..hocfg(Precision::Bf16, window)
             },
         );
@@ -291,9 +293,9 @@ fn bf16_trajectory_invariant_to_pipeline_shape() {
         let params: Vec<Vec<f32>> = (0..cfg.layers).map(|i| t.block_params(i)).collect();
         (losses, params)
     };
-    let reference = run(2, 0, false);
+    let reference = run(2, 1, false);
     for window in [1usize, 2, 4] {
-        for offload_workers in [0usize, 1, 2] {
+        for offload_workers in [1usize, 2] {
             for streaming in [false, true] {
                 assert_eq!(
                     reference,
@@ -454,7 +456,6 @@ fn dp_config(replicas: usize, precision: Precision, bucket_bytes: usize) -> Data
         offload_workers: 1,
         compute_workers: 1,
         adam: adam(),
-        streaming_dispatch: true,
         precision,
         ..DataParallelConfig::default()
     }

@@ -232,12 +232,33 @@ fn serves_a_model_larger_than_the_device_arena() {
     assert!(tel.counter("serve.decode_tokens").get() > 0);
 }
 
+/// Decode lengths with 6× variance: per group of four, one long request
+/// convoying three short ones.
+fn convoy_workload() -> Vec<GenRequest> {
+    (0..8u64)
+        .map(|i| GenRequest {
+            id: i,
+            prompt: vec![(7 * i as u32 + 1) % 64, (3 * i as u32 + 2) % 64],
+            max_new_tokens: if i % 4 == 0 { 12 } else { 2 },
+            seed: 900 + i,
+        })
+        .collect()
+}
+
 /// Continuous batching vs the fully-resident static reference on a
-/// *trained* model: the schedules differ wildly, the bits must not.
+/// *trained* model: the schedules differ wildly, the bits must not — and on
+/// a mixed long/short workload the schedules differ the way the design
+/// says, counted in engine rounds rather than on a clock. `GenResult.rounds`
+/// is the number of rounds a request was *active* (its own token count on
+/// both engines); the convoy shows in the round its result comes back:
+/// static batches drain FIFO, each holding its slots for its longest
+/// member, while a continuous slot is refilled the round after it frees.
 #[test]
 fn continuous_and_static_agree_on_a_trained_model() {
     let (blob, _cfg) = trained_blob();
     let st = TrainingState::decode(blob.clone()).unwrap();
+    let slots = StaticBatchConfig::default().slots;
+    assert_eq!(slots, ServeConfig::default().slots, "equal concurrency");
     let mut stat = StaticBatchGenerator::from_model(st.model, StaticBatchConfig::default());
     let mut cont =
         ServeEngine::from_state_blob(blob, ServeConfig::default(), Telemetry::disabled()).unwrap();
@@ -250,6 +271,55 @@ fn continuous_and_static_agree_on_a_trained_model() {
             x.id
         );
     }
+
+    let reqs = convoy_workload();
+    // Static: results come back in submission order, `slots` per batch.
+    let stat_out = stat.generate(reqs.clone());
+    let mut stat_done = Vec::new();
+    let mut stat_total = 0u64;
+    for batch in stat_out.chunks(slots) {
+        stat_done.extend(batch.iter().map(|r| stat_total + r.rounds));
+        stat_total += batch.iter().map(|r| r.rounds).max().unwrap();
+    }
+    // Continuous: drive the rounds by hand and note when each result lands.
+    for r in &reqs {
+        cont.submit(r.clone());
+    }
+    let mut cont_total = 0u64;
+    let mut cont_out = Vec::new();
+    while cont.active_slots() > 0 || cont.queue_depth() > 0 {
+        cont_total += 1;
+        cont_out.extend(cont.step().into_iter().map(|r| (r, cont_total)));
+    }
+    assert_eq!(cont_out.len(), reqs.len());
+    for (c, c_done) in cont_out {
+        // Request ids are their submission index.
+        let (req, s, s_done) = (
+            &reqs[c.id as usize],
+            &stat_out[c.id as usize],
+            stat_done[c.id as usize],
+        );
+        assert_eq!(s.tokens, c.tokens, "req {}: engines disagree", req.id);
+        assert_eq!(s.rounds, c.rounds, "req {}: active rounds", req.id);
+        assert!(
+            c_done <= s_done,
+            "req {}: continuous finished later",
+            req.id
+        );
+        // Every short request queued behind the first batch (which holds a
+        // long one) waits out padded rounds under static batching only.
+        if req.max_new_tokens == 2 && req.id as usize >= slots {
+            assert!(
+                c_done < s_done,
+                "req {}: done in round {c_done} continuous vs {s_done} static",
+                req.id
+            );
+        }
+    }
+    assert!(
+        cont_total < stat_total,
+        "continuous took {cont_total} rounds, static {stat_total}"
+    );
 }
 
 /// Bad requests are refused at the door with a typed error — before a slot

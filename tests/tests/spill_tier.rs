@@ -176,14 +176,22 @@ fn spill_matrix_is_bit_invisible() {
 /// Zero-tolerance byte accounting: over a step window, the `spill.*`
 /// telemetry counters and the swap file's own I/O counters advance by
 /// exactly the closed-form per-step traffic the [`TierPlan`] predicts —
-/// every fill, BP refill, optimizer page-in, and write-back, no slack.
+/// every fill, BP refill, optimizer page-in, and write-back, no slack, at
+/// either spill-worker pool size.
 #[test]
 fn spill_byte_accounting_is_exact() {
+    for workers in [1, 2] {
+        spill_bytes_match_the_plan(workers);
+    }
+}
+
+fn spill_bytes_match_the_plan(workers: usize) {
     let cfg = tiny(5);
     let batch = batch_for(&cfg, 122);
     let tel = Telemetry::enabled();
     let budget = capacity_for(&cfg, 2); // 3 of 5 layers spill
-    let mut t = HostOffloadTrainer::with_telemetry(cfg, SEED, spill_cfg(2, budget, 2), tel.clone());
+    let mut t =
+        HostOffloadTrainer::with_telemetry(cfg, SEED, spill_cfg(2, budget, workers), tel.clone());
     let plan = t.tier_plan().clone();
     let m = t.window();
     let f2h_per_step: u64 = (0..cfg.layers).map(|l| plan.f2h_bytes_per_step(l, m)).sum();
