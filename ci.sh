@@ -4,6 +4,19 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "==> one layer stream (structural guard)"
+# A store layer becomes a loaded shell in host/stream.rs only (the resident
+# trainer's optimizer write-back and the profiler's H2D timing are the other
+# two callers of `load_flat_params`), and the shell channels are built
+# there only: a second hand-copied pipeline fails here.
+loads=$(grep -rl 'load_flat_params' crates/core/src | LC_ALL=C sort | tr '\n' ' ')
+channels=$(grep -rl 'bounded::<(usize, Block)>' crates/core/src | tr '\n' ' ')
+if [ "$loads" != "crates/core/src/host/profiler.rs crates/core/src/host/resident.rs crates/core/src/host/stream.rs " ] ||
+    [ "$channels" != "crates/core/src/host/stream.rs " ]; then
+    echo "layer-stream code outside host/stream.rs: load_flat_params in [$loads], shell channels in [$channels]"
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 

@@ -18,6 +18,6 @@ pub mod order;
 pub mod real;
 pub mod volume;
 
-pub use order::{fold_owned, fold_with, tree_sum, FoldPlan};
+pub use order::{fold_with, tree_sum, FoldPlan};
 pub use real::{ring_allgather, ring_allreduce_sum, CommRank, Communicator};
 pub use volume::{v_dp, v_dp_exact, v_mp, volume_ratio};

@@ -135,32 +135,6 @@ pub fn fold_with<S>(
     debug_assert!(plan.is_empty() || d == 1);
 }
 
-/// Folds a stream of owned partials (already in index order) down the
-/// canonical tree; returns the root, or `None` for an empty stream.
-pub fn fold_owned<T>(
-    plan: &FoldPlan,
-    items: impl IntoIterator<Item = T>,
-    mut merge: impl FnMut(&mut T, T),
-) -> Option<T> {
-    let mut stack: Vec<T> = Vec::with_capacity(plan.depth());
-    let mut n = 0usize;
-    for (i, item) in items.into_iter().enumerate() {
-        stack.push(item);
-        for _ in 0..plan.merges_after(i) {
-            let top = stack.pop().expect("fold stack");
-            merge(stack.last_mut().expect("fold stack"), top);
-        }
-        n = i + 1;
-    }
-    assert_eq!(
-        n,
-        plan.len(),
-        "fold_owned: {n} items for a {}-leaf plan",
-        plan.len()
-    );
-    stack.pop()
-}
-
 /// The canonical sum of a slice: `T(0, n)` with the values as leaves.
 ///
 /// # Examples
@@ -272,17 +246,6 @@ mod tests {
                 .collect();
             assert_eq!(tree_sum(&partials).to_bits(), whole.to_bits(), "w={w}");
         }
-    }
-
-    #[test]
-    fn fold_owned_matches_fold_with() {
-        let xs: Vec<f32> = (0..13).map(|i| (i as f32).cos()).collect();
-        let plan = FoldPlan::new(xs.len());
-        let mut slots = vec![0.0f32; plan.depth()];
-        fold_with(&plan, &mut slots, |i, s| *s = xs[i], |a, b| *a += *b);
-        let owned = fold_owned(&plan, xs.iter().copied(), |a, b| *a += b).unwrap();
-        assert_eq!(owned.to_bits(), slots[0].to_bits());
-        assert_eq!(owned.to_bits(), tree_sum(&xs).to_bits());
     }
 
     #[test]

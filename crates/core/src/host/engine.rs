@@ -1,9 +1,9 @@
-//! The shared training engine: one step pipeline behind all three host
-//! trainers.
+//! The shared training engine: one step pipeline behind every host
+//! trainer.
 //!
 //! STRONGHOLD's transparency claim (§III-A) is that training semantics do
-//! not depend on *where* parameters live — resident in memory, windowed
-//! through a device, or shared across streams. This module enforces that
+//! not depend on *where* parameters live — resident in memory or windowed
+//! through a device. This module enforces that
 //! claim structurally: the step *policy* (gradient accumulation, global-norm
 //! clipping, the learning-rate schedule, hook firing, optimizer dispatch
 //! order, telemetry bridging, and checkpoint save/load) is implemented once
@@ -251,8 +251,6 @@ pub trait ParamBackend {
     fn dispatch_block_update(&mut self, layer: usize, grads: &[f32], hp: &AdamParams);
     /// Mutable access to the resident parameter groups.
     fn resident_params_mut(&mut self) -> ResidentParamsMut<'_>;
-    /// Post-dispatch cleanup for the step (e.g. a barrier on async updates).
-    fn finish_step(&mut self) {}
     /// Mean loss over a batch without updating.
     fn eval_loss(&self, batch: &[(Vec<u32>, Vec<u32>)]) -> f32;
     /// Serializes the full model (config + parameters) as a
@@ -693,8 +691,8 @@ impl<B: ParamBackend> Engine<B> {
         self.lr_gauge.set(fixed_point_x1e6(hp.lr));
 
         // Optimizer dispatch: per-block updates in ascending layer order
-        // (resident applies inline; windowed/multistream hand off to the
-        // concurrent actor pool), then the resident groups in fixed order.
+        // (resident applies inline; windowed hands off to the concurrent
+        // actor pool), then the resident groups in fixed order.
         // A streamed step already submitted the block updates mid-backward.
         // A passthrough sink suppresses updates entirely.
         if self.sink.apply_updates() {
@@ -712,7 +710,6 @@ impl<B: ParamBackend> Engine<B> {
             self.lnf_g_adam.step(rp.lnf_g, rg.lnf_g.data(), &hp);
             self.lnf_b_adam.step(rp.lnf_b, rg.lnf_b.data(), &hp);
         }
-        self.backend.finish_step();
 
         let ctx = HookCtx {
             layer: STEP_SCOPE,

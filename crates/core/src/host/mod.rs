@@ -1,10 +1,11 @@
 //! The functional execution substrate: the STRONGHOLD pipeline with real
 //! threads and real math.
 //!
-//! [`offloaded::HostOffloadTrainer`] runs the working-window pipeline — a
-//! prefetcher thread materializing layers from the CPU [`LayerStore`](crate::optimpool::LayerStore)
-//! (`stronghold-optimpool`), a capacity-limited "device" holding only `m`
-//! layer slots, and the concurrent Adam actor pool applying updates as
+//! [`offloaded::HostOffloadTrainer`] runs the working-window pipeline — the
+//! layer stream (`stream`: a prefetcher thread loading layers from the CPU
+//! [`LayerStore`](crate::optimpool::LayerStore) into the `m + 1` shells of a
+//! capacity-limited "device"; the serving engine runs the same stream
+//! forward-only) and the concurrent Adam actor pool applying updates as
 //! gradients stream off the device. [`resident::HostResidentTrainer`] is an
 //! independently-written conventional trainer over the same model; the
 //! integration suite asserts the two produce **bit-identical parameters**,
@@ -12,7 +13,7 @@
 //! no stale updates and does not affect training precision.
 
 //!
-//! All three trainers are thin facades over the shared step engine in
+//! Both trainers are thin facades over the shared step engine in
 //! [`engine`]: the backends own *placement* (where parameters live, how
 //! forward/backward fan out), while the engine owns *policy* (gradient
 //! clipping, LR schedules, optimizer dispatch, hooks, checkpointing).
@@ -26,10 +27,10 @@ pub mod autotune;
 pub mod data_parallel;
 pub mod device;
 pub mod engine;
-pub mod multistream;
 pub mod offloaded;
 pub mod profiler;
 pub mod resident;
+pub(crate) mod stream;
 
 pub use autotune::{AutotuneConfig, AutotuneController, StallSignals, TuneLimits, Tuning};
 pub use data_parallel::{AllReduceSink, DataParallelConfig, DataParallelTrainer};
@@ -37,7 +38,6 @@ pub use engine::{
     Engine, EngineOptions, GradSink, LocalSink, ParamBackend, PassthroughSink, StepPlan,
     TrainingState,
 };
-pub use multistream::MultiStreamTrainer;
 pub use offloaded::{HostOffloadConfig, HostOffloadTrainer};
 pub use resident::HostResidentTrainer;
 

@@ -5,10 +5,11 @@
 //!
 //! * **CPU store** — [`LayerStore`] holds every block's parameters and Adam
 //!   state in "pinned host memory";
-//! * **prefetcher thread** — the H2D copy engine: materializes layers into
-//!   reusable device *shells* (the §III-E3 buffer pool) in FP order and then
-//!   in BP order, blocking when no shell is free (the window bound) or when
-//!   a layer's update from the previous iteration is still pending;
+//! * **prefetcher thread** — the H2D copy engine (`host::stream`): loads
+//!   layers into reusable device *shells* (the §III-E3 buffer pool) in FP
+//!   order and then in BP order, blocking when no shell is free (the window
+//!   bound) or when a layer's update from the previous iteration is still
+//!   pending;
 //! * **compute thread** — runs FP/BP batch-major with activation
 //!   checkpointing, keeps the last `m` layers resident across the FP→BP
 //!   turn, and streams gradients off-device as each layer's backward ends;
@@ -43,6 +44,7 @@ use crate::host::engine::{
     Engine, EngineOptions, GradSink, ParamBackend, ResidentParamsMut, StepPlan, StepWorkspace,
     TrainingState,
 };
+use crate::host::stream::{LayerStream, Pass};
 use crate::optimpool::{LayerStore, OptimizerPool};
 use crate::schedule::LrSchedule;
 use crate::telemetry::Telemetry;
@@ -98,7 +100,9 @@ pub struct HostOffloadConfig {
     /// the *maximum* window from it (`⌊bytes / block_bytes⌋ − 1`, clamped
     /// to the layer count): the configured `window` is clamped to that
     /// bound, [`crate::host::autotune::TuneLimits`] exposes it as
-    /// `window.max`, and the capacity never changes across retuning. Since
+    /// `window.max`, and the capacity never changes across retuning. A
+    /// budget below two block slots (a window of one) is refused at
+    /// construction. Since
     /// `block_bytes` scales with [`Self::precision`], a half mode doubles
     /// the window the same budget admits.
     pub device_capacity: Option<u64>,
@@ -149,33 +153,6 @@ impl HostOffloadConfig {
             precision: self.precision,
         }
     }
-}
-
-/// Always-on cumulative stall clocks feeding the autotuner. These are
-/// measured with `std::time::Instant` (not the telemetry clock, which reads
-/// zero when telemetry is disabled) so the controller works in exactly the
-/// configurations the benches time. Reading a clock never touches gradient
-/// data, so the measurements cannot perturb training.
-#[derive(Debug, Default)]
-struct PipeStats {
-    /// Compute-thread wait for a prefetched layer (window too small).
-    fetch_wait_ns: AtomicU64,
-    /// Prefetcher wait for a free shell (prefetch running ahead).
-    shell_wait_ns: AtomicU64,
-    /// Gradient queue wait before a D2H worker picked the job up.
-    d2h_wait_ns: AtomicU64,
-}
-
-/// Cached FP-only streaming state for `eval_loss` / `hidden_states` /
-/// `model_blob`: one device slot plus one parameter staging buffer, both
-/// created on first use and reused for every subsequent call so the eval
-/// and export paths allocate nothing per call in steady state.
-struct EvalSlot {
-    block: Option<Block>,
-    stage: Vec<f32>,
-    /// Half-precision round-through scratch so eval sees the same
-    /// device-resident value grid training does (unused at F32).
-    pack: PackedHalf,
 }
 
 /// One layer's gradient offload, handed from the compute thread to the D2H
@@ -274,10 +251,8 @@ pub struct WindowedBackend {
     shell: Transformer,
     store: Arc<LayerStore>,
     pool: OptimizerPool,
-    device: Arc<HostDevice>,
-    /// Reusable device buffers (`m+1` shells, §III-E3).
-    shells: Vec<Block>,
-    block_bytes: u64,
+    /// The H2D side: device arena, `m+1` shells, prefetcher.
+    stream: LayerStream,
     tel: Telemetry,
     /// Per-layer gradient accumulators, zeroed (not reallocated) each step.
     step_grads: Vec<BlockGrads>,
@@ -304,34 +279,19 @@ pub struct WindowedBackend {
     /// single-replica run over the whole batch) and `forward_backward`
     /// returns the *raw* shard loss partial for the driver to combine.
     global_batch: Option<usize>,
-    /// Device-residency / transfer precision (see
-    /// [`HostOffloadConfig::precision`]).
-    precision: Precision,
-    /// Fixed arena byte budget, when configured — capacity then never
-    /// follows window resizes and bounds `tune_limits().window.max`.
-    capacity_budget: Option<u64>,
-    /// Largest window the arena admits (layer count when unbudgeted).
-    window_max: usize,
-    /// Staging buffer for parameter reads on the H2D prefetch path (owned by
-    /// the prefetcher thread for the duration of a step).
-    prefetch_stage: Vec<f32>,
-    /// Half-precision packing buffer for the prefetcher's H2D path (owned by
-    /// the prefetcher thread for the duration of a step; empty at F32).
-    prefetch_pack: PackedHalf,
     /// Recycled half-precision packing buffers for the D2H offload workers
     /// (scoped threads are fresh each step, so reuse lives here).
     pack_pool: Mutex<Vec<PackedHalf>>,
-    /// Cached FP-only slot + staging buffer for `eval_loss` /
-    /// `hidden_states` / `model_blob`, created on first use and reused.
-    eval_slot: Mutex<EvalSlot>,
     /// Gradient-offload (D2H) engine threads; see
     /// [`HostOffloadConfig::offload_workers`].
     offload_workers: usize,
     /// Batch-parallel compute fan-out; see
     /// [`HostOffloadConfig::compute_workers`].
     compute_workers: usize,
-    /// Cumulative pipeline stall clocks (autotuner inputs).
-    stats: PipeStats,
+    /// Cumulative gradient-queue wait before a D2H worker picked the job up
+    /// (autotuner input). Measured with `Instant`, like the stream's two
+    /// clocks: the telemetry clock reads zero when telemetry is disabled.
+    d2h_wait_ns: AtomicU64,
     /// Per-layer host-tier placement (all-RAM unless `host_capacity` /
     /// `spill` demand a file tier).
     tier_plan: TierPlan,
@@ -348,32 +308,31 @@ impl WindowedBackend {
         let cfg = model.cfg;
         let mut shell = model;
         let blocks = std::mem::take(&mut shell.blocks);
-        assert!(
-            !blocks.is_empty(),
-            "offloaded trainer needs at least one block"
-        );
         let flats: Vec<Vec<f32>> = blocks.iter().map(|b| b.flatten_params()).collect();
-        let precision = hocfg.precision;
+        let template =
+            (blocks.into_iter().next()).expect("offloaded trainer needs at least one block");
+        let block_elems = template.param_count();
         // A device block slot holds the layer at transfer precision — half
         // modes halve it, which is what doubles the window a fixed arena
-        // budget admits.
-        let block_bytes = blocks[0].param_count() as u64 * precision.param_bytes();
-        // An explicit arena budget bounds the window at the deepest m whose
-        // (m+1) slots fit; otherwise the window is free and the arena is
-        // sized to it below.
-        let window_max = match hocfg.device_capacity {
-            Some(cap) => (((cap / block_bytes).saturating_sub(1)) as usize).clamp(1, cfg.layers),
-            None => cfg.layers,
-        };
-        let m = hocfg.window.clamp(1, window_max);
+        // budget admits. The stream clamps the window to what the arena
+        // admits and sizes an unbudgeted arena to it.
+        let stream = LayerStream::new(
+            template,
+            cfg.layers,
+            hocfg.precision,
+            hocfg.window,
+            hocfg.device_capacity,
+            0,
+            &tel,
+        );
         // Host-tier placement: deterministic, derived from the RAM budget
         // and the (known) layer schedule. The store pages `Tier::File`
         // layers through the async spill engine; with nothing spilled it
         // degenerates to the classic resident store.
         let tier_plan = TierPlan::plan(
             cfg.layers,
-            blocks[0].param_count(),
-            m,
+            block_elems,
+            stream.window(),
             hocfg.host_capacity,
             hocfg.spill,
         );
@@ -385,26 +344,14 @@ impl WindowedBackend {
             hocfg.optimizer_workers.max(1),
             &tel,
         );
-        // m+1 shells: the window plus the incoming-layer buffer (term s^j
-        // of constraint (1c)).
-        let mut shells: Vec<Block> = blocks.into_iter().take(m + 1).collect();
-        while shells.len() < m + 1 {
-            shells.push(shells[0].clone());
-        }
-        let capacity = hocfg
-            .device_capacity
-            .unwrap_or((m as u64 + 1) * block_bytes);
-        let device = Arc::new(HostDevice::with_telemetry(capacity, &tel));
-        let step_grads = (0..cfg.layers).map(|_| shells[0].zero_grads()).collect();
-        let sample_grads = shells[0].zero_grads();
+        let step_grads = (0..cfg.layers).map(|_| stream.zero_grads()).collect();
+        let sample_grads = stream.zero_grads();
         WindowedBackend {
             cfg,
             shell,
             store,
             pool,
-            device,
-            shells,
-            block_bytes,
+            stream,
             tel,
             step_grads,
             sample_grads,
@@ -416,20 +363,10 @@ impl WindowedBackend {
             loss_buf: Vec::new(),
             norm_bits: (0..cfg.layers).map(|_| AtomicU64::new(0)).collect(),
             global_batch: None,
-            precision,
-            capacity_budget: hocfg.device_capacity,
-            window_max,
-            prefetch_stage: Vec::new(),
-            prefetch_pack: PackedHalf::new(precision),
             pack_pool: Mutex::new(Vec::new()),
-            eval_slot: Mutex::new(EvalSlot {
-                block: None,
-                stage: Vec::new(),
-                pack: PackedHalf::new(precision),
-            }),
             offload_workers: hocfg.offload_workers.max(1),
             compute_workers: hocfg.compute_workers.max(1),
-            stats: PipeStats::default(),
+            d2h_wait_ns: AtomicU64::new(0),
             tier_plan,
         }
     }
@@ -444,47 +381,27 @@ impl WindowedBackend {
         self.store.spilled_layers()
     }
 
-    /// Streams every layer through the cached eval slot in ascending order,
-    /// calling `per_layer` once per materialized layer. This is the one
-    /// FP-only layer-streaming loop shared by `eval_loss`, `hidden_states`
-    /// and `model_blob`; the slot block and its staging buffer persist
-    /// across calls, so steady-state evaluation performs no per-call heap
-    /// allocation on the parameter path.
-    fn stream_eval_layers(&self, mut per_layer: impl FnMut(&Block, usize)) {
-        let mut guard = self.eval_slot.lock().expect("eval slot");
-        let EvalSlot { block, stage, pack } = &mut *guard;
-        let slot = block.get_or_insert_with(|| self.shells[0].clone());
-        for i in 0..self.cfg.layers {
-            self.store.read_params_into(i, stage);
-            // Evaluate on the same device-resident value grid training
-            // computes on (no-op at F32).
-            pack.round_through(stage);
-            slot.load_flat_params(stage);
-            per_layer(slot, i);
-        }
-    }
-
     /// Arena bytes a window of `m` layers occupies: `(m+1)` block slots at
     /// transfer precision — the `gpu_usage` curve to feed
     /// [`crate::analytic::solve_window`] so its `m_mem_max` reflects this
     /// backend's actual (precision-scaled) footprint.
     pub fn arena_usage(&self, m: usize) -> u64 {
-        (m as u64 + 1) * self.block_bytes
+        (m as u64 + 1) * self.stream.block_bytes()
     }
 
     /// The device-residency / transfer precision in force.
     pub fn precision(&self) -> Precision {
-        self.precision
+        self.stream.precision()
     }
 
     pub(crate) fn window(&self) -> usize {
-        self.shells.len() - 1
+        self.stream.window()
     }
 
     /// Flat gradient elements of one transformer block (every block has the
     /// same shape) — sizes the data-parallel gradient buckets.
     pub(crate) fn block_elems(&self) -> usize {
-        self.shells[0].param_count()
+        self.stream.block_elems()
     }
 
     /// Marks this backend as rank of a data-parallel group over a global
@@ -502,7 +419,7 @@ impl WindowedBackend {
     /// Total gradient elements one replica contributes per step: every
     /// block plus the resident groups — the `E` of `V_dp = w·(w−1)·E`.
     pub(crate) fn grad_elements(&self) -> u64 {
-        let block: u64 = self.shells[0].param_count() as u64;
+        let block = self.block_elems() as u64;
         let resident = self.shell.embedding.token.numel()
             + self.shell.embedding.position.numel()
             + self.shell.lnf_g.numel()
@@ -538,8 +455,8 @@ impl ParamBackend for WindowedBackend {
     /// ends) and `ws.resident_grads` — or, under [`StepPlan::streaming`],
     /// submits each layer's optimizer update straight from the D2H engine.
     ///
-    /// Three-way overlap: the prefetcher thread runs H2D copies ahead of
-    /// compute, the compute thread runs FP/BP (optionally fanning the batch
+    /// Three-way overlap: the stream's prefetcher thread runs H2D copies ahead
+    /// of compute, the compute thread runs FP/BP (optionally fanning the batch
     /// across `compute_workers`), and the offload engine threads flatten and
     /// account each finished layer's gradient off the compute thread's
     /// critical path, so layer `i`'s D2H overlaps layer `i−1`'s backward.
@@ -586,7 +503,7 @@ impl ParamBackend for WindowedBackend {
         }
         if cw > 1 {
             while self.bp_slots.len() < b {
-                self.bp_slots.push(self.shells[0].zero_grads());
+                self.bp_slots.push(self.stream.zero_grads());
             }
         }
         // Canonical-tree fan-in state (see `stronghold_collective::order`):
@@ -595,7 +512,7 @@ impl ParamBackend for WindowedBackend {
         // and reused, preserving the zero-allocation step contract.
         self.fold_plan.set_len(b);
         while self.bp_fold_slots.len() < self.fold_plan.depth() {
-            self.bp_fold_slots.push(self.shells[0].zero_grads());
+            self.bp_fold_slots.push(self.stream.zero_grads());
         }
         while self.resident_fold_slots.len() < self.fold_plan.depth() {
             self.resident_fold_slots.push(self.shell.zero_grads());
@@ -618,19 +535,6 @@ impl ParamBackend for WindowedBackend {
         // Offload destinations, popped alongside `step_grads` in BP order.
         let mut dsts: Vec<&mut Vec<f32>> = block_grads.iter_mut().collect();
 
-        let (fp_tx, fp_rx) = bounded::<(usize, Block)>(m);
-        let (bp_tx, bp_rx) = bounded::<(usize, Block)>(m);
-        let (free_tx, free_rx) = bounded::<Block>(m + 2);
-        // Offload queue: bounded so a stalled D2H engine back-pressures
-        // compute instead of buffering the whole model.
-        let (off_tx, off_rx) = bounded(m + 1);
-        // Every layer's accumulator comes back exactly once; capacity `nb`
-        // means returning one can never block an offload worker.
-        let (done_tx, done_rx) = bounded(nb);
-        for sh in self.shells.drain(..) {
-            free_tx.send(sh).expect("seed free shells");
-        }
-
         // ---- gradient offload (D2H copy engine) ----
         // Run by the dedicated engine threads: flatten the finished layer's
         // gradient, account the D2H traffic, and either stream the optimizer
@@ -640,7 +544,7 @@ impl ParamBackend for WindowedBackend {
         let hp = plan.hp;
         let streaming = plan.streaming;
         let pool = &self.pool;
-        let device_off = Arc::clone(&self.device);
+        let device_off = Arc::clone(self.stream.device());
         let tel_off = self.tel.clone();
         let wait_h = self.tel.histogram("d2h.queue_wait_ns");
         let c_grad_off = self.tel.counter("offload.grads");
@@ -658,7 +562,7 @@ impl ParamBackend for WindowedBackend {
             store_dl.mark_pending(layer);
             pool.submit_owned(layer, buf, hp);
         };
-        let stats = &self.stats;
+        let d2h_wait_ns = &self.d2h_wait_ns;
         // Half-precision D2H: the flat gradient is rounded through the
         // packed transfer format (the payload that would cross the link —
         // `2` bytes per element) and the optimizer ingests the rounded f32
@@ -666,7 +570,7 @@ impl ParamBackend for WindowedBackend {
         // buffers recycle through the backend pool because the offload
         // workers are fresh scoped threads each step. Returns the bytes
         // moved.
-        let precision = self.precision;
+        let precision = self.stream.precision();
         let pack_pool = &self.pack_pool;
         let round_half = move |buf: &mut [f32]| -> u64 {
             let mut pack = pack_pool
@@ -688,9 +592,7 @@ impl ParamBackend for WindowedBackend {
                 enqueue_at,
             } = job;
             wait_h.record(tel_off.now_nanos().saturating_sub(enqueue_ns));
-            stats
-                .d2h_wait_ns
-                .fetch_add(enqueue_at.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            d2h_wait_ns.fetch_add(enqueue_at.elapsed().as_nanos() as u64, Ordering::Relaxed);
             let span = tel_off.span("d2h-copy", format!("d2h L{layer}"));
             device_off.begin_d2h();
             let bytes;
@@ -721,287 +623,177 @@ impl ParamBackend for WindowedBackend {
             (layer, grads)
         };
 
-        let prefetch_stage = &mut self.prefetch_stage;
-        let prefetch_pack = &mut self.prefetch_pack;
-        let loss = std::thread::scope(|scope| {
-            // ---- prefetcher (H2D copy engine) ----
-            let store = Arc::clone(&self.store);
-            let device = Arc::clone(&self.device);
-            let bb = self.block_bytes;
-            let free_rx_pf = free_rx.clone();
-            let tel_pf = self.tel.clone();
-            scope.spawn(move || {
-                let stage = prefetch_stage;
-                let pack = prefetch_pack;
-                let c_issued = tel_pf.counter("prefetch.issued");
-                // FP-order prefetch: each layer enters the window exactly
-                // once per iteration, so `prefetch.completed` grows by
-                // `layers` per step regardless of the window size.
-                let c_done = tel_pf.counter("prefetch.completed");
-                // BP-order re-entries of layers that slid out during FP.
-                let c_refetch = tel_pf.counter("prefetch.refetched");
-                // Time spent waiting for a free window slot — the host
-                // analogue of the simulator's window-stall events.
-                let h_wait = tel_pf.histogram("prefetch.shell_wait_ns");
-                let mut fetch = |i: usize, refetch: bool| -> Option<(usize, Block)> {
-                    c_issued.incr();
-                    let t0 = tel_pf.now_nanos();
-                    let wall = std::time::Instant::now();
-                    let mut shell = free_rx_pf.recv().ok()?;
-                    stats
-                        .shell_wait_ns
-                        .fetch_add(wall.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    h_wait.record(tel_pf.now_nanos().saturating_sub(t0));
-                    let name = if refetch {
-                        format!("h2d' L{i}")
-                    } else {
-                        format!("h2d L{i}")
-                    };
-                    let span = tel_pf.span("h2d-copy", name);
-                    device.begin_h2d();
-                    // Blocks if iteration k-1's update of layer i is pending.
-                    store.read_params_into(i, stage);
-                    device.alloc(bb);
-                    // Half-precision H2D: the FP32 master is packed into the
-                    // half-width transfer payload (the bytes that cross the
-                    // link) and the shell receives the round-through values —
-                    // the device computes on the half grid while the store
-                    // keeps full masters. Round-through is idempotent, so a
-                    // BP refetch of an unchanged layer reloads identical bits.
-                    let h2d_bytes = if precision.is_half() {
-                        pack.round_through(stage);
-                        pack.nbytes()
-                    } else {
-                        (stage.len() * 4) as u64
-                    };
-                    shell.load_flat_params(stage);
-                    device.end_h2d(h2d_bytes);
-                    span.end();
-                    if refetch {
-                        c_refetch.incr()
-                    } else {
-                        c_done.incr()
-                    }
-                    Some((i, shell))
-                };
-                // Schedule-driven spill prefetch: the combined access
-                // sequence (FP `0..nb`, then BP `rev(0..nb−m)`) is fully
-                // known, so file-tier fills are issued `m+1` positions
-                // ahead of the H2D copy — disk reads hide under compute
-                // exactly like the H2D prefetch itself. `prefill` is a
-                // no-op for resident layers and for layers whose update is
-                // still in flight (the read falls back to a demand fill).
-                let total = 2 * nb - m;
-                let layer_at = |p: usize| if p < nb { p } else { 2 * nb - m - 1 - p };
-                let lookahead = m + 1;
-                for p in 0..lookahead.min(total) {
-                    store.prefill(layer_at(p));
+        // The offload queue is bounded at `m + 1` so a stalled D2H engine
+        // back-pressures compute instead of buffering the whole model.
+        let (off_tx, off_rx) = bounded(m + 1);
+        // Every layer's accumulator comes back exactly once; capacity `nb`
+        // means returning one can never block an offload worker.
+        let (done_tx, done_rx) = bounded(nb);
+        let loss = self.stream.run(&self.store, Pass::ForwardBackward, |feed| {
+            std::thread::scope(|scope| {
+                // ---- offload engine threads ----
+                for _ in 0..ow {
+                    let (off_rx, done_tx, offload) = (off_rx.clone(), done_tx.clone(), &offload);
+                    scope.spawn(move || {
+                        while let Ok(job) = off_rx.recv() {
+                            done_tx.send(offload(job)).expect("offload done");
+                        }
+                    });
                 }
+
+                // ---- compute ("GPU") ----
+                // FP, batch-major; each layer's input tensors are *moved* into
+                // the checkpoint list (the block writes fresh pool tensors), so
+                // no activation is ever cloned.
+                let mut x: Vec<Tensor> = batch.iter().map(|(t, _)| self.shell.embed(t)).collect();
+                let mut inputs: Vec<Vec<Tensor>> = Vec::with_capacity(nb);
+                let mut kept: Vec<(usize, Block)> = Vec::with_capacity(m);
                 for i in 0..nb {
-                    if i + lookahead < total {
-                        store.prefill(layer_at(i + lookahead));
-                    }
-                    let Some(item) = fetch(i, false) else { return };
-                    if fp_tx.send(item).is_err() {
-                        return;
-                    }
-                }
-                drop(fp_tx);
-                for i in (0..nb.saturating_sub(m)).rev() {
-                    let p = 2 * nb - m - 1 - i;
-                    if p + lookahead < total {
-                        store.prefill(layer_at(p + lookahead));
-                    }
-                    let Some(item) = fetch(i, true) else { return };
-                    if bp_tx.send(item).is_err() {
-                        return;
+                    hooks.fire(i, HookPoint::PreForward, &ctx(i));
+                    let (gi, block) = feed.next();
+                    assert_eq!(gi, i, "fp prefetch order");
+                    let span = self.tel.span("compute", format!("fp L{i}"));
+                    let next = parallel_forward(&block, &x, cw);
+                    span.end();
+                    hooks.fire(i, HookPoint::PostForward, &ctx(i));
+                    inputs.push(std::mem::replace(&mut x, next));
+                    if i + m >= nb {
+                        kept.push((i, block)); // stays resident for BP (Fig. 3)
+                    } else {
+                        feed.release(block);
                     }
                 }
-            });
 
-            // ---- offload engine threads ----
-            let offload_ref = &offload;
-            for _ in 0..ow {
-                let off_rx = off_rx.clone();
-                let done_tx = done_tx.clone();
-                scope.spawn(move || {
-                    while let Ok(job) = off_rx.recv() {
-                        done_tx.send(offload_ref(job)).expect("offload done");
-                    }
-                });
-            }
-
-            // ---- compute ("GPU") ----
-            // FP, batch-major; each layer's input tensors are *moved* into
-            // the checkpoint list (the block writes fresh pool tensors), so
-            // no activation is ever cloned.
-            let mut x: Vec<Tensor> = batch.iter().map(|(t, _)| self.shell.embed(t)).collect();
-            let mut inputs: Vec<Vec<Tensor>> = Vec::with_capacity(nb);
-            let mut kept: Vec<(usize, Block)> = Vec::with_capacity(m);
-            for i in 0..nb {
-                hooks.fire(i, HookPoint::PreForward, &ctx(i));
-                let wall = std::time::Instant::now();
-                let (gi, block) = fp_rx.recv().expect("fp prefetch");
-                stats
-                    .fetch_wait_ns
-                    .fetch_add(wall.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                assert_eq!(gi, i, "fp prefetch order");
-                let span = self.tel.span("compute", format!("fp L{i}"));
-                let next = parallel_forward(&block, &x, cw);
-                span.end();
-                hooks.fire(i, HookPoint::PostForward, &ctx(i));
-                inputs.push(std::mem::replace(&mut x, next));
-                if i + m >= nb {
-                    kept.push((i, block)); // stays resident for BP (Fig. 3)
-                } else {
-                    self.device.free(self.block_bytes);
-                    free_tx.send(block).expect("return shell");
+                // Head: loss + initial gradient, per-sample scratches collect the
+                // tied-LM-head and final-LN gradients.
+                let mut dy: Vec<Tensor> = Vec::with_capacity(b);
+                for (s, (_, targets)) in batch.iter().enumerate() {
+                    let (l, dx, cache) = self.shell.head_forward_loss(&x[s], targets);
+                    self.loss_buf[s] = l;
+                    self.shell
+                        .head_backward(&cache, &mut self.head_scratches[s]);
+                    cache.recycle();
+                    dy.push(dx);
                 }
-            }
-
-            // Head: loss + initial gradient, per-sample scratches collect the
-            // tied-LM-head and final-LN gradients.
-            let mut dy: Vec<Tensor> = Vec::with_capacity(b);
-            for (s, (_, targets)) in batch.iter().enumerate() {
-                let (l, dx, cache) = self.shell.head_forward_loss(&x[s], targets);
-                self.loss_buf[s] = l;
-                self.shell
-                    .head_backward(&cache, &mut self.head_scratches[s]);
-                cache.recycle();
-                dy.push(dx);
-            }
-            for t in x {
-                scratch::give(t); // head inputs are done
-            }
-
-            // BP: recompute-from-checkpoint, handing each finished layer's
-            // accumulator to the offload engine so the flatten/D2H (and,
-            // when streaming, the optimizer submission) overlaps the next
-            // layer's backward. With clipping active the engine dispatches
-            // after the step's global norm is known, as before.
-            for i in (0..nb).rev() {
-                let block = match kept.pop() {
-                    Some((k, blk)) => {
-                        assert_eq!(k, i, "kept layer order");
-                        blk
-                    }
-                    None => {
-                        let wall = std::time::Instant::now();
-                        let (gi, blk) = bp_rx.recv().expect("bp prefetch");
-                        stats
-                            .fetch_wait_ns
-                            .fetch_add(wall.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        assert_eq!(gi, i, "bp prefetch order");
-                        blk
-                    }
-                };
-                hooks.fire(i, HookPoint::PreBackward, &ctx(i));
-                let span = self.tel.span("compute", format!("bp L{i}"));
-                let mut sg = self.step_grads.pop().expect("step-grad accumulator");
-                // Deterministic fan-in: per-sample raw gradients fold down
-                // the canonical pairwise tree (leaf = scaled sample gradient
-                // in a zeroed slot) — the same association the resident
-                // trainer and every other fan-in in the repo use.
-                if cw > 1 {
-                    parallel_backward(&block, &inputs[i], &mut dy, &mut self.bp_slots[..b], cw);
-                    fold_with(
-                        &self.fold_plan,
-                        &mut self.bp_fold_slots,
-                        |s, slot| {
-                            slot.zero_();
-                            slot.accumulate_scaled(&self.bp_slots[s], scale);
-                        },
-                        |acc, part| acc.accumulate(part),
-                    );
-                } else {
-                    fold_with(
-                        &self.fold_plan,
-                        &mut self.bp_fold_slots,
-                        |s, slot| {
-                            self.sample_grads.zero_();
-                            let (y, cache) = block.forward(&inputs[i][s]); // recompute
-                            scratch::give(y);
-                            let dxs = block.backward(
-                                &dy[s],
-                                &inputs[i][s],
-                                &cache,
-                                &mut self.sample_grads,
-                            );
-                            cache.recycle();
-                            scratch::give(std::mem::replace(&mut dy[s], dxs));
-                            slot.zero_();
-                            slot.accumulate_scaled(&self.sample_grads, scale);
-                        },
-                        |acc, part| acc.accumulate(part),
-                    );
+                for t in x {
+                    scratch::give(t); // head inputs are done
                 }
-                std::mem::swap(&mut sg, &mut self.bp_fold_slots[0]);
-                for t in std::mem::take(&mut inputs[i]) {
-                    scratch::give(t); // layer i's checkpoints are consumed
+
+                // BP: recompute-from-checkpoint, handing each finished layer's
+                // accumulator to the offload engine so the flatten/D2H (and,
+                // when streaming, the optimizer submission) overlaps the next
+                // layer's backward. With clipping active the engine dispatches
+                // after the step's global norm is known, as before.
+                for i in (0..nb).rev() {
+                    let block = match kept.pop() {
+                        Some((k, blk)) => {
+                            assert_eq!(k, i, "kept layer order");
+                            blk
+                        }
+                        None => {
+                            let (gi, blk) = feed.next();
+                            assert_eq!(gi, i, "bp prefetch order");
+                            blk
+                        }
+                    };
+                    hooks.fire(i, HookPoint::PreBackward, &ctx(i));
+                    let span = self.tel.span("compute", format!("bp L{i}"));
+                    let mut sg = self.step_grads.pop().expect("step-grad accumulator");
+                    // Deterministic fan-in: per-sample raw gradients fold down
+                    // the canonical pairwise tree (leaf = scaled sample gradient
+                    // in a zeroed slot) — the same association the resident
+                    // trainer and every other fan-in in the repo use.
+                    if cw > 1 {
+                        parallel_backward(&block, &inputs[i], &mut dy, &mut self.bp_slots[..b], cw);
+                        fold_with(
+                            &self.fold_plan,
+                            &mut self.bp_fold_slots,
+                            |s, slot| {
+                                slot.zero_();
+                                slot.accumulate_scaled(&self.bp_slots[s], scale);
+                            },
+                            |acc, part| acc.accumulate(part),
+                        );
+                    } else {
+                        fold_with(
+                            &self.fold_plan,
+                            &mut self.bp_fold_slots,
+                            |s, slot| {
+                                self.sample_grads.zero_();
+                                let (y, cache) = block.forward(&inputs[i][s]); // recompute
+                                scratch::give(y);
+                                let dxs = block.backward(
+                                    &dy[s],
+                                    &inputs[i][s],
+                                    &cache,
+                                    &mut self.sample_grads,
+                                );
+                                cache.recycle();
+                                scratch::give(std::mem::replace(&mut dy[s], dxs));
+                                slot.zero_();
+                                slot.accumulate_scaled(&self.sample_grads, scale);
+                            },
+                            |acc, part| acc.accumulate(part),
+                        );
+                    }
+                    std::mem::swap(&mut sg, &mut self.bp_fold_slots[0]);
+                    for t in std::mem::take(&mut inputs[i]) {
+                        scratch::give(t); // layer i's checkpoints are consumed
+                    }
+                    span.end();
+                    hooks.fire(i, HookPoint::PostBackward, &ctx(i));
+                    // Free the shell before queueing the offload: the prefetcher
+                    // can start the next H2D while the gradient is still in the
+                    // D2H engine's queue.
+                    feed.release(block);
+                    let dst = dsts.pop().expect("offload destination");
+                    let job = OffloadJob {
+                        layer: i,
+                        grads: sg,
+                        dst,
+                        enqueue_ns: self.tel.now_nanos(),
+                        enqueue_at: std::time::Instant::now(),
+                    };
+                    off_tx.send(job).expect("offload queue");
                 }
-                span.end();
-                hooks.fire(i, HookPoint::PostBackward, &ctx(i));
-                // Free the shell before queueing the offload: the prefetcher
-                // can start the next H2D while the gradient is still in the
-                // D2H engine's queue.
-                self.device.free(self.block_bytes);
-                free_tx.send(block).expect("return shell");
-                let dst = dsts.pop().expect("offload destination");
-                let job = OffloadJob {
-                    layer: i,
-                    grads: sg,
-                    dst,
-                    enqueue_ns: self.tel.now_nanos(),
-                    enqueue_at: std::time::Instant::now(),
-                };
-                off_tx.send(job).expect("offload queue");
-            }
-            // Close the offload queue: engine threads drain it and exit
-            // while the embedding backward below proceeds.
-            drop(off_tx);
+                // Close the offload queue: engine threads drain it and exit
+                // while the embedding backward below proceeds.
+                drop(off_tx);
 
-            // Embedding backward (scatter-add) per sample, then fold the
-            // resident gradients in sample order — the same op sequence as
-            // the reference trainer.
-            for (s, (tokens, _)) in batch.iter().enumerate() {
-                self.shell
-                    .embed_backward(&dy[s], tokens, &mut self.head_scratches[s]);
-            }
-            for t in dy {
-                scratch::give(t);
-            }
-            // Resident groups fold down the same canonical tree.
-            fold_with(
-                &self.fold_plan,
-                &mut self.resident_fold_slots,
-                |s, slot| {
-                    slot.zero_();
-                    slot.accumulate_scaled(&self.head_scratches[s], scale);
-                },
-                |acc, part| acc.accumulate_scaled(part, 1.0),
-            );
-            std::mem::swap(resident_grads, &mut self.resident_fold_slots[0]);
+                // Embedding backward (scatter-add) per sample, then fold the
+                // resident gradients in sample order — the same op sequence as
+                // the reference trainer.
+                for (s, (tokens, _)) in batch.iter().enumerate() {
+                    self.shell
+                        .embed_backward(&dy[s], tokens, &mut self.head_scratches[s]);
+                }
+                for t in dy {
+                    scratch::give(t);
+                }
+                // Resident groups fold down the same canonical tree.
+                fold_with(
+                    &self.fold_plan,
+                    &mut self.resident_fold_slots,
+                    |s, slot| {
+                        slot.zero_();
+                        slot.accumulate_scaled(&self.head_scratches[s], scale);
+                    },
+                    |acc, part| acc.accumulate_scaled(part, 1.0),
+                );
+                std::mem::swap(resident_grads, &mut self.resident_fold_slots[0]);
 
-            tree_sum(&self.loss_buf)
+                tree_sum(&self.loss_buf)
+            })
         });
-
-        // Reclaim the device shells for the next step.
-        while let Ok(sh) = free_rx.try_recv() {
-            self.shells.push(sh);
-        }
-        assert_eq!(self.shells.len(), m + 1, "shell leak");
         // Reclaim the per-layer accumulators from the offload engine; they
         // complete out of order under multiple workers, so sort back into
         // ascending layer order for the next step.
         let mut returned: Vec<(usize, BlockGrads)> = Vec::with_capacity(nb);
-        while let Ok(pair) = done_rx.try_recv() {
-            returned.push(pair);
-        }
+        returned.extend(std::iter::from_fn(|| done_rx.try_recv().ok()));
         assert_eq!(returned.len(), nb, "offload engine lost a layer");
         returned.sort_unstable_by_key(|(l, _)| *l);
-        for (_, g) in returned {
-            self.step_grads.push(g);
-        }
+        self.step_grads
+            .extend(returned.into_iter().map(|(_, grads)| grads));
         // Streaming norm partials were recorded at delivery time (on the
         // reduced gradients); surface them to the engine's norm fold.
         if want_norm {
@@ -1033,14 +825,12 @@ impl ParamBackend for WindowedBackend {
         }
     }
 
-    /// Mean loss over a batch without updating, streaming layers through a
-    /// single cached device slot (FP-only inference, §VI-D3). The slot
-    /// `Block` is cloned once on first use and reused by every subsequent
-    /// eval — `load_flat_params` overwrites all of it each layer.
+    /// Mean loss over a batch without updating, streaming layers through
+    /// one device shell (FP-only inference, §VI-D3).
     fn eval_loss(&self, batch: &[(Vec<u32>, Vec<u32>)]) -> f32 {
         self.pool.flush();
         let mut x: Vec<Tensor> = batch.iter().map(|(t, _)| self.shell.embed(t)).collect();
-        self.stream_eval_layers(|slot, _| {
+        self.stream.for_each_layer(&self.store, |slot, _| {
             let next: Vec<Tensor> = x.iter().map(|xs| slot.forward_no_cache(xs)).collect();
             for t in std::mem::replace(&mut x, next) {
                 scratch::give(t);
@@ -1061,22 +851,13 @@ impl ParamBackend for WindowedBackend {
 
     /// Reassembles the full model from the shell and the layer store.
     fn model_blob(&self) -> Bytes {
-        let mut full = Transformer {
+        let full = Transformer {
             cfg: self.cfg,
             embedding: self.shell.embedding.clone(),
-            blocks: Vec::with_capacity(self.store.len()),
+            blocks: self.stream.master_blocks(&self.store),
             lnf_g: self.shell.lnf_g.clone(),
             lnf_b: self.shell.lnf_b.clone(),
         };
-        // Stage through the persistent eval buffer (no per-call staging
-        // allocation; the per-layer `Block` clones *are* the output).
-        let stage = &mut self.eval_slot.lock().expect("eval slot").stage;
-        for i in 0..self.store.len() {
-            let mut blk = self.shells[0].clone();
-            self.store.read_params_into(i, stage);
-            blk.load_flat_params(stage);
-            full.blocks.push(blk);
-        }
         stronghold_model::serialize::save(&full)
     }
 
@@ -1095,10 +876,10 @@ impl ParamBackend for WindowedBackend {
     fn tune_limits(&self) -> Option<TuneLimits> {
         let spilled = self.store.spilled_layers() > 0;
         Some(TuneLimits {
-            // `window_max` is the arena-admitted bound: the layer count
-            // when unbudgeted, else ⌊budget/block_bytes⌋−1 — which doubles
-            // under a half precision at the same budget.
-            window: (1, self.window_max),
+            // The arena-admitted bound: the layer count when unbudgeted,
+            // else ⌊budget/block_bytes⌋−1 — which doubles under a half
+            // precision at the same budget.
+            window: (1, self.stream.window_max()),
             offload_workers: (1, 8),
             compute_workers: (1, 8),
             optimizer_workers: (1, 8),
@@ -1118,23 +899,14 @@ impl ParamBackend for WindowedBackend {
         }
     }
 
-    /// Resizes the shell pool / device arena and worker counts between
+    /// Resizes the stream's window and the worker counts between
     /// steps. Shell contents are fully overwritten by each H2D, worker
     /// counts never enter the fold order, and the optimizer pool drains
     /// FIFO through retirements — so any schedule of `apply_tuning` calls
     /// at step boundaries leaves the trained parameters bit-identical.
     fn apply_tuning(&mut self, t: Tuning) {
-        let m = t.window.clamp(1, self.window_max);
-        if m != self.window() {
-            while self.shells.len() < m + 1 {
-                self.shells.push(self.shells[0].clone());
-            }
-            self.shells.truncate(m + 1);
-            // A fixed arena budget never follows the window; otherwise the
-            // arena tracks (m+1) slots exactly as before.
-            if self.capacity_budget.is_none() {
-                self.device.set_capacity((m as u64 + 1) * self.block_bytes);
-            }
+        if t.window != self.window() {
+            self.stream.resize(t.window);
         }
         self.offload_workers = t.offload_workers.max(1);
         self.compute_workers = t.compute_workers.max(1);
@@ -1150,10 +922,11 @@ impl ParamBackend for WindowedBackend {
     }
 
     fn stall_signals(&self) -> StallSignals {
+        let (fetch_wait_ns, shell_wait_ns) = self.stream.wait_nanos();
         StallSignals {
-            fetch_wait_ns: self.stats.fetch_wait_ns.load(Ordering::Relaxed),
-            shell_wait_ns: self.stats.shell_wait_ns.load(Ordering::Relaxed),
-            d2h_wait_ns: self.stats.d2h_wait_ns.load(Ordering::Relaxed),
+            fetch_wait_ns,
+            shell_wait_ns,
+            d2h_wait_ns: self.d2h_wait_ns.load(Ordering::Relaxed),
             optim_backlog: self.pool.pending() as u64,
             fill_wait_ns: self.store.fill_wait_nanos(),
         }
@@ -1233,7 +1006,7 @@ impl HostOffloadTrainer {
 
     /// Device traffic/occupancy counters.
     pub fn device(&self) -> &HostDevice {
-        &self.engine.backend().device
+        self.engine.backend().stream.device()
     }
 
     /// Optimizer updates applied so far.
@@ -1273,14 +1046,14 @@ impl HostOffloadTrainer {
     }
 
     /// Per-layer hidden states of the teacher for knowledge distillation
-    /// (§VI-D3), computed FP-only through the cached eval slot.
+    /// (§VI-D3), computed FP-only through one device shell.
     pub fn hidden_states(&self, tokens: &[u32]) -> Vec<Tensor> {
         let backend = self.engine.backend();
         backend.pool.flush();
         let mut states = Vec::with_capacity(backend.cfg.layers + 1);
         let mut x = backend.shell.embed(tokens);
         states.push(x.clone());
-        backend.stream_eval_layers(|slot, _| {
+        backend.stream.for_each_layer(&backend.store, |slot, _| {
             x = slot.forward_no_cache(&x);
             states.push(x.clone());
         });
@@ -1290,9 +1063,7 @@ impl HostOffloadTrainer {
     /// Blocks until every in-flight optimizer update has been applied —
     /// including, for a tiered store, the spill-tier write-backs.
     pub fn flush(&self) {
-        let backend = self.engine.backend();
-        backend.pool.flush();
-        backend.store.flush_spill();
+        self.engine.backend().flush();
     }
 
     /// How many layers page through the file-backed spill tier (0 without a
@@ -1446,6 +1217,21 @@ mod tests {
         );
         assert!(t.device().h2d_bytes() > 0);
         assert!(t.device().d2h_bytes() > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot hold a window of one layer: 0 B reserved + 2 slots of")]
+    fn arena_budget_below_two_slots_is_refused_at_construction() {
+        let cfg = tiny(3);
+        let block_bytes = (Transformer::new(cfg, 22).blocks[0].param_count() * 4) as u64;
+        HostOffloadTrainer::new(
+            cfg,
+            22,
+            HostOffloadConfig {
+                device_capacity: Some(block_bytes + block_bytes / 2),
+                ..HostOffloadConfig::default()
+            },
+        );
     }
 
     #[test]

@@ -217,10 +217,17 @@ mod tests {
 
     #[test]
     fn bp_slower_than_fp_on_real_hardware_too() {
+        // BP is recompute + backward, so summed over the blocks it has a
+        // ≥ 2× structural margin over FP; a single tiny layer timed twice
+        // does not (one scheduler hiccup flips it).
         let p = profile();
-        for i in 1..=4 {
-            assert!(p.t_bp[i] > p.t_fp[i], "layer {i}");
-        }
+        let total = |t: &[SimTime]| t[1..=4].iter().map(|t| t.as_nanos()).sum::<u64>();
+        assert!(
+            total(&p.t_bp) > total(&p.t_fp),
+            "bp {} ns vs fp {} ns over the four blocks",
+            total(&p.t_bp),
+            total(&p.t_fp)
+        );
     }
 
     #[test]

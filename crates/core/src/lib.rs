@@ -14,7 +14,9 @@
 //!   regenerates every figure;
 //! * [`host`] runs the *same pipeline* with **real threads and real math**
 //!   on small models, proving the paper's exactness claim: offloaded
-//!   training produces bit-identical parameters to resident training.
+//!   training produces bit-identical parameters to resident training. One
+//!   layer stream (`host::stream`) feeds the training step, evaluation and
+//!   the [`serve`] engine.
 //!
 //! Module map (paper section → module):
 //!
@@ -23,9 +25,9 @@
 //! | §III-C working window, Fig. 3 pipelines | [`offload`] (sim), [`host::offloaded`] (real) |
 //! | §III-D analytical model (P1, P2, Eqs. 3–5) | [`analytic`], [`profile`] |
 //! | §III-E1 concurrent CPU optimizers | [`optimpool`], [`adam`] |
-//! | §III-E3 user-level memory management | [`host::device::HostDevice`] arena + the `m + 1` shell pool in [`host::offloaded`] |
+//! | §III-E3 user-level memory management | [`host::device::HostDevice`] arena + the `m + 1` shell pool of the layer stream (`host::stream`) |
 //! | §III-G NVMe tier | [`nvme`], [`tier`] |
-//! | §IV-A multi-stream execution | [`multistream`] |
+//! | §IV-A multi-stream execution | [`multistream`] (sim), `compute_workers` of [`host::offloaded`] (real) |
 //! | §VI-D3 inference / knowledge distillation | [`inference`] |
 
 pub mod adam;

@@ -90,19 +90,30 @@ impl Slot {
 impl LayerStore {
     /// Builds an all-resident store from per-layer flat parameter vectors.
     pub fn new(layer_params: Vec<Vec<f32>>) -> Arc<Self> {
-        let lens: Vec<usize> = layer_params.iter().map(Vec::len).collect();
-        let slots = layer_params
-            .into_iter()
-            .map(|p| SlotCell {
-                lock: Mutex::new(Slot::resident(p)),
-                cv: Condvar::new(),
-            })
-            .collect();
-        let placement = vec![Tier::Ram; lens.len()];
+        Self::all_resident(layer_params.into_iter().map(Slot::resident).collect())
+    }
+
+    /// An all-resident store holding parameters only — no Adam moments. The
+    /// read-only store of the serving engine; [`LayerStore::apply_update`]
+    /// on it fails the optimizer's length check.
+    pub(crate) fn without_moments(layer_params: Vec<Vec<f32>>) -> Arc<Self> {
+        let bare = |params| Slot {
+            params,
+            ..Slot::resident(Vec::new())
+        };
+        Self::all_resident(layer_params.into_iter().map(bare).collect())
+    }
+
+    fn all_resident(slots: Vec<Slot>) -> Arc<Self> {
+        let lens: Vec<usize> = slots.iter().map(|s| s.params.len()).collect();
+        let cell = |slot| SlotCell {
+            lock: Mutex::new(slot),
+            cv: Condvar::new(),
+        };
         Arc::new(LayerStore {
-            slots: Arc::new(slots),
+            slots: Arc::new(slots.into_iter().map(cell).collect()),
+            placement: vec![Tier::Ram; lens.len()],
             lens,
-            placement,
             tier: None,
         })
     }
@@ -200,40 +211,41 @@ impl LayerStore {
     }
 
     /// [`LayerStore::read_params`] into a caller-owned buffer, clearing it
-    /// first. The prefetcher stages every H2D copy through one such buffer
-    /// per window slot, so steady-state prefetch performs no allocation.
-    ///
-    /// For a spilled layer this consumes (and evicts) the fill cache,
-    /// issuing a demand fill if no prefill landed ahead of the read; time
-    /// spent blocked here accrues to the store's fill-wait clock — the
-    /// autotuner's spill stall signal.
+    /// first.
     pub fn read_params_into(&self, layer: usize, out: &mut Vec<f32>) {
+        self.with_params(layer, |params| {
+            out.clear();
+            out.extend_from_slice(params);
+        })
+    }
+
+    /// Lends a layer's parameters to `f` without copying them — the read
+    /// the H2D stream loads device shells from. Blocks while an update for
+    /// the layer is pending. A resident layer is lent under its slot lock;
+    /// a spilled layer's fill cache is consumed (and evicted), with a
+    /// demand fill issued if no prefill landed ahead of the read. Time
+    /// spent blocked on a fill accrues to the store's fill-wait clock — the
+    /// autotuner's spill stall signal.
+    pub(crate) fn with_params<R>(&self, layer: usize, f: impl FnOnce(&[f32]) -> R) -> R {
         let cell = &self.slots[layer];
         if self.placement[layer] == Tier::Ram {
             let mut slot = cell.lock.lock();
             while slot.pending_update {
                 cell.cv.wait(&mut slot);
             }
-            out.clear();
-            out.extend_from_slice(&slot.params);
-            return;
+            return f(&slot.params);
         }
         let tier = self.tier.as_ref().expect("tiered store");
         let t0 = std::time::Instant::now();
         let mut slot = cell.lock.lock();
-        loop {
+        let buf = loop {
             if slot.pending_update || slot.spill_inflight {
                 cell.cv.wait(&mut slot);
                 continue;
             }
             if slot.filled {
-                out.clear();
-                out.extend_from_slice(&slot.params);
-                let buf = std::mem::take(&mut slot.params);
                 slot.filled = false;
-                drop(slot);
-                tier.give_buffer(buf);
-                break;
+                break std::mem::take(&mut slot.params);
             }
             if !slot.fill_inflight {
                 // Demand fill: flag it, then enqueue outside the slot lock
@@ -247,8 +259,12 @@ impl LayerStore {
                 continue;
             }
             cell.cv.wait(&mut slot);
-        }
+        };
+        drop(slot);
         tier.add_fill_wait(t0.elapsed().as_nanos() as u64);
+        let out = f(&buf);
+        tier.give_buffer(buf);
+        out
     }
 
     /// Issues an asynchronous fill of a spilled layer ahead of its read —

@@ -11,10 +11,10 @@
 //! The device budget is carved into two regions, both accounted on the one
 //! [`HostDevice`] so capacity violations are loud:
 //!
-//! * **`m+1` parameter slots** — exactly the training layout: the
-//!   prefetcher stages layer `i+1..i+m` while the compute loop runs layer
-//!   `i`, each staged layer holding `block_bytes` (half-width on the wire
-//!   in bf16/f16 modes, via [`PackedHalf`] round-through).
+//! * **`m+1` parameter slots** — the training layout, because it is the
+//!   training code (`host::stream`): the prefetcher stages layer
+//!   `i+1..i+m` while the compute loop runs layer `i`, each staged layer
+//!   holding `block_bytes` (half-width on the wire in bf16/f16 modes).
 //! * **The KV arena** — `slots × layers` per-sequence K/V caches of
 //!   `2 · max_seq · hidden` f32 entries each, allocated once at engine
 //!   construction and reused as sequences finish (admission = slot reuse,
@@ -56,19 +56,19 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
-use crossbeam_channel::bounded;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use stronghold_model::block::Block;
 use stronghold_model::config::ModelConfig;
 use stronghold_model::transformer::{DecodeBatch, Transformer};
 use stronghold_tensor::attention::KvCache;
 use stronghold_tensor::init::seeded_rng;
-use stronghold_tensor::{PackedHalf, Precision};
+use stronghold_tensor::Precision;
 
 use crate::error::RuntimeError;
 use crate::host::device::HostDevice;
 use crate::host::engine::TrainingState;
+use crate::host::stream::{LayerStream, Pass};
+use crate::optimpool::LayerStore;
 use crate::telemetry::{Counter, Gauge, Histogram, Telemetry};
 
 /// Configuration of a [`ServeEngine`].
@@ -92,7 +92,8 @@ pub struct ServeConfig {
     pub precision: Precision,
     /// Fixed device byte budget. `None` sizes the device to exactly the
     /// window plus the KV arena; `Some` derives the window from what the
-    /// budget leaves beside the arena.
+    /// budget leaves beside the arena, and is refused at construction if
+    /// that is less than two parameter slots.
     pub device_capacity: Option<u64>,
     /// Sampling temperature; `0.0` is greedy argmax (lowest index wins
     /// ties). Positive values sample from the softmax-scaled distribution
@@ -168,11 +169,11 @@ struct ActiveReq {
 /// The continuous-batching generation engine.
 pub struct ServeEngine {
     model: Transformer, // embedding + final LN; blocks live in `store`
-    store: Vec<Vec<f32>>,
-    shells: Vec<Block>,
-    prefetch_stage: Vec<f32>,
-    prefetch_pack: PackedHalf,
-    device: Arc<HostDevice>,
+    /// All-resident, read-only, no Adam moments.
+    store: Arc<LayerStore>,
+    /// The H2D side: device arena (KV bytes reserved), `m+1` shells,
+    /// prefetcher — the training stream, run forward-only.
+    stream: LayerStream,
     /// The request holding each sequence slot.
     slots: Vec<Option<ActiveReq>>,
     /// The KV arena, `[layer][slot]`, preallocated so slot reuse never
@@ -182,12 +183,9 @@ pub struct ServeEngine {
     batch: DecodeBatch,
     /// Waiting requests with their submission time.
     queue: VecDeque<(GenRequest, u64)>,
-    window: usize,
-    block_bytes: u64,
     kv_bytes: u64,
     max_seq: usize,
     compute_workers: usize,
-    precision: Precision,
     temperature: f32,
     tel: Telemetry,
     clock: Instant,
@@ -224,40 +222,35 @@ impl ServeEngine {
         } else {
             cfg.max_seq.min(mcfg.seq)
         };
-        let block_bytes = mcfg.block_params() * cfg.precision.param_bytes();
         // KV entries stay f32 on the device: decode math runs on full-width
         // activations even when parameters travel half-width.
         let kv_bytes_per_cache = (2 * max_seq * mcfg.hidden * 4) as u64;
         let kv_bytes = cfg.slots as u64 * layers as u64 * kv_bytes_per_cache;
-        // The serving analogue of `tune_limits`/`m_mem_max`: a fixed budget
-        // admits the largest window that fits beside the KV arena.
-        let window = match cfg.device_capacity {
-            Some(cap) => {
-                let m_max = (cap.saturating_sub(kv_bytes) / block_bytes).saturating_sub(1);
-                cfg.window.min(m_max.max(1) as usize).clamp(1, layers)
-            }
-            None => cfg.window.clamp(1, layers),
-        };
-        let capacity = cfg
-            .device_capacity
-            .unwrap_or((window as u64 + 1) * block_bytes + kv_bytes);
-        let device = Arc::new(HostDevice::with_telemetry(capacity, &tel));
         // The KV arena is carved out of the device pool up front and pinned
-        // for the engine's lifetime; slot reuse rewinds caches in place.
-        device.alloc(kv_bytes);
-
-        let mut store = Vec::with_capacity(layers);
-        let mut shells = Vec::with_capacity(window + 1);
-        for b in model.blocks.drain(..) {
-            store.push(b.flatten_params());
-            if shells.len() < window + 1 {
-                shells.push(b);
-            }
-        }
-        while shells.len() < window + 1 {
-            let src = shells[0].clone();
-            shells.push(src);
-        }
+        // for the engine's lifetime (slot reuse rewinds caches in place); a
+        // fixed budget admits the largest window that fits beside it — the
+        // serving analogue of `tune_limits`/`m_mem_max`.
+        // Each block is flattened into the store and dropped as the model is
+        // drained, so set-up never holds two copies of the parameters; the
+        // first one stays as the shell template.
+        let mut template = None;
+        let flats = (model.blocks.drain(..))
+            .map(|b| {
+                let flat = b.flatten_params();
+                template.get_or_insert(b);
+                flat
+            })
+            .collect();
+        let stream = LayerStream::new(
+            template.expect("at least one layer"),
+            layers,
+            cfg.precision,
+            cfg.window,
+            cfg.device_capacity,
+            kv_bytes,
+            &tel,
+        );
+        let store = LayerStore::without_moments(flats);
 
         let heads = mcfg.heads;
         let dh = mcfg.hidden / heads;
@@ -273,20 +266,14 @@ impl ServeEngine {
         ServeEngine {
             model,
             store,
-            shells,
-            prefetch_stage: Vec::new(),
-            prefetch_pack: PackedHalf::new(cfg.precision),
-            device,
+            stream,
             slots: (0..cfg.slots).map(|_| None).collect(),
             kv,
             batch: DecodeBatch::new(),
             queue: VecDeque::new(),
-            window,
-            block_bytes,
             kv_bytes,
             max_seq,
             compute_workers: cfg.compute_workers.max(1),
-            precision: cfg.precision,
             temperature: cfg.temperature,
             clock: Instant::now(),
             c_requests: tel.counter("serve.requests"),
@@ -331,7 +318,7 @@ impl ServeEngine {
 
     /// The resolved working-window size.
     pub fn window(&self) -> usize {
-        self.window
+        self.stream.window()
     }
 
     /// Bytes pinned by the KV arena.
@@ -342,21 +329,21 @@ impl ServeEngine {
     /// Per-layer parameter bytes as staged on the device (half-width in
     /// bf16/f16 modes).
     pub fn block_bytes(&self) -> u64 {
-        self.block_bytes
+        self.stream.block_bytes()
     }
 
     /// Total parameter bytes of the served model at FP32 (the host-side
     /// store): when this exceeds [`HostDevice::capacity`], the engine is
     /// serving a model larger than the device arena.
     pub fn param_bytes(&self) -> u64 {
-        self.store.iter().map(|l| l.len() as u64 * 4).sum::<u64>()
+        self.store.total_params() as u64 * 4
             + self.model.embedding.param_count() as u64 * 4
             + (self.model.lnf_g.numel() + self.model.lnf_b.numel()) as u64 * 4
     }
 
     /// The capacity-accounted device.
     pub fn device(&self) -> &HostDevice {
-        &self.device
+        self.stream.device()
     }
 
     /// The engine's telemetry handle.
@@ -508,71 +495,19 @@ impl ServeEngine {
         }
 
         // ---- one layer-streamed pass over the stacked sequences ----
-        let m = self.window;
-        let bb = self.block_bytes;
+        // Run the whole stack through each layer as it lands, then release
+        // the shell back to the window.
         let cw = self.compute_workers;
-        let precision = self.precision;
-        let device = Arc::clone(&self.device);
-        let tel = self.tel.clone();
-        let store = &self.store;
-        let stage = &mut self.prefetch_stage;
-        let pack = &mut self.prefetch_pack;
-        let batch = &mut self.batch;
-        let kv = &mut self.kv;
-        let (fp_tx, fp_rx) = bounded::<(usize, Block)>(m);
-        let (free_tx, free_rx) = bounded::<Block>(m + 1);
-        for sh in self.shells.drain(..) {
-            free_tx.send(sh).expect("seed free shells");
-        }
-
-        std::thread::scope(|scope| {
-            // Prefetcher: identical shape to the training H2D engine —
-            // recv a free shell, load the layer (through the half-width
-            // payload's value grid when configured), account the copy.
-            let device_pf = Arc::clone(&device);
-            let free_rx_pf = free_rx.clone();
-            let tel_pf = tel.clone();
-            scope.spawn(move || {
-                for (i, flat) in store.iter().enumerate() {
-                    let Ok(mut shell) = free_rx_pf.recv() else {
-                        return;
-                    };
-                    let span = tel_pf.span("h2d-copy", format!("h2d L{i}"));
-                    device_pf.begin_h2d();
-                    device_pf.alloc(bb);
-                    let h2d_bytes = if precision.is_half() {
-                        pack.pack_from(flat);
-                        stage.resize(flat.len(), 0.0);
-                        pack.unpack_into(stage);
-                        shell.load_flat_params(stage);
-                        pack.nbytes()
-                    } else {
-                        shell.load_flat_params(flat);
-                        (flat.len() * 4) as u64
-                    };
-                    device_pf.end_h2d(h2d_bytes);
-                    span.end();
-                    if fp_tx.send((i, shell)).is_err() {
-                        return;
-                    }
-                }
-            });
-
-            // Compute: run the whole stack through each layer as it lands,
-            // then release the shell back to the window.
-            while let Ok((i, block)) = fp_rx.recv() {
+        let (tel, batch, kv) = (&self.tel, &mut self.batch, &mut self.kv);
+        self.stream.run(&self.store, Pass::Forward, |feed| {
+            for layer_kv in kv.iter_mut() {
+                let (i, block) = feed.next();
                 let span = tel.span("serve-compute", format!("L{i}"));
-                batch.block_forward(&block, &mut kv[i], cw);
+                batch.block_forward(&block, layer_kv, cw);
                 span.end();
-                device.free(bb);
-                free_tx.send(block).expect("return shell");
+                feed.release(block);
             }
         });
-        drop(free_tx);
-        while let Ok(sh) = free_rx.try_recv() {
-            self.shells.push(sh);
-        }
-        debug_assert_eq!(self.shells.len(), m + 1, "window shells must all return");
 
         // ---- head + sampling + completion ----
         self.batch.head(&self.model);
@@ -714,6 +649,32 @@ mod tests {
             },
         );
         assert_eq!(eng.window(), 2, "window must be derived from the budget");
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot hold a window of one layer")]
+    fn budget_without_two_slots_beside_the_kv_arena_is_refused_at_construction() {
+        let mcfg = tiny(4);
+        let bb = mcfg.block_params() * 4;
+        let kv = ServeEngine::new(mcfg, 9, ServeConfig::default()).kv_arena_bytes();
+        ServeEngine::new(
+            mcfg,
+            9,
+            ServeConfig {
+                device_capacity: Some(kv + 2 * bb - 1),
+                ..ServeConfig::default()
+            },
+        );
+    }
+
+    #[test]
+    fn the_store_holds_parameters_only() {
+        let eng = ServeEngine::new(tiny(3), 9, ServeConfig::default());
+        for layer in 0..3 {
+            let adam = eng.store.adam_snapshot(layer);
+            assert!(adam.m.is_empty() && adam.v.is_empty(), "layer {layer}");
+        }
+        assert_eq!(eng.store.total_params() as u64, 3 * tiny(3).block_params());
     }
 
     #[test]

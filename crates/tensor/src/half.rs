@@ -266,8 +266,8 @@ impl Bf16Tensor {
 /// A flat packed half-precision buffer: the transfer payload of the
 /// mixed-precision offload runtime.
 ///
-/// The windowed/multistream backends pack an FP32 staging slice into one of
-/// these (the bytes that would cross the H2D/D2H link), account
+/// The layer stream (H2D) and the gradient-offload engine (D2H) pack FP32
+/// values into one of these (the bytes that would cross the link), account
 /// `nbytes() == 2 · len` of traffic, and unpack back to FP32 for the
 /// functional compute substrate — so device-resident values are exactly the
 /// round-through-half grid while CPU masters stay full precision. Packing

@@ -1,7 +1,8 @@
 //! The shared training engine, exercised end-to-end on every backend:
 //! LR schedules, global-norm clipping, hooks, and the universal
 //! checkpoint/resume format must behave identically whether parameters are
-//! resident, windowed through the device, or shared across streams.
+//! resident or windowed through the device, on one compute worker or
+//! several sharing the one parameter copy (§IV-A).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -10,7 +11,7 @@ use stronghold_core::adam::AdamParams;
 use stronghold_core::error::RuntimeError;
 use stronghold_core::hooks::HookPoint;
 use stronghold_core::host::{
-    EngineOptions, HostOffloadConfig, HostOffloadTrainer, HostResidentTrainer, MultiStreamTrainer,
+    EngineOptions, HostOffloadConfig, HostOffloadTrainer, HostResidentTrainer,
 };
 use stronghold_core::schedule::LrSchedule;
 use stronghold_core::telemetry::Telemetry;
@@ -48,26 +49,35 @@ fn hocfg() -> HostOffloadConfig {
     }
 }
 
+/// §IV-A's multi-stream configuration: `k` compute workers over the one
+/// copy of the parameters, gradients folded down the canonical tree.
+fn multi_worker(k: usize) -> HostOffloadConfig {
+    HostOffloadConfig {
+        compute_workers: k,
+        ..hocfg()
+    }
+}
+
 #[test]
 fn policy_is_identical_across_backends() {
-    // With a schedule *and* clipping active, all three backends must still
+    // With a schedule *and* clipping active, every backend shape must still
     // produce bit-identical parameters — the policy lives in one place.
     let cfg = tiny(4);
     let batch = batch_for(&cfg, 200);
 
     let mut resident = HostResidentTrainer::with_options(cfg, 8, opts());
     let mut offloaded = HostOffloadTrainer::new(cfg, 8, hocfg());
-    let mut multistream =
-        MultiStreamTrainer::with_options(cfg, 8, 1, 2, opts(), Telemetry::disabled());
+    let mut two_workers = HostOffloadTrainer::new(cfg, 8, multi_worker(2));
 
     for step in 0..6 {
         let lr = resident.train_step(&batch);
         let lo = offloaded.train_step(&batch);
-        let lm = multistream.train_step(&batch);
+        let lm = two_workers.train_step(&batch);
         assert_eq!(lr, lo, "resident vs offloaded loss at step {step}");
-        assert_eq!(lo, lm, "offloaded vs multistream loss at step {step}");
+        assert_eq!(lo, lm, "one vs two compute workers, loss at step {step}");
     }
     offloaded.flush();
+    two_workers.flush();
     for i in 0..cfg.layers {
         assert_eq!(
             resident.block_params(i),
@@ -76,8 +86,8 @@ fn policy_is_identical_across_backends() {
         );
         assert_eq!(
             offloaded.block_params(i),
-            multistream.block_params(i),
-            "offloaded vs multistream block {i}"
+            two_workers.block_params(i),
+            "one vs two compute workers, block {i}"
         );
     }
 }
@@ -116,67 +126,39 @@ fn checkpoint_roundtrip_resident() {
 fn checkpoint_roundtrip_offloaded() {
     let cfg = tiny(3);
     let batch = batch_for(&cfg, 202);
+    for hocfg in [hocfg(), multi_worker(2)] {
+        let mut straight = HostOffloadTrainer::new(cfg, 5, hocfg);
+        for _ in 0..6 {
+            straight.train_step(&batch);
+        }
+        straight.flush();
 
-    let mut straight = HostOffloadTrainer::new(cfg, 5, hocfg());
-    for _ in 0..6 {
-        straight.train_step(&batch);
-    }
-    straight.flush();
-
-    let mut first = HostOffloadTrainer::new(cfg, 5, hocfg());
-    for _ in 0..3 {
-        first.train_step(&batch);
-    }
-    let blob = first.save_training_state();
-    let mut resumed = HostOffloadTrainer::load_training_state(blob, cfg, hocfg()).unwrap();
-    assert_eq!(resumed.steps(), 3);
-    for _ in 0..3 {
-        resumed.train_step(&batch);
-    }
-    resumed.flush();
-    for i in 0..cfg.layers {
-        assert_eq!(
-            straight.block_params(i),
-            resumed.block_params(i),
-            "block {i}"
-        );
-    }
-}
-
-#[test]
-fn checkpoint_roundtrip_multistream() {
-    let cfg = tiny(3);
-    let batch = batch_for(&cfg, 203);
-    let build = || MultiStreamTrainer::with_options(cfg, 6, 2, 2, opts(), Telemetry::disabled());
-
-    let mut straight = build();
-    for _ in 0..6 {
-        straight.train_step(&batch);
-    }
-
-    let mut first = build();
-    for _ in 0..3 {
-        first.train_step(&batch);
-    }
-    let blob = first.save_training_state();
-    let mut resumed = MultiStreamTrainer::load_training_state(blob, cfg, 2, 2, opts()).unwrap();
-    assert_eq!(resumed.steps(), 3);
-    for _ in 0..3 {
-        resumed.train_step(&batch);
-    }
-    for i in 0..cfg.layers {
-        assert_eq!(
-            straight.block_params(i),
-            resumed.block_params(i),
-            "block {i}"
-        );
+        let mut first = HostOffloadTrainer::new(cfg, 5, hocfg);
+        for _ in 0..3 {
+            first.train_step(&batch);
+        }
+        let blob = first.save_training_state();
+        let mut resumed = HostOffloadTrainer::load_training_state(blob, cfg, hocfg).unwrap();
+        assert_eq!(resumed.steps(), 3);
+        for _ in 0..3 {
+            resumed.train_step(&batch);
+        }
+        resumed.flush();
+        for i in 0..cfg.layers {
+            assert_eq!(
+                straight.block_params(i),
+                resumed.block_params(i),
+                "block {i}, {} compute workers",
+                hocfg.compute_workers
+            );
+        }
     }
 }
 
 #[test]
 fn checkpoint_is_universal_across_backends() {
     // A blob saved by the offloaded trainer resumes bit-exactly on the
-    // resident *and* multistream trainers: one format, three backends.
+    // resident trainer and on a multi-worker offloaded one: one format.
     let cfg = tiny(3);
     let batch = batch_for(&cfg, 204);
 
@@ -193,12 +175,13 @@ fn checkpoint_is_universal_across_backends() {
 
     let mut as_resident =
         HostResidentTrainer::load_training_state(blob.clone(), cfg, opts()).unwrap();
-    let mut as_multistream =
-        MultiStreamTrainer::load_training_state(blob, cfg, 1, 2, opts()).unwrap();
+    let mut as_two_workers =
+        HostOffloadTrainer::load_training_state(blob, cfg, multi_worker(2)).unwrap();
     for _ in 0..3 {
         as_resident.train_step(&batch);
-        as_multistream.train_step(&batch);
+        as_two_workers.train_step(&batch);
     }
+    as_two_workers.flush();
     for i in 0..cfg.layers {
         assert_eq!(
             reference.block_params(i),
@@ -207,8 +190,8 @@ fn checkpoint_is_universal_across_backends() {
         );
         assert_eq!(
             reference.block_params(i),
-            as_multistream.block_params(i),
-            "offloaded blob -> multistream, block {i}"
+            as_two_workers.block_params(i),
+            "offloaded blob -> multi-worker offloaded, block {i}"
         );
     }
 }
@@ -322,26 +305,15 @@ fn hooks_fire_on_resident_backend() {
 fn hooks_fire_on_offloaded_backend() {
     let cfg = tiny(3);
     let batch = batch_for(&cfg, 206);
-    let mut t = HostOffloadTrainer::new(cfg, 10, hocfg());
-    let counts = counters();
-    register_all(t.hooks_mut(), cfg.layers, &counts);
-    for _ in 0..4 {
-        t.train_step(&batch);
+    for hocfg in [hocfg(), multi_worker(2)] {
+        let mut t = HostOffloadTrainer::new(cfg, 10, hocfg);
+        let counts = counters();
+        register_all(t.hooks_mut(), cfg.layers, &counts);
+        for _ in 0..4 {
+            t.train_step(&batch);
+        }
+        assert_hook_counts(&counts, cfg.layers as u64, 4);
     }
-    assert_hook_counts(&counts, cfg.layers as u64, 4);
-}
-
-#[test]
-fn hooks_fire_on_multistream_backend() {
-    let cfg = tiny(3);
-    let batch = batch_for(&cfg, 207);
-    let mut t = MultiStreamTrainer::with_options(cfg, 11, 2, 2, opts(), Telemetry::disabled());
-    let counts = counters();
-    register_all(t.hooks_mut(), cfg.layers, &counts);
-    for _ in 0..4 {
-        t.train_step(&batch);
-    }
-    assert_hook_counts(&counts, cfg.layers as u64, 4);
 }
 
 #[test]

@@ -13,6 +13,7 @@ use stronghold_core::schedule::LrSchedule;
 use stronghold_core::telemetry::Telemetry;
 use stronghold_integration_tests::batch_for;
 use stronghold_model::config::tiny;
+use stronghold_model::data::SyntheticCorpus;
 
 fn adam() -> AdamParams {
     AdamParams {
@@ -111,6 +112,47 @@ fn worker_count_does_not_change_results() {
             .collect::<Vec<_>>()
     };
     assert_eq!(run(1), run(8), "optimizer concurrency must be invisible");
+}
+
+/// §IV-A's property, exactly: `k` compute workers over the one parameter
+/// copy. A batch of 5 splits into uneven chunks (3 + 2 for two workers,
+/// 2 + 2 + 1 for three), yet per-sample gradients still fold down the
+/// canonical tree, so the chunking never reaches the bits.
+#[test]
+fn compute_worker_chunking_is_bit_identical_to_resident() {
+    let cfg = tiny(4);
+    let batch = SyntheticCorpus::new(cfg.vocab, 112).next_batch(5, cfg.seq - 1);
+    let mut resident = HostResidentTrainer::new(cfg, 12, adam());
+    let mut workers: Vec<HostOffloadTrainer> = [2usize, 3]
+        .iter()
+        .map(|&compute_workers| {
+            HostOffloadTrainer::new(
+                cfg,
+                12,
+                HostOffloadConfig {
+                    compute_workers,
+                    adam: adam(),
+                    ..HostOffloadConfig::default()
+                },
+            )
+        })
+        .collect();
+    for step in 0..4 {
+        let lr = resident.train_step(&batch);
+        for t in workers.iter_mut() {
+            assert_eq!(lr, t.train_step(&batch), "loss diverged at step {step}");
+        }
+    }
+    for t in &workers {
+        t.flush();
+        for i in 0..cfg.layers {
+            assert_eq!(
+                t.block_params(i),
+                resident.block_params(i),
+                "block {i} parameters diverged"
+            );
+        }
+    }
 }
 
 #[test]

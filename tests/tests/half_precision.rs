@@ -10,19 +10,18 @@
 //! - `Bf16`/`F16` — H2D and D2H traffic **exactly** halved (zero
 //!   tolerance), the same device-capacity budget admits a window twice as
 //!   deep, parameters stay within the divergence bound stated in
-//!   DESIGN.md, and the trajectory is deterministic: windowed ≡
-//!   multistream bitwise, worker counts don't matter, checkpoints
-//!   round-trip bit-exact FP32 masters across precision modes.
+//!   DESIGN.md, and the trajectory is deterministic: window, worker
+//!   counts and dispatch mode don't matter, checkpoints round-trip
+//!   bit-exact FP32 masters across precision modes.
 
 use bytes::Bytes;
 use stronghold_core::adam::AdamParams;
 use stronghold_core::analytic::solve_window;
 use stronghold_core::host::profiler::measure_host_profile_with_precision;
 use stronghold_core::host::{
-    DataParallelConfig, DataParallelTrainer, EngineOptions, HostOffloadConfig, HostOffloadTrainer,
-    HostResidentTrainer, MultiStreamTrainer,
+    DataParallelConfig, DataParallelTrainer, HostOffloadConfig, HostOffloadTrainer,
+    HostResidentTrainer,
 };
-use stronghold_core::telemetry::Telemetry;
 use stronghold_integration_tests::batch_for;
 use stronghold_model::config::{tiny, ModelConfig};
 use stronghold_tensor::Precision;
@@ -234,54 +233,19 @@ fn half_mode_divergence_is_bounded_and_nonzero() {
     }
 }
 
-/// Determinism inside a half mode: the windowed trainer and the
-/// multi-stream trainer agree bitwise (both round through the same packed
-/// format at the same points), and worker counts / dispatch modes don't
-/// perturb the trajectory.
-#[test]
-fn bf16_windowed_matches_multistream_bitwise() {
-    let cfg = tiny(4);
-    let batch = batch_for(&cfg, 59);
-    let opts = EngineOptions {
-        adam: adam(),
-        precision: Precision::Bf16,
-        ..EngineOptions::default()
-    };
-    let mut windowed = HostOffloadTrainer::new(cfg, SEED, hocfg(Precision::Bf16, 2));
-    let mut multistream =
-        MultiStreamTrainer::with_options(cfg, SEED, 1, 2, opts, Telemetry::disabled());
-    assert_eq!(multistream.precision(), Precision::Bf16);
-    for step in 0..4 {
-        let lw = windowed.train_step(&batch);
-        let lm = multistream.train_step(&batch);
-        assert_eq!(
-            lw.to_bits(),
-            lm.to_bits(),
-            "windowed vs multistream loss at step {step}"
-        );
-    }
-    windowed.flush();
-    for i in 0..cfg.layers {
-        assert_eq!(
-            windowed.block_params(i),
-            multistream.block_params(i),
-            "block {i} diverged"
-        );
-    }
-}
-
 /// Worker counts, dispatch mode, and window size are invisible to the
 /// half-mode trajectory, exactly as they are to FP32.
 #[test]
 fn bf16_trajectory_invariant_to_pipeline_shape() {
     let cfg = tiny(4);
     let batch = batch_for(&cfg, 60);
-    let run = |window: usize, offload_workers: usize, streaming: bool| {
+    let run = |window: usize, offload_workers: usize, compute_workers: usize, streaming: bool| {
         let mut t = HostOffloadTrainer::new(
             cfg,
             SEED,
             HostOffloadConfig {
                 offload_workers,
+                compute_workers,
                 // Deferred dispatch is selected by a within-budget clip
                 // threshold (`clip_scale` exactly 1.0, bits untouched).
                 clip_norm: if streaming { None } else { Some(f32::MAX) },
@@ -293,15 +257,18 @@ fn bf16_trajectory_invariant_to_pipeline_shape() {
         let params: Vec<Vec<f32>> = (0..cfg.layers).map(|i| t.block_params(i)).collect();
         (losses, params)
     };
-    let reference = run(2, 1, false);
+    let reference = run(2, 1, 1, false);
     for window in [1usize, 2, 4] {
         for offload_workers in [1usize, 2] {
-            for streaming in [false, true] {
-                assert_eq!(
-                    reference,
-                    run(window, offload_workers, streaming),
-                    "window={window} offload_workers={offload_workers} streaming={streaming}"
-                );
+            for compute_workers in [1usize, 2] {
+                for streaming in [false, true] {
+                    assert_eq!(
+                        reference,
+                        run(window, offload_workers, compute_workers, streaming),
+                        "window={window} offload_workers={offload_workers} \
+                         compute_workers={compute_workers} streaming={streaming}"
+                    );
+                }
             }
         }
     }
