@@ -16,6 +16,20 @@ if [ "$loads" != "crates/core/src/host/profiler.rs crates/core/src/host/resident
     echo "layer-stream code outside host/stream.rs: load_flat_params in [$loads], shell channels in [$channels]"
     exit 1
 fi
+# Half conversion on a step path exists once, in `tensor` (the fused
+# round-copy behind `load_flat_params_as` / `flatten_into_as`): the packed
+# pack / unpack / round-through forms are the oracle and may appear in
+# `core` only inside its `#[cfg(test)]` modules.
+packed=$(find crates/core/src -name '*.rs' -exec awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /pack_from|unpack_into|round_through/ { print FILENAME ":" FNR ": " $0 }
+' {} +)
+if [ -n "$packed" ]; then
+    echo "packed half conversion on a core step path:"
+    echo "$packed"
+    exit 1
+fi
 
 echo "==> cargo build --release"
 cargo build --release
@@ -47,6 +61,10 @@ STRONGHOLD_OBENCH_QUICK=1 BENCH_OPS_OUT="$OPS_SMOKE_OUT" cargo bench --bench ops
 test -s "$OPS_SMOKE_OUT"
 grep -q '"mode": "quick"' "$OPS_SMOKE_OUT"
 grep -q '"ns_new"' "$OPS_SMOKE_OUT"
+# The two bandwidth inputs of a streamed step's time floor.
+grep -q '"op": "adam_bw_floor"' "$OPS_SMOKE_OUT"
+grep -q '"op": "round_copy_bf16"' "$OPS_SMOKE_OUT"
+grep -q '"gbps"' "$OPS_SMOKE_OUT"
 
 echo "==> dp-bench smoke (quick mode)"
 # Bounded weak-scaling sweep: catches dp bench bit-rot and BENCH_dp.json
@@ -71,6 +89,8 @@ benchmark/check.sh
 # test binary (matmul::stats is process-global); run it by name so a
 # filtered or partial test run cannot skip it.
 cargo test -q -p stronghold-integration-tests --test serve_gemm_calls
+# Same for the half-precision pass count (`ops::stats` is process-global).
+cargo test -q -p stronghold-integration-tests --test half_pass_count
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

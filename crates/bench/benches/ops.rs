@@ -2,7 +2,8 @@
 //!
 //! Covers layernorm fwd/bwd, GELU fwd/bwd, row softmax fwd/bwd, bias
 //! add/grad, add/axpy, and the fused Adam step over GPT activation row
-//! shapes (`[tokens, d_model]`) and cache-resident flat Adam sizes.
+//! shapes (`[tokens, d_model]`) and cache-resident flat Adam sizes, plus the
+//! layer stream's fused half-precision round-copy over one streamed block.
 //! Reports per-op wall time and writes the whole sweep to `BENCH_ops.json`
 //! (override the path with `BENCH_OPS_OUT`) so the op perf trajectory is
 //! diffable across PRs.
@@ -16,9 +17,10 @@
 use std::time::Instant;
 
 use serde_json::{Map, Value};
+use stronghold_model::config::ModelConfig;
 use stronghold_tensor::init::{normal, seeded_rng};
-use stronghold_tensor::ops;
-use stronghold_tensor::{scratch, Tensor};
+use stronghold_tensor::{ops, simd};
+use stronghold_tensor::{scratch, Precision, Tensor};
 
 /// Best-of-`reps` wall nanoseconds for `f`. One untimed warmup call
 /// first, so one-time costs (ISA detection, scratch-pool growth) don't
@@ -39,6 +41,9 @@ struct Row {
     rows: usize,
     cols: usize,
     ns_new: f64,
+    /// Bytes the op touches per element, for the rows that measure memory
+    /// bandwidth (reported as `gbps`).
+    bytes_per_elem: Option<usize>,
 }
 
 /// Benchmarks every row-shaped op at `[rows, cols]`, pushing one result
@@ -57,6 +62,7 @@ fn sweep_row_ops(rows: usize, cols: usize, reps: usize, out: &mut Vec<Row>) {
             rows,
             cols,
             ns_new,
+            bytes_per_elem: None,
         })
     };
 
@@ -193,6 +199,7 @@ fn sweep_adam(n: usize, reps: usize, out: &mut Vec<Row>) {
         rows: 1,
         cols: n,
         ns_new,
+        bytes_per_elem: None,
     });
     let ns_floor = time_ns(reps, || {
         adam_traffic_floor(&mut params, &grads, &mut m, &mut v);
@@ -203,7 +210,34 @@ fn sweep_adam(n: usize, reps: usize, out: &mut Vec<Row>) {
         rows: 1,
         cols: n,
         ns_new: ns_floor,
+        // Read p/g/m/v, write p/m/v.
+        bytes_per_elem: Some(28),
     });
+}
+
+/// Benchmarks the layer stream's fused round-copy (read f32, round through
+/// the half format, write f32: 8 B/element) over one flat `n`-parameter
+/// block — with `adam_bw_floor`, the two bandwidths a streamed step's time
+/// floor is made of.
+fn sweep_round_copy(n: usize, reps: usize, out: &mut Vec<Row>) {
+    let src: Vec<f32> = normal([n], 0.5, &mut seeded_rng(0xC0F)).into_vec();
+    let mut dst = vec![0.0f32; n];
+    for (op, precision) in [
+        ("round_copy_bf16", Precision::Bf16),
+        ("round_copy_f16", Precision::F16),
+    ] {
+        let ns_new = time_ns(reps, || {
+            simd::round_copy(precision, &src, &mut dst);
+            std::hint::black_box(&dst);
+        });
+        out.push(Row {
+            op,
+            rows: 1,
+            cols: n,
+            ns_new,
+            bytes_per_elem: Some(8),
+        });
+    }
 }
 
 fn main() {
@@ -216,7 +250,10 @@ fn main() {
     });
     // Row shapes are GPT activations [tokens, d_model] (plus the 4·d MLP
     // width); Adam sizes are cache-resident square parameter groups, so
-    // the sweep measures kernel throughput rather than DRAM bandwidth.
+    // the sweep measures kernel throughput rather than DRAM bandwidth. The
+    // round-copy runs over one block of strongbench's 8 x 512 streamed
+    // model (3.15 M elements), which is DRAM-bound by design.
+    let block = |h: usize| ModelConfig::new(1, h, 1).block_params() as usize;
     let (row_shapes, adam_sizes, reps): (&[(usize, usize)], &[usize], usize) = if quick {
         (&[(64, 96)], &[96 * 96], 1)
     } else {
@@ -243,19 +280,34 @@ fn main() {
     for &n in adam_sizes {
         sweep_adam(n, reps, &mut results);
     }
+    sweep_round_copy(block(if quick { 32 } else { 512 }), reps, &mut results);
 
-    println!("{:<15} {:>6} {:>6}  {:>12}", "op", "rows", "cols", "ns");
+    println!(
+        "{:<15} {:>6} {:>8}  {:>12}  {:>6}",
+        "op", "rows", "cols", "ns", "GB/s"
+    );
     let mut rows_json: Vec<Value> = Vec::new();
     for r in &results {
+        // Bytes per nanosecond is GB/s.
+        let gbps = r
+            .bytes_per_elem
+            .map(|b| (r.rows * r.cols * b) as f64 / r.ns_new);
         println!(
-            "{:<15} {:>6} {:>6}  {:>12.0}",
-            r.op, r.rows, r.cols, r.ns_new
+            "{:<15} {:>6} {:>8}  {:>12.0}  {}",
+            r.op,
+            r.rows,
+            r.cols,
+            r.ns_new,
+            gbps.map_or(String::new(), |g| format!("{g:>6.1}"))
         );
         let mut row = Map::new();
         row.insert("op".into(), Value::from(r.op));
         row.insert("rows".into(), Value::from(r.rows as u64));
         row.insert("cols".into(), Value::from(r.cols as u64));
         row.insert("ns_new".into(), Value::from(r.ns_new));
+        if let Some(g) = gbps {
+            row.insert("gbps".into(), Value::from(g));
+        }
         rows_json.push(Value::Object(row));
     }
 

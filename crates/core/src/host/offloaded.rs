@@ -24,7 +24,7 @@
 //! [`WindowedBackend`] mechanism plus a thin facade.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use crossbeam_channel::bounded;
@@ -32,7 +32,7 @@ use stronghold_collective::order::{fold_with, tree_sum, FoldPlan};
 use stronghold_model::block::{Block, BlockGrads};
 use stronghold_model::config::ModelConfig;
 use stronghold_model::transformer::{Transformer, TransformerGrads};
-use stronghold_tensor::{scratch, PackedHalf, Precision, Tensor};
+use stronghold_tensor::{scratch, Precision, Tensor};
 
 use crate::adam::{AdamParams, AdamState};
 use crate::clip::GlobalNorm;
@@ -254,7 +254,9 @@ pub struct WindowedBackend {
     /// The H2D side: device arena, `m+1` shells, prefetcher.
     stream: LayerStream,
     tel: Telemetry,
-    /// Per-layer gradient accumulators, zeroed (not reallocated) each step.
+    /// Per-layer gradient buffers (never reallocated). Each step, BP swaps
+    /// one for its layer's fold root — the old contents are never read, the
+    /// next fold leaf overwrites them — and the offload engine returns it.
     step_grads: Vec<BlockGrads>,
     /// Per-sample BP gradient scratch, zeroed per sample in the inner loop.
     sample_grads: BlockGrads,
@@ -279,9 +281,6 @@ pub struct WindowedBackend {
     /// single-replica run over the whole batch) and `forward_backward`
     /// returns the *raw* shard loss partial for the driver to combine.
     global_batch: Option<usize>,
-    /// Recycled half-precision packing buffers for the D2H offload workers
-    /// (scoped threads are fresh each step, so reuse lives here).
-    pack_pool: Mutex<Vec<PackedHalf>>,
     /// Gradient-offload (D2H) engine threads; see
     /// [`HostOffloadConfig::offload_workers`].
     offload_workers: usize,
@@ -363,7 +362,6 @@ impl WindowedBackend {
             loss_buf: Vec::new(),
             norm_bits: (0..cfg.layers).map(|_| AtomicU64::new(0)).collect(),
             global_batch: None,
-            pack_pool: Mutex::new(Vec::new()),
             offload_workers: hocfg.offload_workers.max(1),
             compute_workers: hocfg.compute_workers.max(1),
             d2h_wait_ns: AtomicU64::new(0),
@@ -462,10 +460,10 @@ impl ParamBackend for WindowedBackend {
     /// critical path, so layer `i`'s D2H overlaps layer `i−1`'s backward.
     ///
     /// Steady-state the loop performs no per-element heap allocation: the
-    /// gradient accumulators, head scratches, and the H2D/D2H staging
-    /// buffers are backend/workspace fields that are zeroed/overwritten
-    /// each step, and all activation tensors cycle through the thread-local
-    /// scratch pool. Zeroing a reused buffer and allocating a fresh zeroed
+    /// gradient accumulators, head scratches, and the D2H buffers are
+    /// backend/workspace fields that are zeroed/overwritten each step, and
+    /// all activation tensors cycle through the thread-local scratch pool.
+    /// Zeroing a reused buffer and allocating a fresh zeroed
     /// one are the same FP op sequence, so bit-equality with the resident
     /// trainer is preserved.
     fn forward_backward(
@@ -492,9 +490,6 @@ impl ParamBackend for WindowedBackend {
             micro_batch: 0,
         };
 
-        for g in self.step_grads.iter_mut() {
-            g.zero_();
-        }
         while self.head_scratches.len() < b {
             self.head_scratches.push(self.shell.zero_grads());
         }
@@ -563,26 +558,12 @@ impl ParamBackend for WindowedBackend {
             pool.submit_owned(layer, buf, hp);
         };
         let d2h_wait_ns = &self.d2h_wait_ns;
-        // Half-precision D2H: the flat gradient is rounded through the
-        // packed transfer format (the payload that would cross the link —
-        // `2` bytes per element) and the optimizer ingests the rounded f32
-        // values against its FP32 masters ("convert-on-ingest"). Packing
-        // buffers recycle through the backend pool because the offload
-        // workers are fresh scoped threads each step. Returns the bytes
-        // moved.
+        // Half-precision D2H: the gradient is rounded through the transfer
+        // format while it is flattened, and the optimizer ingests the
+        // rounded f32 values against its FP32 masters ("convert-on-ingest").
+        // The half-width payload is accounted, not materialised.
         let precision = self.stream.precision();
-        let pack_pool = &self.pack_pool;
-        let round_half = move |buf: &mut [f32]| -> u64 {
-            let mut pack = pack_pool
-                .lock()
-                .expect("pack pool")
-                .pop()
-                .unwrap_or_else(|| PackedHalf::new(precision));
-            pack.round_through(buf);
-            let n = pack.nbytes();
-            pack_pool.lock().expect("pack pool").push(pack);
-            n
-        };
+        let block_bytes = self.stream.block_bytes();
         let offload = move |job: OffloadJob<'_>| -> (usize, BlockGrads) {
             let OffloadJob {
                 layer,
@@ -595,29 +576,18 @@ impl ParamBackend for WindowedBackend {
             d2h_wait_ns.fetch_add(enqueue_at.elapsed().as_nanos() as u64, Ordering::Relaxed);
             let span = tel_off.span("d2h-copy", format!("d2h L{layer}"));
             device_off.begin_d2h();
-            let bytes;
             if streaming {
                 // Flatten straight into a recycled pool buffer: the D2H
                 // copy *is* the optimizer hand-off, no second copy. The
                 // sink decides when the buffer reaches `deliver` (a
                 // reducing sink may park it in a bucket first).
                 let mut buf = pool.recycled_buffer();
-                grads.flatten_into(&mut buf);
-                bytes = if precision.is_half() {
-                    round_half(&mut buf)
-                } else {
-                    (buf.len() * 4) as u64
-                };
+                grads.flatten_into_as(&mut buf, precision);
                 sink.layer_ready(layer, buf, &deliver);
             } else {
-                grads.flatten_into(dst);
-                bytes = if precision.is_half() {
-                    round_half(dst)
-                } else {
-                    (dst.len() * 4) as u64
-                };
+                grads.flatten_into_as(dst, precision);
             }
-            device_off.end_d2h(bytes);
+            device_off.end_d2h(block_bytes);
             span.end();
             c_grad_off.incr();
             (layer, grads)
@@ -701,17 +671,14 @@ impl ParamBackend for WindowedBackend {
                     let mut sg = self.step_grads.pop().expect("step-grad accumulator");
                     // Deterministic fan-in: per-sample raw gradients fold down
                     // the canonical pairwise tree (leaf = scaled sample gradient
-                    // in a zeroed slot) — the same association the resident
+                    // added to zero) — the same association the resident
                     // trainer and every other fan-in in the repo use.
                     if cw > 1 {
                         parallel_backward(&block, &inputs[i], &mut dy, &mut self.bp_slots[..b], cw);
                         fold_with(
                             &self.fold_plan,
                             &mut self.bp_fold_slots,
-                            |s, slot| {
-                                slot.zero_();
-                                slot.accumulate_scaled(&self.bp_slots[s], scale);
-                            },
+                            |s, slot| slot.set_scaled(&self.bp_slots[s], scale),
                             |acc, part| acc.accumulate(part),
                         );
                     } else {
@@ -730,8 +697,7 @@ impl ParamBackend for WindowedBackend {
                                 );
                                 cache.recycle();
                                 scratch::give(std::mem::replace(&mut dy[s], dxs));
-                                slot.zero_();
-                                slot.accumulate_scaled(&self.sample_grads, scale);
+                                slot.set_scaled(&self.sample_grads, scale);
                             },
                             |acc, part| acc.accumulate(part),
                         );

@@ -36,8 +36,9 @@ pub fn measure_host_profile(
     measure_host_profile_with_precision(cfg, seed, batch, iters, stronghold_tensor::Precision::F32)
 }
 
-/// [`measure_host_profile`] with the per-layer transfer sizes scaled to
-/// `precision` — half modes report `param_count · 2` bytes per block, the
+/// [`measure_host_profile`] at a transfer `precision`: `t_c2g` / `t_g2c`
+/// time the precision-aware shell load and gradient flatten the layer stream
+/// itself runs, and half modes report `param_count · 2` bytes per block, the
 /// payload [`crate::host::HostOffloadConfig`]'s mixed-precision pipeline
 /// actually moves, so [`crate::analytic::solve_window`] derives the doubled
 /// `m_mem_max` from the same device capacity.
@@ -58,6 +59,11 @@ pub fn measure_host_profile_with_precision(
     let mut t_bp = vec![zero; total];
     let mut t_c2g = vec![zero; total];
     let mut t_g2c = vec![zero; total];
+    // What the stream copies from and into: the store's flat masters, one
+    // device shell, one recycled gradient buffer.
+    let flats: Vec<Vec<f32>> = model.blocks.iter().map(|b| b.flatten_params()).collect();
+    let mut shell = model.blocks[0].clone();
+    let mut flat_grads = Vec::new();
 
     for _ in 0..iters {
         // Embedding forward.
@@ -69,13 +75,11 @@ pub fn measure_host_profile_with_precision(
         let mut inputs = Vec::with_capacity(n);
         for i in 0..n {
             let t0 = Instant::now();
-            let flat = model.blocks[i].flatten_params();
-            let mut shadow = model.blocks[i].clone();
-            shadow.load_flat_params(&flat);
+            shell.load_flat_params_as(&flats[i], precision);
             t_c2g[i + 1] += elapsed(t0);
             inputs.push(xs.clone());
             let t0 = Instant::now();
-            xs = xs.iter().map(|x| shadow.forward_no_cache(x)).collect();
+            xs = xs.iter().map(|x| shell.forward_no_cache(x)).collect();
             t_fp[i + 1] += elapsed(t0);
         }
 
@@ -101,7 +105,7 @@ pub fn measure_host_profile_with_precision(
             }
             t_bp[i + 1] += elapsed(t0);
             let t0 = Instant::now();
-            let _flat = grads.flatten_all();
+            grads.flatten_into_as(&mut flat_grads, precision);
             t_g2c[i + 1] += elapsed(t0);
         }
     }
@@ -177,18 +181,6 @@ pub fn measure_tier_bandwidths(
         file_read_bytes_per_ns: bytes / read_ns,
         file_write_bytes_per_ns: bytes / write_ns,
     })
-}
-
-/// Extension: flatten every gradient group of a block into one vector
-/// (helper used by the profiler's D2H timing).
-trait FlattenAll {
-    fn flatten_all(&self) -> Vec<f32>;
-}
-
-impl FlattenAll for stronghold_model::block::BlockGrads {
-    fn flatten_all(&self) -> Vec<f32> {
-        self.flatten()
-    }
 }
 
 #[cfg(test)]

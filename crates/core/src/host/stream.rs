@@ -23,7 +23,7 @@ use std::time::Instant;
 use crossbeam_channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use stronghold_model::block::{Block, BlockGrads};
-use stronghold_tensor::{PackedHalf, Precision};
+use stronghold_tensor::Precision;
 
 use crate::host::device::HostDevice;
 use crate::optimpool::LayerStore;
@@ -40,41 +40,17 @@ pub(crate) enum Pass {
     ForwardBackward,
 }
 
-/// Half-precision transfer staging: the packed payload that crosses the
-/// link and the FP32 buffer it unpacks into on the device side.
-struct HalfStage {
-    pack: PackedHalf,
-    unpacked: Vec<f32>,
-}
-
-/// The device shells with the staging that fills them.
-struct Shells {
-    blocks: Vec<Block>,
-    /// `Some` exactly in the half modes.
-    half: Option<HalfStage>,
-}
-
 /// Turns one store layer into a loaded shell — the only place in the crate
-/// that does. At F32 the shell loads straight from the master slice. In a
-/// half mode the masters are packed into the half-width transfer payload and
-/// the shell receives the round-through values: the device computes on the
-/// half grid while the store keeps full masters, and because the rounding is
-/// idempotent a re-fetch of an unchanged layer reloads identical bits.
-/// Returns the bytes that cross the link.
-fn load(shell: &mut Block, masters: &[f32], half: Option<&mut HalfStage>) -> u64 {
-    match half {
-        Some(HalfStage { pack, unpacked }) => {
-            pack.pack_from(masters);
-            unpacked.resize(masters.len(), 0.0);
-            pack.unpack_into(unpacked);
-            shell.load_flat_params(unpacked);
-            pack.nbytes()
-        }
-        None => {
-            shell.load_flat_params(masters);
-            (masters.len() * 4) as u64
-        }
-    }
+/// that does — in one pass over the master slice: a plain copy at F32, and
+/// in a half mode each value is rounded through the transfer format on its
+/// way into the shell. The device computes on the half grid while the store
+/// keeps full masters, and because the rounding is idempotent a re-fetch of
+/// an unchanged layer reloads identical bits. The half-width payload itself
+/// is never materialised (the link is a memcpy; its cost is the bytes
+/// touched), only accounted: returns the bytes that cross the link.
+fn load(shell: &mut Block, masters: &[f32], precision: Precision) -> u64 {
+    shell.load_flat_params_as(masters, precision);
+    masters.len() as u64 * precision.param_bytes()
 }
 
 /// What the two ends of a running pass share: the device the shells live
@@ -104,9 +80,10 @@ struct Link {
 /// for training, moment-free for serving). See the module docs.
 pub(crate) struct LayerStream {
     link: Link,
-    /// Behind a lock only so the `&self` evaluation paths can borrow a
-    /// shell; [`LayerStream::run`] goes through `get_mut`.
-    shells: Mutex<Shells>,
+    /// The `m + 1` device shells. Behind a lock only so the `&self`
+    /// evaluation paths can borrow one; [`LayerStream::run`] goes through
+    /// `get_mut`.
+    shells: Mutex<Vec<Block>>,
     precision: Precision,
     /// Device bytes pinned beside the shells for the stream's lifetime (the
     /// serving KV arena; zero for training).
@@ -172,13 +149,7 @@ impl LayerStream {
                 h_shell_wait: tel.histogram("prefetch.shell_wait_ns"),
                 h_fetch_wait: tel.histogram("prefetch.fetch_wait_ns"),
             },
-            shells: Mutex::new(Shells {
-                blocks: vec![template],
-                half: precision.is_half().then(|| HalfStage {
-                    pack: PackedHalf::new(precision),
-                    unpacked: Vec::new(),
-                }),
-            }),
+            shells: Mutex::new(vec![template]),
             precision,
             reserved,
             capacity_budget: device_capacity,
@@ -190,7 +161,7 @@ impl LayerStream {
 
     /// The working-window size `m` in force.
     pub(crate) fn window(&self) -> usize {
-        self.shells.lock().blocks.len() - 1
+        self.shells.lock().len() - 1
     }
 
     /// Largest window the device arena admits.
@@ -215,12 +186,12 @@ impl LayerStream {
 
     /// Flat parameter count of one block.
     pub(crate) fn block_elems(&self) -> usize {
-        self.shells.lock().blocks[0].param_count()
+        self.shells.lock()[0].param_count()
     }
 
     /// A zeroed gradient accumulator shaped like one block.
     pub(crate) fn zero_grads(&self) -> BlockGrads {
-        self.shells.lock().blocks[0].zero_grads()
+        self.shells.lock()[0].zero_grads()
     }
 
     /// Cumulative `(fetch_wait_ns, shell_wait_ns)` — the autotuner's two
@@ -238,7 +209,7 @@ impl LayerStream {
     /// tracks `reserved + (m + 1)` slots; a fixed budget never moves.
     pub(crate) fn resize(&mut self, m: usize) {
         let m = m.clamp(1, self.window_max);
-        let blocks = &mut self.shells.get_mut().blocks;
+        let blocks = self.shells.get_mut();
         let template = blocks[0].clone();
         blocks.resize(m + 1, template);
         if self.capacity_budget.is_none() {
@@ -256,11 +227,10 @@ impl LayerStream {
         store: &LayerStore,
         mut per_layer: impl FnMut(&Block, usize),
     ) {
-        let mut guard = self.shells.lock();
-        let Shells { blocks, half } = &mut *guard;
+        let shell = &mut self.shells.lock()[0];
         for i in 0..store.len() {
-            store.with_params(i, |p| load(&mut blocks[0], p, half.as_mut()));
-            per_layer(&blocks[0], i);
+            store.with_params(i, |p| load(shell, p, self.precision));
+            per_layer(shell, i);
         }
     }
 
@@ -270,8 +240,8 @@ impl LayerStream {
         let shells = self.shells.lock();
         (0..store.len())
             .map(|i| {
-                let mut block = shells.blocks[0].clone();
-                store.with_params(i, |p| load(&mut block, p, None));
+                let mut block = shells[0].clone();
+                store.with_params(i, |p| load(&mut block, p, Precision::F32));
                 block
             })
             .collect()
@@ -293,7 +263,7 @@ impl LayerStream {
         consume: impl FnOnce(&mut Feed<'_>) -> R,
     ) -> R {
         let link = &self.link;
-        let Shells { blocks, half } = self.shells.get_mut();
+        let blocks = self.shells.get_mut();
         let m = blocks.len() - 1;
         let (ready_tx, ready_rx) = bounded::<(usize, Block)>(m);
         let (free_tx, free_rx) = bounded::<Block>(m + 1);
@@ -304,7 +274,7 @@ impl LayerStream {
         let prefetcher = Prefetcher {
             link,
             store,
-            half: half.as_mut(),
+            precision: self.precision,
             free: free_rx.clone(),
             ready: ready_tx,
         };
@@ -339,7 +309,7 @@ impl LayerStream {
 struct Prefetcher<'a> {
     link: &'a Link,
     store: &'a LayerStore,
-    half: Option<&'a mut HalfStage>,
+    precision: Precision,
     free: Receiver<Block>,
     ready: Sender<(usize, Block)>,
 }
@@ -352,7 +322,7 @@ impl Prefetcher<'_> {
     /// no-op for resident layers and for layers whose update is still in
     /// flight; the read then falls back to a demand fill). Returns early
     /// when the consumer has gone away.
-    fn run(mut self, pass: Pass, m: usize) {
+    fn run(self, pass: Pass, m: usize) {
         let n = self.store.len();
         let total = match pass {
             Pass::Forward => n,
@@ -380,7 +350,7 @@ impl Prefetcher<'_> {
     /// it: blocks while the layer's update from the previous iteration is
     /// pending, allocates the slot, loads, accounts the traffic. `None`
     /// when no shell will ever come back.
-    fn fetch(&mut self, layer: usize, refetch: bool) -> Option<Block> {
+    fn fetch(&self, layer: usize, refetch: bool) -> Option<Block> {
         let Link { device, tel, .. } = self.link;
         self.link.c_issued.incr();
         let t0 = tel.now_nanos();
@@ -400,7 +370,7 @@ impl Prefetcher<'_> {
         device.begin_h2d();
         let bytes = self.store.with_params(layer, |masters| {
             device.alloc(self.link.block_bytes);
-            load(&mut shell, masters, self.half.as_deref_mut())
+            load(&mut shell, masters, self.precision)
         });
         device.end_h2d(bytes);
         span.end();
@@ -459,6 +429,7 @@ mod tests {
     use std::time::Duration;
     use stronghold_model::config::tiny;
     use stronghold_model::transformer::Transformer;
+    use stronghold_tensor::PackedHalf;
 
     const RESERVED: u64 = 4096;
 

@@ -15,7 +15,7 @@
 //! Mixed precision (ZeRO-Offload-style split): the store always holds
 //! **FP32 master** parameters and Adam moments, regardless of the trainer's
 //! device/transfer precision. Under a half mode the backends round
-//! gradients through the packed transfer format *before* submission
+//! gradients through the transfer format *before* submission
 //! ("convert-on-ingest" — the `Vec<f32>` arriving here already carries the
 //! half-grid values), so the fused AdamW step below runs unchanged at the
 //! memory-bandwidth floor and checkpoints serialize bit-exact FP32 masters.

@@ -7,11 +7,12 @@ use stronghold_tensor::attention::{
 };
 use stronghold_tensor::linear::{Linear, LinearGrads};
 use stronghold_tensor::ops::{
-    add, add_assign, axpy, gelu, gelu_backward, gelu_into, layernorm, layernorm_backward,
-    layernorm_into, LayerNormCache,
+    add, add_assign, axpy, axpy_from_zero, gelu, gelu_backward, gelu_into, layernorm,
+    layernorm_backward, layernorm_into, LayerNormCache,
 };
 use stronghold_tensor::scratch;
-use stronghold_tensor::Tensor;
+use stronghold_tensor::simd::{round_copy, round_extend};
+use stronghold_tensor::{Precision, Tensor};
 
 /// Parameters of one pre-norm transformer block:
 /// `y = x + Attn(LN1(x)); z = y + W2·GELU(W1·LN2(y))`.
@@ -393,11 +394,23 @@ impl Block {
     /// # Panics
     /// Panics if `flat.len() != self.param_count()`.
     pub fn load_flat_params(&mut self, flat: &[f32]) {
+        self.load_flat_params_as(flat, Precision::F32);
+    }
+
+    /// [`Block::load_flat_params`] at a device precision: each value is
+    /// rounded through `precision` while it is scattered into its tensor —
+    /// one pass, and the block ends up holding exactly what
+    /// [`stronghold_tensor::PackedHalf::round_through`] would have made of
+    /// `flat` first. A plain copy at [`Precision::F32`].
+    ///
+    /// # Panics
+    /// Panics if `flat.len() != self.param_count()`.
+    pub fn load_flat_params_as(&mut self, flat: &[f32], precision: Precision) {
         assert_eq!(flat.len(), self.param_count());
         let mut off = 0;
         for p in self.param_tensors_mut() {
             let n = p.numel();
-            p.data_mut().copy_from_slice(&flat[off..off + n]);
+            round_copy(precision, &flat[off..off + n], p.data_mut());
             off += n;
         }
     }
@@ -433,6 +446,24 @@ impl BlockGrads {
         ]
     }
 
+    /// All gradient tensors in canonical order, mutably.
+    fn tensors_mut(&mut self) -> [&mut Tensor; 12] {
+        [
+            &mut self.ln1_g,
+            &mut self.ln1_b,
+            &mut self.attn.qkv.weight,
+            &mut self.attn.qkv.bias,
+            &mut self.attn.proj.weight,
+            &mut self.attn.proj.bias,
+            &mut self.ln2_g,
+            &mut self.ln2_b,
+            &mut self.fc1.weight,
+            &mut self.fc1.bias,
+            &mut self.fc2.weight,
+            &mut self.fc2.bias,
+        ]
+    }
+
     /// Flattens all gradients into a single vector (canonical order).
     pub fn flatten(&self) -> Vec<f32> {
         let mut out = Vec::new();
@@ -444,9 +475,33 @@ impl BlockGrads {
     /// clearing it first. The offloaded trainer's D2H/optimizer path calls
     /// this once per layer per step into one persistent buffer.
     pub fn flatten_into(&self, out: &mut Vec<f32>) {
+        self.flatten_into_as(out, Precision::F32);
+    }
+
+    /// [`BlockGrads::flatten_into`] at a transfer precision: each value is
+    /// rounded through `precision` while it is gathered — one pass, leaving
+    /// in `out` exactly what
+    /// [`stronghold_tensor::PackedHalf::round_through`] would have made of
+    /// the flat gradient. Writes into `out`'s existing capacity (no
+    /// zero-fill, no reallocation once it has held a block). A plain copy
+    /// at [`Precision::F32`].
+    pub fn flatten_into_as(&self, out: &mut Vec<f32>, precision: Precision) {
         out.clear();
-        for t in self.tensors() {
-            out.extend_from_slice(t.data());
+        let tensors = self.tensors();
+        out.reserve(tensors.iter().map(|t| t.numel()).sum());
+        for t in tensors {
+            round_extend(precision, t.data(), out);
+        }
+    }
+
+    /// `self = 0.0 + scale * other`, tensor by tensor in canonical order:
+    /// [`BlockGrads::zero_`] followed by [`BlockGrads::accumulate_scaled`]
+    /// in one pass and with the same bits — the leaf of the per-layer
+    /// gradient fold.
+    pub fn set_scaled(&mut self, other: &BlockGrads, scale: f32) {
+        let src = other.tensors();
+        for (dst, src) in self.tensors_mut().into_iter().zip(src) {
+            axpy_from_zero(dst, scale, src);
         }
     }
 
@@ -493,6 +548,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use stronghold_tensor::init::{normal, seeded_rng};
+    use stronghold_tensor::PackedHalf;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
@@ -553,6 +609,70 @@ mod tests {
                     prop_assert_eq!(bits(a.values(head)), bits(b.values(head)));
                 }
             }
+        }
+    }
+
+    /// Fills `grads` from a flat vector in canonical order.
+    fn grads_from_flat(block: &Block, flat: &[f32]) -> BlockGrads {
+        let mut grads = block.zero_grads();
+        let mut off = 0;
+        for t in grads.tensors_mut() {
+            let n = t.numel();
+            t.data_mut().copy_from_slice(&flat[off..off + n]);
+            off += n;
+        }
+        grads
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        /// The precision-aware load and flatten are the one-pass forms of
+        /// "round the flat vector through the packed format, then copy":
+        /// same bits for every value class (NaN payloads, ±Inf, subnormals,
+        /// ±0), and the fused fold leaf is `zero_` + `accumulate_scaled`
+        /// bit for bit — including a `-0.0` product landing as `+0.0`.
+        #[test]
+        fn prop_fused_passes_match_their_two_pass_forms(
+            mut flat in proptest::collection::vec(proptest::num::f32::ANY, 872..873),
+            scale in proptest::num::f32::NORMAL,
+        ) {
+            // The classes uniform bits all but never draw.
+            let planted = [-0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY, 1.0e-40, -65520.0];
+            flat[..planted.len()].copy_from_slice(&planted);
+            let mut block = Block::new(8, 2, &mut seeded_rng(78));
+            prop_assert_eq!(block.param_count(), flat.len());
+            let grads = grads_from_flat(&block, &flat);
+            prop_assert_eq!(bits(&grads.flatten()), bits(&flat));
+
+            for precision in [Precision::Bf16, Precision::F16, Precision::F32] {
+                let mut grid = flat.clone();
+                PackedHalf::new(precision).round_through(&mut grid);
+
+                block.load_flat_params_as(&flat, precision);
+                let mut want = block.clone();
+                want.load_flat_params(&grid);
+                prop_assert_eq!(bits(&block.flatten_params()), bits(&want.flatten_params()));
+
+                // Into a recycled (cleared) buffer: same allocation, no growth.
+                let mut out = Vec::with_capacity(flat.len());
+                out.extend_from_slice(&[1.0; 5]);
+                let at = out.as_ptr();
+                grads.flatten_into_as(&mut out, precision);
+                prop_assert_eq!(out.as_ptr(), at);
+                prop_assert_eq!(bits(&out), bits(&grid));
+            }
+
+            let mut fused = grads_from_flat(&block, &vec![f32::NAN; flat.len()]);
+            fused.set_scaled(&grads, scale);
+            let mut two_pass = fused.clone();
+            two_pass.zero_();
+            two_pass.accumulate_scaled(&grads, scale);
+            prop_assert_eq!(bits(&fused.flatten()), bits(&two_pass.flatten()));
+            prop_assert_eq!(fused.flatten()[0].to_bits(), 0.0f32.to_bits());
         }
     }
 

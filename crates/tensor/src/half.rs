@@ -6,8 +6,10 @@
 //! related-work discussion covers low-precision model states (§II, §VII).
 //! This module provides dependency-free binary16 and bfloat16 with
 //! round-to-nearest-even conversion, compact tensor storage types, and
-//! [`PackedHalf`], the flat packed transfer buffer the offload runtime uses
-//! to halve H2D/D2H traffic while FP32 master weights stay CPU-side.
+//! [`PackedHalf`], the flat packed transfer payload. The offload runtime
+//! itself streams through the fused [`crate::simd::round_copy`] (same value
+//! grid, no packed buffer in between) while FP32 master weights stay
+//! CPU-side.
 
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -264,14 +266,16 @@ impl Bf16Tensor {
 }
 
 /// A flat packed half-precision buffer: the transfer payload of the
-/// mixed-precision offload runtime.
+/// mixed-precision offload runtime, materialised.
 ///
-/// The layer stream (H2D) and the gradient-offload engine (D2H) pack FP32
-/// values into one of these (the bytes that would cross the link), account
-/// `nbytes() == 2 · len` of traffic, and unpack back to FP32 for the
-/// functional compute substrate — so device-resident values are exactly the
-/// round-through-half grid while CPU masters stay full precision. Packing
-/// and unpacking run through the multiversioned SIMD convert kernels
+/// Packing FP32 values into one of these gives the bytes that would cross
+/// the link (`nbytes() == 2 · len`), and unpacking gives the
+/// round-through-half grid device-resident values live on. The runtime's
+/// step path accounts those bytes without building the buffer — it rounds
+/// in one pass with [`crate::simd::round_copy`] — so this type is the
+/// oracle that pass is tested against ([`PackedHalf::round_through`]) and
+/// what the benchmark's pack / unpack probes time. Packing and unpacking
+/// run through the multiversioned SIMD convert kernels
 /// ([`crate::simd::cvt_f32_to_bf16`] and friends), which are bit-identical
 /// across ISA tiers.
 #[derive(Clone, Debug)]

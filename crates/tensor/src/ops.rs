@@ -133,6 +133,14 @@ dispatch! {
 }
 
 dispatch! {
+    fn k_axpy_from_zero(out: &mut [f32], alpha: f32, b: &[f32]) {
+        for (o, y) in out.iter_mut().zip(b) {
+            *o = 0.0 + alpha * y;
+        }
+    }
+}
+
+dispatch! {
     fn k_scale(out: &mut [f32], a: &[f32], s: f32) {
         for (o, x) in out.iter_mut().zip(a) {
             *o = x * s;
@@ -712,6 +720,31 @@ pub fn axpy(a: &mut Tensor, alpha: f32, b: &Tensor) {
             // SAFETY: disjoint chunks.
             let s = unsafe { std::slice::from_raw_parts_mut(pa.get().add(lo), hi - lo) };
             k_axpy(s, alpha, &bd[lo..hi]);
+        });
+    }
+    stats::record(stats::AXPY, 2 * n as u64, start.elapsed().as_nanos() as u64);
+}
+
+/// `out = 0.0 + alpha * b`: [`axpy`] onto a zeroed `out` without the zeroing
+/// pass. Each element sees the same two roundings as `zero_` followed by
+/// `axpy` (the add is kept so a `-0.0` product still lands as `+0.0`), so
+/// the canonical-tree fold leaves that use it keep their bits.
+pub fn axpy_from_zero(out: &mut Tensor, alpha: f32, b: &Tensor) {
+    assert!(
+        out.shape().same(b.shape()),
+        "axpy_from_zero: {} vs {}",
+        out.shape(),
+        b.shape()
+    );
+    let start = Instant::now();
+    let n = out.numel();
+    {
+        let po = SendPtr(out.data_mut().as_mut_ptr());
+        let bd = b.data();
+        for_each_chunk(n, PAR_MIN_ELEMS, |lo, hi| {
+            // SAFETY: disjoint chunks.
+            let o = unsafe { std::slice::from_raw_parts_mut(po.get().add(lo), hi - lo) };
+            k_axpy_from_zero(o, alpha, &bd[lo..hi]);
         });
     }
     stats::record(stats::AXPY, 2 * n as u64, start.elapsed().as_nanos() as u64);
@@ -1338,8 +1371,14 @@ pub mod stats {
     pub const CVT_F32_F16: usize = 14;
     /// Op index: `cvt_f16_to_f32` (unpack from binary16; flops = elements).
     pub const CVT_F16_F32: usize = 15;
+    /// Op index: `round_copy` / `round_extend` at bf16 (round through bf16
+    /// while copying; flops = elements).
+    pub const ROUND_BF16: usize = 16;
+    /// Op index: `round_copy` / `round_extend` at binary16 (flops =
+    /// elements).
+    pub const ROUND_F16: usize = 17;
     /// Number of tracked ops.
-    pub const N_OPS: usize = 16;
+    pub const N_OPS: usize = 18;
 
     /// Telemetry-facing op names, indexed by the constants above.
     pub const NAMES: [&str; N_OPS] = [
@@ -1359,6 +1398,8 @@ pub mod stats {
         "cvt_bf16_f32",
         "cvt_f32_f16",
         "cvt_f16_f32",
+        "round_bf16",
+        "round_f16",
     ];
 
     #[allow(clippy::declare_interior_mutable_const)]

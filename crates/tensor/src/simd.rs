@@ -24,7 +24,10 @@
 //! the operand shape alone — never of thread count or scheduling — which
 //! is the same contract `matmul.rs` established for the GEMM engine.
 
+use std::mem::MaybeUninit;
 use std::sync::OnceLock;
+
+use crate::half::Precision;
 
 /// Vector width (in `f32` lanes) of the lane-array accumulators used by
 /// the kernel bodies. Sixteen fills one AVX-512 register; AVX2 and SSE2
@@ -197,7 +200,8 @@ pub fn tanh_approx(x: f32) -> f32 {
 // ---- half-precision convert kernels ----
 //
 // The f32↔bf16/f16 converters back [`crate::half::PackedHalf`], the packed
-// transfer payload of the mixed-precision offload runtime. The bodies are
+// transfer payload of the mixed-precision offload runtime (the runtime's own
+// step path uses the fused round-copy further down). The bodies are
 // pure integer bit manipulation (see `crate::half` for the encodings), so
 // bit-identity across ISA tiers is trivial; the `dispatch!` wrappers exist
 // so LLVM can autovectorize the packing loops with the widest subtarget.
@@ -274,6 +278,88 @@ cvt_wrapper!(
     /// `op.cvt_f16_f32.*` telemetry. Lengths must match.
     cvt_f16_to_f32, k_f16_to_f32, CVT_F16_F32, u16, f32
 );
+
+// ---- fused round-copy ----
+//
+// What the layer stream runs instead of a pack → unpack → copy chain: one
+// pass that reads an f32, rounds it to the nearest half-precision value
+// (ties to even) and writes that value back widened to f32 at the
+// destination. The packed `u16` payload is never materialised — the bytes
+// it would occupy are accounted by the caller — and the values are the
+// [`crate::half::PackedHalf::round_through`] grid bit for bit (both go
+// through `crate::half::round_through_{bf16,f16}`). The destination is
+// `MaybeUninit` so the same kernel fills a `Vec`'s spare capacity.
+
+dispatch! {
+    /// `dst[i] = f32(bf16(src[i]))`.
+    fn k_round_bf16(src: &[f32], dst: &mut [MaybeUninit<f32>]) {
+        for (d, s) in dst.iter_mut().zip(src) {
+            d.write(crate::half::round_through_bf16(*s));
+        }
+    }
+}
+
+dispatch! {
+    /// `dst[i] = f32(f16(src[i]))`.
+    fn k_round_f16(src: &[f32], dst: &mut [MaybeUninit<f32>]) {
+        for (d, s) in dst.iter_mut().zip(src) {
+            d.write(crate::half::round_through_f16(*s));
+        }
+    }
+}
+
+/// Initialises every element of `dst` with `src` rounded through the half
+/// format `precision`, recording `op.round_{bf16,f16}.*` telemetry
+/// (elements per call). Runs on the calling thread: its callers are the
+/// copy engines, and the kernel fork-join pool belongs to compute.
+fn round_into(precision: Precision, src: &[f32], dst: &mut [MaybeUninit<f32>]) {
+    debug_assert_eq!(src.len(), dst.len());
+    let t0 = std::time::Instant::now();
+    let stat = match precision {
+        Precision::Bf16 => {
+            k_round_bf16(src, dst);
+            crate::ops::stats::ROUND_BF16
+        }
+        Precision::F16 => {
+            k_round_f16(src, dst);
+            crate::ops::stats::ROUND_F16
+        }
+        Precision::F32 => unreachable!("F32 copies without rounding"),
+    };
+    crate::ops::stats::record(stat, src.len() as u64, t0.elapsed().as_nanos() as u64);
+}
+
+/// `dst[i] = widen(rne_half(src[i]))`: copies `src` into `dst`, rounding
+/// each value through `precision` on the way — the values
+/// [`crate::half::PackedHalf::round_through`] produces, in one pass over
+/// source and destination. A plain `copy_from_slice` at
+/// [`Precision::F32`]. Lengths must match.
+pub fn round_copy(precision: Precision, src: &[f32], dst: &mut [f32]) {
+    assert_eq!(src.len(), dst.len(), "round_copy length mismatch");
+    if !precision.is_half() {
+        return dst.copy_from_slice(src);
+    }
+    // SAFETY: `MaybeUninit<f32>` has the layout of `f32`, and `round_into`
+    // only writes initialised values through this view, so `dst` holds
+    // nothing but initialised elements when the borrow ends.
+    let dst = unsafe { &mut *(dst as *mut [f32] as *mut [MaybeUninit<f32>]) };
+    round_into(precision, src, dst);
+}
+
+/// Appends `src`, rounded as by [`round_copy`], to `out` — straight into
+/// its spare capacity, so a recycled (cleared) buffer is neither
+/// zero-filled first nor reallocated. A plain `extend_from_slice` at
+/// [`Precision::F32`].
+pub fn round_extend(precision: Precision, src: &[f32], out: &mut Vec<f32>) {
+    if !precision.is_half() {
+        return out.extend_from_slice(src);
+    }
+    out.reserve(src.len());
+    round_into(precision, src, &mut out.spare_capacity_mut()[..src.len()]);
+    // SAFETY: `reserve` made room for `src.len()` more elements and
+    // `round_into` initialised exactly those.
+    unsafe { out.set_len(out.len() + src.len()) };
+}
 
 /// Raw-pointer wrapper asserting to the compiler that disjoint parts of
 /// one buffer are written from different threads. Shared by the GEMM
@@ -458,6 +544,47 @@ mod tests {
             cvt_f16_to_f32(&simd, &mut back);
             for (b, h) in back.iter().zip(&scalar) {
                 prop_assert_eq!(b.to_bits(), crate::half::f16_bits_to_f32(*h).to_bits());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        // The fused round-copy, on whatever ISA tier this host selects, is
+        // the pack → unpack oracle bit for bit: NaN payloads, infinities,
+        // subnormals and signed zeros included, over lengths that exercise
+        // full vector chunks and the scalar remainder, in both its
+        // overwrite and its append form.
+        #[test]
+        fn prop_round_copy_matches_round_through(
+            mut src in proptest::collection::vec(proptest::num::f32::ANY, 0..130),
+            kept in 0usize..3,
+        ) {
+            // The classes uniform bits all but never draw, wherever the
+            // length leaves room for them.
+            let planted = [-0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY, 1.0e-40, 65520.0, 6.0e-8];
+            for (s, p) in src.iter_mut().rev().zip(planted) {
+                *s = p;
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for precision in [Precision::Bf16, Precision::F16, Precision::F32] {
+                let mut want = src.clone();
+                crate::half::PackedHalf::new(precision).round_through(&mut want);
+
+                let mut copied = vec![f32::NAN; src.len()];
+                round_copy(precision, &src, &mut copied);
+                prop_assert_eq!(bits(&copied), bits(&want));
+
+                // Appending leaves what the vector already held alone and,
+                // with the room reserved, does not move it.
+                let mut out = Vec::with_capacity(kept + src.len());
+                out.resize(kept, 7.0f32);
+                let at = out.as_ptr();
+                round_extend(precision, &src, &mut out);
+                prop_assert_eq!(out.as_ptr(), at);
+                prop_assert_eq!(&out[..kept], &vec![7.0f32; kept][..]);
+                prop_assert_eq!(bits(&out[kept..]), bits(&want));
             }
         }
     }
