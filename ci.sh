@@ -30,6 +30,19 @@ if [ -n "$packed" ]; then
     echo "$packed"
     exit 1
 fi
+# The trainer is the engine: `HostOffloadTrainer` / `HostResidentTrainer`
+# are aliases of `Engine<B>`, so the step and checkpoint entry points are
+# defined in host/engine.rs only (the data-parallel trainer adds its own
+# group-level `train_step`). A wrapper struct holding one engine to forward
+# to it fails here.
+steps=$(grep -rl 'pub fn train_step' crates/core/src/host | LC_ALL=C sort | tr '\n' ' ')
+saves=$(grep -rl 'pub fn save_training_state' crates/core/src/host | tr '\n' ' ')
+wrappers=$(grep -rn 'engine: Engine<' crates/core/src/host || true)
+if [ "$steps" != "crates/core/src/host/data_parallel.rs crates/core/src/host/engine.rs " ] ||
+    [ "$saves" != "crates/core/src/host/engine.rs " ] || [ -n "$wrappers" ]; then
+    echo "trainer wrapper re-grown: train_step in [$steps], save_training_state in [$saves], engine fields: [$wrappers]"
+    exit 1
+fi
 
 echo "==> cargo build --release"
 cargo build --release

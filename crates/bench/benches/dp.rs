@@ -23,8 +23,7 @@
 use std::time::Instant;
 
 use serde_json::{Map, Value};
-use stronghold_core::adam::AdamParams;
-use stronghold_core::host::{DataParallelConfig, DataParallelTrainer};
+use stronghold_core::host::{DataParallelConfig, DataParallelTrainer, HostOffloadConfig};
 use stronghold_model::config::{tiny, ModelConfig};
 use stronghold_model::data::SyntheticCorpus;
 
@@ -99,8 +98,10 @@ fn main() {
                 5,
                 DataParallelConfig {
                     replicas,
-                    window,
-                    adam: AdamParams::default(),
+                    host: HostOffloadConfig {
+                        window,
+                        ..DataParallelConfig::default().host
+                    },
                     ..DataParallelConfig::default()
                 },
             );
@@ -111,7 +112,7 @@ fn main() {
             // Perfect weak scaling keeps ns/step flat as replicas grow, so
             // efficiency = t(1 replica) / t(w replicas).
             let efficiency = base as f64 / ns as f64;
-            let bytes_per_step = t.allreduce_bytes() / t.steps();
+            let bytes_per_step = t.allreduce_bytes() / t.replica(0).steps();
             println!(
                 "replicas={replicas} window={window} {ns:>12} ns/step  \
                  eff={efficiency:.2}  {bytes_per_step} allreduce B/step"

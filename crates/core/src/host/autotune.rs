@@ -98,6 +98,29 @@ pub struct StallSignals {
     pub optim_backlog: u64,
 }
 
+/// Field-wise sum (the data-parallel controller observes replica-summed
+/// signals). Both sides are spelled out field by field with no `..`, so a
+/// new field does not compile until it is summed too.
+impl std::ops::Add for StallSignals {
+    type Output = StallSignals;
+    fn add(self, rhs: StallSignals) -> StallSignals {
+        let StallSignals {
+            fetch_wait_ns,
+            shell_wait_ns,
+            d2h_wait_ns,
+            fill_wait_ns,
+            optim_backlog,
+        } = rhs;
+        StallSignals {
+            fetch_wait_ns: self.fetch_wait_ns + fetch_wait_ns,
+            shell_wait_ns: self.shell_wait_ns + shell_wait_ns,
+            d2h_wait_ns: self.d2h_wait_ns + d2h_wait_ns,
+            fill_wait_ns: self.fill_wait_ns + fill_wait_ns,
+            optim_backlog: self.optim_backlog + optim_backlog,
+        }
+    }
+}
+
 /// One live-tunable setting of the runtime: the working window plus the
 /// three worker-pool sizes. Knobs a backend does not expose are carried as
 /// zero and pinned by that backend's [`TuneLimits`].

@@ -37,117 +37,48 @@ use stronghold_collective::real::{CommRank, Communicator};
 use stronghold_model::config::ModelConfig;
 use stronghold_model::transformer::Transformer;
 
-use crate::adam::AdamParams;
 use crate::error::RuntimeError;
-use crate::host::autotune::{AutotuneConfig, AutotuneController, StallSignals};
-use crate::host::engine::{Engine, EngineOptions, GradSink, ParamBackend};
+use crate::host::autotune::AutotuneController;
+use crate::host::engine::{Engine, GradSink, ParamBackend};
 use crate::host::offloaded::{HostOffloadConfig, WindowedBackend};
-use crate::schedule::LrSchedule;
 use crate::telemetry::{Counter, Gauge, Telemetry};
 
-/// Configuration for [`DataParallelTrainer`]: the windowed-backend knobs
-/// plus the replica count and the gradient-bucket size.
+/// Configuration for [`DataParallelTrainer`]: the replica count and the
+/// gradient-bucket size around one per-replica [`HostOffloadConfig`].
 #[derive(Clone, Debug)]
 pub struct DataParallelConfig {
     /// Number of model replicas (`w`). Bit-identity with single-replica
     /// training requires a power of two dividing the batch size; any
     /// `w ≥ 1` that divides the batch trains deterministically.
     pub replicas: usize,
-    /// Working-window size in layers per replica (`m`).
-    pub window: usize,
     /// Gradient bucket size in **bytes**: consecutive backward-order layers
     /// are grouped until a bucket holds at least this many gradient bytes,
     /// then all-reduced together. `usize::MAX` (the default) means one
     /// whole-model bucket; small values all-reduce layer by layer,
     /// maximizing communication/backward overlap.
     pub bucket_bytes: usize,
-    /// Concurrent CPU optimizer actors per replica.
-    pub optimizer_workers: usize,
-    /// Dedicated gradient-offload threads per replica.
-    pub offload_workers: usize,
-    /// Per-layer compute fan-out threads per replica.
-    pub compute_workers: usize,
-    /// Adam hyper-parameters.
-    pub adam: AdamParams,
-    /// Per-step learning-rate schedule (None → constant `adam.lr`).
-    pub schedule: Option<LrSchedule>,
-    /// Global gradient-norm clip threshold. `None` → no clipping, and
-    /// per-layer optimizer updates stream as soon as a bucket's all-reduce
-    /// lands; `Some` defers them to the end of the step. The norm is
-    /// computed on the *reduced* gradients, so it equals the norm a
-    /// single-replica run over the global batch would clip against.
-    pub clip_norm: Option<f32>,
-    /// Closed-loop autotuning of the per-replica window/worker knobs. One
-    /// controller runs at the *trainer* level (per-replica controllers
-    /// could diverge and break the SPMD lockstep): it observes the global
-    /// step time and the replica-summed stall signals, and applies every
-    /// proposal to all replicas identically.
-    pub autotune: Option<AutotuneConfig>,
-    /// Device-residency / transfer precision per replica (see
-    /// [`HostOffloadConfig::precision`]). The all-reduce always rendezvous
-    /// *FP32* gradients — half rounding happens per replica at D2H, before
-    /// the collective — so replica sums keep full accumulation precision.
-    pub precision: stronghold_tensor::Precision,
-    /// Per-replica host-RAM byte budget for FP32 masters + Adam state (see
-    /// [`HostOffloadConfig::host_capacity`]). Layers over budget spill to
-    /// each replica's private file tier; the all-reduce path is unaffected
-    /// (it rendezvous gradients, which never spill).
-    pub host_capacity: Option<u64>,
-    /// Spill placement policy (see [`HostOffloadConfig::spill`]).
-    pub spill: crate::tier::SpillPolicy,
-    /// File-tier spill/fill worker threads per replica.
-    pub spill_workers: usize,
+    /// The single-node runtime every replica runs unchanged (§III-F);
+    /// budgets and worker counts are per replica. Three fields gain a
+    /// group-level reading: `clip_norm` clips against the norm of the
+    /// *reduced* gradients (what a single-replica run over the global batch
+    /// would clip against); `precision` rounds per replica at D2H, before
+    /// the collective, which always rendezvous FP32 gradients; and
+    /// `autotune` configures one controller at the *trainer* level
+    /// (per-replica controllers could diverge and break the SPMD lockstep)
+    /// that observes the global step time and the replica-summed stall
+    /// signals and applies every proposal to all replicas identically.
+    pub host: HostOffloadConfig,
 }
 
 impl Default for DataParallelConfig {
     fn default() -> Self {
         DataParallelConfig {
             replicas: 2,
-            window: 2,
             bucket_bytes: usize::MAX,
-            optimizer_workers: 2,
-            offload_workers: 1,
-            compute_workers: 1,
-            adam: AdamParams::default(),
-            schedule: None,
-            clip_norm: None,
-            autotune: None,
-            precision: stronghold_tensor::Precision::F32,
-            host_capacity: None,
-            spill: crate::tier::SpillPolicy::CostAware,
-            spill_workers: 1,
-        }
-    }
-}
-
-impl DataParallelConfig {
-    fn host_config(&self) -> HostOffloadConfig {
-        HostOffloadConfig {
-            window: self.window,
-            optimizer_workers: self.optimizer_workers,
-            offload_workers: self.offload_workers,
-            compute_workers: self.compute_workers,
-            adam: self.adam,
-            schedule: self.schedule,
-            clip_norm: self.clip_norm,
-            // Tuning is driven by the single trainer-level controller, not
-            // per-replica engine controllers (which could diverge).
-            autotune: None,
-            precision: self.precision,
-            device_capacity: None,
-            host_capacity: self.host_capacity,
-            spill: self.spill,
-            spill_workers: self.spill_workers,
-        }
-    }
-
-    fn engine_options(&self) -> EngineOptions {
-        EngineOptions {
-            adam: self.adam,
-            schedule: self.schedule,
-            clip_norm: self.clip_norm,
-            autotune: None,
-            precision: self.precision,
+            host: HostOffloadConfig {
+                optimizer_workers: 2,
+                ..HostOffloadConfig::default()
+            },
         }
     }
 }
@@ -356,7 +287,12 @@ impl DataParallelTrainer {
         tel: Telemetry,
     ) -> Self {
         assert!(dp.replicas >= 1, "need at least one replica");
-        let hocfg = dp.host_config();
+        // Tuning is driven by the single trainer-level controller, not
+        // per-replica engine controllers (which could diverge).
+        let hocfg = HostOffloadConfig {
+            autotune: None,
+            ..dp.host
+        };
         let (comm, ranks) = Communicator::new(dp.replicas);
         let engines: Vec<Engine<WindowedBackend>> = ranks
             .into_iter()
@@ -366,15 +302,15 @@ impl DataParallelTrainer {
                 let layer_bytes = backend.block_elems() * 4;
                 let plan = BucketPlan::new(cfg.layers, layer_bytes, dp.bucket_bytes);
                 let sink = Arc::new(AllReduceSink::new(rank, plan, tel.clone()));
-                Engine::with_sink(backend, dp.engine_options(), sink)
+                Engine::with_sink(backend, hocfg.engine_options(), sink)
             })
             .collect();
         let overlap_gauge = tel.gauge("comm.overlap_ns");
-        let autotune = dp.autotune.and_then(|acfg| {
-            let backend = engines[0].backend();
-            backend
+        let autotune = dp.host.autotune.and_then(|acfg| {
+            let replica = &engines[0];
+            replica
                 .tune_limits()
-                .map(|limits| AutotuneController::new(acfg, limits, backend.current_tuning(), &tel))
+                .map(|limits| AutotuneController::new(acfg, limits, replica.current_tuning(), &tel))
         });
         DataParallelTrainer {
             engines,
@@ -395,25 +331,17 @@ impl DataParallelTrainer {
         self.comm.world()
     }
 
-    /// The working-window size in force on every replica.
-    pub fn window(&self) -> usize {
-        self.engines[0].backend().window()
-    }
-
-    /// Completed optimizer steps.
-    pub fn steps(&self) -> u64 {
-        self.engines[0].steps()
+    /// Replica `rank`'s trainer — the unchanged single-node runtime. All
+    /// replicas hold bit-identical parameters after [`Self::flush`], so
+    /// `replica(0)` answers for the group (`window`, `steps`, `eval_loss`,
+    /// `block_params`, `save_training_state`, …).
+    pub fn replica(&self, rank: usize) -> &Engine<WindowedBackend> {
+        &self.engines[rank]
     }
 
     /// The telemetry handle all replicas and the collective record into.
     pub fn telemetry(&self) -> &Telemetry {
         &self.tel
-    }
-
-    /// Gradient elements one replica contributes per step — the `E` of
-    /// `V_dp = w·(w−1)·E` (§III-F).
-    pub fn grad_elements(&self) -> u64 {
-        self.engines[0].backend().grad_elements()
     }
 
     /// Total bytes moved through the collective so far (all ranks).
@@ -473,50 +401,16 @@ impl DataParallelTrainer {
         // One controller for the whole group: replica-summed signals in,
         // one proposal out, applied to every rank identically.
         if let (Some(ctrl), Some(t0)) = (self.autotune.as_mut(), tune_t0) {
-            let mut sig = StallSignals::default();
-            for e in &self.engines {
-                let s = e.backend().stall_signals();
-                sig.fetch_wait_ns += s.fetch_wait_ns;
-                sig.shell_wait_ns += s.shell_wait_ns;
-                sig.d2h_wait_ns += s.d2h_wait_ns;
-                sig.optim_backlog += s.optim_backlog;
-            }
-            if let Some(t) = ctrl.observe(t0.elapsed().as_nanos() as u64, sig) {
-                for e in &mut self.engines {
-                    e.backend_mut().apply_tuning(t);
-                }
-            }
+            Engine::tune_group(ctrl, t0, &mut self.engines);
         }
         tree_sum(&raw) / b as f32
     }
 
-    /// Mean loss over a batch without updating (replica 0; all replicas
-    /// hold identical parameters).
-    pub fn eval_loss(&self, batch: &[(Vec<u32>, Vec<u32>)]) -> f32 {
-        self.engines[0].eval_loss(batch)
-    }
-
-    /// Flat parameters of block `i` on replica 0.
-    pub fn block_params(&self, i: usize) -> Vec<f32> {
-        self.engines[0].backend().read_block_params(i)
-    }
-
-    /// Flat parameters of block `i` on a specific replica (the lockstep
-    /// assertions in the test suite read every rank).
-    pub fn replica_block_params(&self, rank: usize, i: usize) -> Vec<f32> {
-        self.engines[rank].backend().read_block_params(i)
-    }
-
-    /// Serializes replica 0's full training state (all replicas are
-    /// bit-identical); resumable by any single-replica trainer.
-    pub fn save_training_state(&self) -> bytes::Bytes {
-        self.engines[0].save_training_state()
-    }
-
-    /// Blocks until every replica's in-flight optimizer updates land.
+    /// Blocks until every replica's in-flight optimizer updates — and, for
+    /// a tiered store, its spill-tier write-backs — land.
     pub fn flush(&self) {
         for e in &self.engines {
-            e.backend().pool().flush();
+            e.flush();
         }
     }
 
@@ -536,10 +430,10 @@ impl DataParallelTrainer {
                 dp.replicas
             )));
         }
-        if dp.window == 0 || dp.window > cfg.layers {
+        if dp.host.window == 0 || dp.host.window > cfg.layers {
             return Err(RuntimeError::Config(format!(
                 "window {} outside 1..={} layers",
-                dp.window, cfg.layers
+                dp.host.window, cfg.layers
             )));
         }
         Ok(())
@@ -549,13 +443,22 @@ impl DataParallelTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adam::AdamParams;
+    use crate::host::autotune::StallSignals;
     use stronghold_model::config::tiny;
     use stronghold_model::data::SyntheticCorpus;
 
-    fn adam() -> AdamParams {
-        AdamParams {
-            lr: 2e-3,
-            ..AdamParams::default()
+    fn dp_config(replicas: usize) -> DataParallelConfig {
+        DataParallelConfig {
+            replicas,
+            host: HostOffloadConfig {
+                adam: AdamParams {
+                    lr: 2e-3,
+                    ..AdamParams::default()
+                },
+                ..DataParallelConfig::default().host
+            },
+            ..DataParallelConfig::default()
         }
     }
 
@@ -598,24 +501,8 @@ mod tests {
     fn two_replicas_match_one_replica_bitwise() {
         let cfg = tiny(3);
         let data = batch(&cfg, 8, 60);
-        let mut one = DataParallelTrainer::new(
-            cfg,
-            21,
-            DataParallelConfig {
-                replicas: 1,
-                adam: adam(),
-                ..DataParallelConfig::default()
-            },
-        );
-        let mut two = DataParallelTrainer::new(
-            cfg,
-            21,
-            DataParallelConfig {
-                replicas: 2,
-                adam: adam(),
-                ..DataParallelConfig::default()
-            },
-        );
+        let mut one = DataParallelTrainer::new(cfg, 21, dp_config(1));
+        let mut two = DataParallelTrainer::new(cfg, 21, dp_config(2));
         for _ in 0..3 {
             let a = one.train_step(&data);
             let b = two.train_step(&data);
@@ -624,10 +511,14 @@ mod tests {
         one.flush();
         two.flush();
         for i in 0..cfg.layers {
-            assert_eq!(one.block_params(i), two.block_params(i), "block {i}");
             assert_eq!(
-                two.replica_block_params(0, i),
-                two.replica_block_params(1, i),
+                one.replica(0).block_params(i),
+                two.replica(0).block_params(i),
+                "block {i}"
+            );
+            assert_eq!(
+                two.replica(0).block_params(i),
+                two.replica(1).block_params(i),
                 "replicas out of lockstep at block {i}"
             );
         }
@@ -637,16 +528,8 @@ mod tests {
     fn traffic_matches_formula_per_step() {
         let cfg = tiny(3);
         let data = batch(&cfg, 8, 61);
-        let mut t = DataParallelTrainer::new(
-            cfg,
-            22,
-            DataParallelConfig {
-                replicas: 2,
-                adam: adam(),
-                ..DataParallelConfig::default()
-            },
-        );
-        let e = t.grad_elements();
+        let mut t = DataParallelTrainer::new(cfg, 22, dp_config(2));
+        let e = t.replica(0).grad_elements();
         let per_step = 4 * stronghold_collective::v_dp_exact(2, e);
         for step in 1..=3u64 {
             t.train_step(&data);
@@ -667,9 +550,31 @@ mod tests {
         };
         assert!(DataParallelTrainer::validate(&cfg, &bad, 8).is_err());
         let bad = DataParallelConfig {
-            window: 99,
+            host: HostOffloadConfig {
+                window: 99,
+                ..DataParallelConfig::default().host
+            },
             ..DataParallelConfig::default()
         };
         assert!(DataParallelTrainer::validate(&cfg, &bad, 8).is_err());
+    }
+
+    #[test]
+    fn stall_signal_sum_covers_every_field() {
+        let one = StallSignals {
+            fetch_wait_ns: 1,
+            shell_wait_ns: 1,
+            d2h_wait_ns: 1,
+            fill_wait_ns: 1,
+            optim_backlog: 1,
+        };
+        let two = StallSignals {
+            fetch_wait_ns: 2,
+            shell_wait_ns: 2,
+            d2h_wait_ns: 2,
+            fill_wait_ns: 2,
+            optim_backlog: 2,
+        };
+        assert_eq!(one + one, two);
     }
 }

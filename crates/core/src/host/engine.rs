@@ -1,5 +1,5 @@
-//! The shared training engine: one step pipeline behind every host
-//! trainer.
+//! The training engine: one step pipeline that *is* every single-replica
+//! host trainer.
 //!
 //! STRONGHOLD's transparency claim (§III-A) is that training semantics do
 //! not depend on *where* parameters live — resident in memory or windowed
@@ -141,8 +141,6 @@ pub struct ResidentParamsMut<'a> {
 ///   parallelism: gradients rendezvous with the other replicas in bucketed
 ///   all-reduces before any optimizer update, overlapping communication
 ///   with the rest of backward on the streaming path.
-/// * [`PassthroughSink`] — no optimizer at all: gradients stay in the
-///   [`StepWorkspace`] for inspection (gradient-analysis tooling).
 ///
 /// The sink is shared with the backend's worker threads, so it is `&self`
 /// throughout and must be `Send + Sync`.
@@ -160,11 +158,6 @@ pub trait GradSink: Send + Sync {
     /// order (token, position, final-LN gain, final-LN bias). Called every
     /// step, streaming or not — resident gradients never stream.
     fn reduce_resident(&self, groups: [&mut [f32]; 4]);
-    /// Whether the engine should run optimizer updates this step. `false`
-    /// leaves parameters untouched with the gradients still inspectable.
-    fn apply_updates(&self) -> bool {
-        true
-    }
 }
 
 /// The identity sink: every gradient is final as produced (single-replica
@@ -183,26 +176,6 @@ impl GradSink for LocalSink {
     }
     fn reduce_step(&self, _grads: &mut [Vec<f32>]) {}
     fn reduce_resident(&self, _groups: [&mut [f32]; 4]) {}
-}
-
-/// A sink that swallows updates: gradients are computed and left in the
-/// workspace, but no optimizer state or parameter changes.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PassthroughSink;
-
-impl GradSink for PassthroughSink {
-    fn layer_ready(
-        &self,
-        _layer: usize,
-        _grad: Vec<f32>,
-        _deliver: &(dyn Fn(usize, Vec<f32>) + Sync),
-    ) {
-    }
-    fn reduce_step(&self, _grads: &mut [Vec<f32>]) {}
-    fn reduce_resident(&self, _groups: [&mut [f32]; 4]) {}
-    fn apply_updates(&self) -> bool {
-        false
-    }
 }
 
 /// A parameter-placement backend: the mechanism half of a trainer.
@@ -258,6 +231,10 @@ pub trait ParamBackend {
     fn model_blob(&self) -> Bytes;
     /// Snapshot of layer `i`'s Adam state. Callers flush first.
     fn block_adam_snapshot(&self, layer: usize) -> AdamState;
+    /// Flat parameters of block `i` in the canonical flatten order, after
+    /// any update of that layer still in flight (the equivalence suites
+    /// compare these across backends).
+    fn block_params(&self, layer: usize) -> Vec<f32>;
     /// Blocks until every in-flight optimizer update has been applied.
     fn flush(&self) {}
     /// Live-tunable knob bounds, or `None` when the backend has no
@@ -469,7 +446,11 @@ fn fixed_point_x1e6(v: f32) -> i64 {
     (v as f64 * 1e6).round() as i64
 }
 
-/// The shared training engine over a [`ParamBackend`].
+/// The training engine over a [`ParamBackend`] — the trainer itself:
+/// [`HostOffloadTrainer`](crate::host::HostOffloadTrainer) and
+/// [`HostResidentTrainer`](crate::host::HostResidentTrainer) are this type
+/// over their backend, and it derefs (read-only) to the backend for the
+/// placement-specific reads.
 pub struct Engine<B: ParamBackend> {
     backend: B,
     opts: EngineOptions,
@@ -487,10 +468,20 @@ pub struct Engine<B: ParamBackend> {
     autotune: Option<AutotuneController>,
 }
 
+/// Read-only access to the placement backend's own accessors
+/// (`trainer.window()`, `trainer.model()`, …). Deliberately no `DerefMut`:
+/// mutation goes through [`Engine::backend_mut`].
+impl<B: ParamBackend> std::ops::Deref for Engine<B> {
+    type Target = B;
+    fn deref(&self) -> &B {
+        &self.backend
+    }
+}
+
 impl<B: ParamBackend> Engine<B> {
     /// Wraps a freshly-constructed backend with zero optimizer state and
     /// the identity [`LocalSink`].
-    pub fn new(backend: B, opts: EngineOptions) -> Self {
+    pub fn from_backend(backend: B, opts: EngineOptions) -> Self {
         Engine::with_sink(backend, opts, std::sync::Arc::new(LocalSink))
     }
 
@@ -535,7 +526,7 @@ impl<B: ParamBackend> Engine<B> {
     /// counter and resident-group Adam states. (Block Adam states travel
     /// inside the backend, which owns their storage.)
     pub fn resume(backend: B, opts: EngineOptions, step: u64, resident: [AdamState; 4]) -> Self {
-        let mut e = Engine::new(backend, opts);
+        let mut e = Engine::from_backend(backend, opts);
         let [token, position, lnf_g, lnf_b] = resident;
         e.token_adam = token;
         e.pos_adam = position;
@@ -565,12 +556,7 @@ impl<B: ParamBackend> Engine<B> {
         &self.tel
     }
 
-    /// The placement backend.
-    pub fn backend(&self) -> &B {
-        &self.backend
-    }
-
-    /// Mutable access to the placement backend.
+    /// Mutable access to the placement backend (shared access is `Deref`).
     pub fn backend_mut(&mut self) -> &mut B {
         &mut self.backend
     }
@@ -694,22 +680,19 @@ impl<B: ParamBackend> Engine<B> {
         // (resident applies inline; windowed hands off to the concurrent
         // actor pool), then the resident groups in fixed order.
         // A streamed step already submitted the block updates mid-backward.
-        // A passthrough sink suppresses updates entirely.
-        if self.sink.apply_updates() {
-            if !self.ws.streamed {
-                for (i, g) in self.ws.block_grads.iter().enumerate() {
-                    self.backend.dispatch_block_update(i, g, &hp);
-                }
+        if !self.ws.streamed {
+            for (i, g) in self.ws.block_grads.iter().enumerate() {
+                self.backend.dispatch_block_update(i, g, &hp);
             }
-            let rg = &self.ws.resident_grads;
-            let rp = self.backend.resident_params_mut();
-            self.token_adam
-                .step(rp.token, rg.embedding.token.data(), &hp);
-            self.pos_adam
-                .step(rp.position, rg.embedding.position.data(), &hp);
-            self.lnf_g_adam.step(rp.lnf_g, rg.lnf_g.data(), &hp);
-            self.lnf_b_adam.step(rp.lnf_b, rg.lnf_b.data(), &hp);
         }
+        let rg = &self.ws.resident_grads;
+        let rp = self.backend.resident_params_mut();
+        self.token_adam
+            .step(rp.token, rg.embedding.token.data(), &hp);
+        self.pos_adam
+            .step(rp.position, rg.embedding.position.data(), &hp);
+        self.lnf_g_adam.step(rp.lnf_g, rg.lnf_g.data(), &hp);
+        self.lnf_b_adam.step(rp.lnf_b, rg.lnf_b.data(), &hp);
 
         let ctx = HookCtx {
             layer: STEP_SCOPE,
@@ -724,18 +707,46 @@ impl<B: ParamBackend> Engine<B> {
         // Closed-loop autotuning: evaluate at the step boundary, resize
         // between steps. Evaluation is allocation-free; a resize is rare
         // and may allocate (exempt from the zero-allocation contract).
-        if let (Some(ctrl), Some(t0)) = (self.autotune.as_mut(), tune_t0) {
-            let signals = self.backend.stall_signals();
-            if let Some(t) = ctrl.observe(t0.elapsed().as_nanos() as u64, signals) {
-                self.backend.apply_tuning(t);
-            }
+        if let (Some(mut ctrl), Some(t0)) = (self.autotune.take(), tune_t0) {
+            Self::tune_group(&mut ctrl, t0, std::slice::from_mut(self));
+            self.autotune = Some(ctrl);
         }
         loss
+    }
+
+    /// One controller evaluation for a group of engines in lockstep (a
+    /// group of one for single-replica training): the group-summed stall
+    /// signals and the step time since `started` go in, and a proposal is
+    /// applied to every member identically.
+    pub(crate) fn tune_group(
+        ctrl: &mut AutotuneController,
+        started: std::time::Instant,
+        group: &mut [Engine<B>],
+    ) {
+        let signals = group.iter().fold(StallSignals::default(), |sum, e| {
+            sum + e.backend.stall_signals()
+        });
+        if let Some(t) = ctrl.observe(started.elapsed().as_nanos() as u64, signals) {
+            for e in group {
+                e.backend.apply_tuning(t);
+            }
+        }
     }
 
     /// Mean loss over a batch without updating (evaluation).
     pub fn eval_loss(&self, batch: &[(Vec<u32>, Vec<u32>)]) -> f32 {
         self.backend.eval_loss(batch)
+    }
+
+    /// Blocks until every in-flight optimizer update has been applied —
+    /// including, for a tiered store, the spill-tier write-backs.
+    pub fn flush(&self) {
+        self.backend.flush();
+    }
+
+    /// Flat parameters of block `i` (see [`ParamBackend::block_params`]).
+    pub fn block_params(&self, i: usize) -> Vec<f32> {
+        self.backend.block_params(i)
     }
 
     /// Serializes the *full* training state — format version, step counter,

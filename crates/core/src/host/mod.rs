@@ -13,15 +13,18 @@
 //! no stale updates and does not affect training precision.
 
 //!
-//! Both trainers are thin facades over the shared step engine in
-//! [`engine`]: the backends own *placement* (where parameters live, how
-//! forward/backward fan out), while the engine owns *policy* (gradient
-//! clipping, LR schedules, optimizer dispatch, hooks, checkpointing).
+//! Both trainers *are* the step engine in [`engine`] — type aliases of
+//! [`Engine`] over their backend: the backends own *placement* (where
+//! parameters live, how forward/backward fan out) and the reads specific
+//! to it (reached through `Deref`), while the engine owns *policy*
+//! (gradient clipping, LR schedules, optimizer dispatch, hooks,
+//! checkpointing).
 
 //!
-//! [`data_parallel::DataParallelTrainer`] composes the above: `w` windowed
-//! replicas on rank-sharded batches, with bucketed all-reduce gradient
-//! rendezvous through the engine's [`engine::GradSink`] seam.
+//! [`data_parallel::DataParallelTrainer`] composes the above: `w` unchanged
+//! [`HostOffloadTrainer`] replicas on rank-sharded batches, with bucketed
+//! all-reduce gradient rendezvous through the engine's [`engine::GradSink`]
+//! seam.
 
 pub mod autotune;
 pub mod data_parallel;
@@ -35,8 +38,7 @@ pub(crate) mod stream;
 pub use autotune::{AutotuneConfig, AutotuneController, StallSignals, TuneLimits, Tuning};
 pub use data_parallel::{AllReduceSink, DataParallelConfig, DataParallelTrainer};
 pub use engine::{
-    Engine, EngineOptions, GradSink, LocalSink, ParamBackend, PassthroughSink, StepPlan,
-    TrainingState,
+    Engine, EngineOptions, GradSink, LocalSink, ParamBackend, StepPlan, TrainingState,
 };
 pub use offloaded::{HostOffloadConfig, HostOffloadTrainer};
 pub use resident::HostResidentTrainer;

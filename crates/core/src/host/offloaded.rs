@@ -21,7 +21,8 @@
 //! — the equivalence tests assert bit-equal parameters after training. Step
 //! policy (clipping, LR schedule, optimizer dispatch order, checkpointing)
 //! lives in the shared [`Engine`]; this module is only the
-//! [`WindowedBackend`] mechanism plus a thin facade.
+//! [`WindowedBackend`] mechanism, and [`HostOffloadTrainer`] *is*
+//! `Engine<WindowedBackend>` (the model-building constructors live here).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,7 +39,7 @@ use crate::adam::{AdamParams, AdamState};
 use crate::clip::GlobalNorm;
 use crate::error::RuntimeError;
 use crate::hooks::{HookCtx, HookPoint, HookRegistry};
-use crate::host::autotune::{AutotuneConfig, AutotuneController, StallSignals, TuneLimits, Tuning};
+use crate::host::autotune::{AutotuneConfig, StallSignals, TuneLimits, Tuning};
 use crate::host::device::HostDevice;
 use crate::host::engine::{
     Engine, EngineOptions, GradSink, ParamBackend, ResidentParamsMut, StepPlan, StepWorkspace,
@@ -144,7 +145,7 @@ impl Default for HostOffloadConfig {
 }
 
 impl HostOffloadConfig {
-    fn engine_options(&self) -> EngineOptions {
+    pub(crate) fn engine_options(&self) -> EngineOptions {
         EngineOptions {
             adam: self.adam,
             schedule: self.schedule,
@@ -392,8 +393,47 @@ impl WindowedBackend {
         self.stream.precision()
     }
 
-    pub(crate) fn window(&self) -> usize {
+    /// The working-window size in force.
+    pub fn window(&self) -> usize {
         self.stream.window()
+    }
+
+    /// Device traffic/occupancy counters.
+    pub fn device(&self) -> &HostDevice {
+        self.stream.device()
+    }
+
+    /// Optimizer updates applied so far.
+    pub fn optimizer_updates(&self) -> usize {
+        self.pool.updates_applied()
+    }
+
+    /// Cumulative nanoseconds the pipeline spent blocked on file-tier
+    /// fills (the autotuner's `fill_wait_ns` stall signal).
+    pub fn fill_wait_nanos(&self) -> u64 {
+        self.store.fill_wait_nanos()
+    }
+
+    /// Total swap-file traffic so far: `(bytes_read, bytes_written)`.
+    pub fn spill_traffic(&self) -> (u64, u64) {
+        match self.store.tier_store() {
+            Some(t) => (t.nvme().bytes_read(), t.nvme().bytes_written()),
+            None => (0, 0),
+        }
+    }
+
+    /// Per-layer hidden states of the teacher for knowledge distillation
+    /// (§VI-D3), computed FP-only through one device shell.
+    pub fn hidden_states(&self, tokens: &[u32]) -> Vec<Tensor> {
+        self.pool.flush();
+        let mut states = Vec::with_capacity(self.cfg.layers + 1);
+        let mut x = self.shell.embed(tokens);
+        states.push(x.clone());
+        self.stream.for_each_layer(&self.store, |slot, _| {
+            x = slot.forward_no_cache(&x);
+            states.push(x.clone());
+        });
+        states
     }
 
     /// Flat gradient elements of one transformer block (every block has the
@@ -408,26 +448,16 @@ impl WindowedBackend {
         self.global_batch = Some(n);
     }
 
-    /// Flat parameters of block `i`, read through the store (waits for any
-    /// pending update of that layer).
-    pub(crate) fn read_block_params(&self, i: usize) -> Vec<f32> {
-        self.store.read_params(i)
-    }
-
     /// Total gradient elements one replica contributes per step: every
-    /// block plus the resident groups — the `E` of `V_dp = w·(w−1)·E`.
-    pub(crate) fn grad_elements(&self) -> u64 {
+    /// block plus the resident groups — the `E` of `V_dp = w·(w−1)·E`
+    /// (§III-F).
+    pub fn grad_elements(&self) -> u64 {
         let block = self.block_elems() as u64;
         let resident = self.shell.embedding.token.numel()
             + self.shell.embedding.position.numel()
             + self.shell.lnf_g.numel()
             + self.shell.lnf_b.numel();
         self.store.len() as u64 * block + resident as u64
-    }
-
-    /// The concurrent optimizer pool (for flush/updates accounting).
-    pub(crate) fn pool(&self) -> &OptimizerPool {
-        &self.pool
     }
 }
 
@@ -831,6 +861,11 @@ impl ParamBackend for WindowedBackend {
         self.store.adam_snapshot(layer)
     }
 
+    /// Reads through the store, waiting for a pending update of that layer.
+    fn block_params(&self, layer: usize) -> Vec<f32> {
+        self.store.read_params(layer)
+    }
+
     fn flush(&self) {
         // Pool first (updates enqueue their write-backs inside
         // `apply_update`), then the spill engine — after both, every
@@ -899,17 +934,17 @@ impl ParamBackend for WindowedBackend {
     }
 }
 
-/// The functional STRONGHOLD trainer: a facade over the shared [`Engine`]
-/// running a [`WindowedBackend`].
-pub struct HostOffloadTrainer {
-    engine: Engine<WindowedBackend>,
-}
+/// The functional STRONGHOLD trainer: the shared [`Engine`] over a
+/// [`WindowedBackend`]. Everything a trainer does is on [`Engine`]; the
+/// placement-specific reads (`window`, `device`, `tier_plan`, …) are the
+/// backend's, reached through `Deref`.
+pub type HostOffloadTrainer = Engine<WindowedBackend>;
 
-impl HostOffloadTrainer {
+impl Engine<WindowedBackend> {
     /// Builds the model deterministically from `seed` and splits it into the
     /// resident shell and the offloaded layer store (no telemetry).
     pub fn new(cfg: ModelConfig, seed: u64, hocfg: HostOffloadConfig) -> Self {
-        HostOffloadTrainer::with_telemetry(cfg, seed, hocfg, Telemetry::disabled())
+        Self::with_telemetry(cfg, seed, hocfg, Telemetry::disabled())
     }
 
     /// [`HostOffloadTrainer::new`] wired into `tel`: prefetch issue/complete
@@ -924,147 +959,10 @@ impl HostOffloadTrainer {
         tel: Telemetry,
     ) -> Self {
         let backend = WindowedBackend::from_model(Transformer::new(cfg, seed), &hocfg, tel);
-        HostOffloadTrainer {
-            engine: Engine::new(backend, hocfg.engine_options()),
-        }
+        Engine::from_backend(backend, hocfg.engine_options())
     }
 
-    /// The working-window size in force.
-    pub fn window(&self) -> usize {
-        self.engine.backend().window()
-    }
-
-    /// The device-residency / transfer precision in force.
-    pub fn precision(&self) -> Precision {
-        self.engine.backend().precision()
-    }
-
-    /// The backend's live-tunable knob bounds — `window.1` is the largest
-    /// window the device arena admits (see
-    /// [`HostOffloadConfig::device_capacity`]).
-    pub fn tune_limits(&self) -> Option<TuneLimits> {
-        self.engine.backend().tune_limits()
-    }
-
-    /// Arena bytes a window of `m` layers would occupy on this trainer's
-    /// device — the `gpu_usage` curve for
-    /// [`crate::analytic::solve_window`].
-    pub fn arena_usage(&self, m: usize) -> u64 {
-        self.engine.backend().arena_usage(m)
-    }
-
-    /// The live autotune controller, when [`HostOffloadConfig::autotune`]
-    /// is set (its gauges mirror the knobs currently in force).
-    pub fn autotune(&self) -> Option<&AutotuneController> {
-        self.engine.autotune()
-    }
-
-    /// Applies a tuning directly between steps, bypassing the controller —
-    /// the forced-resize path the equivalence tests drive.
-    pub fn force_tuning(&mut self, t: Tuning) {
-        self.engine.force_tuning(t);
-    }
-
-    /// The telemetry handle this trainer records into.
-    pub fn telemetry(&self) -> &Telemetry {
-        self.engine.telemetry()
-    }
-
-    /// Device traffic/occupancy counters.
-    pub fn device(&self) -> &HostDevice {
-        self.engine.backend().stream.device()
-    }
-
-    /// Optimizer updates applied so far.
-    pub fn optimizer_updates(&self) -> usize {
-        self.engine.backend().pool.updates_applied()
-    }
-
-    /// Completed optimizer steps.
-    pub fn steps(&self) -> u64 {
-        self.engine.steps()
-    }
-
-    /// The hook registry; register pipeline callbacks here.
-    pub fn hooks_mut(&mut self) -> &mut HookRegistry {
-        self.engine.hooks_mut()
-    }
-
-    /// Total hook invocations so far.
-    pub fn hook_invocations(&self) -> u64 {
-        self.engine.hooks().invocations()
-    }
-
-    /// Flat parameters of block `i` (reads through the store, waiting for
-    /// pending updates — used by the equivalence tests).
-    pub fn block_params(&self, i: usize) -> Vec<f32> {
-        self.engine.backend().store.read_params(i)
-    }
-
-    /// One training step over a batch; returns the mean loss.
-    pub fn train_step(&mut self, batch: &[(Vec<u32>, Vec<u32>)]) -> f32 {
-        self.engine.train_step(batch)
-    }
-
-    /// Mean loss over a batch without updating (evaluation).
-    pub fn eval_loss(&self, batch: &[(Vec<u32>, Vec<u32>)]) -> f32 {
-        self.engine.eval_loss(batch)
-    }
-
-    /// Per-layer hidden states of the teacher for knowledge distillation
-    /// (§VI-D3), computed FP-only through one device shell.
-    pub fn hidden_states(&self, tokens: &[u32]) -> Vec<Tensor> {
-        let backend = self.engine.backend();
-        backend.pool.flush();
-        let mut states = Vec::with_capacity(backend.cfg.layers + 1);
-        let mut x = backend.shell.embed(tokens);
-        states.push(x.clone());
-        backend.stream.for_each_layer(&backend.store, |slot, _| {
-            x = slot.forward_no_cache(&x);
-            states.push(x.clone());
-        });
-        states
-    }
-
-    /// Blocks until every in-flight optimizer update has been applied —
-    /// including, for a tiered store, the spill-tier write-backs.
-    pub fn flush(&self) {
-        self.engine.backend().flush();
-    }
-
-    /// How many layers page through the file-backed spill tier (0 without a
-    /// `host_capacity` budget or `SpillPolicy::All`).
-    pub fn spilled_layers(&self) -> usize {
-        self.engine.backend().spilled_layers()
-    }
-
-    /// The active host-tier placement plan.
-    pub fn tier_plan(&self) -> &TierPlan {
-        self.engine.backend().tier_plan()
-    }
-
-    /// Cumulative nanoseconds the pipeline spent blocked on file-tier
-    /// fills (the autotuner's `fill_wait_ns` stall signal).
-    pub fn fill_wait_nanos(&self) -> u64 {
-        self.engine.backend().store.fill_wait_nanos()
-    }
-
-    /// Total swap-file traffic so far: `(bytes_read, bytes_written)`.
-    pub fn spill_traffic(&self) -> (u64, u64) {
-        match self.engine.backend().store.tier_store() {
-            Some(t) => (t.nvme().bytes_read(), t.nvme().bytes_written()),
-            None => (0, 0),
-        }
-    }
-
-    /// Serializes the full training state — format version, step counter,
-    /// the reassembled model, and every Adam moment (store-side and
-    /// resident) — so training resumes **bit-exactly** on any backend.
-    pub fn save_training_state(&self) -> Bytes {
-        self.engine.save_training_state()
-    }
-
-    /// Restores a trainer from [`Self::save_training_state`] output (which
+    /// Restores a trainer from [`Engine::save_training_state`] output (which
     /// may have been written by *any* backend). `cfg` guards against
     /// resuming with the wrong model shape; malformed blobs yield a typed
     /// [`RuntimeError::Checkpoint`].
@@ -1072,21 +970,6 @@ impl HostOffloadTrainer {
         blob: Bytes,
         cfg: ModelConfig,
         hocfg: HostOffloadConfig,
-    ) -> Result<Self, RuntimeError> {
-        HostOffloadTrainer::load_training_state_with_telemetry(
-            blob,
-            cfg,
-            hocfg,
-            Telemetry::disabled(),
-        )
-    }
-
-    /// [`HostOffloadTrainer::load_training_state`] wired into `tel`.
-    pub fn load_training_state_with_telemetry(
-        blob: Bytes,
-        cfg: ModelConfig,
-        hocfg: HostOffloadConfig,
-        tel: Telemetry,
     ) -> Result<Self, RuntimeError> {
         let st = TrainingState::decode(blob)?;
         st.expect_config(&cfg)?;
@@ -1098,13 +981,16 @@ impl HostOffloadTrainer {
             resident_adams,
             ..
         } = st;
-        let backend = WindowedBackend::from_model(model, &hocfg, tel);
+        let backend = WindowedBackend::from_model(model, &hocfg, Telemetry::disabled());
         for (i, adam) in block_adams.into_iter().enumerate() {
             backend.store.set_adam(i, adam);
         }
-        Ok(HostOffloadTrainer {
-            engine: Engine::resume(backend, hocfg.engine_options(), step, resident_adams),
-        })
+        Ok(Engine::resume(
+            backend,
+            hocfg.engine_options(),
+            step,
+            resident_adams,
+        ))
     }
 }
 

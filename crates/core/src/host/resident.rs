@@ -2,9 +2,10 @@
 //! offloaded pipeline is checked against, written independently over the
 //! whole-model convenience API.
 //!
-//! The trainer is a thin facade over the shared [`Engine`]; only the
-//! placement mechanism ([`ResidentBackend`]: everything in one in-memory
-//! model, optimizer applied inline) lives here.
+//! [`HostResidentTrainer`] *is* the shared [`Engine`] over a
+//! [`ResidentBackend`]; only the placement mechanism (everything in one
+//! in-memory model, optimizer applied inline) and the model-building
+//! constructors live here.
 
 use bytes::Bytes;
 use stronghold_collective::order::{fold_with, tree_sum, FoldPlan};
@@ -52,6 +53,17 @@ impl ResidentBackend {
             loss_buf: Vec::new(),
             tel: Telemetry::disabled(),
         }
+    }
+
+    /// The model.
+    pub fn model(&self) -> &Transformer {
+        &self.model
+    }
+
+    /// Mutable access to the model (weight surgery between steps; reach it
+    /// through [`Engine::backend_mut`]).
+    pub fn model_mut(&mut self) -> &mut Transformer {
+        &mut self.model
     }
 }
 
@@ -188,17 +200,20 @@ impl ParamBackend for ResidentBackend {
     fn block_adam_snapshot(&self, layer: usize) -> AdamState {
         self.block_adams[layer].clone()
     }
+
+    fn block_params(&self, layer: usize) -> Vec<f32> {
+        self.model.blocks[layer].flatten_params()
+    }
 }
 
-/// A plain trainer holding the entire model in memory.
-pub struct HostResidentTrainer {
-    engine: Engine<ResidentBackend>,
-}
+/// A plain trainer holding the entire model in memory: the shared
+/// [`Engine`] over a [`ResidentBackend`].
+pub type HostResidentTrainer = Engine<ResidentBackend>;
 
-impl HostResidentTrainer {
+impl Engine<ResidentBackend> {
     /// Builds the model with deterministic init from `seed`.
     pub fn new(cfg: ModelConfig, seed: u64, hp: AdamParams) -> Self {
-        HostResidentTrainer::with_options(
+        Self::with_options(
             cfg,
             seed,
             EngineOptions {
@@ -217,59 +232,10 @@ impl HostResidentTrainer {
             .iter()
             .map(|b| AdamState::new(b.param_count()))
             .collect();
-        HostResidentTrainer {
-            engine: Engine::new(ResidentBackend::from_model(model, block_adams), opts),
-        }
+        Engine::from_backend(ResidentBackend::from_model(model, block_adams), opts)
     }
 
-    /// One training step over a batch of `(inputs, targets)` pairs; returns
-    /// the mean loss.
-    pub fn train_step(&mut self, batch: &[(Vec<u32>, Vec<u32>)]) -> f32 {
-        self.engine.train_step(batch)
-    }
-
-    /// Mean loss over a batch without updating (evaluation).
-    pub fn eval_loss(&self, batch: &[(Vec<u32>, Vec<u32>)]) -> f32 {
-        self.engine.eval_loss(batch)
-    }
-
-    /// The model.
-    pub fn model(&self) -> &Transformer {
-        &self.engine.backend().model
-    }
-
-    /// Mutable access to the model (weight surgery between steps).
-    pub fn model_mut(&mut self) -> &mut Transformer {
-        &mut self.engine.backend_mut().model
-    }
-
-    /// Completed optimizer steps.
-    pub fn steps(&self) -> u64 {
-        self.engine.steps()
-    }
-
-    /// The hook registry; register pipeline callbacks here.
-    pub fn hooks_mut(&mut self) -> &mut HookRegistry {
-        self.engine.hooks_mut()
-    }
-
-    /// Total hook invocations so far.
-    pub fn hook_invocations(&self) -> u64 {
-        self.engine.hooks().invocations()
-    }
-
-    /// Flat parameters of block `i` (for equivalence checks).
-    pub fn block_params(&self, i: usize) -> Vec<f32> {
-        self.engine.backend().model.blocks[i].flatten_params()
-    }
-
-    /// Serializes the full training state (see
-    /// [`Engine::save_training_state`]).
-    pub fn save_training_state(&self) -> Bytes {
-        self.engine.save_training_state()
-    }
-
-    /// Restores a trainer from [`Self::save_training_state`] output.
+    /// Restores a trainer from [`Engine::save_training_state`] output.
     /// `cfg` guards against resuming with the wrong model shape; any
     /// malformed blob yields a typed [`RuntimeError::Checkpoint`].
     pub fn load_training_state(
@@ -287,9 +253,7 @@ impl HostResidentTrainer {
             ..
         } = st;
         let backend = ResidentBackend::from_model(model, block_adams);
-        Ok(HostResidentTrainer {
-            engine: Engine::resume(backend, opts, step, resident_adams),
-        })
+        Ok(Engine::resume(backend, opts, step, resident_adams))
     }
 }
 

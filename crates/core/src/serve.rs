@@ -305,17 +305,6 @@ impl ServeEngine {
         Ok(Self::from_model(st.model, cfg, tel))
     }
 
-    /// Builds an engine from a model-only SHCK checkpoint blob.
-    pub fn from_checkpoint_blob(
-        blob: Bytes,
-        cfg: ServeConfig,
-        tel: Telemetry,
-    ) -> Result<Self, RuntimeError> {
-        let model = stronghold_model::serialize::load(blob)
-            .map_err(|e| RuntimeError::Checkpoint(format!("model blob: {e}")))?;
-        Ok(Self::from_model(model, cfg, tel))
-    }
-
     /// The resolved working-window size.
     pub fn window(&self) -> usize {
         self.stream.window()

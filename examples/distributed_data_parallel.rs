@@ -88,6 +88,6 @@ fn main() {
     println!(
         "  all-reduce traffic: {} bytes over {} steps (4·w·(w−1)·E per step)",
         dp.allreduce_bytes(),
-        dp.steps()
+        dp.replica(0).steps()
     );
 }

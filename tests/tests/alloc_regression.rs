@@ -333,9 +333,12 @@ fn data_parallel_step_allocations_stop_growing() {
         7,
         DataParallelConfig {
             replicas: 2,
-            window: 2,
-            optimizer_workers: 2,
-            adam: adam(),
+            host: HostOffloadConfig {
+                window: 2,
+                optimizer_workers: 2,
+                adam: adam(),
+                ..HostOffloadConfig::default()
+            },
             ..DataParallelConfig::default()
         },
     );

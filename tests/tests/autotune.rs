@@ -260,7 +260,10 @@ fn data_parallel_autotune_keeps_replicas_in_lockstep() {
         51,
         DataParallelConfig {
             replicas: 1,
-            adam: adam(),
+            host: HostOffloadConfig {
+                adam: adam(),
+                ..DataParallelConfig::default().host
+            },
             ..DataParallelConfig::default()
         },
     );
@@ -269,8 +272,11 @@ fn data_parallel_autotune_keeps_replicas_in_lockstep() {
         51,
         DataParallelConfig {
             replicas: 2,
-            adam: adam(),
-            autotune: Some(eager()),
+            host: HostOffloadConfig {
+                adam: adam(),
+                autotune: Some(eager()),
+                ..DataParallelConfig::default().host
+            },
             ..DataParallelConfig::default()
         },
     );
@@ -283,17 +289,17 @@ fn data_parallel_autotune_keeps_replicas_in_lockstep() {
     tuned.flush();
     for i in 0..cfg.layers {
         assert_eq!(
-            single.block_params(i),
-            tuned.block_params(i),
+            single.replica(0).block_params(i),
+            tuned.replica(0).block_params(i),
             "block {i} diverged from the single-replica reference"
         );
         assert_eq!(
-            tuned.replica_block_params(0, i),
-            tuned.replica_block_params(1, i),
+            tuned.replica(0).block_params(i),
+            tuned.replica(1).block_params(i),
             "replicas out of lockstep at block {i}"
         );
     }
     let ctrl = tuned.autotune().expect("trainer-level controller");
     assert_eq!(ctrl.evaluations(), 6, "one evaluation per global step");
-    assert_eq!(tuned.window(), ctrl.current().window);
+    assert_eq!(tuned.replica(0).window(), ctrl.current().window);
 }

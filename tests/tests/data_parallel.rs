@@ -10,7 +10,9 @@
 //! entire matrix below collapses onto one reference trajectory.
 
 use stronghold_core::adam::AdamParams;
-use stronghold_core::host::{DataParallelConfig, DataParallelTrainer, HostResidentTrainer};
+use stronghold_core::host::{
+    DataParallelConfig, DataParallelTrainer, HostOffloadConfig, HostResidentTrainer,
+};
 use stronghold_integration_tests::batch_for;
 use stronghold_model::config::{tiny, ModelConfig};
 
@@ -49,21 +51,25 @@ fn dp_config(
 ) -> DataParallelConfig {
     DataParallelConfig {
         replicas,
-        window,
         bucket_bytes,
-        optimizer_workers: 2,
-        offload_workers: 1,
-        compute_workers: 1,
-        adam: adam(),
-        schedule: None,
-        clip_norm: if streaming { None } else { Some(f32::MAX) },
-        autotune: None,
-        ..DataParallelConfig::default()
+        host: HostOffloadConfig {
+            window,
+            optimizer_workers: 2,
+            offload_workers: 1,
+            compute_workers: 1,
+            adam: adam(),
+            schedule: None,
+            clip_norm: if streaming { None } else { Some(f32::MAX) },
+            autotune: None,
+            ..HostOffloadConfig::default()
+        },
     }
 }
 
 /// The full stress matrix: replicas {1, 2, 4} × window {1, 2} × dispatch
-/// {deferred, streaming} × bucket {one layer, four layers, whole model}.
+/// {deferred, streaming} × bucket {one layer, four layers, whole model},
+/// plus one cell under an explicit per-replica `device_capacity` (the
+/// embedded [`HostOffloadConfig`] passes it through to every replica).
 /// Every cell must reproduce the resident reference bit-for-bit — losses
 /// per step and every block parameter — and all replicas must stay in
 /// lockstep.
@@ -75,43 +81,66 @@ fn dp_matrix_matches_single_replica_resident_bitwise() {
     let (ref_losses, ref_params) = resident_reference(steps);
     let layer_bytes = cfg.block_params() as usize * 4;
 
+    let mut cells = Vec::new();
     for replicas in [1usize, 2, 4] {
         for window in [1usize, 2] {
             for streaming in [false, true] {
                 for bucket_bytes in [layer_bytes, 4 * layer_bytes, usize::MAX] {
-                    let cell = format!(
-                        "replicas={replicas} window={window} streaming={streaming} \
-                         bucket_bytes={bucket_bytes}"
-                    );
-                    let mut t = DataParallelTrainer::new(
-                        cfg,
-                        SEED,
-                        dp_config(replicas, window, streaming, bucket_bytes),
-                    );
-                    for (s, expect) in ref_losses.iter().enumerate() {
-                        let loss = t.train_step(&batch);
-                        assert_eq!(
-                            loss.to_bits(),
-                            expect.to_bits(),
-                            "{cell}: loss diverged at step {s} ({loss} vs {expect})"
-                        );
-                    }
-                    t.flush();
-                    for (i, expect) in ref_params.iter().enumerate() {
-                        assert_eq!(
-                            &t.block_params(i),
-                            expect,
-                            "{cell}: block {i} params diverged"
-                        );
-                        for r in 1..replicas {
-                            assert_eq!(
-                                t.replica_block_params(r, i),
-                                t.replica_block_params(0, i),
-                                "{cell}: replica {r} out of lockstep at block {i}"
-                            );
-                        }
-                    }
+                    cells.push(dp_config(replicas, window, streaming, bucket_bytes));
                 }
+            }
+        }
+    }
+    // A 3-slot arena budget admits exactly the configured window of 2.
+    let budgeted = dp_config(2, 2, true, layer_bytes);
+    cells.push(DataParallelConfig {
+        host: HostOffloadConfig {
+            device_capacity: Some(3 * layer_bytes as u64),
+            ..budgeted.host
+        },
+        ..budgeted
+    });
+
+    for dp in cells {
+        let cell = format!(
+            "replicas={} window={} streaming={} bucket_bytes={} device_capacity={:?}",
+            dp.replicas,
+            dp.host.window,
+            dp.host.clip_norm.is_none(),
+            dp.bucket_bytes,
+            dp.host.device_capacity
+        );
+        let mut t = DataParallelTrainer::new(cfg, SEED, dp.clone());
+        for (s, expect) in ref_losses.iter().enumerate() {
+            let loss = t.train_step(&batch);
+            assert_eq!(
+                loss.to_bits(),
+                expect.to_bits(),
+                "{cell}: loss diverged at step {s} ({loss} vs {expect})"
+            );
+        }
+        t.flush();
+        for (i, expect) in ref_params.iter().enumerate() {
+            assert_eq!(
+                &t.replica(0).block_params(i),
+                expect,
+                "{cell}: block {i} params diverged"
+            );
+            for r in 1..dp.replicas {
+                assert_eq!(
+                    t.replica(r).block_params(i),
+                    t.replica(0).block_params(i),
+                    "{cell}: replica {r} out of lockstep at block {i}"
+                );
+            }
+        }
+        if let Some(budget) = dp.host.device_capacity {
+            for r in 0..dp.replicas {
+                assert_eq!(t.replica(r).window(), dp.host.window, "{cell}: replica {r}");
+                assert!(
+                    t.replica(r).device().peak() <= budget,
+                    "{cell}: replica {r} device peak over its arena budget"
+                );
             }
         }
     }
@@ -130,7 +159,9 @@ fn dp_repeat_runs_are_bit_identical() {
         let mut t = DataParallelTrainer::new(cfg, 11, dp_config(4, 2, true, layer_bytes));
         let losses: Vec<u32> = (0..4).map(|_| t.train_step(&batch).to_bits()).collect();
         t.flush();
-        let params: Vec<Vec<f32>> = (0..cfg.layers).map(|i| t.block_params(i)).collect();
+        let params: Vec<Vec<f32>> = (0..cfg.layers)
+            .map(|i| t.replica(0).block_params(i))
+            .collect();
         (losses, params)
     };
     let a = run();
@@ -151,11 +182,11 @@ fn dp_eval_and_state_follow_replica_zero() {
         dp.train_step(&batch);
         single.train_step(&batch);
     }
-    assert_eq!(dp.eval_loss(&batch), single.eval_loss(&batch));
+    assert_eq!(dp.replica(0).eval_loss(&batch), single.eval_loss(&batch));
     // The saved state is byte-equal to the single-replica trainer's: same
     // step counter, same parameters, same Adam moments.
     assert_eq!(
-        dp.save_training_state().as_ref(),
+        dp.replica(0).save_training_state().as_ref(),
         single.save_training_state().as_ref(),
         "training-state blobs diverged"
     );
@@ -169,7 +200,10 @@ fn dp_validate_matches_train_step_requirements() {
     assert!(DataParallelTrainer::validate(&cfg, &ok, 8).is_ok());
     assert!(DataParallelTrainer::validate(&cfg, &ok, 9).is_err());
     let zero_window = DataParallelConfig {
-        window: 0,
+        host: HostOffloadConfig {
+            window: 0,
+            ..ok.host
+        },
         ..ok.clone()
     };
     assert!(DataParallelTrainer::validate(&cfg, &zero_window, 8).is_err());

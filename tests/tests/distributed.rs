@@ -8,7 +8,7 @@ use stronghold_cluster::comm::dp_traffic_bytes;
 use stronghold_cluster::{MegatronMP, StrongholdDP, StrongholdMP, ZeroDP};
 use stronghold_collective::{v_dp, v_dp_exact, volume::VolumeParams};
 use stronghold_core::adam::AdamParams;
-use stronghold_core::host::{DataParallelConfig, DataParallelTrainer};
+use stronghold_core::host::{DataParallelConfig, DataParallelTrainer, HostOffloadConfig};
 use stronghold_core::method::{max_trainable_layers, TrainingMethod};
 use stronghold_model::config::{tiny, ModelConfig};
 use stronghold_model::data::SyntheticCorpus;
@@ -73,13 +73,16 @@ fn dp_trainer(cfg: ModelConfig, replicas: usize, streaming: bool) -> DataParalle
         5,
         DataParallelConfig {
             replicas,
-            window: 2,
-            // Clipping selects deferred dispatch; a within-budget threshold
-            // leaves the gradients (and the traffic) untouched.
-            clip_norm: if streaming { None } else { Some(f32::MAX) },
-            adam: AdamParams {
-                lr: 2e-3,
-                ..AdamParams::default()
+            host: HostOffloadConfig {
+                window: 2,
+                // Clipping selects deferred dispatch; a within-budget
+                // threshold leaves the gradients (and the traffic) untouched.
+                clip_norm: if streaming { None } else { Some(f32::MAX) },
+                adam: AdamParams {
+                    lr: 2e-3,
+                    ..AdamParams::default()
+                },
+                ..DataParallelConfig::default().host
             },
             ..DataParallelConfig::default()
         },
@@ -99,7 +102,7 @@ fn measured_dp_traffic_matches_volume_formula_exactly() {
     let batch = SyntheticCorpus::new(cfg.vocab, 80).next_batch(12, cfg.seq - 1);
     for replicas in [1usize, 2, 3, 4] {
         let mut t = dp_trainer(cfg, replicas, true);
-        let e = t.grad_elements();
+        let e = t.replica(0).grad_elements();
         assert_eq!(
             e,
             cfg.total_params(),
@@ -149,7 +152,7 @@ fn dp_traffic_is_dispatch_mode_invariant() {
 fn paper_volume_formula_decomposes_measured_elements() {
     let cfg = tiny(3).with_batch(8);
     let t = dp_trainer(cfg, 2, true);
-    let e = t.grad_elements();
+    let e = t.replica(0).grad_elements();
     let (n, h, v, s) = (
         cfg.layers as u64,
         cfg.hidden as u64,

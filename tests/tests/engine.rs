@@ -11,7 +11,7 @@ use stronghold_core::adam::AdamParams;
 use stronghold_core::error::RuntimeError;
 use stronghold_core::hooks::HookPoint;
 use stronghold_core::host::{
-    EngineOptions, HostOffloadConfig, HostOffloadTrainer, HostResidentTrainer,
+    Engine, EngineOptions, HostOffloadConfig, HostOffloadTrainer, HostResidentTrainer, ParamBackend,
 };
 use stronghold_core::schedule::LrSchedule;
 use stronghold_core::telemetry::Telemetry;
@@ -92,66 +92,62 @@ fn policy_is_identical_across_backends() {
     }
 }
 
-#[test]
-fn checkpoint_roundtrip_resident() {
-    // Save at step 3, restore, train 3 more == uninterrupted 6 steps.
-    let cfg = tiny(3);
-    let batch = batch_for(&cfg, 201);
-
-    let mut straight = HostResidentTrainer::with_options(cfg, 4, opts());
+/// Save at step 3, restore, train 3 more == uninterrupted 6 steps — one
+/// body for every backend, since every trainer is an `Engine<B>`.
+fn checkpoint_roundtrip<B: ParamBackend>(
+    make: impl Fn() -> Engine<B>,
+    load: impl Fn(bytes::Bytes) -> Engine<B>,
+    batch_seed: u64,
+    what: &str,
+) {
+    let mut straight = make();
+    let cfg = straight.config();
+    let batch = batch_for(&cfg, batch_seed);
     for _ in 0..6 {
         straight.train_step(&batch);
     }
+    straight.flush();
 
-    let mut first = HostResidentTrainer::with_options(cfg, 4, opts());
+    let mut first = make();
     for _ in 0..3 {
         first.train_step(&batch);
     }
-    let blob = first.save_training_state();
-    let mut resumed = HostResidentTrainer::load_training_state(blob, cfg, opts()).unwrap();
+    let mut resumed = load(first.save_training_state());
     assert_eq!(resumed.steps(), 3, "step counter travels with the blob");
     for _ in 0..3 {
         resumed.train_step(&batch);
     }
+    resumed.flush();
     for i in 0..cfg.layers {
         assert_eq!(
             straight.block_params(i),
             resumed.block_params(i),
-            "block {i}"
+            "block {i}, {what}"
         );
     }
 }
 
 #[test]
+fn checkpoint_roundtrip_resident() {
+    let cfg = tiny(3);
+    checkpoint_roundtrip(
+        || HostResidentTrainer::with_options(cfg, 4, opts()),
+        |blob| HostResidentTrainer::load_training_state(blob, cfg, opts()).unwrap(),
+        201,
+        "resident",
+    );
+}
+
+#[test]
 fn checkpoint_roundtrip_offloaded() {
     let cfg = tiny(3);
-    let batch = batch_for(&cfg, 202);
     for hocfg in [hocfg(), multi_worker(2)] {
-        let mut straight = HostOffloadTrainer::new(cfg, 5, hocfg);
-        for _ in 0..6 {
-            straight.train_step(&batch);
-        }
-        straight.flush();
-
-        let mut first = HostOffloadTrainer::new(cfg, 5, hocfg);
-        for _ in 0..3 {
-            first.train_step(&batch);
-        }
-        let blob = first.save_training_state();
-        let mut resumed = HostOffloadTrainer::load_training_state(blob, cfg, hocfg).unwrap();
-        assert_eq!(resumed.steps(), 3);
-        for _ in 0..3 {
-            resumed.train_step(&batch);
-        }
-        resumed.flush();
-        for i in 0..cfg.layers {
-            assert_eq!(
-                straight.block_params(i),
-                resumed.block_params(i),
-                "block {i}, {} compute workers",
-                hocfg.compute_workers
-            );
-        }
+        checkpoint_roundtrip(
+            || HostOffloadTrainer::new(cfg, 5, hocfg),
+            |blob| HostOffloadTrainer::load_training_state(blob, cfg, hocfg).unwrap(),
+            202,
+            &format!("{} compute workers", hocfg.compute_workers),
+        );
     }
 }
 
@@ -287,32 +283,31 @@ fn register_all(
     });
 }
 
-#[test]
-fn hooks_fire_on_resident_backend() {
-    let cfg = tiny(3);
-    let batch = batch_for(&cfg, 205);
-    let mut t = HostResidentTrainer::with_options(cfg, 9, opts());
+fn hooks_fire<B: ParamBackend>(mut t: Engine<B>, batch_seed: u64) {
+    let cfg = t.config();
+    let batch = batch_for(&cfg, batch_seed);
     let counts = counters();
     register_all(t.hooks_mut(), cfg.layers, &counts);
     for _ in 0..4 {
         t.train_step(&batch);
     }
     assert_hook_counts(&counts, cfg.layers as u64, 4);
-    assert_eq!(t.hook_invocations(), (4 * cfg.layers as u64 + 1) * 4);
+    assert_eq!(
+        t.hooks().invocations(),
+        (4 * cfg.layers as u64 + 1) * 4,
+        "registry invocation total"
+    );
+}
+
+#[test]
+fn hooks_fire_on_resident_backend() {
+    hooks_fire(HostResidentTrainer::with_options(tiny(3), 9, opts()), 205);
 }
 
 #[test]
 fn hooks_fire_on_offloaded_backend() {
-    let cfg = tiny(3);
-    let batch = batch_for(&cfg, 206);
     for hocfg in [hocfg(), multi_worker(2)] {
-        let mut t = HostOffloadTrainer::new(cfg, 10, hocfg);
-        let counts = counters();
-        register_all(t.hooks_mut(), cfg.layers, &counts);
-        for _ in 0..4 {
-            t.train_step(&batch);
-        }
-        assert_hook_counts(&counts, cfg.layers as u64, 4);
+        hooks_fire(HostOffloadTrainer::new(tiny(3), 10, hocfg), 206);
     }
 }
 

@@ -20,7 +20,7 @@ use stronghold_core::analytic::solve_window;
 use stronghold_core::host::profiler::measure_host_profile_with_precision;
 use stronghold_core::host::{
     DataParallelConfig, DataParallelTrainer, HostOffloadConfig, HostOffloadTrainer,
-    HostResidentTrainer,
+    HostResidentTrainer, ParamBackend,
 };
 use stronghold_integration_tests::batch_for;
 use stronghold_model::config::{tiny, ModelConfig};
@@ -417,14 +417,16 @@ fn precision_conflict_rejected_only_without_masters() {
 fn dp_config(replicas: usize, precision: Precision, bucket_bytes: usize) -> DataParallelConfig {
     DataParallelConfig {
         replicas,
-        window: 2,
         bucket_bytes,
-        optimizer_workers: 2,
-        offload_workers: 1,
-        compute_workers: 1,
-        adam: adam(),
-        precision,
-        ..DataParallelConfig::default()
+        host: HostOffloadConfig {
+            window: 2,
+            optimizer_workers: 2,
+            offload_workers: 1,
+            compute_workers: 1,
+            adam: adam(),
+            precision,
+            ..HostOffloadConfig::default()
+        },
     }
 }
 
@@ -446,12 +448,14 @@ fn dp_bf16_is_deterministic_and_bucket_invariant() {
         t.flush();
         for i in 0..cfg.layers {
             assert_eq!(
-                t.replica_block_params(1, i),
-                t.replica_block_params(0, i),
+                t.replica(1).block_params(i),
+                t.replica(0).block_params(i),
                 "replicas out of lockstep at block {i}"
             );
         }
-        let params: Vec<Vec<f32>> = (0..cfg.layers).map(|i| t.block_params(i)).collect();
+        let params: Vec<Vec<f32>> = (0..cfg.layers)
+            .map(|i| t.replica(0).block_params(i))
+            .collect();
         (losses, params)
     };
     let reference = run(layer_bytes);

@@ -310,7 +310,10 @@ fn data_parallel_replicas_spill_bit_identically() {
         SEED,
         DataParallelConfig {
             replicas: 1,
-            adam: adam(),
+            host: HostOffloadConfig {
+                adam: adam(),
+                ..DataParallelConfig::default().host
+            },
             ..DataParallelConfig::default()
         },
     );
@@ -319,28 +322,50 @@ fn data_parallel_replicas_spill_bit_identically() {
         SEED,
         DataParallelConfig {
             replicas: 2,
-            adam: adam(),
-            host_capacity: Some(capacity_for(&cfg, 1)),
-            spill_workers: 2,
+            host: HostOffloadConfig {
+                adam: adam(),
+                host_capacity: Some(capacity_for(&cfg, 1)),
+                spill_workers: 2,
+                ..DataParallelConfig::default().host
+            },
             ..DataParallelConfig::default()
         },
     );
-    for step in 0..4 {
+    // Swap-file write counters before any step (the init image is written
+    // synchronously at construction, hence deltas below).
+    let written0: Vec<u64> = (0..2)
+        .map(|r| spilled.replica(r).spill_traffic().1)
+        .collect();
+    let steps = 4u64;
+    for step in 0..steps {
         let a = single.train_step(&batch);
         let b = spilled.train_step(&batch);
         assert_eq!(a, b, "loss diverged at step {step}");
     }
     single.flush();
     spilled.flush();
+    // `flush()` drains the spill tier too: every replica's write-backs have
+    // reached its swap file, to the byte of the closed-form plan.
+    for (r, w0) in written0.iter().enumerate() {
+        let replica = spilled.replica(r);
+        let plan = replica.tier_plan();
+        let h2f_per_step: u64 = (0..cfg.layers).map(|l| plan.h2f_bytes_per_step(l)).sum();
+        assert!(h2f_per_step > 0, "replica {r} spills nothing");
+        assert_eq!(
+            replica.spill_traffic().1 - w0,
+            steps * h2f_per_step,
+            "replica {r} swap-file writes after flush"
+        );
+    }
     for i in 0..cfg.layers {
         assert_eq!(
-            single.block_params(i),
-            spilled.block_params(i),
+            single.replica(0).block_params(i),
+            spilled.replica(0).block_params(i),
             "block {i} diverged from the unspilled single-replica reference"
         );
         assert_eq!(
-            spilled.replica_block_params(0, i),
-            spilled.replica_block_params(1, i),
+            spilled.replica(0).block_params(i),
+            spilled.replica(1).block_params(i),
             "replicas out of lockstep at block {i}"
         );
     }
