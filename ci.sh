@@ -43,6 +43,17 @@ if [ "$steps" != "crates/core/src/host/data_parallel.rs crates/core/src/host/eng
     echo "trainer wrapper re-grown: train_step in [$steps], save_training_state in [$saves], engine fields: [$wrappers]"
     exit 1
 fi
+# The spill tier holds no more than its plan: swap-file I/O is positional
+# and zero-copy (the two slice casts in nvme.rs are the only `unsafe` in
+# core, and no file sits behind a lock), and a spilled update writes back
+# on the optimizer actor that ran it — the spill workers carry fills only.
+unsafe_in=$(grep -rlw 'unsafe' crates/core/src | LC_ALL=C sort | tr '\n' ' ')
+spill_job=$(awk '/enum TierJob/,/^}/' crates/core/src/tier.rs | grep -w 'Spill' || true)
+locked_file=$(grep -rn 'Mutex<\(std::fs::\)\?File>' crates/core/src || true)
+if [ "$unsafe_in" != "crates/core/src/nvme.rs " ] || [ -n "$spill_job" ] || [ -n "$locked_file" ]; then
+    echo "spill tier copies or serialises again: unsafe in [$unsafe_in], TierJob::Spill [$spill_job], Mutex<File> [$locked_file]"
+    exit 1
+fi
 
 echo "==> cargo build --release"
 cargo build --release

@@ -63,33 +63,46 @@ impl AdamState {
 
     /// Applies one Adam step: updates `params` in place from `grads`.
     ///
-    /// The bias-corrected learning rate is computed here in `f64` (as the
-    /// scalar implementation always did); the per-element moment and
-    /// parameter updates run on the vectorized fused kernel.
-    ///
     /// # Panics
     /// Panics if lengths mismatch.
     pub fn step(&mut self, params: &mut [f32], grads: &[f32], hp: &AdamParams) {
         assert_eq!(params.len(), grads.len(), "adam: params vs grads");
         assert_eq!(params.len(), self.m.len(), "adam: params vs state");
         self.t += 1;
-        let t = self.t as f64;
-        let bc1 = 1.0 - (hp.beta1 as f64).powf(t);
-        let bc2 = 1.0 - (hp.beta2 as f64).powf(t);
-        let lr_t = hp.lr as f64 * bc2.sqrt() / bc1;
-        let lr_t = lr_t as f32;
-        stronghold_tensor::ops::adam_fused(
-            params,
-            grads,
-            &mut self.m,
-            &mut self.v,
-            hp.beta1,
-            hp.beta2,
-            lr_t,
-            hp.lr * hp.weight_decay,
-            hp.eps,
-        );
+        fused_step(params, grads, &mut self.m, &mut self.v, self.t, hp);
     }
+}
+
+/// Step `t` (1-based) of AdamW over matching slices of parameters,
+/// gradients and moments — the one formula behind [`AdamState::step`] and
+/// the spilled layer's chunked update. The bias-corrected learning rate is
+/// computed in `f64` (as the scalar implementation always did); the
+/// per-element moment and parameter updates run on the vectorized fused
+/// kernel, whose per-element result does not depend on where a slice
+/// starts as long as it starts on a multiple of the vector width.
+pub(crate) fn fused_step(
+    params: &mut [f32],
+    grads: &[f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    t: u64,
+    hp: &AdamParams,
+) {
+    let t = t as f64;
+    let bc1 = 1.0 - (hp.beta1 as f64).powf(t);
+    let bc2 = 1.0 - (hp.beta2 as f64).powf(t);
+    let lr_t = hp.lr as f64 * bc2.sqrt() / bc1;
+    stronghold_tensor::ops::adam_fused(
+        params,
+        grads,
+        m,
+        v,
+        hp.beta1,
+        hp.beta2,
+        lr_t as f32,
+        hp.lr * hp.weight_decay,
+        hp.eps,
+    );
 }
 
 #[cfg(test)]

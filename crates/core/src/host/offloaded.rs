@@ -118,9 +118,11 @@ pub struct HostOffloadConfig {
     /// Which layers spill when `host_capacity` binds (or, with
     /// [`SpillPolicy::All`], unconditionally — the stress configuration).
     pub spill: SpillPolicy,
-    /// Async spill/fill I/O threads for the file tier (clamped to ≥ 1 when
-    /// any layer spills; the autotuner can resize this live via the
-    /// `spill_workers` knob).
+    /// Async fill threads for the file tier: they read spilled layers ahead
+    /// of the window (clamped to ≥ 1 when any layer spills; the autotuner
+    /// can resize this live via the `spill_workers` knob). A spilled
+    /// layer's update — page-in, Adam step and write-back — runs on the
+    /// optimizer actor instead, see [`Self::optimizer_workers`].
     pub spill_workers: usize,
 }
 
@@ -867,9 +869,9 @@ impl ParamBackend for WindowedBackend {
     }
 
     fn flush(&self) {
-        // Pool first (updates enqueue their write-backs inside
-        // `apply_update`), then the spill engine — after both, every
-        // pending flag is clear and the file image is current.
+        // Pool first (a spilled update has written back when it retires),
+        // then the spill engine's fills — after both, every pending flag is
+        // clear and the file image is current.
         self.pool.flush();
         self.store.flush_spill();
     }

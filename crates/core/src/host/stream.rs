@@ -16,6 +16,7 @@
 //! both), so training, serving and evaluation compute on the same
 //! device-resident value grid by construction.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -254,8 +255,10 @@ impl LayerStream {
     ///
     /// A consumer that returns before the end of the pass is fine: the
     /// layers already staged are drained and un-accounted. One that panics
-    /// drops the feed, which stops the prefetcher at its next channel
-    /// operation; the panic then propagates.
+    /// stops the prefetcher at its next channel operation; the panic then
+    /// propagates. A prefetcher that panics (a failed spill-tier fill)
+    /// starves the consumer, whose own panic is then only a symptom: the
+    /// prefetcher's is the one re-raised on the calling thread.
     pub(crate) fn run<R>(
         &mut self,
         store: &LayerStore,
@@ -284,8 +287,8 @@ impl LayerStream {
             free: free_tx,
         };
         let out = std::thread::scope(|scope| {
-            scope.spawn(move || prefetcher.run(pass, m));
-            let out = consume(&mut feed);
+            let prefetch = scope.spawn(move || prefetcher.run(pass, m));
+            let out = catch_unwind(AssertUnwindSafe(|| consume(&mut feed)));
             // Nothing more will be released: once the free queue is empty
             // the prefetcher stops. Whatever it staged meanwhile comes back
             // here (nothing, when the consumer ran the whole pass).
@@ -295,7 +298,10 @@ impl LayerStream {
                 link.device.free(link.block_bytes);
                 blocks.push(shell);
             }
-            out
+            if let Err(panic) = prefetch.join() {
+                resume_unwind(panic);
+            }
+            out.unwrap_or_else(|panic| resume_unwind(panic))
         });
         while let Ok(shell) = free_rx.try_recv() {
             blocks.push(shell);

@@ -19,6 +19,15 @@
 //! ("convert-on-ingest" — the `Vec<f32>` arriving here already carries the
 //! half-grid values), so the fused AdamW step below runs unchanged at the
 //! memory-bandwidth floor and checkpoints serialize bit-exact FP32 masters.
+//!
+//! Spilled layers (§III-G) are updated in place on the file: the actor
+//! running the update pages params, m and v in one chunk at a time
+//! through a small staging triple it owns, steps the chunk and writes it
+//! back before reading the next, as ZeRO-Infinity steps NVMe-resident
+//! optimizer state sub-group by sub-group. An update therefore holds
+//! `3 × SPILL_CHUNK` floats per actor, never a whole layer's state, and
+//! nothing outlives it: the write-back has landed when `pending_update`
+//! clears.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -26,10 +35,22 @@ use std::sync::Arc;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 
-use crate::adam::{AdamParams, AdamState};
+use crate::adam::{self, AdamParams, AdamState};
 use crate::nvme::NvmeStore;
 use crate::telemetry::{Gauge, Telemetry};
-use crate::tier::{Tier, TierPlan, TierStore};
+use crate::tier::{io_failure, Tier, TierPlan, TierStore};
+
+/// Floats per component (params, m, v) a spilled update pages through its
+/// actor's staging triple at once — 1 MiB each. A power-of-two multiple of
+/// the widest vector tier's 16 lanes, so every chunk starts where the
+/// whole-layer kernel runs a full vector: the vectorized body and the
+/// scalar tail cover the same elements, and the chunked step is
+/// bit-identical to the resident one.
+const SPILL_CHUNK: usize = 1 << 18;
+
+/// An optimizer actor's reusable page-in buffers for spilled updates: one
+/// chunk each of params, m and v.
+pub(crate) type Staging = [Vec<f32>; 3];
 
 /// Per-layer parameter + optimizer-state storage, the "CPU RAM" side of the
 /// offloading runtime. All access is through layer-granular locks.
@@ -67,9 +88,9 @@ pub(crate) struct Slot {
     pub(crate) filled: bool,
     /// Spilled layers only: a fill job is queued or running.
     pub(crate) fill_inflight: bool,
-    /// Spilled layers only: the update write-back is queued or running
-    /// (`pending_update` stays set until it lands).
-    pub(crate) spill_inflight: bool,
+    /// Spilled layers only: the first swap-file I/O failure on this layer.
+    /// Every later access re-raises it (see [`Slot::check_io`]).
+    pub(crate) failure: Option<String>,
 }
 
 impl Slot {
@@ -82,7 +103,16 @@ impl Slot {
             file_slot: usize::MAX,
             filled: false,
             fill_inflight: false,
-            spill_inflight: false,
+            failure: None,
+        }
+    }
+
+    /// Re-raises a recorded spill I/O failure as a panic on the calling
+    /// thread. The worker or actor that hit it recorded it and woke every
+    /// waiter instead of dying, so nothing is left blocked.
+    fn check_io(&self) {
+        if let Some(msg) = &self.failure {
+            panic!("{msg}");
         }
     }
 }
@@ -159,18 +189,10 @@ impl LayerStore {
                 nvme.write_at(fs, 0, &p, &mut scratch)?;
                 nvme.write_at(fs, n, &zeros, &mut scratch)?;
                 nvme.write_at(fs, 2 * n, &zeros, &mut scratch)?;
+                // Nothing in RAM: params, m and v live in the file slot.
                 Slot {
-                    params: Vec::new(),
-                    adam: AdamState {
-                        m: Vec::new(),
-                        v: Vec::new(),
-                        t: 0,
-                    },
-                    pending_update: false,
                     file_slot: fs,
-                    filled: false,
-                    fill_inflight: false,
-                    spill_inflight: false,
+                    ..Slot::resident(Vec::new())
                 }
             } else {
                 Slot::resident(p)
@@ -226,6 +248,10 @@ impl LayerStore {
     /// demand fill issued if no prefill landed ahead of the read. Time
     /// spent blocked on a fill accrues to the store's fill-wait clock — the
     /// autotuner's spill stall signal.
+    ///
+    /// # Panics
+    /// Panics on the calling thread if the layer's swap-file I/O failed,
+    /// naming the layer, the file slot and the error.
     pub(crate) fn with_params<R>(&self, layer: usize, f: impl FnOnce(&[f32]) -> R) -> R {
         let cell = &self.slots[layer];
         if self.placement[layer] == Tier::Ram {
@@ -239,7 +265,8 @@ impl LayerStore {
         let t0 = std::time::Instant::now();
         let mut slot = cell.lock.lock();
         let buf = loop {
-            if slot.pending_update || slot.spill_inflight {
+            slot.check_io();
+            if slot.pending_update {
                 cell.cv.wait(&mut slot);
                 continue;
             }
@@ -269,9 +296,9 @@ impl LayerStore {
 
     /// Issues an asynchronous fill of a spilled layer ahead of its read —
     /// the schedule-driven prefetch of the file tier. No-op for resident
-    /// layers, layers already filled/filling, or layers whose update is
-    /// still in flight (the file image is stale until the write-back lands;
-    /// the eventual read falls back to a demand fill).
+    /// layers, layers already filled/filling or failed, and layers whose
+    /// update is still in flight (the file image is stale until the
+    /// write-back lands; the eventual read falls back to a demand fill).
     pub fn prefill(&self, layer: usize) {
         let Some(tier) = &self.tier else { return };
         if self.placement[layer] != Tier::File {
@@ -280,7 +307,7 @@ impl LayerStore {
         let cell = &self.slots[layer];
         let fs = {
             let mut slot = cell.lock.lock();
-            if slot.pending_update || slot.spill_inflight || slot.filled || slot.fill_inflight {
+            if slot.pending_update || slot.filled || slot.fill_inflight || slot.failure.is_some() {
                 return;
             }
             slot.fill_inflight = true;
@@ -297,12 +324,27 @@ impl LayerStore {
 
     /// Applies an Adam update for a layer and releases waiters.
     ///
-    /// Resident layers step in place. Spilled layers page params + moments
-    /// in from the file slot (12·S bytes), step, then hand the written-back
-    /// state to the spill workers — `pending_update` stays set until the
-    /// write lands, so readers and checkpoints never observe a stale file
-    /// image.
+    /// Resident layers step in place. Spilled layers step straight through
+    /// their file slot, chunk by chunk (see the module docs): 12·S bytes in,
+    /// 12·S out, all on the calling thread, and `pending_update` clears only
+    /// once the last chunk is written back, so readers and checkpoints never
+    /// observe a stale file image. A failed swap-file access does not panic
+    /// here — the caller may be an optimizer actor whose death would strand
+    /// `flush` — but is recorded and re-raised by the next access to the
+    /// layer and by [`LayerStore::flush_spill`].
     pub fn apply_update(&self, layer: usize, grads: &[f32], hp: &AdamParams) {
+        self.apply_update_with(layer, grads, hp, &mut Staging::default());
+    }
+
+    /// [`LayerStore::apply_update`] paging a spilled layer through the
+    /// caller's reusable `staging` buffers.
+    pub(crate) fn apply_update_with(
+        &self,
+        layer: usize,
+        grads: &[f32],
+        hp: &AdamParams,
+        staging: &mut Staging,
+    ) {
         let cell = &self.slots[layer];
         if self.placement[layer] == Tier::Ram {
             let mut slot = cell.lock.lock();
@@ -312,49 +354,38 @@ impl LayerStore {
             cell.cv.notify_all();
             return;
         }
+        assert_eq!(grads.len(), self.lens[layer], "adam: params vs grads");
         let tier = self.tier.as_ref().expect("tiered store");
-        let n = self.lens[layer];
         let (fs, t) = {
             let mut slot = cell.lock.lock();
-            // Defensive: no fill may observe or race the rewrite. Prefill
-            // skips pending layers, so in the steady pipeline both branches
-            // are dead — but the protocol stays safe under any caller.
+            // No fill may observe or race the rewrite. Callers mark the
+            // layer pending before submitting, and prefill skips pending
+            // layers, so in the pipeline the flag is already set and the
+            // wait is dead — but the protocol stays safe under any caller.
+            slot.pending_update = true;
             while slot.fill_inflight {
                 cell.cv.wait(&mut slot);
             }
             if slot.filled {
-                let buf = std::mem::take(&mut slot.params);
                 slot.filled = false;
-                tier.give_buffer(buf);
+                tier.give_buffer(std::mem::take(&mut slot.params));
             }
-            (slot.file_slot, slot.adam.t)
+            (slot.file_slot, slot.adam.t + 1)
         };
-        let mut params = tier.buffer();
-        let mut m = tier.buffer();
-        let mut v = tier.buffer();
-        let mut scratch = tier.byte_scratch();
-        {
-            let _s = tier.telemetry().span("spill-read", "update-page-in");
-            tier.nvme()
-                .read_at(fs, 0, &mut params, &mut scratch)
-                .expect("spill update read params");
-            tier.nvme()
-                .read_at(fs, n, &mut m, &mut scratch)
-                .expect("spill update read m");
-            tier.nvme()
-                .read_at(fs, 2 * n, &mut v, &mut scratch)
-                .expect("spill update read v");
+        let stepped = step_in_file(tier, fs, grads, t, hp, staging);
+        let mut slot = cell.lock.lock();
+        match stepped {
+            Ok(()) => {
+                slot.adam.t = t;
+                tier.count_update();
+            }
+            Err(e) => {
+                slot.failure
+                    .get_or_insert(io_failure(layer, fs, "update", &e));
+            }
         }
-        tier.count_f2h(12 * n as u64);
-        tier.give_byte_scratch(scratch);
-        let mut adam = AdamState { m, v, t };
-        adam.step(&mut params, grads, hp);
-        {
-            let mut slot = cell.lock.lock();
-            slot.adam.t = adam.t;
-            slot.spill_inflight = true;
-        }
-        tier.enqueue_spill(layer, fs, params, adam.m, adam.v);
+        slot.pending_update = false;
+        cell.cv.notify_all();
     }
 
     /// Snapshot of a layer's parameters. Resident layers impose no ordering
@@ -383,10 +414,12 @@ impl LayerStore {
     }
 
     /// Snapshot of a layer's Adam moment state (checkpointing). Callers must
-    /// flush the optimizer pool (and, for tiered stores, the spill engine —
-    /// [`LayerStore::flush_spill`]) first; for resident layers this does not
+    /// flush the optimizer pool first; for resident layers this does not
     /// wait for pending updates, for spilled layers it waits out an
-    /// in-flight write-back before reading the file image.
+    /// in-flight update before reading the file image.
+    ///
+    /// # Panics
+    /// Panics if a spilled layer's swap-file I/O failed (now or earlier).
     pub fn adam_snapshot(&self, layer: usize) -> AdamState {
         let cell = &self.slots[layer];
         if self.placement[layer] == Tier::Ram {
@@ -396,21 +429,20 @@ impl LayerStore {
         let n = self.lens[layer];
         let (fs, t) = {
             let mut slot = cell.lock.lock();
-            while slot.pending_update || slot.spill_inflight {
+            while slot.pending_update {
                 cell.cv.wait(&mut slot);
             }
+            slot.check_io();
             (slot.file_slot, slot.adam.t)
         };
         let mut m = vec![0.0; n];
         let mut v = vec![0.0; n];
-        let mut scratch = tier.byte_scratch();
-        tier.nvme()
-            .read_at(fs, n, &mut m, &mut scratch)
-            .expect("adam snapshot read m");
-        tier.nvme()
-            .read_at(fs, 2 * n, &mut v, &mut scratch)
-            .expect("adam snapshot read v");
-        tier.give_byte_scratch(scratch);
+        let mut scratch = Vec::new();
+        for (off, buf) in [(n, &mut m), (2 * n, &mut v)] {
+            if let Err(e) = tier.nvme().read_at(fs, off, buf, &mut scratch) {
+                panic!("{}", io_failure(layer, fs, "adam snapshot", &e));
+            }
+        }
         AdamState { m, v, t }
     }
 
@@ -433,20 +465,18 @@ impl LayerStore {
         let n = self.lens[layer];
         let fs = {
             let mut slot = cell.lock.lock();
-            while slot.pending_update || slot.spill_inflight || slot.fill_inflight {
+            while slot.pending_update || slot.fill_inflight {
                 cell.cv.wait(&mut slot);
             }
             slot.adam.t = state.t;
             slot.file_slot
         };
-        let mut scratch = tier.byte_scratch();
-        tier.nvme()
-            .write_at(fs, n, &state.m, &mut scratch)
-            .expect("set_adam write m");
-        tier.nvme()
-            .write_at(fs, 2 * n, &state.v, &mut scratch)
-            .expect("set_adam write v");
-        tier.give_byte_scratch(scratch);
+        let mut scratch = Vec::new();
+        for (off, buf) in [(n, &state.m), (2 * n, &state.v)] {
+            if let Err(e) = tier.nvme().write_at(fs, off, buf, &mut scratch) {
+                panic!("{}", io_failure(layer, fs, "adam restore", &e));
+            }
+        }
     }
 
     /// Per-layer placement under the active [`TierPlan`] (all `Ram` for
@@ -465,13 +495,20 @@ impl LayerStore {
         self.tier.as_ref()
     }
 
-    /// Blocks until every enqueued fill/spill has completed. Callers
-    /// checkpointing a tiered store run this *after* the optimizer-pool
-    /// flush (updates enqueue their write-backs inside `apply_update`, so
-    /// pool-then-tier ordering drains everything).
+    /// Blocks until every enqueued fill has completed. Run after the
+    /// optimizer-pool flush — which has landed every write-back, since an
+    /// update writes back inside `apply_update` — it leaves nothing in
+    /// flight.
+    ///
+    /// # Panics
+    /// Panics with the first recorded swap-file I/O failure of any layer,
+    /// so a failed fill or update surfaces at the step boundary.
     pub fn flush_spill(&self) {
         if let Some(tier) = &self.tier {
             tier.quiesce();
+            for cell in self.slots.iter() {
+                cell.lock.lock().check_io();
+            }
         }
     }
 
@@ -491,6 +528,45 @@ impl LayerStore {
             tier.set_workers(workers);
         }
     }
+}
+
+/// Adam step `t` of the spilled layer in `file_slot`, in place on the swap
+/// file: each [`SPILL_CHUNK`] of params, m and v is read into `staging`,
+/// stepped with the resident path's formula, and written back before the
+/// next is read.
+fn step_in_file(
+    tier: &TierStore,
+    file_slot: usize,
+    grads: &[f32],
+    t: u64,
+    hp: &AdamParams,
+    staging: &mut Staging,
+) -> std::io::Result<()> {
+    let n = grads.len();
+    let (nvme, tel) = (tier.nvme(), tier.telemetry());
+    let chunk = SPILL_CHUNK.min(n);
+    for buf in staging.iter_mut().filter(|buf| buf.len() < chunk) {
+        buf.resize(chunk, 0.0);
+    }
+    let [params, m, v] = staging;
+    // Byte staging of a big-endian host; untouched on little-endian ones.
+    let mut scratch = Vec::new();
+    for start in (0..n).step_by(SPILL_CHUNK) {
+        let len = SPILL_CHUNK.min(n - start);
+        let (p, m, v) = (&mut params[..len], &mut m[..len], &mut v[..len]);
+        {
+            let _s = tel.span("spill-read", "update-page-in");
+            nvme.read_at(file_slot, start, p, &mut scratch)?;
+            nvme.read_at(file_slot, n + start, m, &mut scratch)?;
+            nvme.read_at(file_slot, 2 * n + start, v, &mut scratch)?;
+        }
+        adam::fused_step(p, &grads[start..start + len], m, v, t, hp);
+        let _s = tel.span("spill-write", "update-write-back");
+        nvme.write_at(file_slot, start, p, &mut scratch)?;
+        nvme.write_at(file_slot, n + start, m, &mut scratch)?;
+        nvme.write_at(file_slot, 2 * n + start, v, &mut scratch)?;
+    }
+    Ok(())
 }
 
 /// An asynchronous parameter-update task. Carries its own hyper-params so a
@@ -594,6 +670,7 @@ impl OptimizerPool {
                 .spawn(move || {
                     let update_ns = tel.histogram("optim.update_ns");
                     let busy_ns = tel.counter("optim.busy_ns");
+                    let mut staging = Staging::default();
                     while let Ok(task) = rx.recv() {
                         let task = match task {
                             Task::Update(t) => t,
@@ -601,7 +678,7 @@ impl OptimizerPool {
                         };
                         queue_depth.add(-1);
                         let t0 = tel.now_nanos();
-                        store.apply_update(task.layer, &task.grads, &task.hp);
+                        store.apply_update_with(task.layer, &task.grads, &task.hp, &mut staging);
                         let dt = tel.now_nanos().saturating_sub(t0);
                         update_ns.record(dt);
                         busy_ns.add(dt);
@@ -832,18 +909,10 @@ mod tests {
 
     #[test]
     fn read_params_waits_for_pending_update() {
-        use crate::tier::SpillPolicy;
         let hp = AdamParams::default();
         // The resident store and the fully spilled one (whose write-back
         // must land before the read is released) honour the same contract.
-        let spilled = LayerStore::tiered(
-            vec![(0..8).map(|i| i as f32 * 0.01).collect()],
-            &TierPlan::plan(1, 8, 1, None, SpillPolicy::All),
-            1,
-            &Telemetry::disabled(),
-        )
-        .unwrap();
-        assert_eq!(spilled.spilled_layers(), 1);
+        let spilled = fully_spilled(vec![(0..8).map(|i| i as f32 * 0.01).collect()]);
         for store in [store_with(1, 8), spilled] {
             let before = store.snapshot(0);
             store.mark_pending(0);
@@ -862,6 +931,91 @@ mod tests {
                 seen,
                 store.snapshot(0),
                 "reader must observe post-update params"
+            );
+        }
+    }
+
+    fn fully_spilled(layer_params: Vec<Vec<f32>>) -> Arc<LayerStore> {
+        use crate::tier::SpillPolicy;
+        let (layers, n) = (layer_params.len(), layer_params[0].len());
+        let plan = TierPlan::plan(layers, n, 1, None, SpillPolicy::All);
+        let store = LayerStore::tiered(layer_params, &plan, 1, &Telemetry::disabled()).unwrap();
+        assert_eq!(store.spilled_layers(), layers);
+        store
+    }
+
+    /// The spilled update steps its layer chunk by chunk; a resident store
+    /// steps it whole. Around every chunk boundary — a layer shorter than
+    /// one vector, one short of a chunk, exactly one, and two plus a ragged
+    /// tail — the two must agree bit for bit on params, m, v and `t`.
+    #[test]
+    fn chunk_boundaries_are_invisible() {
+        let hp = AdamParams::default();
+        let first_diff = |a: &[f32], b: &[f32]| {
+            assert_eq!(a.len(), b.len());
+            a.iter()
+                .zip(b)
+                .position(|(x, y)| x.to_bits() != y.to_bits())
+        };
+        for n in [15, SPILL_CHUNK - 1, SPILL_CHUNK, 2 * SPILL_CHUNK + 37] {
+            let init: Vec<f32> = (0..n).map(|i| ((i % 997) as f32 * 0.37).sin()).collect();
+            let resident = LayerStore::new(vec![init.clone()]);
+            let spilled = fully_spilled(vec![init]);
+            for k in 0..3 {
+                let grads: Vec<f32> = (0..n)
+                    .map(|i| ((i * 7 + k * 13) % 1009) as f32 * 1e-3 - 0.5)
+                    .collect();
+                resident.apply_update(0, &grads, &hp);
+                spilled.apply_update(0, &grads, &hp);
+            }
+            let params = first_diff(&spilled.snapshot(0), &resident.snapshot(0));
+            assert_eq!(params, None, "first differing param, n = {n}");
+            let (got, want) = (spilled.adam_snapshot(0), resident.adam_snapshot(0));
+            assert_eq!(
+                first_diff(&got.m, &want.m),
+                None,
+                "first differing m, n = {n}"
+            );
+            assert_eq!(
+                first_diff(&got.v, &want.v),
+                None,
+                "first differing v, n = {n}"
+            );
+            assert_eq!((got.t, want.t), (3, 3), "t, n = {n}");
+        }
+    }
+
+    /// A chunked update whose swap-file I/O fails must not kill its actor
+    /// (the pool's in-flight count would never drain): `flush` returns,
+    /// and the failure is re-raised on the thread that next touches the
+    /// layer, or flushes the spill tier, naming layer, file slot and error.
+    #[test]
+    fn a_failed_spilled_update_wakes_flush_and_reraises_on_the_caller() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let store = fully_spilled(vec![vec![0.25; 64]; 2]);
+        let pool = OptimizerPool::new(Arc::clone(&store), AdamParams::default(), 1);
+        let nvme = store.tier_store().unwrap().nvme();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(nvme.path())
+            .unwrap()
+            .set_len(0)
+            .unwrap();
+        store.mark_pending(1);
+        pool.submit(1, &[0.5; 64]);
+        pool.flush();
+        assert_eq!(pool.updates_applied(), 1, "the actor survived");
+        let message = |f: &dyn Fn()| {
+            let panic = catch_unwind(AssertUnwindSafe(f)).expect_err("must re-raise");
+            panic.downcast_ref::<String>().cloned().unwrap()
+        };
+        for msg in [
+            message(&|| drop(store.read_params(1))),
+            message(&|| store.flush_spill()),
+        ] {
+            assert!(
+                msg.contains("layer 1, file slot 1, update: failed to fill whole buffer"),
+                "{msg}"
             );
         }
     }

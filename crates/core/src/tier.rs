@@ -16,17 +16,25 @@
 //!   placement is reproducible run to run. Placement is invisible to the
 //!   math either way: f32 ↔ little-endian file round trips are bit-exact,
 //!   so a spilled layer trains bit-identically to a resident one.
-//! * [`TierStore`] — the async I/O engine: a live-resizable pool of spill
-//!   workers over one bounded channel, mirroring the PR 5 offload workers.
-//!   Fills (file → host) are issued ahead of the working window by the
-//!   backend prefetcher — the access pattern is fully known, so disk reads
-//!   hide under compute exactly like H2D prefetch — and write-backs
-//!   (host → file) drain in the background after each Adam update.
+//! * [`TierStore`] — the async fill engine: a live-resizable pool of spill
+//!   workers over one bounded channel. Fills (file → host) are issued ahead
+//!   of the working window by the layer stream's prefetcher — the access
+//!   pattern is fully known, so disk reads hide under compute exactly like
+//!   H2D prefetch. Fill buffers circulate through one free list, so a run
+//!   holds at most the fills in flight plus the one being lent (`m + 2` at
+//!   window `m`). The update side is not here: an Adam update of a spilled
+//!   layer pages in, steps and writes back chunk by chunk on the optimizer
+//!   actor that runs it ([`crate::optimpool::LayerStore::apply_update`]).
+//!
+//! A failed swap-file read is recorded on the layer's slot and wakes its
+//! waiters; the next access re-raises it as a panic on the accessing
+//! thread, and `flush` re-raises it too — a failing disk aborts the run, it
+//! never leaves a reader waiting for a fill that will not land.
 //!
 //! Telemetry: `spill.f2h_bytes` / `spill.h2f_bytes` counters meter every
 //! byte crossing the file boundary (zero-tolerance tested against the
 //! closed-form per-step formulas below), `spill.queue_wait_ns` records how
-//! long jobs sat queued, and an always-on fill-wait clock feeds the
+//! long fills sat queued, and an always-on fill-wait clock feeds the
 //! autotuner's `fill_wait_ns` stall signal so it can resize the worker pool.
 //!
 //! # Per-step traffic formulas
@@ -199,33 +207,31 @@ impl TierPlan {
     }
 }
 
-/// One queued I/O job. Fills carry only the target; spills own the buffers
-/// being written back (returned to the free list once the write lands).
+/// One queued job of the spill workers.
 pub(crate) enum TierJob {
+    /// Read `layer`'s parameters from `file_slot` into its fill cache.
     Fill {
         layer: usize,
         file_slot: usize,
-        enqueued_ns: u64,
-    },
-    Spill {
-        layer: usize,
-        file_slot: usize,
-        params: Vec<f32>,
-        m: Vec<f32>,
-        v: Vec<f32>,
         enqueued_ns: u64,
     },
     /// Consumed by exactly one worker when the pool is shrunk live.
     Retire,
 }
 
-/// Cap on recycled fill/spill buffers — same rationale as the optimizer
-/// pool's gradient free list.
-const MAX_RECYCLED: usize = 64;
-
-/// Bounded queue depth: enough for a window of prefetched fills plus the
-/// spill backlog of a few layers without letting the queue grow unbounded.
+/// Bounded queue depth: far above the `m + 1` fills a pass keeps ahead of
+/// the window, without letting the queue grow unbounded.
 const QUEUE_CAP: usize = 64;
+
+/// The message a failed swap-file access is re-raised with.
+pub(crate) fn io_failure(
+    layer: usize,
+    file_slot: usize,
+    what: &str,
+    err: &std::io::Error,
+) -> String {
+    format!("spill tier I/O failed: layer {layer}, file slot {file_slot}, {what}: {err}")
+}
 
 struct WorkerState {
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -233,9 +239,9 @@ struct WorkerState {
     spawned: usize,
 }
 
-/// The async spill/fill engine over one [`NvmeStore`] swap file. Owned by a
+/// The async fill engine over one [`NvmeStore`] swap file. Owned by a
 /// tiered [`crate::optimpool::LayerStore`]; workers deposit fills into (and
-/// clear pending flags on) the store's slots, so the two are constructed
+/// clear in-flight flags on) the store's slots, so the two are constructed
 /// together.
 pub struct TierStore {
     nvme: Arc<NvmeStore>,
@@ -245,8 +251,10 @@ pub struct TierStore {
     tx: Option<Sender<TierJob>>,
     rx: Receiver<TierJob>,
     inflight: Arc<(Mutex<usize>, Condvar)>,
+    /// Fill buffers, every one `n` floats long. Only a fill worker finding
+    /// the list empty allocates, so its length never exceeds the most fills
+    /// ever out at once.
     free: Arc<Mutex<Vec<Vec<f32>>>>,
-    scratch: Arc<Mutex<Vec<Vec<u8>>>>,
     tel: Telemetry,
     f2h: Counter,
     h2f: Counter,
@@ -273,7 +281,6 @@ impl TierStore {
             rx,
             inflight: Arc::new((Mutex::new(0usize), Condvar::new())),
             free: Arc::new(Mutex::new(Vec::new())),
-            scratch: Arc::new(Mutex::new(Vec::new())),
             tel: tel.clone(),
             f2h: tel.counter("spill.f2h_bytes"),
             h2f: tel.counter("spill.h2f_bytes"),
@@ -302,80 +309,46 @@ impl TierStore {
             let free = Arc::clone(&self.free);
             let tel = self.tel.clone();
             let f2h = self.f2h.clone();
-            let h2f = self.h2f.clone();
             let queue_wait = self.queue_wait.clone();
             let n = self.n;
             st.handles.push(
                 std::thread::Builder::new()
                     .name(format!("spill-{w}"))
                     .spawn(move || {
-                        // Per-worker byte staging buffer: grows once, then
-                        // every read/write recycles it (zero steady-state
-                        // allocation).
-                        let mut scratch: Vec<u8> = Vec::new();
                         while let Ok(job) = rx.recv() {
-                            match job {
-                                TierJob::Retire => break,
-                                TierJob::Fill {
-                                    layer,
-                                    file_slot,
-                                    enqueued_ns,
-                                } => {
-                                    queue_wait.record(tel.now_nanos().saturating_sub(enqueued_ns));
-                                    let mut buf = free.lock().pop().unwrap_or_default();
-                                    buf.clear();
-                                    buf.resize(n, 0.0);
-                                    {
-                                        let _s = tel.span("spill-read", "fill");
-                                        nvme.read_at(file_slot, 0, &mut buf, &mut scratch)
-                                            .expect("spill fill read");
-                                    }
+                            let TierJob::Fill {
+                                layer,
+                                file_slot,
+                                enqueued_ns,
+                            } = job
+                            else {
+                                break;
+                            };
+                            queue_wait.record(tel.now_nanos().saturating_sub(enqueued_ns));
+                            let mut buf = free.lock().pop().unwrap_or_else(|| vec![0.0; n]);
+                            let read = {
+                                let _s = tel.span("spill-read", "fill");
+                                nvme.read_at(file_slot, 0, &mut buf, &mut Vec::new())
+                            };
+                            let cell = &slots[layer];
+                            let mut slot = cell.lock.lock();
+                            match read {
+                                Ok(()) => {
                                     f2h.add(4 * n as u64);
-                                    let cell = &slots[layer];
-                                    let mut slot = cell.lock.lock();
-                                    if slot.fill_inflight {
-                                        let old = std::mem::replace(&mut slot.params, buf);
-                                        slot.filled = true;
-                                        slot.fill_inflight = false;
-                                        cell.cv.notify_all();
-                                        drop(slot);
-                                        give(&free, old);
-                                    } else {
-                                        drop(slot);
-                                        give(&free, buf);
-                                    }
+                                    // The slot's cache is empty whenever a
+                                    // fill is in flight: nothing to recycle.
+                                    slot.params = buf;
+                                    slot.filled = true;
                                 }
-                                TierJob::Spill {
-                                    layer,
-                                    file_slot,
-                                    params,
-                                    m,
-                                    v,
-                                    enqueued_ns,
-                                } => {
-                                    queue_wait.record(tel.now_nanos().saturating_sub(enqueued_ns));
-                                    {
-                                        let _s = tel.span("spill-write", "spill");
-                                        nvme.write_at(file_slot, 0, &params, &mut scratch)
-                                            .expect("spill write params");
-                                        nvme.write_at(file_slot, n, &m, &mut scratch)
-                                            .expect("spill write m");
-                                        nvme.write_at(file_slot, 2 * n, &v, &mut scratch)
-                                            .expect("spill write v");
-                                    }
-                                    h2f.add(12 * n as u64);
-                                    let cell = &slots[layer];
-                                    {
-                                        let mut slot = cell.lock.lock();
-                                        slot.spill_inflight = false;
-                                        slot.pending_update = false;
-                                        cell.cv.notify_all();
-                                    }
-                                    give(&free, params);
-                                    give(&free, m);
-                                    give(&free, v);
+                                Err(e) => {
+                                    let msg = io_failure(layer, file_slot, "fill", &e);
+                                    slot.failure.get_or_insert(msg);
+                                    free.lock().push(buf);
                                 }
                             }
+                            slot.fill_inflight = false;
+                            cell.cv.notify_all();
+                            drop(slot);
                             let (lock, cv) = &*inflight;
                             let mut k = lock.lock();
                             *k -= 1;
@@ -439,32 +412,7 @@ impl TierStore {
         );
     }
 
-    /// Enqueues an asynchronous write-back of `layer`'s updated state. The
-    /// caller must have set `spill_inflight`; the worker clears it together
-    /// with `pending_update` once the write lands.
-    pub(crate) fn enqueue_spill(
-        &self,
-        layer: usize,
-        file_slot: usize,
-        params: Vec<f32>,
-        m: Vec<f32>,
-        v: Vec<f32>,
-    ) {
-        let enqueued_ns = self.tel.now_nanos();
-        self.send(
-            TierJob::Spill {
-                layer,
-                file_slot,
-                params,
-                m,
-                v,
-                enqueued_ns,
-            },
-            true,
-        );
-    }
-
-    /// Blocks until every enqueued fill and spill has completed.
+    /// Blocks until every enqueued fill has completed (landed or failed).
     pub fn quiesce(&self) {
         let (lock, cv) = &*self.inflight;
         let mut k = lock.lock();
@@ -473,32 +421,9 @@ impl TierStore {
         }
     }
 
-    /// A recycled `n`-float buffer (cleared, not zeroed beyond `resize`).
-    pub(crate) fn buffer(&self) -> Vec<f32> {
-        let mut buf = self.free.lock().pop().unwrap_or_default();
-        buf.clear();
-        buf.resize(self.n, 0.0);
-        buf
-    }
-
-    /// Returns a float buffer to the free list.
+    /// Returns a consumed fill buffer to the free list.
     pub(crate) fn give_buffer(&self, buf: Vec<f32>) {
-        give(&self.free, buf);
-    }
-
-    /// A recycled byte staging buffer for direct `NvmeStore` calls made off
-    /// the worker threads (the optimizer actors page update state in
-    /// synchronously).
-    pub(crate) fn byte_scratch(&self) -> Vec<u8> {
-        self.scratch.lock().pop().unwrap_or_default()
-    }
-
-    /// Returns a byte scratch to the free list.
-    pub(crate) fn give_byte_scratch(&self, buf: Vec<u8>) {
-        let mut pool = self.scratch.lock();
-        if pool.len() < MAX_RECYCLED {
-            pool.push(buf);
-        }
+        self.free.lock().push(buf);
     }
 
     /// The underlying swap store.
@@ -517,22 +442,16 @@ impl TierStore {
         self.fill_wait.load(Ordering::Relaxed)
     }
 
-    /// Counts file→host traffic performed outside the worker pool (the
-    /// synchronous update page-in on the optimizer actors).
-    pub(crate) fn count_f2h(&self, bytes: u64) {
-        self.f2h.add(bytes);
+    /// Counts one completed spilled update: its page-in and write-back of
+    /// params + m + v (`12·n` bytes each way), done on an optimizer actor.
+    pub(crate) fn count_update(&self) {
+        self.f2h.add(12 * self.n as u64);
+        self.h2f.add(12 * self.n as u64);
     }
 
     /// Telemetry handle (for spans recorded off the worker threads).
     pub(crate) fn telemetry(&self) -> &Telemetry {
         &self.tel
-    }
-}
-
-fn give(free: &Mutex<Vec<Vec<f32>>>, buf: Vec<f32>) {
-    let mut pool = free.lock();
-    if pool.len() < MAX_RECYCLED {
-        pool.push(buf);
     }
 }
 

@@ -371,6 +371,67 @@ fn data_parallel_replicas_spill_bit_identically() {
     }
 }
 
+/// A spill read that fails must abort the step, not hang it: the fill
+/// worker that hit the error records it and wakes the prefetcher waiting on
+/// the layer, and the failure reaches the thread that called `train_step`
+/// as a panic naming the layer, the file slot and the I/O error. Run under
+/// a watchdog so a regression shows as a timeout, not a stuck test binary.
+#[test]
+fn a_failed_spill_read_aborts_the_step_instead_of_hanging() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::Duration;
+    // A hidden size no other test here uses, so the swap file's size
+    // identifies it among this process's swap files.
+    let cfg = stronghold_model::config::ModelConfig {
+        hidden: 40,
+        ..tiny(4)
+    };
+    let batch = batch_for(&cfg, 126);
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut t = HostOffloadTrainer::new(cfg, SEED, spill_cfg(2, capacity_for(&cfg, 1), 2));
+        assert_eq!(t.spilled_layers(), 3);
+        t.train_step(&batch);
+        t.flush();
+        let (read, written) = t.spill_traffic();
+        assert!(read > 0 && written > 0, "the spill tier must run first");
+        let swap_len = 3 * 3 * 4 * cfg.block_params();
+        let prefix = format!("stronghold-swap-{}-", std::process::id());
+        let swap = std::fs::read_dir(std::env::temp_dir())
+            .unwrap()
+            .filter_map(Result::ok)
+            .find(|e| {
+                e.file_name().to_string_lossy().starts_with(&prefix)
+                    && e.metadata().is_ok_and(|m| m.len() == swap_len)
+            })
+            .expect("the trainer's swap file");
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(swap.path())
+            .unwrap()
+            .set_len(0)
+            .unwrap();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            t.train_step(&batch);
+            t.flush();
+        }));
+        let msg = outcome
+            .err()
+            .map(|p| p.downcast_ref::<String>().cloned().unwrap_or_default());
+        let _ = tx.send(msg);
+    });
+    let msg = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("a failed spill read hung the step")
+        .expect("a failed spill read must panic");
+    // Layer 0 stays in RAM; layer 1 is the first spilled read, in file
+    // slot 0.
+    assert!(
+        msg.contains("layer 1, file slot 0, fill: failed to fill whole buffer"),
+        "unexpected panic: {msg}"
+    );
+}
+
 /// The calibration loop over the file tier: one telemetry-enabled run's
 /// measured spill bandwidths, distilled through `calibrate_host`, predict a
 /// *fresh* run's spill busy time within 8× in either direction (a loose
