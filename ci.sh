@@ -76,6 +76,10 @@ grep -q '"shape": "qkv_m127_fwd"' "$SMOKE_OUT"
 grep -q '"shape": "fc2_m15_dw"' "$SMOKE_OUT"
 grep -q '"parallel_speedup"' "$SMOKE_OUT"
 grep -q '"parallel_never_slower"' "$SMOKE_OUT"
+# The serving decode linears, packed per call and pre-packed.
+grep -q '"decode_shapes"' "$SMOKE_OUT"
+grep -q '"shape": "fc2_m16_decode"' "$SMOKE_OUT"
+grep -q '"us_packed"' "$SMOKE_OUT"
 
 echo "==> op-bench smoke (quick mode)"
 # Bounded non-GEMM op sweep: catches ops bench bit-rot and BENCH_ops.json

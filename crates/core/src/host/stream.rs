@@ -48,10 +48,12 @@ pub(crate) enum Pass {
 /// keeps full masters, and because the rounding is idempotent a re-fetch of
 /// an unchanged layer reloads identical bits. The half-width payload itself
 /// is never materialised (the link is a memcpy; its cost is the bytes
-/// touched), only accounted: returns the bytes that cross the link.
+/// touched), only accounted: returns the bytes that cross the link. A
+/// serving store holds serving-form images, which load into serving-form
+/// shells the same way; their panel padding is layout and crosses no link.
 fn load(shell: &mut Block, masters: &[f32], precision: Precision) -> u64 {
     shell.load_flat_params_as(masters, precision);
-    masters.len() as u64 * precision.param_bytes()
+    shell.param_count() as u64 * precision.param_bytes()
 }
 
 /// What the two ends of a running pass share: the device the shells live
@@ -603,10 +605,21 @@ mod tests {
         let tel = Telemetry::disabled();
         let (store, mut training) = fixture(n, Precision::Bf16, m, 0, &tel);
         let masters: Vec<Vec<f32>> = (0..n).map(|i| store.read_params(i)).collect();
-        // The serving shape: a moment-free store, KV bytes reserved on the
-        // device, forward-only passes.
-        let frozen = LayerStore::without_moments(masters.clone());
-        let (_, mut serving) = fixture(n, Precision::Bf16, m, RESERVED, &tel);
+        // The serving shape: a moment-free store of serving-form images,
+        // serving-form shells, KV bytes reserved on the device, forward-only
+        // passes. `panels` turns row-major parameters into that image.
+        let row_major = Transformer::new(tiny(n), 3).blocks.swap_remove(0);
+        let panels = |params: &[f32]| {
+            let mut block = row_major.clone();
+            block.load_flat_params(params);
+            block.into_panels().flatten_params()
+        };
+        let template = row_major.clone().into_panels();
+        let params = template.param_count();
+        let frozen =
+            LayerStore::without_moments(masters.iter().map(|p| panels(p)).collect(), params);
+        let mut serving = LayerStream::new(template, n, Precision::Bf16, m, None, RESERVED, &tel);
+        assert_eq!(serving.block_bytes(), training.block_bytes());
 
         let trained = training.run(&store, Pass::ForwardBackward, |feed| train_like(feed, n, m));
         let served = serving.run(&frozen, Pass::Forward, |feed| {
@@ -621,16 +634,30 @@ mod tests {
         });
         let bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let mut pack = PackedHalf::new(Precision::Bf16);
-        for (layer, params) in trained.iter().chain(&served) {
-            let mut grid = masters[*layer].clone();
-            pack.round_through(&mut grid);
-            assert_eq!(bits(params), bits(&grid), "layer {layer}");
-        }
-        // Evaluation sees that grid too; the checkpoint export does not.
-        training.for_each_layer(&store, |block, layer| {
+        let mut grid = |layer: usize| {
             let mut grid = masters[layer].clone();
             pack.round_through(&mut grid);
-            assert_eq!(bits(&block.flatten_params()), bits(&grid));
+            grid
+        };
+        for (layer, params) in &trained {
+            assert_eq!(bits(params), bits(&grid(*layer)), "layer {layer}");
+        }
+        // The serving shell holds the panel image of that same grid.
+        for (layer, image) in &served {
+            assert_eq!(
+                bits(image),
+                bits(&panels(&grid(*layer))),
+                "served layer {layer}"
+            );
+        }
+        assert_eq!(
+            serving.device().h2d_bytes(),
+            n as u64 * serving.block_bytes(),
+            "serving payloads are counted in parameters, not image floats"
+        );
+        // Evaluation sees that grid too; the checkpoint export does not.
+        training.for_each_layer(&store, |block, layer| {
+            assert_eq!(bits(&block.flatten_params()), bits(&grid(layer)));
         });
         for (layer, block) in training.master_blocks(&store).iter().enumerate() {
             assert_eq!(bits(&block.flatten_params()), bits(&masters[layer]));

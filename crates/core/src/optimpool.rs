@@ -120,22 +120,26 @@ impl Slot {
 impl LayerStore {
     /// Builds an all-resident store from per-layer flat parameter vectors.
     pub fn new(layer_params: Vec<Vec<f32>>) -> Arc<Self> {
-        Self::all_resident(layer_params.into_iter().map(Slot::resident).collect())
+        let lens = layer_params.iter().map(Vec::len).collect();
+        Self::all_resident(layer_params.into_iter().map(Slot::resident).collect(), lens)
     }
 
     /// An all-resident store holding parameters only — no Adam moments. The
-    /// read-only store of the serving engine; [`LayerStore::apply_update`]
-    /// on it fails the optimizer's length check.
-    pub(crate) fn without_moments(layer_params: Vec<Vec<f32>>) -> Arc<Self> {
+    /// read-only store of the serving engine, whose layers are flat images
+    /// of `params` parameters each: a serving-form block's image carries
+    /// panel padding, which is layout, so the store counts parameters, not
+    /// image floats. [`LayerStore::apply_update`] on it fails the
+    /// optimizer's length check.
+    pub(crate) fn without_moments(images: Vec<Vec<f32>>, params: usize) -> Arc<Self> {
+        let lens = vec![params; images.len()];
         let bare = |params| Slot {
             params,
             ..Slot::resident(Vec::new())
         };
-        Self::all_resident(layer_params.into_iter().map(bare).collect())
+        Self::all_resident(images.into_iter().map(bare).collect(), lens)
     }
 
-    fn all_resident(slots: Vec<Slot>) -> Arc<Self> {
-        let lens: Vec<usize> = slots.iter().map(|s| s.params.len()).collect();
+    fn all_resident(slots: Vec<Slot>, lens: Vec<usize>) -> Arc<Self> {
         let cell = |slot| SlotCell {
             lock: Mutex::new(slot),
             cv: Condvar::new(),

@@ -36,10 +36,26 @@
 //!
 //! The pass is **selectively batched** (Orca): the pending rows of every
 //! active sequence are stacked into one `[ΣR, hidden]` activation
-//! ([`DecodeBatch`]), so each streamed layer runs one GEMM per linear — the
-//! weight is packed once per round, not once per slot — and the head one
-//! product over the last rows. Only attention stays per sequence, against
-//! that sequence's own KV cache.
+//! ([`DecodeBatch`]), so each streamed layer runs one GEMM per linear, not
+//! one per slot, and the head one product over the last rows. Only
+//! attention stays per sequence, against that sequence's own KV cache.
+//!
+//! ## The panel image
+//!
+//! Serving weights never change, so the host store keeps each layer in the
+//! exact layout the compute consumes: [`ServeEngine::from_model`] turns
+//! every block into its serving form
+//! ([`Block::into_panels`](stronghold_model::block::Block::into_panels)), whose four
+//! linear weights are the GEMM engine's `B` panels, and stores that image
+//! *instead of* the row-major one. The stream copies it into a serving-form
+//! shell as-is (rounding a half mode element-wise, which commutes with the
+//! layout), and the decode products read the panels straight out of the
+//! shell: each weight is packed once per engine, never on the compute
+//! thread. Bits are unchanged — the panels are the ones the per-call pack
+//! would have built — and every byte count stays in parameters, since
+//! panel padding is layout, not payload. Training keeps row-major shells:
+//! its weights change every step, and the backward `dy · W` reads `W`
+//! row-major.
 //!
 //! ## Determinism
 //!
@@ -230,19 +246,25 @@ impl ServeEngine {
         // for the engine's lifetime (slot reuse rewinds caches in place); a
         // fixed budget admits the largest window that fits beside it — the
         // serving analogue of `tune_limits`/`m_mem_max`.
-        // Each block is flattened into the store and dropped as the model is
-        // drained, so set-up never holds two copies of the parameters; the
-        // first one stays as the shell template.
+        // Serving weights never change, so each block is stored in serving
+        // form: its linears' weights in the GEMM engine's panel layout,
+        // packed here once per engine instead of on every round. Each block
+        // is converted, flattened into the store and dropped as the model is
+        // drained, so set-up never holds two copies of the parameters (nor
+        // two layouts); the first one stays as the shell template.
         let mut template = None;
-        let flats = (model.blocks.drain(..))
+        let images = (model.blocks.drain(..))
             .map(|b| {
-                let flat = b.flatten_params();
+                let b = b.into_panels();
+                let image = b.flatten_params();
                 template.get_or_insert(b);
-                flat
+                image
             })
             .collect();
+        let template = template.expect("at least one layer");
+        let store = LayerStore::without_moments(images, template.param_count());
         let stream = LayerStream::new(
-            template.expect("at least one layer"),
+            template,
             layers,
             cfg.precision,
             cfg.window,
@@ -250,7 +272,6 @@ impl ServeEngine {
             kv_bytes,
             &tel,
         );
-        let store = LayerStore::without_moments(flats);
 
         let heads = mcfg.heads;
         let dh = mcfg.hidden / heads;

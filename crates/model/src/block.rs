@@ -198,9 +198,10 @@ impl Block {
     /// rows; see [`Segment`]), each reading and extending its own
     /// per-layer [`KvCache`] in `caches`. Layernorm, GELU and the residual
     /// adds are row-wise and the four linears run as one product each over
-    /// all `ΣR` rows — each weight is packed once per call however many
-    /// sequences ride it — while attention stays per sequence (fanned over
-    /// `workers` threads). All products go through the batch-stable GEMM
+    /// all `ΣR` rows however many sequences ride them — on a serving-form
+    /// block ([`Block::into_panels`]) against weights packed once per
+    /// engine, not per call — while attention stays per sequence (fanned
+    /// over `workers` threads). All products go through the batch-stable GEMM
     /// entries and the attention softmax covers exactly the causal prefix,
     /// so one token's output bits are independent of what else rides the
     /// call — prefill, token-at-a-time decode and any stacking agree
@@ -345,54 +346,88 @@ impl Block {
     /// Flattens all parameters into a reusable vector (canonical order),
     /// clearing it first. Steady-state callers (the prefetcher's H2D
     /// staging path) reuse one vector across steps and never reallocate.
+    /// A serving-form block ([`Block::into_panels`]) contributes each
+    /// linear's panel image in its weight's place.
     pub fn flatten_params_into(&self, out: &mut Vec<f32>) {
         out.clear();
-        out.reserve(self.param_count());
-        for t in self.param_tensors() {
-            out.extend_from_slice(t.data());
+        out.reserve(self.flat_len());
+        for p in self.param_slices() {
+            out.extend_from_slice(p);
         }
     }
 
-    /// All parameter tensors in canonical order.
-    pub fn param_tensors(&self) -> [&Tensor; 12] {
+    /// Length of [`Block::flatten_params`]: [`Block::param_count`], plus
+    /// the panel images' zero padding in serving form.
+    pub fn flat_len(&self) -> usize {
+        self.param_slices().iter().map(|p| p.len()).sum()
+    }
+
+    /// The serving form: each of the four linears' weights moves into the
+    /// GEMM engine's panel layout ([`Linear::into_panels`]) and its
+    /// row-major copy is dropped, so the decode entries pack no weight. A
+    /// frozen block only: training entries need the row-major weights.
+    pub fn into_panels(self) -> Self {
+        Block {
+            attn: Attention {
+                qkv: self.attn.qkv.into_panels(),
+                proj: self.attn.proj.into_panels(),
+                ..self.attn
+            },
+            fc1: self.fc1.into_panels(),
+            fc2: self.fc2.into_panels(),
+            ..self
+        }
+    }
+
+    /// Every parameter's storage in canonical order (a weight's is its
+    /// panel image in serving form).
+    fn param_slices(&self) -> [&[f32]; 12] {
+        let [qkv_w, qkv_b] = self.attn.qkv.param_data();
+        let [proj_w, proj_b] = self.attn.proj.param_data();
+        let [fc1_w, fc1_b] = self.fc1.param_data();
+        let [fc2_w, fc2_b] = self.fc2.param_data();
         [
-            &self.ln1_g,
-            &self.ln1_b,
-            &self.attn.qkv.weight,
-            &self.attn.qkv.bias,
-            &self.attn.proj.weight,
-            &self.attn.proj.bias,
-            &self.ln2_g,
-            &self.ln2_b,
-            &self.fc1.weight,
-            &self.fc1.bias,
-            &self.fc2.weight,
-            &self.fc2.bias,
+            self.ln1_g.data(),
+            self.ln1_b.data(),
+            qkv_w,
+            qkv_b,
+            proj_w,
+            proj_b,
+            self.ln2_g.data(),
+            self.ln2_b.data(),
+            fc1_w,
+            fc1_b,
+            fc2_w,
+            fc2_b,
         ]
     }
 
-    /// All parameter tensors in canonical order, mutably.
-    fn param_tensors_mut(&mut self) -> [&mut Tensor; 12] {
+    /// [`Block::param_slices`], mutably.
+    fn param_slices_mut(&mut self) -> [&mut [f32]; 12] {
+        let [qkv_w, qkv_b] = self.attn.qkv.param_data_mut();
+        let [proj_w, proj_b] = self.attn.proj.param_data_mut();
+        let [fc1_w, fc1_b] = self.fc1.param_data_mut();
+        let [fc2_w, fc2_b] = self.fc2.param_data_mut();
         [
-            &mut self.ln1_g,
-            &mut self.ln1_b,
-            &mut self.attn.qkv.weight,
-            &mut self.attn.qkv.bias,
-            &mut self.attn.proj.weight,
-            &mut self.attn.proj.bias,
-            &mut self.ln2_g,
-            &mut self.ln2_b,
-            &mut self.fc1.weight,
-            &mut self.fc1.bias,
-            &mut self.fc2.weight,
-            &mut self.fc2.bias,
+            self.ln1_g.data_mut(),
+            self.ln1_b.data_mut(),
+            qkv_w,
+            qkv_b,
+            proj_w,
+            proj_b,
+            self.ln2_g.data_mut(),
+            self.ln2_b.data_mut(),
+            fc1_w,
+            fc1_b,
+            fc2_w,
+            fc2_b,
         ]
     }
 
     /// Overwrites all parameters from a flat vector in canonical order.
     ///
     /// # Panics
-    /// Panics if `flat.len() != self.param_count()`.
+    /// Panics if `flat.len() != self.flat_len()`.
     pub fn load_flat_params(&mut self, flat: &[f32]) {
         self.load_flat_params_as(flat, Precision::F32);
     }
@@ -401,16 +436,18 @@ impl Block {
     /// rounded through `precision` while it is scattered into its tensor —
     /// one pass, and the block ends up holding exactly what
     /// [`stronghold_tensor::PackedHalf::round_through`] would have made of
-    /// `flat` first. A plain copy at [`Precision::F32`].
+    /// `flat` first. A plain copy at [`Precision::F32`]. The rounding is
+    /// element-wise, so it commutes with a serving-form block's panel
+    /// layout (padding zeros round to themselves).
     ///
     /// # Panics
-    /// Panics if `flat.len() != self.param_count()`.
+    /// Panics if `flat.len() != self.flat_len()`.
     pub fn load_flat_params_as(&mut self, flat: &[f32], precision: Precision) {
-        assert_eq!(flat.len(), self.param_count());
+        assert_eq!(flat.len(), self.flat_len());
         let mut off = 0;
-        for p in self.param_tensors_mut() {
-            let n = p.numel();
-            round_copy(precision, &flat[off..off + n], p.data_mut());
+        for p in self.param_slices_mut() {
+            let n = p.len();
+            round_copy(precision, &flat[off..off + n], p);
             off += n;
         }
     }
@@ -673,6 +710,41 @@ mod tests {
             two_pass.accumulate_scaled(&grads, scale);
             prop_assert_eq!(bits(&fused.flatten()), bits(&two_pass.flatten()));
             prop_assert_eq!(fused.flatten()[0].to_bits(), 0.0f32.to_bits());
+        }
+    }
+
+    #[test]
+    fn serving_form_decodes_the_same_bits_and_loads_its_image_on_every_grid() {
+        let mut rng = seeded_rng(79);
+        // Output widths 24 / 8 / 32 / 8: every tier pads some panels.
+        let block = Block::new(8, 2, &mut rng);
+        let served = block.clone().into_panels();
+        assert_eq!(served.param_count(), block.param_count());
+        assert!(
+            served.flat_len() > served.param_count(),
+            "padding is layout"
+        );
+        let x = normal([5, 8], 1.0, &mut rng);
+        let decode = |b: &Block| {
+            let mut y = Tensor::zeros([1]);
+            let mut cache = KvCache::new(2, 4, 8);
+            b.forward_decode(&x, &mut cache, &mut BlockDecodeScratch::new(), &mut y);
+            bits(y.data())
+        };
+        assert_eq!(decode(&served), decode(&block));
+
+        // Loading the image at a device precision lands on the image of the
+        // rounded row-major block: rounding commutes with the layout.
+        let image = served.flatten_params();
+        for precision in [Precision::Bf16, Precision::F16, Precision::F32] {
+            let mut shell = served.clone();
+            shell.load_flat_params_as(&image, precision);
+            let mut grid = block.flatten_params();
+            PackedHalf::new(precision).round_through(&mut grid);
+            let mut want = block.clone();
+            want.load_flat_params(&grid);
+            let want = want.into_panels().flatten_params();
+            assert_eq!(bits(&shell.flatten_params()), bits(&want), "{precision:?}");
         }
     }
 

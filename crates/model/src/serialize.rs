@@ -82,7 +82,58 @@ pub fn save(model: &Transformer) -> Bytes {
     buf.freeze()
 }
 
-/// Deserializes a checkpoint blob into a model.
+/// The header's configuration fields, in file order.
+const FIELDS: [&str; 7] = [
+    "layers",
+    "hidden",
+    "heads",
+    "seq",
+    "vocab",
+    "batch",
+    "mp_degree",
+];
+
+/// Checks a header's configuration fields (in [`FIELDS`] order) before
+/// anything is built from them: every field non-zero, `hidden` divisible by
+/// `heads`, and a parameter total — in checked arithmetic — whose f32 bytes
+/// are exactly the `payload` that follows the header. A header that passes describes the model the blob
+/// holds, so loading it allocates no more than the blob's size.
+fn validate(fields: [usize; 7], payload: usize) -> Result<(), CheckpointError> {
+    if let Some((name, _)) = FIELDS.iter().zip(fields).find(|(_, v)| *v == 0) {
+        return Err(CheckpointError::BadHeader(format!("{name} is 0")));
+    }
+    let [layers, hidden, heads, seq, vocab, ..] = fields;
+    if !hidden.is_multiple_of(heads) {
+        return Err(CheckpointError::BadHeader(format!(
+            "hidden {hidden} not divisible by heads {heads}"
+        )));
+    }
+    // `ModelConfig::total_params`, without overflow.
+    let [l, h, s, v] = [layers, hidden, seq, vocab].map(|x| x as u64);
+    let block = h
+        .checked_mul(h)
+        .and_then(|hh| hh.checked_mul(12))
+        .and_then(|w| w.checked_add(13 * h));
+    let bytes = block
+        .and_then(|b| l.checked_mul(b))
+        .and_then(|p| p.checked_add(v.checked_add(s)?.checked_mul(h)?))
+        .and_then(|p| p.checked_add(2 * h))
+        .and_then(|p| p.checked_mul(4));
+    match bytes {
+        Some(bytes) if bytes == payload as u64 => Ok(()),
+        Some(bytes) => Err(CheckpointError::Truncated(format!(
+            "header describes {bytes} parameter bytes, blob holds {payload}"
+        ))),
+        None => Err(CheckpointError::BadHeader(
+            "parameter count overflows u64".into(),
+        )),
+    }
+}
+
+/// Deserializes a checkpoint blob into a model. Every malformed blob —
+/// including a hostile header (zero or inconsistent fields, a parameter
+/// count the payload does not hold) — is a [`CheckpointError`] returned
+/// before the model is built, never a panic or an oversized allocation.
 pub fn load(mut blob: Bytes) -> Result<Transformer, CheckpointError> {
     if blob.remaining() < 4 + 2 + 7 * 8 {
         return Err(CheckpointError::Truncated("header".into()));
@@ -95,15 +146,22 @@ pub fn load(mut blob: Bytes) -> Result<Transformer, CheckpointError> {
     if version != VERSION {
         return Err(CheckpointError::BadHeader(format!("version {version}")));
     }
-    let mut next = || blob.get_u64_le() as usize;
+    let mut fields = [0usize; 7];
+    for (name, field) in FIELDS.iter().zip(&mut fields) {
+        let v = blob.get_u64_le();
+        *field = usize::try_from(v)
+            .map_err(|_| CheckpointError::BadHeader(format!("{name} {v} overflows usize")))?;
+    }
+    validate(fields, blob.remaining())?;
+    let [layers, hidden, heads, seq, vocab, batch, mp_degree] = fields;
     let cfg = ModelConfig {
-        layers: next(),
-        hidden: next(),
-        heads: next(),
-        seq: next(),
-        vocab: next(),
-        batch: next(),
-        mp_degree: next(),
+        layers,
+        hidden,
+        heads,
+        seq,
+        vocab,
+        batch,
+        mp_degree,
     };
     // Rebuild structure (seed irrelevant; weights are overwritten).
     let mut model = Transformer::new(cfg, 0);
@@ -202,6 +260,23 @@ mod tests {
             load(Bytes::from(raw)),
             Err(CheckpointError::Truncated(_))
         ));
+    }
+
+    #[test]
+    fn hostile_header_fields_are_refused_before_anything_is_built() {
+        let raw = save(&Transformer::new(tiny(1), 1)).to_vec();
+        // (field, value): zero heads, heads not dividing hidden 32, 2^40
+        // layers, an overflowing hidden, zero seq.
+        for (field, value) in [(2, 0u64), (2, 5), (0, 1 << 40), (1, u64::MAX), (3, 0)] {
+            let mut bad = raw.clone();
+            let at = 6 + 8 * field;
+            bad[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            assert!(
+                load(Bytes::from(bad)).is_err(),
+                "{} = {value}",
+                FIELDS[field]
+            );
+        }
     }
 
     #[test]

@@ -394,11 +394,12 @@ impl Attention {
     /// Incremental causal forward for serving with selective batching:
     /// `x: [ΣR, H]` stacks the new tokens of several sequences (`segs`
     /// partitions its rows). The QKV and output projections run as **one**
-    /// product each over all `ΣR` rows, so the weights are packed once per
-    /// call; between them every segment appends its K/V rows to its own
-    /// cache and attends causally against that cache only. `workers > 1`
-    /// fans the segments — independent by construction — across threads.
-    /// Writes the attention output into `y: [ΣR, H]`.
+    /// product each over all `ΣR` rows, against weights packed once per
+    /// engine when they are in serving form ([`Linear::into_panels`]) and
+    /// once per call otherwise; between them every segment appends its K/V
+    /// rows to its own cache and attends causally against that cache only.
+    /// `workers > 1` fans the segments — independent by construction —
+    /// across threads. Writes the attention output into `y: [ΣR, H]`.
     ///
     /// Bit-compatibility contract: every product uses the batch-stable
     /// GEMM entries and every softmax runs over exactly the causal prefix

@@ -3,18 +3,28 @@
 use rand_chacha::ChaCha8Rng;
 
 use crate::init;
-use crate::matmul::{matmul_into, matmul_nt_into, matmul_nt_stable, matmul_tn_acc};
+use crate::matmul::{
+    matmul_into, matmul_nt_into, matmul_nt_packed, matmul_nt_stable, matmul_tn_acc, PackedNt,
+};
 use crate::ops::{add_bias, bias_grad_acc};
 use crate::scratch;
 use crate::tensor::Tensor;
 
 /// A linear layer `y = x · Wᵀ + b` with `W: [out, in]`, `b: [out]`.
+///
+/// A layer whose weight will never change again can be turned into its
+/// *serving form* ([`Linear::into_panels`]): the weight is then held as the
+/// GEMM engine's panel image, so [`Linear::forward_stable_into`] packs
+/// nothing. The serving form runs that one entry only; training entries
+/// need the row-major `weight`.
 #[derive(Clone, Debug)]
 pub struct Linear {
-    /// Weight matrix, one row per output feature.
+    /// Weight matrix, one row per output feature (empty in serving form).
     pub weight: Tensor,
     /// Bias vector.
     pub bias: Tensor,
+    /// The weight in serving form.
+    pub(crate) panels: Option<PackedNt>,
 }
 
 /// Gradients of a [`Linear`] layer.
@@ -32,22 +42,59 @@ impl Linear {
         Linear {
             weight: init::gpt2_normal([out_features, in_features], rng),
             bias: Tensor::zeros([out_features]),
+            panels: None,
+        }
+    }
+
+    /// The serving form: the weight moves into a [`PackedNt`] image and its
+    /// row-major copy is dropped. Forward products then read the image
+    /// instead of packing the weight per call — same bits (see
+    /// [`matmul_nt_packed`]).
+    pub fn into_panels(self) -> Self {
+        Linear {
+            panels: Some(PackedNt::pack(&self.weight)),
+            weight: Tensor::zeros([0]),
+            bias: self.bias,
         }
     }
 
     /// Output feature count.
     pub fn out_features(&self) -> usize {
-        self.weight.shape().dim(0)
+        self.panels
+            .as_ref()
+            .map_or_else(|| self.weight.shape().dim(0), PackedNt::n)
     }
 
     /// Input feature count.
     pub fn in_features(&self) -> usize {
-        self.weight.shape().dim(1)
+        self.panels
+            .as_ref()
+            .map_or_else(|| self.weight.shape().dim(1), PackedNt::k)
     }
 
-    /// Number of parameters (weights + bias).
+    /// Number of parameters (weights + bias), in either form.
     pub fn param_count(&self) -> usize {
-        self.weight.numel() + self.bias.numel()
+        self.out_features() * self.in_features() + self.bias.numel()
+    }
+
+    /// `[weight, bias]` storage, the weight row-major `[out, in]` or, in
+    /// serving form, its panel image (padding included).
+    pub fn param_data(&self) -> [&[f32]; 2] {
+        let weight = match &self.panels {
+            Some(p) => p.as_slice(),
+            None => self.weight.data(),
+        };
+        [weight, self.bias.data()]
+    }
+
+    /// [`Linear::param_data`], mutably. An element-wise rewrite is valid in
+    /// either form.
+    pub fn param_data_mut(&mut self) -> [&mut [f32]; 2] {
+        let weight = match &mut self.panels {
+            Some(p) => p.as_mut_slice(),
+            None => self.weight.data_mut(),
+        };
+        [weight, self.bias.data_mut()]
     }
 
     /// Forward pass: `x [T, in] -> y [T, out]`.
@@ -64,21 +111,19 @@ impl Linear {
     }
 
     /// [`Linear::forward_into`] with batch-stable bits: the product goes
-    /// through [`matmul_nt_stable`], so one row's output bits do not depend
+    /// through [`matmul_nt_stable`] (or, in serving form, its pre-packed
+    /// twin [`matmul_nt_packed`]), so one row's output bits do not depend
     /// on how many rows ride the same call — the serving contract that lets
     /// a single-token decode reproduce a prefill row exactly.
     pub fn forward_stable_into(&self, x: &Tensor, y: &mut Tensor) {
         let (t, k) = x.shape().as_2d();
+        let n = self.out_features();
         assert_eq!(k, self.in_features(), "forward_stable: in dim");
-        y.reset_for([t, self.out_features()]);
-        matmul_nt_stable(
-            x.data(),
-            self.weight.data(),
-            y.data_mut(),
-            t,
-            k,
-            self.out_features(),
-        );
+        y.reset_for([t, n]);
+        match &self.panels {
+            Some(p) => matmul_nt_packed(x.data(), p, y.data_mut(), t),
+            None => matmul_nt_stable(x.data(), self.weight.data(), y.data_mut(), t, k, n),
+        }
         add_bias(y, &self.bias);
     }
 
@@ -192,6 +237,22 @@ mod tests {
         for (a, b) in g2.weight.data().iter().zip(g1.weight.data().iter()) {
             assert!((a - 2.0 * b).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn serving_form_forward_is_bitwise_the_row_major_forward() {
+        let mut rng = seeded_rng(34);
+        let l = Linear::new(45, 300, &mut rng);
+        let x = normal([7, 300], 1.0, &mut rng);
+        let (mut want, mut got) = (Tensor::zeros([1]), Tensor::zeros([1]));
+        l.forward_stable_into(&x, &mut want);
+        let served = l.clone().into_panels();
+        assert_eq!(served.weight.numel(), 0, "the row-major copy is dropped");
+        assert_eq!(served.param_count(), l.param_count());
+        assert_eq!((served.out_features(), served.in_features()), (45, 300));
+        served.forward_stable_into(&x, &mut got);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

@@ -19,6 +19,9 @@
 //!   layout differences — `nt` and `tn` read their transposed operand
 //!   contiguously while packing — so the micro-kernel only ever sees one
 //!   canonical format and no transpose is ever materialized as a tensor.
+//!   A weight that never changes can skip the `B` half: [`PackedNt`]
+//!   stores it in panel order once, and [`matmul_nt_packed`]'s tasks slice
+//!   their panels straight out of that image.
 //! * **Register tiling.** An `MR×NR` micro-kernel accumulates into a
 //!   fixed-size local array that LLVM keeps in vector registers and
 //!   autovectorizes. The micro-kernel is instantiated per ISA tier
@@ -220,19 +223,110 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
 /// always the blocked engine regardless of product size.
 pub fn matmul_nt_stable(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert!(a.len() >= m * k && b.len() >= n * k && c.len() >= m * n);
-    gemm_stable(Layout::NT, a, b, c, m, k, n);
+    gemm_stable(Layout::NT, a, BSource::Raw(b), c, m, k, n);
 }
 
 /// `C[m,n] = A[m,k] · B[k,n]` over raw row-major slices, batch-stable:
 /// always the blocked engine regardless of product size.
 pub fn matmul_nn_stable(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert!(a.len() >= m * k && b.len() >= k * n && c.len() >= m * n);
-    gemm_stable(Layout::NN, a, b, c, m, k, n);
+    gemm_stable(Layout::NN, a, BSource::Raw(b), c, m, k, n);
+}
+
+/// [`matmul_nt_stable`] against a pre-packed `B`: the same engine, task
+/// grid and summation order, with each task slicing its panels out of the
+/// image instead of packing them — so the bits equal `matmul_nt_stable`
+/// against the row-major `B` exactly. Counts as one `nt` call in
+/// [`stats`], and packs no `B` float.
+pub fn matmul_nt_packed(a: &[f32], b: &PackedNt, c: &mut [f32], m: usize) {
+    let (k, n) = (b.k, b.n);
+    debug_assert!(a.len() >= m * k && c.len() >= m * n);
+    gemm_stable(Layout::NT, a, BSource::Packed(b), c, m, k, n);
+}
+
+/// An `nt` right operand `B: [n, k]` (one row per output feature) stored in
+/// exactly the order the blocked engine's `B` packing writes: `KC` block
+/// `kb` at offset `k0 · ⌈n/NR⌉·NR`, its panel `p` at `+ p·NR·kc`, holding
+/// `[kk·NR + j] = B[p·NR + j][k0 + kk]`, zero past `n`. `NR` is the
+/// micro-tile width of the ISA tier detected in this process. A weight that
+/// never changes (serving) is packed once here instead of on every product
+/// ([`matmul_nt_packed`]). The padding is layout, not payload: the image
+/// holds `n·k` values.
+#[derive(Clone, Debug)]
+pub struct PackedNt {
+    data: Vec<f32>,
+    n: usize,
+    k: usize,
+    nr: usize,
+}
+
+impl PackedNt {
+    /// Packs a row-major `b: [n, k]` for the detected ISA tier.
+    pub fn pack(b: &Tensor) -> Self {
+        let (n, k) = dims2(b, "PackedNt::pack");
+        match simd::tier() {
+            #[cfg(target_arch = "x86_64")]
+            simd::IsaTier::Avx512 => Self::pack_for::<32>(b.data(), n, k),
+            _ => Self::pack_for::<16>(b.data(), n, k),
+        }
+    }
+
+    /// Packs for an `NR`-wide micro-tile (the instantiation under test may
+    /// differ from the detected tier).
+    fn pack_for<const NR: usize>(b: &[f32], n: usize, k: usize) -> Self {
+        let n_pad = n.div_ceil(NR) * NR;
+        let mut data = vec![0.0; n_pad * k];
+        for k0 in (0..k).step_by(KC) {
+            let kc = (k - k0).min(KC);
+            let block = &mut data[k0 * n_pad..(k0 + kc) * n_pad];
+            pack_b::<NR>(true, b, block, 0, n, k0, kc, n, k);
+        }
+        PackedNt { data, n, k, nr: NR }
+    }
+
+    /// Rows of `B` (output features).
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Columns of `B` (input features).
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// The panel image, padding included.
+    pub fn as_slice(&self) -> &[f32] {
+        &self.data
+    }
+
+    /// The panel image, mutably: an element-wise rewrite (a rounding pass)
+    /// keeps it a valid image, since the padding maps to itself.
+    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+}
+
+/// Where the blocked engine reads `B` from.
+#[derive(Clone, Copy)]
+enum BSource<'a> {
+    /// As stored (`[K,N]`, or `[N,K]` for `nt`): each task packs its panel
+    /// group per `KC` block.
+    Raw(&'a [f32]),
+    /// An `nt` operand already in panel order: tasks slice it directly.
+    Packed(&'a PackedNt),
 }
 
 /// The `gemm` dispatch minus the small-product path: the blocked engine at
 /// the detected ISA tier, unconditionally.
-fn gemm_stable(layout: Layout, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+fn gemm_stable(
+    layout: Layout,
+    a: &[f32],
+    b: BSource<'_>,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     let start = std::time::Instant::now();
     if k == 0 || m == 0 || n == 0 {
         c[..m * n].iter_mut().for_each(|x| *x = 0.0);
@@ -306,6 +400,7 @@ fn gemm(
     if flops < SMALL_FLOPS_THRESHOLD {
         gemm_small(layout, a, b, c, m, k, n, accumulate);
     } else {
+        let b = BSource::Raw(b);
         match simd::tier() {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: feature presence verified by `tier()` at detection time.
@@ -540,14 +635,16 @@ pub(crate) fn fan_out(tasks: usize, parallel: bool, task: impl Fn(usize) + Sync)
 /// micro-kernel instantiation.
 ///
 /// The task grid is (M tile × panel group). Every task packs its own `B`
-/// group per `KC` block; the `A` tile is packed per task when there are
-/// several M tiles, but a single M tile is shared by all tasks, so the
-/// caller packs it once for the whole of `K` before fanning out.
+/// group per `KC` block — or, for a [`PackedNt`] source, slices that group
+/// out of the image, which is laid out block by block in the same order;
+/// the `A` tile is packed per task when there are several M tiles, but a
+/// single M tile is shared by all tasks, so the caller packs it once for
+/// the whole of `K` before fanning out.
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked<const MR: usize, const NR: usize>(
     layout: Layout,
     a: &[f32],
-    b: &[f32],
+    b: BSource<'_>,
     c: &mut [f32],
     m: usize,
     k: usize,
@@ -563,6 +660,21 @@ fn gemm_blocked<const MR: usize, const NR: usize>(
     // Packed size of one KC block of the tallest A tile.
     let a_block = m.min(mc_max).div_ceil(MR) * MR * KC;
     let cptr = SendPtr(c.as_mut_ptr());
+    let n_pad = n_panels * NR;
+    let pack_len = match b {
+        BSource::Raw(_) => {
+            // Every M tile's tasks pack all of B between them.
+            stats::record_packed_b(layout.index(), (tiles_m * n * k) as u64);
+            group.min(n_panels) * NR * KC
+        }
+        BSource::Packed(p) => {
+            assert!(
+                layout == Layout::NT && p.nr == NR && (p.n, p.k) == (n, k),
+                "PackedNt: image does not fit this product"
+            );
+            0
+        }
+    };
 
     // One task: rows of M tile `ti` × columns of panel group `g`, over
     // ascending KC blocks — the only reduction order over k.
@@ -573,12 +685,18 @@ fn gemm_blocked<const MR: usize, const NR: usize>(
         let j0 = g * group * NR;
         let nc = (n - j0).min(group * NR);
         let (m_strips, n_panels) = (mc.div_ceil(MR), nc.div_ceil(NR));
-        PACK_B.with(|pb| {
-            let mut pb = pb.borrow_mut();
-            let pb = grown(&mut pb, n_panels * NR * KC);
+        PACK_B.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            let scratch = grown(&mut scratch, pack_len);
             for (kb, k0) in (0..k).step_by(KC).enumerate() {
                 let kc = (k - k0).min(KC);
-                pack_b::<NR>(layout == Layout::NT, b, pb, j0, nc, k0, kc, n, k);
+                let pb: &[f32] = match b {
+                    BSource::Raw(raw) => {
+                        pack_b::<NR>(layout == Layout::NT, raw, scratch, j0, nc, k0, kc, n, k);
+                        &*scratch
+                    }
+                    BSource::Packed(p) => &p.data[k0 * n_pad + j0 * kc..],
+                };
                 let add = accumulate || kb > 0;
                 let multiply = |pa: &[f32]| {
                     for p in 0..n_panels {
@@ -798,11 +916,16 @@ pub mod stats {
     static FLOPS: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
     static NANOS: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
     static CALLS: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
+    static PACKED_B: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
 
     pub(super) fn record(layout: usize, flops: u64, nanos: u64) {
         FLOPS[layout].fetch_add(flops, Ordering::Relaxed);
         NANOS[layout].fetch_add(nanos, Ordering::Relaxed);
         CALLS[layout].fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(super) fn record_packed_b(layout: usize, floats: u64) {
+        PACKED_B[layout].fetch_add(floats, Ordering::Relaxed);
     }
 
     /// Cumulative statistics for one GEMM layout.
@@ -814,6 +937,10 @@ pub mod stats {
         pub nanos: u64,
         /// Number of kernel invocations.
         pub calls: u64,
+        /// `B` elements the blocked engine packed into panels inside the
+        /// call (`N·K` per M tile); zero for a [`super::PackedNt`] operand
+        /// and for the small-product loops.
+        pub packed_b: u64,
     }
 
     impl LayoutStats {
@@ -833,6 +960,7 @@ pub mod stats {
             flops: FLOPS[i].load(Ordering::Relaxed),
             nanos: NANOS[i].load(Ordering::Relaxed),
             calls: CALLS[i].load(Ordering::Relaxed),
+            packed_b: PACKED_B[i].load(Ordering::Relaxed),
         })
     }
 
@@ -842,6 +970,7 @@ pub mod stats {
             FLOPS[i].store(0, Ordering::Relaxed);
             NANOS[i].store(0, Ordering::Relaxed);
             CALLS[i].store(0, Ordering::Relaxed);
+            PACKED_B[i].store(0, Ordering::Relaxed);
         }
     }
 }
@@ -1048,6 +1177,73 @@ mod tests {
                         "element bits depend on n: {mm}x{k}x{n} row {r} col {j}"
                     );
                 }
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Row counts of the pre-packed bit contract: every count inside one
+    /// micro-tile strip, partial strips, and several M tiles on every tier
+    /// (an M tile is 64, 96 or 128 rows).
+    const PACKED_MS: [usize; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 15, 127, 129, 300];
+
+    /// One `nt` product through one micro-tile instantiation, with `B`
+    /// packed per call and read from its image: the two outputs' bits.
+    fn nt_raw_and_packed<const MR: usize, const NR: usize>(
+        mk: MicroKernel<MR, NR>,
+        a: &[f32],
+        b: &[f32],
+        (m, k, n): (usize, usize, usize),
+    ) -> (Vec<u32>, Vec<u32>) {
+        let image = PackedNt::pack_for::<NR>(b, n, k);
+        let mut raw = vec![0.0; m * n];
+        let mut pre = vec![f32::NAN; m * n];
+        gemm_blocked::<MR, NR>(Layout::NT, a, BSource::Raw(b), &mut raw, m, k, n, false, mk);
+        let packed = BSource::Packed(&image);
+        gemm_blocked::<MR, NR>(Layout::NT, a, packed, &mut pre, m, k, n, false, mk);
+        (bits(&raw), bits(&pre))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        /// The pre-packed entry's bit contract: against a `PackedNt` image
+        /// every micro-tile instantiation this host runs computes exactly
+        /// the bits of its per-call packing — `n` off the panel width, `k`
+        /// across and off the `KC` boundary, `m` from one row to several M
+        /// tiles — and the public entry equals `matmul_nt_stable`.
+        #[test]
+        fn prop_packed_nt_is_bitwise_the_per_call_pack(
+            k in 1usize..2 * KC + 50,
+            n in 1usize..80,
+            seed in 0u64..1000,
+        ) {
+            let mut rng = seeded_rng(seed);
+            for m in PACKED_MS {
+                let a = normal([m, k], 1.0, &mut rng);
+                let b = normal([n, k], 1.0, &mut rng);
+                let (a, b, shape) = (a.data(), b.data(), (m, k, n));
+                let (raw, pre) = nt_raw_and_packed::<4, 16>(mk_portable, a, b, shape);
+                prop_assert!(raw == pre, "portable 4x16 at {shape:?}");
+                #[cfg(target_arch = "x86_64")]
+                {
+                    if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                        let (raw, pre) = nt_raw_and_packed::<6, 16>(mk_avx2, a, b, shape);
+                        prop_assert!(raw == pre, "avx2 6x16 at {shape:?}");
+                    }
+                    if is_x86_feature_detected!("avx512f") {
+                        let (raw, pre) = nt_raw_and_packed::<8, 32>(mk_avx512, a, b, shape);
+                        prop_assert!(raw == pre, "avx512 8x32 at {shape:?}");
+                    }
+                }
+                let mut want = vec![0.0; m * n];
+                matmul_nt_stable(a, b, &mut want, m, k, n);
+                let mut got = vec![f32::NAN; m * n];
+                let image = PackedNt::pack(&Tensor::from_vec([n, k], b.to_vec()));
+                matmul_nt_packed(a, &image, &mut got, m);
+                prop_assert!(bits(&want) == bits(&got), "detected tier at {shape:?}");
             }
         }
     }

@@ -34,7 +34,11 @@ pub fn split_column_parallel(l: &Linear, ranks: usize) -> ColumnParallelLinear {
                 l.weight.data()[r * per * inf..(r + 1) * per * inf].to_vec(),
             );
             let b = Tensor::from_vec([per], l.bias.data()[r * per..(r + 1) * per].to_vec());
-            Linear { weight: w, bias: b }
+            Linear {
+                weight: w,
+                bias: b,
+                panels: None,
+            }
         })
         .collect();
     ColumnParallelLinear { shards }
@@ -62,7 +66,11 @@ pub fn split_row_parallel(l: &Linear, ranks: usize) -> RowParallelLinear {
             } else {
                 Tensor::zeros([out])
             };
-            Linear { weight: w, bias: b }
+            Linear {
+                weight: w,
+                bias: b,
+                panels: None,
+            }
         })
         .collect();
     RowParallelLinear { shards, out }

@@ -11,6 +11,13 @@ use stronghold_tensor::matmul::stats;
 /// four linears and the tied head are one product each — `4·layers + 1`
 /// calls however many slots are active — and only attention (one score and
 /// one context product per sequence per head per layer) scales with `S`.
+///
+/// And no streamed weight is packed on the compute thread: the engine
+/// stores the serving-form panel image, so the only `B` operands packed
+/// inside a round's calls are each sequence's cached keys (`nt` scores)
+/// and values (`nn` context), `pos · dh` floats per head per layer, plus
+/// the resident tied head's `vocab · hidden` table. Packing the four layer
+/// weights per round would add `12 · hidden²` floats per layer.
 #[test]
 fn decode_round_gemm_calls_are_independent_of_active_slots() {
     let cfg = tiny(3);
@@ -43,5 +50,15 @@ fn decode_round_gemm_calls_are_independent_of_active_slots() {
         );
         assert_eq!(nn.calls, attn, "S={s}: nn calls");
         assert_eq!(tn.calls, 0, "S={s}: serving issues no tn product");
+
+        // The decode token is each sequence's third: it attends 3 positions.
+        let cached = (cfg.layers * s * 3 * cfg.hidden) as u64;
+        let head = (cfg.vocab * cfg.hidden) as u64;
+        assert_eq!(
+            nt.packed_b,
+            cached + head,
+            "S={s}: nt packs keys + head only"
+        );
+        assert_eq!(nn.packed_b, cached, "S={s}: nn packs values only");
     }
 }
