@@ -54,6 +54,24 @@ if [ "$unsafe_in" != "crates/core/src/nvme.rs " ] || [ -n "$spill_job" ] || [ -n
     echo "spill tier copies or serialises again: unsafe in [$unsafe_in], TierJob::Spill [$spill_job], Mutex<File> [$locked_file]"
     exit 1
 fi
+# Gradient memory follows the offload engine, not the model: the windowed
+# backend's block gradients are the accumulator ring, the fold partials and
+# the parallel leaves (plus the one accumulator an offload job carries), and
+# those three are the only block-shaped `zero_grads()` allocation sites —
+# the shell's are resident-group shaped. A per-layer accumulator vector or a
+# per-sample scratch fails here.
+offloaded=crates/core/src/host/offloaded.rs
+grad_fields=$(grep -E '^    [a-z_]+: (Vec<)?BlockGrads' "$offloaded" | tr -d ' ,' | LC_ALL=C sort | tr '\n' ' ')
+grad_allocs=$(grep -n 'zero_grads()' "$offloaded" | grep -v \
+    -e 'self\.grad_ring\.push(self\.stream\.zero_grads())' \
+    -e 'self\.bp_fold_slots\.push(self\.stream\.zero_grads())' \
+    -e 'self\.bp_slots\.push(self\.stream\.zero_grads())' \
+    -e 'self\.shell\.zero_grads()' || true)
+if [ "$grad_fields" != "bp_fold_slots:Vec<BlockGrads> bp_slots:Vec<BlockGrads> grad_ring:Vec<BlockGrads> grads:BlockGrads " ] ||
+    [ -n "$grad_allocs" ]; then
+    echo "gradient buffers scale with depth again: BlockGrads fields [$grad_fields], other zero_grads() sites [$grad_allocs]"
+    exit 1
+fi
 
 echo "==> cargo build --release"
 cargo build --release

@@ -8,6 +8,9 @@
 //! the collectives use, keeping results independent of where each layer's
 //! gradient happens to live.
 
+/// Independent f64 accumulators of [`GlobalNorm::layer_sum_sq`].
+const NORM_LANES: usize = 8;
+
 /// Accumulates per-layer squared-norm contributions in layer order.
 #[derive(Clone, Debug, Default)]
 pub struct GlobalNorm {
@@ -34,9 +37,26 @@ impl GlobalNorm {
     /// fold it later with [`GlobalNorm::add_layer_sum_sq`]; because the fold
     /// is a plain f64 addition performed in the same fixed layer order, the
     /// result is bit-identical to the serial reduction.
+    ///
+    /// The partial is in f64, to keep the reduction well-conditioned, and
+    /// runs in eight fixed lanes — element `i` feeds lane `i mod 8` in
+    /// ascending order, and the lanes are summed pairwise — so it is a pure
+    /// function of the slice whoever computes it, and its adds overlap
+    /// instead of waiting on one serial chain.
     pub fn layer_sum_sq(grads: &[f32]) -> f64 {
-        // Per-layer partial in f64 to keep the reduction well-conditioned.
-        grads.iter().map(|g| (*g as f64) * (*g as f64)).sum()
+        let mut lanes = [0.0f64; NORM_LANES];
+        let chunks = grads.chunks_exact(NORM_LANES);
+        let tail = chunks.remainder();
+        for chunk in chunks {
+            for (acc, g) in lanes.iter_mut().zip(chunk) {
+                *acc += (*g as f64) * (*g as f64);
+            }
+        }
+        for (acc, g) in lanes.iter_mut().zip(tail) {
+            *acc += (*g as f64) * (*g as f64);
+        }
+        let [a, b, c, d, e, f, g, h] = lanes;
+        ((a + b) + (c + d)) + ((e + f) + (g + h))
     }
 
     /// Folds a precomputed per-layer partial (see
@@ -123,6 +143,25 @@ mod tests {
             "post-clip norm {}",
             acc.norm()
         );
+    }
+
+    #[test]
+    fn layer_sum_sq_is_its_lane_definition() {
+        for n in 0..40usize {
+            let g: Vec<f32> = (0..n).map(|i| ((i * 29 + 3) as f32).sin() * 7.0).collect();
+            let lane = |l: usize| -> f64 {
+                g.iter()
+                    .skip(l)
+                    .step_by(NORM_LANES)
+                    .fold(0.0, |acc, v| acc + (*v as f64) * (*v as f64))
+            };
+            let want = ((lane(0) + lane(1)) + (lane(2) + lane(3)))
+                + ((lane(4) + lane(5)) + (lane(6) + lane(7)));
+            let got = GlobalNorm::layer_sum_sq(&g);
+            assert_eq!(got.to_bits(), want.to_bits(), "n={n}");
+            let serial: f64 = g.iter().map(|v| (*v as f64) * (*v as f64)).sum();
+            assert!((got - serial).abs() <= serial * 1e-12, "n={n}");
+        }
     }
 
     #[test]

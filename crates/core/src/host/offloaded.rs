@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam_channel::bounded;
+use crossbeam_channel::{bounded, Sender};
 use stronghold_collective::order::{fold_with, tree_sum, FoldPlan};
 use stronghold_model::block::{Block, BlockGrads};
 use stronghold_model::config::ModelConfig;
@@ -48,7 +48,7 @@ use crate::host::engine::{
 use crate::host::stream::{LayerStream, Pass};
 use crate::optimpool::{LayerStore, OptimizerPool};
 use crate::schedule::LrSchedule;
-use crate::telemetry::Telemetry;
+use crate::telemetry::{Gauge, Telemetry};
 use crate::tier::{SpillPolicy, TierPlan};
 
 /// Configuration of the functional offloaded trainer.
@@ -61,7 +61,8 @@ pub struct HostOffloadConfig {
     /// Dedicated gradient-offload (D2H copy engine) threads (clamped to
     /// ≥ 1): layer `i`'s flatten/copy/accounting overlaps layer `i−1`'s
     /// backward. Results are bit-identical for every count — only *where*
-    /// the flatten runs changes.
+    /// the flatten runs changes. It also sizes the gradient accumulator
+    /// ring: `1 + offload_workers` block-sized buffers, at any depth.
     pub offload_workers: usize,
     /// Worker threads for the per-sample forward / recompute-backward
     /// fan-out inside one layer. `1` keeps compute single-threaded (and the
@@ -159,9 +160,9 @@ impl HostOffloadConfig {
 }
 
 /// One layer's gradient offload, handed from the compute thread to the D2H
-/// engine. Carries the *owned* accumulator (returned after the copy so the
-/// backend can reuse it next step) plus the workspace destinations the
-/// engine will read.
+/// engine. Carries the *owned* ring accumulator (returned as soon as it is
+/// copied, so BP can fold a later layer into it) plus the workspace
+/// destination the engine will write.
 struct OffloadJob<'a> {
     layer: usize,
     grads: BlockGrads,
@@ -200,24 +201,21 @@ fn parallel_forward(block: &Block, xs: &[Tensor], workers: usize) -> Vec<Tensor>
     })
 }
 
-/// Per-sample recompute-backward fan-out: sample `s` recomputes its forward
-/// from the checkpoint, runs backward into its own zeroed gradient slot
-/// `slots[s]`, and swaps `dy[s]` for the propagated input gradient. The
-/// caller folds the slots into the step accumulator in ascending sample
-/// order, which is exactly the serial op sequence.
+/// Per-sample recompute-backward fan-out: sample `s` writes its fold leaf
+/// ([`Block::leaf_backward`] at `scale`) into its own slot `slots[s]` and
+/// swaps `dy[s]` for the propagated input gradient. The caller moves the
+/// slots into the canonical tree in ascending sample order, which is
+/// exactly the serial op sequence.
 fn parallel_backward(
     block: &Block,
     inputs: &[Tensor],
     dy: &mut [Tensor],
     slots: &mut [BlockGrads],
+    scale: f32,
     workers: usize,
 ) {
     let one = |x: &Tensor, d: &mut Tensor, sg: &mut BlockGrads| {
-        sg.zero_();
-        let (y, cache) = block.forward(x); // recompute from checkpoint
-        scratch::give(y);
-        let dxs = block.backward(d, x, &cache, sg);
-        cache.recycle();
+        let dxs = block.leaf_backward(d, x, sg, scale);
         scratch::give(std::mem::replace(d, dxs));
     };
     let b = inputs.len();
@@ -257,20 +255,24 @@ pub struct WindowedBackend {
     /// The H2D side: device arena, `m+1` shells, prefetcher.
     stream: LayerStream,
     tel: Telemetry,
-    /// Per-layer gradient buffers (never reallocated). Each step, BP swaps
-    /// one for its layer's fold root — the old contents are never read, the
-    /// next fold leaf overwrites them — and the offload engine returns it.
-    step_grads: Vec<BlockGrads>,
-    /// Per-sample BP gradient scratch, zeroed per sample in the inner loop.
-    sample_grads: BlockGrads,
+    /// The gradient accumulator ring, home between steps: `1 +
+    /// offload_workers` block-sized buffers. In a step they circulate — BP
+    /// takes one as each layer's fold root, the D2H engine copies it out
+    /// and hands it back over the completion channel — so gradient memory
+    /// follows the offload engine's width, not the model's depth. Contents
+    /// are never read before a fold leaf overwrites them.
+    grad_ring: Vec<BlockGrads>,
+    /// `grad.accumulators`: the ring's size.
+    ring_gauge: Gauge,
     /// Per-sample head/embedding scratches (grown to the largest batch seen).
     head_scratches: Vec<TransformerGrads>,
-    /// Per-sample BP gradient slots for the batch-parallel fan-out (grown to
+    /// Per-sample BP fold leaves for the batch-parallel fan-out (grown to
     /// the largest batch seen; empty while `compute_workers == 1`).
     bp_slots: Vec<BlockGrads>,
     /// Canonical-tree merge schedule for every batch fan-in this step.
     fold_plan: FoldPlan,
-    /// Reusable block-shaped partials for the per-layer gradient tree.
+    /// Reusable block-shaped partials for the per-layer gradient tree
+    /// beyond its root, which is a ring accumulator (`depth − 1` of them).
     bp_fold_slots: Vec<BlockGrads>,
     /// Reusable resident-group partials for the embedding/final-LN tree.
     resident_fold_slots: Vec<TransformerGrads>,
@@ -346,17 +348,15 @@ impl WindowedBackend {
             hocfg.optimizer_workers.max(1),
             &tel,
         );
-        let step_grads = (0..cfg.layers).map(|_| stream.zero_grads()).collect();
-        let sample_grads = stream.zero_grads();
         WindowedBackend {
             cfg,
             shell,
             store,
             pool,
             stream,
+            grad_ring: Vec::new(),
+            ring_gauge: tel.gauge("grad.accumulators"),
             tel,
-            step_grads,
-            sample_grads,
             head_scratches: Vec::new(),
             bp_slots: Vec::new(),
             fold_plan: FoldPlan::default(),
@@ -492,12 +492,12 @@ impl ParamBackend for WindowedBackend {
     /// critical path, so layer `i`'s D2H overlaps layer `i−1`'s backward.
     ///
     /// Steady-state the loop performs no per-element heap allocation: the
-    /// gradient accumulators, head scratches, and the D2H buffers are
-    /// backend/workspace fields that are zeroed/overwritten each step, and
-    /// all activation tensors cycle through the thread-local scratch pool.
-    /// Zeroing a reused buffer and allocating a fresh zeroed
-    /// one are the same FP op sequence, so bit-equality with the resident
-    /// trainer is preserved.
+    /// accumulator ring, fold partials, head scratches, and the D2H buffers
+    /// are backend/workspace fields that are overwritten each step, and all
+    /// activation tensors cycle through the thread-local scratch pool. A
+    /// fold leaf writes its slot without reading it ([`Block::leaf_backward`],
+    /// the routine the resident trainer runs too), so which buffer serves
+    /// which layer never enters the bits.
     fn forward_backward(
         &mut self,
         batch: &[(Vec<u32>, Vec<u32>)],
@@ -512,6 +512,7 @@ impl ParamBackend for WindowedBackend {
         let m = self.window();
         let b = batch.len();
         let ow = self.offload_workers;
+        let ring = 1 + ow;
         let cw = self.compute_workers;
         // A data-parallel rank scales by the *global* batch — the same f32
         // a single-replica run over the whole batch would use.
@@ -538,9 +539,17 @@ impl ParamBackend for WindowedBackend {
         // partial slots, and the per-sample raw loss buffer — all grown once
         // and reused, preserving the zero-allocation step contract.
         self.fold_plan.set_len(b);
-        while self.bp_fold_slots.len() < self.fold_plan.depth() {
+        while self.bp_fold_slots.len() + 1 < self.fold_plan.depth() {
             self.bp_fold_slots.push(self.stream.zero_grads());
         }
+        // The ring follows the offload engine's width: it grows here,
+        // lazily, when the autotuner adds a worker (so a steady state never
+        // allocates) and lets buffers go when it removes one.
+        while self.grad_ring.len() < ring {
+            self.grad_ring.push(self.stream.zero_grads());
+        }
+        self.grad_ring.truncate(ring);
+        self.ring_gauge.set(ring as i64);
         while self.resident_fold_slots.len() < self.fold_plan.depth() {
             self.resident_fold_slots.push(self.shell.zero_grads());
         }
@@ -559,7 +568,7 @@ impl ParamBackend for WindowedBackend {
             norm_partials,
             ..
         } = ws;
-        // Offload destinations, popped alongside `step_grads` in BP order.
+        // Offload destinations, popped in BP order.
         let mut dsts: Vec<&mut Vec<f32>> = block_grads.iter_mut().collect();
 
         // ---- gradient offload (D2H copy engine) ----
@@ -596,7 +605,7 @@ impl ParamBackend for WindowedBackend {
         // The half-width payload is accounted, not materialised.
         let precision = self.stream.precision();
         let block_bytes = self.stream.block_bytes();
-        let offload = move |job: OffloadJob<'_>| -> (usize, BlockGrads) {
+        let offload = move |job: OffloadJob<'_>, done: &Sender<BlockGrads>| {
             let OffloadJob {
                 layer,
                 grads,
@@ -608,6 +617,8 @@ impl ParamBackend for WindowedBackend {
             d2h_wait_ns.fetch_add(enqueue_at.elapsed().as_nanos() as u64, Ordering::Relaxed);
             let span = tel_off.span("d2h-copy", format!("d2h L{layer}"));
             device_off.begin_d2h();
+            // Once copied, the accumulator goes straight back to BP — before
+            // a reducing sink can wait on the other replicas.
             if streaming {
                 // Flatten straight into a recycled pool buffer: the D2H
                 // copy *is* the optimizer hand-off, no second copy. The
@@ -615,33 +626,40 @@ impl ParamBackend for WindowedBackend {
                 // reducing sink may park it in a bucket first).
                 let mut buf = pool.recycled_buffer();
                 grads.flatten_into_as(&mut buf, precision);
+                done.send(grads).expect("accumulator ring");
                 sink.layer_ready(layer, buf, &deliver);
             } else {
                 grads.flatten_into_as(dst, precision);
+                done.send(grads).expect("accumulator ring");
             }
             device_off.end_d2h(block_bytes);
             span.end();
             c_grad_off.incr();
-            (layer, grads)
         };
 
-        // The offload queue is bounded at `m + 1` so a stalled D2H engine
-        // back-pressures compute instead of buffering the whole model.
-        let (off_tx, off_rx) = bounded(m + 1);
-        // Every layer's accumulator comes back exactly once; capacity `nb`
-        // means returning one can never block an offload worker.
-        let (done_tx, done_rx) = bounded(nb);
+        // The ring is the back-pressure: the completion channel starts with
+        // every accumulator in it, BP takes one per layer — blocking while
+        // all are in flight — and the engine returns each after its copy.
+        // At most `ring` jobs or accumulators exist, so no send ever blocks.
+        let (off_tx, off_rx) = bounded(ring);
+        let (done_tx, done_rx) = bounded(ring);
+        for acc in self.grad_ring.drain(..) {
+            done_tx.send(acc).expect("accumulator ring");
+        }
         let loss = self.stream.run(&self.store, Pass::ForwardBackward, |feed| {
             std::thread::scope(|scope| {
                 // ---- offload engine threads ----
                 for _ in 0..ow {
-                    let (off_rx, done_tx, offload) = (off_rx.clone(), done_tx.clone(), &offload);
+                    let (off_rx, done, offload) = (off_rx.clone(), done_tx.clone(), &offload);
                     scope.spawn(move || {
                         while let Ok(job) = off_rx.recv() {
-                            done_tx.send(offload(job)).expect("offload done");
+                            offload(job, &done);
                         }
                     });
                 }
+                // Only the engine threads hold these ends now: if they all
+                // die, BP's next take fails instead of waiting forever.
+                drop((off_rx, done_tx));
 
                 // ---- compute ("GPU") ----
                 // FP, batch-major; each layer's input tensors are *moved* into
@@ -681,11 +699,11 @@ impl ParamBackend for WindowedBackend {
                     scratch::give(t); // head inputs are done
                 }
 
-                // BP: recompute-from-checkpoint, handing each finished layer's
-                // accumulator to the offload engine so the flatten/D2H (and,
-                // when streaming, the optimizer submission) overlaps the next
-                // layer's backward. With clipping active the engine dispatches
-                // after the step's global norm is known, as before.
+                // BP: recompute-from-checkpoint, folding each layer into a ring
+                // accumulator and handing it to the offload engine so the
+                // flatten/D2H (and, when streaming, the optimizer submission)
+                // overlaps the next layer's backward. With clipping active the
+                // engine dispatches after the step's global norm is known.
                 for i in (0..nb).rev() {
                     let block = match kept.pop() {
                         Some((k, blk)) => {
@@ -700,17 +718,21 @@ impl ParamBackend for WindowedBackend {
                     };
                     hooks.fire(i, HookPoint::PreBackward, &ctx(i));
                     let span = self.tel.span("compute", format!("bp L{i}"));
-                    let mut sg = self.step_grads.pop().expect("step-grad accumulator");
-                    // Deterministic fan-in: per-sample raw gradients fold down
-                    // the canonical pairwise tree (leaf = scaled sample gradient
-                    // added to zero) — the same association the resident
-                    // trainer and every other fan-in in the repo use.
+                    // Deterministic fan-in: per-sample gradients fold down the
+                    // canonical pairwise tree — the same association the
+                    // resident trainer and every other fan-in in the repo
+                    // use. Its root is a ring accumulator (at b = 1 the only
+                    // buffer), and each leaf is written once, scaled, by the
+                    // block leaf the resident trainer runs too.
+                    let acc = done_rx.recv().expect("offload engine lost an accumulator");
+                    self.bp_fold_slots.insert(0, acc);
                     if cw > 1 {
-                        parallel_backward(&block, &inputs[i], &mut dy, &mut self.bp_slots[..b], cw);
+                        let slots = &mut self.bp_slots[..b];
+                        parallel_backward(&block, &inputs[i], &mut dy, slots, scale, cw);
                         fold_with(
                             &self.fold_plan,
                             &mut self.bp_fold_slots,
-                            |s, slot| slot.set_scaled(&self.bp_slots[s], scale),
+                            |s, slot| std::mem::swap(slot, &mut self.bp_slots[s]),
                             |acc, part| acc.accumulate(part),
                         );
                     } else {
@@ -718,23 +740,13 @@ impl ParamBackend for WindowedBackend {
                             &self.fold_plan,
                             &mut self.bp_fold_slots,
                             |s, slot| {
-                                self.sample_grads.zero_();
-                                let (y, cache) = block.forward(&inputs[i][s]); // recompute
-                                scratch::give(y);
-                                let dxs = block.backward(
-                                    &dy[s],
-                                    &inputs[i][s],
-                                    &cache,
-                                    &mut self.sample_grads,
-                                );
-                                cache.recycle();
+                                let dxs = block.leaf_backward(&dy[s], &inputs[i][s], slot, scale);
                                 scratch::give(std::mem::replace(&mut dy[s], dxs));
-                                slot.set_scaled(&self.sample_grads, scale);
                             },
                             |acc, part| acc.accumulate(part),
                         );
                     }
-                    std::mem::swap(&mut sg, &mut self.bp_fold_slots[0]);
+                    let grads = self.bp_fold_slots.remove(0);
                     for t in std::mem::take(&mut inputs[i]) {
                         scratch::give(t); // layer i's checkpoints are consumed
                     }
@@ -747,7 +759,7 @@ impl ParamBackend for WindowedBackend {
                     let dst = dsts.pop().expect("offload destination");
                     let job = OffloadJob {
                         layer: i,
-                        grads: sg,
+                        grads,
                         dst,
                         enqueue_ns: self.tel.now_nanos(),
                         enqueue_at: std::time::Instant::now(),
@@ -772,10 +784,7 @@ impl ParamBackend for WindowedBackend {
                 fold_with(
                     &self.fold_plan,
                     &mut self.resident_fold_slots,
-                    |s, slot| {
-                        slot.zero_();
-                        slot.accumulate_scaled(&self.head_scratches[s], scale);
-                    },
+                    |s, slot| slot.set_resident_scaled(&self.head_scratches[s], scale),
                     |acc, part| acc.accumulate_scaled(part, 1.0),
                 );
                 std::mem::swap(resident_grads, &mut self.resident_fold_slots[0]);
@@ -783,15 +792,15 @@ impl ParamBackend for WindowedBackend {
                 tree_sum(&self.loss_buf)
             })
         });
-        // Reclaim the per-layer accumulators from the offload engine; they
-        // complete out of order under multiple workers, so sort back into
-        // ascending layer order for the next step.
-        let mut returned: Vec<(usize, BlockGrads)> = Vec::with_capacity(nb);
-        returned.extend(std::iter::from_fn(|| done_rx.try_recv().ok()));
-        assert_eq!(returned.len(), nb, "offload engine lost a layer");
-        returned.sort_unstable_by_key(|(l, _)| *l);
-        self.step_grads
-            .extend(returned.into_iter().map(|(_, grads)| grads));
+        // The engine threads have exited: every accumulator is home, in
+        // whatever order — which buffer serves which layer is invisible.
+        self.grad_ring
+            .extend(std::iter::from_fn(|| done_rx.try_recv().ok()));
+        assert_eq!(
+            self.grad_ring.len(),
+            ring,
+            "offload engine lost an accumulator"
+        );
         // Streaming norm partials were recorded at delivery time (on the
         // reduced gradients); surface them to the engine's norm fold.
         if want_norm {

@@ -26,8 +26,6 @@ use crate::telemetry::Telemetry;
 /// calling thread.
 pub struct ResidentBackend {
     model: Transformer,
-    /// Per-sample gradient scratch, zeroed and reused for every sample.
-    sample_scratch: TransformerGrads,
     block_adams: Vec<AdamState>,
     /// Reused flat-parameter staging buffer for the per-block Adam step.
     flat_stage: Vec<f32>,
@@ -42,10 +40,8 @@ pub struct ResidentBackend {
 
 impl ResidentBackend {
     fn from_model(model: Transformer, block_adams: Vec<AdamState>) -> Self {
-        let sample_scratch = model.zero_grads();
         ResidentBackend {
             model,
-            sample_scratch,
             block_adams,
             flat_stage: Vec::new(),
             fold_plan: FoldPlan::default(),
@@ -81,8 +77,8 @@ impl ParamBackend for ResidentBackend {
     }
 
     fn new_resident_grads(&self) -> TransformerGrads {
-        // Full-model grads: the fused per-sample pass accumulates block
-        // gradients here too; the engine only reads the resident groups.
+        // Full-model grads: the fold root swapped in here carries the block
+        // gradients too; the engine only reads the resident groups.
         self.model.zero_grads()
     }
 
@@ -118,7 +114,8 @@ impl ParamBackend for ResidentBackend {
         }
         // Per-sample gradients and losses fold down the canonical pairwise
         // tree (see `stronghold_collective::order`): leaf `i` is sample
-        // `i`'s gradient scaled into a zeroed slot, merges are plain adds.
+        // `i`'s gradient written scaled into its slot — the block leaf the
+        // windowed backend runs too — and merges are plain adds.
         // Sharding the batch across replicas and tree-folding the shard
         // partials reproduces exactly this value, which is what makes
         // data-parallel training bit-identical to this reference.
@@ -132,7 +129,6 @@ impl ParamBackend for ResidentBackend {
         {
             let ResidentBackend {
                 model,
-                sample_scratch,
                 fold_plan,
                 fold_slots,
                 loss_buf,
@@ -142,15 +138,8 @@ impl ParamBackend for ResidentBackend {
                 fold_plan,
                 fold_slots,
                 |i, slot| {
-                    slot.zero_();
                     let (tokens, targets) = &batch[i];
-                    loss_buf[i] = model.forward_backward_sample_with(
-                        tokens,
-                        targets,
-                        sample_scratch,
-                        slot,
-                        scale,
-                    );
+                    loss_buf[i] = model.forward_backward_leaf(tokens, targets, slot, scale);
                 },
                 |acc, part| acc.accumulate_scaled(part, 1.0),
             );

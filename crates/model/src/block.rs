@@ -5,10 +5,10 @@ use rand_chacha::ChaCha8Rng;
 use stronghold_tensor::attention::{
     Attention, AttentionCache, AttentionGrads, DecodeScratch, KvCache, Segment,
 };
-use stronghold_tensor::linear::{Linear, LinearGrads};
+use stronghold_tensor::linear::{GradWrite, Linear, LinearGrads};
 use stronghold_tensor::ops::{
-    add, add_assign, axpy, axpy_from_zero, gelu, gelu_backward, gelu_into, layernorm,
-    layernorm_backward, layernorm_into, LayerNormCache,
+    add, add_assign, axpy, gelu, gelu_backward, gelu_into, layernorm, layernorm_backward,
+    layernorm_into, LayerNormCache,
 };
 use stronghold_tensor::scratch;
 use stronghold_tensor::simd::{round_copy, round_extend};
@@ -257,15 +257,54 @@ impl Block {
         cache: &BlockCache,
         grads: &mut BlockGrads,
     ) -> Tensor {
+        self.backward_as(dy, x, cache, grads, GradWrite::Accumulate)
+    }
+
+    /// One sample's gradient-fold leaf from its checkpoint: recomputes the
+    /// forward from the block input `x`, then writes `scale ×` this
+    /// sample's parameter gradient into `grads` in [`GradWrite::Leaf`] form
+    /// — the bits of zeroing `grads`, [`Block::backward`] and
+    /// `grads = 0.0 + scale·grads`, with `grads`' prior contents never read.
+    /// Both host trainers build their per-layer folds from this one routine.
+    /// Returns `dx`; the recomputed activations go back to the scratch pool.
+    pub fn leaf_backward(
+        &self,
+        dy: &Tensor,
+        x: &Tensor,
+        grads: &mut BlockGrads,
+        scale: f32,
+    ) -> Tensor {
+        let (y, cache) = self.forward(x);
+        scratch::give(y);
+        let dx = self.backward_as(dy, x, &cache, grads, GradWrite::Leaf(scale));
+        cache.recycle();
+        dx
+    }
+
+    /// [`Block::backward`] writing the parameter gradients as `write` says.
+    pub fn backward_as(
+        &self,
+        dy: &Tensor,
+        x: &Tensor,
+        cache: &BlockCache,
+        grads: &mut BlockGrads,
+        write: GradWrite,
+    ) -> Tensor {
+        // The layernorm parameters only have accumulating kernels.
+        for g in grads.layernorm_mut() {
+            write.begin(g);
+        }
         // z = after_attn + mlp_out: gradient flows to both summands.
         let mut d_after_attn = scratch::take_copy(dy);
         // Through MLP.
-        let d_gelu_out = self.fc2.backward(dy, &cache.gelu_out, &mut grads.fc2);
+        let d_gelu_out = self
+            .fc2
+            .backward_as(dy, &cache.gelu_out, &mut grads.fc2, write);
         let d_fc1_out = gelu_backward(&d_gelu_out, &cache.fc1_out);
         scratch::give(d_gelu_out);
         let d_ln2_out = self
             .fc1
-            .backward(&d_fc1_out, &cache.ln2_out, &mut grads.fc1);
+            .backward_as(&d_fc1_out, &cache.ln2_out, &mut grads.fc1, write);
         scratch::give(d_fc1_out);
         let d_after_attn_ln = layernorm_backward(
             &d_ln2_out,
@@ -281,11 +320,12 @@ impl Block {
 
         // after_attn = x + attn_out.
         let mut dx = scratch::take_copy(&d_after_attn);
-        let d_ln1_out = self.attn.backward(
+        let d_ln1_out = self.attn.backward_as(
             &d_after_attn,
             &cache.ln1_out,
             &cache.attn_cache,
             &mut grads.attn,
+            write,
         );
         scratch::give(d_after_attn);
         let dx_ln = layernorm_backward(
@@ -299,6 +339,9 @@ impl Block {
         scratch::give(d_ln1_out);
         add_assign(&mut dx, &dx_ln);
         scratch::give(dx_ln);
+        for g in grads.layernorm_mut() {
+            write.finish(g);
+        }
         dx
     }
 
@@ -456,13 +499,9 @@ impl Block {
 impl BlockGrads {
     /// Resets all gradients to zero.
     pub fn zero_(&mut self) {
-        self.ln1_g.zero_();
-        self.ln1_b.zero_();
-        self.attn.zero_();
-        self.ln2_g.zero_();
-        self.ln2_b.zero_();
-        self.fc1.zero_();
-        self.fc2.zero_();
+        for t in self.tensors_mut() {
+            t.zero_();
+        }
     }
 
     /// All gradient tensors in canonical order.
@@ -531,15 +570,14 @@ impl BlockGrads {
         }
     }
 
-    /// `self = 0.0 + scale * other`, tensor by tensor in canonical order:
-    /// [`BlockGrads::zero_`] followed by [`BlockGrads::accumulate_scaled`]
-    /// in one pass and with the same bits — the leaf of the per-layer
-    /// gradient fold.
-    pub fn set_scaled(&mut self, other: &BlockGrads, scale: f32) {
-        let src = other.tensors();
-        for (dst, src) in self.tensors_mut().into_iter().zip(src) {
-            axpy_from_zero(dst, scale, src);
-        }
+    /// The four layernorm gain / bias gradients.
+    fn layernorm_mut(&mut self) -> [&mut Tensor; 4] {
+        [
+            &mut self.ln1_g,
+            &mut self.ln1_b,
+            &mut self.ln2_g,
+            &mut self.ln2_b,
+        ]
     }
 
     /// `self += scale * other`, tensor by tensor in canonical order. Both
@@ -585,6 +623,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use stronghold_tensor::init::{normal, seeded_rng};
+    use stronghold_tensor::ops::axpy_from_zero;
     use stronghold_tensor::PackedHalf;
 
     proptest! {
@@ -670,12 +709,10 @@ mod tests {
         /// The precision-aware load and flatten are the one-pass forms of
         /// "round the flat vector through the packed format, then copy":
         /// same bits for every value class (NaN payloads, ±Inf, subnormals,
-        /// ±0), and the fused fold leaf is `zero_` + `accumulate_scaled`
-        /// bit for bit — including a `-0.0` product landing as `+0.0`.
+        /// ±0).
         #[test]
         fn prop_fused_passes_match_their_two_pass_forms(
             mut flat in proptest::collection::vec(proptest::num::f32::ANY, 872..873),
-            scale in proptest::num::f32::NORMAL,
         ) {
             // The classes uniform bits all but never draw.
             let planted = [-0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY, 1.0e-40, -65520.0];
@@ -702,14 +739,51 @@ mod tests {
                 prop_assert_eq!(out.as_ptr(), at);
                 prop_assert_eq!(bits(&out), bits(&grid));
             }
+        }
+    }
 
-            let mut fused = grads_from_flat(&block, &vec![f32::NAN; flat.len()]);
-            fused.set_scaled(&grads, scale);
-            let mut two_pass = fused.clone();
-            two_pass.zero_();
-            two_pass.accumulate_scaled(&grads, scale);
-            prop_assert_eq!(bits(&fused.flatten()), bits(&two_pass.flatten()));
-            prop_assert_eq!(fused.flatten()[0].to_bits(), 0.0f32.to_bits());
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        /// The block's fold leaf is the three-step leaf — zero a scratch,
+        /// accumulate the recomputed backward into it, write
+        /// `0.0 + s·scratch` into the slot — bit for bit in every gradient
+        /// tensor, over a
+        /// slot holding garbage, for sequence lengths inside one `KC` block
+        /// and across two, at the fold scales of batches 1–4; `dx` is the
+        /// accumulating backward's too.
+        #[test]
+        fn prop_leaf_backward_is_zero_accumulate_scale(
+            short in 1usize..20,
+            long in 250usize..270,
+            seed in 0u64..1000,
+        ) {
+            let mut rng = seeded_rng(seed);
+            let block = Block::new(16, 2, &mut rng);
+            for (t, s) in [short, long].into_iter().flat_map(|t| {
+                [1.0f32, 0.5, 1.0 / 3.0, 0.25].map(|s| (t, s))
+            }) {
+                let x = normal([t, 16], 1.0, &mut rng);
+                let mut dy = normal([t, 16], 1.0, &mut rng);
+                // Exact zeros of both signs in the upstream gradient.
+                for (i, v) in dy.data_mut().iter_mut().enumerate().step_by(7) {
+                    *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+                }
+                let mut sample = block.zero_grads();
+                let (y, cache) = block.forward(&x);
+                scratch::give(y);
+                let want_dx = block.backward(&dy, &x, &cache, &mut sample);
+                let mut want = grads_from_flat(&block, &vec![f32::NAN; block.param_count()]);
+                for (dst, src) in want.tensors_mut().into_iter().zip(sample.tensors()) {
+                    axpy_from_zero(dst, s, src);
+                }
+
+                let mut slot = grads_from_flat(&block, &vec![f32::NAN; block.param_count()]);
+                let dx = block.leaf_backward(&dy, &x, &mut slot, s);
+                prop_assert_eq!(bits(dx.data()), bits(want_dx.data()));
+                for (i, (got, want)) in slot.tensors().iter().zip(want.tensors()).enumerate() {
+                    prop_assert!(bits(got.data()) == bits(want.data()), "tensor {i} t={t} s={s}");
+                }
+            }
         }
     }
 

@@ -10,9 +10,12 @@ use rand_chacha::ChaCha8Rng;
 use stronghold_tensor::attention::{KvCache, Segment};
 use stronghold_tensor::embedding::{Embedding, EmbeddingGrads};
 use stronghold_tensor::init::seeded_rng;
+use stronghold_tensor::linear::GradWrite;
 use stronghold_tensor::loss::cross_entropy;
 use stronghold_tensor::matmul::{matmul_nt, matmul_nt_stable, matmul_tn_acc};
-use stronghold_tensor::ops::{layernorm, layernorm_backward, layernorm_into, LayerNormCache};
+use stronghold_tensor::ops::{
+    axpy_from_zero, layernorm, layernorm_backward, layernorm_into, LayerNormCache,
+};
 use stronghold_tensor::Tensor;
 
 use crate::block::{Block, BlockDecodeScratch, BlockGrads};
@@ -371,26 +374,31 @@ impl Transformer {
         grads: &mut TransformerGrads,
         grad_scale: f32,
     ) -> f32 {
-        let mut scratch = self.zero_grads();
-        self.forward_backward_sample_with(tokens, targets, &mut scratch, grads, grad_scale)
+        let mut sample = self.zero_grads();
+        let loss = self.forward_backward_leaf(tokens, targets, &mut sample, 1.0);
+        grads.accumulate_scaled(&sample, grad_scale);
+        loss
     }
 
-    /// [`Transformer::forward_backward_sample`] with a caller-owned per-sample
-    /// gradient scratch (zeroed here), so a training loop can reuse one
-    /// scratch across every sample of every step instead of allocating a
-    /// whole model's worth of gradients per sample. Zeroing a reused buffer
-    /// and allocating a fresh zeroed one produce the same FP op sequence, so
-    /// results are bit-identical to the convenience wrapper.
-    pub fn forward_backward_sample_with(
+    /// One sample's gradient-fold leaf: forward with layer-wise
+    /// checkpointing, then backward writing `scale ×` the sample's gradient
+    /// into `slot` — every block through [`Block::leaf_backward`], the
+    /// embedding and final-LN groups zeroed, accumulated and scaled in
+    /// place. The bits equal zeroing a scratch, accumulating the backward
+    /// into it and `slot = 0.0 + scale·scratch`, with `slot`'s prior
+    /// contents never read and no scratch. Returns the sample's loss.
+    pub fn forward_backward_leaf(
         &self,
         tokens: &[u32],
         targets: &[u32],
-        scratch: &mut TransformerGrads,
-        grads: &mut TransformerGrads,
-        grad_scale: f32,
+        slot: &mut TransformerGrads,
+        scale: f32,
     ) -> f32 {
         use stronghold_tensor::scratch as pool;
-        scratch.zero_();
+        let write = GradWrite::Leaf(scale);
+        for g in slot.resident_mut() {
+            write.begin(g);
+        }
         let n = self.blocks.len();
         // FP with layer-wise checkpointing: each block's input tensor is
         // *moved* into the checkpoint list (the block writes a fresh pooled
@@ -404,18 +412,20 @@ impl Transformer {
 
         let (loss, mut dy, head_cache) = self.head_forward_loss(&x, targets);
         pool::give(x); // head input is done
-        self.head_backward(&head_cache, scratch);
+        self.head_backward(&head_cache, slot);
         head_cache.recycle();
         for i in (0..n).rev() {
-            let dxs = self.block_backward(i, &dy, &inputs[i], &mut scratch.blocks[i]);
+            let dxs = self.blocks[i].leaf_backward(&dy, &inputs[i], &mut slot.blocks[i], scale);
             pool::give(std::mem::replace(&mut dy, dxs));
         }
-        self.embed_backward(&dy, tokens, scratch);
+        self.embed_backward(&dy, tokens, slot);
         pool::give(dy);
         for t in inputs {
             pool::give(t);
         }
-        grads.accumulate_scaled(scratch, grad_scale);
+        for g in slot.resident_mut() {
+            write.finish(g);
+        }
         loss
     }
 
@@ -452,6 +462,32 @@ impl TransformerGrads {
         }
         self.lnf_g.zero_();
         self.lnf_b.zero_();
+    }
+
+    /// The resident groups (token, position, final-LN gain, final-LN bias):
+    /// everything but the blocks.
+    fn resident_mut(&mut self) -> [&mut Tensor; 4] {
+        [
+            &mut self.embedding.token,
+            &mut self.embedding.position,
+            &mut self.lnf_g,
+            &mut self.lnf_b,
+        ]
+    }
+
+    /// `self = 0.0 + scale * other` over the resident groups, in one pass:
+    /// the bits of zeroing them and [`TransformerGrads::accumulate_scaled`]
+    /// — a resident-group fold leaf. Block gradients are not touched.
+    pub fn set_resident_scaled(&mut self, other: &TransformerGrads, scale: f32) {
+        let src = [
+            &other.embedding.token,
+            &other.embedding.position,
+            &other.lnf_g,
+            &other.lnf_b,
+        ];
+        for (dst, src) in self.resident_mut().into_iter().zip(src) {
+            axpy_from_zero(dst, scale, src);
+        }
     }
 
     /// `self += scale * other`.
@@ -503,6 +539,82 @@ mod tests {
                 let got = &all.data()[n * cfg.vocab..(n + 1) * cfg.vocab];
                 for (a, b) in got.iter().zip(one.data()) {
                     prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
+            }
+        }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every gradient tensor of a model, in a fixed order.
+    fn grad_tensors(g: &TransformerGrads) -> Vec<&Tensor> {
+        let mut out = vec![
+            &g.embedding.token,
+            &g.embedding.position,
+            &g.lnf_g,
+            &g.lnf_b,
+        ];
+        for b in &g.blocks {
+            out.extend([
+                &b.ln1_g,
+                &b.ln1_b,
+                &b.attn.qkv.weight,
+                &b.attn.qkv.bias,
+                &b.attn.proj.weight,
+                &b.attn.proj.bias,
+                &b.ln2_g,
+                &b.ln2_b,
+                &b.fc1.weight,
+                &b.fc1.bias,
+                &b.fc2.weight,
+                &b.fc2.bias,
+            ]);
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        /// The whole-model fold leaf is the scratch sequence: zero a
+        /// whole-model scratch, accumulate one sample's head, block and
+        /// embedding backward into it, then zero the slot and
+        /// `accumulate_scaled` the scratch in — bit for bit in
+        /// every gradient tensor, with the same loss, over a slot that
+        /// starts as another sample's leaf.
+        #[test]
+        fn prop_forward_backward_leaf_is_the_scratch_sequence(
+            len in 1usize..16,
+            seed in 0u64..1000,
+        ) {
+            let cfg = tiny(2);
+            let model = Transformer::new(cfg, seed);
+            let mut corpus = crate::data::SyntheticCorpus::new(cfg.vocab, seed);
+            let (tokens, targets) = corpus.next_sample(len);
+            let (other, other_targets) = corpus.next_sample(cfg.seq - 1);
+            for s in [1.0f32, 0.5, 1.0 / 3.0, 0.25] {
+                let mut scratch = model.zero_grads();
+                let mut xs = vec![model.embed(&tokens)];
+                for i in 0..cfg.layers {
+                    let next = model.block_forward(i, &xs[i]);
+                    xs.push(next);
+                }
+                let (want_loss, mut dy, cache) = model.head_forward_loss(&xs[cfg.layers], &targets);
+                model.head_backward(&cache, &mut scratch);
+                for i in (0..cfg.layers).rev() {
+                    dy = model.block_backward(i, &dy, &xs[i], &mut scratch.blocks[i]);
+                }
+                model.embed_backward(&dy, &tokens, &mut scratch);
+                let mut want = model.zero_grads();
+                want.accumulate_scaled(&scratch, s);
+
+                let mut slot = model.zero_grads();
+                model.forward_backward_leaf(&other, &other_targets, &mut slot, 0.5);
+                let loss = model.forward_backward_leaf(&tokens, &targets, &mut slot, s);
+                prop_assert_eq!(loss.to_bits(), want_loss.to_bits());
+                for (i, (got, want)) in grad_tensors(&slot).into_iter().zip(grad_tensors(&want)).enumerate() {
+                    prop_assert!(bits(got) == bits(want), "tensor {i} len={len} s={s}");
                 }
             }
         }

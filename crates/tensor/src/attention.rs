@@ -21,7 +21,7 @@ use std::cell::RefCell;
 
 use rand_chacha::ChaCha8Rng;
 
-use crate::linear::{Linear, LinearGrads};
+use crate::linear::{GradWrite, Linear, LinearGrads};
 use crate::matmul::{
     fan_out, matmul_into, matmul_nn_stable, matmul_nt_into, matmul_nt_stable, matmul_tn_into,
     worth_forking,
@@ -200,13 +200,28 @@ impl Attention {
         cache: &AttentionCache,
         grads: &mut AttentionGrads,
     ) -> Tensor {
+        self.backward_as(dy, x, cache, grads, GradWrite::Accumulate)
+    }
+
+    /// [`Attention::backward`] writing the parameter gradients as `write`
+    /// says.
+    pub fn backward_as(
+        &self,
+        dy: &Tensor,
+        x: &Tensor,
+        cache: &AttentionCache,
+        grads: &mut AttentionGrads,
+        write: GradWrite,
+    ) -> Tensor {
         let t = x.shape().dim(0);
         let h = x.shape().dim(1);
         let dh = h / self.heads;
         let scale = 1.0 / (dh as f32).sqrt();
 
         // Through the output projection.
-        let dctx = self.proj.backward(dy, &cache.ctx, &mut grads.proj); // [T, H]
+        let dctx = self
+            .proj
+            .backward_as(dy, &cache.ctx, &mut grads.proj, write); // [T, H]
 
         let mut dqkv = scratch::take([t, 3 * h]); // fully overwritten by scatters
         let dqkv_ptr = SendPtr(dqkv.data_mut().as_mut_ptr());
@@ -246,7 +261,7 @@ impl Attention {
         scratch::give(dctx);
 
         // Through the fused QKV projection.
-        let dx = self.qkv.backward(&dqkv, x, &mut grads.qkv);
+        let dx = self.qkv.backward_as(&dqkv, x, &mut grads.qkv, write);
         scratch::give(dqkv);
         dx
     }
@@ -532,14 +547,6 @@ impl AttentionCache {
             scratch::give(p);
         }
         scratch::give(self.ctx);
-    }
-}
-
-impl AttentionGrads {
-    /// Resets all gradients to zero.
-    pub fn zero_(&mut self) {
-        self.qkv.zero_();
-        self.proj.zero_();
     }
 }
 

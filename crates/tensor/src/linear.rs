@@ -4,9 +4,10 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::init;
 use crate::matmul::{
-    matmul_into, matmul_nt_into, matmul_nt_packed, matmul_nt_stable, matmul_tn_acc, PackedNt,
+    matmul_into, matmul_nt_into, matmul_nt_packed, matmul_nt_stable, matmul_tn_acc, matmul_tn_leaf,
+    PackedNt,
 };
-use crate::ops::{add_bias, bias_grad_acc};
+use crate::ops::{add_bias, bias_grad_acc, scale_from_zero_};
 use crate::scratch;
 use crate::tensor::Tensor;
 
@@ -34,6 +35,38 @@ pub struct LinearGrads {
     pub weight: Tensor,
     /// Gradient of the bias.
     pub bias: Tensor,
+}
+
+/// How a backward pass writes its parameter gradients.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum GradWrite {
+    /// `g += ∂` — add into whatever the buffer holds.
+    Accumulate,
+    /// `g = 0 + s·(0 + ∂)` — a gradient-fold leaf: exactly the bits zeroing
+    /// `g`, accumulating and then `g = 0.0 + s·g` leave, without reading
+    /// `g`'s prior contents. Weight gradients are written by the `dW`
+    /// product itself ([`matmul_tn_leaf`]); the small vectors are zeroed,
+    /// accumulated and scaled in place ([`GradWrite::begin`] /
+    /// [`GradWrite::finish`]).
+    Leaf(f32),
+}
+
+impl GradWrite {
+    /// Readies a gradient that only has an accumulating kernel: zeroes it
+    /// in leaf mode.
+    pub fn begin(self, g: &mut Tensor) {
+        if let GradWrite::Leaf(_) = self {
+            g.zero_();
+        }
+    }
+
+    /// Completes a gradient readied by [`GradWrite::begin`]: `g = 0 + s·g`
+    /// in leaf mode.
+    pub fn finish(self, g: &mut Tensor) {
+        if let GradWrite::Leaf(s) = self {
+            scale_from_zero_(g, s);
+        }
+    }
 }
 
 impl Linear {
@@ -132,18 +165,29 @@ impl Linear {
     /// Given upstream `dy [T, out]` and saved input `x [T, in]`, returns
     /// `dx [T, in]` and accumulates weight/bias gradients into `grads`.
     pub fn backward(&self, dy: &Tensor, x: &Tensor, grads: &mut LinearGrads) -> Tensor {
-        let mut dx = scratch::empty();
-        self.backward_into(dy, x, grads, &mut dx);
-        dx
+        self.backward_as(dy, x, grads, GradWrite::Accumulate)
     }
 
-    /// [`Linear::backward`] writing `dx` into a reusable output tensor.
-    pub fn backward_into(&self, dy: &Tensor, x: &Tensor, grads: &mut LinearGrads, dx: &mut Tensor) {
+    /// [`Linear::backward`] writing the parameter gradients as `write` says.
+    pub fn backward_as(
+        &self,
+        dy: &Tensor,
+        x: &Tensor,
+        grads: &mut LinearGrads,
+        write: GradWrite,
+    ) -> Tensor {
         // dx = dy · W          ([T,out] · [out,in])
-        matmul_into(dy, &self.weight, dx);
-        // dW += dyᵀ · x        ([out,T] · [T,in])
-        matmul_tn_acc(dy, x, &mut grads.weight);
+        let mut dx = scratch::empty();
+        matmul_into(dy, &self.weight, &mut dx);
+        // dW (+)= dyᵀ · x      ([out,T] · [T,in])
+        match write {
+            GradWrite::Accumulate => matmul_tn_acc(dy, x, &mut grads.weight),
+            GradWrite::Leaf(s) => matmul_tn_leaf(dy, x, &mut grads.weight, s),
+        }
+        write.begin(&mut grads.bias);
         bias_grad_acc(dy, &mut grads.bias);
+        write.finish(&mut grads.bias);
+        dx
     }
 
     /// Allocates a zeroed gradient buffer matching this layer.
@@ -152,14 +196,6 @@ impl Linear {
             weight: Tensor::zeros(*self.weight.shape()),
             bias: Tensor::zeros(*self.bias.shape()),
         }
-    }
-}
-
-impl LinearGrads {
-    /// Resets gradients to zero in place.
-    pub fn zero_(&mut self) {
-        self.weight.zero_();
-        self.bias.zero_();
     }
 }
 

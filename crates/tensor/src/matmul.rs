@@ -126,7 +126,16 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, c: &mut Tensor) {
     let (kb, n) = dims2(b, "matmul");
     assert_eq!(k, kb, "matmul: inner dims {k} vs {kb}");
     c.reset_for([m, n]);
-    gemm(Layout::NN, a.data(), b.data(), c.data_mut(), m, k, n, false);
+    gemm(
+        Layout::NN,
+        a.data(),
+        b.data(),
+        c.data_mut(),
+        m,
+        k,
+        n,
+        Write::Store,
+    );
 }
 
 /// `C[M,N] = A[M,K] · B[N,K]ᵀ` — `B` holds one row per *output* feature.
@@ -142,31 +151,40 @@ pub fn matmul_nt_into(a: &Tensor, b: &Tensor, c: &mut Tensor) {
     let (n, kb) = dims2(b, "matmul_nt");
     assert_eq!(k, kb, "matmul_nt: inner dims {k} vs {kb}");
     c.reset_for([m, n]);
-    gemm(Layout::NT, a.data(), b.data(), c.data_mut(), m, k, n, false);
+    gemm(
+        Layout::NT,
+        a.data(),
+        b.data(),
+        c.data_mut(),
+        m,
+        k,
+        n,
+        Write::Store,
+    );
 }
 
 /// `C[M,N] = A[K,M]ᵀ · B[K,N]`, accumulating into `c_acc`.
 ///
 /// Used for weight gradients: `dW[out,in] += dY[T,out]ᵀ · X[T,in]`.
 pub fn matmul_tn_acc(a: &Tensor, b: &Tensor, c_acc: &mut Tensor) {
+    matmul_tn_onto(a, b, c_acc, Write::Accumulate);
+}
+
+/// The leaf of a gradient fold in one product: `C = 0 + s·(0 + A[K,M]ᵀ·B[K,N])`,
+/// bit for bit what zeroing `C`, [`matmul_tn_acc`] and then `c = 0.0 + s·c`
+/// leave, with `C`'s prior contents never read. The first `KC` block writes
+/// `0 + partial`, later blocks add, and the last scales — so a product with
+/// `K ≤ KC` (every `T ≤ 256` weight gradient) writes each element once.
+pub fn matmul_tn_leaf(a: &Tensor, b: &Tensor, c: &mut Tensor, s: f32) {
+    matmul_tn_onto(a, b, c, Write::Leaf(s));
+}
+
+fn matmul_tn_onto(a: &Tensor, b: &Tensor, c: &mut Tensor, write: Write) {
     let (k, m) = dims2(a, "matmul_tn");
     let (kb, n) = dims2(b, "matmul_tn");
     assert_eq!(k, kb, "matmul_tn: inner dims {k} vs {kb}");
-    assert_eq!(
-        c_acc.shape(),
-        &Shape::new(&[m, n]),
-        "matmul_tn: output shape"
-    );
-    gemm(
-        Layout::TN,
-        a.data(),
-        b.data(),
-        c_acc.data_mut(),
-        m,
-        k,
-        n,
-        true,
-    );
+    assert_eq!(c.shape(), &Shape::new(&[m, n]), "matmul_tn: output shape");
+    gemm(Layout::TN, a.data(), b.data(), c.data_mut(), m, k, n, write);
 }
 
 /// `C[M,N] = A[K,M]ᵀ · B[K,N]` into a fresh tensor.
@@ -183,7 +201,16 @@ pub fn matmul_tn_into(a: &Tensor, b: &Tensor, c: &mut Tensor) {
     let (kb, n) = dims2(b, "matmul_tn");
     assert_eq!(k, kb, "matmul_tn: inner dims {k} vs {kb}");
     c.reset_for([m, n]);
-    gemm(Layout::TN, a.data(), b.data(), c.data_mut(), m, k, n, false);
+    gemm(
+        Layout::TN,
+        a.data(),
+        b.data(),
+        c.data_mut(),
+        m,
+        k,
+        n,
+        Write::Store,
+    );
 }
 
 /// Reference (naive triple-loop) matmul, used by tests and property checks.
@@ -332,15 +359,16 @@ fn gemm_stable(
         c[..m * n].iter_mut().for_each(|x| *x = 0.0);
         return;
     }
+    let store = Write::Store;
     match simd::tier() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: feature presence verified by `tier()` at detection time.
-        simd::IsaTier::Avx512 => gemm_blocked::<8, 32>(layout, a, b, c, m, k, n, false, mk_avx512),
+        simd::IsaTier::Avx512 => gemm_blocked::<8, 32>(layout, a, b, c, m, k, n, store, mk_avx512),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
-        simd::IsaTier::Avx2Fma => gemm_blocked::<6, 16>(layout, a, b, c, m, k, n, false, mk_avx2),
+        simd::IsaTier::Avx2Fma => gemm_blocked::<6, 16>(layout, a, b, c, m, k, n, store, mk_avx2),
         simd::IsaTier::Portable => {
-            gemm_blocked::<4, 16>(layout, a, b, c, m, k, n, false, mk_portable)
+            gemm_blocked::<4, 16>(layout, a, b, c, m, k, n, store, mk_portable)
         }
     }
     stats::record(
@@ -373,6 +401,44 @@ impl Layout {
     }
 }
 
+/// How a product's result lands in `C`.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Write {
+    /// `C = A·B`.
+    Store,
+    /// `C += A·B`.
+    Accumulate,
+    /// `C = 0 + s·(0 + A·B)`: a gradient-fold leaf (see [`matmul_tn_leaf`]).
+    Leaf(f32),
+}
+
+/// What one `KC` block's partial does to its `C` tile.
+#[derive(Clone, Copy)]
+enum TileWrite {
+    /// `c = v`.
+    Set,
+    /// `c += v`.
+    Add,
+    /// `c = 0 + s·(base + v)`, with `base` zero on the first block and `c`
+    /// after it; `s = None` (a block before the last) keeps `base + v`.
+    Leaf { first: bool, scale: Option<f32> },
+}
+
+impl Write {
+    /// The tile write of block `kb` of a product with `blocks` `KC` blocks:
+    /// block partials reach `C` in ascending order whatever the mode.
+    fn tile(self, kb: usize, blocks: usize) -> TileWrite {
+        match self {
+            Write::Store if kb == 0 => TileWrite::Set,
+            Write::Store | Write::Accumulate => TileWrite::Add,
+            Write::Leaf(s) => TileWrite::Leaf {
+                first: kb == 0,
+                scale: (kb + 1 == blocks).then_some(s),
+            },
+        }
+    }
+}
+
 // The per-process ISA tier is shared with the non-GEMM kernels; see
 // `crate::simd::tier()`.
 
@@ -387,33 +453,35 @@ fn gemm(
     m: usize,
     k: usize,
     n: usize,
-    accumulate: bool,
+    write: Write,
 ) {
     let start = std::time::Instant::now();
     if k == 0 || m == 0 || n == 0 {
-        if !accumulate {
-            c.iter_mut().for_each(|x| *x = 0.0);
+        match write {
+            Write::Store => c.fill(0.0),
+            Write::Accumulate => {}
+            Write::Leaf(s) => c.fill(0.0 + s * 0.0),
         }
         return;
     }
     let flops = 2 * m * n * k;
     if flops < SMALL_FLOPS_THRESHOLD {
-        gemm_small(layout, a, b, c, m, k, n, accumulate);
+        gemm_small(layout, a, b, c, m, k, n, write);
     } else {
         let b = BSource::Raw(b);
         match simd::tier() {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: feature presence verified by `tier()` at detection time.
             simd::IsaTier::Avx512 => {
-                gemm_blocked::<8, 32>(layout, a, b, c, m, k, n, accumulate, mk_avx512)
+                gemm_blocked::<8, 32>(layout, a, b, c, m, k, n, write, mk_avx512)
             }
             #[cfg(target_arch = "x86_64")]
             // SAFETY: as above.
             simd::IsaTier::Avx2Fma => {
-                gemm_blocked::<6, 16>(layout, a, b, c, m, k, n, accumulate, mk_avx2)
+                gemm_blocked::<6, 16>(layout, a, b, c, m, k, n, write, mk_avx2)
             }
             simd::IsaTier::Portable => {
-                gemm_blocked::<4, 16>(layout, a, b, c, m, k, n, accumulate, mk_portable)
+                gemm_blocked::<4, 16>(layout, a, b, c, m, k, n, write, mk_portable)
             }
         }
     }
@@ -424,7 +492,8 @@ fn gemm(
     );
 }
 
-/// Simple sequential loops for products too small to amortize packing.
+/// Simple sequential loops for products too small to amortize packing. A
+/// leaf is literally zero → accumulate → scale here: the product is tiny.
 #[allow(clippy::too_many_arguments)]
 fn gemm_small(
     layout: Layout,
@@ -434,8 +503,15 @@ fn gemm_small(
     m: usize,
     k: usize,
     n: usize,
-    accumulate: bool,
+    write: Write,
 ) {
+    if let Write::Leaf(s) = write {
+        c.fill(0.0);
+        gemm_small(layout, a, b, c, m, k, n, Write::Accumulate);
+        c.iter_mut().for_each(|x| *x = 0.0 + s * *x);
+        return;
+    }
+    let accumulate = write == Write::Accumulate;
     match layout {
         Layout::NN => {
             for (i, row) in c.chunks_mut(n).enumerate() {
@@ -649,10 +725,11 @@ fn gemm_blocked<const MR: usize, const NR: usize>(
     m: usize,
     k: usize,
     n: usize,
-    accumulate: bool,
+    write: Write,
     mk: MicroKernel<MR, NR>,
 ) {
     let mc_max = MR * MC_STRIPS;
+    let k_blocks = k.div_ceil(KC);
     let tiles_m = m.div_ceil(mc_max);
     let n_panels = n.div_ceil(NR);
     let group = panels_per_task::<NR>(n_panels, tiles_m);
@@ -697,7 +774,7 @@ fn gemm_blocked<const MR: usize, const NR: usize>(
                     }
                     BSource::Packed(p) => &p.data[k0 * n_pad + j0 * kc..],
                 };
-                let add = accumulate || kb > 0;
+                let tile = write.tile(kb, k_blocks);
                 let multiply = |pa: &[f32]| {
                     for p in 0..n_panels {
                         let jr = p * NR;
@@ -723,7 +800,7 @@ fn gemm_blocked<const MR: usize, const NR: usize>(
                                     &acc,
                                     mr_eff,
                                     nr_eff,
-                                    add,
+                                    tile,
                                 )
                             };
                         }
@@ -748,7 +825,7 @@ fn gemm_blocked<const MR: usize, const NR: usize>(
     } else {
         PACK_A.with(|pa| {
             let mut pa = pa.borrow_mut();
-            let pa = grown(&mut pa, k.div_ceil(KC) * a_block);
+            let pa = grown(&mut pa, k_blocks * a_block);
             for (kb, k0) in (0..k).step_by(KC).enumerate() {
                 let block = &mut pa[kb * a_block..(kb + 1) * a_block];
                 pack_a::<MR>(
@@ -879,17 +956,29 @@ unsafe fn writeback<const MR: usize, const NR: usize>(
     acc: &[[f32; NR]; MR],
     mr: usize,
     nr: usize,
-    add: bool,
+    tile: TileWrite,
 ) {
     for (r, arow) in acc.iter().enumerate().take(mr) {
         let dst = c.0.add((row0 + r) * n + col0);
-        if add {
-            for (j, &v) in arow.iter().enumerate().take(nr) {
-                *dst.add(j) += v;
+        match tile {
+            TileWrite::Set => {
+                for (j, &v) in arow.iter().enumerate().take(nr) {
+                    *dst.add(j) = v;
+                }
             }
-        } else {
-            for (j, &v) in arow.iter().enumerate().take(nr) {
-                *dst.add(j) = v;
+            TileWrite::Add => {
+                for (j, &v) in arow.iter().enumerate().take(nr) {
+                    *dst.add(j) += v;
+                }
+            }
+            TileWrite::Leaf { first, scale } => {
+                for (j, &v) in arow.iter().enumerate().take(nr) {
+                    let sum = if first { 0.0 } else { *dst.add(j) } + v;
+                    *dst.add(j) = match scale {
+                        Some(s) => 0.0 + s * sum,
+                        None => sum,
+                    };
+                }
             }
         }
     }
@@ -1201,10 +1290,69 @@ mod tests {
         let image = PackedNt::pack_for::<NR>(b, n, k);
         let mut raw = vec![0.0; m * n];
         let mut pre = vec![f32::NAN; m * n];
-        gemm_blocked::<MR, NR>(Layout::NT, a, BSource::Raw(b), &mut raw, m, k, n, false, mk);
+        let raw_b = BSource::Raw(b);
+        gemm_blocked::<MR, NR>(Layout::NT, a, raw_b, &mut raw, m, k, n, Write::Store, mk);
         let packed = BSource::Packed(&image);
-        gemm_blocked::<MR, NR>(Layout::NT, a, packed, &mut pre, m, k, n, false, mk);
+        gemm_blocked::<MR, NR>(Layout::NT, a, packed, &mut pre, m, k, n, Write::Store, mk);
         (bits(&raw), bits(&pre))
+    }
+
+    /// One `tn` weight-gradient product `[T,M]ᵀ·[T,N]` through one
+    /// micro-tile instantiation, as a leaf and as zero → accumulate →
+    /// `0.0 + s·c` over a `C` that starts as garbage: both outputs' bits.
+    fn tn_leaf_and_two_pass<const MR: usize, const NR: usize>(
+        mk: MicroKernel<MR, NR>,
+        a: &[f32],
+        b: &[f32],
+        (t, m, n): (usize, usize, usize),
+        s: f32,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let raw = |b| BSource::Raw(b);
+        let mut leaf = vec![f32::NAN; m * n];
+        gemm_blocked::<MR, NR>(
+            Layout::TN,
+            a,
+            raw(b),
+            &mut leaf,
+            m,
+            t,
+            n,
+            Write::Leaf(s),
+            mk,
+        );
+        let mut two = vec![0.0; m * n];
+        gemm_blocked::<MR, NR>(
+            Layout::TN,
+            a,
+            raw(b),
+            &mut two,
+            m,
+            t,
+            n,
+            Write::Accumulate,
+            mk,
+        );
+        two.iter_mut().for_each(|x| *x = 0.0 + s * *x);
+        (bits(&leaf), bits(&two))
+    }
+
+    /// Gradient-like operands of a `tn` product whose element sums include
+    /// exact zeros of both signs and products that underflow: `dY` columns
+    /// of `±0` and of tiny values beside ordinary ones.
+    fn grad_operands(t: usize, m: usize, n: usize, seed: u64) -> (Tensor, Tensor) {
+        let mut rng = seeded_rng(seed);
+        let mut dy = normal([t, m], 1.0, &mut rng);
+        let x = normal([t, n], 1.0, &mut rng);
+        for (i, v) in dy.data_mut().iter_mut().enumerate() {
+            match i % m {
+                0 => *v = -0.0,
+                1 => *v = if i % 2 == 0 { 0.0 } else { -0.0 },
+                2 => *v *= -1.0e-44,
+                3 => *v *= 1.0e-38,
+                _ => {}
+            }
+        }
+        (dy, x)
     }
 
     proptest! {
@@ -1244,6 +1392,54 @@ mod tests {
                 let image = PackedNt::pack(&Tensor::from_vec([n, k], b.to_vec()));
                 matmul_nt_packed(a, &image, &mut got, m);
                 prop_assert!(bits(&want) == bits(&got), "detected tier at {shape:?}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+        /// The leaf write's bit contract: one `tn` product in leaf mode
+        /// equals zero → accumulate → `0.0 + s·c`, bitwise, on every tile
+        /// instantiation this host runs and through the public entry (small
+        /// products included) — for `T` inside one `KC` block, at its edge
+        /// and across several, at the fold scales of batches 1–4, with
+        /// signed zeros and underflowing products in the sums.
+        #[test]
+        fn prop_tn_leaf_is_bitwise_zero_accumulate_scale(
+            m in 1usize..70,
+            n in 1usize..70,
+            seed in 0u64..1000,
+        ) {
+            for t in [1usize, 15, 127, 256, 257, 600] {
+                let (dy, x) = grad_operands(t, m, n, seed);
+                let shape = (t, m, n);
+                for s in [1.0f32, 0.5, 1.0 / 3.0, 0.25] {
+                    let (a, b) = (dy.data(), x.data());
+                    let (leaf, two) = tn_leaf_and_two_pass::<4, 16>(mk_portable, a, b, shape, s);
+                    prop_assert!(leaf == two, "portable 4x16 at {shape:?} s={s}");
+                    #[cfg(target_arch = "x86_64")]
+                    {
+                        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                            let (leaf, two) = tn_leaf_and_two_pass::<6, 16>(mk_avx2, a, b, shape, s);
+                            prop_assert!(leaf == two, "avx2 6x16 at {shape:?} s={s}");
+                        }
+                        if is_x86_feature_detected!("avx512f") {
+                            let (leaf, two) =
+                                tn_leaf_and_two_pass::<8, 32>(mk_avx512, a, b, shape, s);
+                            prop_assert!(leaf == two, "avx512 8x32 at {shape:?} s={s}");
+                        }
+                    }
+                    let mut leaf = Tensor::full([m, n], f32::NAN);
+                    matmul_tn_leaf(&dy, &x, &mut leaf, s);
+                    let mut acc = Tensor::zeros([m, n]);
+                    matmul_tn_acc(&dy, &x, &mut acc);
+                    let mut want = Tensor::full([m, n], f32::NAN);
+                    crate::ops::axpy_from_zero(&mut want, s, &acc);
+                    prop_assert!(
+                        bits(leaf.data()) == bits(want.data()),
+                        "detected tier at {shape:?} s={s}"
+                    );
+                }
             }
         }
     }

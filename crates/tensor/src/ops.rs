@@ -141,6 +141,14 @@ dispatch! {
 }
 
 dispatch! {
+    fn k_scale_from_zero(a: &mut [f32], s: f32) {
+        for x in a.iter_mut() {
+            *x = 0.0 + s * *x;
+        }
+    }
+}
+
+dispatch! {
     fn k_scale(out: &mut [f32], a: &[f32], s: f32) {
         for (o, x) in out.iter_mut().zip(a) {
             *o = x * s;
@@ -745,6 +753,22 @@ pub fn axpy_from_zero(out: &mut Tensor, alpha: f32, b: &Tensor) {
             // SAFETY: disjoint chunks.
             let o = unsafe { std::slice::from_raw_parts_mut(po.get().add(lo), hi - lo) };
             k_axpy_from_zero(o, alpha, &bd[lo..hi]);
+        });
+    }
+    stats::record(stats::AXPY, 2 * n as u64, start.elapsed().as_nanos() as u64);
+}
+
+/// `a = 0.0 + s * a` in place: [`axpy_from_zero`] with `a` as its own
+/// source — what a gradient accumulated from zero becomes as a fold leaf.
+pub fn scale_from_zero_(a: &mut Tensor, s: f32) {
+    let start = Instant::now();
+    let n = a.numel();
+    {
+        let pa = SendPtr(a.data_mut().as_mut_ptr());
+        for_each_chunk(n, PAR_MIN_ELEMS, |lo, hi| {
+            // SAFETY: disjoint chunks.
+            let x = unsafe { std::slice::from_raw_parts_mut(pa.get().add(lo), hi - lo) };
+            k_scale_from_zero(x, s);
         });
     }
     stats::record(stats::AXPY, 2 * n as u64, start.elapsed().as_nanos() as u64);

@@ -2,8 +2,8 @@
 //!
 //! A counting global allocator measures how many heap allocations one
 //! `train_step` performs. The first steps are allowed to allocate freely
-//! (scratch pools, staging buffers and per-layer gradient accumulators
-//! grow to their steady-state sizes), but after warm-up the per-step
+//! (scratch pools, staging buffers and the gradient accumulator ring grow
+//! to their steady-state sizes), but after warm-up the per-step
 //! allocation count must stop growing: a later window of steps may not
 //! allocate more than an earlier one (where worker-thread timing makes
 //! single windows noisy, the quietest of three later ones — see
@@ -12,13 +12,14 @@
 //!
 //! The counter tallies every thread, so the offloaded trainer's
 //! prefetcher and optimizer-pool threads are included. A second counter
-//! tracks live heap bytes, which pins what a spilled run *holds*, not only
-//! how often it allocates.
+//! tracks live heap bytes, which pins what a windowed run — spilled or not
+//! — *holds*, not only how often it allocates.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
+use stronghold_collective::order::FoldPlan;
 use stronghold_core::adam::AdamParams;
 use stronghold_core::host::{
     DataParallelConfig, DataParallelTrainer, HostOffloadConfig, HostOffloadTrainer,
@@ -330,94 +331,90 @@ fn spilled_step_allocations_stop_growing() {
     );
 }
 
-/// What a spilled run holds must follow from its plan, not from how long it
-/// has run. At the post-`flush()` step boundary nothing is in flight, so
-/// live heap is the run's standing state. It must stay within the sum of
-/// the terms DESIGN.md's "Tiered storage" table lists — a fill free list
-/// that keeps every buffer it ever allocated grows one layer per fill and
-/// crosses it within a few steps — and stop growing once warm. At every
-/// precision × window.
-#[test]
-fn spilled_live_heap_is_bounded_by_the_plan() {
-    let _serial = serial();
-    for precision in [Precision::F32, Precision::Bf16] {
-        for window in [1, 2] {
-            spilled_live_heap_is_bounded(precision, window);
-        }
+/// The live-heap contracts' shape: blocks large enough that a gradient
+/// buffer per layer beyond the ring — `(nb − 1 − ow)·4·S`, 1.6 MB here —
+/// exceeds [`LIVE_HEAP_CONSTANT`], so a gradient term that scales with
+/// depth again cannot hide inside it (a trainer holding one accumulator
+/// per layer, a per-sample scratch and a fold slot overruns both bounds),
+/// and a sequence short enough that debug builds run it quickly.
+fn live_heap_cfg(batch: usize) -> ModelConfig {
+    ModelConfig::new(4, 128, 4)
+        .with_seq(4)
+        .with_vocab(32)
+        .with_batch(batch)
+}
+
+/// Everything the plans do not size: the model shell (embedding, final LN)
+/// and its gradient scratches, the compute thread's tensor scratch pool (at
+/// most 64 pooled tensors, ≤ 6 KiB each at this shape), kernel pack
+/// buffers, channels and thread handles. The runs keep ≥ 1.7 MB of the
+/// bound spare on a 2-core x86-64 box.
+const LIVE_HEAP_CONSTANT: i64 = 1 << 20;
+
+/// Optimizer actors of the live-heap runs.
+const OPTIMIZER_WORKERS: usize = 2;
+
+/// Offload (D2H) workers of the live-heap runs: the ring is one more.
+const OFFLOAD_WORKERS: usize = 1;
+
+/// A live-heap run's configuration at `precision` / `window`.
+fn live_heap_config(precision: Precision, window: usize) -> HostOffloadConfig {
+    HostOffloadConfig {
+        window,
+        precision,
+        optimizer_workers: OPTIMIZER_WORKERS,
+        offload_workers: OFFLOAD_WORKERS,
+        adam: adam(),
+        ..HostOffloadConfig::default()
     }
 }
 
-fn spilled_live_heap_is_bounded(precision: Precision, window: usize) {
-    const OPTIMIZER_WORKERS: usize = 2;
-    // Floats per staging buffer of a spilled update (the store's chunk).
-    const CHUNK: u64 = 1 << 18;
-    // Everything the plan does not size: the model shell (embedding, final
-    // LN) and its gradient scratches, the compute thread's tensor scratch
-    // pool (at most 64 pooled tensors, ≤ 8 KiB each at this shape), kernel
-    // pack buffers, channels and thread handles — 0.65–0.72 MiB measured.
-    const CONSTANT: i64 = 1 << 20;
-    let tag = format!("{} window {window}", precision.name());
-    let cfg = tiny(4);
-    let batch = batch_for(&cfg, 49);
-    let base = live_bytes();
-    let mut t = HostOffloadTrainer::new(
-        cfg,
-        7,
-        HostOffloadConfig {
-            window,
-            precision,
-            optimizer_workers: OPTIMIZER_WORKERS,
-            adam: adam(),
-            // Room for one resident layer: 3 of 4 layers live on the file.
-            host_capacity: Some(12 * cfg.block_params()),
-            spill_workers: 2,
-            ..HostOffloadConfig::default()
-        },
-    );
-    assert_eq!(
-        t.spilled_layers(),
-        3,
-        "{tag}: the spill tier must be active"
-    );
-    let mut peak = 0i64;
-    let mut step = || {
-        t.train_step(&batch);
-        t.flush();
-        peak = peak.max(live_bytes() - base);
-    };
-    // Warm-up: the scratch pool fills to its cap over the first ~20 steps.
-    for _ in 0..24 {
-        step();
-    }
-    // Three late windows of six steps. A leak grows every one of them; a
-    // fill buffer the schedule first needs late (never more than m + 2 in
-    // all, which the bound below covers) lands in one.
-    let mut growth = [0i64; 3];
-    for g in &mut growth {
-        let before = live_bytes();
-        for _ in 0..6 {
-            step();
-        }
-        *g = live_bytes() - before;
-    }
+/// What the windowed backend's gradients hold, in bytes of a block-sized
+/// buffer `layer`: the accumulator ring, `1 + offload_workers`, and the
+/// fold tree's partials beyond its root, `depth(b) − 1` — at any depth.
+fn gradient_term(layer: i64, batch: usize) -> (&'static str, i64) {
+    let depth = FoldPlan::new(batch).depth();
+    (
+        "gradients: ring 1 + ow, fold partials depth(b) − 1",
+        (1 + OFFLOAD_WORKERS + depth - 1) as i64 * layer,
+    )
+}
 
-    let layer = 4 * cfg.block_params() as i64;
-    let (layers, m, b) = (cfg.layers as i64, t.window() as i64, batch.len() as i64);
-    let terms = [
-        ("resident image", t.tier_plan().resident_bytes() as i64),
-        (
-            "gradient accumulators: per layer, per sample, ≤ b fold partials",
-            (layers + 1 + b) * layer,
-        ),
-        ("optimizer gradient buffers, one per layer", layers * layer),
-        ("device shells, m + 1", (m + 1) * layer),
-        ("fill buffers, m + 2", (m + 2) * layer),
-        (
-            "update staging, 3 chunks per optimizer actor",
-            OPTIMIZER_WORKERS as i64 * 3 * 4 * cfg.block_params().min(CHUNK) as i64,
-        ),
-        ("constant", CONSTANT),
-    ];
+/// Trains `t` on `batch` with a flush per step and checks its live heap at
+/// the post-`flush()` step boundary — where nothing is in flight, so live
+/// heap is the run's standing state — against the sum of `terms` (counted
+/// from `base`, the level before the trainer was built), and that it stops
+/// growing once warm.
+fn assert_live_heap_within(
+    tag: &str,
+    t: &mut HostOffloadTrainer,
+    batch: &[(Vec<u32>, Vec<u32>)],
+    base: i64,
+    terms: &[(&str, i64)],
+) {
+    let mut peak = 0i64;
+    // Live-heap growth over four steps.
+    let mut window = || {
+        let before = live_bytes();
+        for _ in 0..4 {
+            t.train_step(batch);
+            t.flush();
+            peak = peak.max(live_bytes() - base);
+        }
+        live_bytes() - before
+    };
+    // Warm-up until a window leaves the heap no larger: the scratch pool
+    // fills its slots at a rate that depends on the batch and on what ran
+    // on this thread before. A leak never gets quiet and runs out the cap.
+    for _ in 0..16 {
+        if window() <= 0 {
+            break;
+        }
+    }
+    // Three late windows. A leak grows every one of them; a buffer the
+    // schedule first needs late (a fill buffer, say, never more than m + 2
+    // in all, which the bound covers) lands in one.
+    let growth = [window(), window(), window()];
     let bound: i64 = terms.iter().map(|(_, b)| b).sum();
     assert!(
         peak <= bound,
@@ -427,6 +424,92 @@ fn spilled_live_heap_is_bounded(precision: Precision, window: usize) {
         growth.iter().min() <= Some(&0),
         "{tag}: live heap grew in every late window: {growth:?} B"
     );
+}
+
+/// What an unspilled windowed run holds must follow from its plan too:
+/// the resident image, the gradient ring and fold partials, the optimizer's
+/// gradient buffers and the window's shells, plus the stated constant — no
+/// gradient term grows with depth. At every precision × window × a batch of
+/// three (two fold partials beside the ring accumulator at the root) and of
+/// one (the ring accumulator is the whole fold).
+#[test]
+fn windowed_live_heap_is_bounded_by_the_plan() {
+    let _serial = serial();
+    for precision in [Precision::F32, Precision::Bf16] {
+        for window in [1, 2] {
+            // Batch 3 first: its busier steps fill this thread's scratch
+            // pool sooner.
+            for b in [3, 1] {
+                let tag = format!("{} window {window} batch {b}", precision.name());
+                let cfg = live_heap_cfg(b);
+                let batch = batch_for(&cfg, 50);
+                let base = live_bytes();
+                let mut t = HostOffloadTrainer::new(cfg, 7, live_heap_config(precision, window));
+                assert_eq!(t.spilled_layers(), 0, "{tag}: nothing spills");
+                let layer = 4 * cfg.block_params() as i64;
+                let (layers, m) = (cfg.layers as i64, t.window() as i64);
+                let terms = [
+                    ("resident image", t.tier_plan().resident_bytes() as i64),
+                    gradient_term(layer, b),
+                    ("optimizer gradient buffers, one per layer", layers * layer),
+                    ("device shells, m + 1", (m + 1) * layer),
+                    ("constant", LIVE_HEAP_CONSTANT),
+                ];
+                assert_live_heap_within(&tag, &mut t, &batch, base, &terms);
+            }
+        }
+    }
+}
+
+/// What a spilled run holds must follow from its plan, not from how long it
+/// has run: within the sum of the terms DESIGN.md's "Tiered storage" table
+/// lists — a fill free list that keeps every buffer it ever allocated grows
+/// one layer per fill and crosses it within a few steps — and no growth once
+/// warm. At every precision × window.
+#[test]
+fn spilled_live_heap_is_bounded_by_the_plan() {
+    let _serial = serial();
+    // Floats per staging buffer of a spilled update (the store's chunk).
+    const CHUNK: u64 = 1 << 18;
+    const SPILLED: usize = 3;
+    for precision in [Precision::F32, Precision::Bf16] {
+        for window in [1, 2] {
+            let tag = format!("{} window {window}", precision.name());
+            let cfg = live_heap_cfg(1);
+            let batch = batch_for(&cfg, 49);
+            let base = live_bytes();
+            let resident = (cfg.layers - SPILLED) as u64;
+            let mut t = HostOffloadTrainer::new(
+                cfg,
+                7,
+                HostOffloadConfig {
+                    host_capacity: Some(12 * resident * cfg.block_params()),
+                    spill_workers: 2,
+                    ..live_heap_config(precision, window)
+                },
+            );
+            assert_eq!(
+                t.spilled_layers(),
+                SPILLED,
+                "{tag}: the spill tier must be active"
+            );
+            let layer = 4 * cfg.block_params() as i64;
+            let (layers, m) = (cfg.layers as i64, t.window() as i64);
+            let terms = [
+                ("resident image", t.tier_plan().resident_bytes() as i64),
+                gradient_term(layer, batch.len()),
+                ("optimizer gradient buffers, one per layer", layers * layer),
+                ("device shells, m + 1", (m + 1) * layer),
+                ("fill buffers, m + 2", (m + 2) * layer),
+                (
+                    "update staging, 3 chunks per optimizer actor",
+                    OPTIMIZER_WORKERS as i64 * 3 * 4 * cfg.block_params().min(CHUNK) as i64,
+                ),
+                ("constant", LIVE_HEAP_CONSTANT),
+            ];
+            assert_live_heap_within(&tag, &mut t, &batch, base, &terms);
+        }
+    }
 }
 
 /// The data-parallel step must reach the same steady state: replica
