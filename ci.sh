@@ -72,6 +72,14 @@ if [ "$grad_fields" != "bp_fold_slots:Vec<BlockGrads> bp_slots:Vec<BlockGrads> g
     echo "gradient buffers scale with depth again: BlockGrads fields [$grad_fields], other zero_grads() sites [$grad_allocs]"
     exit 1
 fi
+# A serving round packs nothing: the decode attention reads the KV cache's
+# panel images, so the per-call-packing `_stable` products never see cached
+# keys or values in attention.rs.
+stable_attn=$(grep -n 'matmul_n[nt]_stable' crates/tensor/src/attention.rs || true)
+if [ -n "$stable_attn" ]; then
+    echo "attention packs cached K/V per call again: [$stable_attn]"
+    exit 1
+fi
 
 echo "==> cargo build --release"
 cargo build --release
@@ -98,6 +106,11 @@ grep -q '"parallel_never_slower"' "$SMOKE_OUT"
 grep -q '"decode_shapes"' "$SMOKE_OUT"
 grep -q '"shape": "fc2_m16_decode"' "$SMOKE_OUT"
 grep -q '"us_packed"' "$SMOKE_OUT"
+# One head's serving attention, row at a time with per-call packing against
+# the panel-layout KV cache.
+grep -q '"decode_attention"' "$SMOKE_OUT"
+grep -q '"shape": "attn_r56_p128"' "$SMOKE_OUT"
+grep -q '"us_panels"' "$SMOKE_OUT"
 
 echo "==> op-bench smoke (quick mode)"
 # Bounded non-GEMM op sweep: catches ops bench bit-rot and BENCH_ops.json

@@ -19,6 +19,13 @@
 //! batch-stable product that packs the weight on every call against the
 //! pre-packed one that reads a [`matmul::PackedNt`] image, in µs per call.
 //!
+//! A fourth section (`decode_attention`) measures one head's serving
+//! attention (`dh = 32`, the `serve-closed` head) for `rows ∈ {1, 56}` new
+//! rows over `pos ∈ {16, 64, 128}` cached positions: row at a time with
+//! the cached keys and values packed on every product (`_stable`), against
+//! one scores and one context product reading the panel-layout
+//! [`KvCache`], in µs per head.
+//!
 //! `STRONGHOLD_KBENCH_QUICK=1` switches to a bounded smoke sweep (small
 //! shapes, one rep) used by the `ci.sh` kernel-bench step to catch bench
 //! bit-rot and output-format drift without paying for the full sweep.
@@ -28,6 +35,7 @@
 use std::time::Instant;
 
 use serde_json::{Map, Value};
+use stronghold_tensor::attention::{Attention, DecodeScratch, KvCache};
 use stronghold_tensor::init::{normal, seeded_rng};
 use stronghold_tensor::matmul::{self, matmul, matmul_nt, matmul_tn};
 use stronghold_tensor::Tensor;
@@ -217,7 +225,7 @@ fn decode_sweep(reps: usize) -> Vec<Value> {
                 matmul::matmul_nt_stable(x.data(), w.data(), &mut y, m, k, n)
             }));
             let us_packed = us(time_gflops(flops, reps, || {
-                matmul::matmul_nt_packed(x.data(), &image, &mut y, m)
+                matmul::matmul_packed(x.data(), image.view(), &mut y, m)
             }));
             let label = format!("{name}_m{m}_decode");
             println!(
@@ -235,6 +243,68 @@ fn decode_sweep(reps: usize) -> Vec<Value> {
         }
     }
     rows
+}
+
+/// Times one head's decode attention products for `rows` new rows over
+/// `pos` cached positions: the row-at-a-time path (per row, a scores and a
+/// context product, each packing the K or V prefix it reads) against one
+/// scores and one context product over all rows, reading the panel-layout
+/// cache. Scores stand in for probabilities: the products' cost does not
+/// depend on the values.
+fn attention_sweep(reps: usize) -> Vec<Value> {
+    println!(
+        "\n{:<18} {:>4} {:>4}  {:>10} {:>10} {:>8}",
+        "decode attention", "rows", "pos", "per-call µs", "panels µs", "speedup"
+    );
+    let dh = 32;
+    let mut out = Vec::new();
+    for rows in [1usize, 56] {
+        for pos in [16usize, 64, 128] {
+            let n = pos + rows;
+            let mut rng = seeded_rng(0xB00F);
+            let attn = Attention::new(dh, 1, &mut rng);
+            let mut cache = KvCache::new(1, dh, n);
+            let mut y = Tensor::zeros([1]);
+            let x = normal([n, dh], 1.0, &mut rng);
+            attn.forward_decode(&x, &mut cache, &mut DecodeScratch::new(), &mut y);
+            let (k, v) = (
+                normal([n, dh], 1.0, &mut rng),
+                normal([n, dh], 1.0, &mut rng),
+            );
+            let q = normal([rows, dh], 1.0, &mut rng);
+            let mut scores = vec![0.0f32; rows * n];
+            let mut ctx = vec![0.0f32; rows * dh];
+            // The rate of a one-FLOP call is 1e-9 / seconds: its inverse, in µs.
+            let us = |gflops: f64| 1.0 / gflops / 1e3;
+            let us_per_call = us(time_gflops(1, reps, || {
+                for r in 0..rows {
+                    let live = pos + r + 1;
+                    let (qr, s) = (&q.data()[r * dh..(r + 1) * dh], &mut scores[..live]);
+                    matmul::matmul_nt_stable(qr, k.data(), s, 1, dh, live);
+                    let c = &mut ctx[r * dh..(r + 1) * dh];
+                    matmul::matmul_nn_stable(s, v.data(), c, 1, live, dh);
+                }
+            }));
+            let us_panels = us(time_gflops(1, reps, || {
+                matmul::matmul_packed(q.data(), cache.key_panels(0), &mut scores, rows);
+                matmul::matmul_packed(&scores, cache.value_panels(0), &mut ctx, rows);
+            }));
+            let label = format!("attn_r{rows}_p{pos}");
+            println!(
+                "{label:<18} {rows:>4} {pos:>4}  {us_per_call:>10.2} {us_panels:>10.2} {:>7.2}x",
+                us_per_call / us_panels
+            );
+            let mut row = Map::new();
+            row.insert("shape".into(), Value::from(label));
+            row.insert("rows".into(), Value::from(rows as u64));
+            row.insert("pos".into(), Value::from(pos as u64));
+            row.insert("dh".into(), Value::from(dh as u64));
+            row.insert("us_per_call".into(), Value::from(us_per_call));
+            row.insert("us_panels".into(), Value::from(us_panels));
+            out.push(Value::Object(row));
+        }
+    }
+    out
 }
 
 /// Best-of-`reps` wall time for `f`, as mean GFLOP/s of the fastest rep.
@@ -346,6 +416,10 @@ fn main() {
     root.insert(
         "decode_shapes".into(),
         Value::Array(decode_sweep(if quick { 3 } else { 2000 })),
+    );
+    root.insert(
+        "decode_attention".into(),
+        Value::Array(attention_sweep(if quick { 3 } else { 2000 })),
     );
     let json = serde_json::to_string_pretty(&Value::Object(root)).expect("sweep serializes");
     std::fs::write(&out_path, json).expect("write BENCH_kernels.json");

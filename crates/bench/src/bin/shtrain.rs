@@ -166,7 +166,10 @@ fn main() {
                     r.overlap * 100.0
                 );
                 if want_tel {
-                    write_telemetry(&args, m.name(), multi, &r);
+                    if let Err(e) = write_telemetry(&args, m.name(), multi, &r) {
+                        eprintln!("shtrain: {e}");
+                        std::process::exit(1);
+                    }
                 }
             }
             Err(e) => println!("{:<22} OOM ({e})", m.name()),
@@ -176,8 +179,14 @@ fn main() {
 
 /// Replays the iteration's timeline into a telemetry handle and writes the
 /// requested sinks. With `-m all`, file names are prefixed by the method so
-/// runs don't clobber each other.
-fn write_telemetry(args: &Args, method: &str, multi: bool, r: &stronghold_core::IterationReport) {
+/// runs don't clobber each other. A sink that cannot be written (a path in
+/// a missing directory, say) is an error naming the path.
+fn write_telemetry(
+    args: &Args,
+    method: &str,
+    multi: bool,
+    r: &stronghold_core::IterationReport,
+) -> Result<(), String> {
     let dest = |base: &str| {
         if multi {
             let p = std::path::Path::new(base);
@@ -205,12 +214,15 @@ fn write_telemetry(args: &Args, method: &str, multi: bool, r: &stronghold_core::
     if let Some(base) = &args.telemetry {
         let path = dest(base);
         let body = serde_json::to_string_pretty(&snap).expect("snapshot serializes");
-        std::fs::write(&path, body).expect("write telemetry snapshot");
+        std::fs::write(&path, body)
+            .map_err(|e| format!("cannot write telemetry snapshot {path}: {e}"))?;
         println!("  {method}: telemetry snapshot -> {path}");
     }
     if let Some(base) = &args.trace {
         let path = dest(base);
-        std::fs::write(&path, tel.to_chrome_trace()).expect("write chrome trace");
+        std::fs::write(&path, tel.to_chrome_trace())
+            .map_err(|e| format!("cannot write chrome trace {path}: {e}"))?;
         println!("  {method}: chrome trace -> {path}");
     }
+    Ok(())
 }

@@ -864,6 +864,7 @@ impl ParamBackend for WindowedBackend {
             blocks: self.stream.master_blocks(&self.store),
             lnf_g: self.shell.lnf_g.clone(),
             lnf_b: self.shell.lnf_b.clone(),
+            head_panels: None,
         };
         stronghold_model::serialize::save(&full)
     }

@@ -38,12 +38,18 @@
 //! active sequence are stacked into one `[ΣR, hidden]` activation
 //! ([`DecodeBatch`]), so each streamed layer runs one GEMM per linear, not
 //! one per slot, and the head one product over the last rows. Only
-//! attention stays per sequence, against that sequence's own KV cache.
+//! attention stays per sequence, against that sequence's own KV cache: one
+//! scores and one context product per head, whether the sequence brings a
+//! single decode token or its whole prompt (the prompt's rows are masked to
+//! their causal prefixes inside the one product, bit-equal to a
+//! row-at-a-time decode).
 //!
 //! ## The panel image
 //!
-//! Serving weights never change, so the host store keeps each layer in the
-//! exact layout the compute consumes: [`ServeEngine::from_model`] turns
+//! A serving round packs nothing: every `B` operand its products read is
+//! already in the GEMM engine's panel order. Serving weights never change,
+//! so the host store keeps each layer in the exact layout the compute
+//! consumes: [`ServeEngine::from_model`] turns
 //! every block into its serving form
 //! ([`Block::into_panels`](stronghold_model::block::Block::into_panels)), whose four
 //! linear weights are the GEMM engine's `B` panels, and stores that image
@@ -53,9 +59,13 @@
 //! shell: each weight is packed once per engine, never on the compute
 //! thread. Bits are unchanged — the panels are the ones the per-call pack
 //! would have built — and every byte count stays in parameters, since
-//! panel padding is layout, not payload. Training keeps row-major shells:
-//! its weights change every step, and the backward `dy · W` reads `W`
-//! row-major.
+//! panel padding is layout, not payload. The resident tied head is packed
+//! once at construction too ([`Transformer::pack_head`], `vocab · hidden`
+//! floats beside the row-major table the embedding lookup reads), and each
+//! [`KvCache`] stores its keys and values as panel images written once per
+//! token, so the attention products read the cache as it stands. Training
+//! keeps row-major shells: its weights change every step, and the backward
+//! `dy · W` reads `W` row-major.
 //!
 //! ## Determinism
 //!
@@ -262,6 +272,8 @@ impl ServeEngine {
             })
             .collect();
         let template = template.expect("at least one layer");
+        // The resident tied head never changes either: packed once here too.
+        model.pack_head();
         let store = LayerStore::without_moments(images, template.param_count());
         let stream = LayerStream::new(
             template,

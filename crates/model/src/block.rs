@@ -200,8 +200,9 @@ impl Block {
     /// adds are row-wise and the four linears run as one product each over
     /// all `ΣR` rows however many sequences ride them — on a serving-form
     /// block ([`Block::into_panels`]) against weights packed once per
-    /// engine, not per call — while attention stays per sequence (fanned
-    /// over `workers` threads). All products go through the batch-stable GEMM
+    /// engine, not per call — while attention stays per sequence (one scores
+    /// and one context product per head against the cache's panel images,
+    /// fanned over `workers` threads). All products go through the batch-stable GEMM
     /// entries and the attention softmax covers exactly the causal prefix,
     /// so one token's output bits are independent of what else rides the
     /// call — prefill, token-at-a-time decode and any stacking agree
@@ -684,6 +685,60 @@ mod tests {
                     prop_assert_eq!(bits(a.keys(head)), bits(b.keys(head)));
                     prop_assert_eq!(bits(a.values(head)), bits(b.values(head)));
                 }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// A prompt attends as one block: a sequence fed as a warm prefix of
+        /// `pos0` rows and then `t` rows split at arbitrary points — each
+        /// run one segment, attending in one product per head — gives every
+        /// row, and the final KV images, the bits of a row-at-a-time decode,
+        /// for any head count.
+        #[test]
+        fn prop_batched_prefill_equals_row_at_a_time(
+            heads_log in 0u32..3,
+            pos0 in 0usize..20,
+            t in 1usize..40,
+            cuts in proptest::collection::vec(1usize..40, 0..4),
+            seed in 0u64..1000,
+        ) {
+            let (h, heads, max_seq) = (16, 1usize << heads_log, 64);
+            let mut rng = seeded_rng(seed);
+            let block = Block::new(h, heads, &mut rng);
+            let x = normal([pos0 + t, h], 1.0, &mut rng);
+            let rows = |r: std::ops::Range<usize>| {
+                Tensor::from_vec([r.len(), h], x.data()[r.start * h..r.end * h].to_vec())
+            };
+            let mut ws = BlockDecodeScratch::new();
+            let mut y = Tensor::zeros([1]);
+
+            let mut one = KvCache::new(heads, h / heads, max_seq);
+            let mut want = Vec::new();
+            for i in 0..pos0 + t {
+                block.forward_decode(&rows(i..i + 1), &mut one, &mut ws, &mut y);
+                want.extend(bits(y.data()));
+            }
+
+            let mut ends: Vec<usize> = cuts.iter().filter(|&&c| c < t).map(|&c| pos0 + c).collect();
+            ends.extend([pos0, pos0 + t]);
+            ends.sort_unstable();
+            ends.dedup();
+            let mut batched = KvCache::new(heads, h / heads, max_seq);
+            let mut got = Vec::new();
+            let mut start = 0;
+            for end in ends.into_iter().filter(|&e| e > 0) {
+                let seg = Segment { cache: 0, len: end - start };
+                let caches = std::slice::from_mut(&mut batched);
+                block.forward_decode_segments(&rows(start..end), &[seg], caches, &mut ws, &mut y, 1);
+                got.extend(bits(y.data()));
+                start = end;
+            }
+            prop_assert_eq!(got, want);
+            for head in 0..heads {
+                prop_assert_eq!(bits(one.keys(head)), bits(batched.keys(head)));
+                prop_assert_eq!(bits(one.values(head)), bits(batched.values(head)));
             }
         }
     }

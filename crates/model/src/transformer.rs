@@ -12,7 +12,9 @@ use stronghold_tensor::embedding::{Embedding, EmbeddingGrads};
 use stronghold_tensor::init::seeded_rng;
 use stronghold_tensor::linear::GradWrite;
 use stronghold_tensor::loss::cross_entropy;
-use stronghold_tensor::matmul::{matmul_nt, matmul_nt_stable, matmul_tn_acc};
+use stronghold_tensor::matmul::{
+    matmul_nt, matmul_nt_stable, matmul_packed, matmul_tn_acc, PackedNt,
+};
 use stronghold_tensor::ops::{
     axpy_from_zero, layernorm, layernorm_backward, layernorm_into, LayerNormCache,
 };
@@ -35,6 +37,11 @@ pub struct Transformer {
     pub lnf_g: Tensor,
     /// Final layernorm bias.
     pub lnf_b: Tensor,
+    /// The tied head in serving form: `embedding.token` as the GEMM
+    /// engine's panel image, packed once by [`Transformer::pack_head`] so
+    /// the decode head product packs nothing. `None` outside serving; a
+    /// model whose token table changes must not carry one.
+    pub head_panels: Option<PackedNt>,
 }
 
 /// Gradients for a [`Transformer`], mirroring its structure.
@@ -201,7 +208,16 @@ impl Transformer {
             blocks,
             lnf_g: Tensor::full([cfg.hidden], 1.0),
             lnf_b: Tensor::zeros([cfg.hidden]),
+            head_panels: None,
         }
+    }
+
+    /// Packs the tied head once for serving ([`Transformer::head_panels`]):
+    /// the token table stays row-major for the embedding lookup, and the
+    /// decode head reads the image — `vocab · hidden` more floats of host
+    /// memory, the same logits bit for bit.
+    pub fn pack_head(&mut self) {
+        self.head_panels = Some(PackedNt::pack(&self.embedding.token));
     }
 
     /// Total parameter count (matches `cfg.total_params()`).
@@ -326,10 +342,12 @@ impl Transformer {
 
     /// Final layernorm + tied LM head for the listed rows of `x` (each
     /// stacked sequence's last token): writes `[rows.len(), vocab]` logits
-    /// with **one** product against the embedding table. Layernorm is
-    /// per-row and the head product is batch-stable, so a row's logits are
-    /// bit-identical whether it arrived via prefill or single-token decode
-    /// and however many other rows share the call.
+    /// with **one** product against the embedding table (its panel image
+    /// when [`Transformer::pack_head`] built one). Layernorm is per-row and
+    /// the head product is batch-stable, so a row's logits are
+    /// bit-identical whether it arrived via prefill or single-token decode,
+    /// however many other rows share the call, and with or without the
+    /// image.
     pub fn lm_logits_rows_into(
         &self,
         x: &Tensor,
@@ -352,14 +370,11 @@ impl Transformer {
         );
         let v = self.embedding.vocab();
         logits.reset_for([rows.len(), v]);
-        matmul_nt_stable(
-            ws.lnf_out.data(),
-            self.embedding.token.data(),
-            logits.data_mut(),
-            rows.len(),
-            h,
-            v,
-        );
+        let (x, y, m) = (ws.lnf_out.data(), logits.data_mut(), rows.len());
+        match &self.head_panels {
+            Some(p) => matmul_packed(x, p.view(), y, m),
+            None => matmul_nt_stable(x, self.embedding.token.data(), y, m, h, v),
+        }
     }
 
     // ----- whole-model convenience -----
@@ -517,7 +532,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
         /// The multi-row head is the row-at-a-time head: one product over
-        /// any selection of rows gives each row the bits it gets alone.
+        /// any selection of rows gives each row the bits it gets alone,
+        /// and reading the packed head image changes no bit.
         #[test]
         fn prop_multi_row_head_equals_row_at_a_time(
             rows in proptest::collection::vec(0usize..40, 1..7),
@@ -529,6 +545,11 @@ mod tests {
             let mut ws = HeadDecodeScratch::new();
             let mut all = Tensor::zeros([1]);
             model.lm_logits_rows_into(&x, &rows, &mut ws, &mut all);
+            let mut served = Transformer::new(cfg, seed);
+            served.pack_head();
+            let mut packed = Tensor::zeros([1]);
+            served.lm_logits_rows_into(&x, &rows, &mut ws, &mut packed);
+            prop_assert_eq!(bits(&packed), bits(&all));
             let mut one = Tensor::zeros([1]);
             for (n, &r) in rows.iter().enumerate() {
                 let upto = Tensor::from_vec(

@@ -16,6 +16,13 @@
 //! out over the same fork-join pool as the GEMM tile grid when the
 //! sequence is long enough to pay for it. Which thread runs a head never
 //! changes its arithmetic.
+//!
+//! Serving ([`Attention::forward_decode_segments`]) attends against a
+//! per-sequence [`KvCache`] whose keys and values are stored in the GEMM
+//! engine's panel order, so no product of a serving round packs its `B`
+//! operand: a token's K/V are written into the panels once, and a segment
+//! of `T` rows (a whole prompt, or one decode token) attends in one scores
+//! and one context product per head, read straight from the cache.
 
 use std::cell::RefCell;
 
@@ -23,8 +30,8 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::linear::{GradWrite, Linear, LinearGrads};
 use crate::matmul::{
-    fan_out, matmul_into, matmul_nn_stable, matmul_nt_into, matmul_nt_stable, matmul_tn_into,
-    worth_forking,
+    fan_out, matmul_into, matmul_nt_into, matmul_packed, matmul_tn_into, worth_forking,
+    PanelLayout, PanelView,
 };
 use crate::ops::{scale_assign, softmax_row_inplace, softmax_rows_, softmax_rows_backward_into};
 use crate::scratch;
@@ -69,7 +76,16 @@ thread_local! {
     /// step cycles through it.
     static HEAD_SCRATCH: RefCell<[Tensor; 10]> =
         RefCell::new(std::array::from_fn(|_| Tensor::zeros([0])));
+    /// Emptied [`AttentionCache::probs`] lists, handed back by
+    /// [`AttentionCache::recycle`] so the next forward on this thread
+    /// reuses the list instead of allocating one (at most
+    /// [`MAX_PROBS_LISTS`] are kept).
+    static PROBS_LISTS: RefCell<Vec<Vec<Tensor>>> = const { RefCell::new(Vec::new()) };
 }
+
+/// Bound on [`PROBS_LISTS`]: a thread that only recycles caches forwarded
+/// elsewhere keeps this many lists, not one per cache.
+const MAX_PROBS_LISTS: usize = 8;
 
 /// Multi-head causal self-attention: fused QKV projection plus output
 /// projection, mirroring a Megatron-style attention block.
@@ -143,7 +159,10 @@ impl Attention {
 
         let qkv_out = self.qkv.forward(x); // [T, 3H]
         let mut ctx = scratch::take([t, h]); // fully overwritten by scatters
-        let mut probs: Vec<Tensor> = (0..self.heads).map(|_| scratch::take([t, t])).collect();
+        let mut probs = PROBS_LISTS
+            .with(|l| l.borrow_mut().pop())
+            .unwrap_or_default();
+        probs.extend((0..self.heads).map(|_| scratch::take([t, t])));
         let ctx_ptr = SendPtr(ctx.data_mut().as_mut_ptr());
         let probs_ptr = SendPtr(probs.as_mut_ptr());
 
@@ -268,16 +287,28 @@ impl Attention {
 }
 
 /// Per-sequence K/V cache for incremental decoding: the keys and values of
-/// every token seen so far, stored head-major so the causal prefix of one
-/// head is a contiguous `[len, dh]` slice ready for the stable GEMM entries.
+/// every token seen so far, stored per head in the GEMM engine's panel
+/// order so the attention products read them without packing.
+///
+/// A head's keys are the image of the `nt` operand `K: [max_seq, dh]`
+/// (positions on the panel axis) and its values the image of the `nn`
+/// operand `V: [max_seq, dh]` (head dim on the panel axis), both laid out
+/// for `max_seq` positions (`matmul::PanelLayout`): a token's K/V values are
+/// written once, in place, and the causal prefix of `len` positions is read
+/// as the leading corner of each image ([`KvCache::key_panels`],
+/// [`KvCache::value_panels`]) — exactly the panels the per-call packing of
+/// the row-major `[len, dh]` prefix would build.
 ///
 /// Capacity is allocated once at construction (`2 · heads · max_seq · dh`
-/// floats); [`KvCache::clear`] rewinds the logical length for slot reuse
-/// without freeing, so steady-state decode never allocates.
+/// floats of payload, plus panel padding); [`KvCache::clear`] rewinds the
+/// logical length for slot reuse without freeing, so steady-state decode
+/// never allocates.
 #[derive(Clone, Debug)]
 pub struct KvCache {
     k: Vec<f32>,
     v: Vec<f32>,
+    k_layout: PanelLayout,
+    v_layout: PanelLayout,
     heads: usize,
     dh: usize,
     max_seq: usize,
@@ -288,9 +319,40 @@ impl KvCache {
     /// Allocates a cache for `heads` heads of width `dh`, holding up to
     /// `max_seq` tokens.
     pub fn new(heads: usize, dh: usize, max_seq: usize) -> Self {
+        Self::with_layouts(
+            heads,
+            dh,
+            max_seq,
+            PanelLayout::new(dh, max_seq),
+            PanelLayout::new(max_seq, dh),
+        )
+    }
+
+    /// A cache whose images are laid out for an `nr`-wide micro-tile (the
+    /// instantiation under test may differ from the detected tier).
+    #[cfg(test)]
+    pub(crate) fn with_nr(heads: usize, dh: usize, max_seq: usize, nr: usize) -> Self {
+        Self::with_layouts(
+            heads,
+            dh,
+            max_seq,
+            PanelLayout::with_nr(nr, dh, max_seq),
+            PanelLayout::with_nr(nr, max_seq, dh),
+        )
+    }
+
+    fn with_layouts(
+        heads: usize,
+        dh: usize,
+        max_seq: usize,
+        k_layout: PanelLayout,
+        v_layout: PanelLayout,
+    ) -> Self {
         KvCache {
-            k: vec![0.0; heads * max_seq * dh],
-            v: vec![0.0; heads * max_seq * dh],
+            k: vec![0.0; heads * k_layout.len()],
+            v: vec![0.0; heads * v_layout.len()],
+            k_layout,
+            v_layout,
             heads,
             dh,
             max_seq,
@@ -313,38 +375,68 @@ impl KvCache {
         self.max_seq
     }
 
-    /// Rewinds to empty without releasing storage (slot reuse).
+    /// Rewinds to empty without releasing storage (slot reuse). The panels
+    /// the cached tokens touched go back to zero, so the next sequence's
+    /// images hold nothing of this one's, padding lanes included.
     pub fn clear(&mut self) {
+        let (kl, vl) = (self.k_layout.len(), self.v_layout.len());
+        for head in 0..self.heads {
+            let k = &mut self.k[head * kl..(head + 1) * kl];
+            self.k_layout.zero_corner(k, self.dh, self.len);
+            let v = &mut self.v[head * vl..(head + 1) * vl];
+            self.v_layout.zero_corner(v, self.len, self.dh);
+        }
         self.len = 0;
     }
 
-    /// Bytes of K/V storage this cache pins (f32 entries).
+    /// Bytes of K/V payload this cache pins (f32 entries; panel padding is
+    /// layout, not payload).
     pub fn nbytes(&self) -> u64 {
         (2 * self.heads * self.max_seq * self.dh * std::mem::size_of::<f32>()) as u64
     }
 
-    /// The cached keys of one head: a contiguous `[len, dh]` slice.
+    /// The key image of one head: the `nt` panel image of `K: [max_seq, dh]`
+    /// ([`KvCache`]), unused capacity and padding included.
     pub fn keys(&self, head: usize) -> &[f32] {
-        let base = head * self.max_seq * self.dh;
-        &self.k[base..base + self.len * self.dh]
+        let kl = self.k_layout.len();
+        &self.k[head * kl..(head + 1) * kl]
     }
 
-    /// The cached values of one head: a contiguous `[len, dh]` slice.
+    /// The value image of one head: the `nn` panel image of
+    /// `V: [max_seq, dh]` ([`KvCache`]), unused capacity and padding
+    /// included.
     pub fn values(&self, head: usize) -> &[f32] {
-        let base = head * self.max_seq * self.dh;
-        &self.v[base..base + self.len * self.dh]
+        let vl = self.v_layout.len();
+        &self.v[head * vl..(head + 1) * vl]
+    }
+
+    /// The cached keys of one head as the `nt` operand `[len, dh]` of a
+    /// scores product `Q·Kᵀ`.
+    pub fn key_panels(&self, head: usize) -> PanelView<'_> {
+        PanelView::nt(self.keys(head), self.k_layout, self.len, self.dh)
+    }
+
+    /// The cached values of one head as the `nn` operand `[len, dh]` of a
+    /// context product `P·V`.
+    pub fn value_panels(&self, head: usize) -> PanelView<'_> {
+        PanelView::nn(self.values(head), self.v_layout, self.len, self.dh)
     }
 
     /// Appends one token's K/V rows, sliced per head out of a fused
-    /// `[3H]`-wide QKV activation row.
-    fn push_token(&mut self, qkv_row: &[f32], h: usize) {
+    /// `[3H]`-wide QKV activation row, each value written in place at its
+    /// panel position: the keys as column `len` of `Kᵀ`, the values as row
+    /// `len` of `V`.
+    pub(crate) fn push_token(&mut self, qkv_row: &[f32], h: usize) {
         assert!(self.len < self.max_seq, "KvCache overflow");
+        let (pos, dh) = (self.len, self.dh);
+        let (kl, vl) = (self.k_layout.len(), self.v_layout.len());
         for head in 0..self.heads {
-            let base = (head * self.max_seq + self.len) * self.dh;
-            let kcol = h + head * self.dh;
-            let vcol = 2 * h + head * self.dh;
-            self.k[base..base + self.dh].copy_from_slice(&qkv_row[kcol..kcol + self.dh]);
-            self.v[base..base + self.dh].copy_from_slice(&qkv_row[vcol..vcol + self.dh]);
+            let keys = &qkv_row[h + head * dh..h + (head + 1) * dh];
+            let values = &qkv_row[2 * h + head * dh..2 * h + (head + 1) * dh];
+            let k = &mut self.k[head * kl..(head + 1) * kl];
+            self.k_layout.write_column(k, pos, keys);
+            let v = &mut self.v[head * vl..(head + 1) * vl];
+            self.v_layout.write_row(v, pos, values);
         }
         self.len += 1;
     }
@@ -363,13 +455,45 @@ pub struct Segment {
 }
 
 /// Reusable workspace for [`Attention::forward_decode_segments`]; holds the
-/// fused QKV activation, one score row per worker, and the stacked context
-/// so repeated decode steps are allocation-free after warm-up.
+/// fused QKV activation, one set of per-head buffers per worker, and the stacked
+/// context so repeated decode steps are allocation-free after warm-up.
 #[derive(Clone)]
 pub struct DecodeScratch {
     qkv_out: Tensor,
-    scores: Vec<f32>,
+    segs: Vec<SegmentScratch>,
     ctx: Tensor,
+}
+
+/// One worker's per-head buffers for a segment of `T` rows: the gathered
+/// queries `[T, dh]`, the scores / probabilities `[T, max_seq]` and the
+/// head's context `[T, dh]` on its way to the scatter. Each grows to the
+/// longest segment seen and stays.
+#[derive(Clone, Default)]
+struct SegmentScratch {
+    q: Vec<f32>,
+    scores: Vec<f32>,
+    ctx: Vec<f32>,
+}
+
+impl SegmentScratch {
+    /// The three buffers, sized for `t` rows of a cache of `max_seq`
+    /// positions with heads of width `dh`.
+    fn for_rows(&mut self, t: usize, max_seq: usize, dh: usize) -> [&mut [f32]; 3] {
+        for (buf, len) in [
+            (&mut self.q, t * dh),
+            (&mut self.scores, t * max_seq),
+            (&mut self.ctx, t * dh),
+        ] {
+            if buf.len() < len {
+                buf.resize(len, 0.0);
+            }
+        }
+        [
+            &mut self.q[..t * dh],
+            &mut self.scores[..t * max_seq],
+            &mut self.ctx[..t * dh],
+        ]
+    }
 }
 
 impl DecodeScratch {
@@ -377,7 +501,7 @@ impl DecodeScratch {
     pub fn new() -> Self {
         DecodeScratch {
             qkv_out: Tensor::zeros([1]),
-            scores: Vec::new(),
+            segs: Vec::new(),
             ctx: Tensor::zeros([1]),
         }
     }
@@ -412,16 +536,20 @@ impl Attention {
     /// product each over all `ΣR` rows, against weights packed once per
     /// engine when they are in serving form ([`Linear::into_panels`]) and
     /// once per call otherwise; between them every segment appends its K/V
-    /// rows to its own cache and attends causally against that cache only.
+    /// rows to its own cache and attends causally against that cache only,
+    /// in one scores and one context product per head whatever its length,
+    /// reading the cache's panel images (nothing is packed).
     /// `workers > 1` fans the segments — independent by construction —
     /// across threads. Writes the attention output into `y: [ΣR, H]`.
     ///
     /// Bit-compatibility contract: every product uses the batch-stable
-    /// GEMM entries and every softmax runs over exactly the causal prefix
-    /// `0..=pos`, so the bits of one token's output depend only on the
-    /// tokens before it in its own sequence — a full-prompt prefill, a
-    /// token-at-a-time replay, and any stacking with other sequences (at
-    /// any worker count) produce identical streams.
+    /// GEMM engine and every softmax runs over exactly the causal prefix
+    /// `0..=pos` (a prompt row's later positions are zeroed, adding exact
+    /// `+0` terms to its context), so the bits of one token's output depend
+    /// only on the tokens before it in its own sequence — a full-prompt
+    /// prefill, a token-at-a-time replay, any split of a prompt, and any
+    /// stacking with other sequences (at any worker count) produce
+    /// identical streams.
     ///
     /// # Panics
     /// Panics if `segs` does not partition `x`'s rows, its cache indices
@@ -448,9 +576,11 @@ impl Attention {
 
         self.qkv.forward_stable_into(x, &mut ws.qkv_out); // [ΣR, 3H]
         ws.ctx.reset_for([r, h]);
-        let max_seq = caches.iter().map(|c| c.max_seq).max().unwrap_or(0);
         let per = segs.len().div_ceil(workers.max(1)).max(1);
-        ws.scores.resize(segs.len().div_ceil(per) * max_seq, 0.0);
+        let chunks = segs.len().div_ceil(per);
+        if ws.segs.len() < chunks {
+            ws.segs.resize_with(chunks, SegmentScratch::default);
+        }
 
         if segs.len() <= per {
             self.attend(
@@ -459,16 +589,16 @@ impl Attention {
                 0,
                 ws.qkv_out.data(),
                 ws.ctx.data_mut(),
-                &mut ws.scores,
+                &mut ws.segs[0],
             );
         } else {
             // Ascending cache indices and in-order rows let every chunk of
-            // segments split off its own caches, rows and score buffer.
+            // segments split off its own caches, rows and head buffers.
             let mut caches = caches;
             let mut base = 0;
             let mut qkv = ws.qkv_out.data();
             let mut ctx = ws.ctx.data_mut();
-            let mut scores = ws.scores.chunks_mut(max_seq);
+            let mut spaces = ws.segs.iter_mut();
             std::thread::scope(|scope| {
                 let mut chunks = segs.chunks(per).peekable();
                 while let Some(chunk) = chunks.next() {
@@ -477,12 +607,12 @@ impl Attention {
                     let (mine, rest) = std::mem::take(&mut caches).split_at_mut(hi - base);
                     let (q, q_rest) = qkv.split_at(rows * 3 * h);
                     let (c, c_rest) = std::mem::take(&mut ctx).split_at_mut(rows * h);
-                    let sc = scores.next().expect("one score buffer per chunk");
+                    let ws = spaces.next().expect("one head workspace per chunk");
                     // The calling thread takes the last chunk itself.
                     if chunks.peek().is_some() {
-                        scope.spawn(move || self.attend(chunk, mine, base, q, c, sc));
+                        scope.spawn(move || self.attend(chunk, mine, base, q, c, ws));
                     } else {
-                        self.attend(chunk, mine, base, q, c, sc);
+                        self.attend(chunk, mine, base, q, c, ws);
                     }
                     (caches, base, qkv, ctx) = (rest, hi, q_rest, c_rest);
                 }
@@ -494,6 +624,16 @@ impl Attention {
     /// Per-sequence score → softmax → context for a run of segments whose
     /// rows start at row 0 of `qkv: [rows, 3H]` / `ctx: [rows, H]` and
     /// whose caches are `caches[seg.cache - base]`.
+    ///
+    /// A segment of `T` rows over `pos0` cached tokens appends all `T`
+    /// tokens' K/V first, then runs per head **one** scores product
+    /// `[T, dh]·Kᵀ → [T, pos0 + T]` and **one** context product `P·V`, both
+    /// reading the cache's panel images. Row `t` is scaled and softmaxed
+    /// over exactly its causal prefix `pos0 + t + 1` — the slice a
+    /// row-at-a-time decode would see — and its later positions are zeroed.
+    /// The bits equal that decode's: a score's FMA chain depends only on
+    /// `dh`, and a context row's extra terms add `+0·v` to a sum that starts
+    /// at `+0` and so is never `−0` (exact for finite `V`).
     fn attend(
         &self,
         segs: &[Segment],
@@ -501,36 +641,44 @@ impl Attention {
         base: usize,
         qkv: &[f32],
         ctx: &mut [f32],
-        scores: &mut [f32],
+        ws: &mut SegmentScratch,
     ) {
         let h = self.proj.in_features();
         let dh = h / self.heads;
         let scale = 1.0 / (dh as f32).sqrt();
-        let mut rows = qkv.chunks_exact(3 * h).zip(ctx.chunks_exact_mut(h));
+        let mut row0 = 0;
         for seg in segs {
             let cache = &mut caches[seg.cache - base];
             assert_eq!(cache.heads, self.heads, "KvCache heads mismatch");
             assert_eq!(cache.dh, dh, "KvCache head width mismatch");
-            for (qkv_row, ctx_row) in rows.by_ref().take(seg.len) {
-                // Append this token's K/V first: causal attention includes self.
+            let t = seg.len;
+            let qkv = &qkv[row0 * 3 * h..(row0 + t) * 3 * h];
+            let ctx = &mut ctx[row0 * h..(row0 + t) * h];
+            row0 += t;
+            let pos0 = cache.len;
+            for qkv_row in qkv.chunks_exact(3 * h) {
                 cache.push_token(qkv_row, h);
-                let pos = cache.len; // tokens visible to this query
-                for head in 0..self.heads {
-                    let q_row = &qkv_row[head * dh..(head + 1) * dh];
-                    let scores = &mut scores[..pos];
-                    matmul_nt_stable(q_row, cache.keys(head), scores, 1, dh, pos);
-                    for s in scores.iter_mut() {
+            }
+            let n = cache.len;
+            let [q, scores, ctx_h] = ws.for_rows(t, cache.max_seq, dh);
+            let scores = &mut scores[..t * n];
+            for head in 0..self.heads {
+                let cols = head * dh..(head + 1) * dh;
+                for (dst, row) in q.chunks_exact_mut(dh).zip(qkv.chunks_exact(3 * h)) {
+                    dst.copy_from_slice(&row[cols.clone()]);
+                }
+                matmul_packed(q, cache.key_panels(head), scores, t);
+                for (i, row) in scores.chunks_exact_mut(n).enumerate() {
+                    let (live, masked) = row.split_at_mut(pos0 + i + 1);
+                    for s in live.iter_mut() {
                         *s *= scale;
                     }
-                    softmax_row_inplace(scores);
-                    matmul_nn_stable(
-                        scores,
-                        cache.values(head),
-                        &mut ctx_row[head * dh..(head + 1) * dh],
-                        1,
-                        pos,
-                        dh,
-                    );
+                    softmax_row_inplace(live);
+                    masked.fill(0.0);
+                }
+                matmul_packed(scores, cache.value_panels(head), ctx_h, t);
+                for (dst, src) in ctx.chunks_exact_mut(h).zip(ctx_h.chunks_exact(dh)) {
+                    dst[cols.clone()].copy_from_slice(src);
                 }
             }
         }
@@ -541,11 +689,15 @@ impl AttentionCache {
     /// Returns every cached activation's allocation to the thread-local
     /// scratch pool, so the next forward pass on this thread reuses them
     /// instead of allocating.
-    pub fn recycle(self) {
+    pub fn recycle(mut self) {
         scratch::give(self.qkv_out);
-        for p in self.probs {
-            scratch::give(p);
-        }
+        self.probs.drain(..).for_each(scratch::give);
+        PROBS_LISTS.with(|l| {
+            let mut lists = l.borrow_mut();
+            if lists.len() < MAX_PROBS_LISTS {
+                lists.push(self.probs);
+            }
+        });
         scratch::give(self.ctx);
     }
 }

@@ -4,7 +4,7 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::init;
 use crate::matmul::{
-    matmul_into, matmul_nt_into, matmul_nt_packed, matmul_nt_stable, matmul_tn_acc, matmul_tn_leaf,
+    matmul_into, matmul_nt_into, matmul_nt_stable, matmul_packed, matmul_tn_acc, matmul_tn_leaf,
     PackedNt,
 };
 use crate::ops::{add_bias, bias_grad_acc, scale_from_zero_};
@@ -82,7 +82,7 @@ impl Linear {
     /// The serving form: the weight moves into a [`PackedNt`] image and its
     /// row-major copy is dropped. Forward products then read the image
     /// instead of packing the weight per call — same bits (see
-    /// [`matmul_nt_packed`]).
+    /// [`matmul_packed`]).
     pub fn into_panels(self) -> Self {
         Linear {
             panels: Some(PackedNt::pack(&self.weight)),
@@ -145,7 +145,7 @@ impl Linear {
 
     /// [`Linear::forward_into`] with batch-stable bits: the product goes
     /// through [`matmul_nt_stable`] (or, in serving form, its pre-packed
-    /// twin [`matmul_nt_packed`]), so one row's output bits do not depend
+    /// twin [`matmul_packed`]), so one row's output bits do not depend
     /// on how many rows ride the same call — the serving contract that lets
     /// a single-token decode reproduce a prefill row exactly.
     pub fn forward_stable_into(&self, x: &Tensor, y: &mut Tensor) {
@@ -154,7 +154,7 @@ impl Linear {
         assert_eq!(k, self.in_features(), "forward_stable: in dim");
         y.reset_for([t, n]);
         match &self.panels {
-            Some(p) => matmul_nt_packed(x.data(), p, y.data_mut(), t),
+            Some(p) => matmul_packed(x.data(), p.view(), y.data_mut(), t),
             None => matmul_nt_stable(x.data(), self.weight.data(), y.data_mut(), t, k, n),
         }
         add_bias(y, &self.bias);

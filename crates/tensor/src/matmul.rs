@@ -19,9 +19,10 @@
 //!   layout differences — `nt` and `tn` read their transposed operand
 //!   contiguously while packing — so the micro-kernel only ever sees one
 //!   canonical format and no transpose is ever materialized as a tensor.
-//!   A weight that never changes can skip the `B` half: [`PackedNt`]
-//!   stores it in panel order once, and [`matmul_nt_packed`]'s tasks slice
-//!   their panels straight out of that image.
+//!   An operand already in panel order skips the `B` half: a [`PanelView`]
+//!   describes where its blocks and panels sit (`PanelLayout`), and
+//!   [`matmul_packed`]'s tasks slice their panels straight out of it — a
+//!   weight packed once ([`PackedNt`]), or a KV cache written in place.
 //! * **Register tiling.** An `MR×NR` micro-kernel accumulates into a
 //!   fixed-size local array that LLVM keeps in vector registers and
 //!   autovectorizes. The micro-kernel is instantiated per ISA tier
@@ -260,40 +261,177 @@ pub fn matmul_nn_stable(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize,
     gemm_stable(Layout::NN, a, BSource::Raw(b), c, m, k, n);
 }
 
-/// [`matmul_nt_stable`] against a pre-packed `B`: the same engine, task
-/// grid and summation order, with each task slicing its panels out of the
-/// image instead of packing them — so the bits equal `matmul_nt_stable`
-/// against the row-major `B` exactly. Counts as one `nt` call in
-/// [`stats`], and packs no `B` float.
-pub fn matmul_nt_packed(a: &[f32], b: &PackedNt, c: &mut [f32], m: usize) {
+/// The batch-stable product against a `B` already in panel order: the same
+/// engine, task grid and summation order as [`matmul_nt_stable`] /
+/// [`matmul_nn_stable`], with each task slicing its panels out of the view
+/// instead of packing them — so the bits equal the `_stable` entry against
+/// the row-major `B` exactly. `C[m, n] = A[m, k] · B` for the view's
+/// `[k, n]` corner. Counts as one call of the view's layout in [`stats`],
+/// and packs no `B` float.
+pub fn matmul_packed(a: &[f32], b: PanelView<'_>, c: &mut [f32], m: usize) {
     let (k, n) = (b.k, b.n);
     debug_assert!(a.len() >= m * k && c.len() >= m * n);
-    gemm_stable(Layout::NT, a, BSource::Packed(b), c, m, k, n);
+    gemm_stable(b.gemm, a, BSource::Panels(b), c, m, k, n);
 }
 
-/// An `nt` right operand `B: [n, k]` (one row per output feature) stored in
-/// exactly the order the blocked engine's `B` packing writes: `KC` block
-/// `kb` at offset `k0 · ⌈n/NR⌉·NR`, its panel `p` at `+ p·NR·kc`, holding
-/// `[kk·NR + j] = B[p·NR + j][k0 + kk]`, zero past `n`. `NR` is the
-/// micro-tile width of the ISA tier detected in this process. A weight that
-/// never changes (serving) is packed once here instead of on every product
-/// ([`matmul_nt_packed`]). The padding is layout, not payload: the image
-/// holds `n·k` values.
+/// The micro-tile width `NR` of the ISA tier detected in this process: the
+/// panel width every `PanelLayout` built here uses.
+fn detected_nr() -> usize {
+    match simd::tier() {
+        #[cfg(target_arch = "x86_64")]
+        simd::IsaTier::Avx512 => 32,
+        _ => 16,
+    }
+}
+
+/// Where the blocks and panels of a panel image sit. The image of a
+/// `[k_cap, n_cap]` operand `B` (logical `[K, N]` order: for `nt` that is
+/// the stored matrix transposed) for an `nr`-wide micro-tile holds `KC`
+/// block `kb` at `kb·KC · ⌈n_cap/nr⌉·nr` and, inside it, panel `p` at
+/// `+ p·nr·kc_cap`, with `kc_cap = min(k_cap − kb·KC, KC)`; the panel holds
+/// `[kk·nr + j] = B[kb·KC + kk][p·nr + j]`. With `(k_cap, n_cap) = (k, n)`
+/// that is exactly the order the engine's per-call `B` packing writes, and
+/// every leading `[k, n]` corner of a larger image keeps each element where
+/// it is — so a cache laid out for `max_seq` positions is read, for any
+/// prefix, as it stands ([`PanelView`]). The padding (past `n_cap` in a
+/// panel) is layout, not payload.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct PanelLayout {
+    nr: usize,
+    k_cap: usize,
+    n_cap: usize,
+}
+
+impl PanelLayout {
+    /// The layout of a `[k_cap, n_cap]` operand for the detected ISA tier.
+    pub(crate) fn new(k_cap: usize, n_cap: usize) -> Self {
+        Self::with_nr(detected_nr(), k_cap, n_cap)
+    }
+
+    /// The layout for an `nr`-wide micro-tile (the instantiation under test
+    /// may differ from the detected tier).
+    pub(crate) fn with_nr(nr: usize, k_cap: usize, n_cap: usize) -> Self {
+        PanelLayout { nr, k_cap, n_cap }
+    }
+
+    /// Floats the image occupies, padding included.
+    pub(crate) fn len(&self) -> usize {
+        self.k_cap * self.n_cap.div_ceil(self.nr) * self.nr
+    }
+
+    /// Offset of the `KC` block starting at reduction index `k0`.
+    fn block(&self, k0: usize) -> usize {
+        k0 * self.n_cap.div_ceil(self.nr) * self.nr
+    }
+
+    /// Distance between consecutive panels of the block starting at `k0`.
+    fn panel_stride(&self, k0: usize) -> usize {
+        self.nr * (self.k_cap - k0).min(KC)
+    }
+
+    /// Writes `src` into column `j` of `B`, rows `0..src.len()`: one lane
+    /// of one panel per `KC` block.
+    pub(crate) fn write_column(&self, data: &mut [f32], j: usize, src: &[f32]) {
+        debug_assert!(j < self.n_cap && src.len() <= self.k_cap);
+        let (p, lane) = (j / self.nr, j % self.nr);
+        for (k0, rows) in (0..).step_by(KC).zip(src.chunks(KC)) {
+            let at = self.block(k0) + p * self.panel_stride(k0) + lane;
+            for (kk, &x) in rows.iter().enumerate() {
+                data[at + kk * self.nr] = x;
+            }
+        }
+    }
+
+    /// Writes `src` into row `kk` of `B`, columns `0..src.len()`: one
+    /// contiguous run per panel.
+    pub(crate) fn write_row(&self, data: &mut [f32], kk: usize, src: &[f32]) {
+        debug_assert!(kk < self.k_cap && src.len() <= self.n_cap);
+        let k0 = kk - kk % KC;
+        let (at, stride) = (self.block(k0) + (kk - k0) * self.nr, self.panel_stride(k0));
+        for (p, cols) in src.chunks(self.nr).enumerate() {
+            data[at + p * stride..][..cols.len()].copy_from_slice(cols);
+        }
+    }
+
+    /// Zeroes the panels the leading `[k, n]` corner touches, padding lanes
+    /// included — the rows `< k` of every panel holding a column `< n`.
+    pub(crate) fn zero_corner(&self, data: &mut [f32], k: usize, n: usize) {
+        for k0 in (0..k).step_by(KC) {
+            let rows = (k - k0).min(KC) * self.nr;
+            for p in 0..n.div_ceil(self.nr) {
+                let at = self.block(k0) + p * self.panel_stride(k0);
+                data[at..at + rows].fill(0.0);
+            }
+        }
+    }
+}
+
+/// A product's `B` read straight out of a panel image: the leading
+/// `[k, n]` corner of an image laid out by `PanelLayout`, tagged with the
+/// GEMM layout it stands in for (`nt` for a transposed weight or key cache,
+/// `nn` for a value cache), which is the layout [`stats`] counts it under.
+#[derive(Clone, Copy, Debug)]
+pub struct PanelView<'a> {
+    data: &'a [f32],
+    layout: PanelLayout,
+    gemm: Layout,
+    k: usize,
+    n: usize,
+}
+
+impl<'a> PanelView<'a> {
+    /// The `nt` operand `B: [n, k]` (one stored row per output column),
+    /// read from the image of its transpose `[k_cap, n_cap]`.
+    ///
+    /// # Panics
+    /// Panics if the corner exceeds the layout or `data` is shorter than
+    /// the image.
+    pub(crate) fn nt(data: &'a [f32], layout: PanelLayout, n: usize, k: usize) -> Self {
+        Self::new(data, layout, Layout::NT, k, n)
+    }
+
+    /// The `nn` operand `B: [k, n]`, read from an image of `[k_cap, n_cap]`.
+    ///
+    /// # Panics
+    /// As `PanelView::nt`.
+    pub(crate) fn nn(data: &'a [f32], layout: PanelLayout, k: usize, n: usize) -> Self {
+        Self::new(data, layout, Layout::NN, k, n)
+    }
+
+    fn new(data: &'a [f32], layout: PanelLayout, gemm: Layout, k: usize, n: usize) -> Self {
+        assert!(
+            k <= layout.k_cap && n <= layout.n_cap && data.len() >= layout.len(),
+            "PanelView: [{k}, {n}] does not fit the image of {layout:?} ({} floats)",
+            data.len()
+        );
+        PanelView {
+            data,
+            layout,
+            gemm,
+            k,
+            n,
+        }
+    }
+}
+
+/// An `nt` right operand `B: [n, k]` (one row per output feature) packed
+/// once into a panel image of its own (`PanelLayout` with
+/// `(k_cap, n_cap) = (k, n)`), for the ISA tier detected in this process. A
+/// weight that never changes (serving) is packed once here instead of on
+/// every product; [`PackedNt::view`] is the operand of [`matmul_packed`].
+/// The padding is layout, not payload: the image holds `n·k` values.
 #[derive(Clone, Debug)]
 pub struct PackedNt {
     data: Vec<f32>,
-    n: usize,
-    k: usize,
-    nr: usize,
+    layout: PanelLayout,
 }
 
 impl PackedNt {
     /// Packs a row-major `b: [n, k]` for the detected ISA tier.
     pub fn pack(b: &Tensor) -> Self {
         let (n, k) = dims2(b, "PackedNt::pack");
-        match simd::tier() {
-            #[cfg(target_arch = "x86_64")]
-            simd::IsaTier::Avx512 => Self::pack_for::<32>(b.data(), n, k),
+        match detected_nr() {
+            32 => Self::pack_for::<32>(b.data(), n, k),
             _ => Self::pack_for::<16>(b.data(), n, k),
         }
     }
@@ -301,24 +439,29 @@ impl PackedNt {
     /// Packs for an `NR`-wide micro-tile (the instantiation under test may
     /// differ from the detected tier).
     fn pack_for<const NR: usize>(b: &[f32], n: usize, k: usize) -> Self {
-        let n_pad = n.div_ceil(NR) * NR;
-        let mut data = vec![0.0; n_pad * k];
+        let layout = PanelLayout::with_nr(NR, k, n);
+        let mut data = vec![0.0; layout.len()];
         for k0 in (0..k).step_by(KC) {
             let kc = (k - k0).min(KC);
-            let block = &mut data[k0 * n_pad..(k0 + kc) * n_pad];
+            let block = &mut data[layout.block(k0)..layout.block(k0 + kc)];
             pack_b::<NR>(true, b, block, 0, n, k0, kc, n, k);
         }
-        PackedNt { data, n, k, nr: NR }
+        PackedNt { data, layout }
+    }
+
+    /// The whole image as an `nt` operand.
+    pub fn view(&self) -> PanelView<'_> {
+        PanelView::nt(&self.data, self.layout, self.n(), self.k())
     }
 
     /// Rows of `B` (output features).
     pub fn n(&self) -> usize {
-        self.n
+        self.layout.n_cap
     }
 
     /// Columns of `B` (input features).
     pub fn k(&self) -> usize {
-        self.k
+        self.layout.k_cap
     }
 
     /// The panel image, padding included.
@@ -339,8 +482,8 @@ enum BSource<'a> {
     /// As stored (`[K,N]`, or `[N,K]` for `nt`): each task packs its panel
     /// group per `KC` block.
     Raw(&'a [f32]),
-    /// An `nt` operand already in panel order: tasks slice it directly.
-    Packed(&'a PackedNt),
+    /// Already in panel order: tasks slice it directly.
+    Panels(PanelView<'a>),
 }
 
 /// The `gemm` dispatch minus the small-product path: the blocked engine at
@@ -711,8 +854,8 @@ pub(crate) fn fan_out(tasks: usize, parallel: bool, task: impl Fn(usize) + Sync)
 /// micro-kernel instantiation.
 ///
 /// The task grid is (M tile × panel group). Every task packs its own `B`
-/// group per `KC` block — or, for a [`PackedNt`] source, slices that group
-/// out of the image, which is laid out block by block in the same order;
+/// group per `KC` block — or, for a [`PanelView`] source, slices that group
+/// out of the image, whose panels hold the same floats in the same order;
 /// the `A` tile is packed per task when there are several M tiles, but a
 /// single M tile is shared by all tasks, so the caller packs it once for
 /// the whole of `K` before fanning out.
@@ -737,17 +880,16 @@ fn gemm_blocked<const MR: usize, const NR: usize>(
     // Packed size of one KC block of the tallest A tile.
     let a_block = m.min(mc_max).div_ceil(MR) * MR * KC;
     let cptr = SendPtr(c.as_mut_ptr());
-    let n_pad = n_panels * NR;
     let pack_len = match b {
         BSource::Raw(_) => {
             // Every M tile's tasks pack all of B between them.
             stats::record_packed_b(layout.index(), (tiles_m * n * k) as u64);
             group.min(n_panels) * NR * KC
         }
-        BSource::Packed(p) => {
+        BSource::Panels(v) => {
             assert!(
-                layout == Layout::NT && p.nr == NR && (p.n, p.k) == (n, k),
-                "PackedNt: image does not fit this product"
+                v.gemm == layout && v.layout.nr == NR && (v.k, v.n) == (k, n),
+                "PanelView: image does not fit this product"
             );
             0
         }
@@ -767,19 +909,23 @@ fn gemm_blocked<const MR: usize, const NR: usize>(
             let scratch = grown(&mut scratch, pack_len);
             for (kb, k0) in (0..k).step_by(KC).enumerate() {
                 let kc = (k - k0).min(KC);
-                let pb: &[f32] = match b {
+                // The group's panels and the distance between them.
+                let (pb, stride): (&[f32], usize) = match b {
                     BSource::Raw(raw) => {
                         pack_b::<NR>(layout == Layout::NT, raw, scratch, j0, nc, k0, kc, n, k);
-                        &*scratch
+                        (&*scratch, NR * kc)
                     }
-                    BSource::Packed(p) => &p.data[k0 * n_pad + j0 * kc..],
+                    BSource::Panels(v) => {
+                        let stride = v.layout.panel_stride(k0);
+                        (&v.data[v.layout.block(k0) + j0 / NR * stride..], stride)
+                    }
                 };
                 let tile = write.tile(kb, k_blocks);
                 let multiply = |pa: &[f32]| {
                     for p in 0..n_panels {
                         let jr = p * NR;
                         let nr_eff = (nc - jr).min(NR);
-                        let pbp = &pb[p * NR * kc..(p + 1) * NR * kc];
+                        let pbp = &pb[p * stride..p * stride + NR * kc];
                         for s in 0..m_strips {
                             let ir = s * MR;
                             let mr_eff = (mc - ir).min(MR);
@@ -1027,7 +1173,7 @@ pub mod stats {
         /// Number of kernel invocations.
         pub calls: u64,
         /// `B` elements the blocked engine packed into panels inside the
-        /// call (`N·K` per M tile); zero for a [`super::PackedNt`] operand
+        /// call (`N·K` per M tile); zero for a [`super::PanelView`] operand
         /// and for the small-product loops.
         pub packed_b: u64,
     }
@@ -1292,7 +1438,7 @@ mod tests {
         let mut pre = vec![f32::NAN; m * n];
         let raw_b = BSource::Raw(b);
         gemm_blocked::<MR, NR>(Layout::NT, a, raw_b, &mut raw, m, k, n, Write::Store, mk);
-        let packed = BSource::Packed(&image);
+        let packed = BSource::Panels(image.view());
         gemm_blocked::<MR, NR>(Layout::NT, a, packed, &mut pre, m, k, n, Write::Store, mk);
         (bits(&raw), bits(&pre))
     }
@@ -1390,8 +1536,162 @@ mod tests {
                 matmul_nt_stable(a, b, &mut want, m, k, n);
                 let mut got = vec![f32::NAN; m * n];
                 let image = PackedNt::pack(&Tensor::from_vec([n, k], b.to_vec()));
-                matmul_nt_packed(a, &image, &mut got, m);
+                matmul_packed(a, image.view(), &mut got, m);
                 prop_assert!(bits(&want) == bits(&got), "detected tier at {shape:?}");
+            }
+        }
+    }
+
+    /// A panel source's panels in (block, panel) order, `NR·kc` floats
+    /// each: the per-call packing of the row-major `raw` operand of a
+    /// `[k, n]` product (`b_t`: stored `[n, k]`), or — from `view` — the
+    /// same panels sliced out of an image.
+    fn panels<const NR: usize>(
+        source: BSource<'_>,
+        b_t: bool,
+        (k, n): (usize, usize),
+    ) -> Vec<Vec<u32>> {
+        let mut out = Vec::new();
+        let mut scratch = vec![0.0; n.div_ceil(NR) * NR * KC];
+        for k0 in (0..k).step_by(KC) {
+            let kc = (k - k0).min(KC);
+            for p in 0..n.div_ceil(NR) {
+                let panel = match source {
+                    BSource::Raw(raw) => {
+                        pack_b::<NR>(b_t, raw, &mut scratch, 0, n, k0, kc, n, k);
+                        &scratch[p * NR * kc..(p + 1) * NR * kc]
+                    }
+                    BSource::Panels(v) => {
+                        let at = v.layout.block(k0) + p * v.layout.panel_stride(k0);
+                        &v.data[at..at + NR * kc]
+                    }
+                };
+                out.push(bits(panel));
+            }
+        }
+        out
+    }
+
+    /// Whether one product through one micro-tile instantiation computes
+    /// the same bits with `B` packed per call from `raw` as read from `view`.
+    fn raw_equals_view<const MR: usize, const NR: usize>(
+        mk: MicroKernel<MR, NR>,
+        a: &[f32],
+        raw: &[f32],
+        view: PanelView<'_>,
+        m: usize,
+    ) -> bool {
+        let (k, n, layout) = (view.k, view.n, view.gemm);
+        let mut want = vec![0.0; m * n];
+        let mut got = vec![f32::NAN; m * n];
+        let w = Write::Store;
+        gemm_blocked::<MR, NR>(layout, a, BSource::Raw(raw), &mut want, m, k, n, w, mk);
+        gemm_blocked::<MR, NR>(layout, a, BSource::Panels(view), &mut got, m, k, n, w, mk);
+        bits(&want) == bits(&got)
+    }
+
+    /// Checks every head of `cache` against the row-major `keys` /
+    /// `values` (`[head][pos][d]`) of its `len` tokens: the images' panels
+    /// are the per-call packing's, and a scores (`nt`) and a context
+    /// (`nn`) product of `m` rows against them compute the per-call bits on
+    /// every micro-tile instantiation of width `NR` this host runs.
+    fn check_kv_images<const NR: usize>(
+        cache: &crate::attention::KvCache,
+        keys: &[Vec<f32>],
+        values: &[Vec<f32>],
+        (dh, m): (usize, usize),
+        rng: &mut rand_chacha::ChaCha8Rng,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let len = cache.len();
+        for (head, (k, v)) in keys.iter().zip(values).enumerate() {
+            let (k, v) = (&k[..len * dh], &v[..len * dh]);
+            let (kv, vv) = (cache.key_panels(head), cache.value_panels(head));
+            let raw = panels::<NR>(BSource::Raw(k), true, (dh, len));
+            prop_assert!(raw == panels::<NR>(BSource::Panels(kv), true, (dh, len)));
+            let raw = panels::<NR>(BSource::Raw(v), false, (len, dh));
+            prop_assert!(raw == panels::<NR>(BSource::Panels(vv), false, (len, dh)));
+
+            let q = normal([m, dh], 1.0, rng);
+            let p = normal([m, len], 1.0, rng);
+            let (q, p) = (q.data(), p.data());
+            // (tier, scores agree, context agrees)
+            let mut tiers = Vec::new();
+            if NR == 16 {
+                tiers.push((
+                    "portable 4x16",
+                    raw_equals_view::<4, 16>(mk_portable, q, k, kv, m),
+                    raw_equals_view::<4, 16>(mk_portable, p, v, vv, m),
+                ));
+                #[cfg(target_arch = "x86_64")]
+                if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                    tiers.push((
+                        "avx2 6x16",
+                        raw_equals_view::<6, 16>(mk_avx2, q, k, kv, m),
+                        raw_equals_view::<6, 16>(mk_avx2, p, v, vv, m),
+                    ));
+                }
+            } else {
+                #[cfg(target_arch = "x86_64")]
+                if is_x86_feature_detected!("avx512f") {
+                    tiers.push((
+                        "avx512 8x32",
+                        raw_equals_view::<8, 32>(mk_avx512, q, k, kv, m),
+                        raw_equals_view::<8, 32>(mk_avx512, p, v, vv, m),
+                    ));
+                }
+            }
+            for (tier, scores, context) in tiers {
+                prop_assert!(scores, "{tier} scores, head {head} len {len}");
+                prop_assert!(context, "{tier} context, head {head} len {len}");
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        /// The panel-layout KV cache's bit contract: after any sequence of
+        /// pushes — across a `clear` that leaves a longer sequence's panels
+        /// behind — each head's key and value images, read for every prefix
+        /// `len`, hold exactly the panels the per-call packing of the
+        /// row-major `[len, dh]` cache builds, padding included, and the
+        /// products against them compute the per-call bits: for `max_seq`
+        /// off the panel width, `dh` across one and two panels, at both
+        /// panel widths, on every tier this host runs.
+        #[test]
+        fn prop_kv_images_are_bitwise_the_per_call_pack(
+            heads in 1usize..3,
+            dh in 1usize..70,
+            max_seq in 1usize..80,
+            stale in 0usize..80,
+            m in 1usize..10,
+            seed in 0u64..1000,
+        ) {
+            let mut rng = seeded_rng(seed);
+            let h = heads * dh;
+            for nr in [16, 32] {
+                let mut cache = crate::attention::KvCache::with_nr(heads, dh, max_seq, nr);
+                for _ in 0..stale.min(max_seq) {
+                    cache.push_token(normal([3 * h], 1.0, &mut rng).data(), h);
+                }
+                cache.clear();
+                let mut keys = vec![Vec::new(); heads];
+                let mut values = vec![Vec::new(); heads];
+                for _ in 0..max_seq {
+                    let row = normal([3 * h], 1.0, &mut rng);
+                    cache.push_token(row.data(), h);
+                    for head in 0..heads {
+                        let col = |third: usize| third * h + head * dh;
+                        keys[head].extend_from_slice(&row.data()[col(1)..col(1) + dh]);
+                        values[head].extend_from_slice(&row.data()[col(2)..col(2) + dh]);
+                    }
+                    let shape = (dh, m);
+                    if nr == 16 {
+                        check_kv_images::<16>(&cache, &keys, &values, shape, &mut rng)?;
+                    } else {
+                        check_kv_images::<32>(&cache, &keys, &values, shape, &mut rng)?;
+                    }
+                }
             }
         }
     }

@@ -7,20 +7,23 @@ use stronghold_core::serve::{GenRequest, ServeConfig, ServeEngine};
 use stronghold_model::config::tiny;
 use stronghold_tensor::matmul::stats;
 
-/// A decode-only round stacks one row per active sequence, so each layer's
+/// A round stacks every active sequence's pending rows, so each layer's
 /// four linears and the tied head are one product each — `4·layers + 1`
-/// calls however many slots are active — and only attention (one score and
-/// one context product per sequence per head per layer) scales with `S`.
+/// calls however many slots are active — and only attention scales with
+/// `S`: one score and one context product per *sequence* per head per
+/// layer, whether the sequence brings one decode token or a whole prompt.
 ///
-/// And no streamed weight is packed on the compute thread: the engine
-/// stores the serving-form panel image, so the only `B` operands packed
-/// inside a round's calls are each sequence's cached keys (`nt` scores)
-/// and values (`nn` context), `pos · dh` floats per head per layer, plus
-/// the resident tied head's `vocab · hidden` table. Packing the four layer
-/// weights per round would add `12 · hidden²` floats per layer.
+/// And a round packs nothing: the engine stores the layer weights and the
+/// tied head as serving-form panel images, and each KV cache holds its keys
+/// and values in panel order, so no product of a prefill or a decode round
+/// packs a `B` float. A prompt's rows attend through the masked triangle of
+/// one `[T, T]` product, so the context (`nn`) FLOPs of a `T`-token prefill
+/// are `2·T²·dh` per head, not the row-at-a-time `T·(T + 1)·dh`.
 #[test]
 fn decode_round_gemm_calls_are_independent_of_active_slots() {
     let cfg = tiny(3);
+    let dh = cfg.hidden / cfg.heads;
+    let prompt = 2;
     for s in [1usize, 2, 4] {
         let mut eng = ServeEngine::new(
             cfg,
@@ -38,27 +41,21 @@ fn decode_round_gemm_calls_are_independent_of_active_slots() {
                 seed: i,
             });
         }
-        assert!(eng.step().is_empty(), "prefill round finishes nothing");
-        stats::reset();
-        assert!(eng.step().is_empty(), "decode round finishes nothing");
-        let [nn, nt, tn] = stats::snapshot();
         let attn = (cfg.heads * cfg.layers * s) as u64;
-        assert_eq!(
-            nt.calls,
-            4 * cfg.layers as u64 + 1 + attn,
-            "S={s}: nt calls"
-        );
-        assert_eq!(nn.calls, attn, "S={s}: nn calls");
-        assert_eq!(tn.calls, 0, "S={s}: serving issues no tn product");
-
-        // The decode token is each sequence's third: it attends 3 positions.
-        let cached = (cfg.layers * s * 3 * cfg.hidden) as u64;
-        let head = (cfg.vocab * cfg.hidden) as u64;
-        assert_eq!(
-            nt.packed_b,
-            cached + head,
-            "S={s}: nt packs keys + head only"
-        );
-        assert_eq!(nn.packed_b, cached, "S={s}: nn packs values only");
+        let linears = 4 * cfg.layers as u64 + 1;
+        for round in ["prefill", "decode"] {
+            stats::reset();
+            assert!(eng.step().is_empty(), "a {round} round finishes nothing");
+            let [nn, nt, tn] = stats::snapshot();
+            assert_eq!(nt.calls, linears + attn, "S={s} {round}: nt calls");
+            assert_eq!(nn.calls, attn, "S={s} {round}: nn calls");
+            assert_eq!(tn.calls, 0, "S={s} {round}: serving issues no tn product");
+            assert_eq!(nt.packed_b, 0, "S={s} {round}: nt packs nothing");
+            assert_eq!(nn.packed_b, 0, "S={s} {round}: nn packs nothing");
+            if round == "prefill" {
+                let triangle = attn * (2 * prompt * prompt * dh) as u64;
+                assert_eq!(nn.flops, triangle, "S={s}: one masked context product");
+            }
+        }
     }
 }
