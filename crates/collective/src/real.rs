@@ -1,21 +1,14 @@
 //! Real multi-threaded collectives over in-memory buffers.
 //!
-//! These are the functional substitutes for NCCL (GPU tensors) and Gloo (CPU
-//! tensors). Two transports share one reduction semantics:
+//! This is the functional substitute for NCCL (GPU tensors) and Gloo (CPU
+//! tensors): [`Communicator`] / [`CommRank`], a rendezvous for ranks that
+//! already live on caller-owned threads (the data-parallel trainer's
+//! replicas). Every rank publishes its contribution, waits on a barrier, and
+//! reduces all `w` contributions locally with the canonical pairwise tree
+//! over the rank index ([`crate::order::tree_reduce_into`]), so:
 //!
-//! * [`ring_allreduce_sum`] — one thread per rank, channels between ring
-//!   neighbours; each rank circulates the **raw** contributions for `w − 1`
-//!   hops and then reduces locally.
-//! * [`Communicator`] / [`CommRank`] — a rendezvous for ranks that already
-//!   live on caller-owned threads (the data-parallel trainer's replicas):
-//!   every rank publishes its contribution, waits on a barrier, and reduces
-//!   all `w` contributions locally.
-//!
-//! Both apply the *same* canonical pairwise tree over the rank index
-//! ([`crate::order::tree_reduce_into`]), so:
-//!
-//! * results are bit-identical across runs, thread interleavings, and
-//!   transports — the reduction order depends only on rank numbering;
+//! * results are bit-identical across runs and thread interleavings — the
+//!   reduction order depends only on rank numbering;
 //! * results are invariant to how a gradient buffer is cut into buckets,
 //!   because the association is over ranks, never over elements;
 //! * each rank sends its full `E`-element contribution to the other `w − 1`
@@ -26,100 +19,12 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
-use crossbeam_channel::{bounded, Receiver, Sender};
 use parking_lot::RwLock;
 
 use crate::order::tree_reduce_into;
 
-/// Ring all-reduce (sum) across `buffers`, in place: afterwards every rank
-/// holds the canonical pairwise-tree sum of all inputs.
-///
-/// Each rank forwards raw contributions around the ring for `w − 1` hops
-/// (collecting every other rank's original buffer), then reduces all `w`
-/// contributions with the canonical tree over the rank index. Each rank
-/// therefore sends `(w − 1)·len` elements: `w·(w − 1)·len` in total.
-///
-/// # Examples
-///
-/// ```
-/// use stronghold_collective::ring_allreduce_sum;
-///
-/// let mut ranks = vec![vec![1.0, 2.0], vec![10.0, 20.0], vec![100.0, 200.0]];
-/// ring_allreduce_sum(&mut ranks);
-/// assert_eq!(ranks[0], vec![111.0, 222.0]);
-/// assert_eq!(ranks[2], ranks[0]);
-/// ```
-///
-/// # Panics
-/// Panics if buffers have different lengths.
-pub fn ring_allreduce_sum(buffers: &mut [Vec<f32>]) {
-    let w = buffers.len();
-    if w <= 1 {
-        return;
-    }
-    let len = buffers[0].len();
-    assert!(
-        buffers.iter().all(|b| b.len() == len),
-        "ring_allreduce_sum: mismatched buffer lengths"
-    );
-    if len == 0 {
-        return;
-    }
-
-    // Channel from rank r to rank (r+1) % w. Payload: (origin rank, data).
-    type Hop = (usize, Vec<f32>);
-    let mut senders: Vec<Option<Sender<Hop>>> = Vec::with_capacity(w);
-    let mut receivers: Vec<Option<Receiver<Hop>>> = (0..w).map(|_| None).collect();
-    for r in 0..w {
-        let (tx, rx) = bounded::<(usize, Vec<f32>)>(2);
-        senders.push(Some(tx));
-        receivers[(r + 1) % w] = Some(rx);
-    }
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(w);
-        for (r, buf) in buffers.iter_mut().enumerate() {
-            let tx = senders[r].take().expect("sender");
-            let rx = receivers[r].take().expect("receiver");
-            handles.push(scope.spawn(move || {
-                let mut contributions: Vec<Option<Vec<f32>>> = (0..w).map(|_| None).collect();
-                contributions[r] = Some(buf.clone());
-                // Circulate raw buffers: on each hop, forward the
-                // contribution received last (starting with our own).
-                let mut outgoing = (r, buf.clone());
-                for _ in 0..w - 1 {
-                    tx.send(outgoing).expect("ring send");
-                    let (origin, data) = rx.recv().expect("ring recv");
-                    outgoing = (origin, data.clone());
-                    contributions[origin] = Some(data);
-                }
-                // Local reduce in canonical rank order.
-                let owned: Vec<Vec<f32>> = contributions
-                    .into_iter()
-                    .map(|c| c.expect("contribution"))
-                    .collect();
-                let srcs: Vec<&[f32]> = owned.iter().map(|v| v.as_slice()).collect();
-                tree_reduce_into(buf, &srcs, 0);
-            }));
-        }
-        for h in handles {
-            h.join().expect("rank thread panicked");
-        }
-    });
-}
-
-/// Ring all-gather: every rank contributes its buffer; returns the
-/// concatenation (in rank order) that each rank would hold.
-pub fn ring_allgather(parts: &[Vec<f32>]) -> Vec<f32> {
-    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    for p in parts {
-        out.extend_from_slice(p);
-    }
-    out
-}
-
 /// Reference all-reduce: the canonical pairwise tree over the rank index —
-/// exactly what every real transport must reproduce bit-for-bit.
+/// exactly what [`CommRank::allreduce_vec`] must reproduce bit-for-bit.
 pub fn allreduce_reference(buffers: &[Vec<f32>]) -> Vec<f32> {
     let len = buffers[0].len();
     let mut acc = vec![0.0f32; len];
@@ -267,66 +172,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    #[test]
-    fn two_rank_sum() {
-        let mut bufs = vec![vec![1.0, 2.0, 3.0, 4.0], vec![10.0, 20.0, 30.0, 40.0]];
-        ring_allreduce_sum(&mut bufs);
-        assert_eq!(bufs[0], vec![11.0, 22.0, 33.0, 44.0]);
-        assert_eq!(bufs[1], bufs[0]);
-    }
-
-    #[test]
-    fn single_rank_noop() {
-        let mut bufs = vec![vec![5.0, 6.0]];
-        ring_allreduce_sum(&mut bufs);
-        assert_eq!(bufs[0], vec![5.0, 6.0]);
-    }
-
-    #[test]
-    fn uneven_world_sizes() {
-        for w in 2..6usize {
-            let mut bufs: Vec<Vec<f32>> = (1..=w).map(|r| vec![r as f32; 5]).collect();
-            ring_allreduce_sum(&mut bufs);
-            let want = (w * (w + 1) / 2) as f32;
-            for b in &bufs {
-                assert_eq!(b, &vec![want; 5]);
-            }
-        }
-    }
-
-    #[test]
-    fn len_smaller_than_world() {
-        let mut bufs = vec![vec![1.0], vec![2.0], vec![3.0], vec![4.0]];
-        ring_allreduce_sum(&mut bufs);
-        for b in &bufs {
-            assert_eq!(b, &vec![10.0]);
-        }
-    }
-
-    #[test]
-    fn deterministic_across_runs() {
-        let make = || {
-            (0..4)
-                .map(|r| {
-                    (0..97)
-                        .map(|i| ((r * 31 + i) as f32).sin())
-                        .collect::<Vec<f32>>()
-                })
-                .collect::<Vec<_>>()
-        };
-        let mut a = make();
-        let mut b = make();
-        ring_allreduce_sum(&mut a);
-        ring_allreduce_sum(&mut b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn allgather_concatenates() {
-        let parts = vec![vec![1.0, 2.0], vec![3.0], vec![4.0, 5.0]];
-        assert_eq!(ring_allgather(&parts), vec![1.0, 2.0, 3.0, 4.0, 5.0]);
-    }
-
     fn random_bufs(w: usize, len: usize, seed: u64) -> Vec<Vec<f32>> {
         let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
         let mut next = move || {
@@ -362,15 +207,12 @@ mod tests {
     }
 
     #[test]
-    fn communicator_matches_ring_and_reference_bitwise() {
+    fn communicator_matches_reference_bitwise() {
         let bufs = random_bufs(4, 97, 7);
         let expect = allreduce_reference(&bufs);
-        let mut ring = bufs.clone();
-        ring_allreduce_sum(&mut ring);
         let (comm, bytes, flushes) = run_communicator(&bufs, &[]);
-        for r in 0..4 {
-            assert_eq!(ring[r], expect, "ring rank {r}");
-            assert_eq!(comm[r], expect, "communicator rank {r}");
+        for (r, got) in comm.iter().enumerate() {
+            assert_eq!(*got, expect, "communicator rank {r}");
         }
         assert_eq!(bytes, (4 * 3 * 97 * 4) as u64, "w(w-1)·len·4 bytes");
         assert_eq!(flushes, 1);
@@ -396,11 +238,6 @@ mod tests {
                 let (out, _, _) = run_communicator(&bufs, &[]);
                 for (r, got) in out.iter().enumerate() {
                     assert_eq!(*got, expect, "w={w} run={run} rank={r}");
-                }
-                let mut ring = bufs.clone();
-                ring_allreduce_sum(&mut ring);
-                for (r, got) in ring.iter().enumerate() {
-                    assert_eq!(*got, expect, "ring w={w} run={run} rank={r}");
                 }
             }
         }
@@ -448,23 +285,20 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
-        /// Ring, rendezvous, and reference agree **bitwise** for any world
-        /// size and length.
+        /// The rendezvous and the reference agree **bitwise** for any world
+        /// size and length, lengths below the world size included.
         #[test]
-        fn prop_transports_match_reference_bitwise(
+        fn prop_communicator_matches_reference_bitwise(
             w in 1usize..6,
             len in 0usize..64,
             seed in 0u64..1000
         ) {
             let bufs = random_bufs(w, len, seed);
-            let mut ring = bufs.clone();
-            ring_allreduce_sum(&mut ring);
             let (comm, _, _) = run_communicator(&bufs, &[]);
             if len > 0 {
                 let expect = allreduce_reference(&bufs);
-                for r in 0..w {
-                    prop_assert_eq!(&ring[r], &expect);
-                    prop_assert_eq!(&comm[r], &expect);
+                for got in &comm {
+                    prop_assert_eq!(got, &expect);
                 }
             }
         }

@@ -1,12 +1,8 @@
 //! Runtime error types.
 
-use stronghold_sim::OomError;
-
 /// Errors produced by the STRONGHOLD runtime and the baseline schedulers.
 #[derive(Debug, Clone)]
 pub enum RuntimeError {
-    /// A memory space exceeded its capacity.
-    Oom(OomError),
     /// The model cannot run under this method on this platform even with the
     /// smallest configuration the method supports (e.g. window of one layer).
     Infeasible {
@@ -23,16 +19,9 @@ pub enum RuntimeError {
     Checkpoint(String),
 }
 
-impl From<OomError> for RuntimeError {
-    fn from(e: OomError) -> Self {
-        RuntimeError::Oom(e)
-    }
-}
-
 impl std::fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RuntimeError::Oom(e) => write!(f, "{e}"),
             RuntimeError::Infeasible { method, reason } => {
                 write!(f, "{method}: infeasible: {reason}")
             }
@@ -50,17 +39,9 @@ pub type Result<T> = std::result::Result<T, RuntimeError>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stronghold_sim::SimTime;
 
     #[test]
     fn display_formats() {
-        let e = RuntimeError::Oom(OomError {
-            space: "gpu".into(),
-            peak: 40 << 30,
-            capacity: 32 << 30,
-            at: SimTime::ZERO,
-        });
-        assert!(e.to_string().contains("out of memory"));
         let e = RuntimeError::Infeasible {
             method: "l2l".into(),
             reason: "optimizer state exceeds device".into(),

@@ -34,7 +34,6 @@ pub mod adam;
 pub mod analytic;
 pub mod clip;
 pub mod error;
-pub mod graph;
 pub mod hooks;
 pub mod host;
 pub mod inference;

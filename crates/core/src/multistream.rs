@@ -11,7 +11,7 @@ use stronghold_model::config::ModelConfig;
 use stronghold_sim::Platform;
 
 use crate::error::Result;
-use crate::memplan::{ColdTier, StrongholdMemPlan};
+use crate::memplan::StrongholdMemPlan;
 use crate::offload::{simulate_iteration, OffloadOptions};
 
 /// Upper bound on concurrent executors the runtime will consider (beyond
@@ -49,30 +49,6 @@ pub fn choose_streams(
     Ok(best_k)
 }
 
-/// The multi-stream speedup of `k` executors over a single one for a
-/// configuration (diagnostic used by Fig. 11's sweep).
-pub fn stream_speedup(cfg: &ModelConfig, platform: &Platform, k: usize) -> Result<f64> {
-    let one = simulate_iteration(cfg, platform, &OffloadOptions::default())?;
-    let many = simulate_iteration(
-        cfg,
-        platform,
-        &OffloadOptions {
-            streams: k,
-            ..OffloadOptions::default()
-        },
-    )?;
-    Ok(many.throughput / one.throughput)
-}
-
-/// Convenience: default-tier options with `k` streams.
-pub fn streamed_options(k: usize) -> OffloadOptions {
-    OffloadOptions {
-        streams: k,
-        cold_tier: ColdTier::CpuRam,
-        ..OffloadOptions::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,23 +65,9 @@ mod tests {
     }
 
     #[test]
-    fn speedup_within_sane_bounds() {
-        let cfg = common_1_7b().with_batch(4);
-        let s = stream_speedup(&cfg, &Platform::v100_server(), 4).unwrap();
-        assert!(s > 1.0 && s < 4.0, "speedup {s}");
-    }
-
-    #[test]
     fn stream_count_never_exceeds_batch() {
         let cfg = common_1_7b().with_batch(2);
         let k = choose_streams(&cfg, &Platform::v100_server(), &OffloadOptions::default()).unwrap();
         assert!(k <= 2);
-    }
-
-    #[test]
-    fn streamed_options_builder() {
-        let o = streamed_options(3);
-        assert_eq!(o.streams, 3);
-        assert!(o.concurrent_optimizers);
     }
 }

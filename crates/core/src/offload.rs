@@ -203,10 +203,10 @@ pub fn simulate_iteration_with_telemetry(
     let apen = alloc_penalty(opts.pooled_allocator);
     let nvme = matches!(opts.cold_tier, ColdTier::Nvme { .. });
 
-    let ckpt = |l: &LayerSpec| l.act_checkpoint_bytes * cfg.batch as u64;
-    let fp_out_bytes = |l: &LayerSpec| l.param_bytes() + ckpt(l);
-    let bp_in_bytes = |l: &LayerSpec| l.param_bytes() + ckpt(l);
-    let bp_out_bytes = |l: &LayerSpec| l.grad_bytes();
+    // What FP offloads and BP fetches back: a layer's parameters plus its
+    // activation checkpoints. FP fetches parameters only; BP offloads
+    // gradients.
+    let state_bytes = |l: &LayerSpec| l.param_bytes() + l.act_checkpoint_bytes * cfg.batch as u64;
 
     // Resources.
     let mut compute: Vec<FifoResource> = (0..k)
@@ -260,7 +260,7 @@ pub fn simulate_iteration_with_telemetry(
         if (sliding_start..=nb).contains(&j) && (1..=nb).contains(&i) {
             // NVMe staging read (deeply pipelined: FIFO on the NVMe channel).
             if nvme {
-                let dur = cost.nvme_read(bp_in_bytes(&layers[j])).expect("nvme");
+                let dur = cost.nvme_read(state_bytes(&layers[j])).expect("nvme");
                 let (s, e) = nvme_ch.schedule(zero, dur);
                 nv_r_fp[j] = e;
                 tl.record(Lane::Nvme, format!("nv-r L{j}"), s, e);
@@ -281,7 +281,7 @@ pub fn simulate_iteration_with_telemetry(
                 h_stall.record((slot - hook).as_nanos());
             }
             c_pf_issued.incr();
-            let dur = cost.h2d(l_bytes_fp_in(&layers[j], cfg), CopyKind::PinnedBulk) + apen;
+            let dur = cost.h2d(layers[j].param_bytes(), CopyKind::PinnedBulk) + apen;
             let (s, e) = h2d.schedule(ready, dur);
             ci_fp[j] = e;
             c_pf_done.incr();
@@ -302,13 +302,13 @@ pub fn simulate_iteration_with_telemetry(
         if (sliding_start..=nb).contains(&i) && !stays_for_bp(i) {
             let ready = (0..k).map(|s| fp_end[s][i]).max().unwrap_or(zero) + t_async;
             c_off_issued.incr();
-            let dur = cost.d2h(fp_out_bytes(l), CopyKind::PinnedBulk) + apen;
+            let dur = cost.d2h(state_bytes(l), CopyKind::PinnedBulk) + apen;
             let (s, e) = d2h.schedule(ready, dur);
             co_fp[i] = e;
             c_off_done.incr();
             tl.record(Lane::CopyOut, format!("d2h L{i}"), s, e);
             if nvme {
-                let dur = cost.nvme_write(fp_out_bytes(l)).expect("nvme");
+                let dur = cost.nvme_write(state_bytes(l)).expect("nvme");
                 let (s2, e2) = nvme_ch.schedule(e, dur);
                 tl.record(Lane::Nvme, format!("nv-w L{i}"), s2, e2);
             }
@@ -332,7 +332,7 @@ pub fn simulate_iteration_with_telemetry(
             };
             if let Some(j) = j {
                 if nvme {
-                    let dur = cost.nvme_read(bp_in_bytes(&layers[j])).expect("nvme");
+                    let dur = cost.nvme_read(state_bytes(&layers[j])).expect("nvme");
                     let (s, e) = nvme_ch.schedule(zero, dur);
                     nv_r_bp[j] = e;
                     tl.record(Lane::Nvme, format!("nv-r' L{j}"), s, e);
@@ -346,7 +346,7 @@ pub fn simulate_iteration_with_telemetry(
                     h_stall.record((slot - hook).as_nanos());
                 }
                 c_pf_issued.incr();
-                let dur = cost.h2d(bp_in_bytes(&layers[j]), CopyKind::PinnedBulk) + apen;
+                let dur = cost.h2d(state_bytes(&layers[j]), CopyKind::PinnedBulk) + apen;
                 let (s, e) = h2d.schedule(ready, dur);
                 ci_bp[j] = e;
                 c_pf_done.incr();
@@ -381,7 +381,7 @@ pub fn simulate_iteration_with_telemetry(
         }
         if (sliding_start..=nb).contains(&i) {
             c_off_issued.incr();
-            let dur = cost.d2h(bp_out_bytes(l), CopyKind::PinnedBulk) + apen;
+            let dur = cost.d2h(l.grad_bytes(), CopyKind::PinnedBulk) + apen;
             let (s, e) = d2h.schedule(grads_ready, dur);
             co_bp[i] = e;
             c_off_done.incr();
@@ -392,7 +392,7 @@ pub fn simulate_iteration_with_telemetry(
             // so the dispatch is deferred below.
             pending_optims.push((i, e + t_async));
             if nvme {
-                let dur = cost.nvme_write(bp_out_bytes(l)).expect("nvme");
+                let dur = cost.nvme_write(l.grad_bytes()).expect("nvme");
                 let (s3, e3) = nvme_ch.schedule(e, dur);
                 tl.record(Lane::Nvme, format!("nv-w' L{i}"), s3, e3);
             }
@@ -439,12 +439,6 @@ pub fn simulate_iteration_with_telemetry(
         window: m,
     };
     Ok(report.finish(flops_per_sample(cfg), cfg.batch))
-}
-
-/// Bytes fetched for a layer during FP: parameters only (checkpoints flow
-/// the other way; gradients don't exist yet).
-fn l_bytes_fp_in(l: &LayerSpec, _cfg: &ModelConfig) -> u64 {
-    l.param_bytes()
 }
 
 #[cfg(test)]

@@ -12,12 +12,10 @@
 //!   runtime's exactness claims.
 
 pub mod block;
-pub mod checkpoint;
 pub mod config;
 pub mod data;
 pub mod layer;
 pub mod memory;
-pub mod moe;
 pub mod serialize;
 pub mod transformer;
 

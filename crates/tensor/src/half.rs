@@ -5,14 +5,10 @@
 //! in fp16 on-device, ZeRO keeps fp16 parameter/gradient shards — and the
 //! related-work discussion covers low-precision model states (§II, §VII).
 //! This module provides dependency-free binary16 and bfloat16 with
-//! round-to-nearest-even conversion, compact tensor storage types, and
-//! [`PackedHalf`], the flat packed transfer payload. The offload runtime
-//! itself streams through the fused [`crate::simd::round_copy`] (same value
-//! grid, no packed buffer in between) while FP32 master weights stay
-//! CPU-side.
-
-use crate::shape::Shape;
-use crate::tensor::Tensor;
+//! round-to-nearest-even conversion and [`PackedHalf`], the flat packed
+//! transfer payload. The offload runtime itself streams through the fused
+//! [`crate::simd::round_copy`] (same value grid, no packed buffer in
+//! between) while FP32 master weights stay CPU-side.
 
 /// Storage precision of streamed (device-resident) parameters and
 /// gradients. FP32 master weights and Adam moments always stay full
@@ -185,86 +181,6 @@ pub fn round_through_bf16(x: f32) -> f32 {
     bf16_bits_to_f32(f32_to_bf16_bits(x))
 }
 
-/// A tensor stored as packed fp16, half the bytes of [`Tensor`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct F16Tensor {
-    shape: Shape,
-    data: Vec<u16>,
-}
-
-impl F16Tensor {
-    /// Quantizes an `f32` tensor to fp16 storage.
-    pub fn from_tensor(t: &Tensor) -> Self {
-        F16Tensor {
-            shape: *t.shape(),
-            data: t.data().iter().map(|v| f32_to_f16_bits(*v)).collect(),
-        }
-    }
-
-    /// Dequantizes back to `f32`.
-    pub fn to_tensor(&self) -> Tensor {
-        Tensor::from_vec(
-            self.shape,
-            self.data.iter().map(|h| f16_bits_to_f32(*h)).collect(),
-        )
-    }
-
-    /// Shape.
-    pub fn shape(&self) -> &Shape {
-        &self.shape
-    }
-
-    /// Storage bytes (2 per element).
-    pub fn nbytes(&self) -> usize {
-        self.data.len() * 2
-    }
-
-    /// Element count.
-    pub fn numel(&self) -> usize {
-        self.data.len()
-    }
-}
-
-/// A tensor stored as packed bfloat16, half the bytes of [`Tensor`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct Bf16Tensor {
-    shape: Shape,
-    data: Vec<u16>,
-}
-
-impl Bf16Tensor {
-    /// Quantizes an `f32` tensor to bf16 storage.
-    pub fn from_tensor(t: &Tensor) -> Self {
-        Bf16Tensor {
-            shape: *t.shape(),
-            data: t.data().iter().map(|v| f32_to_bf16_bits(*v)).collect(),
-        }
-    }
-
-    /// Dequantizes back to `f32` (exact per element).
-    pub fn to_tensor(&self) -> Tensor {
-        Tensor::from_vec(
-            self.shape,
-            self.data.iter().map(|h| bf16_bits_to_f32(*h)).collect(),
-        )
-    }
-
-    /// Shape.
-    pub fn shape(&self) -> &Shape {
-        &self.shape
-    }
-
-    /// Storage bytes (2 per element).
-    pub fn nbytes(&self) -> usize {
-        self.data.len() * 2
-    }
-
-    /// Element count.
-    pub fn numel(&self) -> usize {
-        self.data.len()
-    }
-}
-
 /// A flat packed half-precision buffer: the transfer payload of the
 /// mixed-precision offload runtime, materialised.
 ///
@@ -401,18 +317,6 @@ mod tests {
         assert_eq!(round_through_f16(above), 1.0 + 2.0_f32.powi(-10));
     }
 
-    #[test]
-    fn tensor_storage_halves_bytes() {
-        let t = normal([32, 16], 1.0, &mut seeded_rng(8));
-        let h = F16Tensor::from_tensor(&t);
-        assert_eq!(h.nbytes() * 2, t.nbytes());
-        let back = h.to_tensor();
-        // Relative error bounded by the fp16 epsilon (2^-11 ≈ 4.9e-4).
-        for (a, b) in t.data().iter().zip(back.data()) {
-            assert!((a - b).abs() <= a.abs() * 6e-4 + 1e-7, "{a} vs {b}");
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
         #[test]
@@ -487,18 +391,6 @@ mod tests {
         // Just above halfway rounds up.
         let above = 1.0 + 2.0_f32.powi(-8) + 2.0_f32.powi(-12);
         assert_eq!(round_through_bf16(above), 1.0 + 2.0_f32.powi(-7));
-    }
-
-    #[test]
-    fn bf16_tensor_storage_halves_bytes() {
-        let t = normal([32, 16], 1.0, &mut seeded_rng(8));
-        let h = Bf16Tensor::from_tensor(&t);
-        assert_eq!(h.nbytes() * 2, t.nbytes());
-        let back = h.to_tensor();
-        // Relative error bounded by the bf16 epsilon (2^-8).
-        for (a, b) in t.data().iter().zip(back.data()) {
-            assert!((a - b).abs() <= a.abs() * 4e-3 + 1e-38, "{a} vs {b}");
-        }
     }
 
     #[test]
