@@ -80,14 +80,14 @@ if [ -n "$stable_attn" ]; then
     echo "attention packs cached K/V per call again: [$stable_attn]"
     exit 1
 fi
+# The caller set of the two reachability guards below: the crates' sources,
+# their benches, the benchmark harness and the examples. Tests are not
+# callers.
+caller_set="crates/*/src crates/bench/benches benchmark/src examples"
 # Every public module has a caller: for each `pub mod NAME;` in a crate's
-# lib.rs, some other source file of the crates, their benches or the
-# benchmark harness names `NAME::`, `::NAME` or an item lib.rs re-exports
-# from NAME. A module that only its own tests reach fails here.
-# `tensor::parallel` (Megatron-style layer shards) has no caller either and
-# is the one known exception, kept until a change decides whether to wire
-# it in or delete it; the exception list may only shrink.
-known_unreachable=" crates/tensor/src/parallel"
+# lib.rs, some other file of the caller set names `NAME::`, `::NAME` or an
+# item lib.rs re-exports from NAME. A module that only its own tests reach
+# fails here.
 unreachable=""
 for lib in crates/*/src/lib.rs; do
     src=$(dirname "$lib")
@@ -96,15 +96,96 @@ for lib in crates/*/src/lib.rs; do
         for item in $(sed -n "s/^pub use $name::{*\\([^};]*\\)}*;\$/\\1/p" "$lib" | tr -d ','); do
             pattern="$pattern|\\b$item\\b"
         done
-        callers=$(grep -rlE --include='*.rs' "$pattern" crates/*/src crates/bench/benches benchmark/src |
+        # shellcheck disable=SC2086 # the caller set is a list of globs
+        callers=$(grep -rlE --include='*.rs' "$pattern" $caller_set |
             grep -vxF -e "$lib" -e "$src/$name.rs" | grep -v "^$src/$name/" || true)
         if [ -z "$callers" ]; then
             unreachable="$unreachable $src/$name"
         fi
     done
 done
-if [ "$unreachable" != "$known_unreachable" ]; then
-    echo "public modules nothing outside their own file reaches: [$unreachable], expected [$known_unreachable]"
+if [ -n "$unreachable" ]; then
+    echo "public modules nothing outside their own file reaches: [$unreachable]"
+    exit 1
+fi
+# Every public item has a caller: each `pub fn|struct|enum|const|static|
+# trait|type NAME` defined outside `#[cfg(test)]` in crates/*/src must be
+# named as a word on some line of the caller set that is not a comment, not
+# `#[cfg(test)]` code, not a `pub use` re-export and not NAME's own
+# definition. (A `#[cfg(test)]` at column 0 opens a file's test code, which
+# runs to the end of the file.) The check is by name, so an item that shares
+# its name with a live one passes. The deliberate exceptions are listed
+# below with one tag each — `test-hook` (an accessor the integration tests
+# observe through), `oracle` (a reference implementation tests compare
+# against) or `item-N` (the input an open ROADMAP item names) — and the
+# found set must equal the list, so a stale entry fails too.
+allowed_items=$(LC_ALL=C sort <<'EOF'
+all_finite test-hook
+allreduce_reference oracle
+arena_usage test-hook
+at_mut test-hook
+block_backward oracle
+block_forward_decode oracle
+calibrate_host item-12
+calibrate_nvme item-13
+collective_calls test-hook
+dp_traffic_bytes test-hook
+evaluations test-hook
+force_tuning test-hook
+from_millis test-hook
+from_state_blob test-hook
+hooks_mut test-hook
+invocations test-hook
+kv_arena_bytes test-hook
+max_abs_diff test-hook
+measure_host_profile_with_precision item-13
+measure_tier_bandwidths item-6
+nbytes test-hook
+predict_spill_ns_per_step item-13
+predict_step_ns item-13
+predict_step_ns_for item-13
+predicted_spill_ns_per_step item-6
+recalibrate_profile item-12
+register_post_step test-hook
+resident_bytes test-hook
+round_through oracle
+spill_traffic test-hook
+window_locked test-hook
+with_plan item-12
+EOF
+)
+untagged=$(echo "$allowed_items" | grep -vE '^[A-Za-z0-9_]+ (test-hook|oracle|item-[0-9]+)$' || true)
+# shellcheck disable=SC2086 # the caller set is a list of globs
+uncalled=$(find $caller_set -name '*.rs' | LC_ALL=C sort | xargs awk '
+    FNR == 1 { in_tests = 0; in_reexport = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[ \t]*\/\// { next }
+    {
+        line = $0
+        sub(/\/\/.*/, "", line)
+        name = ""
+        if (FILENAME ~ /^crates\/[^\/]+\/src\// &&
+            match(line, /^[ \t]*pub (const |unsafe )*(fn|struct|enum|const|static|trait|type) [A-Za-z_][A-Za-z0-9_]*/)) {
+            name = substr(line, RSTART, RLENGTH)
+            sub(/.* /, "", name)
+            if (!(name in defined)) defined[name] = FILENAME ":" FNR
+        }
+        if (line ~ /^[ \t]*pub use /) in_reexport = 1
+        if (!in_reexport) {
+            gsub(/[^A-Za-z0-9_]+/, " ", line)
+            n = split(line, words, " ")
+            for (i = 1; i <= n; i++) if (words[i] != name) named[words[i]] = 1
+        }
+        if (in_reexport && $0 ~ /;/) in_reexport = 0
+    }
+    END { for (d in defined) if (!(d in named)) print d " " defined[d] }
+' | LC_ALL=C sort)
+not_allowed=$(awk 'NR == FNR { ok[$1]; next } NF && !($1 in ok)' <(echo "$allowed_items") <(echo "$uncalled"))
+stale=$(awk 'NR == FNR { found[$1]; next } NF && !($1 in found) { print $1 }' <(echo "$uncalled") <(echo "$allowed_items"))
+if [ -n "$not_allowed$stale$untagged" ]; then
+    [ -z "$not_allowed" ] || printf 'public items nothing but their definition and tests name:\n%s\n' "$not_allowed"
+    [ -z "$stale" ] || printf 'allowlist entries whose item is named again or gone:\n%s\n' "$stale"
+    [ -z "$untagged" ] || printf 'allowlist entries without one test-hook / oracle / item-N tag:\n%s\n' "$untagged"
     exit 1
 fi
 

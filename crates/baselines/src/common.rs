@@ -44,11 +44,6 @@ pub fn schedule_fp_bp(
     end
 }
 
-/// Per-layer activation-checkpoint bytes at a batch size.
-pub fn ckpt_bytes(l: &LayerSpec, batch: usize) -> u64 {
-    l.act_checkpoint_bytes * batch as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,17 +28,3 @@ pub use megatron::MegatronLM;
 pub use pytorch_infer::{PlainInference, StaticBatchConfig, StaticBatchGenerator};
 pub use zero_infinity::ZeroInfinity;
 pub use zero_offload::ZeroOffload;
-
-use stronghold_core::TrainingMethod;
-
-/// All training baselines plus STRONGHOLD, in the order the paper's figures
-/// list them.
-pub fn all_methods() -> Vec<Box<dyn TrainingMethod>> {
-    vec![
-        Box::new(MegatronLM),
-        Box::new(L2L),
-        Box::new(ZeroOffload),
-        Box::new(ZeroInfinity::cpu_only()),
-        Box::new(stronghold_core::Stronghold::new()),
-    ]
-}

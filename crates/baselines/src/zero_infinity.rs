@@ -97,34 +97,6 @@ impl ZeroInfinity {
         let n = platform.nvme.expect("nvme");
         SimTime::from_secs_f64(bytes as f64 / (n.write_bw * cal::ZINF_NVME_SMALL_IO_DERATE))
     }
-
-    /// Per-iteration NVMe traffic of the paging model as `(file→host,
-    /// host→file)` bytes: every block's parameters page in once for FP and
-    /// once for BP, the fused optimizer reads 16 B and writes 12 B per
-    /// parameter. `(0, 0)` in CPU-RAM mode.
-    pub fn spill_bytes_per_iteration(&self, cfg: &ModelConfig) -> (u64, u64) {
-        if !self.use_nvme {
-            return (0, 0);
-        }
-        let layers = layers_of(cfg);
-        let total_params: u64 = layers.iter().map(|l| l.params).sum();
-        let fetches: u64 = layers
-            .iter()
-            .filter(|l| l.kind == LayerKind::Block)
-            .map(|l| 2 * l.param_bytes())
-            .sum();
-        (fetches + total_params * 16, total_params * 12)
-    }
-
-    /// Records one iteration's paging traffic into the same
-    /// `spill.f2h_bytes` / `spill.h2f_bytes` counters STRONGHOLD's file
-    /// tier meters, so baseline and STRONGHOLD runs report NVMe traffic
-    /// under one telemetry contract.
-    pub fn record_spill_counters(&self, cfg: &ModelConfig, tel: &stronghold_core::Telemetry) {
-        let (f2h, h2f) = self.spill_bytes_per_iteration(cfg);
-        tel.counter("spill.f2h_bytes").add(f2h);
-        tel.counter("spill.h2f_bytes").add(h2f);
-    }
 }
 
 impl TrainingMethod for ZeroInfinity {
@@ -312,34 +284,6 @@ mod tests {
             (0.3..0.7).contains(&ratio),
             "ZI/Megatron = {ratio:.3}, paper <0.57"
         );
-    }
-
-    #[test]
-    fn spill_counters_match_the_paging_model() {
-        use stronghold_core::Telemetry;
-        let cfg = common_1_7b();
-        let zi = ZeroInfinity::with_nvme();
-        let layers = layers_of(&cfg);
-        let total_params: u64 = layers.iter().map(|l| l.params).sum();
-        let block_bytes: u64 = layers
-            .iter()
-            .filter(|l| l.kind == LayerKind::Block)
-            .map(|l| l.param_bytes())
-            .sum();
-        let (f2h, h2f) = zi.spill_bytes_per_iteration(&cfg);
-        assert_eq!(f2h, 2 * block_bytes + 16 * total_params);
-        assert_eq!(h2f, 12 * total_params);
-        assert_eq!(
-            ZeroInfinity::cpu_only().spill_bytes_per_iteration(&cfg),
-            (0, 0),
-            "CPU-RAM mode pages nothing"
-        );
-        // Two iterations accumulate under the PR 9 tier's counter names.
-        let tel = Telemetry::enabled();
-        zi.record_spill_counters(&cfg, &tel);
-        zi.record_spill_counters(&cfg, &tel);
-        assert_eq!(tel.counter("spill.f2h_bytes").get(), 2 * f2h);
-        assert_eq!(tel.counter("spill.h2f_bytes").get(), 2 * h2f);
     }
 
     #[test]

@@ -9,19 +9,15 @@ use stronghold_sim::{Lane, Platform};
 
 use crate::report::{telemetry_table, Experiment, Table};
 
-/// Writes the Fig. 4 iteration as a Chrome-tracing / Perfetto JSON file and
-/// returns the path.
-pub fn write_chrome_trace(dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
+/// The Fig. 4 iteration as a Chrome-tracing / Perfetto JSON document.
+pub fn chrome_trace() -> String {
     let r = simulate_iteration(
         &model_4b(),
         &Platform::v100_server(),
         &OffloadOptions::default(),
     )
     .expect("4B on V100");
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join("fig4_trace.json");
-    std::fs::write(&path, r.timeline.to_chrome_trace())?;
-    Ok(path)
+    r.timeline.to_chrome_trace()
 }
 
 /// Renders the ASCII Gantt trace of one STRONGHOLD iteration on the 4B

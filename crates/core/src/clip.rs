@@ -88,28 +88,25 @@ impl GlobalNorm {
     }
 }
 
-/// Scales every layer's gradients by the global clip factor; returns the
-/// pre-clip norm.
-pub fn clip_global_norm(layers: &mut [Vec<f32>], max_norm: f32) -> f32 {
-    let mut acc = GlobalNorm::new();
-    for g in layers.iter() {
-        acc.add_layer(g);
-    }
-    let scale = acc.clip_scale(max_norm);
-    if scale != 1.0 {
-        for g in layers.iter_mut() {
-            for v in g.iter_mut() {
-                *v *= scale;
-            }
-        }
-    }
-    acc.norm()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The engine's clip step over per-layer gradients: accumulate the
+    /// global norm, then scale every gradient by [`GlobalNorm::clip_scale`]
+    /// unless it is 1. Returns the pre-clip norm.
+    fn clip_layers(layers: &mut [Vec<f32>], max_norm: f32) -> f32 {
+        let mut acc = GlobalNorm::new();
+        for g in layers.iter() {
+            acc.add_layer(g);
+        }
+        let scale = acc.clip_scale(max_norm);
+        if scale != 1.0 {
+            layers.iter_mut().flatten().for_each(|v| *v *= scale);
+        }
+        acc.norm()
+    }
 
     #[test]
     fn norm_of_known_vector() {
@@ -124,7 +121,7 @@ mod tests {
     fn within_budget_is_untouched() {
         let mut layers = vec![vec![0.1f32, 0.2], vec![0.05]];
         let before = layers.clone();
-        let n = clip_global_norm(&mut layers, 10.0);
+        let n = clip_layers(&mut layers, 10.0);
         assert!(n < 10.0);
         assert_eq!(layers, before);
     }
@@ -132,7 +129,7 @@ mod tests {
     #[test]
     fn clipped_norm_equals_max() {
         let mut layers = vec![vec![30.0f32, 0.0], vec![0.0, 40.0]];
-        let pre = clip_global_norm(&mut layers, 1.0);
+        let pre = clip_layers(&mut layers, 1.0);
         assert!((pre - 50.0).abs() < 1e-4);
         let mut acc = GlobalNorm::new();
         for g in &layers {
@@ -185,7 +182,7 @@ mod tests {
             max_norm in 0.1f32..10.0
         ) {
             let mut layers = vec![vals];
-            clip_global_norm(&mut layers, max_norm);
+            clip_layers(&mut layers, max_norm);
             let mut acc = GlobalNorm::new();
             acc.add_layer(&layers[0]);
             prop_assert!(acc.norm() <= max_norm * 1.0001);
@@ -215,7 +212,7 @@ mod tests {
             // rounding could legitimately disagree.
             prop_assume!((naive_norm - max_norm as f64).abs() > 1e-3);
 
-            let pre = clip_global_norm(&mut layers, max_norm);
+            let pre = clip_layers(&mut layers, max_norm);
             prop_assert!(
                 ((pre as f64) - naive_norm).abs() <= naive_norm * 1e-6 + 1e-6,
                 "reported norm {pre} vs naive {naive_norm}"
@@ -248,7 +245,7 @@ mod tests {
         ) {
             prop_assume!(a != 0.0 || b != 0.0);
             let mut layers = vec![vec![a, b]];
-            clip_global_norm(&mut layers, 0.5);
+            clip_layers(&mut layers, 0.5);
             let (ca, cb) = (layers[0][0], layers[0][1]);
             // Cross product ~ 0 => collinear; signs preserved.
             prop_assert!((a * cb - b * ca).abs() < 1e-3);

@@ -60,10 +60,9 @@
 //! [`calibrate_host`] distills a telemetry snapshot into a
 //! [`HostCalibration`] (measured H2D/D2H bandwidths, copy/compute overlap,
 //! per-step residual) that `sim::calibration` uses to predict step times
-//! within a tested error bound, [`recalibrate_profile`] rewrites a
+//! within a tested error bound, and [`recalibrate_profile`] rewrites a
 //! [`LayerProfile`]'s transfer terms from those measured bandwidths so
-//! [`crate::analytic::solve_window`] solves on observed numbers, and
-//! [`compare_phases`] reports predicted-vs-measured per-phase time ratios.
+//! [`crate::analytic::solve_window`] solves on observed numbers.
 
 use crate::analytic::WindowPlan;
 use crate::host::device::HostDevice;
@@ -497,11 +496,6 @@ impl AutotuneController {
     pub fn window_locked(&self) -> bool {
         self.locked
     }
-
-    /// Smoothed step latency in nanoseconds (0 before the first step).
-    pub fn ema_step_ns(&self) -> f64 {
-        self.ema_ns
-    }
 }
 
 /// Distills a telemetry snapshot plus device traffic counters into a
@@ -549,59 +543,6 @@ pub fn recalibrate_profile(profile: &mut LayerProfile, cal: &HostCalibration) {
         if bw_d2h > 0.0 {
             profile.t_g2c[i] = SimTime((profile.s_bp[i] as f64 / bw_d2h).round() as u64);
         }
-    }
-}
-
-/// Predicted-vs-measured per-phase times for one training configuration:
-/// the validation half of the calibration loop.
-#[derive(Clone, Copy, Debug)]
-pub struct PhaseComparison {
-    /// Per-step compute time the profile predicts (Σ t_fp + t_bp).
-    pub predicted_compute_ns: u64,
-    /// Per-step compute busy time measured on the host ("compute" track).
-    pub measured_compute_ns: u64,
-    /// Per-step H2D time the profile predicts: every layer fetched once
-    /// plus the `n - m` FP→BP refetches the window forces.
-    pub predicted_h2d_ns: u64,
-    /// Per-step H2D busy time measured on the host ("h2d-copy" track).
-    pub measured_h2d_ns: u64,
-}
-
-impl PhaseComparison {
-    /// measured ÷ predicted compute ratio (1.0 = the model is exact).
-    pub fn compute_ratio(&self) -> f64 {
-        self.measured_compute_ns as f64 / self.predicted_compute_ns.max(1) as f64
-    }
-
-    /// measured ÷ predicted H2D ratio.
-    pub fn h2d_ratio(&self) -> f64 {
-        self.measured_h2d_ns as f64 / self.predicted_h2d_ns.max(1) as f64
-    }
-}
-
-/// Compares the analytic model's per-phase predictions for window `m`
-/// against a measured [`HostCalibration`].
-pub fn compare_phases(profile: &LayerProfile, m: usize, cal: &HostCalibration) -> PhaseComparison {
-    let n = profile.len();
-    let fetched_once: u64 = profile.t_c2g.iter().map(|t| t.as_nanos()).sum();
-    let refetched: u64 = profile
-        .t_c2g
-        .iter()
-        .take(n.saturating_sub(m))
-        .map(|t| t.as_nanos())
-        .sum();
-    let compute: u64 = profile
-        .t_fp
-        .iter()
-        .zip(&profile.t_bp)
-        .map(|(f, b)| f.as_nanos() + b.as_nanos())
-        .sum();
-    let steps = cal.steps.max(1);
-    PhaseComparison {
-        predicted_compute_ns: compute,
-        measured_compute_ns: cal.compute_ns / steps,
-        predicted_h2d_ns: fetched_once + refetched,
-        measured_h2d_ns: cal.h2d_busy_ns / steps,
     }
 }
 
@@ -853,37 +794,6 @@ mod tests {
         };
         let cfg = AutotuneConfig::default().with_plan(&plan);
         assert_eq!(cfg.m_max, 5);
-    }
-
-    #[test]
-    fn phase_comparison_ratios() {
-        let profile = LayerProfile {
-            t_fp: vec![SimTime(100); 4],
-            t_bp: vec![SimTime(200); 4],
-            t_c2g: vec![SimTime(50); 4],
-            t_g2c: vec![SimTime(50); 4],
-            s_fp: vec![1000; 4],
-            s_bp: vec![2000; 4],
-            t_opt_gpu: vec![SimTime(10); 4],
-            t_opt_cpu: vec![SimTime(40); 4],
-            t_async: SimTime(5),
-        };
-        let cal = HostCalibration {
-            steps: 2,
-            wall_ns: 4000,
-            compute_ns: 2400, // 1200/step = predicted exactly
-            h2d_bytes: 16_000,
-            h2d_busy_ns: 600, // 300/step vs predicted 200 + 2 refetches·50 = 300
-            d2h_bytes: 8_000,
-            d2h_busy_ns: 400,
-            overlap_ns: 100,
-            ..HostCalibration::default()
-        };
-        let cmp = compare_phases(&profile, 2, &cal);
-        assert_eq!(cmp.predicted_compute_ns, 1200);
-        assert_eq!(cmp.predicted_h2d_ns, 300);
-        assert!((cmp.compute_ratio() - 1.0).abs() < 1e-9);
-        assert!((cmp.h2d_ratio() - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -20,27 +20,16 @@ fn elapsed(since: Instant) -> SimTime {
     SimTime::from_secs_f64(since.elapsed().as_secs_f64())
 }
 
-/// Runs `iters` warm-up measurement passes over one sample batch and
-/// returns the averaged per-layer profile. Layer 0 is the embedding and
-/// layer `n+1` the head, matching the simulator's layer indexing.
+/// Runs `iters` warm-up measurement passes over one sample batch at a
+/// transfer `precision` and returns the averaged per-layer profile. Layer 0
+/// is the embedding and layer `n+1` the head, matching the simulator's layer
+/// indexing.
 ///
-/// Byte sizes assume FP32 transfers; a mixed-precision runtime should use
-/// [`measure_host_profile_with_precision`] so the solver's `m_mem_max`
-/// reflects half-width slots.
-pub fn measure_host_profile(
-    cfg: &ModelConfig,
-    seed: u64,
-    batch: &[(Vec<u32>, Vec<u32>)],
-    iters: usize,
-) -> LayerProfile {
-    measure_host_profile_with_precision(cfg, seed, batch, iters, stronghold_tensor::Precision::F32)
-}
-
-/// [`measure_host_profile`] at a transfer `precision`: `t_c2g` / `t_g2c`
-/// time the precision-aware shell load and gradient flatten the layer stream
-/// itself runs, and half modes report `param_count · 2` bytes per block, the
-/// payload [`crate::host::HostOffloadConfig`]'s mixed-precision pipeline
-/// actually moves, so [`crate::analytic::solve_window`] derives the doubled
+/// `t_c2g` / `t_g2c` time the precision-aware shell load and gradient
+/// flatten the layer stream itself runs, and half modes report
+/// `param_count · 2` bytes per block, the payload
+/// [`crate::host::HostOffloadConfig`]'s mixed-precision pipeline actually
+/// moves, so [`crate::analytic::solve_window`] derives the doubled
 /// `m_mem_max` from the same device capacity.
 pub fn measure_host_profile_with_precision(
     cfg: &ModelConfig,
@@ -193,7 +182,7 @@ mod tests {
     fn profile() -> LayerProfile {
         let cfg = tiny(4);
         let batch = SyntheticCorpus::new(cfg.vocab, 1).next_batch(2, cfg.seq - 1);
-        measure_host_profile(&cfg, 7, &batch, 2)
+        measure_host_profile_with_precision(&cfg, 7, &batch, 2, stronghold_tensor::Precision::F32)
     }
 
     #[test]

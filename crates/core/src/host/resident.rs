@@ -55,12 +55,6 @@ impl ResidentBackend {
     pub fn model(&self) -> &Transformer {
         &self.model
     }
-
-    /// Mutable access to the model (weight surgery between steps; reach it
-    /// through [`Engine::backend_mut`]).
-    pub fn model_mut(&mut self) -> &mut Transformer {
-        &mut self.model
-    }
 }
 
 impl ParamBackend for ResidentBackend {

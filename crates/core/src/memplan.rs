@@ -8,59 +8,6 @@ use stronghold_model::memory;
 use stronghold_sim::calibration as cal;
 use stronghold_sim::Platform;
 
-/// Window sizing policy (§III-D, "Determining the working window size").
-///
-/// The default gives every layer a dedicated slot, which "improves GPU
-/// cache locality for Transformer-based models that have a large number of
-/// identical layer structures". `FixedBytes` instead reserves one byte
-/// budget in which the number of resident layers changes dynamically —
-/// the user-enabled mode for models with heterogeneous layers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WindowPolicy {
-    /// `m` uniform slots sized for the largest layer (the default).
-    FixedLayers(usize),
-    /// A fixed device-byte budget; layer count inside it varies.
-    FixedBytes(u64),
-}
-
-impl WindowPolicy {
-    /// The number of layers of `layer_bytes` each this policy admits
-    /// simultaneously (the effective `m` for scheduling).
-    pub fn layers_admitted(&self, layer_bytes: &[u64]) -> usize {
-        match *self {
-            WindowPolicy::FixedLayers(m) => m,
-            WindowPolicy::FixedBytes(budget) => {
-                // Greedy fill in execution order — the window slides, so the
-                // binding case is the densest run of consecutive layers; for
-                // a conservative bound use the *largest* layers first.
-                let mut sizes: Vec<u64> = layer_bytes.to_vec();
-                sizes.sort_unstable_by(|a, b| b.cmp(a));
-                let mut used = 0u64;
-                let mut count = 0usize;
-                for s in sizes {
-                    if used + s > budget {
-                        break;
-                    }
-                    used += s;
-                    count += 1;
-                }
-                count
-            }
-        }
-    }
-
-    /// Device bytes this policy reserves given per-layer slot sizes.
-    pub fn reserved_bytes(&self, layer_bytes: &[u64]) -> u64 {
-        match *self {
-            WindowPolicy::FixedLayers(m) => {
-                let max = layer_bytes.iter().copied().max().unwrap_or(0);
-                m as u64 * max
-            }
-            WindowPolicy::FixedBytes(budget) => budget,
-        }
-    }
-}
-
 /// Where the cold tier of layer states lives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ColdTier {
@@ -269,40 +216,6 @@ mod tests {
         let one = StrongholdMemPlan::new(common_1_7b(), 1, ColdTier::CpuRam);
         let four = StrongholdMemPlan::new(common_1_7b(), 4, ColdTier::CpuRam);
         assert!(four.gpu_usage(4) > one.gpu_usage(4));
-    }
-
-    #[test]
-    fn fixed_bytes_policy_equivalent_for_homogeneous_layers() {
-        // For Transformer stacks (identical blocks) the byte-budget mode
-        // admits exactly budget / slot_bytes layers — same as FixedLayers.
-        let sizes = vec![100u64; 12];
-        let by_layers = WindowPolicy::FixedLayers(4);
-        let by_bytes = WindowPolicy::FixedBytes(400);
-        assert_eq!(by_layers.layers_admitted(&sizes), 4);
-        assert_eq!(by_bytes.layers_admitted(&sizes), 4);
-        assert_eq!(
-            by_layers.reserved_bytes(&sizes),
-            by_bytes.reserved_bytes(&sizes)
-        );
-    }
-
-    #[test]
-    fn fixed_bytes_packs_more_small_layers() {
-        // Heterogeneous model: one huge layer plus many small ones. A
-        // layer-count window must size every slot for the giant; the byte
-        // budget dynamically fits more of the small layers (§III-D).
-        let sizes = vec![1000, 100, 100, 100, 100, 100, 100];
-        let budget = WindowPolicy::FixedLayers(2).reserved_bytes(&sizes); // 2000
-        let by_bytes = WindowPolicy::FixedBytes(budget);
-        // Conservative (largest-first) packing: 1000 + 9x100 would be 1900,
-        // but only 6 small layers exist -> giant + 6 small = 1600 <= 2000.
-        assert!(by_bytes.layers_admitted(&sizes) > 2);
-    }
-
-    #[test]
-    fn zero_budget_admits_nothing() {
-        let p = WindowPolicy::FixedBytes(0);
-        assert_eq!(p.layers_admitted(&[10, 20]), 0);
     }
 
     #[test]

@@ -73,21 +73,7 @@ impl LayerProfile {
             t_async: cost.t_async(),
         }
     }
-
-    /// Total FP compute time across layers.
-    pub fn total_fp(&self) -> SimTime {
-        self.t_fp.iter().fold(SimTime::ZERO, |a, t| a + *t)
-    }
-
-    /// Total BP compute time across layers.
-    pub fn total_bp(&self) -> SimTime {
-        self.t_bp.iter().fold(SimTime::ZERO, |a, t| a + *t)
-    }
 }
-
-/// Number of warm-up iterations profiled before the window is derived
-/// (paper default, §III-B: 5).
-pub const WARMUP_ITERATIONS: usize = 5;
 
 #[cfg(test)]
 mod tests {
@@ -129,8 +115,7 @@ mod tests {
     #[test]
     fn totals_add_up() {
         let p = profile();
-        let manual = p.t_fp.iter().fold(SimTime::ZERO, |a, t| a + *t);
-        assert_eq!(p.total_fp(), manual);
-        assert!(p.total_bp() > p.total_fp());
+        let total = |ts: &[SimTime]| ts.iter().fold(SimTime::ZERO, |a, t| a + *t);
+        assert!(total(&p.t_bp) > total(&p.t_fp));
     }
 }

@@ -16,10 +16,10 @@
 //! * **Thread-safe.** The offload engine records from the prefetcher,
 //!   copy, and optimizer threads concurrently: counters/gauges/histogram
 //!   buckets are atomics, and only span capture takes a (short) lock.
-//! * **Substrate-agnostic clock.** Spans are stamped through the
-//!   [`TelemetryClock`] trait: [`WallClock`] for the real-thread host
-//!   substrate, [`VirtualClock`] (an atomic fed simulator nanoseconds)
-//!   for virtual-time runs, so both produce comparable traces.
+//! * **One clock, explicit virtual time.** Live spans are stamped in
+//!   wall-clock nanoseconds from the handle's creation; virtual-time runs
+//!   record simulator nanoseconds explicitly through
+//!   [`Telemetry::record_span`], so both produce comparable traces.
 //!
 //! Two sinks: [`Telemetry::snapshot_json`] (consumed by the bench
 //! reports, includes measured overlap efficiency) and
@@ -30,64 +30,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Monotonic nanosecond clock driving span timestamps.
-pub trait TelemetryClock: Send + Sync {
-    /// Nanoseconds since the clock's origin.
-    fn now_nanos(&self) -> u64;
-}
-
-/// Wall-clock time from a fixed origin (process-local `Instant`).
-pub struct WallClock {
-    origin: Instant,
-}
-
-impl WallClock {
-    /// Clock originating now.
-    pub fn new() -> Self {
-        WallClock {
-            origin: Instant::now(),
-        }
-    }
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        WallClock::new()
-    }
-}
-
-impl TelemetryClock for WallClock {
-    fn now_nanos(&self) -> u64 {
-        self.origin.elapsed().as_nanos() as u64
-    }
-}
-
-/// Virtual time: whoever drives the simulation advances it explicitly
-/// (monotonicity is the driver's contract, matching sim semantics).
-#[derive(Default)]
-pub struct VirtualClock {
-    now: AtomicU64,
-}
-
-impl VirtualClock {
-    /// Clock starting at zero virtual nanoseconds.
-    pub fn new() -> Self {
-        VirtualClock::default()
-    }
-
-    /// Advances to `nanos` (keeps the max of old and new, so concurrent
-    /// feeders can't move time backwards).
-    pub fn advance_to(&self, nanos: u64) {
-        self.now.fetch_max(nanos, Ordering::Relaxed);
-    }
-}
-
-impl TelemetryClock for VirtualClock {
-    fn now_nanos(&self) -> u64 {
-        self.now.load(Ordering::Relaxed)
-    }
-}
 
 /// Monotonically increasing event count.
 #[derive(Default)]
@@ -196,11 +138,18 @@ pub fn thread_ordinal() -> u64 {
 }
 
 struct Inner {
-    clock: Arc<dyn TelemetryClock>,
+    origin: Instant,
     counters: Mutex<BTreeMap<String, Arc<CounterCell>>>,
     gauges: Mutex<BTreeMap<String, Arc<GaugeCell>>>,
     histograms: Mutex<BTreeMap<String, Arc<HistogramCell>>>,
     spans: Mutex<Vec<SpanEvent>>,
+}
+
+impl Inner {
+    /// Wall-clock nanoseconds since the handle was created.
+    fn now_nanos(&self) -> u64 {
+        self.origin.elapsed().as_nanos() as u64
+    }
 }
 
 /// Cheap-clone telemetry handle. `Telemetry::disabled()` turns every
@@ -232,15 +181,9 @@ impl Telemetry {
 
     /// An enabled handle stamped by wall-clock time.
     pub fn enabled() -> Self {
-        Telemetry::with_clock(Arc::new(WallClock::new()))
-    }
-
-    /// An enabled handle stamped by the given clock (use an
-    /// `Arc<VirtualClock>` to drive spans from simulator time).
-    pub fn with_clock(clock: Arc<dyn TelemetryClock>) -> Self {
         Telemetry {
             inner: Some(Arc::new(Inner {
-                clock,
+                origin: Instant::now(),
                 counters: Mutex::new(BTreeMap::new()),
                 gauges: Mutex::new(BTreeMap::new()),
                 histograms: Mutex::new(BTreeMap::new()),
@@ -256,7 +199,7 @@ impl Telemetry {
 
     /// Current clock reading (0 when disabled).
     pub fn now_nanos(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.clock.now_nanos())
+        self.inner.as_ref().map_or(0, |i| i.now_nanos())
     }
 
     /// Named counter handle; hoist out of hot loops.
@@ -293,7 +236,7 @@ impl Telemetry {
                     inner: Arc::clone(inner),
                     track: track.to_string(),
                     name: name.into(),
-                    start_ns: inner.clock.now_nanos(),
+                    start_ns: inner.now_nanos(),
                 }),
             },
         }
@@ -680,7 +623,7 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(st) = self.state.take() {
-            let end_ns = st.inner.clock.now_nanos();
+            let end_ns = st.inner.now_nanos();
             st.inner.spans.lock().expect("span buffer").push(SpanEvent {
                 track: st.track,
                 name: st.name,
@@ -861,22 +804,6 @@ mod tests {
         assert_eq!(snap["overlap"]["overlap_ns"].as_u64(), Some(50));
         let eff = snap["overlap"]["overlap_efficiency"].as_f64().unwrap();
         assert!((eff - 50.0 / 150.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn virtual_clock_drives_spans() {
-        let clock = Arc::new(VirtualClock::new());
-        let t = Telemetry::with_clock(clock.clone());
-        clock.advance_to(1_000);
-        let span = t.span("sim-compute", "fp L0");
-        clock.advance_to(5_000);
-        span.end();
-        // Going backwards is ignored.
-        clock.advance_to(2_000);
-        assert_eq!(t.now_nanos(), 5_000);
-        let spans = t.spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!((spans[0].start_ns, spans[0].end_ns), (1_000, 5_000));
     }
 
     #[test]

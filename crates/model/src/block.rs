@@ -359,27 +359,6 @@ impl Block {
         }
     }
 
-    /// Visits every parameter tensor alongside its gradient, in a fixed
-    /// canonical order (used by the optimizer and by flatten/unflatten).
-    pub fn visit_params_mut<'a>(
-        &'a mut self,
-        grads: &'a BlockGrads,
-        mut f: impl FnMut(&mut Tensor, &Tensor),
-    ) {
-        f(&mut self.ln1_g, &grads.ln1_g);
-        f(&mut self.ln1_b, &grads.ln1_b);
-        f(&mut self.attn.qkv.weight, &grads.attn.qkv.weight);
-        f(&mut self.attn.qkv.bias, &grads.attn.qkv.bias);
-        f(&mut self.attn.proj.weight, &grads.attn.proj.weight);
-        f(&mut self.attn.proj.bias, &grads.attn.proj.bias);
-        f(&mut self.ln2_g, &grads.ln2_g);
-        f(&mut self.ln2_b, &grads.ln2_b);
-        f(&mut self.fc1.weight, &grads.fc1.weight);
-        f(&mut self.fc1.bias, &grads.fc1.bias);
-        f(&mut self.fc2.weight, &grads.fc2.weight);
-        f(&mut self.fc2.bias, &grads.fc2.bias);
-    }
-
     /// Flattens all parameters into a single vector (canonical order).
     pub fn flatten_params(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.param_count());

@@ -97,11 +97,6 @@ impl ModelConfig {
         format!("{:.1}B", self.billions())
     }
 
-    /// Tokens processed per sample.
-    pub fn tokens_per_sample(&self) -> u64 {
-        self.seq as u64
-    }
-
     /// The per-GPU shard of one block's parameters under tensor parallelism.
     pub fn block_params_per_shard(&self) -> u64 {
         // Layernorms are replicated; matmul weights are split mp ways.

@@ -74,29 +74,6 @@ impl SyntheticCorpus {
     pub fn next_batch(&mut self, batch: usize, len: usize) -> Vec<(Vec<u32>, Vec<u32>)> {
         (0..batch).map(|_| self.next_sample(len)).collect()
     }
-
-    /// Draws disjoint train/validation batch sets from the stream (the
-    /// validation batches come later in the same deterministic stream, so
-    /// they are held out but identically distributed).
-    #[allow(clippy::type_complexity)]
-    pub fn train_val_split(
-        &mut self,
-        train_batches: usize,
-        val_batches: usize,
-        batch: usize,
-        len: usize,
-    ) -> (
-        Vec<Vec<(Vec<u32>, Vec<u32>)>>,
-        Vec<Vec<(Vec<u32>, Vec<u32>)>>,
-    ) {
-        let train = (0..train_batches)
-            .map(|_| self.next_batch(batch, len))
-            .collect();
-        let val = (0..val_batches)
-            .map(|_| self.next_batch(batch, len))
-            .collect();
-        (train, val)
-    }
 }
 
 #[cfg(test)]
@@ -127,25 +104,6 @@ mod tests {
         let mut c = SyntheticCorpus::new(50, 2);
         let (i, t) = c.next_sample(16);
         assert_eq!(&i[1..], &t[..15]);
-    }
-
-    #[test]
-    fn train_val_split_is_disjoint_and_deterministic() {
-        let mut a = SyntheticCorpus::new(64, 9);
-        let (train, val) = a.train_val_split(3, 2, 2, 10);
-        assert_eq!(train.len(), 3);
-        assert_eq!(val.len(), 2);
-        // Held-out batches differ from every training batch.
-        for v in &val {
-            for t in &train {
-                assert_ne!(v, t);
-            }
-        }
-        // Same seed reproduces the same split.
-        let mut b = SyntheticCorpus::new(64, 9);
-        let (train2, val2) = b.train_val_split(3, 2, 2, 10);
-        assert_eq!(train, train2);
-        assert_eq!(val, val2);
     }
 
     #[test]

@@ -66,12 +66,6 @@ impl LayerSpec {
         self.params * ADAM_STATE_BYTES
     }
 
-    /// The "model state" `S_k` moved by the offloading engine during FP:
-    /// parameters only (gradients do not exist yet).
-    pub fn fp_state_bytes(&self) -> u64 {
-        self.param_bytes()
-    }
-
     /// The model state resident during BP: parameters + gradients.
     pub fn bp_state_bytes(&self) -> u64 {
         self.param_bytes() + self.grad_bytes()
@@ -139,16 +133,6 @@ pub fn build_layers(cfg: &ModelConfig) -> Vec<LayerSpec> {
     layers
 }
 
-/// Sum of `full_state_bytes` across all layers — total model-state bytes.
-pub fn total_state_bytes(layers: &[LayerSpec]) -> u64 {
-    layers.iter().map(|l| l.full_state_bytes()).sum()
-}
-
-/// Sum of parameters across all layers.
-pub fn total_params(layers: &[LayerSpec]) -> u64 {
-    layers.iter().map(|l| l.params).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,14 +154,17 @@ mod tests {
     fn total_params_match_config_without_mp() {
         let cfg = common_1_7b();
         let layers = build_layers(&cfg);
-        assert_eq!(total_params(&layers), cfg.total_params());
+        let params: u64 = layers.iter().map(|l| l.params).sum();
+        assert_eq!(params, cfg.total_params());
     }
 
     #[test]
     fn state_bytes_are_16_per_param() {
         let cfg = ModelConfig::new(4, 256, 4);
         let layers = build_layers(&cfg);
-        assert_eq!(total_state_bytes(&layers), total_params(&layers) * 16);
+        let state: u64 = layers.iter().map(|l| l.full_state_bytes()).sum();
+        let params: u64 = layers.iter().map(|l| l.params).sum();
+        assert_eq!(state, params * 16);
     }
 
     #[test]

@@ -190,17 +190,6 @@ pub fn load(mut blob: Bytes) -> Result<Transformer, CheckpointError> {
     Ok(model)
 }
 
-/// Saves a checkpoint to a file.
-pub fn save_to_file(model: &Transformer, path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, save(model))
-}
-
-/// Loads a checkpoint from a file.
-pub fn load_from_file(path: &std::path::Path) -> std::io::Result<Transformer> {
-    let data = std::fs::read(path)?;
-    load(Bytes::from(data)).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,15 +266,5 @@ mod tests {
                 FIELDS[field]
             );
         }
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let m = Transformer::new(tiny(2), 9);
-        let path = std::env::temp_dir().join(format!("shck-test-{}.bin", std::process::id()));
-        save_to_file(&m, &path).unwrap();
-        let m2 = load_from_file(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(m.blocks[0].flatten_params(), m2.blocks[0].flatten_params());
     }
 }

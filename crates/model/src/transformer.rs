@@ -377,24 +377,6 @@ impl Transformer {
         }
     }
 
-    // ----- whole-model convenience -----
-
-    /// Forward+backward for one sample; returns the loss. Gradients (scaled
-    /// by `grad_scale`, e.g. `1/batch`) accumulate into `grads`. The head's
-    /// LN gradients are folded in here.
-    pub fn forward_backward_sample(
-        &self,
-        tokens: &[u32],
-        targets: &[u32],
-        grads: &mut TransformerGrads,
-        grad_scale: f32,
-    ) -> f32 {
-        let mut sample = self.zero_grads();
-        let loss = self.forward_backward_leaf(tokens, targets, &mut sample, 1.0);
-        grads.accumulate_scaled(&sample, grad_scale);
-        loss
-    }
-
     /// One sample's gradient-fold leaf: forward with layer-wise
     /// checkpointing, then backward writing `scale ×` the sample's gradient
     /// into `slot` — every block through [`Block::leaf_backward`], the
@@ -453,18 +435,6 @@ impl Transformer {
         let (lnf_out, _) = layernorm(&x, &self.lnf_g, &self.lnf_b, LN_EPS);
         let logits = matmul_nt(&lnf_out, &self.embedding.token);
         cross_entropy(&logits, targets).0
-    }
-
-    /// Per-layer hidden states (used for knowledge distillation, §VI-D3).
-    pub fn forward_hidden_states(&self, tokens: &[u32]) -> Vec<Tensor> {
-        let mut states = Vec::with_capacity(self.blocks.len() + 1);
-        let mut x = self.embed(tokens);
-        states.push(x.clone());
-        for i in 0..self.blocks.len() {
-            x = self.block_forward(i, &x);
-            states.push(x.clone());
-        }
-        states
     }
 }
 
@@ -670,20 +640,11 @@ mod tests {
         let lr = 0.05;
         for _ in 0..30 {
             let mut grads = m.zero_grads();
-            m.forward_backward_sample(inputs, targets, &mut grads, 1.0);
+            m.forward_backward_leaf(inputs, targets, &mut grads, 1.0);
             sgd_step(&mut m, &grads, lr);
         }
         let fin = m.forward_loss(inputs, targets);
         assert!(fin < initial * 0.6, "loss did not drop: {initial} -> {fin}");
-    }
-
-    #[test]
-    fn hidden_states_count() {
-        let cfg = tiny(3);
-        let m = Transformer::new(cfg, 4);
-        let tokens: Vec<u32> = vec![1; 8];
-        let hs = m.forward_hidden_states(&tokens);
-        assert_eq!(hs.len(), 4); // embedding output + 3 blocks
     }
 
     /// Plain SGD used only by tests (Adam lives in stronghold-core).
@@ -692,7 +653,11 @@ mod tests {
         axpy(&mut m.embedding.token, -lr, &grads.embedding.token);
         axpy(&mut m.embedding.position, -lr, &grads.embedding.position);
         for (b, g) in m.blocks.iter_mut().zip(grads.blocks.iter()) {
-            b.visit_params_mut(g, |p, gp| axpy(p, -lr, gp));
+            let mut p = b.flatten_params();
+            for (p, g) in p.iter_mut().zip(g.flatten()) {
+                *p -= lr * g;
+            }
+            b.load_flat_params(&p);
         }
         axpy(&mut m.lnf_g, -lr, &grads.lnf_g);
         axpy(&mut m.lnf_b, -lr, &grads.lnf_b);
@@ -704,9 +669,9 @@ mod tests {
         let m = Transformer::new(cfg, 5);
         let tokens: Vec<u32> = (0..15).map(|i| i % 9).collect();
         let mut g1 = m.zero_grads();
-        let l1 = m.forward_backward_sample(&tokens, &tokens, &mut g1, 1.0);
+        let l1 = m.forward_backward_leaf(&tokens, &tokens, &mut g1, 1.0);
         let mut g2 = m.zero_grads();
-        let l2 = m.forward_backward_sample(&tokens, &tokens, &mut g2, 1.0);
+        let l2 = m.forward_backward_leaf(&tokens, &tokens, &mut g2, 1.0);
         assert_eq!(l1, l2);
         assert_eq!(g1.blocks[0].flatten(), g2.blocks[0].flatten());
         assert_eq!(g1.embedding.token, g2.embedding.token);

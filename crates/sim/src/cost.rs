@@ -91,13 +91,6 @@ impl CostModel {
         Self::secs(bytes / self.effective_adam_worker_bw(1))
     }
 
-    /// CPU Adam step when `workers` cooperate on one tensor (ZeRO-Offload's
-    /// single fused OMP optimizer).
-    pub fn cpu_optim_fused(&self, total_params: u64, workers: usize) -> SimTime {
-        let bytes = total_params as f64 * cal::ADAM_BYTES_PER_PARAM;
-        Self::secs(bytes / self.effective_adam_worker_bw(workers))
-    }
-
     /// Aggregate bandwidth `workers` Adam threads sustain.
     pub fn effective_adam_worker_bw(&self, workers: usize) -> f64 {
         let linear = workers as f64 * cal::ADAM_PER_WORKER_BW;

@@ -16,7 +16,6 @@ pub struct FifoResource {
     name: String,
     free_at: SimTime,
     busy: SimTime,
-    ops: u64,
 }
 
 impl FifoResource {
@@ -26,7 +25,6 @@ impl FifoResource {
             name: name.into(),
             free_at: SimTime::ZERO,
             busy: SimTime::ZERO,
-            ops: 0,
         }
     }
 
@@ -42,23 +40,12 @@ impl FifoResource {
         let end = start + duration;
         self.free_at = end;
         self.busy += duration;
-        self.ops += 1;
         (start, end)
     }
 
     /// Time at which the resource next becomes free.
     pub fn free_at(&self) -> SimTime {
         self.free_at
-    }
-
-    /// Total busy time scheduled so far.
-    pub fn busy_time(&self) -> SimTime {
-        self.busy
-    }
-
-    /// Number of operations scheduled.
-    pub fn op_count(&self) -> u64 {
-        self.ops
     }
 
     /// Utilization over `[0, horizon]`.
@@ -74,7 +61,6 @@ impl FifoResource {
     pub fn reset(&mut self) {
         self.free_at = SimTime::ZERO;
         self.busy = SimTime::ZERO;
-        self.ops = 0;
     }
 }
 
@@ -83,8 +69,6 @@ impl FifoResource {
 pub struct WorkerPool {
     name: String,
     free_at: Vec<SimTime>,
-    busy: SimTime,
-    ops: u64,
 }
 
 impl WorkerPool {
@@ -97,8 +81,6 @@ impl WorkerPool {
         WorkerPool {
             name: name.into(),
             free_at: vec![SimTime::ZERO; workers],
-            busy: SimTime::ZERO,
-            ops: 0,
         }
     }
 
@@ -125,8 +107,6 @@ impl WorkerPool {
         let start = self.free_at[w].max(ready);
         let end = start + duration;
         self.free_at[w] = end;
-        self.busy += duration;
-        self.ops += 1;
         (w, start, end)
     }
 
@@ -135,21 +115,9 @@ impl WorkerPool {
         max_time(self.free_at.iter().copied())
     }
 
-    /// Total busy time across workers.
-    pub fn busy_time(&self) -> SimTime {
-        self.busy
-    }
-
-    /// Number of tasks dispatched.
-    pub fn op_count(&self) -> u64 {
-        self.ops
-    }
-
     /// Resets all workers to idle.
     pub fn reset(&mut self) {
         self.free_at.iter_mut().for_each(|t| *t = SimTime::ZERO);
-        self.busy = SimTime::ZERO;
-        self.ops = 0;
     }
 }
 

@@ -36,14 +36,6 @@ pub fn normal(shape: impl Into<Shape>, std: f32, rng: &mut ChaCha8Rng) -> Tensor
     Tensor::from_vec(shape, data)
 }
 
-/// Xavier/Glorot-uniform initialization for a `[fan_out, fan_in]` weight.
-pub fn xavier_uniform(fan_out: usize, fan_in: usize, rng: &mut ChaCha8Rng) -> Tensor {
-    let limit = (6.0 / (fan_in + fan_out) as f64).sqrt() as f32;
-    let n = fan_in * fan_out;
-    let data = (0..n).map(|_| rng.gen_range(-limit..=limit)).collect();
-    Tensor::from_vec([fan_out, fan_in], data)
-}
-
 /// GPT-2 style scaled-normal init (std = 0.02, residual projections scaled by
 /// 1/sqrt(2·n_layers) by the caller).
 pub fn gpt2_normal(shape: impl Into<Shape>, rng: &mut ChaCha8Rng) -> Tensor {
@@ -75,14 +67,6 @@ mod tests {
         let var = t.data().iter().map(|x| (x - mean).powi(2)).sum::<f32>() / t.numel() as f32;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 0.25).abs() < 0.02, "var {var}");
-    }
-
-    #[test]
-    fn xavier_within_limit() {
-        let t = xavier_uniform(64, 32, &mut seeded_rng(4));
-        let limit = (6.0f32 / 96.0).sqrt() + 1e-6;
-        assert!(t.data().iter().all(|x| x.abs() <= limit));
-        assert_eq!(t.shape().dims(), &[64, 32]);
     }
 
     #[test]

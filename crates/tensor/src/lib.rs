@@ -20,7 +20,6 @@ pub mod linear;
 pub mod loss;
 pub mod matmul;
 pub mod ops;
-pub mod parallel;
 pub mod scratch;
 pub mod shape;
 pub mod simd;

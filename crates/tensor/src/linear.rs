@@ -25,7 +25,7 @@ pub struct Linear {
     /// Bias vector.
     pub bias: Tensor,
     /// The weight in serving form.
-    pub(crate) panels: Option<PackedNt>,
+    panels: Option<PackedNt>,
 }
 
 /// Gradients of a [`Linear`] layer.

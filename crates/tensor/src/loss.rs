@@ -34,11 +34,6 @@ pub fn cross_entropy(logits: &Tensor, targets: &[u32]) -> (f32, Tensor) {
     ((loss / t as f64) as f32, dlogits)
 }
 
-/// Perplexity corresponding to a mean cross-entropy value.
-pub fn perplexity(mean_ce: f32) -> f32 {
-    mean_ce.exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,10 +80,5 @@ mod tests {
             let s: f32 = grad.data()[r * 7..(r + 1) * 7].iter().sum();
             assert!(s.abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn perplexity_of_zero_loss_is_one() {
-        assert!((perplexity(0.0) - 1.0).abs() < 1e-6);
     }
 }

@@ -35,11 +35,6 @@ impl Shape {
         }
     }
 
-    /// Shape of a scalar (rank 0, one element).
-    pub fn scalar() -> Self {
-        Shape::new(&[])
-    }
-
     /// Number of dimensions.
     #[inline]
     pub fn rank(&self) -> usize {
@@ -155,7 +150,7 @@ mod tests {
 
     #[test]
     fn scalar_shape() {
-        let s = Shape::scalar();
+        let s = Shape::new(&[]);
         assert_eq!(s.rank(), 0);
         assert_eq!(s.numel(), 1);
         assert_eq!(s.as_2d(), (1, 1));

@@ -178,15 +178,6 @@ impl Tensor {
         }
     }
 
-    /// L2 norm of the tensor viewed as a flat vector.
-    pub fn l2_norm(&self) -> f32 {
-        self.data
-            .iter()
-            .map(|x| (*x as f64).powi(2))
-            .sum::<f64>()
-            .sqrt() as f32
-    }
-
     /// True if all elements are finite.
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
@@ -255,7 +246,6 @@ mod tests {
     #[test]
     fn norms_and_stats() {
         let t = Tensor::from_vec([4], vec![3., 4., 0., 0.]);
-        assert!((t.l2_norm() - 5.0).abs() < 1e-6);
         assert_eq!(t.sum(), 7.0);
         assert_eq!(t.mean(), 1.75);
         assert!(t.all_finite());
