@@ -38,8 +38,7 @@ use stronghold_model::config::ModelConfig;
 use stronghold_model::transformer::Transformer;
 
 use crate::error::RuntimeError;
-use crate::host::autotune::AutotuneController;
-use crate::host::engine::{Engine, GradSink, ParamBackend};
+use crate::host::engine::{Engine, GradSink};
 use crate::host::offloaded::{HostOffloadConfig, WindowedBackend};
 use crate::telemetry::{Counter, Gauge, Telemetry};
 
@@ -58,15 +57,11 @@ pub struct DataParallelConfig {
     /// maximizing communication/backward overlap.
     pub bucket_bytes: usize,
     /// The single-node runtime every replica runs unchanged (§III-F);
-    /// budgets and worker counts are per replica. Three fields gain a
+    /// budgets and worker counts are per replica. Two fields gain a
     /// group-level reading: `clip_norm` clips against the norm of the
     /// *reduced* gradients (what a single-replica run over the global batch
-    /// would clip against); `precision` rounds per replica at D2H, before
-    /// the collective, which always rendezvous FP32 gradients; and
-    /// `autotune` configures one controller at the *trainer* level
-    /// (per-replica controllers could diverge and break the SPMD lockstep)
-    /// that observes the global step time and the replica-summed stall
-    /// signals and applies every proposal to all replicas identically.
+    /// would clip against), and `precision` rounds per replica at D2H,
+    /// before the collective, which always rendezvous FP32 gradients.
     pub host: HostOffloadConfig,
 }
 
@@ -260,9 +255,6 @@ pub struct DataParallelTrainer {
     comm: Communicator,
     tel: Telemetry,
     overlap_gauge: Gauge,
-    /// Trainer-level controller; proposals apply to every replica so the
-    /// group stays in SPMD lockstep (see [`DataParallelConfig::autotune`]).
-    autotune: Option<AutotuneController>,
 }
 
 impl DataParallelTrainer {
@@ -287,43 +279,25 @@ impl DataParallelTrainer {
         tel: Telemetry,
     ) -> Self {
         assert!(dp.replicas >= 1, "need at least one replica");
-        // Tuning is driven by the single trainer-level controller, not
-        // per-replica engine controllers (which could diverge).
-        let hocfg = HostOffloadConfig {
-            autotune: None,
-            ..dp.host
-        };
         let (comm, ranks) = Communicator::new(dp.replicas);
         let engines: Vec<Engine<WindowedBackend>> = ranks
             .into_iter()
             .map(|rank| {
                 let backend =
-                    WindowedBackend::from_model(Transformer::new(cfg, seed), &hocfg, tel.clone());
+                    WindowedBackend::from_model(Transformer::new(cfg, seed), &dp.host, tel.clone());
                 let layer_bytes = backend.block_elems() * 4;
                 let plan = BucketPlan::new(cfg.layers, layer_bytes, dp.bucket_bytes);
                 let sink = Arc::new(AllReduceSink::new(rank, plan, tel.clone()));
-                Engine::with_sink(backend, hocfg.engine_options(), sink)
+                Engine::with_sink(backend, dp.host.engine_options(), sink)
             })
             .collect();
         let overlap_gauge = tel.gauge("comm.overlap_ns");
-        let autotune = dp.host.autotune.and_then(|acfg| {
-            let replica = &engines[0];
-            replica
-                .tune_limits()
-                .map(|limits| AutotuneController::new(acfg, limits, replica.current_tuning(), &tel))
-        });
         DataParallelTrainer {
             engines,
             comm,
             tel,
             overlap_gauge,
-            autotune,
         }
-    }
-
-    /// The live trainer-level autotune controller, when configured.
-    pub fn autotune(&self) -> Option<&AutotuneController> {
-        self.autotune.as_ref()
     }
 
     /// The replica count `w`.
@@ -373,7 +347,6 @@ impl DataParallelTrainer {
         for e in &mut self.engines {
             e.backend_mut().set_global_batch(b);
         }
-        let tune_t0 = self.autotune.as_ref().map(|_| std::time::Instant::now());
         // Raw (undivided) shard loss partials, in rank order: each rank's
         // engine returns the canonical tree-sum over its shard because the
         // backend runs in global-batch mode.
@@ -397,11 +370,6 @@ impl DataParallelTrainer {
         if self.tel.is_enabled() {
             self.overlap_gauge
                 .set(self.tel.overlap_nanos("comm", "compute") as i64);
-        }
-        // One controller for the whole group: replica-summed signals in,
-        // one proposal out, applied to every rank identically.
-        if let (Some(ctrl), Some(t0)) = (self.autotune.as_mut(), tune_t0) {
-            Engine::tune_group(ctrl, t0, &mut self.engines);
         }
         tree_sum(&raw) / b as f32
     }
@@ -444,7 +412,6 @@ impl DataParallelTrainer {
 mod tests {
     use super::*;
     use crate::adam::AdamParams;
-    use crate::host::autotune::StallSignals;
     use stronghold_model::config::tiny;
     use stronghold_model::data::SyntheticCorpus;
 
@@ -557,24 +524,5 @@ mod tests {
             ..DataParallelConfig::default()
         };
         assert!(DataParallelTrainer::validate(&cfg, &bad, 8).is_err());
-    }
-
-    #[test]
-    fn stall_signal_sum_covers_every_field() {
-        let one = StallSignals {
-            fetch_wait_ns: 1,
-            shell_wait_ns: 1,
-            d2h_wait_ns: 1,
-            fill_wait_ns: 1,
-            optim_backlog: 1,
-        };
-        let two = StallSignals {
-            fetch_wait_ns: 2,
-            shell_wait_ns: 2,
-            d2h_wait_ns: 2,
-            fill_wait_ns: 2,
-            optim_backlog: 2,
-        };
-        assert_eq!(one + one, two);
     }
 }

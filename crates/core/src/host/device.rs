@@ -13,7 +13,7 @@ use crate::telemetry::{Gauge, Telemetry};
 /// Device-memory accounting for the host substrate.
 #[derive(Debug)]
 pub struct HostDevice {
-    capacity: AtomicU64,
+    capacity: u64,
     used: AtomicU64,
     peak: AtomicU64,
     h2d_bytes: AtomicU64,
@@ -38,7 +38,7 @@ impl HostDevice {
     /// `device.used_bytes` gauge of `tel`.
     pub fn with_telemetry(capacity: u64, tel: &Telemetry) -> Self {
         HostDevice {
-            capacity: AtomicU64::new(capacity),
+            capacity,
             used: AtomicU64::new(0),
             peak: AtomicU64::new(0),
             h2d_bytes: AtomicU64::new(0),
@@ -51,26 +51,7 @@ impl HostDevice {
 
     /// Capacity in bytes.
     pub fn capacity(&self) -> u64 {
-        self.capacity.load(Ordering::SeqCst)
-    }
-
-    /// Re-sizes the arena (the autotuner's window grow/shrink path). Shrink
-    /// below the live byte count is rejected — resizes happen between steps
-    /// when the arena is expected to be drained, and a shrink must never
-    /// strand already-allocated bytes above the new ceiling.
-    ///
-    /// Traffic counters and the peak watermark are deliberately preserved
-    /// across resizes (cumulative history, not per-capacity state).
-    ///
-    /// # Panics
-    /// Panics if `capacity` is below the currently allocated bytes.
-    pub fn set_capacity(&self, capacity: u64) {
-        let used = self.used.load(Ordering::SeqCst);
-        assert!(
-            capacity >= used,
-            "device resize below live bytes: {capacity} < {used}"
-        );
-        self.capacity.store(capacity, Ordering::SeqCst);
+        self.capacity
     }
 
     /// Attempts to allocate `bytes`; fails (returns `false`) on OOM.
@@ -78,7 +59,7 @@ impl HostDevice {
         let mut cur = self.used.load(Ordering::SeqCst);
         loop {
             let next = cur + bytes;
-            if next > self.capacity.load(Ordering::SeqCst) {
+            if next > self.capacity {
                 return false;
             }
             match self
@@ -181,31 +162,6 @@ mod tests {
         d.free(60);
         assert!(d.try_alloc(100));
         assert_eq!(d.peak(), 100);
-    }
-
-    #[test]
-    fn live_resize_grows_and_shrinks() {
-        let d = HostDevice::new(100);
-        d.alloc(80);
-        assert!(!d.try_alloc(40));
-        d.set_capacity(200);
-        assert!(d.try_alloc(40), "grown arena admits the allocation");
-        d.free(120);
-        d.count_h2d(7);
-        d.set_capacity(50);
-        assert_eq!(d.capacity(), 50);
-        assert!(!d.try_alloc(60));
-        assert!(d.try_alloc(50));
-        assert_eq!(d.peak(), 120, "peak watermark survives resizes");
-        assert_eq!(d.h2d_bytes(), 7, "traffic counters survive resizes");
-    }
-
-    #[test]
-    #[should_panic(expected = "device resize below live bytes")]
-    fn resize_below_live_bytes_panics() {
-        let d = HostDevice::new(100);
-        d.alloc(60);
-        d.set_capacity(59);
     }
 
     #[test]

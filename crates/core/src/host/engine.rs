@@ -32,7 +32,6 @@ use crate::adam::{AdamParams, AdamState};
 use crate::clip::GlobalNorm;
 use crate::error::RuntimeError;
 use crate::hooks::{HookCtx, HookPoint, HookRegistry, STEP_SCOPE};
-use crate::host::autotune::{AutotuneConfig, AutotuneController, StallSignals, TuneLimits, Tuning};
 use crate::schedule::LrSchedule;
 use crate::telemetry::{Gauge, Telemetry};
 
@@ -53,12 +52,6 @@ pub struct EngineOptions {
     /// step — whole-step clipping needs every gradient before any update.
     /// Both paths are bit-identical.
     pub clip_norm: Option<f32>,
-    /// Closed-loop window/worker autotuning (None → static configuration).
-    /// Takes effect only on backends that declare [`ParamBackend::tune_limits`];
-    /// the controller runs at every step boundary and resizes are applied
-    /// between steps, bit-identically (window and worker counts never enter
-    /// the floating-point op sequence).
-    pub autotune: Option<AutotuneConfig>,
     /// Device-residency / transfer precision (the ZeRO-Offload-style
     /// fp16-param/fp32-master split). CPU master weights and Adam moments
     /// always stay FP32; with a half mode the backend streams half-width
@@ -76,7 +69,6 @@ impl Default for EngineOptions {
             adam: AdamParams::default(),
             schedule: None,
             clip_norm: None,
-            autotune: None,
             precision: Precision::F32,
         }
     }
@@ -237,25 +229,6 @@ pub trait ParamBackend {
     fn block_params(&self, layer: usize) -> Vec<f32>;
     /// Blocks until every in-flight optimizer update has been applied.
     fn flush(&self) {}
-    /// Live-tunable knob bounds, or `None` when the backend has no
-    /// runtime-resizable knobs (the resident backend). Declaring limits
-    /// opts the backend into [`EngineOptions::autotune`].
-    fn tune_limits(&self) -> Option<TuneLimits> {
-        None
-    }
-    /// The knob settings currently in force (zeros for knobs the backend
-    /// does not expose).
-    fn current_tuning(&self) -> Tuning {
-        Tuning::default()
-    }
-    /// Applies a controller decision. Called only between steps; the
-    /// backend must keep results bit-identical across any resize.
-    fn apply_tuning(&mut self, _t: Tuning) {}
-    /// Cumulative stall/backlog signals driving the controller. Must be
-    /// measured with always-on clocks (telemetry may be disabled).
-    fn stall_signals(&self) -> StallSignals {
-        StallSignals::default()
-    }
 }
 
 /// Magic for the universal training-state container: `SHTS`.
@@ -465,7 +438,6 @@ pub struct Engine<B: ParamBackend> {
     tel: Telemetry,
     lr_gauge: Gauge,
     norm_gauge: Gauge,
-    autotune: Option<AutotuneController>,
 }
 
 /// Read-only access to the placement backend's own accessors
@@ -499,11 +471,6 @@ impl<B: ParamBackend> Engine<B> {
         let tel = backend.telemetry().clone();
         let lr_gauge = tel.gauge("step.lr");
         let norm_gauge = tel.gauge("step.grad_norm");
-        let autotune = opts.autotune.and_then(|cfg| {
-            backend
-                .tune_limits()
-                .map(|limits| AutotuneController::new(cfg, limits, backend.current_tuning(), &tel))
-        });
         Engine {
             backend,
             opts,
@@ -518,7 +485,6 @@ impl<B: ParamBackend> Engine<B> {
             tel,
             lr_gauge,
             norm_gauge,
-            autotune,
         }
     }
 
@@ -561,19 +527,6 @@ impl<B: ParamBackend> Engine<B> {
         &mut self.backend
     }
 
-    /// The autotune controller, when [`EngineOptions::autotune`] is set and
-    /// the backend declares tunable limits.
-    pub fn autotune(&self) -> Option<&AutotuneController> {
-        self.autotune.as_ref()
-    }
-
-    /// Forces a knob setting onto the backend, bypassing the controller —
-    /// the equivalence suite drives scheduled resizes through this to prove
-    /// mid-run resizing is bit-invisible.
-    pub fn force_tuning(&mut self, t: Tuning) {
-        self.backend.apply_tuning(t);
-    }
-
     /// One training step over a batch; returns the mean loss.
     ///
     /// This is the *only* site in the crate that sequences clip → LR
@@ -581,8 +534,6 @@ impl<B: ParamBackend> Engine<B> {
     /// between backends.
     pub fn train_step(&mut self, batch: &[(Vec<u32>, Vec<u32>)]) -> f32 {
         assert!(!batch.is_empty());
-        // Wall-clock the step only when a controller consumes it.
-        let tune_t0 = self.autotune.as_ref().map(|_| std::time::Instant::now());
         // The per-step hyper-parameters are fixed *before* the pass so a
         // streaming backend can dispatch optimizer updates mid-backward
         // with the same scheduled LR the deferred path would use.
@@ -704,33 +655,7 @@ impl<B: ParamBackend> Engine<B> {
         // Publish cumulative GEMM kernel throughput (read-only bridge, so
         // it cannot perturb the step it reports on).
         crate::telemetry::record_kernel_stats(&self.tel);
-        // Closed-loop autotuning: evaluate at the step boundary, resize
-        // between steps. Evaluation is allocation-free; a resize is rare
-        // and may allocate (exempt from the zero-allocation contract).
-        if let (Some(mut ctrl), Some(t0)) = (self.autotune.take(), tune_t0) {
-            Self::tune_group(&mut ctrl, t0, std::slice::from_mut(self));
-            self.autotune = Some(ctrl);
-        }
         loss
-    }
-
-    /// One controller evaluation for a group of engines in lockstep (a
-    /// group of one for single-replica training): the group-summed stall
-    /// signals and the step time since `started` go in, and a proposal is
-    /// applied to every member identically.
-    pub(crate) fn tune_group(
-        ctrl: &mut AutotuneController,
-        started: std::time::Instant,
-        group: &mut [Engine<B>],
-    ) {
-        let signals = group.iter().fold(StallSignals::default(), |sum, e| {
-            sum + e.backend.stall_signals()
-        });
-        if let Some(t) = ctrl.observe(started.elapsed().as_nanos() as u64, signals) {
-            for e in group {
-                e.backend.apply_tuning(t);
-            }
-        }
     }
 
     /// Mean loss over a batch without updating (evaluation).

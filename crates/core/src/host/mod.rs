@@ -26,7 +26,6 @@
 //! all-reduce gradient rendezvous through the engine's [`engine::GradSink`]
 //! seam.
 
-pub mod autotune;
 pub mod data_parallel;
 pub mod device;
 pub mod engine;
@@ -35,7 +34,6 @@ pub mod profiler;
 pub mod resident;
 pub(crate) mod stream;
 
-pub use autotune::{AutotuneConfig, AutotuneController, StallSignals, TuneLimits, Tuning};
 pub use data_parallel::{AllReduceSink, DataParallelConfig, DataParallelTrainer};
 pub use engine::{
     Engine, EngineOptions, GradSink, LocalSink, ParamBackend, StepPlan, TrainingState,

@@ -39,7 +39,6 @@ use crate::adam::{AdamParams, AdamState};
 use crate::clip::GlobalNorm;
 use crate::error::RuntimeError;
 use crate::hooks::{HookCtx, HookPoint, HookRegistry};
-use crate::host::autotune::{AutotuneConfig, StallSignals, TuneLimits, Tuning};
 use crate::host::device::HostDevice;
 use crate::host::engine::{
     Engine, EngineOptions, GradSink, ParamBackend, ResidentParamsMut, StepPlan, StepWorkspace,
@@ -48,7 +47,7 @@ use crate::host::engine::{
 use crate::host::stream::{LayerStream, Pass};
 use crate::optimpool::{LayerStore, OptimizerPool};
 use crate::schedule::LrSchedule;
-use crate::telemetry::{Gauge, Telemetry};
+use crate::telemetry::Telemetry;
 use crate::tier::{SpillPolicy, TierPlan};
 
 /// Configuration of the functional offloaded trainer.
@@ -80,11 +79,6 @@ pub struct HostOffloadConfig {
     /// (§III-E1 BP/optimizer overlap); `Some` defers dispatch to the end of
     /// the step. See [`EngineOptions::clip_norm`].
     pub clip_norm: Option<f32>,
-    /// Closed-loop autotuning of the window and worker counts (None →
-    /// static configuration). The `window` / `*_workers` fields above
-    /// become the controller's starting point; see
-    /// [`crate::host::autotune`].
-    pub autotune: Option<AutotuneConfig>,
     /// Device-residency / transfer precision. With `Bf16`/`F16` the
     /// prefetcher streams half-width parameters H2D and the offload engine
     /// streams half-width gradients D2H (`device.h2d_bytes`/`d2h_bytes`
@@ -101,12 +95,10 @@ pub struct HostOffloadConfig {
     /// before. `Some(bytes)` fixes the arena capacity instead and derives
     /// the *maximum* window from it (`⌊bytes / block_bytes⌋ − 1`, clamped
     /// to the layer count): the configured `window` is clamped to that
-    /// bound, [`crate::host::autotune::TuneLimits`] exposes it as
-    /// `window.max`, and the capacity never changes across retuning. A
-    /// budget below two block slots (a window of one) is refused at
-    /// construction. Since
-    /// `block_bytes` scales with [`Self::precision`], a half mode doubles
-    /// the window the same budget admits.
+    /// bound. A budget below two block slots (a window of one) is refused
+    /// at construction. Since `block_bytes` scales with
+    /// [`Self::precision`], a half mode doubles the window the same budget
+    /// admits.
     pub device_capacity: Option<u64>,
     /// Host-RAM byte budget for the resident FP32 masters + Adam moments
     /// (12 bytes/param/layer), mirroring [`Self::device_capacity`] one tier
@@ -120,8 +112,7 @@ pub struct HostOffloadConfig {
     /// [`SpillPolicy::All`], unconditionally — the stress configuration).
     pub spill: SpillPolicy,
     /// Async fill threads for the file tier: they read spilled layers ahead
-    /// of the window (clamped to ≥ 1 when any layer spills; the autotuner
-    /// can resize this live via the `spill_workers` knob). A spilled
+    /// of the window (clamped to ≥ 1 when any layer spills). A spilled
     /// layer's update — page-in, Adam step and write-back — runs on the
     /// optimizer actor instead, see [`Self::optimizer_workers`].
     pub spill_workers: usize,
@@ -137,7 +128,6 @@ impl Default for HostOffloadConfig {
             adam: AdamParams::default(),
             schedule: None,
             clip_norm: None,
-            autotune: None,
             precision: Precision::F32,
             device_capacity: None,
             host_capacity: None,
@@ -153,7 +143,6 @@ impl HostOffloadConfig {
             adam: self.adam,
             schedule: self.schedule,
             clip_norm: self.clip_norm,
-            autotune: self.autotune,
             precision: self.precision,
         }
     }
@@ -169,9 +158,6 @@ struct OffloadJob<'a> {
     /// Deferred-dispatch destination: `ws.block_grads[layer]`.
     dst: &'a mut Vec<f32>,
     enqueue_ns: u64,
-    /// Wall-clock enqueue time for the always-on autotuner signal (the
-    /// telemetry clock above reads zero when telemetry is disabled).
-    enqueue_at: std::time::Instant,
 }
 
 /// Per-sample forward fan-out across `workers` scoped threads, folding the
@@ -262,8 +248,6 @@ pub struct WindowedBackend {
     /// follows the offload engine's width, not the model's depth. Contents
     /// are never read before a fold leaf overwrites them.
     grad_ring: Vec<BlockGrads>,
-    /// `grad.accumulators`: the ring's size.
-    ring_gauge: Gauge,
     /// Per-sample head/embedding scratches (grown to the largest batch seen).
     head_scratches: Vec<TransformerGrads>,
     /// Per-sample BP fold leaves for the batch-parallel fan-out (grown to
@@ -292,10 +276,6 @@ pub struct WindowedBackend {
     /// Batch-parallel compute fan-out; see
     /// [`HostOffloadConfig::compute_workers`].
     compute_workers: usize,
-    /// Cumulative gradient-queue wait before a D2H worker picked the job up
-    /// (autotuner input). Measured with `Instant`, like the stream's two
-    /// clocks: the telemetry clock reads zero when telemetry is disabled.
-    d2h_wait_ns: AtomicU64,
     /// Per-layer host-tier placement (all-RAM unless `host_capacity` /
     /// `spill` demand a file tier).
     tier_plan: TierPlan,
@@ -348,14 +328,17 @@ impl WindowedBackend {
             hocfg.optimizer_workers.max(1),
             &tel,
         );
+        let offload_workers = hocfg.offload_workers.max(1);
+        let ring = 1 + offload_workers;
+        let grad_ring = (0..ring).map(|_| stream.zero_grads()).collect();
+        tel.gauge("grad.accumulators").set(ring as i64);
         WindowedBackend {
             cfg,
             shell,
             store,
             pool,
             stream,
-            grad_ring: Vec::new(),
-            ring_gauge: tel.gauge("grad.accumulators"),
+            grad_ring,
             tel,
             head_scratches: Vec::new(),
             bp_slots: Vec::new(),
@@ -365,9 +348,8 @@ impl WindowedBackend {
             loss_buf: Vec::new(),
             norm_bits: (0..cfg.layers).map(|_| AtomicU64::new(0)).collect(),
             global_batch: None,
-            offload_workers: hocfg.offload_workers.max(1),
+            offload_workers,
             compute_workers: hocfg.compute_workers.max(1),
-            d2h_wait_ns: AtomicU64::new(0),
             tier_plan,
         }
     }
@@ -411,7 +393,7 @@ impl WindowedBackend {
     }
 
     /// Cumulative nanoseconds the pipeline spent blocked on file-tier
-    /// fills (the autotuner's `fill_wait_ns` stall signal).
+    /// fills, measured whether or not telemetry is enabled.
     pub fn fill_wait_nanos(&self) -> u64 {
         self.store.fill_wait_nanos()
     }
@@ -542,14 +524,6 @@ impl ParamBackend for WindowedBackend {
         while self.bp_fold_slots.len() + 1 < self.fold_plan.depth() {
             self.bp_fold_slots.push(self.stream.zero_grads());
         }
-        // The ring follows the offload engine's width: it grows here,
-        // lazily, when the autotuner adds a worker (so a steady state never
-        // allocates) and lets buffers go when it removes one.
-        while self.grad_ring.len() < ring {
-            self.grad_ring.push(self.stream.zero_grads());
-        }
-        self.grad_ring.truncate(ring);
-        self.ring_gauge.set(ring as i64);
         while self.resident_fold_slots.len() < self.fold_plan.depth() {
             self.resident_fold_slots.push(self.shell.zero_grads());
         }
@@ -598,7 +572,6 @@ impl ParamBackend for WindowedBackend {
             store_dl.mark_pending(layer);
             pool.submit_owned(layer, buf, hp);
         };
-        let d2h_wait_ns = &self.d2h_wait_ns;
         // Half-precision D2H: the gradient is rounded through the transfer
         // format while it is flattened, and the optimizer ingests the
         // rounded f32 values against its FP32 masters ("convert-on-ingest").
@@ -611,10 +584,8 @@ impl ParamBackend for WindowedBackend {
                 grads,
                 dst,
                 enqueue_ns,
-                enqueue_at,
             } = job;
             wait_h.record(tel_off.now_nanos().saturating_sub(enqueue_ns));
-            d2h_wait_ns.fetch_add(enqueue_at.elapsed().as_nanos() as u64, Ordering::Relaxed);
             let span = tel_off.span("d2h-copy", format!("d2h L{layer}"));
             device_off.begin_d2h();
             // Once copied, the accumulator goes straight back to BP — before
@@ -762,7 +733,6 @@ impl ParamBackend for WindowedBackend {
                         grads,
                         dst,
                         enqueue_ns: self.tel.now_nanos(),
-                        enqueue_at: std::time::Instant::now(),
                     };
                     off_tx.send(job).expect("offload queue");
                 }
@@ -884,65 +854,6 @@ impl ParamBackend for WindowedBackend {
         // clear and the file image is current.
         self.pool.flush();
         self.store.flush_spill();
-    }
-
-    fn tune_limits(&self) -> Option<TuneLimits> {
-        let spilled = self.store.spilled_layers() > 0;
-        Some(TuneLimits {
-            // The arena-admitted bound: the layer count when unbudgeted,
-            // else ⌊budget/block_bytes⌋−1 — which doubles under a half
-            // precision at the same budget.
-            window: (1, self.stream.window_max()),
-            offload_workers: (1, 8),
-            compute_workers: (1, 8),
-            optimizer_workers: (1, 8),
-            // Without a file tier the knob is pinned at zero; with one the
-            // controller may resize the I/O pool.
-            spill_workers: if spilled { (1, 8) } else { (0, 0) },
-        })
-    }
-
-    fn current_tuning(&self) -> Tuning {
-        Tuning {
-            window: self.window(),
-            offload_workers: self.offload_workers,
-            compute_workers: self.compute_workers,
-            optimizer_workers: self.pool.workers(),
-            spill_workers: self.store.spill_workers(),
-        }
-    }
-
-    /// Resizes the stream's window and the worker counts between
-    /// steps. Shell contents are fully overwritten by each H2D, worker
-    /// counts never enter the fold order, and the optimizer pool drains
-    /// FIFO through retirements — so any schedule of `apply_tuning` calls
-    /// at step boundaries leaves the trained parameters bit-identical.
-    fn apply_tuning(&mut self, t: Tuning) {
-        if t.window != self.window() {
-            self.stream.resize(t.window);
-        }
-        self.offload_workers = t.offload_workers.max(1);
-        self.compute_workers = t.compute_workers.max(1);
-        if t.optimizer_workers != self.pool.workers() {
-            self.pool.set_workers(t.optimizer_workers);
-        }
-        if self.store.spilled_layers() > 0
-            && t.spill_workers > 0
-            && t.spill_workers != self.store.spill_workers()
-        {
-            self.store.set_spill_workers(t.spill_workers);
-        }
-    }
-
-    fn stall_signals(&self) -> StallSignals {
-        let (fetch_wait_ns, shell_wait_ns) = self.stream.wait_nanos();
-        StallSignals {
-            fetch_wait_ns,
-            shell_wait_ns,
-            d2h_wait_ns: self.d2h_wait_ns.load(Ordering::Relaxed),
-            optim_backlog: self.pool.pending() as u64,
-            fill_wait_ns: self.store.fill_wait_nanos(),
-        }
     }
 }
 

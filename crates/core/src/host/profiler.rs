@@ -6,14 +6,24 @@
 //! of the materialize/flatten copies — and produces the same
 //! [`LayerProfile`] the analytic window solver consumes, closing the loop
 //! between the functional and simulated halves of the runtime.
+//!
+//! After a run, [`calibrate_host`] distills its telemetry into a
+//! [`HostCalibration`] (measured H2D/D2H bandwidths, copy/compute overlap,
+//! per-step residual) that `sim::calibration` predicts step times from, and
+//! [`recalibrate_profile`] rewrites a profile's transfer terms from those
+//! measured bandwidths so [`crate::analytic::solve_window`] solves on
+//! observed numbers.
 
 use std::time::Instant;
 
 use stronghold_model::config::ModelConfig;
 use stronghold_model::transformer::Transformer;
+use stronghold_sim::calibration::HostCalibration;
 use stronghold_sim::SimTime;
 
+use crate::host::device::HostDevice;
 use crate::profile::LayerProfile;
+use crate::telemetry::Telemetry;
 use crate::tier::TierBandwidths;
 
 fn elapsed(since: Instant) -> SimTime {
@@ -172,6 +182,54 @@ pub fn measure_tier_bandwidths(
     })
 }
 
+/// Distills a telemetry snapshot plus device traffic counters into a
+/// [`HostCalibration`]: measured per-step compute busy time, H2D/D2H
+/// bandwidths, copy/compute overlap, and the residual host work the phase
+/// model does not name. `steps` is the number of training steps the
+/// snapshot covers and `wall_ns` their total wall time.
+///
+/// Requires an *enabled* telemetry (span tracks are the data source).
+pub fn calibrate_host(
+    tel: &Telemetry,
+    device: &HostDevice,
+    steps: u64,
+    wall_ns: u64,
+) -> HostCalibration {
+    let (_copy, compute_ns, overlap_ns) = tel.copy_compute_overlap();
+    HostCalibration {
+        steps: steps.max(1),
+        wall_ns,
+        compute_ns,
+        h2d_bytes: device.h2d_bytes(),
+        h2d_busy_ns: tel.track_busy_nanos("h2d-copy"),
+        d2h_bytes: device.d2h_bytes(),
+        d2h_busy_ns: tel.track_busy_nanos("d2h-copy"),
+        overlap_ns,
+        spill_read_bytes: tel.counter("spill.f2h_bytes").get(),
+        spill_read_busy_ns: tel.track_busy_nanos("spill-read"),
+        spill_write_bytes: tel.counter("spill.h2f_bytes").get(),
+        spill_write_busy_ns: tel.track_busy_nanos("spill-write"),
+    }
+}
+
+/// Rewrites a profile's transfer terms from measured bandwidths: `t_c2g`
+/// becomes `s_fp / bw_h2d` and `t_g2c` becomes `s_bp / bw_d2h`, so
+/// [`crate::analytic::solve_window`] solves the paper's constraint system
+/// with this box's observed link speeds instead of profiled one-shot
+/// timings. Compute terms are left untouched (they were measured directly).
+pub fn recalibrate_profile(profile: &mut LayerProfile, cal: &HostCalibration) {
+    let bw_h2d = cal.h2d_bandwidth();
+    let bw_d2h = cal.d2h_bandwidth();
+    for i in 0..profile.len() {
+        if bw_h2d > 0.0 {
+            profile.t_c2g[i] = SimTime((profile.s_fp[i] as f64 / bw_h2d).round() as u64);
+        }
+        if bw_d2h > 0.0 {
+            profile.t_g2c[i] = SimTime((profile.s_bp[i] as f64 / bw_d2h).round() as u64);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,5 +283,35 @@ mod tests {
         let plan = solve_window(&p, |m| m as u64 * 1000, u64::MAX).expect("solvable");
         assert!(plan.m >= 1);
         assert!(plan.m <= plan.m_mem_max);
+    }
+
+    #[test]
+    fn recalibrate_rewrites_transfer_terms_from_bandwidth() {
+        let mut profile = LayerProfile {
+            t_fp: vec![SimTime(100); 2],
+            t_bp: vec![SimTime(200); 2],
+            t_c2g: vec![SimTime(999); 2],
+            t_g2c: vec![SimTime(999); 2],
+            s_fp: vec![4000; 2],
+            s_bp: vec![8000; 2],
+            t_opt_gpu: vec![SimTime(10); 2],
+            t_opt_cpu: vec![SimTime(40); 2],
+            t_async: SimTime(5),
+        };
+        let cal = HostCalibration {
+            steps: 1,
+            wall_ns: 10_000,
+            compute_ns: 5_000,
+            h2d_bytes: 8_000,
+            h2d_busy_ns: 4_000, // 2 bytes/ns
+            d2h_bytes: 16_000,
+            d2h_busy_ns: 4_000, // 4 bytes/ns
+            overlap_ns: 0,
+            ..HostCalibration::default()
+        };
+        recalibrate_profile(&mut profile, &cal);
+        assert_eq!(profile.t_c2g[0], SimTime(2000), "4000 B at 2 B/ns");
+        assert_eq!(profile.t_g2c[0], SimTime(2000), "8000 B at 4 B/ns");
+        assert_eq!(profile.t_fp[0], SimTime(100), "compute terms untouched");
     }
 }

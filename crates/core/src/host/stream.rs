@@ -17,9 +17,7 @@
 //! device-resident value grid by construction.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use crossbeam_channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -63,18 +61,14 @@ struct Link {
     tel: Telemetry,
     /// Bytes of one device slot (a layer at transfer precision).
     block_bytes: u64,
-    /// Always-on stall clocks feeding the autotuner, measured with
-    /// `Instant` (the telemetry clock reads zero when telemetry is
-    /// disabled): consumer wait for a prefetched layer (window too small) …
-    fetch_wait_ns: AtomicU64,
-    /// … and prefetcher wait for a free shell (prefetch running ahead).
-    shell_wait_ns: AtomicU64,
     c_issued: Counter,
     /// First fetches: `layers` per run whatever the window.
     c_completed: Counter,
     /// BP-order re-entries of layers that slid out during FP.
     c_refetched: Counter,
+    /// Prefetcher wait for a free shell (prefetch running ahead) …
     h_shell_wait: Histogram,
+    /// … and consumer wait for a prefetched layer (window too small).
     h_fetch_wait: Histogram,
 }
 
@@ -88,14 +82,6 @@ pub(crate) struct LayerStream {
     /// `get_mut`.
     shells: Mutex<Vec<Block>>,
     precision: Precision,
-    /// Device bytes pinned beside the shells for the stream's lifetime (the
-    /// serving KV arena; zero for training).
-    reserved: u64,
-    /// Fixed arena byte budget, when configured — capacity then never
-    /// follows window resizes.
-    capacity_budget: Option<u64>,
-    /// Largest window the arena admits (layer count when unbudgeted).
-    window_max: usize,
 }
 
 impl LayerStream {
@@ -103,10 +89,11 @@ impl LayerStream {
     /// `template`, which becomes the first of the `m + 1` device shells (the
     /// rest are clones of it). `window` is clamped to `1..=window_max`; with
     /// a `device_capacity` budget, `window_max` is the deepest `m` whose
-    /// `m + 1` slots fit beside the `reserved` bytes, otherwise the layer
-    /// count — and the device is then sized to exactly `reserved + (m + 1)`
-    /// slots. `reserved` is allocated on the device here and stays
-    /// allocated.
+    /// `m + 1` slots fit beside the `reserved` bytes and the device holds
+    /// exactly the budget, otherwise `window_max` is the layer count and
+    /// the device is sized to exactly `reserved + (m + 1)` slots. Every size
+    /// is fixed here, for the stream's lifetime. `reserved` is allocated on
+    /// the device here and stays allocated.
     ///
     /// # Panics
     /// Panics if the budget cannot hold the reserved bytes plus the two
@@ -133,43 +120,29 @@ impl LayerStream {
             }
             None => layers,
         };
-        // Sized by `resize` below unless the budget fixes it.
-        let device = Arc::new(HostDevice::with_telemetry(
-            device_capacity.unwrap_or(reserved),
-            tel,
-        ));
+        let m = window.clamp(1, window_max);
+        let capacity = device_capacity.unwrap_or(reserved + (m as u64 + 1) * block_bytes);
+        let device = Arc::new(HostDevice::with_telemetry(capacity, tel));
         device.alloc(reserved);
-        let mut stream = LayerStream {
+        LayerStream {
             link: Link {
                 device,
                 tel: tel.clone(),
                 block_bytes,
-                fetch_wait_ns: AtomicU64::new(0),
-                shell_wait_ns: AtomicU64::new(0),
                 c_issued: tel.counter("prefetch.issued"),
                 c_completed: tel.counter("prefetch.completed"),
                 c_refetched: tel.counter("prefetch.refetched"),
                 h_shell_wait: tel.histogram("prefetch.shell_wait_ns"),
                 h_fetch_wait: tel.histogram("prefetch.fetch_wait_ns"),
             },
-            shells: Mutex::new(vec![template]),
+            shells: Mutex::new(vec![template; m + 1]),
             precision,
-            reserved,
-            capacity_budget: device_capacity,
-            window_max,
-        };
-        stream.resize(window);
-        stream
+        }
     }
 
     /// The working-window size `m` in force.
     pub(crate) fn window(&self) -> usize {
         self.shells.lock().len() - 1
-    }
-
-    /// Largest window the device arena admits.
-    pub(crate) fn window_max(&self) -> usize {
-        self.window_max
     }
 
     /// Bytes of one device slot.
@@ -195,30 +168,6 @@ impl LayerStream {
     /// A zeroed gradient accumulator shaped like one block.
     pub(crate) fn zero_grads(&self) -> BlockGrads {
         self.shells.lock()[0].zero_grads()
-    }
-
-    /// Cumulative `(fetch_wait_ns, shell_wait_ns)` — the autotuner's two
-    /// window signals.
-    pub(crate) fn wait_nanos(&self) -> (u64, u64) {
-        (
-            self.link.fetch_wait_ns.load(Ordering::Relaxed),
-            self.link.shell_wait_ns.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Resizes the shell pool to a window of `m` (clamped to what the arena
-    /// admits) between runs. Every fetch overwrites its whole shell, so what
-    /// a new or surviving shell held is irrelevant. An unbudgeted arena
-    /// tracks `reserved + (m + 1)` slots; a fixed budget never moves.
-    pub(crate) fn resize(&mut self, m: usize) {
-        let m = m.clamp(1, self.window_max);
-        let blocks = self.shells.get_mut();
-        let template = blocks[0].clone();
-        blocks.resize(m + 1, template);
-        if self.capacity_budget.is_none() {
-            let slots = (m as u64 + 1) * self.link.block_bytes;
-            self.link.device.set_capacity(self.reserved + slots);
-        }
     }
 
     /// Streams every layer, ascending, through one shell on the calling
@@ -362,10 +311,7 @@ impl Prefetcher<'_> {
         let Link { device, tel, .. } = self.link;
         self.link.c_issued.incr();
         let t0 = tel.now_nanos();
-        let wall = Instant::now();
         let mut shell = self.free.recv().ok()?;
-        let waited = wall.elapsed().as_nanos() as u64;
-        self.link.shell_wait_ns.fetch_add(waited, Ordering::Relaxed);
         self.link
             .h_shell_wait
             .record(tel.now_nanos().saturating_sub(t0));
@@ -400,8 +346,7 @@ pub(crate) struct Feed<'a> {
 
 impl Feed<'_> {
     /// Takes the next staged layer of the pass, blocking until its copy has
-    /// landed; the wait accrues to the fetch-wait clock and the
-    /// `prefetch.fetch_wait_ns` histogram.
+    /// landed; the wait accrues to the `prefetch.fetch_wait_ns` histogram.
     ///
     /// # Panics
     /// Panics if the prefetcher is gone: the pass is exhausted, or its
@@ -409,10 +354,7 @@ impl Feed<'_> {
     pub(crate) fn next(&mut self) -> (usize, Block) {
         let Link { tel, .. } = self.link;
         let t0 = tel.now_nanos();
-        let wall = Instant::now();
         let item = self.ready.recv().expect("layer stream ended early");
-        let waited = wall.elapsed().as_nanos() as u64;
-        self.link.fetch_wait_ns.fetch_add(waited, Ordering::Relaxed);
         self.link
             .h_fetch_wait
             .record(tel.now_nanos().saturating_sub(t0));
@@ -583,12 +525,12 @@ mod tests {
     }
 
     #[test]
-    fn resizing_between_runs_never_shows_stale_shell_contents() {
+    fn a_fresh_stream_clamps_its_window_and_sizes_its_arena() {
         let n = 4;
-        let (store, mut stream) = fixture(n, Precision::F32, 1, RESERVED, &Telemetry::disabled());
-        let bb = stream.block_bytes();
-        for m in [1, 3, 9, 2, 1] {
-            stream.resize(m);
+        for m in [1, 3, 9, 2] {
+            let (store, mut stream) =
+                fixture(n, Precision::F32, m, RESERVED, &Telemetry::disabled());
+            let bb = stream.block_bytes();
             let m = m.min(n);
             assert_eq!(stream.window(), m);
             assert_eq!(stream.device().capacity(), RESERVED + (m as u64 + 1) * bb);

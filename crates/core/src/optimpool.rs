@@ -250,8 +250,7 @@ impl LayerStore {
     /// the layer is pending. A resident layer is lent under its slot lock;
     /// a spilled layer's fill cache is consumed (and evicted), with a
     /// demand fill issued if no prefill landed ahead of the read. Time
-    /// spent blocked on a fill accrues to the store's fill-wait clock — the
-    /// autotuner's spill stall signal.
+    /// spent blocked on a fill accrues to the store's fill-wait clock.
     ///
     /// # Panics
     /// Panics on the calling thread if the layer's swap-file I/O failed,
@@ -520,18 +519,6 @@ impl LayerStore {
     pub fn fill_wait_nanos(&self) -> u64 {
         self.tier.as_ref().map_or(0, TierStore::fill_wait_nanos)
     }
-
-    /// Current spill-worker count (0 for plain stores).
-    pub fn spill_workers(&self) -> usize {
-        self.tier.as_ref().map_or(0, TierStore::workers)
-    }
-
-    /// Live-resizes the spill-worker pool; no-op for plain stores.
-    pub fn set_spill_workers(&self, workers: usize) {
-        if let Some(tier) = &self.tier {
-            tier.set_workers(workers);
-        }
-    }
 }
 
 /// Adam step `t` of the spilled layer in `file_slot`, in place on the swap
@@ -582,13 +569,6 @@ struct UpdateTask {
     hp: AdamParams,
 }
 
-/// What travels over the pool channel: a real update, or a retire sentinel
-/// consumed by exactly one worker when the pool is shrunk live.
-enum Task {
-    Update(UpdateTask),
-    Retire,
-}
-
 /// Cap on the gradient-buffer free list. In steady state at most
 /// `layers` buffers are in flight at once, and each retains the capacity
 /// of the largest layer it ever carried.
@@ -599,14 +579,10 @@ const MAX_RECYCLED: usize = 64;
 pub struct OptimizerPool {
     store: Arc<LayerStore>,
     hp: AdamParams,
-    tx: Option<Sender<Task>>,
-    rx: Receiver<Task>,
-    tel: Telemetry,
+    tx: Option<Sender<UpdateTask>>,
     inflight: Arc<(Mutex<usize>, Condvar)>,
     updates: Arc<AtomicUsize>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    workers: usize,
-    spawned: usize,
     queue_depth: Gauge,
     recycle: Arc<Mutex<Vec<Vec<f32>>>>,
 }
@@ -633,37 +609,28 @@ impl OptimizerPool {
         tel: &Telemetry,
     ) -> Self {
         assert!(workers > 0);
-        let (tx, rx) = unbounded::<Task>();
+        let (tx, rx) = unbounded::<UpdateTask>();
         let mut pool = OptimizerPool {
             store,
             hp,
             tx: Some(tx),
-            rx,
-            tel: tel.clone(),
             inflight: Arc::new((Mutex::new(0usize), Condvar::new())),
             updates: Arc::new(AtomicUsize::new(0)),
             handles: Vec::with_capacity(workers),
-            workers: 0,
-            spawned: 0,
             queue_depth: tel.gauge("optim.queue_depth"),
             recycle: Arc::new(Mutex::new(Vec::new())),
         };
-        for _ in 0..workers {
-            pool.spawn_worker();
+        for w in 0..workers {
+            pool.spawn_worker(w, rx.clone(), tel.clone());
         }
         pool
     }
 
-    /// Spawns one more actor thread on the shared task channel.
-    fn spawn_worker(&mut self) {
-        let w = self.spawned;
-        self.spawned += 1;
-        self.workers += 1;
-        let rx = self.rx.clone();
+    /// Spawns actor thread `w` on the shared task channel.
+    fn spawn_worker(&mut self, w: usize, rx: Receiver<UpdateTask>, tel: Telemetry) {
         let store = Arc::clone(&self.store);
         let inflight = Arc::clone(&self.inflight);
         let updates = Arc::clone(&self.updates);
-        let tel = self.tel.clone();
         let queue_depth = self.queue_depth.clone();
         let recycle = Arc::clone(&self.recycle);
         self.handles.push(
@@ -674,10 +641,6 @@ impl OptimizerPool {
                     let busy_ns = tel.counter("optim.busy_ns");
                     let mut staging = Staging::default();
                     while let Ok(task) = rx.recv() {
-                        let task = match task {
-                            Task::Update(t) => t,
-                            Task::Retire => break,
-                        };
                         queue_depth.add(-1);
                         let t0 = tel.now_nanos();
                         store.apply_update_with(task.layer, &task.grads, &task.hp, &mut staging);
@@ -701,40 +664,6 @@ impl OptimizerPool {
                 })
                 .expect("spawn optimizer worker"),
         );
-    }
-
-    /// Live-resizes the pool to `workers` actors (clamped to at least 1).
-    /// Growth spawns new threads on the shared channel immediately; shrink
-    /// enqueues retire sentinels, each consumed by exactly one worker after
-    /// it drains whatever updates precede the sentinel in FIFO order — so a
-    /// resize never reorders or drops updates. Intended to run between
-    /// steps; worker count never affects update results (each task touches
-    /// one layer under its own lock), so a live resize is bit-invisible.
-    pub fn set_workers(&mut self, workers: usize) {
-        let target = workers.max(1);
-        while self.workers < target {
-            self.spawn_worker();
-        }
-        while self.workers > target {
-            self.tx
-                .as_ref()
-                .expect("pool alive")
-                .send(Task::Retire)
-                .expect("optimizer pool channel closed");
-            self.workers -= 1;
-        }
-    }
-
-    /// Current actor-thread count (retiring workers are counted out as soon
-    /// as their sentinel is enqueued).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Updates submitted but not yet applied — the pool's live backlog, as
-    /// sampled by the autotuner at step boundaries.
-    pub fn pending(&self) -> usize {
-        *self.inflight.0.lock()
     }
 
     /// Submits an asynchronous update for `layer`. The caller must have
@@ -791,7 +720,7 @@ impl OptimizerPool {
         self.tx
             .as_ref()
             .expect("pool alive")
-            .send(Task::Update(UpdateTask { layer, grads, hp }))
+            .send(UpdateTask { layer, grads, hp })
             .expect("optimizer pool channel closed");
     }
 
@@ -1037,46 +966,6 @@ mod tests {
         let depth = tel.gauge("optim.queue_depth");
         assert_eq!(depth.get(), 0, "queue drained");
         assert!(depth.peak() >= 1);
-    }
-
-    #[test]
-    fn live_worker_resize_preserves_results() {
-        let hp = AdamParams::default();
-        let grads: Vec<Vec<f32>> = (0..8)
-            .map(|l| (0..16).map(|i| ((l * 3 + i) as f32).sin()).collect())
-            .collect();
-
-        let seq = store_with(8, 16);
-        for _ in 0..3 {
-            for (l, g) in grads.iter().enumerate() {
-                seq.apply_update(l, g, &hp);
-            }
-        }
-
-        let store = store_with(8, 16);
-        let mut pool = OptimizerPool::new(Arc::clone(&store), hp, 1);
-        for round in 0..3 {
-            for (l, g) in grads.iter().enumerate() {
-                store.mark_pending(l);
-                pool.submit(l, g);
-            }
-            pool.flush();
-            // Resize between rounds: grow, then shrink back below start.
-            pool.set_workers([4, 2, 1][round]);
-            assert_eq!(pool.workers(), [4, 2, 1][round]);
-        }
-        assert_eq!(pool.pending(), 0);
-        assert_eq!(pool.updates_applied(), 24);
-        for l in 0..8 {
-            assert_eq!(store.snapshot(l), seq.snapshot(l), "layer {l}");
-        }
-        // Shrink to zero clamps to one worker and the pool still works.
-        pool.set_workers(0);
-        assert_eq!(pool.workers(), 1);
-        store.mark_pending(0);
-        pool.submit(0, &grads[0]);
-        pool.flush();
-        assert_eq!(pool.updates_applied(), 25);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!
 //! Given a fixed `device_capacity`, the window is derived from what remains
 //! *after* the KV arena — the serving analogue of the training-side
-//! `tune_limits`/`m_mem_max` bound: `m = ⌊(capacity − kv_bytes)/block_bytes⌋ − 1`.
+//! `device_capacity` clamp and `m_mem_max`: `m = ⌊(capacity − kv_bytes)/block_bytes⌋ − 1`.
 //!
 //! ## Scheduling
 //!
@@ -255,7 +255,7 @@ impl ServeEngine {
         // The KV arena is carved out of the device pool up front and pinned
         // for the engine's lifetime (slot reuse rewinds caches in place); a
         // fixed budget admits the largest window that fits beside it — the
-        // serving analogue of `tune_limits`/`m_mem_max`.
+        // serving analogue of the training-side clamp and `m_mem_max`.
         // Serving weights never change, so each block is stored in serving
         // form: its linears' weights in the GEMM engine's panel layout,
         // packed here once per engine instead of on every round. Each block

@@ -16,8 +16,8 @@
 //!   placement is reproducible run to run. Placement is invisible to the
 //!   math either way: f32 ↔ little-endian file round trips are bit-exact,
 //!   so a spilled layer trains bit-identically to a resident one.
-//! * [`TierStore`] — the async fill engine: a live-resizable pool of spill
-//!   workers over one bounded channel. Fills (file → host) are issued ahead
+//! * [`TierStore`] — the async fill engine: a fixed pool of spill workers
+//!   over one bounded channel. Fills (file → host) are issued ahead
 //!   of the working window by the layer stream's prefetcher — the access
 //!   pattern is fully known, so disk reads hide under compute exactly like
 //!   H2D prefetch. Fill buffers circulate through one free list, so a run
@@ -34,8 +34,8 @@
 //! Telemetry: `spill.f2h_bytes` / `spill.h2f_bytes` counters meter every
 //! byte crossing the file boundary (zero-tolerance tested against the
 //! closed-form per-step formulas below), `spill.queue_wait_ns` records how
-//! long fills sat queued, and an always-on fill-wait clock feeds the
-//! autotuner's `fill_wait_ns` stall signal so it can resize the worker pool.
+//! long fills sat queued, and an always-on fill-wait clock totals the time
+//! readers spent blocked on fills, whether or not telemetry is enabled.
 //!
 //! # Per-step traffic formulas
 //!
@@ -215,8 +215,6 @@ pub(crate) enum TierJob {
         file_slot: usize,
         enqueued_ns: u64,
     },
-    /// Consumed by exactly one worker when the pool is shrunk live.
-    Retire,
 }
 
 /// Bounded queue depth: far above the `m + 1` fills a pass keeps ahead of
@@ -233,12 +231,6 @@ pub(crate) fn io_failure(
     format!("spill tier I/O failed: layer {layer}, file slot {file_slot}, {what}: {err}")
 }
 
-struct WorkerState {
-    handles: Vec<std::thread::JoinHandle<()>>,
-    workers: usize,
-    spawned: usize,
-}
-
 /// The async fill engine over one [`NvmeStore`] swap file. Owned by a
 /// tiered [`crate::optimpool::LayerStore`]; workers deposit fills into (and
 /// clear in-flight flags on) the store's slots, so the two are constructed
@@ -249,7 +241,6 @@ pub struct TierStore {
     /// Floats per component (params, m or v) — one file slot is `3 * n`.
     n: usize,
     tx: Option<Sender<TierJob>>,
-    rx: Receiver<TierJob>,
     inflight: Arc<(Mutex<usize>, Condvar)>,
     /// Fill buffers, every one `n` floats long. Only a fill worker finding
     /// the list empty allocates, so its length never exceeds the most fills
@@ -260,7 +251,7 @@ pub struct TierStore {
     h2f: Counter,
     queue_wait: Histogram,
     fill_wait: Arc<AtomicU64>,
-    state: Mutex<WorkerState>,
+    handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl TierStore {
@@ -273,12 +264,11 @@ impl TierStore {
         tel: &Telemetry,
     ) -> Self {
         let (tx, rx) = bounded::<TierJob>(QUEUE_CAP);
-        let store = TierStore {
+        let mut store = TierStore {
             nvme,
             slots,
             n,
             tx: Some(tx),
-            rx,
             inflight: Arc::new((Mutex::new(0usize), Condvar::new())),
             free: Arc::new(Mutex::new(Vec::new())),
             tel: tel.clone(),
@@ -286,115 +276,68 @@ impl TierStore {
             h2f: tel.counter("spill.h2f_bytes"),
             queue_wait: tel.histogram("spill.queue_wait_ns"),
             fill_wait: Arc::new(AtomicU64::new(0)),
-            state: Mutex::new(WorkerState {
-                handles: Vec::new(),
-                workers: 0,
-                spawned: 0,
-            }),
+            handles: Vec::new(),
         };
-        store.spawn_workers(workers.max(1));
+        for w in 0..workers.max(1) {
+            store.spawn_worker(w, rx.clone());
+        }
         store
     }
 
-    fn spawn_workers(&self, count: usize) {
-        let mut st = self.state.lock();
-        for _ in 0..count {
-            let w = st.spawned;
-            st.spawned += 1;
-            st.workers += 1;
-            let rx = self.rx.clone();
-            let nvme = Arc::clone(&self.nvme);
-            let slots = Arc::clone(&self.slots);
-            let inflight = Arc::clone(&self.inflight);
-            let free = Arc::clone(&self.free);
-            let tel = self.tel.clone();
-            let f2h = self.f2h.clone();
-            let queue_wait = self.queue_wait.clone();
-            let n = self.n;
-            st.handles.push(
-                std::thread::Builder::new()
-                    .name(format!("spill-{w}"))
-                    .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            let TierJob::Fill {
-                                layer,
-                                file_slot,
-                                enqueued_ns,
-                            } = job
-                            else {
-                                break;
-                            };
-                            queue_wait.record(tel.now_nanos().saturating_sub(enqueued_ns));
-                            let mut buf = free.lock().pop().unwrap_or_else(|| vec![0.0; n]);
-                            let read = {
-                                let _s = tel.span("spill-read", "fill");
-                                nvme.read_at(file_slot, 0, &mut buf, &mut Vec::new())
-                            };
-                            let cell = &slots[layer];
-                            let mut slot = cell.lock.lock();
-                            match read {
-                                Ok(()) => {
-                                    f2h.add(4 * n as u64);
-                                    // The slot's cache is empty whenever a
-                                    // fill is in flight: nothing to recycle.
-                                    slot.params = buf;
-                                    slot.filled = true;
-                                }
-                                Err(e) => {
-                                    let msg = io_failure(layer, file_slot, "fill", &e);
-                                    slot.failure.get_or_insert(msg);
-                                    free.lock().push(buf);
-                                }
-                            }
-                            slot.fill_inflight = false;
-                            cell.cv.notify_all();
-                            drop(slot);
-                            let (lock, cv) = &*inflight;
-                            let mut k = lock.lock();
-                            *k -= 1;
-                            if *k == 0 {
-                                cv.notify_all();
-                            }
+    /// Spawns I/O thread `w` on the shared job channel.
+    fn spawn_worker(&mut self, w: usize, rx: Receiver<TierJob>) {
+        let nvme = Arc::clone(&self.nvme);
+        let slots = Arc::clone(&self.slots);
+        let inflight = Arc::clone(&self.inflight);
+        let free = Arc::clone(&self.free);
+        let tel = self.tel.clone();
+        let f2h = self.f2h.clone();
+        let queue_wait = self.queue_wait.clone();
+        let n = self.n;
+        let handle = std::thread::Builder::new()
+            .name(format!("spill-{w}"))
+            .spawn(move || {
+                while let Ok(job) = rx.recv() {
+                    let TierJob::Fill {
+                        layer,
+                        file_slot,
+                        enqueued_ns,
+                    } = job;
+                    queue_wait.record(tel.now_nanos().saturating_sub(enqueued_ns));
+                    let mut buf = free.lock().pop().unwrap_or_else(|| vec![0.0; n]);
+                    let read = {
+                        let _s = tel.span("spill-read", "fill");
+                        nvme.read_at(file_slot, 0, &mut buf, &mut Vec::new())
+                    };
+                    let cell = &slots[layer];
+                    let mut slot = cell.lock.lock();
+                    match read {
+                        Ok(()) => {
+                            f2h.add(4 * n as u64);
+                            // The slot's cache is empty whenever a fill is
+                            // in flight: nothing to recycle.
+                            slot.params = buf;
+                            slot.filled = true;
                         }
-                    })
-                    .expect("spawn spill worker"),
-            );
-        }
-    }
-
-    /// Live-resizes the worker pool (clamped to ≥ 1) — growth spawns
-    /// immediately, shrink enqueues retire sentinels. FIFO order means a
-    /// resize never reorders or drops I/O, and placement never affects the
-    /// math, so resizes are bit-invisible.
-    pub fn set_workers(&self, workers: usize) {
-        let target = workers.max(1);
-        let current = self.state.lock().workers;
-        if current < target {
-            self.spawn_workers(target - current);
-        } else if current > target {
-            for _ in 0..(current - target) {
-                self.send(TierJob::Retire, false);
-            }
-            self.state.lock().workers = target;
-        }
-    }
-
-    /// Current worker-thread count (retiring workers counted out as soon as
-    /// their sentinel is enqueued).
-    pub fn workers(&self) -> usize {
-        self.state.lock().workers
-    }
-
-    fn send(&self, job: TierJob, track: bool) {
-        if track {
-            let (lock, _) = &*self.inflight;
-            *lock.lock() += 1;
-        }
-        self.tx
-            .as_ref()
-            .expect("tier store alive")
-            .send(job)
-            .expect("tier channel closed");
+                        Err(e) => {
+                            let msg = io_failure(layer, file_slot, "fill", &e);
+                            slot.failure.get_or_insert(msg);
+                            free.lock().push(buf);
+                        }
+                    }
+                    slot.fill_inflight = false;
+                    cell.cv.notify_all();
+                    drop(slot);
+                    let (lock, cv) = &*inflight;
+                    let mut k = lock.lock();
+                    *k -= 1;
+                    if *k == 0 {
+                        cv.notify_all();
+                    }
+                }
+            })
+            .expect("spawn spill worker");
+        self.handles.push(handle);
     }
 
     /// Enqueues an asynchronous fill of `layer` from `file_slot`. The caller
@@ -402,14 +345,16 @@ impl TierStore {
     /// slot lock — bounded-channel backpressure may block here).
     pub(crate) fn enqueue_fill(&self, layer: usize, file_slot: usize) {
         let enqueued_ns = self.tel.now_nanos();
-        self.send(
-            TierJob::Fill {
+        *self.inflight.0.lock() += 1;
+        self.tx
+            .as_ref()
+            .expect("tier store alive")
+            .send(TierJob::Fill {
                 layer,
                 file_slot,
                 enqueued_ns,
-            },
-            true,
-        );
+            })
+            .expect("tier channel closed");
     }
 
     /// Blocks until every enqueued fill has completed (landed or failed).
@@ -432,7 +377,7 @@ impl TierStore {
     }
 
     /// Adds `ns` to the cumulative fill-wait clock (time readers spent
-    /// blocked on file-tier fills — the autotuner's spill stall signal).
+    /// blocked on file-tier fills).
     pub(crate) fn add_fill_wait(&self, ns: u64) {
         self.fill_wait.fetch_add(ns, Ordering::Relaxed);
     }
@@ -459,8 +404,7 @@ impl Drop for TierStore {
     fn drop(&mut self) {
         self.quiesce();
         drop(self.tx.take());
-        let mut st = self.state.lock();
-        for h in st.handles.drain(..) {
+        for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }

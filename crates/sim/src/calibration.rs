@@ -131,13 +131,12 @@ pub const TENSORS_PER_LAYER: usize = 12;
 /// pressure forces). Anchors Fig. 12's ≥2.6× STRONGHOLD advantage.
 pub const ZERO_DP_LAYER_OVERHEAD_US: u64 = 45_000;
 
-/// A calibration measured on a real host run (the closed feedback loop of
-/// the autotuner PR): totals over `steps` training steps, distilled from
-/// telemetry span tracks and device traffic counters by
-/// `core::host::autotune::calibrate_host`. The constants above are the
+/// A calibration measured on a real host run: totals over `steps` training
+/// steps, distilled from telemetry span tracks and device traffic counters
+/// by `core::host::profiler::calibrate_host`. The constants above are the
 /// model's *priors*; a `HostCalibration` replaces them with this box's
 /// observed bandwidths and overlap so the simulator predicts host step
-/// times within a tested error bound (see `tests/tests/autotune.rs`).
+/// times within a tested error bound (see `tests/tests/spill_tier.rs`).
 ///
 /// Plain numbers only — `sim` cannot depend on `core`, so the bridge that
 /// fills this struct from live telemetry lives on the core side.

@@ -565,64 +565,6 @@ fn data_parallel_step_allocations_stop_growing() {
     );
 }
 
-/// A live autotune controller at a fixed point must not break the
-/// zero-allocation contract: evaluation is `Copy`-only arithmetic against
-/// pre-registered gauges, so a step that proposes no resize allocates
-/// exactly what an untuned step does. The config pins every knob (window
-/// at its ceiling, one worker per pool, an infinite grow threshold) so no
-/// resize can fire — resizes themselves are exempt from the contract.
-#[test]
-fn autotuner_at_fixed_point_allocations_stop_growing() {
-    let _serial = serial();
-    use stronghold_core::host::AutotuneConfig;
-    let cfg = tiny(4);
-    let batch = batch_for(&cfg, 45);
-    let mut t = HostOffloadTrainer::new(
-        cfg,
-        7,
-        HostOffloadConfig {
-            window: 2,
-            optimizer_workers: 1,
-            offload_workers: 1,
-            compute_workers: 1,
-            adam: adam(),
-            autotune: Some(AutotuneConfig {
-                m_max: 2,
-                max_offload_workers: 1,
-                max_compute_workers: 1,
-                max_optimizer_workers: 1,
-                grow_ratio: f64::INFINITY,
-                shrink_ratio: 0.0,
-                ..AutotuneConfig::default()
-            }),
-            ..HostOffloadConfig::default()
-        },
-    );
-    for _ in 0..3 {
-        t.train_step(&batch);
-    }
-    t.flush();
-    let (early, late) = early_and_late(|| {
-        for _ in 0..3 {
-            t.train_step(&batch);
-        }
-        t.flush();
-    });
-    let ctrl = t.autotune().expect("controller must be live");
-    assert_eq!(ctrl.evaluations(), 15, "controller must run every step");
-    assert_eq!(ctrl.resizes(), 0, "pinned config must never resize");
-    assert!(
-        late <= early + 4,
-        "per-step allocations grew with the autotuner live: early window {early}, \
-         late window {late}"
-    );
-    assert!(
-        late / 3 <= STEADY_STATE_CAP,
-        "autotuned steady-state step allocates too much: {} allocs/step",
-        late / 3
-    );
-}
-
 /// The serving engine's steady-state decode round must be allocation-
 /// bounded too: KV appends write into storage preallocated at engine
 /// construction, the round's packed workspace is reused, and

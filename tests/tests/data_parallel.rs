@@ -60,7 +60,6 @@ fn dp_config(
             adam: adam(),
             schedule: None,
             clip_norm: if streaming { None } else { Some(f32::MAX) },
-            autotune: None,
             ..HostOffloadConfig::default()
         },
     }

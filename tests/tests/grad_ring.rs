@@ -1,12 +1,12 @@
 //! The gradient accumulator ring: the windowed trainer holds `1 +
 //! offload_workers` block-sized gradient accumulators at any depth (pinned
-//! through the `grad.accumulators` gauge, including live offload-worker
-//! resizes), and the ring plus the write-once fold leaf keep it bit-equal to
+//! through the `grad.accumulators` gauge), and the ring plus the write-once
+//! fold leaf keep it bit-equal to
 //! the resident trainer across batch × compute × offload workers × clipping.
 
 use stronghold_core::adam::AdamParams;
 use stronghold_core::host::{
-    EngineOptions, HostOffloadConfig, HostOffloadTrainer, HostResidentTrainer, Tuning,
+    EngineOptions, HostOffloadConfig, HostOffloadTrainer, HostResidentTrainer,
 };
 use stronghold_core::telemetry::Telemetry;
 use stronghold_model::config::tiny;
@@ -31,50 +31,43 @@ fn assert_same_params(t: &HostOffloadTrainer, resident: &HostResidentTrainer, ta
 }
 
 /// The ring's size is `1 + offload_workers`, whatever the depth: at 4 and 8
-/// layers the gauge peaks at exactly `1 + max(offload_workers)` over a run
-/// whose offload engine is widened and narrowed mid-run (a trainer with one
-/// accumulator per layer would read `layers`), and training stays bit-equal
-/// to the resident trainer.
+/// layers and one to three offload workers the gauge and its peak read
+/// exactly `1 + offload_workers` (a trainer with one accumulator per layer
+/// would read `layers`), and training stays bit-equal to the resident
+/// trainer.
 #[test]
 fn accumulator_ring_peaks_at_one_plus_max_offload_workers() {
     for layers in [4, 8] {
         let cfg = tiny(layers);
         let batch = SyntheticCorpus::new(cfg.vocab, 120).next_batch(3, cfg.seq - 1);
-        let mut resident = HostResidentTrainer::new(cfg, 41, adam());
-        let tel = Telemetry::enabled();
-        let mut t = HostOffloadTrainer::with_telemetry(
-            cfg,
-            41,
-            HostOffloadConfig {
-                window: 2,
-                optimizer_workers: 2,
-                adam: adam(),
-                ..HostOffloadConfig::default()
-            },
-            tel.clone(),
-        );
-        let ring = tel.gauge("grad.accumulators");
-        // Offload workers in force for each pair of steps.
-        for (phase, ow) in [1usize, 3, 2].into_iter().enumerate() {
-            t.force_tuning(Tuning {
-                window: 2,
-                offload_workers: ow,
-                compute_workers: 1,
-                optimizer_workers: 2,
-                spill_workers: 0,
-            });
+        for offload_workers in [1, 2, 3] {
+            let tag = format!("{layers} layers, {offload_workers} offload workers");
+            let mut resident = HostResidentTrainer::new(cfg, 41, adam());
+            let tel = Telemetry::enabled();
+            let mut t = HostOffloadTrainer::with_telemetry(
+                cfg,
+                41,
+                HostOffloadConfig {
+                    window: 2,
+                    optimizer_workers: 2,
+                    offload_workers,
+                    adam: adam(),
+                    ..HostOffloadConfig::default()
+                },
+                tel.clone(),
+            );
             for step in 0..2 {
-                let tag = format!("{layers} layers, phase {phase}, step {step}");
                 assert_eq!(
                     resident.train_step(&batch),
                     t.train_step(&batch),
-                    "{tag}: loss"
+                    "{tag}: loss at step {step}"
                 );
-                assert_eq!(ring.get(), 1 + ow as i64, "{tag}: ring size");
             }
+            let ring = tel.gauge("grad.accumulators");
+            assert_eq!(ring.get(), 1 + offload_workers as i64, "{tag}: ring size");
+            assert_eq!(ring.peak(), 1 + offload_workers as i64, "{tag}: ring peak");
+            assert_same_params(&t, &resident, &tag);
         }
-        assert_eq!(ring.peak(), 1 + 3, "{layers} layers: ring peak");
-        assert_same_params(&t, &resident, &format!("{layers} layers"));
     }
 }
 

@@ -20,7 +20,7 @@ use stronghold_core::analytic::solve_window;
 use stronghold_core::host::profiler::measure_host_profile_with_precision;
 use stronghold_core::host::{
     DataParallelConfig, DataParallelTrainer, HostOffloadConfig, HostOffloadTrainer,
-    HostResidentTrainer, ParamBackend,
+    HostResidentTrainer,
 };
 use stronghold_integration_tests::batch_for;
 use stronghold_model::config::{tiny, ModelConfig};
@@ -96,14 +96,15 @@ fn half_modes_move_exactly_half_the_bytes() {
 }
 
 /// A fixed device-capacity budget admits twice the window under a half
-/// mode: `tune_limits().window.max` doubles (+1 slot accounting), and the
-/// arena footprint of any given window halves.
+/// mode: a configured window of 8 is clamped to the budget's bound, which
+/// doubles (+1 slot accounting), and the arena footprint of any given window
+/// halves.
 #[test]
 fn fixed_capacity_budget_doubles_half_mode_window() {
     let cfg = tiny(8);
     let block_bytes_f32 = cfg.block_params() as u64 * 4;
-    // Budget with room for 4 FP32 slots: window_max = 4 - 1 = 3 at FP32,
-    // 8/block halves → ⌊8⌋ - 1 = 7 at bf16.
+    // Budget with room for 4 FP32 slots: the window clamps to 4 - 1 = 3 at
+    // FP32, and to 8 - 1 = 7 at bf16, whose slots are half as wide.
     let budget = 4 * block_bytes_f32;
     let build = |precision| {
         HostOffloadTrainer::new(
@@ -111,22 +112,24 @@ fn fixed_capacity_budget_doubles_half_mode_window() {
             SEED,
             HostOffloadConfig {
                 device_capacity: Some(budget),
-                ..hocfg(precision, 2)
+                ..hocfg(precision, 8)
             },
         )
     };
     let f32_t = build(Precision::F32);
     let bf16_t = build(Precision::Bf16);
-    let f32_max = f32_t.tune_limits().expect("limits").window.1;
-    let bf16_max = bf16_t.tune_limits().expect("limits").window.1;
-    assert_eq!(f32_max, 3, "FP32 window bound under the budget");
-    assert_eq!(bf16_max, 7, "bf16 window bound under the same budget");
+    assert_eq!(f32_t.window(), 3, "FP32 window bound under the budget");
+    assert_eq!(
+        bf16_t.window(),
+        7,
+        "bf16 window bound under the same budget"
+    );
     assert_eq!(
         bf16_t.arena_usage(4),
         f32_t.arena_usage(4) / 2,
         "half-width slots halve the arena footprint of a window"
     );
-    // The capacity itself is pinned to the budget, not resized to the
+    // The capacity itself is pinned to the budget, not sized to the
     // configured window.
     assert_eq!(f32_t.device().capacity(), budget);
     assert_eq!(bf16_t.device().capacity(), budget);

@@ -10,9 +10,9 @@
 //! time within a stated bound (the §III-G calibration loop).
 
 use stronghold_core::adam::AdamParams;
-use stronghold_core::host::autotune::calibrate_host;
+use stronghold_core::host::profiler::calibrate_host;
 use stronghold_core::host::{
-    AutotuneConfig, DataParallelConfig, DataParallelTrainer, HostOffloadConfig, HostOffloadTrainer,
+    DataParallelConfig, DataParallelTrainer, HostOffloadConfig, HostOffloadTrainer,
     HostResidentTrainer, SpillPolicy, Tier,
 };
 use stronghold_core::telemetry::Telemetry;
@@ -232,69 +232,10 @@ fn spill_bytes_match_the_plan(workers: usize) {
         steps * h2f_per_step,
         "NvmeStore writes"
     );
-    // Fill waits are measured with an always-on clock (autotune input).
+    // Fill waits are measured with an always-on clock.
     assert!(
         t.fill_wait_nanos() > 0,
         "spilled reads must report fill time"
-    );
-}
-
-/// The autotuner treats spill workers as a first-class knob: fill-wait
-/// pressure grows the pool live (bounded by limits ∩ cores ∩ cap), the
-/// `autotune.spill_workers` gauge mirrors it, and the resizes stay
-/// bit-invisible versus resident training.
-#[test]
-fn autotuner_resizes_spill_workers_bit_invisibly() {
-    let cfg = tiny(5);
-    let batch = batch_for(&cfg, 123);
-    let tel = Telemetry::enabled();
-    let budget = capacity_for(&cfg, 1);
-    let mut resident = HostResidentTrainer::new(cfg, SEED, adam());
-    let mut t = HostOffloadTrainer::with_telemetry(
-        cfg,
-        SEED,
-        HostOffloadConfig {
-            autotune: Some(AutotuneConfig {
-                grow_ratio: 0.0,
-                shrink_ratio: 0.0,
-                patience: 1,
-                settle_evals: 1,
-                // Fixed, not measured: the worker caps must not depend on
-                // the box (CI containers often report a single core).
-                cores: 4,
-                ..AutotuneConfig::default()
-            }),
-            ..spill_cfg(2, budget, 1)
-        },
-        tel.clone(),
-    );
-    for step in 0..8 {
-        let lr = resident.train_step(&batch);
-        let lo = t.train_step(&batch);
-        assert_eq!(lr, lo, "loss diverged at step {step}");
-    }
-    t.flush();
-    for i in 0..cfg.layers {
-        assert_eq!(
-            t.block_params(i),
-            resident.block_params(i),
-            "block {i} diverged under live spill-worker tuning"
-        );
-    }
-    let ctrl = t.autotune().expect("controller must be live");
-    let cur = ctrl.current();
-    let b = ctrl.bounds();
-    assert!(b.spill_workers.0 >= 1, "spilled backend unpins the knob");
-    assert!(
-        cur.spill_workers > 1,
-        "zero grow threshold + real fill waits must grow the pool (got {})",
-        cur.spill_workers
-    );
-    assert!(cur.spill_workers <= b.spill_workers.1);
-    assert_eq!(
-        tel.gauge("autotune.spill_workers").get(),
-        cur.spill_workers as i64,
-        "gauge must mirror the knob in force"
     );
 }
 
@@ -480,4 +421,74 @@ fn measured_spill_bandwidth_calibrates_the_nvme_model() {
     assert_eq!(spec.capacity, prior.capacity);
     assert!((spec.read_bw - cal_a.spill_read_bandwidth() * 1e9).abs() < 1.0);
     assert!((spec.write_bw - cal_a.spill_write_bandwidth() * 1e9).abs() < 1.0);
+}
+
+/// Calibration acceptance: distill telemetry-enabled training steps into a
+/// [`stronghold_sim::calibration::HostCalibration`], then predict the step
+/// time of *other* steps on the same shape. The prediction must land within
+/// 25% of their measured mean step time.
+///
+/// Calibration and measurement take alternate steps of one run, so a slow
+/// stretch of the box (other tests of this binary run concurrently) lands
+/// on both halves instead of on one of two back-to-back runs.
+#[test]
+fn calibrated_prediction_lands_within_25_percent_of_a_fresh_run() {
+    use stronghold_sim::calibration::HostCalibration;
+    let cfg = tiny(6);
+    let batch = batch_for(&cfg, 109);
+    let hocfg = HostOffloadConfig {
+        window: 2,
+        optimizer_workers: 2,
+        adam: adam(),
+        ..HostOffloadConfig::default()
+    };
+    let tel = Telemetry::enabled();
+    let mut t = HostOffloadTrainer::with_telemetry(cfg, 41, hocfg, tel.clone());
+    // Warm the pipeline (thread-local scratch pools, channel buffers)
+    // outside every measured step.
+    for _ in 0..2 {
+        t.train_step(&batch);
+    }
+    t.flush();
+    // Each step runs to a flushed boundary, so its telemetry totals are
+    // complete when read.
+    let step = |t: &mut HostOffloadTrainer| {
+        let t0 = std::time::Instant::now();
+        t.train_step(&batch);
+        t.flush();
+        t0.elapsed().as_nanos() as u64
+    };
+    let mut cal = HostCalibration::default();
+    let mut measured_ns = 0;
+    let pairs = 10;
+    for pair in 0..pairs {
+        // Measured step: wall time only. It goes second in even pairs and
+        // first in odd ones, so neither half always follows the other.
+        if pair % 2 == 1 {
+            measured_ns += step(&mut t);
+        }
+        // Calibration step: its telemetry deltas.
+        let before = calibrate_host(&tel, t.device(), 1, 0);
+        cal.wall_ns += step(&mut t);
+        let after = calibrate_host(&tel, t.device(), 1, 0);
+        cal.steps += 1;
+        cal.compute_ns += after.compute_ns - before.compute_ns;
+        cal.h2d_bytes += after.h2d_bytes - before.h2d_bytes;
+        cal.h2d_busy_ns += after.h2d_busy_ns - before.h2d_busy_ns;
+        cal.d2h_bytes += after.d2h_bytes - before.d2h_bytes;
+        cal.d2h_busy_ns += after.d2h_busy_ns - before.d2h_busy_ns;
+        cal.overlap_ns += after.overlap_ns.saturating_sub(before.overlap_ns);
+        if pair % 2 == 0 {
+            measured_ns += step(&mut t);
+        }
+    }
+    let predicted = cal.predict_step_ns();
+    let measured = measured_ns as f64 / pairs as f64;
+    let err = (predicted - measured).abs() / measured;
+    assert!(
+        err <= 0.25,
+        "calibrated prediction off by {:.1}% (predicted {predicted:.0} ns, interleaved steps \
+         measured {measured:.0} ns)",
+        err * 100.0
+    );
 }
