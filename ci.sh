@@ -54,22 +54,58 @@ if [ "$unsafe_in" != "crates/core/src/nvme.rs " ] || [ -n "$spill_job" ] || [ -n
     echo "spill tier copies or serialises again: unsafe in [$unsafe_in], TierJob::Spill [$spill_job], Mutex<File> [$locked_file]"
     exit 1
 fi
-# Gradient memory follows the offload engine, not the model: the windowed
-# backend's block gradients are the accumulator ring, the fold partials and
-# the parallel leaves (plus the one accumulator an offload job carries), and
-# those three are the only block-shaped `zero_grads()` allocation sites —
-# the shell's are resident-group shaped. A per-layer accumulator vector or a
+# Gradient memory is constant, not proportional to the model's depth: the
+# windowed backend's block gradients are the two-accumulator ring and the
+# fold partials (plus the one accumulator an offload job carries), and those
+# two are the only block-shaped `zero_grads()` allocation sites — the
+# shell's are resident-group shaped. A per-layer accumulator vector or a
 # per-sample scratch fails here.
 offloaded=crates/core/src/host/offloaded.rs
 grad_fields=$(grep -E '^    [a-z_]+: (Vec<)?BlockGrads' "$offloaded" | tr -d ' ,' | LC_ALL=C sort | tr '\n' ' ')
 grad_allocs=$(grep -n 'zero_grads()' "$offloaded" | grep -v \
-    -e 'let grad_ring = (0\.\.ring)\.map(|_| stream\.zero_grads())\.collect();' \
+    -e 'let grad_ring = (0\.\.GRAD_RING)\.map(|_| stream\.zero_grads())\.collect();' \
     -e 'self\.bp_fold_slots\.push(self\.stream\.zero_grads())' \
-    -e 'self\.bp_slots\.push(self\.stream\.zero_grads())' \
     -e 'self\.shell\.zero_grads()' || true)
-if [ "$grad_fields" != "bp_fold_slots:Vec<BlockGrads> bp_slots:Vec<BlockGrads> grad_ring:Vec<BlockGrads> grads:BlockGrads " ] ||
+if [ "$grad_fields" != "bp_fold_slots:Vec<BlockGrads> grad_ring:Vec<BlockGrads> grads:BlockGrads " ] ||
     [ -n "$grad_allocs" ]; then
     echo "gradient buffers scale with depth again: BlockGrads fields [$grad_fields], other zero_grads() sites [$grad_allocs]"
+    exit 1
+fi
+# Every thread the crates start is accounted for: the non-test `spawn(` and
+# `thread::scope` sites in crates/*/src, keyed by file, enclosing fn and
+# kind (one line per site, duplicates counted), must equal the list below.
+# Each entry has one tag: `persistent` (started once, lives as long as its
+# owner) or `item-11` (spawned per pass or per step; ROADMAP item 11 moves
+# them onto long-lived threads and empties these entries). A new per-step
+# fan-out fails here.
+allowed_spawns=$(LC_ALL=C sort <<'EOF'
+crates/core/src/host/data_parallel.rs train_step scope item-11
+crates/core/src/host/data_parallel.rs train_step spawn item-11
+crates/core/src/host/offloaded.rs forward_backward scope item-11
+crates/core/src/host/offloaded.rs forward_backward spawn item-11
+crates/core/src/host/stream.rs run scope item-11
+crates/core/src/host/stream.rs run spawn item-11
+crates/core/src/optimpool.rs spawn_worker spawn persistent
+crates/core/src/tier.rs spawn_worker spawn persistent
+EOF
+)
+untagged_spawns=$(echo "$allowed_spawns" | grep -vE '^[^ ]+ [A-Za-z0-9_]+ (scope|spawn) (persistent|item-11)$' || true)
+spawns=$(find crates/*/src -name '*.rs' | LC_ALL=C sort | xargs awk '
+    FNR == 1 { in_tests = 0; fn = "" }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[ \t]*\/\// { next }
+    match($0, /^[ \t]*(pub(\([a-z]+\))? )?(const |unsafe )*fn [A-Za-z_][A-Za-z0-9_]*/) {
+        fn = substr($0, RSTART, RLENGTH)
+        sub(/.* /, "", fn)
+    }
+    /thread::scope/ { print FILENAME " " fn " scope" }
+    /(^|[^A-Za-z0-9_])spawn\(/ { print FILENAME " " fn " spawn" }
+' | LC_ALL=C sort)
+expected_spawns=$(echo "$allowed_spawns" | sed 's/ [^ ]*$//')
+if [ "$spawns" != "$expected_spawns" ] || [ -n "$untagged_spawns" ]; then
+    echo "thread spawn sites differ from the allowlist in ci.sh (< allowed, > found):"
+    diff <(echo "$expected_spawns") <(echo "$spawns") || true
+    [ -z "$untagged_spawns" ] || printf 'entries without one persistent / item-11 tag:\n%s\n' "$untagged_spawns"
     exit 1
 fi
 # A serving round packs nothing: the decode attention reads the KV cache's

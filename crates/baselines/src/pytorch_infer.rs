@@ -213,7 +213,7 @@ impl StaticBatchGenerator {
                     self.batch.push(&self.model, b, run, self.kv[0][b].len());
                 }
                 for (block, caches) in self.model.blocks.iter().zip(self.kv.iter_mut()) {
-                    self.batch.block_forward(block, caches, 1);
+                    self.batch.block_forward(block, caches);
                 }
                 self.batch.head(&self.model);
                 let now = clock.elapsed().as_nanos() as u64;

@@ -122,7 +122,7 @@ struct BucketState {
     pending: Vec<Option<Vec<f32>>>,
     /// Next bucket to flush. Buckets flush strictly in plan order so every
     /// rank issues the identical collective sequence (the SPMD contract of
-    /// [`CommRank`]) no matter how its offload workers interleave.
+    /// [`CommRank`]) no matter how the replicas' D2H engines interleave.
     next: usize,
 }
 

@@ -123,7 +123,7 @@ pub struct ResidentParamsMut<'a> {
 
 /// Where finished gradients go before the optimizer sees them.
 ///
-/// The engine (and, in the streaming path, the backend's offload workers)
+/// The engine (and, in the streaming path, the backend's D2H engine)
 /// hand every completed gradient to the step's `GradSink`, which decides
 /// what a "final" gradient means for this trainer:
 ///

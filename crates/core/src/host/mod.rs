@@ -41,4 +41,4 @@ pub use engine::{
 pub use offloaded::{HostOffloadConfig, HostOffloadTrainer};
 pub use resident::HostResidentTrainer;
 
-pub use crate::tier::{SpillPolicy, Tier, TierBandwidths, TierPlan};
+pub use crate::tier::{Tier, TierBandwidths, TierPlan};

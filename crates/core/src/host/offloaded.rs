@@ -48,7 +48,7 @@ use crate::host::stream::{LayerStream, Pass};
 use crate::optimpool::{LayerStore, OptimizerPool};
 use crate::schedule::LrSchedule;
 use crate::telemetry::Telemetry;
-use crate::tier::{SpillPolicy, TierPlan};
+use crate::tier::TierPlan;
 
 /// Configuration of the functional offloaded trainer.
 #[derive(Clone, Copy, Debug)]
@@ -57,19 +57,6 @@ pub struct HostOffloadConfig {
     pub window: usize,
     /// Concurrent CPU optimizer actors.
     pub optimizer_workers: usize,
-    /// Dedicated gradient-offload (D2H copy engine) threads (clamped to
-    /// ≥ 1): layer `i`'s flatten/copy/accounting overlaps layer `i−1`'s
-    /// backward. Results are bit-identical for every count — only *where*
-    /// the flatten runs changes. It also sizes the gradient accumulator
-    /// ring: `1 + offload_workers` block-sized buffers, at any depth.
-    pub offload_workers: usize,
-    /// Worker threads for the per-sample forward / recompute-backward
-    /// fan-out inside one layer. `1` keeps compute single-threaded (and the
-    /// steady-state step loop allocation-free: fresh worker threads start
-    /// with empty scratch pools); higher values trade allocations for
-    /// batch parallelism. The sample-order gradient fold keeps results
-    /// bit-identical for every value.
-    pub compute_workers: usize,
     /// Adam hyper-parameters.
     pub adam: AdamParams,
     /// Per-step learning-rate schedule (None → constant `adam.lr`).
@@ -106,16 +93,8 @@ pub struct HostOffloadConfig {
     /// spills the cheapest layers to a file-backed swap tier (§III-G) until
     /// the resident image fits — see [`crate::tier::TierPlan`]. Spilled
     /// layers train **bit-identically**: f32 ↔ file round trips are exact,
-    /// so placement never enters the math.
+    /// so placement never enters the math. `Some(0)` spills every layer.
     pub host_capacity: Option<u64>,
-    /// Which layers spill when `host_capacity` binds (or, with
-    /// [`SpillPolicy::All`], unconditionally — the stress configuration).
-    pub spill: SpillPolicy,
-    /// Async fill threads for the file tier: they read spilled layers ahead
-    /// of the window (clamped to ≥ 1 when any layer spills). A spilled
-    /// layer's update — page-in, Adam step and write-back — runs on the
-    /// optimizer actor instead, see [`Self::optimizer_workers`].
-    pub spill_workers: usize,
 }
 
 impl Default for HostOffloadConfig {
@@ -123,16 +102,12 @@ impl Default for HostOffloadConfig {
         HostOffloadConfig {
             window: 2,
             optimizer_workers: 4,
-            offload_workers: 1,
-            compute_workers: 1,
             adam: AdamParams::default(),
             schedule: None,
             clip_norm: None,
             precision: Precision::F32,
             device_capacity: None,
             host_capacity: None,
-            spill: SpillPolicy::CostAware,
-            spill_workers: 1,
         }
     }
 }
@@ -160,73 +135,9 @@ struct OffloadJob<'a> {
     enqueue_ns: u64,
 }
 
-/// Per-sample forward fan-out across `workers` scoped threads, folding the
-/// outputs back in sample order (contiguous chunks, joined in chunk order).
-/// Each sample's op sequence is untouched, so the result is bit-identical
-/// to the serial loop for any worker count.
-fn parallel_forward(block: &Block, xs: &[Tensor], workers: usize) -> Vec<Tensor> {
-    if workers <= 1 || xs.len() < 2 {
-        return xs.iter().map(|x| block.forward_no_cache(x)).collect();
-    }
-    let chunk = xs.len().div_ceil(workers.min(xs.len()));
-    std::thread::scope(|s| {
-        let handles: Vec<_> = xs
-            .chunks(chunk)
-            .map(|c| {
-                s.spawn(move || {
-                    c.iter()
-                        .map(|x| block.forward_no_cache(x))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("fp worker"))
-            .collect()
-    })
-}
-
-/// Per-sample recompute-backward fan-out: sample `s` writes its fold leaf
-/// ([`Block::leaf_backward`] at `scale`) into its own slot `slots[s]` and
-/// swaps `dy[s]` for the propagated input gradient. The caller moves the
-/// slots into the canonical tree in ascending sample order, which is
-/// exactly the serial op sequence.
-fn parallel_backward(
-    block: &Block,
-    inputs: &[Tensor],
-    dy: &mut [Tensor],
-    slots: &mut [BlockGrads],
-    scale: f32,
-    workers: usize,
-) {
-    let one = |x: &Tensor, d: &mut Tensor, sg: &mut BlockGrads| {
-        let dxs = block.leaf_backward(d, x, sg, scale);
-        scratch::give(std::mem::replace(d, dxs));
-    };
-    let b = inputs.len();
-    if workers <= 1 || b < 2 {
-        for s in 0..b {
-            one(&inputs[s], &mut dy[s], &mut slots[s]);
-        }
-        return;
-    }
-    let chunk = b.div_ceil(workers.min(b));
-    std::thread::scope(|s| {
-        for ((ic, dc), sc) in inputs
-            .chunks(chunk)
-            .zip(dy.chunks_mut(chunk))
-            .zip(slots.chunks_mut(chunk))
-        {
-            let one = &one;
-            s.spawn(move || {
-                for ((x, d), sg) in ic.iter().zip(dc.iter_mut()).zip(sc.iter_mut()) {
-                    one(x, d, sg);
-                }
-            });
-        }
-    });
-}
+/// Gradient accumulators in the ring: the one BP folds the current layer
+/// into, plus the one the D2H engine is copying out.
+const GRAD_RING: usize = 2;
 
 /// The working-window placement backend: block parameters live in a
 /// [`LayerStore`], travel H2D through a bounded shell pool, and updates are
@@ -241,18 +152,15 @@ pub struct WindowedBackend {
     /// The H2D side: device arena, `m+1` shells, prefetcher.
     stream: LayerStream,
     tel: Telemetry,
-    /// The gradient accumulator ring, home between steps: `1 +
-    /// offload_workers` block-sized buffers. In a step they circulate — BP
-    /// takes one as each layer's fold root, the D2H engine copies it out
-    /// and hands it back over the completion channel — so gradient memory
-    /// follows the offload engine's width, not the model's depth. Contents
-    /// are never read before a fold leaf overwrites them.
+    /// The gradient accumulator ring, home between steps: [`GRAD_RING`]
+    /// block-sized buffers. In a step they circulate — BP takes one as each
+    /// layer's fold root, the D2H engine copies it out and hands it back
+    /// over the completion channel — so gradient memory is constant, not
+    /// proportional to the model's depth. Contents are never read before a
+    /// fold leaf overwrites them.
     grad_ring: Vec<BlockGrads>,
     /// Per-sample head/embedding scratches (grown to the largest batch seen).
     head_scratches: Vec<TransformerGrads>,
-    /// Per-sample BP fold leaves for the batch-parallel fan-out (grown to
-    /// the largest batch seen; empty while `compute_workers == 1`).
-    bp_slots: Vec<BlockGrads>,
     /// Canonical-tree merge schedule for every batch fan-in this step.
     fold_plan: FoldPlan,
     /// Reusable block-shaped partials for the per-layer gradient tree
@@ -270,14 +178,8 @@ pub struct WindowedBackend {
     /// single-replica run over the whole batch) and `forward_backward`
     /// returns the *raw* shard loss partial for the driver to combine.
     global_batch: Option<usize>,
-    /// Gradient-offload (D2H) engine threads; see
-    /// [`HostOffloadConfig::offload_workers`].
-    offload_workers: usize,
-    /// Batch-parallel compute fan-out; see
-    /// [`HostOffloadConfig::compute_workers`].
-    compute_workers: usize,
-    /// Per-layer host-tier placement (all-RAM unless `host_capacity` /
-    /// `spill` demand a file tier).
+    /// Per-layer host-tier placement (all-RAM unless `host_capacity`
+    /// demands a file tier).
     tier_plan: TierPlan,
 }
 
@@ -318,20 +220,17 @@ impl WindowedBackend {
             block_elems,
             stream.window(),
             hocfg.host_capacity,
-            hocfg.spill,
         );
-        let store = LayerStore::tiered(flats, &tier_plan, hocfg.spill_workers.max(1), &tel)
-            .expect("create spill tier swap file");
+        let store =
+            LayerStore::tiered(flats, &tier_plan, &tel).expect("create spill tier swap file");
         let pool = OptimizerPool::with_telemetry(
             Arc::clone(&store),
             hocfg.adam,
             hocfg.optimizer_workers.max(1),
             &tel,
         );
-        let offload_workers = hocfg.offload_workers.max(1);
-        let ring = 1 + offload_workers;
-        let grad_ring = (0..ring).map(|_| stream.zero_grads()).collect();
-        tel.gauge("grad.accumulators").set(ring as i64);
+        let grad_ring = (0..GRAD_RING).map(|_| stream.zero_grads()).collect();
+        tel.gauge("grad.accumulators").set(GRAD_RING as i64);
         WindowedBackend {
             cfg,
             shell,
@@ -341,15 +240,12 @@ impl WindowedBackend {
             grad_ring,
             tel,
             head_scratches: Vec::new(),
-            bp_slots: Vec::new(),
             fold_plan: FoldPlan::default(),
             bp_fold_slots: Vec::new(),
             resident_fold_slots: Vec::new(),
             loss_buf: Vec::new(),
             norm_bits: (0..cfg.layers).map(|_| AtomicU64::new(0)).collect(),
             global_batch: None,
-            offload_workers,
-            compute_workers: hocfg.compute_workers.max(1),
             tier_plan,
         }
     }
@@ -468,10 +364,10 @@ impl ParamBackend for WindowedBackend {
     /// submits each layer's optimizer update straight from the D2H engine.
     ///
     /// Three-way overlap: the stream's prefetcher thread runs H2D copies ahead
-    /// of compute, the compute thread runs FP/BP (optionally fanning the batch
-    /// across `compute_workers`), and the offload engine threads flatten and
-    /// account each finished layer's gradient off the compute thread's
-    /// critical path, so layer `i`'s D2H overlaps layer `i−1`'s backward.
+    /// of compute, the compute thread runs FP/BP, and the offload engine
+    /// thread flattens and accounts each finished layer's gradient off the
+    /// compute thread's critical path, so layer `i`'s D2H overlaps layer
+    /// `i−1`'s backward.
     ///
     /// Steady-state the loop performs no per-element heap allocation: the
     /// accumulator ring, fold partials, head scratches, and the D2H buffers
@@ -493,9 +389,6 @@ impl ParamBackend for WindowedBackend {
         let nb = self.cfg.layers;
         let m = self.window();
         let b = batch.len();
-        let ow = self.offload_workers;
-        let ring = 1 + ow;
-        let cw = self.compute_workers;
         // A data-parallel rank scales by the *global* batch — the same f32
         // a single-replica run over the whole batch would use.
         let scale = 1.0 / self.global_batch.unwrap_or(b) as f32;
@@ -510,11 +403,6 @@ impl ParamBackend for WindowedBackend {
         }
         for sg in self.head_scratches.iter_mut().take(b) {
             sg.zero_();
-        }
-        if cw > 1 {
-            while self.bp_slots.len() < b {
-                self.bp_slots.push(self.stream.zero_grads());
-            }
         }
         // Canonical-tree fan-in state (see `stronghold_collective::order`):
         // one merge schedule for the batch, block-shaped and resident-shaped
@@ -546,7 +434,7 @@ impl ParamBackend for WindowedBackend {
         let mut dsts: Vec<&mut Vec<f32>> = block_grads.iter_mut().collect();
 
         // ---- gradient offload (D2H copy engine) ----
-        // Run by the dedicated engine threads: flatten the finished layer's
+        // Run by the dedicated engine thread: flatten the finished layer's
         // gradient, account the D2H traffic, and either stream the optimizer
         // update immediately (clip off) or park the flat gradient for the
         // engine's deferred dispatch. Runs concurrently with the next
@@ -611,26 +499,23 @@ impl ParamBackend for WindowedBackend {
         // The ring is the back-pressure: the completion channel starts with
         // every accumulator in it, BP takes one per layer — blocking while
         // all are in flight — and the engine returns each after its copy.
-        // At most `ring` jobs or accumulators exist, so no send ever blocks.
-        let (off_tx, off_rx) = bounded(ring);
-        let (done_tx, done_rx) = bounded(ring);
+        // At most `GRAD_RING` jobs or accumulators exist, so no send ever
+        // blocks.
+        let (off_tx, off_rx) = bounded(GRAD_RING);
+        let (done_tx, done_rx) = bounded(GRAD_RING);
         for acc in self.grad_ring.drain(..) {
             done_tx.send(acc).expect("accumulator ring");
         }
         let loss = self.stream.run(&self.store, Pass::ForwardBackward, |feed| {
             std::thread::scope(|scope| {
-                // ---- offload engine threads ----
-                for _ in 0..ow {
-                    let (off_rx, done, offload) = (off_rx.clone(), done_tx.clone(), &offload);
-                    scope.spawn(move || {
-                        while let Ok(job) = off_rx.recv() {
-                            offload(job, &done);
-                        }
-                    });
-                }
-                // Only the engine threads hold these ends now: if they all
-                // die, BP's next take fails instead of waiting forever.
-                drop((off_rx, done_tx));
+                // ---- offload engine thread ----
+                // It owns these channel ends: if it dies, BP's next take
+                // fails instead of waiting forever.
+                scope.spawn(move || {
+                    while let Ok(job) = off_rx.recv() {
+                        offload(job, &done_tx);
+                    }
+                });
 
                 // ---- compute ("GPU") ----
                 // FP, batch-major; each layer's input tensors are *moved* into
@@ -644,7 +529,7 @@ impl ParamBackend for WindowedBackend {
                     let (gi, block) = feed.next();
                     assert_eq!(gi, i, "fp prefetch order");
                     let span = self.tel.span("compute", format!("fp L{i}"));
-                    let next = parallel_forward(&block, &x, cw);
+                    let next = x.iter().map(|xs| block.forward_no_cache(xs)).collect();
                     span.end();
                     hooks.fire(i, HookPoint::PostForward, &ctx(i));
                     inputs.push(std::mem::replace(&mut x, next));
@@ -697,26 +582,15 @@ impl ParamBackend for WindowedBackend {
                     // block leaf the resident trainer runs too.
                     let acc = done_rx.recv().expect("offload engine lost an accumulator");
                     self.bp_fold_slots.insert(0, acc);
-                    if cw > 1 {
-                        let slots = &mut self.bp_slots[..b];
-                        parallel_backward(&block, &inputs[i], &mut dy, slots, scale, cw);
-                        fold_with(
-                            &self.fold_plan,
-                            &mut self.bp_fold_slots,
-                            |s, slot| std::mem::swap(slot, &mut self.bp_slots[s]),
-                            |acc, part| acc.accumulate(part),
-                        );
-                    } else {
-                        fold_with(
-                            &self.fold_plan,
-                            &mut self.bp_fold_slots,
-                            |s, slot| {
-                                let dxs = block.leaf_backward(&dy[s], &inputs[i][s], slot, scale);
-                                scratch::give(std::mem::replace(&mut dy[s], dxs));
-                            },
-                            |acc, part| acc.accumulate(part),
-                        );
-                    }
+                    fold_with(
+                        &self.fold_plan,
+                        &mut self.bp_fold_slots,
+                        |s, slot| {
+                            let dxs = block.leaf_backward(&dy[s], &inputs[i][s], slot, scale);
+                            scratch::give(std::mem::replace(&mut dy[s], dxs));
+                        },
+                        |acc, part| acc.accumulate(part),
+                    );
                     let grads = self.bp_fold_slots.remove(0);
                     for t in std::mem::take(&mut inputs[i]) {
                         scratch::give(t); // layer i's checkpoints are consumed
@@ -736,7 +610,7 @@ impl ParamBackend for WindowedBackend {
                     };
                     off_tx.send(job).expect("offload queue");
                 }
-                // Close the offload queue: engine threads drain it and exit
+                // Close the offload queue: the engine thread drains it and exits
                 // while the embedding backward below proceeds.
                 drop(off_tx);
 
@@ -762,13 +636,13 @@ impl ParamBackend for WindowedBackend {
                 tree_sum(&self.loss_buf)
             })
         });
-        // The engine threads have exited: every accumulator is home, in
+        // The engine thread has exited: every accumulator is home, in
         // whatever order — which buffer serves which layer is invisible.
         self.grad_ring
             .extend(std::iter::from_fn(|| done_rx.try_recv().ok()));
         assert_eq!(
             self.grad_ring.len(),
-            ring,
+            GRAD_RING,
             "offload engine lost an accumulator"
         );
         // Streaming norm partials were recorded at delivery time (on the
@@ -1029,15 +903,13 @@ mod tests {
     #[test]
     fn deterministic_across_runs_and_worker_counts() {
         let cfg = tiny(4);
-        let run = |optimizer_workers: usize, offload_workers: usize, compute_workers: usize| {
+        let run = |optimizer_workers: usize| {
             let mut t = HostOffloadTrainer::new(
                 cfg,
                 24,
                 HostOffloadConfig {
                     window: 2,
                     optimizer_workers,
-                    offload_workers,
-                    compute_workers,
                     ..HostOffloadConfig::default()
                 },
             );
@@ -1050,33 +922,13 @@ mod tests {
                 .map(|i| t.block_params(i))
                 .collect::<Vec<_>>()
         };
-        let base = run(1, 1, 1);
+        let base = run(1);
         assert_eq!(
             base,
-            run(4, 1, 1),
+            run(4),
             "optimizer worker count must not affect results"
         );
-        assert_eq!(
-            base,
-            run(4, 0, 1),
-            "a configured 0 is clamped to one offload thread"
-        );
-        assert_eq!(
-            base,
-            run(4, 2, 1),
-            "offload engine thread count must not affect results"
-        );
-        assert_eq!(
-            base,
-            run(1, 1, 4),
-            "batch-parallel compute must not affect results"
-        );
-        assert_eq!(
-            base,
-            run(4, 2, 4),
-            "fully parallel pipeline must not affect results"
-        );
-        assert_eq!(base, run(4, 2, 4), "repeat runs must be identical");
+        assert_eq!(base, run(4), "repeat runs must be identical");
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! | §III-E1 concurrent CPU optimizers | [`optimpool`], [`adam`] |
 //! | §III-E3 user-level memory management | [`host::device::HostDevice`] arena + the `m + 1` shell pool of the layer stream (`host::stream`) |
 //! | §III-G NVMe tier | [`nvme`], [`tier`] |
-//! | §IV-A multi-stream execution | [`multistream`] (sim), `compute_workers` of [`host::offloaded`] (real) |
+//! | §IV-A multi-stream execution | [`multistream`] (sim only: Figs. 11 / 14; on the host the kernel pool shares the one parameter copy inside every GEMM) |
 //! | §VI-D3 inference / knowledge distillation | [`inference`] |
 
 pub mod adam;

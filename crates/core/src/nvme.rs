@@ -5,7 +5,7 @@
 //! simulator side of this lives in [`crate::offload`] (the `Nvme` cold
 //! tier); this module provides the *functional* backing store — a real
 //! temporary swap file of fixed-size slots with positional reads and
-//! writes. The asynchronous side (fills on spill workers, the chunked
+//! writes. The asynchronous side (fills on the spill thread, the chunked
 //! update on the optimizer actors) lives in [`crate::tier::TierStore`] and
 //! [`crate::optimpool::LayerStore`].
 //!

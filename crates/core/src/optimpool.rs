@@ -155,7 +155,7 @@ impl LayerStore {
     /// Builds a store whose layers are placed per `plan`: `Tier::Ram` slots
     /// behave exactly as in [`LayerStore::new`]; `Tier::File` slots write
     /// their initial params + zero moments to a fresh swap file and page
-    /// through `spill_workers` async I/O threads. Falls back to the plain
+    /// through the tier's async fill thread. Falls back to the plain
     /// resident store when the plan spills nothing.
     ///
     /// # Panics
@@ -164,7 +164,6 @@ impl LayerStore {
     pub fn tiered(
         layer_params: Vec<Vec<f32>>,
         plan: &TierPlan,
-        spill_workers: usize,
         tel: &Telemetry,
     ) -> std::io::Result<Arc<Self>> {
         let lens: Vec<usize> = layer_params.iter().map(Vec::len).collect();
@@ -207,7 +206,7 @@ impl LayerStore {
             });
         }
         let slots = Arc::new(slots);
-        let tier = TierStore::new(nvme, Arc::clone(&slots), n, spill_workers, tel);
+        let tier = TierStore::new(nvme, Arc::clone(&slots), n, tel);
         Ok(Arc::new(LayerStore {
             slots,
             lens,
@@ -842,10 +841,9 @@ mod tests {
     }
 
     fn fully_spilled(layer_params: Vec<Vec<f32>>) -> Arc<LayerStore> {
-        use crate::tier::SpillPolicy;
         let (layers, n) = (layer_params.len(), layer_params[0].len());
-        let plan = TierPlan::plan(layers, n, 1, None, SpillPolicy::All);
-        let store = LayerStore::tiered(layer_params, &plan, 1, &Telemetry::disabled()).unwrap();
+        let plan = TierPlan::plan(layers, n, 1, Some(0));
+        let store = LayerStore::tiered(layer_params, &plan, &Telemetry::disabled()).unwrap();
         assert_eq!(store.spilled_layers(), layers);
         store
     }

@@ -74,8 +74,8 @@
 //! batch-stable GEMM entries (a row's bits do not depend on which other
 //! rows share the product) and every softmax covers exactly the causal
 //! prefix. Token streams are therefore bit-identical across window sizes,
-//! slot counts, worker counts, arrival interleavings, and prefill/decode
-//! splits — asserted by the integration suite.
+//! slot counts, arrival interleavings, and prefill/decode splits — asserted
+//! by the integration suite.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -109,10 +109,6 @@ pub struct ServeConfig {
     /// Per-sequence token capacity; `0` means the model's trained context
     /// (`cfg.seq`). Clamped to the positional table.
     pub max_seq: usize,
-    /// Compute threads fanning the per-sequence attention segments within
-    /// one layer (the stacked linears are one product each). `1` keeps the
-    /// whole round on the driver thread.
-    pub compute_workers: usize,
     /// Device-side parameter precision: H2D payloads shrink to half width
     /// and the device computes on the half grid, exactly as in training.
     pub precision: Precision,
@@ -133,7 +129,6 @@ impl Default for ServeConfig {
             window: 2,
             slots: 2,
             max_seq: 0,
-            compute_workers: 1,
             precision: Precision::F32,
             device_capacity: None,
             temperature: 0.0,
@@ -211,7 +206,6 @@ pub struct ServeEngine {
     queue: VecDeque<(GenRequest, u64)>,
     kv_bytes: u64,
     max_seq: usize,
-    compute_workers: usize,
     temperature: f32,
     tel: Telemetry,
     clock: Instant,
@@ -306,7 +300,6 @@ impl ServeEngine {
             queue: VecDeque::new(),
             kv_bytes,
             max_seq,
-            compute_workers: cfg.compute_workers.max(1),
             temperature: cfg.temperature,
             clock: Instant::now(),
             c_requests: tel.counter("serve.requests"),
@@ -519,13 +512,12 @@ impl ServeEngine {
         // ---- one layer-streamed pass over the stacked sequences ----
         // Run the whole stack through each layer as it lands, then release
         // the shell back to the window.
-        let cw = self.compute_workers;
         let (tel, batch, kv) = (&self.tel, &mut self.batch, &mut self.kv);
         self.stream.run(&self.store, Pass::Forward, |feed| {
             for layer_kv in kv.iter_mut() {
                 let (i, block) = feed.next();
                 let span = tel.span("serve-compute", format!("L{i}"));
-                batch.block_forward(&block, layer_kv, cw);
+                batch.block_forward(&block, layer_kv);
                 span.end();
                 feed.release(block);
             }

@@ -16,8 +16,8 @@
 //!   placement is reproducible run to run. Placement is invisible to the
 //!   math either way: f32 ↔ little-endian file round trips are bit-exact,
 //!   so a spilled layer trains bit-identically to a resident one.
-//! * [`TierStore`] — the async fill engine: a fixed pool of spill workers
-//!   over one bounded channel. Fills (file → host) are issued ahead
+//! * [`TierStore`] — the async fill engine: one spill thread over a
+//!   bounded channel. Fills (file → host) are issued ahead
 //!   of the working window by the layer stream's prefetcher — the access
 //!   pattern is fully known, so disk reads hide under compute exactly like
 //!   H2D prefetch. Fill buffers circulate through one free list, so a run
@@ -71,19 +71,6 @@ pub enum Tier {
     File,
 }
 
-/// Which layers spill when the resident image exceeds `host_capacity`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SpillPolicy {
-    /// 10Cache-style: spill the cheapest layers first — the deepest layers
-    /// sit inside the final working window, are never re-fetched for BP,
-    /// and therefore cost the least extra I/O per step.
-    #[default]
-    CostAware,
-    /// Spill every layer (stress/testing: the whole state image pages
-    /// through the file tier).
-    All,
-}
-
 /// Measured tier bandwidths (bytes per nanosecond), as probed by
 /// [`crate::host::profiler::measure_tier_bandwidths`]. Used only to
 /// *annotate* a [`TierPlan`] with predicted per-layer migration cost —
@@ -117,27 +104,24 @@ impl TierPlan {
     /// (12 bytes/param/layer).
     ///
     /// Deterministic: the spill *count* is the smallest number of layers
-    /// that brings the resident image within budget, and the spill *choice*
-    /// is cost-ascending — deepest layers first, because layers inside the
-    /// final window (`layer ≥ layers − window`) skip the BP re-fetch and
-    /// are cheapest to page.
+    /// that brings the resident image within budget (a budget of 0 spills
+    /// them all), and the spill *choice* is cost-ascending (10Cache-style)
+    /// — deepest layers first, because layers inside the final window
+    /// (`layer ≥ layers − window`) skip the BP re-fetch and are cheapest to
+    /// page.
     pub fn plan(
         layers: usize,
         param_len: usize,
         window: usize,
         host_capacity: Option<u64>,
-        policy: SpillPolicy,
     ) -> TierPlan {
-        let spill_count = match policy {
-            SpillPolicy::All => layers,
-            SpillPolicy::CostAware => match host_capacity {
-                None => 0,
-                Some(cap) => {
-                    let per_layer = RESIDENT_BYTES_PER_PARAM * param_len as u64;
-                    let fit = cap.checked_div(per_layer).map_or(layers, |n| n as usize);
-                    layers.saturating_sub(fit)
-                }
-            },
+        let spill_count = match host_capacity {
+            None => 0,
+            Some(cap) => {
+                let per_layer = RESIDENT_BYTES_PER_PARAM * param_len as u64;
+                let fit = cap.checked_div(per_layer).map_or(layers, |n| n as usize);
+                layers.saturating_sub(fit)
+            }
         };
         let mut tiers = vec![Tier::Ram; layers];
         for t in tiers.iter_mut().rev().take(spill_count) {
@@ -207,7 +191,7 @@ impl TierPlan {
     }
 }
 
-/// One queued job of the spill workers.
+/// One queued job of the spill thread.
 pub(crate) enum TierJob {
     /// Read `layer`'s parameters from `file_slot` into its fill cache.
     Fill {
@@ -232,7 +216,7 @@ pub(crate) fn io_failure(
 }
 
 /// The async fill engine over one [`NvmeStore`] swap file. Owned by a
-/// tiered [`crate::optimpool::LayerStore`]; workers deposit fills into (and
+/// tiered [`crate::optimpool::LayerStore`]; its thread deposits fills into (and
 /// clear in-flight flags on) the store's slots, so the two are constructed
 /// together.
 pub struct TierStore {
@@ -242,7 +226,7 @@ pub struct TierStore {
     n: usize,
     tx: Option<Sender<TierJob>>,
     inflight: Arc<(Mutex<usize>, Condvar)>,
-    /// Fill buffers, every one `n` floats long. Only a fill worker finding
+    /// Fill buffers, every one `n` floats long. Only the fill thread finding
     /// the list empty allocates, so its length never exceeds the most fills
     /// ever out at once.
     free: Arc<Mutex<Vec<Vec<f32>>>>,
@@ -251,16 +235,15 @@ pub struct TierStore {
     h2f: Counter,
     queue_wait: Histogram,
     fill_wait: Arc<AtomicU64>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl TierStore {
-    /// Spawns the engine with `workers` I/O threads (clamped to ≥ 1).
+    /// Spawns the engine and its I/O thread.
     pub(crate) fn new(
         nvme: Arc<NvmeStore>,
         slots: Arc<Vec<crate::optimpool::SlotCell>>,
         n: usize,
-        workers: usize,
         tel: &Telemetry,
     ) -> Self {
         let (tx, rx) = bounded::<TierJob>(QUEUE_CAP);
@@ -276,16 +259,14 @@ impl TierStore {
             h2f: tel.counter("spill.h2f_bytes"),
             queue_wait: tel.histogram("spill.queue_wait_ns"),
             fill_wait: Arc::new(AtomicU64::new(0)),
-            handles: Vec::new(),
+            handle: None,
         };
-        for w in 0..workers.max(1) {
-            store.spawn_worker(w, rx.clone());
-        }
+        store.spawn_worker(rx);
         store
     }
 
-    /// Spawns I/O thread `w` on the shared job channel.
-    fn spawn_worker(&mut self, w: usize, rx: Receiver<TierJob>) {
+    /// Spawns the I/O thread on the job channel.
+    fn spawn_worker(&mut self, rx: Receiver<TierJob>) {
         let nvme = Arc::clone(&self.nvme);
         let slots = Arc::clone(&self.slots);
         let inflight = Arc::clone(&self.inflight);
@@ -295,7 +276,7 @@ impl TierStore {
         let queue_wait = self.queue_wait.clone();
         let n = self.n;
         let handle = std::thread::Builder::new()
-            .name(format!("spill-{w}"))
+            .name("spill".into())
             .spawn(move || {
                 while let Ok(job) = rx.recv() {
                     let TierJob::Fill {
@@ -337,7 +318,7 @@ impl TierStore {
                 }
             })
             .expect("spawn spill worker");
-        self.handles.push(handle);
+        self.handle = Some(handle);
     }
 
     /// Enqueues an asynchronous fill of `layer` from `file_slot`. The caller
@@ -404,7 +385,7 @@ impl Drop for TierStore {
     fn drop(&mut self) {
         self.quiesce();
         drop(self.tx.take());
-        for h in self.handles.drain(..) {
+        if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
     }
@@ -418,7 +399,7 @@ mod tests {
     fn cost_aware_plan_spills_deepest_first_within_budget() {
         // 8 layers × 100 params × 12 B = 9600 B resident. A 5000 B budget
         // fits 4 layers; the 4 deepest spill.
-        let plan = TierPlan::plan(8, 100, 2, Some(5000), SpillPolicy::CostAware);
+        let plan = TierPlan::plan(8, 100, 2, Some(5000));
         assert_eq!(plan.spilled(), 4);
         assert_eq!(plan.resident_bytes(), 4800);
         for l in 0..4 {
@@ -431,14 +412,14 @@ mod tests {
 
     #[test]
     fn plan_without_budget_keeps_everything_resident() {
-        let plan = TierPlan::plan(6, 64, 2, None, SpillPolicy::CostAware);
+        let plan = TierPlan::plan(6, 64, 2, None);
         assert_eq!(plan.spilled(), 0);
         assert!(plan.tiers().iter().all(|t| *t == Tier::Ram));
     }
 
     #[test]
-    fn all_policy_spills_every_layer() {
-        let plan = TierPlan::plan(5, 32, 2, None, SpillPolicy::All);
+    fn zero_budget_spills_every_layer() {
+        let plan = TierPlan::plan(5, 32, 2, Some(0));
         assert_eq!(plan.spilled(), 5);
         assert_eq!(plan.resident_bytes(), 0);
     }
@@ -446,7 +427,7 @@ mod tests {
     #[test]
     fn per_step_traffic_formulas() {
         // 6 layers, window 2: layers 4 and 5 skip the BP re-fetch.
-        let plan = TierPlan::plan(6, 10, 2, None, SpillPolicy::All);
+        let plan = TierPlan::plan(6, 10, 2, Some(0));
         let s = 10 * 4;
         for l in 0..4 {
             assert_eq!(plan.f2h_bytes_per_step(l, 2), (s + s + 3 * s) as u64);
@@ -458,14 +439,14 @@ mod tests {
             assert_eq!(plan.h2f_bytes_per_step(l), (3 * s) as u64);
         }
         // Resident layers move nothing.
-        let res = TierPlan::plan(6, 10, 2, None, SpillPolicy::CostAware);
+        let res = TierPlan::plan(6, 10, 2, None);
         assert_eq!(res.f2h_bytes_per_step(0, 2), 0);
         assert_eq!(res.h2f_bytes_per_step(0), 0);
     }
 
     #[test]
     fn predicted_cost_is_positive_when_disk_slower_than_ram() {
-        let plan = TierPlan::plan(4, 1000, 2, None, SpillPolicy::All);
+        let plan = TierPlan::plan(4, 1000, 2, Some(0));
         let bw = TierBandwidths {
             ram_bytes_per_ns: 10.0,
             file_read_bytes_per_ns: 1.0,

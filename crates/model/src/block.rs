@@ -190,7 +190,7 @@ impl Block {
             cache: 0,
             len: x.shape().dim(0),
         };
-        self.forward_decode_segments(x, &[seg], std::slice::from_mut(cache), ws, y, 1);
+        self.forward_decode_segments(x, &[seg], std::slice::from_mut(cache), ws, y);
     }
 
     /// Incremental forward for serving with selective batching: `x: [ΣR, H]`
@@ -201,12 +201,12 @@ impl Block {
     /// all `ΣR` rows however many sequences ride them — on a serving-form
     /// block ([`Block::into_panels`]) against weights packed once per
     /// engine, not per call — while attention stays per sequence (one scores
-    /// and one context product per head against the cache's panel images,
-    /// fanned over `workers` threads). All products go through the batch-stable GEMM
-    /// entries and the attention softmax covers exactly the causal prefix,
-    /// so one token's output bits are independent of what else rides the
-    /// call — prefill, token-at-a-time decode and any stacking agree
-    /// bit-for-bit. Writes the block output into `y` (reused across calls).
+    /// and one context product per head against the cache's panel images).
+    /// All products go through the batch-stable GEMM entries and the
+    /// attention softmax covers exactly the causal prefix, so one token's
+    /// output bits are independent of what else rides the call — prefill,
+    /// token-at-a-time decode and any stacking agree bit-for-bit. Writes
+    /// the block output into `y` (reused across calls).
     pub fn forward_decode_segments(
         &self,
         x: &Tensor,
@@ -214,7 +214,6 @@ impl Block {
         caches: &mut [KvCache],
         ws: &mut BlockDecodeScratch,
         y: &mut Tensor,
-        workers: usize,
     ) {
         layernorm_into(
             x,
@@ -230,7 +229,6 @@ impl Block {
             caches,
             &mut ws.attn,
             &mut ws.attn_out,
-            workers,
         );
         // after_attn = x + attn_out, reusing the attention output buffer.
         add_assign(&mut ws.attn_out, x);
@@ -611,13 +609,11 @@ mod tests {
         /// Selective batching moves no bits: a random mix of prefill
         /// (empty cache) and decode (warm cache) segments stacked into one
         /// call equals each sequence run alone through the one-segment
-        /// entry — block outputs and resulting KV caches, bit for bit, at
-        /// any worker count.
+        /// entry — block outputs and resulting KV caches, bit for bit.
         #[test]
         fn prop_stacked_segments_equal_each_sequence_alone(
             lens in proptest::collection::vec(1usize..41, 1..7),
             cached in proptest::collection::vec(0usize..9, 6..7),
-            workers in 1usize..4,
             seed in 0u64..1000,
         ) {
             let (h, heads, max_seq) = (16, 2, 48);
@@ -653,7 +649,7 @@ mod tests {
                 .map(|(s, &len)| Segment { cache: 2 * s, len })
                 .collect();
             let x = Tensor::from_vec([xs.len() / h, h], xs);
-            block.forward_decode_segments(&x, &segs, &mut stacked, &mut ws, &mut y, workers);
+            block.forward_decode_segments(&x, &segs, &mut stacked, &mut ws, &mut y);
 
             let got: Vec<u32> = y.data().iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(got, want);
@@ -710,7 +706,7 @@ mod tests {
             for end in ends.into_iter().filter(|&e| e > 0) {
                 let seg = Segment { cache: 0, len: end - start };
                 let caches = std::slice::from_mut(&mut batched);
-                block.forward_decode_segments(&rows(start..end), &[seg], caches, &mut ws, &mut y, 1);
+                block.forward_decode_segments(&rows(start..end), &[seg], caches, &mut ws, &mut y);
                 got.extend(bits(y.data()));
                 start = end;
             }

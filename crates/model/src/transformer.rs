@@ -158,15 +158,8 @@ impl DecodeBatch {
 
     /// Runs the stacked rows through one block, each sequence against
     /// `caches[its cache index]` (that layer's KV caches).
-    pub fn block_forward(&mut self, block: &Block, caches: &mut [KvCache], workers: usize) {
-        block.forward_decode_segments(
-            &self.x,
-            &self.segs,
-            caches,
-            &mut self.ws,
-            &mut self.y,
-            workers,
-        );
+    pub fn block_forward(&mut self, block: &Block, caches: &mut [KvCache]) {
+        block.forward_decode_segments(&self.x, &self.segs, caches, &mut self.ws, &mut self.y);
         std::mem::swap(&mut self.x, &mut self.y);
     }
 

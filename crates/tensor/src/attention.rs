@@ -455,16 +455,16 @@ pub struct Segment {
 }
 
 /// Reusable workspace for [`Attention::forward_decode_segments`]; holds the
-/// fused QKV activation, one set of per-head buffers per worker, and the stacked
-/// context so repeated decode steps are allocation-free after warm-up.
+/// fused QKV activation, the per-head buffers and the stacked context so
+/// repeated decode steps are allocation-free after warm-up.
 #[derive(Clone)]
 pub struct DecodeScratch {
     qkv_out: Tensor,
-    segs: Vec<SegmentScratch>,
+    seg: SegmentScratch,
     ctx: Tensor,
 }
 
-/// One worker's per-head buffers for a segment of `T` rows: the gathered
+/// The per-head buffers for a segment of `T` rows: the gathered
 /// queries `[T, dh]`, the scores / probabilities `[T, max_seq]` and the
 /// head's context `[T, dh]` on its way to the scatter. Each grows to the
 /// longest segment seen and stays.
@@ -501,7 +501,7 @@ impl DecodeScratch {
     pub fn new() -> Self {
         DecodeScratch {
             qkv_out: Tensor::zeros([1]),
-            segs: Vec::new(),
+            seg: SegmentScratch::default(),
             ctx: Tensor::zeros([1]),
         }
     }
@@ -527,7 +527,7 @@ impl Attention {
             cache: 0,
             len: x.shape().dim(0),
         };
-        self.forward_decode_segments(x, &[seg], std::slice::from_mut(cache), ws, y, 1);
+        self.forward_decode_segments(x, &[seg], std::slice::from_mut(cache), ws, y);
     }
 
     /// Incremental causal forward for serving with selective batching:
@@ -538,9 +538,8 @@ impl Attention {
     /// once per call otherwise; between them every segment appends its K/V
     /// rows to its own cache and attends causally against that cache only,
     /// in one scores and one context product per head whatever its length,
-    /// reading the cache's panel images (nothing is packed).
-    /// `workers > 1` fans the segments — independent by construction —
-    /// across threads. Writes the attention output into `y: [ΣR, H]`.
+    /// reading the cache's panel images (nothing is packed). Writes the
+    /// attention output into `y: [ΣR, H]`.
     ///
     /// Bit-compatibility contract: every product uses the batch-stable
     /// GEMM engine and every softmax runs over exactly the causal prefix
@@ -548,8 +547,7 @@ impl Attention {
     /// `+0` terms to its context), so the bits of one token's output depend
     /// only on the tokens before it in its own sequence — a full-prompt
     /// prefill, a token-at-a-time replay, any split of a prompt, and any
-    /// stacking with other sequences (at any worker count) produce
-    /// identical streams.
+    /// stacking with other sequences produce identical streams.
     ///
     /// # Panics
     /// Panics if `segs` does not partition `x`'s rows, its cache indices
@@ -561,7 +559,6 @@ impl Attention {
         caches: &mut [KvCache],
         ws: &mut DecodeScratch,
         y: &mut Tensor,
-        workers: usize,
     ) {
         let (r, h) = x.shape().as_2d();
         assert_eq!(
@@ -576,54 +573,19 @@ impl Attention {
 
         self.qkv.forward_stable_into(x, &mut ws.qkv_out); // [ΣR, 3H]
         ws.ctx.reset_for([r, h]);
-        let per = segs.len().div_ceil(workers.max(1)).max(1);
-        let chunks = segs.len().div_ceil(per);
-        if ws.segs.len() < chunks {
-            ws.segs.resize_with(chunks, SegmentScratch::default);
-        }
-
-        if segs.len() <= per {
-            self.attend(
-                segs,
-                caches,
-                0,
-                ws.qkv_out.data(),
-                ws.ctx.data_mut(),
-                &mut ws.segs[0],
-            );
-        } else {
-            // Ascending cache indices and in-order rows let every chunk of
-            // segments split off its own caches, rows and head buffers.
-            let mut caches = caches;
-            let mut base = 0;
-            let mut qkv = ws.qkv_out.data();
-            let mut ctx = ws.ctx.data_mut();
-            let mut spaces = ws.segs.iter_mut();
-            std::thread::scope(|scope| {
-                let mut chunks = segs.chunks(per).peekable();
-                while let Some(chunk) = chunks.next() {
-                    let rows: usize = chunk.iter().map(|s| s.len).sum();
-                    let hi = chunk[chunk.len() - 1].cache + 1;
-                    let (mine, rest) = std::mem::take(&mut caches).split_at_mut(hi - base);
-                    let (q, q_rest) = qkv.split_at(rows * 3 * h);
-                    let (c, c_rest) = std::mem::take(&mut ctx).split_at_mut(rows * h);
-                    let ws = spaces.next().expect("one head workspace per chunk");
-                    // The calling thread takes the last chunk itself.
-                    if chunks.peek().is_some() {
-                        scope.spawn(move || self.attend(chunk, mine, base, q, c, ws));
-                    } else {
-                        self.attend(chunk, mine, base, q, c, ws);
-                    }
-                    (caches, base, qkv, ctx) = (rest, hi, q_rest, c_rest);
-                }
-            });
-        }
+        self.attend(
+            segs,
+            caches,
+            ws.qkv_out.data(),
+            ws.ctx.data_mut(),
+            &mut ws.seg,
+        );
         self.proj.forward_stable_into(&ws.ctx, y);
     }
 
-    /// Per-sequence score → softmax → context for a run of segments whose
-    /// rows start at row 0 of `qkv: [rows, 3H]` / `ctx: [rows, H]` and
-    /// whose caches are `caches[seg.cache - base]`.
+    /// Per-sequence score → softmax → context for every segment: rows of
+    /// `qkv: [ΣR, 3H]` / `ctx: [ΣR, H]` in segment order, each segment
+    /// against `caches[seg.cache]`.
     ///
     /// A segment of `T` rows over `pos0` cached tokens appends all `T`
     /// tokens' K/V first, then runs per head **one** scores product
@@ -638,7 +600,6 @@ impl Attention {
         &self,
         segs: &[Segment],
         caches: &mut [KvCache],
-        base: usize,
         qkv: &[f32],
         ctx: &mut [f32],
         ws: &mut SegmentScratch,
@@ -648,7 +609,7 @@ impl Attention {
         let scale = 1.0 / (dh as f32).sqrt();
         let mut row0 = 0;
         for seg in segs {
-            let cache = &mut caches[seg.cache - base];
+            let cache = &mut caches[seg.cache];
             assert_eq!(cache.heads, self.heads, "KvCache heads mismatch");
             assert_eq!(cache.dh, dh, "KvCache head width mismatch");
             let t = seg.len;

@@ -304,7 +304,6 @@ fn spilled_step_allocations_stop_growing() {
             adam: adam(),
             // Room for one resident layer: 3 of 4 layers live on the file.
             host_capacity: Some(12 * cfg.block_params()),
-            spill_workers: 2,
             ..HostOffloadConfig::default()
         },
     );
@@ -332,7 +331,7 @@ fn spilled_step_allocations_stop_growing() {
 }
 
 /// The live-heap contracts' shape: blocks large enough that a gradient
-/// buffer per layer beyond the ring — `(nb − 1 − ow)·4·S`, 1.6 MB here —
+/// buffer per layer beyond the ring — `(nb − 2)·4·S`, 1.6 MB here —
 /// exceeds [`LIVE_HEAP_CONSTANT`], so a gradient term that scales with
 /// depth again cannot hide inside it (a trainer holding one accumulator
 /// per layer, a per-sample scratch and a fold slot overruns both bounds),
@@ -354,8 +353,8 @@ const LIVE_HEAP_CONSTANT: i64 = 1 << 20;
 /// Optimizer actors of the live-heap runs.
 const OPTIMIZER_WORKERS: usize = 2;
 
-/// Offload (D2H) workers of the live-heap runs: the ring is one more.
-const OFFLOAD_WORKERS: usize = 1;
+/// Block-sized gradient accumulators in the windowed backend's ring.
+const GRAD_RING: usize = 2;
 
 /// A live-heap run's configuration at `precision` / `window`.
 fn live_heap_config(precision: Precision, window: usize) -> HostOffloadConfig {
@@ -363,20 +362,19 @@ fn live_heap_config(precision: Precision, window: usize) -> HostOffloadConfig {
         window,
         precision,
         optimizer_workers: OPTIMIZER_WORKERS,
-        offload_workers: OFFLOAD_WORKERS,
         adam: adam(),
         ..HostOffloadConfig::default()
     }
 }
 
 /// What the windowed backend's gradients hold, in bytes of a block-sized
-/// buffer `layer`: the accumulator ring, `1 + offload_workers`, and the
-/// fold tree's partials beyond its root, `depth(b) − 1` — at any depth.
+/// buffer `layer`: the accumulator ring, [`GRAD_RING`], and the fold
+/// tree's partials beyond its root, `depth(b) − 1` — at any depth.
 fn gradient_term(layer: i64, batch: usize) -> (&'static str, i64) {
     let depth = FoldPlan::new(batch).depth();
     (
-        "gradients: ring 1 + ow, fold partials depth(b) − 1",
-        (1 + OFFLOAD_WORKERS + depth - 1) as i64 * layer,
+        "gradients: ring 2, fold partials depth(b) − 1",
+        (GRAD_RING + depth - 1) as i64 * layer,
     )
 }
 
@@ -484,7 +482,6 @@ fn spilled_live_heap_is_bounded_by_the_plan() {
                 7,
                 HostOffloadConfig {
                     host_capacity: Some(12 * resident * cfg.block_params()),
-                    spill_workers: 2,
                     ..live_heap_config(precision, window)
                 },
             );
@@ -582,7 +579,6 @@ fn serving_decode_round_allocations_stop_growing() {
         ServeConfig {
             window: 2,
             slots: 2,
-            compute_workers: 1,
             ..ServeConfig::default()
         },
     );

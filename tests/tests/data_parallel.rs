@@ -55,8 +55,6 @@ fn dp_config(
         host: HostOffloadConfig {
             window,
             optimizer_workers: 2,
-            offload_workers: 1,
-            compute_workers: 1,
             adam: adam(),
             schedule: None,
             clip_norm: if streaming { None } else { Some(f32::MAX) },
@@ -147,8 +145,8 @@ fn dp_matrix_matches_single_replica_resident_bitwise() {
 
 /// Thread-interleaving determinism at the trainer level: the most
 /// concurrent cell (4 replicas, streaming dispatch, layer-sized buckets,
-/// offload workers racing the bucket cursor) repeated from scratch must
-/// retrace itself exactly.
+/// the replicas' D2H engines racing the bucket cursor) repeated from
+/// scratch must retrace itself exactly.
 #[test]
 fn dp_repeat_runs_are_bit_identical() {
     let cfg = cfg();

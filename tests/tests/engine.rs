@@ -49,15 +49,6 @@ fn hocfg() -> HostOffloadConfig {
     }
 }
 
-/// §IV-A's multi-stream configuration: `k` compute workers over the one
-/// copy of the parameters, gradients folded down the canonical tree.
-fn multi_worker(k: usize) -> HostOffloadConfig {
-    HostOffloadConfig {
-        compute_workers: k,
-        ..hocfg()
-    }
-}
-
 #[test]
 fn policy_is_identical_across_backends() {
     // With a schedule *and* clipping active, every backend shape must still
@@ -67,27 +58,18 @@ fn policy_is_identical_across_backends() {
 
     let mut resident = HostResidentTrainer::with_options(cfg, 8, opts());
     let mut offloaded = HostOffloadTrainer::new(cfg, 8, hocfg());
-    let mut two_workers = HostOffloadTrainer::new(cfg, 8, multi_worker(2));
 
     for step in 0..6 {
         let lr = resident.train_step(&batch);
         let lo = offloaded.train_step(&batch);
-        let lm = two_workers.train_step(&batch);
         assert_eq!(lr, lo, "resident vs offloaded loss at step {step}");
-        assert_eq!(lo, lm, "one vs two compute workers, loss at step {step}");
     }
     offloaded.flush();
-    two_workers.flush();
     for i in 0..cfg.layers {
         assert_eq!(
             resident.block_params(i),
             offloaded.block_params(i),
             "resident vs offloaded block {i}"
-        );
-        assert_eq!(
-            offloaded.block_params(i),
-            two_workers.block_params(i),
-            "one vs two compute workers, block {i}"
         );
     }
 }
@@ -141,20 +123,18 @@ fn checkpoint_roundtrip_resident() {
 #[test]
 fn checkpoint_roundtrip_offloaded() {
     let cfg = tiny(3);
-    for hocfg in [hocfg(), multi_worker(2)] {
-        checkpoint_roundtrip(
-            || HostOffloadTrainer::new(cfg, 5, hocfg),
-            |blob| HostOffloadTrainer::load_training_state(blob, cfg, hocfg).unwrap(),
-            202,
-            &format!("{} compute workers", hocfg.compute_workers),
-        );
-    }
+    checkpoint_roundtrip(
+        || HostOffloadTrainer::new(cfg, 5, hocfg()),
+        |blob| HostOffloadTrainer::load_training_state(blob, cfg, hocfg()).unwrap(),
+        202,
+        "offloaded",
+    );
 }
 
 #[test]
 fn checkpoint_is_universal_across_backends() {
     // A blob saved by the offloaded trainer resumes bit-exactly on the
-    // resident trainer and on a multi-worker offloaded one: one format.
+    // resident trainer and on a fresh offloaded one: one format.
     let cfg = tiny(3);
     let batch = batch_for(&cfg, 204);
 
@@ -171,13 +151,12 @@ fn checkpoint_is_universal_across_backends() {
 
     let mut as_resident =
         HostResidentTrainer::load_training_state(blob.clone(), cfg, opts()).unwrap();
-    let mut as_two_workers =
-        HostOffloadTrainer::load_training_state(blob, cfg, multi_worker(2)).unwrap();
+    let mut as_offloaded = HostOffloadTrainer::load_training_state(blob, cfg, hocfg()).unwrap();
     for _ in 0..3 {
         as_resident.train_step(&batch);
-        as_two_workers.train_step(&batch);
+        as_offloaded.train_step(&batch);
     }
-    as_two_workers.flush();
+    as_offloaded.flush();
     for i in 0..cfg.layers {
         assert_eq!(
             reference.block_params(i),
@@ -186,8 +165,8 @@ fn checkpoint_is_universal_across_backends() {
         );
         assert_eq!(
             reference.block_params(i),
-            as_two_workers.block_params(i),
-            "offloaded blob -> multi-worker offloaded, block {i}"
+            as_offloaded.block_params(i),
+            "offloaded blob -> offloaded, block {i}"
         );
     }
 }
@@ -306,9 +285,7 @@ fn hooks_fire_on_resident_backend() {
 
 #[test]
 fn hooks_fire_on_offloaded_backend() {
-    for hocfg in [hocfg(), multi_worker(2)] {
-        hooks_fire(HostOffloadTrainer::new(tiny(3), 10, hocfg), 206);
-    }
+    hooks_fire(HostOffloadTrainer::new(tiny(3), 10, hocfg()), 206);
 }
 
 #[test]

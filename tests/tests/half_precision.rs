@@ -45,20 +45,12 @@ fn hocfg(precision: Precision, window: usize) -> HostOffloadConfig {
     }
 }
 
-/// Runs `steps` training steps with `workers` offload and compute threads
-/// and returns the cumulative transfer counters `(h2d_bytes, d2h_bytes)`.
-fn transfer_bytes(precision: Precision, window: usize, workers: usize) -> (u64, u64) {
+/// Runs three training steps and returns the cumulative transfer counters
+/// `(h2d_bytes, d2h_bytes)`.
+fn transfer_bytes(precision: Precision, window: usize) -> (u64, u64) {
     let cfg = tiny(4);
     let batch = batch_for(&cfg, 55);
-    let mut t = HostOffloadTrainer::new(
-        cfg,
-        SEED,
-        HostOffloadConfig {
-            offload_workers: workers,
-            compute_workers: workers,
-            ..hocfg(precision, window)
-        },
-    );
+    let mut t = HostOffloadTrainer::new(cfg, SEED, hocfg(precision, window));
     for _ in 0..3 {
         t.train_step(&batch);
     }
@@ -68,29 +60,26 @@ fn transfer_bytes(precision: Precision, window: usize, workers: usize) -> (u64, 
 
 /// The headline claim, zero tolerance: at the same window, bf16 and f16
 /// move **exactly** half the bytes FP32 moves, in both directions, for
-/// every window (up to the fully resident one) and both the single-threaded
-/// and the parallel pipeline shape.
+/// every window (up to the fully resident one).
 #[test]
 fn half_modes_move_exactly_half_the_bytes() {
     for window in [1usize, 2, 4] {
-        for workers in [1usize, 2] {
-            let (h32, d32) = transfer_bytes(Precision::F32, window, workers);
-            assert!(h32 > 0 && d32 > 0, "FP32 baseline moved no bytes");
-            for precision in [Precision::Bf16, Precision::F16] {
-                let (hh, dh) = transfer_bytes(precision, window, workers);
-                assert_eq!(
-                    2 * hh,
-                    h32,
-                    "{} h2d not exactly half of FP32 (window={window}, workers={workers})",
-                    precision.name()
-                );
-                assert_eq!(
-                    2 * dh,
-                    d32,
-                    "{} d2h not exactly half of FP32 (window={window}, workers={workers})",
-                    precision.name()
-                );
-            }
+        let (h32, d32) = transfer_bytes(Precision::F32, window);
+        assert!(h32 > 0 && d32 > 0, "FP32 baseline moved no bytes");
+        for precision in [Precision::Bf16, Precision::F16] {
+            let (hh, dh) = transfer_bytes(precision, window);
+            assert_eq!(
+                2 * hh,
+                h32,
+                "{} h2d not exactly half of FP32 (window={window})",
+                precision.name()
+            );
+            assert_eq!(
+                2 * dh,
+                d32,
+                "{} d2h not exactly half of FP32 (window={window})",
+                precision.name()
+            );
         }
     }
 }
@@ -236,19 +225,17 @@ fn half_mode_divergence_is_bounded_and_nonzero() {
     }
 }
 
-/// Worker counts, dispatch mode, and window size are invisible to the
-/// half-mode trajectory, exactly as they are to FP32.
+/// Dispatch mode and window size are invisible to the half-mode
+/// trajectory, exactly as they are to FP32.
 #[test]
 fn bf16_trajectory_invariant_to_pipeline_shape() {
     let cfg = tiny(4);
     let batch = batch_for(&cfg, 60);
-    let run = |window: usize, offload_workers: usize, compute_workers: usize, streaming: bool| {
+    let run = |window: usize, streaming: bool| {
         let mut t = HostOffloadTrainer::new(
             cfg,
             SEED,
             HostOffloadConfig {
-                offload_workers,
-                compute_workers,
                 // Deferred dispatch is selected by a within-budget clip
                 // threshold (`clip_scale` exactly 1.0, bits untouched).
                 clip_norm: if streaming { None } else { Some(f32::MAX) },
@@ -260,19 +247,14 @@ fn bf16_trajectory_invariant_to_pipeline_shape() {
         let params: Vec<Vec<f32>> = (0..cfg.layers).map(|i| t.block_params(i)).collect();
         (losses, params)
     };
-    let reference = run(2, 1, 1, false);
+    let reference = run(2, false);
     for window in [1usize, 2, 4] {
-        for offload_workers in [1usize, 2] {
-            for compute_workers in [1usize, 2] {
-                for streaming in [false, true] {
-                    assert_eq!(
-                        reference,
-                        run(window, offload_workers, compute_workers, streaming),
-                        "window={window} offload_workers={offload_workers} \
-                         compute_workers={compute_workers} streaming={streaming}"
-                    );
-                }
-            }
+        for streaming in [false, true] {
+            assert_eq!(
+                reference,
+                run(window, streaming),
+                "window={window} streaming={streaming}"
+            );
         }
     }
 }
@@ -424,8 +406,6 @@ fn dp_config(replicas: usize, precision: Precision, bucket_bytes: usize) -> Data
         host: HostOffloadConfig {
             window: 2,
             optimizer_workers: 2,
-            offload_workers: 1,
-            compute_workers: 1,
             adam: adam(),
             precision,
             ..HostOffloadConfig::default()

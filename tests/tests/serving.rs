@@ -2,7 +2,7 @@
 //! offload runtime must serve a trained checkpoint with token streams that
 //! are (a) bit-identical to the fully-resident static-batching reference,
 //! (b) invariant to every scheduling knob — window size, slot count,
-//! compute workers, arrival interleaving — and (c) still correct when the
+//! arrival interleaving — and (c) still correct when the
 //! model's parameter bytes exceed the device arena.
 
 use stronghold_baselines::{StaticBatchConfig, StaticBatchGenerator};
@@ -106,8 +106,8 @@ fn prefill_and_decode_logits_are_bit_identical() {
 }
 
 /// The determinism matrix: one trained blob, one workload, every
-/// scheduling shape — window sizes, slot counts, worker counts, staggered
-/// arrivals — must emit byte-identical per-request token streams within a
+/// scheduling shape — window sizes, slot counts, staggered arrivals —
+/// must emit byte-identical per-request token streams within a
 /// precision. (Bf16 streams differ from F32 streams — the device grid is
 /// coarser — but are equally schedule-invariant.)
 #[test]
@@ -136,7 +136,6 @@ fn token_streams_are_invariant_to_scheduling_shape() {
             },
             ServeConfig {
                 slots: 3,
-                compute_workers: 2,
                 ..base_cfg.clone()
             },
         ];

@@ -3,8 +3,8 @@
 //! configured `host_capacity` trains end-to-end with the over-budget layers
 //! living on an [`NvmeStore`](stronghold_core::nvme::NvmeStore) swap file,
 //! and produces bit-identical parameters, losses, and byte-equal SHTS
-//! checkpoints versus the all-resident trainer — across windows, spill
-//! policies, spill-worker counts, and device precisions. Spill traffic is
+//! checkpoints versus the all-resident trainer — across windows, host
+//! budgets, and device precisions. Spill traffic is
 //! metered with zero tolerance against the closed-form per-step formulas,
 //! and one run's measured spill bandwidths predict a fresh run's spill busy
 //! time within a stated bound (the §III-G calibration loop).
@@ -13,7 +13,7 @@ use stronghold_core::adam::AdamParams;
 use stronghold_core::host::profiler::calibrate_host;
 use stronghold_core::host::{
     DataParallelConfig, DataParallelTrainer, HostOffloadConfig, HostOffloadTrainer,
-    HostResidentTrainer, SpillPolicy, Tier,
+    HostResidentTrainer, Tier,
 };
 use stronghold_core::telemetry::Telemetry;
 use stronghold_core::tier::RESIDENT_BYTES_PER_PARAM;
@@ -36,13 +36,12 @@ fn capacity_for(cfg: &stronghold_model::config::ModelConfig, resident: usize) ->
     resident as u64 * RESIDENT_BYTES_PER_PARAM * cfg.block_params()
 }
 
-fn spill_cfg(window: usize, capacity: u64, workers: usize) -> HostOffloadConfig {
+fn spill_cfg(window: usize, capacity: u64) -> HostOffloadConfig {
     HostOffloadConfig {
         window,
         optimizer_workers: 2,
         adam: adam(),
         host_capacity: Some(capacity),
-        spill_workers: workers,
         ..HostOffloadConfig::default()
     }
 }
@@ -57,7 +56,7 @@ fn over_budget_model_trains_bit_identically_to_resident() {
     let batch = batch_for(&cfg, 120);
     let budget = capacity_for(&cfg, 2); // 4 of 6 layers must spill
     let mut resident = HostResidentTrainer::new(cfg, SEED, adam());
-    let mut spilled = HostOffloadTrainer::new(cfg, SEED, spill_cfg(2, budget, 1));
+    let mut spilled = HostOffloadTrainer::new(cfg, SEED, spill_cfg(2, budget));
 
     assert_eq!(
         spilled.spilled_layers(),
@@ -102,28 +101,23 @@ fn over_budget_model_trains_bit_identically_to_resident() {
     assert!(read > 0 && written > 0, "the spill tier must actually run");
 }
 
-/// Stress matrix: window × spill policy × spill workers × precision. Every
-/// spilled run is bitwise equal to its unspilled twin (and, at FP32, to the
-/// resident reference), with byte-equal checkpoints — placement is not part
-/// of the math.
+/// Stress matrix: window × host budget (partial, and zero — every layer
+/// spills) × precision. Every spilled run is bitwise equal to its
+/// unspilled twin (and, at FP32, to the resident reference), with
+/// byte-equal checkpoints — placement is not part of the math.
 #[test]
 fn spill_matrix_is_bit_invisible() {
     let cfg = tiny(5);
     let batch = batch_for(&cfg, 121);
     let steps = 4;
-    let run = |precision: Precision,
-               capacity: Option<u64>,
-               policy: SpillPolicy,
-               workers: usize,
-               window: usize| {
+    let run = |precision: Precision, capacity: Option<u64>, window: usize| {
         let mut t = HostOffloadTrainer::new(
             cfg,
             SEED,
             HostOffloadConfig {
                 precision,
-                spill: policy,
                 host_capacity: capacity,
-                ..spill_cfg(window, 0, workers)
+                ..spill_cfg(window, 0)
             },
         );
         let mut losses = Vec::new();
@@ -143,31 +137,23 @@ fn spill_matrix_is_bit_invisible() {
     let partial = capacity_for(&cfg, 3);
     for precision in [Precision::F32, Precision::Bf16] {
         // The unspilled twin: same precision, everything resident.
-        let reference = run(precision, None, SpillPolicy::CostAware, 1, 2);
+        let reference = run(precision, None, 2);
         assert_eq!(reference.3, 0, "no budget → nothing spills");
         if precision == Precision::F32 {
             assert_eq!(reference.0, resident_losses, "FP32 twin vs resident");
         }
         for window in [1usize, 2] {
-            for (policy, capacity, want_spilled) in [
-                (SpillPolicy::CostAware, Some(partial), cfg.layers - 3),
-                (SpillPolicy::All, Some(partial), cfg.layers),
-            ] {
-                for workers in [1usize, 2] {
-                    let tag = format!(
-                        "{} window={window} policy={policy:?} workers={workers}",
-                        precision.name()
-                    );
-                    let got = run(precision, capacity, policy, workers, window);
-                    assert_eq!(got.3, want_spilled, "spill count ({tag})");
-                    assert_eq!(got.0, reference.0, "losses diverged ({tag})");
-                    assert_eq!(got.1, reference.1, "parameters diverged ({tag})");
-                    assert_eq!(
-                        got.2.as_ref(),
-                        reference.2.as_ref(),
-                        "checkpoints not byte-equal ({tag})"
-                    );
-                }
+            for (capacity, want_spilled) in [(partial, cfg.layers - 3), (0, cfg.layers)] {
+                let tag = format!("{} window={window} capacity={capacity}", precision.name());
+                let got = run(precision, Some(capacity), window);
+                assert_eq!(got.3, want_spilled, "spill count ({tag})");
+                assert_eq!(got.0, reference.0, "losses diverged ({tag})");
+                assert_eq!(got.1, reference.1, "parameters diverged ({tag})");
+                assert_eq!(
+                    got.2.as_ref(),
+                    reference.2.as_ref(),
+                    "checkpoints not byte-equal ({tag})"
+                );
             }
         }
     }
@@ -176,22 +162,14 @@ fn spill_matrix_is_bit_invisible() {
 /// Zero-tolerance byte accounting: over a step window, the `spill.*`
 /// telemetry counters and the swap file's own I/O counters advance by
 /// exactly the closed-form per-step traffic the [`TierPlan`] predicts —
-/// every fill, BP refill, optimizer page-in, and write-back, no slack, at
-/// either spill-worker pool size.
+/// every fill, BP refill, optimizer page-in, and write-back, no slack.
 #[test]
 fn spill_byte_accounting_is_exact() {
-    for workers in [1, 2] {
-        spill_bytes_match_the_plan(workers);
-    }
-}
-
-fn spill_bytes_match_the_plan(workers: usize) {
     let cfg = tiny(5);
     let batch = batch_for(&cfg, 122);
     let tel = Telemetry::enabled();
     let budget = capacity_for(&cfg, 2); // 3 of 5 layers spill
-    let mut t =
-        HostOffloadTrainer::with_telemetry(cfg, SEED, spill_cfg(2, budget, workers), tel.clone());
+    let mut t = HostOffloadTrainer::with_telemetry(cfg, SEED, spill_cfg(2, budget), tel.clone());
     let plan = t.tier_plan().clone();
     let m = t.window();
     let f2h_per_step: u64 = (0..cfg.layers).map(|l| plan.f2h_bytes_per_step(l, m)).sum();
@@ -266,7 +244,6 @@ fn data_parallel_replicas_spill_bit_identically() {
             host: HostOffloadConfig {
                 adam: adam(),
                 host_capacity: Some(capacity_for(&cfg, 1)),
-                spill_workers: 2,
                 ..DataParallelConfig::default().host
             },
             ..DataParallelConfig::default()
@@ -313,7 +290,7 @@ fn data_parallel_replicas_spill_bit_identically() {
 }
 
 /// A spill read that fails must abort the step, not hang it: the fill
-/// worker that hit the error records it and wakes the prefetcher waiting on
+/// thread that hit the error records it and wakes the prefetcher waiting on
 /// the layer, and the failure reaches the thread that called `train_step`
 /// as a panic naming the layer, the file slot and the I/O error. Run under
 /// a watchdog so a regression shows as a timeout, not a stuck test binary.
@@ -330,7 +307,7 @@ fn a_failed_spill_read_aborts_the_step_instead_of_hanging() {
     let batch = batch_for(&cfg, 126);
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
-        let mut t = HostOffloadTrainer::new(cfg, SEED, spill_cfg(2, capacity_for(&cfg, 1), 2));
+        let mut t = HostOffloadTrainer::new(cfg, SEED, spill_cfg(2, capacity_for(&cfg, 1)));
         assert_eq!(t.spilled_layers(), 3);
         t.train_step(&batch);
         t.flush();
@@ -387,7 +364,7 @@ fn measured_spill_bandwidth_calibrates_the_nvme_model() {
     let measure = || {
         let tel = Telemetry::enabled();
         let mut t =
-            HostOffloadTrainer::with_telemetry(cfg, SEED, spill_cfg(2, budget, 1), tel.clone());
+            HostOffloadTrainer::with_telemetry(cfg, SEED, spill_cfg(2, budget), tel.clone());
         for _ in 0..steps {
             t.train_step(&batch);
         }
