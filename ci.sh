@@ -108,6 +108,61 @@ if [ "$spawns" != "$expected_spawns" ] || [ -n "$untagged_spawns" ]; then
     [ -z "$untagged_spawns" ] || printf 'entries without one persistent / item-11 tag:\n%s\n' "$untagged_spawns"
     exit 1
 fi
+# Every runtime input is accounted for: the `pub` fields of the config
+# structs below, found in crates/*/src, must equal the list (one
+# `Struct field tag` line each). Each entry has one tag: `caller` (the
+# crates' sources, their benches, the benchmark harness or the examples set
+# it outside `Default` and tests) or `test-only` (only tests set it). A new
+# field fails here until it is listed.
+allowed_fields=$(LC_ALL=C sort <<'EOF'
+DataParallelConfig bucket_bytes test-only
+DataParallelConfig host caller
+DataParallelConfig replicas caller
+EngineOptions adam caller
+EngineOptions clip_norm caller
+EngineOptions precision caller
+EngineOptions schedule caller
+HostOffloadConfig adam caller
+HostOffloadConfig clip_norm caller
+HostOffloadConfig device_capacity test-only
+HostOffloadConfig host_capacity caller
+HostOffloadConfig optimizer_workers caller
+HostOffloadConfig precision caller
+HostOffloadConfig schedule caller
+HostOffloadConfig window caller
+OffloadOptions cold_tier caller
+OffloadOptions concurrent_optimizers caller
+OffloadOptions pooled_allocator caller
+OffloadOptions streams caller
+OffloadOptions window caller
+ServeConfig device_capacity test-only
+ServeConfig max_seq test-only
+ServeConfig precision test-only
+ServeConfig slots caller
+ServeConfig temperature test-only
+ServeConfig window caller
+Stronghold cold_tier caller
+Stronghold window caller
+EOF
+)
+untagged_fields=$(echo "$allowed_fields" | grep -vE '^[A-Za-z0-9_]+ [a-z0-9_]+ (caller|test-only)$' || true)
+fields=$(find crates/*/src -name '*.rs' | LC_ALL=C sort | xargs awk '
+    BEGIN {
+        n = split("HostOffloadConfig ServeConfig DataParallelConfig EngineOptions OffloadOptions Stronghold", names, " ")
+        for (i = 1; i <= n; i++) config[names[i]]
+    }
+    FNR == 1 { s = "" }
+    /^pub struct [A-Za-z0-9_]+ \{/ { s = ($3 in config) ? $3 : ""; next }
+    /^}/ { s = "" }
+    s != "" && match($0, /^    pub [a-z0-9_]+:/) { print s " " substr($0, RSTART + 8, RLENGTH - 9) }
+' | LC_ALL=C sort)
+expected_fields=$(echo "$allowed_fields" | sed 's/ [^ ]*$//')
+if [ "$fields" != "$expected_fields" ] || [ -n "$untagged_fields" ]; then
+    echo "config fields differ from the list in ci.sh (< listed, > found):"
+    diff <(echo "$expected_fields") <(echo "$fields") || true
+    [ -z "$untagged_fields" ] || printf 'entries without one caller / test-only tag:\n%s\n' "$untagged_fields"
+    exit 1
+fi
 # A serving round packs nothing: the decode attention reads the KV cache's
 # panel images, so the per-call-packing `_stable` products never see cached
 # keys or values in attention.rs.
@@ -168,8 +223,6 @@ collective_calls test-hook
 dp_traffic_bytes test-hook
 from_millis test-hook
 from_state_blob test-hook
-hooks_mut test-hook
-invocations test-hook
 kv_arena_bytes test-hook
 max_abs_diff test-hook
 measure_host_profile_with_precision item-13
@@ -180,7 +233,6 @@ predict_step_ns item-13
 predict_step_ns_for item-13
 predicted_spill_ns_per_step item-6
 recalibrate_profile item-13
-register_post_step test-hook
 resident_bytes test-hook
 round_through oracle
 spill_traffic test-hook

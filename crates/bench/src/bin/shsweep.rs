@@ -10,7 +10,7 @@
 
 use stronghold_baselines::{MegatronLM, ZeroInfinity, ZeroOffload, L2L};
 use stronghold_core::method::TrainingMethod;
-use stronghold_core::{Stronghold, StrongholdOptions};
+use stronghold_core::Stronghold;
 use stronghold_model::config::ModelConfig;
 use stronghold_sim::Platform;
 
@@ -33,10 +33,10 @@ fn method_named(name: &str, window: Option<usize>) -> Box<dyn TrainingMethod> {
         "l2l" => Box::new(L2L),
         "zero-offload" => Box::new(ZeroOffload),
         "zero-infinity" => Box::new(ZeroInfinity::cpu_only()),
-        "stronghold" => Box::new(Stronghold::with_options(StrongholdOptions {
+        "stronghold" => Box::new(Stronghold {
             window,
-            ..StrongholdOptions::default()
-        })),
+            ..Stronghold::default()
+        }),
         _ => usage(),
     }
 }

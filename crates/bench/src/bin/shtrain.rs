@@ -12,9 +12,10 @@
 //! (`-d` is the hidden size; `-h` prints help, unlike the paper's script.)
 
 use stronghold_baselines::{MegatronLM, ZeroInfinity, ZeroOffload, L2L};
+use stronghold_core::memplan::ColdTier;
 use stronghold_core::method::TrainingMethod;
 use stronghold_core::offload::bridge_timeline;
-use stronghold_core::{Stronghold, StrongholdOptions, Telemetry};
+use stronghold_core::{Stronghold, Telemetry};
 use stronghold_model::config::ModelConfig;
 use stronghold_sim::Platform;
 
@@ -94,11 +95,16 @@ fn parse_args() -> Args {
 
 fn methods_for(name: &str, window: Option<usize>) -> Vec<Box<dyn TrainingMethod>> {
     let stronghold = |nvme: bool| -> Box<dyn TrainingMethod> {
-        Box::new(Stronghold::with_options(StrongholdOptions {
+        Box::new(Stronghold {
             window,
-            nvme_cache_layers: if nvme { Some(64) } else { None },
-            ..StrongholdOptions::default()
-        }))
+            cold_tier: if nvme {
+                ColdTier::Nvme {
+                    cpu_cache_layers: 64,
+                }
+            } else {
+                ColdTier::CpuRam
+            },
+        })
     };
     match name {
         "megatron-lm" => vec![Box::new(MegatronLM)],

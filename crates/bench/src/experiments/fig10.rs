@@ -1,8 +1,9 @@
 //! Fig. 10 — throughput with the NVMe tier vs ZeRO-Infinity.
 
 use stronghold_baselines::ZeroInfinity;
+use stronghold_core::memplan::ColdTier;
 use stronghold_core::method::TrainingMethod;
-use stronghold_core::{Stronghold, StrongholdOptions};
+use stronghold_core::Stronghold;
 use stronghold_model::config::ModelConfig;
 use stronghold_sim::Platform;
 
@@ -12,10 +13,12 @@ use crate::report::{ratio, tp, Experiment, Table};
 /// configurations.
 pub fn run() -> Experiment {
     let v100 = Platform::v100_server();
-    let sh = Stronghold::with_options(StrongholdOptions {
-        nvme_cache_layers: Some(64),
-        ..StrongholdOptions::default()
-    });
+    let sh = Stronghold {
+        cold_tier: ColdTier::Nvme {
+            cpu_cache_layers: 64,
+        },
+        ..Stronghold::default()
+    };
     let zi = ZeroInfinity::with_nvme();
     // Models beyond the CPU-RAM ceiling: 66.7B…524.5B (Table I tail) at
     // hidden 2560 equivalents plus the 39.4B reference point.

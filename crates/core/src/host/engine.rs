@@ -5,8 +5,8 @@
 //! not depend on *where* parameters live — resident in memory or windowed
 //! through a device. This module enforces that
 //! claim structurally: the step *policy* (gradient accumulation, global-norm
-//! clipping, the learning-rate schedule, hook firing, optimizer dispatch
-//! order, telemetry bridging, and checkpoint save/load) is implemented once
+//! clipping, the learning-rate schedule, optimizer dispatch order,
+//! telemetry bridging, and checkpoint save/load) is implemented once
 //! in [`Engine`], while the placement-specific *mechanism* (how a forward/
 //! backward pass materializes layers and where an optimizer update is
 //! applied) lives behind the [`ParamBackend`] trait.
@@ -20,8 +20,7 @@
 //!
 //! The engine also preserves the zero-allocation step contract: the
 //! workspace buffers are reused across steps (`flatten_into` clears rather
-//! than reallocates), the norm accumulator lives on the stack, and hook
-//! dispatch is a `BTreeMap` lookup with no per-fire allocation.
+//! than reallocates) and the norm accumulator lives on the stack.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use stronghold_model::config::ModelConfig;
@@ -31,7 +30,6 @@ use stronghold_tensor::Precision;
 use crate::adam::{AdamParams, AdamState};
 use crate::clip::GlobalNorm;
 use crate::error::RuntimeError;
-use crate::hooks::{HookCtx, HookPoint, HookRegistry, STEP_SCOPE};
 use crate::schedule::LrSchedule;
 use crate::telemetry::{Gauge, Telemetry};
 
@@ -176,8 +174,7 @@ impl GradSink for LocalSink {
 /// machinery to run a forward/backward pass over them; the [`Engine`] owns
 /// everything else. The contract for [`ParamBackend::forward_backward`]:
 /// zero and then fill `ws.block_grads` (one flat vector per layer, batch
-/// mean-scaled) and `ws.resident_grads`, fire per-layer hooks at the
-/// backend's true pipeline positions, and return the mean loss. When
+/// mean-scaled) and `ws.resident_grads`, and return the mean loss. When
 /// `plan.streaming` is false no optimizer work happens there — the engine
 /// dispatches updates afterwards through
 /// [`ParamBackend::dispatch_block_update`] so that clipping and the LR
@@ -196,18 +193,16 @@ pub trait ParamBackend {
     fn telemetry(&self) -> &Telemetry;
     /// A zeroed resident-group gradient accumulator shaped for this model.
     fn new_resident_grads(&self) -> TransformerGrads;
-    /// Runs one forward/backward pass over `batch`, filling `ws` and firing
-    /// per-layer `hooks`; returns the mean loss (or, for a rank of a
-    /// data-parallel group, the raw shard loss partial — see
-    /// `host::data_parallel`). On the streaming path every finished layer
-    /// gradient must be routed through `sink.layer_ready` rather than
-    /// submitted directly, so a reducing sink can rendezvous it first.
+    /// Runs one forward/backward pass over `batch`, filling `ws`; returns
+    /// the mean loss (or, for a rank of a data-parallel group, the raw
+    /// shard loss partial — see `host::data_parallel`). On the streaming
+    /// path every finished layer gradient must be routed through
+    /// `sink.layer_ready` rather than submitted directly, so a reducing sink
+    /// can rendezvous it first.
     fn forward_backward(
         &mut self,
         batch: &[(Vec<u32>, Vec<u32>)],
         ws: &mut StepWorkspace,
-        hooks: &mut HookRegistry,
-        iteration: u64,
         plan: &StepPlan,
         sink: &dyn GradSink,
     ) -> f32;
@@ -427,7 +422,6 @@ fn fixed_point_x1e6(v: f32) -> i64 {
 pub struct Engine<B: ParamBackend> {
     backend: B,
     opts: EngineOptions,
-    hooks: HookRegistry,
     ws: StepWorkspace,
     sink: std::sync::Arc<dyn GradSink>,
     step: u64,
@@ -474,7 +468,6 @@ impl<B: ParamBackend> Engine<B> {
         Engine {
             backend,
             opts,
-            hooks: HookRegistry::new(),
             ws,
             sink,
             step: 0,
@@ -502,19 +495,9 @@ impl<B: ParamBackend> Engine<B> {
         e
     }
 
-    /// Completed optimizer steps (drives the LR schedule and hook contexts).
+    /// Completed optimizer steps (drives the LR schedule).
     pub fn steps(&self) -> u64 {
         self.step
-    }
-
-    /// The hook registry; register callbacks here before training.
-    pub fn hooks_mut(&mut self) -> &mut HookRegistry {
-        &mut self.hooks
-    }
-
-    /// Read access to the hook registry.
-    pub fn hooks(&self) -> &HookRegistry {
-        &self.hooks
     }
 
     /// The telemetry handle the engine and backend record into.
@@ -551,14 +534,9 @@ impl<B: ParamBackend> Engine<B> {
         if plan.streaming && self.tel.is_enabled() {
             self.ws.norm_partials.fill(0.0);
         }
-        let loss = self.backend.forward_backward(
-            batch,
-            &mut self.ws,
-            &mut self.hooks,
-            self.step,
-            &plan,
-            &*self.sink,
-        );
+        let loss = self
+            .backend
+            .forward_backward(batch, &mut self.ws, &plan, &*self.sink);
 
         // Gradient rendezvous: on the streaming path the sink already saw
         // every block gradient via `layer_ready`; on the deferred path it
@@ -645,12 +623,6 @@ impl<B: ParamBackend> Engine<B> {
         self.lnf_g_adam.step(rp.lnf_g, rg.lnf_g.data(), &hp);
         self.lnf_b_adam.step(rp.lnf_b, rg.lnf_b.data(), &hp);
 
-        let ctx = HookCtx {
-            layer: STEP_SCOPE,
-            iteration: self.step,
-            micro_batch: 0,
-        };
-        self.hooks.fire(STEP_SCOPE, HookPoint::PostStep, &ctx);
         self.step += 1;
         // Publish cumulative GEMM kernel throughput (read-only bridge, so
         // it cannot perturb the step it reports on).

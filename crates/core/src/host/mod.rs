@@ -17,8 +17,7 @@
 //! [`Engine`] over their backend: the backends own *placement* (where
 //! parameters live, how forward/backward fan out) and the reads specific
 //! to it (reached through `Deref`), while the engine owns *policy*
-//! (gradient clipping, LR schedules, optimizer dispatch, hooks,
-//! checkpointing).
+//! (gradient clipping, LR schedules, optimizer dispatch, checkpointing).
 
 //!
 //! [`data_parallel::DataParallelTrainer`] composes the above: `w` unchanged

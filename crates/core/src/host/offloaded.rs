@@ -38,7 +38,6 @@ use stronghold_tensor::{scratch, Precision, Tensor};
 use crate::adam::{AdamParams, AdamState};
 use crate::clip::GlobalNorm;
 use crate::error::RuntimeError;
-use crate::hooks::{HookCtx, HookPoint, HookRegistry};
 use crate::host::device::HostDevice;
 use crate::host::engine::{
     Engine, EngineOptions, GradSink, ParamBackend, ResidentParamsMut, StepPlan, StepWorkspace,
@@ -223,12 +222,8 @@ impl WindowedBackend {
         );
         let store =
             LayerStore::tiered(flats, &tier_plan, &tel).expect("create spill tier swap file");
-        let pool = OptimizerPool::with_telemetry(
-            Arc::clone(&store),
-            hocfg.adam,
-            hocfg.optimizer_workers.max(1),
-            &tel,
-        );
+        let pool =
+            OptimizerPool::with_telemetry(Arc::clone(&store), hocfg.optimizer_workers.max(1), &tel);
         let grad_ring = (0..GRAD_RING).map(|_| stream.zero_grads()).collect();
         tel.gauge("grad.accumulators").set(GRAD_RING as i64);
         WindowedBackend {
@@ -380,8 +375,6 @@ impl ParamBackend for WindowedBackend {
         &mut self,
         batch: &[(Vec<u32>, Vec<u32>)],
         ws: &mut StepWorkspace,
-        hooks: &mut HookRegistry,
-        iteration: u64,
         plan: &StepPlan,
         sink: &dyn GradSink,
     ) -> f32 {
@@ -392,11 +385,6 @@ impl ParamBackend for WindowedBackend {
         // A data-parallel rank scales by the *global* batch — the same f32
         // a single-replica run over the whole batch would use.
         let scale = 1.0 / self.global_batch.unwrap_or(b) as f32;
-        let ctx = |layer: usize| HookCtx {
-            layer,
-            iteration,
-            micro_batch: 0,
-        };
 
         while self.head_scratches.len() < b {
             self.head_scratches.push(self.shell.zero_grads());
@@ -525,13 +513,11 @@ impl ParamBackend for WindowedBackend {
                 let mut inputs: Vec<Vec<Tensor>> = Vec::with_capacity(nb);
                 let mut kept: Vec<(usize, Block)> = Vec::with_capacity(m);
                 for i in 0..nb {
-                    hooks.fire(i, HookPoint::PreForward, &ctx(i));
                     let (gi, block) = feed.next();
                     assert_eq!(gi, i, "fp prefetch order");
                     let span = self.tel.span("compute", format!("fp L{i}"));
                     let next = x.iter().map(|xs| block.forward_no_cache(xs)).collect();
                     span.end();
-                    hooks.fire(i, HookPoint::PostForward, &ctx(i));
                     inputs.push(std::mem::replace(&mut x, next));
                     if i + m >= nb {
                         kept.push((i, block)); // stays resident for BP (Fig. 3)
@@ -572,7 +558,6 @@ impl ParamBackend for WindowedBackend {
                             blk
                         }
                     };
-                    hooks.fire(i, HookPoint::PreBackward, &ctx(i));
                     let span = self.tel.span("compute", format!("bp L{i}"));
                     // Deterministic fan-in: per-sample gradients fold down the
                     // canonical pairwise tree — the same association the
@@ -596,7 +581,6 @@ impl ParamBackend for WindowedBackend {
                         scratch::give(t); // layer i's checkpoints are consumed
                     }
                     span.end();
-                    hooks.fire(i, HookPoint::PostBackward, &ctx(i));
                     // Free the shell before queueing the offload: the prefetcher
                     // can start the next H2D while the gradient is still in the
                     // D2H engine's queue.

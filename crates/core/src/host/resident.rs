@@ -14,7 +14,6 @@ use stronghold_model::transformer::{Transformer, TransformerGrads};
 
 use crate::adam::{AdamParams, AdamState};
 use crate::error::RuntimeError;
-use crate::hooks::{HookCtx, HookPoint, HookRegistry};
 use crate::host::engine::{
     Engine, EngineOptions, GradSink, ParamBackend, ResidentParamsMut, StepPlan, StepWorkspace,
     TrainingState,
@@ -77,12 +76,7 @@ impl ParamBackend for ResidentBackend {
     }
 
     /// The fused whole-model pass runs forward *and* backward per sample,
-    /// so per-layer hooks cannot interleave with compute; they fire at step
-    /// granularity in canonical order (all `PreForward` ascending before the
-    /// batch, then `PostForward` ascending, then `PreBackward`/`PostBackward`
-    /// descending) — the same per-point counts as the pipelined backends.
-    ///
-    /// The resident backend never streams optimizer dispatch ([`StepPlan`]
+    /// and never streams optimizer dispatch ([`StepPlan`]
     /// is ignored and `ws.streamed` stays false): with everything in memory
     /// the engine's deferred dispatch loop *is* the inline update, and
     /// leaving it there keeps this trainer the reference the overlapped
@@ -91,21 +85,10 @@ impl ParamBackend for ResidentBackend {
         &mut self,
         batch: &[(Vec<u32>, Vec<u32>)],
         ws: &mut StepWorkspace,
-        hooks: &mut HookRegistry,
-        iteration: u64,
         _plan: &StepPlan,
         _sink: &dyn GradSink,
     ) -> f32 {
-        let n = self.model.blocks.len();
         let b = batch.len();
-        let ctx = |layer: usize| HookCtx {
-            layer,
-            iteration,
-            micro_batch: 0,
-        };
-        for l in 0..n {
-            hooks.fire(l, HookPoint::PreForward, &ctx(l));
-        }
         // Per-sample gradients and losses fold down the canonical pairwise
         // tree (see `stronghold_collective::order`): leaf `i` is sample
         // `i`'s gradient written scaled into its slot — the block leaf the
@@ -139,13 +122,6 @@ impl ParamBackend for ResidentBackend {
             );
         }
         std::mem::swap(&mut ws.resident_grads, &mut self.fold_slots[0]);
-        for l in 0..n {
-            hooks.fire(l, HookPoint::PostForward, &ctx(l));
-        }
-        for l in (0..n).rev() {
-            hooks.fire(l, HookPoint::PreBackward, &ctx(l));
-            hooks.fire(l, HookPoint::PostBackward, &ctx(l));
-        }
         for (i, g) in ws.resident_grads.blocks.iter().enumerate() {
             g.flatten_into(&mut ws.block_grads[i]);
         }

@@ -22,7 +22,7 @@
 //!
 //! | Paper | Module |
 //! |---|---|
-//! | §III-C working window, Fig. 3 pipelines | [`offload`] (sim), [`host::offloaded`] (real) |
+//! | §III-C working window, Fig. 3 pipelines | [`offload`] (sim), [`host::offloaded`] (real; no hook registry: the paper hooks into PyTorch's loop, here [`host::Engine::train_step`] owns the loop and channels drive the prefetcher and the D2H engine) |
 //! | §III-D analytical model (P1, P2, Eqs. 3–5) | [`analytic`], [`profile`] |
 //! | §III-E1 concurrent CPU optimizers | [`optimpool`], [`adam`] |
 //! | §III-E3 user-level memory management | [`host::device::HostDevice`] arena + the `m + 1` shell pool of the layer stream (`host::stream`) |
@@ -34,7 +34,6 @@ pub mod adam;
 pub mod analytic;
 pub mod clip;
 pub mod error;
-pub mod hooks;
 pub mod host;
 pub mod inference;
 pub mod memplan;
@@ -53,4 +52,4 @@ pub mod trainer;
 pub use error::RuntimeError;
 pub use method::{IterationReport, TrainingMethod};
 pub use telemetry::Telemetry;
-pub use trainer::{Stronghold, StrongholdOptions};
+pub use trainer::Stronghold;

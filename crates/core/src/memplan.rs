@@ -9,9 +9,10 @@ use stronghold_sim::calibration as cal;
 use stronghold_sim::Platform;
 
 /// Where the cold tier of layer states lives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ColdTier {
     /// All non-resident layer states in (pinned) CPU RAM.
+    #[default]
     CpuRam,
     /// Layer states on NVMe, with a CPU staging cache (§III-G).
     Nvme {

@@ -73,9 +73,6 @@ pub struct OffloadOptions {
     /// §III-E3 pooled user-level memory management; `false` = per-tensor
     /// device allocations on every transfer.
     pub pooled_allocator: bool,
-    /// Activation-checkpoint interval in layers (§III-C: the window must be
-    /// at least this wide; 1 = the paper's layer-wise default).
-    pub ckpt_interval: usize,
 }
 
 impl Default for OffloadOptions {
@@ -86,7 +83,6 @@ impl Default for OffloadOptions {
             cold_tier: ColdTier::CpuRam,
             concurrent_optimizers: true,
             pooled_allocator: true,
-            ckpt_interval: 1,
         }
     }
 }
@@ -108,14 +104,11 @@ pub fn derive_window(
     opts: &OffloadOptions,
 ) -> Result<usize> {
     let plan = StrongholdMemPlan::new(*cfg, opts.streams, opts.cold_tier);
-    // §III-C: the window must span at least one checkpoint segment so the
-    // recompute of BP never needs a layer that already left the device.
-    let min_m = opts.ckpt_interval.max(1);
     if let Some(m) = opts.window {
-        if m < min_m {
-            return Err(RuntimeError::Config(format!(
-                "window {m} smaller than checkpoint interval {min_m}"
-            )));
+        if m == 0 {
+            return Err(RuntimeError::Config(
+                "window 0: the working window holds at least one layer".into(),
+            ));
         }
         if !plan.feasible(platform, m) {
             return Err(RuntimeError::Infeasible {
@@ -123,20 +116,18 @@ pub fn derive_window(
                 reason: format!("window {m} exceeds memory"),
             });
         }
-        return Ok(m.max(1).min(cfg.layers.max(1)));
+        return Ok(m.min(cfg.layers.max(1)));
     }
     let cost = CostModel::new(*platform);
     let profile = LayerProfile::from_cost_model(plan.layers(), &cost, cfg.batch);
     let cap = StrongholdMemPlan::gpu_capacity(platform);
     match solve_window(&profile, |m| plan.gpu_usage(m), cap) {
         Some(w) => {
-            let m = w.m.max(min_m).min(cfg.layers.max(1));
+            let m = w.m.min(cfg.layers.max(1));
             if !plan.feasible(platform, m) {
                 return Err(RuntimeError::Infeasible {
                     method: "STRONGHOLD".into(),
-                    reason: format!(
-                        "checkpoint interval {min_m} forces window {m} beyond device memory"
-                    ),
+                    reason: format!("window {m} infeasible"),
                 });
             }
             Ok(m)
@@ -557,32 +548,13 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_interval_widens_window() {
-        // §III-C: window must span a full checkpoint segment.
-        let cfg = common_1_7b();
-        let base = derive_window(&cfg, &v100(), &OffloadOptions::default()).unwrap();
-        let wide = derive_window(
-            &cfg,
-            &v100(),
-            &OffloadOptions {
-                ckpt_interval: 6,
-                ..OffloadOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(wide >= 6, "window {wide} must cover the interval");
-        assert!(wide >= base);
-    }
-
-    #[test]
-    fn window_below_interval_rejected() {
+    fn zero_window_rejected() {
         let cfg = common_1_7b();
         let err = derive_window(
             &cfg,
             &v100(),
             &OffloadOptions {
-                window: Some(2),
-                ckpt_interval: 4,
+                window: Some(0),
                 ..OffloadOptions::default()
             },
         );

@@ -481,12 +481,6 @@ impl LayerStore {
         }
     }
 
-    /// Per-layer placement under the active [`TierPlan`] (all `Ram` for
-    /// plain stores).
-    pub fn placement(&self) -> &[Tier] {
-        &self.placement
-    }
-
     /// How many layers page through the file tier.
     pub fn spilled_layers(&self) -> usize {
         self.placement.iter().filter(|t| **t == Tier::File).count()
@@ -577,7 +571,6 @@ const MAX_RECYCLED: usize = 64;
 /// update tasks against a shared [`LayerStore`].
 pub struct OptimizerPool {
     store: Arc<LayerStore>,
-    hp: AdamParams,
     tx: Option<Sender<UpdateTask>>,
     inflight: Arc<(Mutex<usize>, Condvar)>,
     updates: Arc<AtomicUsize>,
@@ -587,31 +580,18 @@ pub struct OptimizerPool {
 }
 
 impl OptimizerPool {
-    /// Spawns `workers` optimizer actors over `store` with hyper-params `hp`.
+    /// Spawns `workers` optimizer actors over `store`, recording per-update
+    /// latency (`optim.update_ns`), cumulative worker busy time
+    /// (`optim.busy_ns`) and live queue depth (`optim.queue_depth`) into
+    /// `tel`.
     ///
     /// # Panics
     /// Panics if `workers == 0`.
-    pub fn new(store: Arc<LayerStore>, hp: AdamParams, workers: usize) -> Self {
-        OptimizerPool::with_telemetry(store, hp, workers, &Telemetry::disabled())
-    }
-
-    /// [`OptimizerPool::new`] recording per-update latency
-    /// (`optim.update_ns`), cumulative worker busy time (`optim.busy_ns`)
-    /// and live queue depth (`optim.queue_depth`) into `tel`.
-    ///
-    /// # Panics
-    /// Panics if `workers == 0`.
-    pub fn with_telemetry(
-        store: Arc<LayerStore>,
-        hp: AdamParams,
-        workers: usize,
-        tel: &Telemetry,
-    ) -> Self {
+    pub fn with_telemetry(store: Arc<LayerStore>, workers: usize, tel: &Telemetry) -> Self {
         assert!(workers > 0);
         let (tx, rx) = unbounded::<UpdateTask>();
         let mut pool = OptimizerPool {
             store,
-            hp,
             tx: Some(tx),
             inflight: Arc::new((Mutex::new(0usize), Condvar::new())),
             updates: Arc::new(AtomicUsize::new(0)),
@@ -665,21 +645,16 @@ impl OptimizerPool {
         );
     }
 
-    /// Submits an asynchronous update for `layer`. The caller must have
-    /// called [`LayerStore::mark_pending`] when the gradients left the GPU.
+    /// Submits an asynchronous update for `layer` with the hyper-params of
+    /// this one update (so a per-step [`crate::schedule::LrSchedule`]
+    /// reaches the actors). The caller must have called
+    /// [`LayerStore::mark_pending`] when the gradients left the GPU.
     ///
     /// The gradients are copied into a buffer drawn from the pool's free
     /// list (refilled by workers as updates retire), so steady-state
     /// submission allocates nothing and the caller keeps its own buffer
     /// for reuse — the "D2H copy" of §III-E3 without a fresh staging
     /// vector per layer per step.
-    pub fn submit(&self, layer: usize, grads: &[f32]) {
-        self.submit_with(layer, grads, self.hp);
-    }
-
-    /// [`OptimizerPool::submit`] with explicit hyper-params for this one
-    /// update — the hook through which the training engine drives a
-    /// per-step [`crate::schedule::LrSchedule`] into the async actors.
     pub fn submit_with(&self, layer: usize, grads: &[f32], hp: AdamParams) {
         let mut buf = self.recycled_buffer();
         buf.extend_from_slice(grads);
@@ -752,18 +727,18 @@ impl Drop for OptimizerPool {
 mod tests {
     use super::*;
 
+    fn layer_init(layer: usize, n: usize) -> Vec<f32> {
+        (0..n).map(|i| (layer * n + i) as f32 * 0.01).collect()
+    }
+
     fn store_with(layers: usize, n: usize) -> Arc<LayerStore> {
-        LayerStore::new(
-            (0..layers)
-                .map(|l| (0..n).map(|i| (l * n + i) as f32 * 0.01).collect())
-                .collect(),
-        )
+        LayerStore::new((0..layers).map(|l| layer_init(l, n)).collect())
     }
 
     #[test]
     fn recycler_reuses_and_takes_buffers_back() {
         let store = store_with(1, 8);
-        let pool = OptimizerPool::new(Arc::clone(&store), AdamParams::default(), 1);
+        let pool = OptimizerPool::with_telemetry(Arc::clone(&store), 1, &Telemetry::disabled());
         // Nothing retired yet: a draw is a fresh, unallocated buffer.
         assert_eq!(pool.recycled_buffer().capacity(), 0);
         // A buffer retired by a worker is drawn again: contents cleared,
@@ -780,6 +755,9 @@ mod tests {
         assert_eq!(pool.recycled_buffer().capacity(), 0);
     }
 
+    /// Any number of actors stepping layers at once — resident, or spilled
+    /// through one swap file — leaves params and Adam moments bit-equal to
+    /// the sequential resident reference.
     #[test]
     fn pool_matches_sequential_adam_any_worker_count() {
         let hp = AdamParams::default();
@@ -794,21 +772,29 @@ mod tests {
         }
 
         for workers in [1, 2, 4, 8] {
-            let store = store_with(6, 32);
-            let pool = OptimizerPool::new(Arc::clone(&store), hp, workers);
-            for (l, g) in grads.iter().enumerate() {
-                store.mark_pending(l);
-                pool.submit(l, g);
-            }
-            pool.flush();
-            for l in 0..6 {
-                assert_eq!(
-                    store.snapshot(l),
-                    seq.snapshot(l),
-                    "layer {l}, workers {workers}"
+            let spilled = fully_spilled((0..6).map(|l| layer_init(l, 32)).collect());
+            for (kind, store) in [("resident", store_with(6, 32)), ("spilled", spilled)] {
+                let pool = OptimizerPool::with_telemetry(
+                    Arc::clone(&store),
+                    workers,
+                    &Telemetry::disabled(),
                 );
+                for (l, g) in grads.iter().enumerate() {
+                    store.mark_pending(l);
+                    pool.submit_with(l, g, hp);
+                }
+                pool.flush();
+                for l in 0..6 {
+                    let (got, want) = (store.adam_snapshot(l), seq.adam_snapshot(l));
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let ctx = format!("{kind} layer {l}, workers {workers}");
+                    assert_eq!(bits(&store.snapshot(l)), bits(&seq.snapshot(l)), "{ctx}");
+                    assert_eq!(bits(&got.m), bits(&want.m), "m, {ctx}");
+                    assert_eq!(bits(&got.v), bits(&want.v), "v, {ctx}");
+                    assert_eq!(got.t, want.t, "t, {ctx}");
+                }
+                assert_eq!(pool.updates_applied(), 6);
             }
-            assert_eq!(pool.updates_applied(), 6);
         }
     }
 
@@ -897,7 +883,7 @@ mod tests {
     fn a_failed_spilled_update_wakes_flush_and_reraises_on_the_caller() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let store = fully_spilled(vec![vec![0.25; 64]; 2]);
-        let pool = OptimizerPool::new(Arc::clone(&store), AdamParams::default(), 1);
+        let pool = OptimizerPool::with_telemetry(Arc::clone(&store), 1, &Telemetry::disabled());
         let nvme = store.tier_store().unwrap().nvme();
         std::fs::OpenOptions::new()
             .write(true)
@@ -906,7 +892,7 @@ mod tests {
             .set_len(0)
             .unwrap();
         store.mark_pending(1);
-        pool.submit(1, &[0.5; 64]);
+        pool.submit_with(1, &[0.5; 64], AdamParams::default());
         pool.flush();
         assert_eq!(pool.updates_applied(), 1, "the actor survived");
         let message = |f: &dyn Fn()| {
@@ -927,11 +913,15 @@ mod tests {
     #[test]
     fn many_updates_across_layers_complete() {
         let store = store_with(16, 64);
-        let pool = OptimizerPool::new(Arc::clone(&store), AdamParams::default(), 4);
+        let pool = OptimizerPool::with_telemetry(Arc::clone(&store), 4, &Telemetry::disabled());
         for iter in 0..10 {
             for l in 0..16 {
                 store.mark_pending(l);
-                pool.submit(l, &vec![0.01 * (iter + 1) as f32; 64]);
+                pool.submit_with(
+                    l,
+                    &vec![0.01 * (iter + 1) as f32; 64],
+                    AdamParams::default(),
+                );
             }
             pool.flush();
         }
@@ -942,20 +932,19 @@ mod tests {
     #[should_panic(expected = "gradient length mismatch")]
     fn malformed_gradient_rejected_at_submit() {
         let store = store_with(2, 8);
-        let pool = OptimizerPool::new(Arc::clone(&store), AdamParams::default(), 2);
+        let pool = OptimizerPool::with_telemetry(Arc::clone(&store), 2, &Telemetry::disabled());
         store.mark_pending(0);
-        pool.submit(0, &[1.0; 5]); // wrong length: panics here, not in a worker
+        pool.submit_with(0, &[1.0; 5], AdamParams::default()); // wrong length: panics here, not in a worker
     }
 
     #[test]
     fn telemetry_counts_updates_and_latency() {
         let tel = Telemetry::enabled();
         let store = store_with(4, 32);
-        let pool =
-            OptimizerPool::with_telemetry(Arc::clone(&store), AdamParams::default(), 2, &tel);
+        let pool = OptimizerPool::with_telemetry(Arc::clone(&store), 2, &tel);
         for l in 0..4 {
             store.mark_pending(l);
-            pool.submit(l, &[0.5; 32]);
+            pool.submit_with(l, &[0.5; 32], AdamParams::default());
         }
         pool.flush();
         let h = tel.histogram("optim.update_ns");

@@ -2,8 +2,8 @@
 //!
 //! Mirrors the paper's deployment story: the user wraps a model exactly as
 //! they would for data-parallel PyTorch training — no code refactoring — and
-//! the runtime derives everything else (window size, stream count, cold
-//! tier) during warm-up.
+//! the runtime derives everything else (window size, stream count) during
+//! warm-up.
 
 use stronghold_model::config::ModelConfig;
 use stronghold_sim::Platform;
@@ -15,24 +15,6 @@ use crate::method::{IterationReport, TrainingMethod};
 use crate::multistream::choose_streams;
 use crate::offload::{derive_window, simulate_iteration, OffloadOptions};
 use crate::profile::LayerProfile;
-
-/// User-visible runtime options (all optional; the warm-up phase fills in
-/// whatever the user leaves unspecified).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StrongholdOptions {
-    /// Fixed working-window size; `None` = analytic (§III-D).
-    pub window: Option<usize>,
-    /// Fixed stream count; `None` = chosen during warm-up (§IV-A).
-    pub streams: Option<usize>,
-    /// Enable the NVMe tier with this CPU staging cache (§III-G).
-    pub nvme_cache_layers: Option<usize>,
-    /// Disable §III-E1 (ablation).
-    pub disable_concurrent_optimizers: bool,
-    /// Disable §III-E3 (ablation).
-    pub disable_pooled_allocator: bool,
-    /// Activation-checkpoint interval in layers (0/1 = layer-wise).
-    pub ckpt_interval: usize,
-}
 
 /// The STRONGHOLD training method.
 ///
@@ -54,8 +36,11 @@ pub struct StrongholdOptions {
 /// ```
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Stronghold {
-    /// Runtime options.
-    pub opts: StrongholdOptions,
+    /// Fixed working-window size; `None` = analytic (§III-D).
+    pub window: Option<usize>,
+    /// Cold-tier placement: CPU RAM, or NVMe with a CPU staging cache
+    /// (§III-G).
+    pub cold_tier: ColdTier,
 }
 
 impl Stronghold {
@@ -64,28 +49,12 @@ impl Stronghold {
         Stronghold::default()
     }
 
-    /// Runtime with explicit options.
-    pub fn with_options(opts: StrongholdOptions) -> Self {
-        Stronghold { opts }
-    }
-
-    fn cold_tier(&self) -> ColdTier {
-        match self.opts.nvme_cache_layers {
-            Some(c) => ColdTier::Nvme {
-                cpu_cache_layers: c,
-            },
-            None => ColdTier::CpuRam,
-        }
-    }
-
     fn offload_options(&self, streams: usize) -> OffloadOptions {
         OffloadOptions {
-            window: self.opts.window,
+            window: self.window,
             streams,
-            cold_tier: self.cold_tier(),
-            concurrent_optimizers: !self.opts.disable_concurrent_optimizers,
-            pooled_allocator: !self.opts.disable_pooled_allocator,
-            ckpt_interval: self.opts.ckpt_interval.max(1),
+            cold_tier: self.cold_tier,
+            ..OffloadOptions::default()
         }
     }
 
@@ -98,12 +67,9 @@ impl Stronghold {
     ) -> Result<(usize, usize, Option<WindowPlan>)> {
         let base = self.offload_options(1);
         let window = derive_window(cfg, platform, &base)?;
-        let streams = match self.opts.streams {
-            Some(k) => k,
-            None => choose_streams(cfg, platform, &base)?,
-        };
+        let streams = choose_streams(cfg, platform, &base)?;
         // Re-derive diagnostics for reporting.
-        let plan = StrongholdMemPlan::new(*cfg, streams, self.cold_tier());
+        let plan = StrongholdMemPlan::new(*cfg, streams, self.cold_tier);
         let cost = stronghold_sim::CostModel::new(*platform);
         let profile = LayerProfile::from_cost_model(plan.layers(), &cost, cfg.batch);
         let diag = crate::analytic::solve_window(
@@ -121,15 +87,12 @@ impl TrainingMethod for Stronghold {
     }
 
     fn feasible(&self, cfg: &ModelConfig, platform: &Platform) -> bool {
-        let plan = StrongholdMemPlan::new(*cfg, 1, self.cold_tier());
+        let plan = StrongholdMemPlan::new(*cfg, 1, self.cold_tier);
         plan.feasible(platform, 1)
     }
 
     fn iteration(&self, cfg: &ModelConfig, platform: &Platform) -> Result<IterationReport> {
-        let streams = match self.opts.streams {
-            Some(k) => k,
-            None => choose_streams(cfg, platform, &self.offload_options(1))?,
-        };
+        let streams = choose_streams(cfg, platform, &self.offload_options(1))?;
         simulate_iteration(cfg, platform, &self.offload_options(streams))
     }
 }
@@ -167,10 +130,12 @@ mod tests {
     fn nvme_extends_the_ceiling() {
         // Fig. 10: with NVMe both STRONGHOLD and ZeRO-Infinity reach ~0.5T.
         let ram_only = Stronghold::new();
-        let nvme = Stronghold::with_options(StrongholdOptions {
-            nvme_cache_layers: Some(64),
-            ..StrongholdOptions::default()
-        });
+        let nvme = Stronghold {
+            cold_tier: ColdTier::Nvme {
+                cpu_cache_layers: 64,
+            },
+            ..Stronghold::default()
+        };
         let base = ModelConfig::new(1, 2560, 16);
         let v100 = Platform::v100_server();
         let cap_ram = max_trainable_layers(&ram_only, &base, &v100, 8000).unwrap();

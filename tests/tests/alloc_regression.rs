@@ -659,83 +659,58 @@ fn serving_decode_round_allocations_stop_growing() {
     );
 }
 
-/// The engine's policy path (global-norm clip + LR schedule + hook
-/// dispatch) must not break the zero-allocation contract: the norm
-/// accumulator is stack-only, clip scaling is in place, the schedule is
-/// arithmetic, and hook dispatch is a map lookup.
+/// The engine's policy path (global-norm clip + LR schedule) must not break
+/// the zero-allocation contract: the norm accumulator is stack-only, clip
+/// scaling is in place, and the schedule is arithmetic.
 #[test]
 fn engine_policy_path_allocations_stop_growing() {
     let _serial = serial();
     let cfg = tiny(4);
     let batch = batch_for(&cfg, 43);
-    let build = || {
-        HostOffloadTrainer::new(
-            cfg,
-            7,
-            HostOffloadConfig {
-                window: 2,
-                optimizer_workers: 2,
-                adam: adam(),
-                schedule: Some(LrSchedule::CosineWithWarmup {
-                    peak: 1e-3,
-                    floor: 1e-4,
-                    warmup: 2,
-                    total: 32,
-                }),
-                clip_norm: Some(0.5),
-                ..HostOffloadConfig::default()
-            },
-        )
-    };
-
-    // Hooks disabled entirely (empty registry).
-    let mut bare = build();
-    // Hooks enabled but empty-bodied: firing must be allocation-free too.
-    let mut hooked = build();
-    for l in 0..cfg.layers {
-        use stronghold_core::hooks::HookPoint;
-        for point in [
-            HookPoint::PreForward,
-            HookPoint::PostForward,
-            HookPoint::PreBackward,
-            HookPoint::PostBackward,
-        ] {
-            hooked.hooks_mut().register(l, point, |_| {});
-        }
+    let mut t = HostOffloadTrainer::new(
+        cfg,
+        7,
+        HostOffloadConfig {
+            window: 2,
+            optimizer_workers: 2,
+            adam: adam(),
+            schedule: Some(LrSchedule::CosineWithWarmup {
+                peak: 1e-3,
+                floor: 1e-4,
+                warmup: 2,
+                total: 32,
+            }),
+            clip_norm: Some(0.5),
+            ..HostOffloadConfig::default()
+        },
+    );
+    for _ in 0..3 {
+        t.train_step(&batch);
     }
-    hooked.hooks_mut().register_post_step(|_| {});
-
-    for t in [&mut bare, &mut hooked] {
+    // Flush so no in-flight optimizer-pool work straddles a window
+    // boundary; the pool's worker threads allocate queue nodes whose
+    // timing is otherwise nondeterministic (±a few allocs per window).
+    t.flush();
+    let early = allocs_during(|| {
         for _ in 0..3 {
             t.train_step(&batch);
         }
-    }
-    for (name, t) in [("no-hooks", &mut bare), ("empty-hooks", &mut hooked)] {
-        // Flush so no in-flight optimizer-pool work straddles a window
-        // boundary; the pool's worker threads allocate queue nodes whose
-        // timing is otherwise nondeterministic (±a few allocs per window).
         t.flush();
-        let early = allocs_during(|| {
-            for _ in 0..3 {
-                t.train_step(&batch);
-            }
-            t.flush();
-        });
-        let late = allocs_during(|| {
-            for _ in 0..3 {
-                t.train_step(&batch);
-            }
-            t.flush();
-        });
-        assert!(
-            late <= early + 4,
-            "{name}: clip/schedule/hook path allocations grew after warm-up: \
-             early window {early}, late window {late}"
-        );
-        assert!(
-            late / 3 <= STEADY_STATE_CAP,
-            "{name}: clip/schedule/hook steady-state step allocates too much: {} allocs/step",
-            late / 3
-        );
-    }
+    });
+    let late = allocs_during(|| {
+        for _ in 0..3 {
+            t.train_step(&batch);
+        }
+        t.flush();
+    });
+    assert!(
+        late <= early + 4,
+        "clip/schedule path allocations grew after warm-up: \
+         early window {early}, late window {late}"
+    );
+    assert!(
+        late / 3 <= STEADY_STATE_CAP,
+        "clip/schedule steady-state step allocates too much: {} allocs/step",
+        late / 3
+    );
 }

@@ -1,15 +1,11 @@
 //! The shared training engine, exercised end-to-end on every backend:
-//! LR schedules, global-norm clipping, hooks, and the universal
+//! LR schedules, global-norm clipping and the universal
 //! checkpoint/resume format must behave identically whether parameters are
 //! resident or windowed through the device, on one compute worker or
 //! several sharing the one parameter copy (§IV-A).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use stronghold_core::adam::AdamParams;
 use stronghold_core::error::RuntimeError;
-use stronghold_core::hooks::HookPoint;
 use stronghold_core::host::{
     Engine, EngineOptions, HostOffloadConfig, HostOffloadTrainer, HostResidentTrainer, ParamBackend,
 };
@@ -216,76 +212,6 @@ fn config_mismatch_is_rejected() {
         matches!(err, RuntimeError::Checkpoint(ref m) if m.contains("config mismatch")),
         "{err}"
     );
-}
-
-/// Hook-firing contract on one trainer: per step, each of the four per-layer
-/// points fires once per layer, and `PostStep` fires exactly once.
-fn assert_hook_counts(counts: &[Arc<AtomicU64>; 5], layers: u64, steps: u64) {
-    let [pre_f, post_f, pre_b, post_b, post_step] = counts;
-    assert_eq!(pre_f.load(Ordering::SeqCst), layers * steps, "PreForward");
-    assert_eq!(post_f.load(Ordering::SeqCst), layers * steps, "PostForward");
-    assert_eq!(pre_b.load(Ordering::SeqCst), layers * steps, "PreBackward");
-    assert_eq!(
-        post_b.load(Ordering::SeqCst),
-        layers * steps,
-        "PostBackward"
-    );
-    assert_eq!(post_step.load(Ordering::SeqCst), steps, "PostStep");
-}
-
-fn counters() -> [Arc<AtomicU64>; 5] {
-    std::array::from_fn(|_| Arc::new(AtomicU64::new(0)))
-}
-
-fn register_all(
-    hooks: &mut stronghold_core::hooks::HookRegistry,
-    layers: usize,
-    counts: &[Arc<AtomicU64>; 5],
-) {
-    let points = [
-        HookPoint::PreForward,
-        HookPoint::PostForward,
-        HookPoint::PreBackward,
-        HookPoint::PostBackward,
-    ];
-    for (point, count) in points.into_iter().zip(counts.iter()) {
-        for l in 0..layers {
-            let c = Arc::clone(count);
-            hooks.register(l, point, move |_| {
-                c.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-    }
-    let c = Arc::clone(&counts[4]);
-    hooks.register_post_step(move |_| {
-        c.fetch_add(1, Ordering::SeqCst);
-    });
-}
-
-fn hooks_fire<B: ParamBackend>(mut t: Engine<B>, batch_seed: u64) {
-    let cfg = t.config();
-    let batch = batch_for(&cfg, batch_seed);
-    let counts = counters();
-    register_all(t.hooks_mut(), cfg.layers, &counts);
-    for _ in 0..4 {
-        t.train_step(&batch);
-    }
-    assert_hook_counts(&counts, cfg.layers as u64, 4);
-    assert_eq!(
-        t.hooks().invocations(),
-        (4 * cfg.layers as u64 + 1) * 4,
-        "registry invocation total"
-    );
-}
-
-#[test]
-fn hooks_fire_on_resident_backend() {
-    hooks_fire(HostResidentTrainer::with_options(tiny(3), 9, opts()), 205);
-}
-
-#[test]
-fn hooks_fire_on_offloaded_backend() {
-    hooks_fire(HostOffloadTrainer::new(tiny(3), 10, hocfg()), 206);
 }
 
 #[test]

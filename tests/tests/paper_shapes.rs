@@ -3,8 +3,9 @@
 //! reproduction. These are the contract EXPERIMENTS.md reports against.
 
 use stronghold_baselines::{MegatronLM, PlainInference, ZeroInfinity, ZeroOffload, L2L};
+use stronghold_core::memplan::ColdTier;
 use stronghold_core::method::{max_trainable_layers, TrainingMethod};
-use stronghold_core::{Stronghold, StrongholdOptions};
+use stronghold_core::Stronghold;
 use stronghold_model::config::{common_1_7b, ModelConfig};
 use stronghold_sim::Platform;
 
@@ -67,10 +68,12 @@ fn fig8a_throughput_ordering() {
 fn fig10_nvme_gain_at_least_8x() {
     let p = v100();
     let cfg = ModelConfig::new(500, 2560, 16); // 39.4B, beyond ZI's RAM ceiling
-    let sh = Stronghold::with_options(StrongholdOptions {
-        nvme_cache_layers: Some(64),
-        ..StrongholdOptions::default()
-    });
+    let sh = Stronghold {
+        cold_tier: ColdTier::Nvme {
+            cpu_cache_layers: 64,
+        },
+        ..Stronghold::default()
+    };
     let a = sh.iteration(&cfg, &p).unwrap().throughput;
     let b = ZeroInfinity::with_nvme()
         .iteration(&cfg, &p)
