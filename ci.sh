@@ -75,16 +75,15 @@ fi
 # `thread::scope` sites in crates/*/src, keyed by file, enclosing fn and
 # kind (one line per site, duplicates counted), must equal the list below.
 # Each entry has one tag: `persistent` (started once, lives as long as its
-# owner) or `item-11` (spawned per pass or per step; ROADMAP item 11 moves
-# them onto long-lived threads and empties these entries). A new per-step
-# fan-out fails here.
+# owner: the prefetcher, the D2H engine, the optimizer and spill actors) or
+# `item-11` (spawned per step: the data-parallel replica fork, which ROADMAP
+# item 11(c) moves onto a parked crew, emptying these entries). A new
+# per-pass or per-step fan-out fails here.
 allowed_spawns=$(LC_ALL=C sort <<'EOF'
 crates/core/src/host/data_parallel.rs train_step scope item-11
 crates/core/src/host/data_parallel.rs train_step spawn item-11
-crates/core/src/host/offloaded.rs forward_backward scope item-11
-crates/core/src/host/offloaded.rs forward_backward spawn item-11
-crates/core/src/host/stream.rs run scope item-11
-crates/core/src/host/stream.rs run spawn item-11
+crates/core/src/host/offloaded.rs start spawn persistent
+crates/core/src/host/stream.rs new spawn persistent
 crates/core/src/optimpool.rs spawn_worker spawn persistent
 crates/core/src/tier.rs spawn_worker spawn persistent
 EOF

@@ -357,6 +357,7 @@ impl DataParallelTrainer {
                 .enumerate()
                 .map(|(r, eng)| {
                     let my = &batch[r * shard..(r + 1) * shard];
+                    crate::telemetry::count_spawn();
                     scope.spawn(move || eng.train_step(my))
                 })
                 .collect();

@@ -204,7 +204,7 @@ pub trait ParamBackend {
         batch: &[(Vec<u32>, Vec<u32>)],
         ws: &mut StepWorkspace,
         plan: &StepPlan,
-        sink: &dyn GradSink,
+        sink: &std::sync::Arc<dyn GradSink>,
     ) -> f32;
     /// Applies (or dispatches asynchronously) layer `i`'s optimizer update
     /// with the hyper-parameters chosen by the engine for this step.
@@ -536,7 +536,7 @@ impl<B: ParamBackend> Engine<B> {
         }
         let loss = self
             .backend
-            .forward_backward(batch, &mut self.ws, &plan, &*self.sink);
+            .forward_backward(batch, &mut self.ws, &plan, &self.sink);
 
         // Gradient rendezvous: on the streaming path the sink already saw
         // every block gradient via `layer_ready`; on the deferred path it

@@ -5,8 +5,11 @@
 //! layer stream (`stream`: a prefetcher thread loading layers from the CPU
 //! [`LayerStore`](crate::optimpool::LayerStore) into the `m + 1` shells of a
 //! capacity-limited "device"; the serving engine runs the same stream
-//! forward-only) and the concurrent Adam actor pool applying updates as
-//! gradients stream off the device. [`resident::HostResidentTrainer`] is an
+//! forward-only, staging each next round's first layers under the current
+//! round's tail and head), a D2H engine thread copying gradients back, and the
+//! concurrent Adam actor pool applying updates as gradients stream off the
+//! device. Every one of those threads is started with its owner and joined
+//! when it drops: a pass or a step starts none. [`resident::HostResidentTrainer`] is an
 //! independently-written conventional trainer over the same model; the
 //! integration suite asserts the two produce **bit-identical parameters**,
 //! which is the paper's §III-A claim that asynchronous offloading introduces

@@ -12,9 +12,15 @@
 //!   pending;
 //! * **compute thread** — runs FP/BP batch-major with activation
 //!   checkpointing, keeps the last `m` layers resident across the FP→BP
-//!   turn, and streams gradients off-device as each layer's backward ends;
+//!   turn, and hands each layer's gradient off as its backward ends;
+//! * **D2H engine thread** — flattens and accounts each handed-off gradient
+//!   and, when streaming, routes it through the step's sink to the
+//!   optimizer;
 //! * **optimizer pool** — [`OptimizerPool`] actors apply Adam concurrently
 //!   with the next step's forward work (§III-E1).
+//!
+//! The prefetcher, the D2H engine and the actors are started with the
+//! backend and joined when it drops: a step starts no thread.
 //!
 //! The pipeline is constructed so its floating-point operation sequence is
 //! *identical* to [`HostResidentTrainer`](crate::host::resident::HostResidentTrainer)'s
@@ -24,11 +30,14 @@
 //! [`WindowedBackend`] mechanism, and [`HostOffloadTrainer`] *is*
 //! `Engine<WindowedBackend>` (the model-building constructors live here).
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use bytes::Bytes;
-use crossbeam_channel::{bounded, Sender};
+use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
 use stronghold_collective::order::{fold_with, tree_sum, FoldPlan};
 use stronghold_model::block::{Block, BlockGrads};
 use stronghold_model::config::ModelConfig;
@@ -46,7 +55,7 @@ use crate::host::engine::{
 use crate::host::stream::{LayerStream, Pass};
 use crate::optimpool::{LayerStore, OptimizerPool};
 use crate::schedule::LrSchedule;
-use crate::telemetry::Telemetry;
+use crate::telemetry::{Counter, Histogram, Telemetry};
 use crate::tier::TierPlan;
 
 /// Configuration of the functional offloaded trainer.
@@ -123,15 +132,234 @@ impl HostOffloadConfig {
 }
 
 /// One layer's gradient offload, handed from the compute thread to the D2H
-/// engine. Carries the *owned* ring accumulator (returned as soon as it is
-/// copied, so BP can fold a later layer into it) plus the workspace
-/// destination the engine will write.
-struct OffloadJob<'a> {
+/// engine. Everything it carries is owned: the ring accumulator (returned
+/// as soon as it is copied, so BP can fold a later layer into it), the
+/// workspace destination `ws.block_grads[layer]` (taken for the copy and
+/// handed back with the job's end), and the step's route.
+struct OffloadJob {
     layer: usize,
     grads: BlockGrads,
-    /// Deferred-dispatch destination: `ws.block_grads[layer]`.
-    dst: &'a mut Vec<f32>,
+    /// Deferred dispatch: the flat gradient lands here.
+    dst: Vec<f32>,
     enqueue_ns: u64,
+    /// Streaming dispatch: where the flat gradient goes instead.
+    route: Option<Route>,
+}
+
+/// A streamed step's gradient route: the sink that receives each flat
+/// gradient and the update its final form becomes.
+#[derive(Clone)]
+struct Route {
+    sink: Arc<dyn GradSink>,
+    hp: AdamParams,
+    /// Record each delivered gradient's norm partial (telemetry on).
+    want_norm: bool,
+}
+
+/// A job's end, handed back by the D2H engine once its gradient is copied
+/// out and (streaming) handed to the sink: the workspace destination, and
+/// the panic that ended the job, if one did.
+struct JobEnd {
+    layer: usize,
+    dst: Vec<f32>,
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+/// A ring accumulator on its way back to BP: dropping it sends it home —
+/// after its copy, or while a panicking job unwinds — so BP never waits on
+/// one that is gone.
+struct Homebound<'a> {
+    grads: Option<BlockGrads>,
+    home: &'a Sender<BlockGrads>,
+}
+
+impl Drop for Homebound<'_> {
+    fn drop(&mut self) {
+        if let Some(grads) = self.grads.take() {
+            let _ = self.home.send(grads);
+        }
+    }
+}
+
+/// What the D2H engine reads besides its jobs, fixed for its lifetime.
+struct OffloadCtx {
+    store: Arc<LayerStore>,
+    pool: Arc<OptimizerPool>,
+    norm_bits: Arc<Vec<AtomicU64>>,
+    device: Arc<HostDevice>,
+    tel: Telemetry,
+    wait: Histogram,
+    copied: Counter,
+    precision: Precision,
+    block_bytes: u64,
+}
+
+impl OffloadCtx {
+    /// Runs one job: flattens the finished layer's gradient (rounded
+    /// through the transfer format in a half mode — the optimizer ingests
+    /// the rounded f32 values against its FP32 masters, and the half-width
+    /// payload is accounted, not materialised), accounts the D2H traffic,
+    /// and either hands the flat gradient to the step's sink (streaming)
+    /// or leaves it in the job's destination for the engine's deferred
+    /// dispatch. The accumulator goes straight home once copied — before a
+    /// reducing sink can wait on the other replicas. Returns the
+    /// destination.
+    fn offload(&self, job: OffloadJob, home: &Sender<BlockGrads>) -> Vec<f32> {
+        let OffloadJob {
+            layer,
+            grads,
+            mut dst,
+            enqueue_ns,
+            route,
+        } = job;
+        let tel = &self.tel;
+        self.wait.record(tel.now_nanos().saturating_sub(enqueue_ns));
+        let span = tel.span("d2h-copy", format!("d2h L{layer}"));
+        self.device.begin_d2h();
+        let acc = Homebound {
+            grads: Some(grads),
+            home,
+        };
+        let grads = acc.grads.as_ref().expect("accumulator in hand");
+        match route {
+            Some(route) => {
+                // Flatten straight into a recycled pool buffer: the D2H copy
+                // *is* the optimizer hand-off, no second copy. The sink
+                // decides when the buffer reaches `deliver` (a reducing sink
+                // may park it in a bucket first); the norm partial is taken
+                // there, so it reflects the reduced gradient.
+                let mut buf = self.pool.recycled_buffer();
+                grads.flatten_into_as(&mut buf, self.precision);
+                drop(acc);
+                let deliver = |layer: usize, buf: Vec<f32>| {
+                    if route.want_norm {
+                        let sum_sq = GlobalNorm::layer_sum_sq(&buf);
+                        self.norm_bits[layer].store(sum_sq.to_bits(), Ordering::Relaxed);
+                    }
+                    self.store.mark_pending(layer);
+                    self.pool.submit_owned(layer, buf, route.hp);
+                };
+                route.sink.layer_ready(layer, buf, &deliver);
+            }
+            None => {
+                grads.flatten_into_as(&mut dst, self.precision);
+                drop(acc);
+            }
+        }
+        self.device.end_d2h(self.block_bytes);
+        span.end();
+        self.copied.incr();
+        dst
+    }
+}
+
+/// The D2H copy engine: one thread for the backend's lifetime, fed one
+/// [`OffloadJob`] per finished layer. It runs concurrently with the next
+/// layer's backward on the compute thread, so layer `i`'s D2H overlaps
+/// layer `i−1`'s backward.
+struct D2hEngine {
+    /// `None` once the backend is dropping.
+    jobs: Option<Sender<OffloadJob>>,
+    /// Accumulators, back as soon as they are copied out.
+    home: Receiver<BlockGrads>,
+    ends: Receiver<JobEnd>,
+    /// Accumulators sent with a job and not taken back yet.
+    lent: usize,
+    /// Jobs whose end has not been taken yet.
+    in_flight: usize,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl D2hEngine {
+    /// Starts the engine thread. At most [`GRAD_RING`] jobs exist at once
+    /// (each carries a ring accumulator), so no job send ever blocks.
+    fn start(ctx: OffloadCtx) -> Self {
+        let (jobs, rx) = bounded::<OffloadJob>(GRAD_RING);
+        let (home_tx, home) = bounded(GRAD_RING);
+        let (end_tx, ends) = unbounded();
+        crate::telemetry::count_spawn();
+        let thread = std::thread::Builder::new()
+            .name("d2h".into())
+            .spawn(move || {
+                while let Ok(job) = rx.recv() {
+                    // A panicking job (a sink's) ends only itself: its
+                    // panic travels to the compute thread with its end.
+                    let layer = job.layer;
+                    let end = match catch_unwind(AssertUnwindSafe(|| ctx.offload(job, &home_tx))) {
+                        Ok(dst) => JobEnd {
+                            layer,
+                            dst,
+                            panic: None,
+                        },
+                        Err(panic) => JobEnd {
+                            layer,
+                            dst: Vec::new(),
+                            panic: Some(panic),
+                        },
+                    };
+                    if end_tx.send(end).is_err() {
+                        return;
+                    }
+                }
+            })
+            .expect("spawn D2H engine");
+        D2hEngine {
+            jobs: Some(jobs),
+            home,
+            ends,
+            lent: 0,
+            in_flight: 0,
+            thread: Some(thread),
+        }
+    }
+
+    fn submit(&mut self, job: OffloadJob) {
+        self.lent += 1;
+        self.in_flight += 1;
+        (self.jobs.as_ref().expect("backend alive"))
+            .send(job)
+            .expect("D2H engine alive");
+    }
+
+    /// A free ring accumulator, waiting for the engine to hand one back
+    /// when all are lent out — the ring is the back-pressure.
+    fn accumulator(&mut self, ring: &mut Vec<BlockGrads>) -> BlockGrads {
+        if let Some(acc) = ring.pop() {
+            return acc;
+        }
+        assert!(self.lent > 0, "offload engine lost an accumulator");
+        self.lent -= 1;
+        self.home.recv().expect("D2H engine alive")
+    }
+
+    /// Waits until every job sent has ended: each destination goes back to
+    /// `dsts` and each accumulator home to `ring`. Then re-raises, on the
+    /// calling thread, the first panic that ended a job.
+    fn drain(&mut self, ring: &mut Vec<BlockGrads>, dsts: &mut [Vec<f32>]) {
+        let mut failure = None;
+        while self.in_flight > 0 {
+            let JobEnd { layer, dst, panic } = self.ends.recv().expect("D2H engine alive");
+            self.in_flight -= 1;
+            dsts[layer] = dst;
+            failure = failure.or(panic);
+        }
+        // Every ended job has sent its accumulator home.
+        for _ in 0..std::mem::take(&mut self.lent) {
+            ring.push(self.home.recv().expect("D2H engine alive"));
+        }
+        if let Some(panic) = failure {
+            resume_unwind(panic);
+        }
+    }
+}
+
+impl Drop for D2hEngine {
+    fn drop(&mut self) {
+        drop(self.jobs.take());
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
 }
 
 /// Gradient accumulators in the ring: the one BP folds the current layer
@@ -147,16 +375,17 @@ pub struct WindowedBackend {
     /// parameters live in the store and are materialized on demand.
     shell: Transformer,
     store: Arc<LayerStore>,
-    pool: OptimizerPool,
+    pool: Arc<OptimizerPool>,
     /// The H2D side: device arena, `m+1` shells, prefetcher.
     stream: LayerStream,
+    /// The D2H side: the gradient copy engine.
+    d2h: D2hEngine,
     tel: Telemetry,
     /// The gradient accumulator ring, home between steps: [`GRAD_RING`]
     /// block-sized buffers. In a step they circulate — BP takes one as each
-    /// layer's fold root, the D2H engine copies it out and hands it back
-    /// over the completion channel — so gradient memory is constant, not
-    /// proportional to the model's depth. Contents are never read before a
-    /// fold leaf overwrites them.
+    /// layer's fold root, the D2H engine copies it out and hands it back —
+    /// so gradient memory is constant, not proportional to the model's
+    /// depth. Contents are never read before a fold leaf overwrites them.
     grad_ring: Vec<BlockGrads>,
     /// Per-sample head/embedding scratches (grown to the largest batch seen).
     head_scratches: Vec<TransformerGrads>,
@@ -171,7 +400,7 @@ pub struct WindowedBackend {
     loss_buf: Vec<f32>,
     /// Streaming-path norm partials (f64 bits), written by whichever thread
     /// delivers the reduced gradient to the optimizer.
-    norm_bits: Vec<AtomicU64>,
+    norm_bits: Arc<Vec<AtomicU64>>,
     /// When this backend is one rank of a data-parallel group: the global
     /// batch size. Gradient scaling uses `1/global` (matching a
     /// single-replica run over the whole batch) and `forward_backward`
@@ -222,16 +451,32 @@ impl WindowedBackend {
         );
         let store =
             LayerStore::tiered(flats, &tier_plan, &tel).expect("create spill tier swap file");
-        let pool =
-            OptimizerPool::with_telemetry(Arc::clone(&store), hocfg.optimizer_workers.max(1), &tel);
+        let pool = Arc::new(OptimizerPool::with_telemetry(
+            Arc::clone(&store),
+            hocfg.optimizer_workers.max(1),
+            &tel,
+        ));
         let grad_ring = (0..GRAD_RING).map(|_| stream.zero_grads()).collect();
         tel.gauge("grad.accumulators").set(GRAD_RING as i64);
+        let norm_bits = Arc::new((0..cfg.layers).map(|_| AtomicU64::new(0)).collect());
+        let d2h = D2hEngine::start(OffloadCtx {
+            store: Arc::clone(&store),
+            pool: Arc::clone(&pool),
+            norm_bits: Arc::clone(&norm_bits),
+            device: Arc::clone(stream.device()),
+            tel: tel.clone(),
+            wait: tel.histogram("d2h.queue_wait_ns"),
+            copied: tel.counter("offload.grads"),
+            precision: hocfg.precision,
+            block_bytes: stream.block_bytes(),
+        });
         WindowedBackend {
             cfg,
             shell,
             store,
             pool,
             stream,
+            d2h,
             grad_ring,
             tel,
             head_scratches: Vec::new(),
@@ -239,7 +484,7 @@ impl WindowedBackend {
             bp_fold_slots: Vec::new(),
             resident_fold_slots: Vec::new(),
             loss_buf: Vec::new(),
-            norm_bits: (0..cfg.layers).map(|_| AtomicU64::new(0)).collect(),
+            norm_bits,
             global_batch: None,
             tier_plan,
         }
@@ -359,10 +604,11 @@ impl ParamBackend for WindowedBackend {
     /// submits each layer's optimizer update straight from the D2H engine.
     ///
     /// Three-way overlap: the stream's prefetcher thread runs H2D copies ahead
-    /// of compute, the compute thread runs FP/BP, and the offload engine
-    /// thread flattens and accounts each finished layer's gradient off the
-    /// compute thread's critical path, so layer `i`'s D2H overlaps layer
-    /// `i−1`'s backward.
+    /// of compute, the compute thread runs FP/BP, and the D2H engine thread
+    /// flattens and accounts each finished layer's gradient off the compute
+    /// thread's critical path, so layer `i`'s D2H overlaps layer `i−1`'s
+    /// backward. Both copy threads live as long as the backend: a step
+    /// starts none.
     ///
     /// Steady-state the loop performs no per-element heap allocation: the
     /// accumulator ring, fold partials, head scratches, and the D2H buffers
@@ -376,7 +622,7 @@ impl ParamBackend for WindowedBackend {
         batch: &[(Vec<u32>, Vec<u32>)],
         ws: &mut StepWorkspace,
         plan: &StepPlan,
-        sink: &dyn GradSink,
+        sink: &Arc<dyn GradSink>,
     ) -> f32 {
         assert!(!batch.is_empty());
         let nb = self.cfg.layers;
@@ -408,7 +654,7 @@ impl ParamBackend for WindowedBackend {
         ws.streamed = plan.streaming;
         let want_norm = plan.streaming && self.tel.is_enabled();
         if want_norm {
-            for bits in &self.norm_bits {
+            for bits in self.norm_bits.iter() {
                 bits.store(0, Ordering::Relaxed);
             }
         }
@@ -418,221 +664,137 @@ impl ParamBackend for WindowedBackend {
             norm_partials,
             ..
         } = ws;
-        // Offload destinations, popped in BP order.
-        let mut dsts: Vec<&mut Vec<f32>> = block_grads.iter_mut().collect();
-
-        // ---- gradient offload (D2H copy engine) ----
-        // Run by the dedicated engine thread: flatten the finished layer's
-        // gradient, account the D2H traffic, and either stream the optimizer
-        // update immediately (clip off) or park the flat gradient for the
-        // engine's deferred dispatch. Runs concurrently with the next
-        // layer's backward on the compute thread.
-        let hp = plan.hp;
-        let streaming = plan.streaming;
-        let pool = &self.pool;
-        let device_off = Arc::clone(self.stream.device());
-        let tel_off = self.tel.clone();
-        let wait_h = self.tel.histogram("d2h.queue_wait_ns");
-        let c_grad_off = self.tel.counter("offload.grads");
-        // Final-gradient delivery: invoked by the sink (immediately for
-        // local training; after the replica rendezvous for data-parallel)
-        // with the gradient the optimizer must apply. The norm partial is
-        // taken *here* so it reflects the reduced gradient — the same value
-        // the engine would compute on the deferred path.
-        let norm_bits = &self.norm_bits;
-        let store_dl = Arc::clone(&self.store);
-        let deliver = move |layer: usize, buf: Vec<f32>| {
-            if want_norm {
-                norm_bits[layer].store(GlobalNorm::layer_sum_sq(&buf).to_bits(), Ordering::Relaxed);
-            }
-            store_dl.mark_pending(layer);
-            pool.submit_owned(layer, buf, hp);
-        };
-        // Half-precision D2H: the gradient is rounded through the transfer
-        // format while it is flattened, and the optimizer ingests the
-        // rounded f32 values against its FP32 masters ("convert-on-ingest").
-        // The half-width payload is accounted, not materialised.
-        let precision = self.stream.precision();
-        let block_bytes = self.stream.block_bytes();
-        let offload = move |job: OffloadJob<'_>, done: &Sender<BlockGrads>| {
-            let OffloadJob {
-                layer,
-                grads,
-                dst,
-                enqueue_ns,
-            } = job;
-            wait_h.record(tel_off.now_nanos().saturating_sub(enqueue_ns));
-            let span = tel_off.span("d2h-copy", format!("d2h L{layer}"));
-            device_off.begin_d2h();
-            // Once copied, the accumulator goes straight back to BP — before
-            // a reducing sink can wait on the other replicas.
-            if streaming {
-                // Flatten straight into a recycled pool buffer: the D2H
-                // copy *is* the optimizer hand-off, no second copy. The
-                // sink decides when the buffer reaches `deliver` (a
-                // reducing sink may park it in a bucket first).
-                let mut buf = pool.recycled_buffer();
-                grads.flatten_into_as(&mut buf, precision);
-                done.send(grads).expect("accumulator ring");
-                sink.layer_ready(layer, buf, &deliver);
-            } else {
-                grads.flatten_into_as(dst, precision);
-                done.send(grads).expect("accumulator ring");
-            }
-            device_off.end_d2h(block_bytes);
-            span.end();
-            c_grad_off.incr();
-        };
-
-        // The ring is the back-pressure: the completion channel starts with
-        // every accumulator in it, BP takes one per layer — blocking while
-        // all are in flight — and the engine returns each after its copy.
-        // At most `GRAD_RING` jobs or accumulators exist, so no send ever
-        // blocks.
-        let (off_tx, off_rx) = bounded(GRAD_RING);
-        let (done_tx, done_rx) = bounded(GRAD_RING);
-        for acc in self.grad_ring.drain(..) {
-            done_tx.send(acc).expect("accumulator ring");
-        }
+        // Under streaming dispatch the D2H engine hands each flat gradient
+        // to the sink, which delivers it to the optimizer (immediately for
+        // local training; after the replica rendezvous for data-parallel).
+        let route = plan.streaming.then(|| Route {
+            sink: Arc::clone(sink),
+            hp: plan.hp,
+            want_norm,
+        });
+        let (d2h, ring) = (&mut self.d2h, &mut self.grad_ring);
+        // Nothing is in flight unless an earlier step unwound mid-backward.
+        d2h.drain(ring, block_grads);
         let loss = self.stream.run(&self.store, Pass::ForwardBackward, |feed| {
-            std::thread::scope(|scope| {
-                // ---- offload engine thread ----
-                // It owns these channel ends: if it dies, BP's next take
-                // fails instead of waiting forever.
-                scope.spawn(move || {
-                    while let Ok(job) = off_rx.recv() {
-                        offload(job, &done_tx);
-                    }
-                });
-
-                // ---- compute ("GPU") ----
-                // FP, batch-major; each layer's input tensors are *moved* into
-                // the checkpoint list (the block writes fresh pool tensors), so
-                // no activation is ever cloned.
-                let mut x: Vec<Tensor> = batch.iter().map(|(t, _)| self.shell.embed(t)).collect();
-                let mut inputs: Vec<Vec<Tensor>> = Vec::with_capacity(nb);
-                let mut kept: Vec<(usize, Block)> = Vec::with_capacity(m);
-                for i in 0..nb {
-                    let (gi, block) = feed.next();
-                    assert_eq!(gi, i, "fp prefetch order");
-                    let span = self.tel.span("compute", format!("fp L{i}"));
-                    let next = x.iter().map(|xs| block.forward_no_cache(xs)).collect();
-                    span.end();
-                    inputs.push(std::mem::replace(&mut x, next));
-                    if i + m >= nb {
-                        kept.push((i, block)); // stays resident for BP (Fig. 3)
-                    } else {
-                        feed.release(block);
-                    }
-                }
-
-                // Head: loss + initial gradient, per-sample scratches collect the
-                // tied-LM-head and final-LN gradients.
-                let mut dy: Vec<Tensor> = Vec::with_capacity(b);
-                for (s, (_, targets)) in batch.iter().enumerate() {
-                    let (l, dx, cache) = self.shell.head_forward_loss(&x[s], targets);
-                    self.loss_buf[s] = l;
-                    self.shell
-                        .head_backward(&cache, &mut self.head_scratches[s]);
-                    cache.recycle();
-                    dy.push(dx);
-                }
-                for t in x {
-                    scratch::give(t); // head inputs are done
-                }
-
-                // BP: recompute-from-checkpoint, folding each layer into a ring
-                // accumulator and handing it to the offload engine so the
-                // flatten/D2H (and, when streaming, the optimizer submission)
-                // overlaps the next layer's backward. With clipping active the
-                // engine dispatches after the step's global norm is known.
-                for i in (0..nb).rev() {
-                    let block = match kept.pop() {
-                        Some((k, blk)) => {
-                            assert_eq!(k, i, "kept layer order");
-                            blk
-                        }
-                        None => {
-                            let (gi, blk) = feed.next();
-                            assert_eq!(gi, i, "bp prefetch order");
-                            blk
-                        }
-                    };
-                    let span = self.tel.span("compute", format!("bp L{i}"));
-                    // Deterministic fan-in: per-sample gradients fold down the
-                    // canonical pairwise tree — the same association the
-                    // resident trainer and every other fan-in in the repo
-                    // use. Its root is a ring accumulator (at b = 1 the only
-                    // buffer), and each leaf is written once, scaled, by the
-                    // block leaf the resident trainer runs too.
-                    let acc = done_rx.recv().expect("offload engine lost an accumulator");
-                    self.bp_fold_slots.insert(0, acc);
-                    fold_with(
-                        &self.fold_plan,
-                        &mut self.bp_fold_slots,
-                        |s, slot| {
-                            let dxs = block.leaf_backward(&dy[s], &inputs[i][s], slot, scale);
-                            scratch::give(std::mem::replace(&mut dy[s], dxs));
-                        },
-                        |acc, part| acc.accumulate(part),
-                    );
-                    let grads = self.bp_fold_slots.remove(0);
-                    for t in std::mem::take(&mut inputs[i]) {
-                        scratch::give(t); // layer i's checkpoints are consumed
-                    }
-                    span.end();
-                    // Free the shell before queueing the offload: the prefetcher
-                    // can start the next H2D while the gradient is still in the
-                    // D2H engine's queue.
+            // ---- compute ("GPU") ----
+            // FP, batch-major; each layer's input tensors are *moved* into
+            // the checkpoint list (the block writes fresh pool tensors), so
+            // no activation is ever cloned.
+            let mut x: Vec<Tensor> = batch.iter().map(|(t, _)| self.shell.embed(t)).collect();
+            let mut inputs: Vec<Vec<Tensor>> = Vec::with_capacity(nb);
+            let mut kept: Vec<(usize, Block)> = Vec::with_capacity(m);
+            for i in 0..nb {
+                let (gi, block) = feed.next();
+                assert_eq!(gi, i, "fp prefetch order");
+                let span = self.tel.span("compute", format!("fp L{i}"));
+                let next = x.iter().map(|xs| block.forward_no_cache(xs)).collect();
+                span.end();
+                inputs.push(std::mem::replace(&mut x, next));
+                if i + m >= nb {
+                    kept.push((i, block)); // stays resident for BP (Fig. 3)
+                } else {
                     feed.release(block);
-                    let dst = dsts.pop().expect("offload destination");
-                    let job = OffloadJob {
-                        layer: i,
-                        grads,
-                        dst,
-                        enqueue_ns: self.tel.now_nanos(),
-                    };
-                    off_tx.send(job).expect("offload queue");
                 }
-                // Close the offload queue: the engine thread drains it and exits
-                // while the embedding backward below proceeds.
-                drop(off_tx);
+            }
 
-                // Embedding backward (scatter-add) per sample, then fold the
-                // resident gradients in sample order — the same op sequence as
-                // the reference trainer.
-                for (s, (tokens, _)) in batch.iter().enumerate() {
-                    self.shell
-                        .embed_backward(&dy[s], tokens, &mut self.head_scratches[s]);
-                }
-                for t in dy {
-                    scratch::give(t);
-                }
-                // Resident groups fold down the same canonical tree.
+            // Head: loss + initial gradient, per-sample scratches collect the
+            // tied-LM-head and final-LN gradients.
+            let mut dy: Vec<Tensor> = Vec::with_capacity(b);
+            for (s, (_, targets)) in batch.iter().enumerate() {
+                let (l, dx, cache) = self.shell.head_forward_loss(&x[s], targets);
+                self.loss_buf[s] = l;
+                self.shell
+                    .head_backward(&cache, &mut self.head_scratches[s]);
+                cache.recycle();
+                dy.push(dx);
+            }
+            for t in x {
+                scratch::give(t); // head inputs are done
+            }
+
+            // BP: recompute-from-checkpoint, folding each layer into a ring
+            // accumulator and handing it to the D2H engine so the flatten
+            // (and, when streaming, the optimizer submission) overlaps the
+            // next layer's backward. With clipping active the engine
+            // dispatches after the step's global norm is known.
+            for i in (0..nb).rev() {
+                let block = match kept.pop() {
+                    Some((k, blk)) => {
+                        assert_eq!(k, i, "kept layer order");
+                        blk
+                    }
+                    None => {
+                        let (gi, blk) = feed.next();
+                        assert_eq!(gi, i, "bp prefetch order");
+                        blk
+                    }
+                };
+                let span = self.tel.span("compute", format!("bp L{i}"));
+                // Deterministic fan-in: per-sample gradients fold down the
+                // canonical pairwise tree — the same association the
+                // resident trainer and every other fan-in in the repo use.
+                // Its root is a ring accumulator (at b = 1 the only buffer),
+                // and each leaf is written once, scaled, by the block leaf
+                // the resident trainer runs too.
+                let acc = d2h.accumulator(ring);
+                self.bp_fold_slots.insert(0, acc);
                 fold_with(
                     &self.fold_plan,
-                    &mut self.resident_fold_slots,
-                    |s, slot| slot.set_resident_scaled(&self.head_scratches[s], scale),
-                    |acc, part| acc.accumulate_scaled(part, 1.0),
+                    &mut self.bp_fold_slots,
+                    |s, slot| {
+                        let dxs = block.leaf_backward(&dy[s], &inputs[i][s], slot, scale);
+                        scratch::give(std::mem::replace(&mut dy[s], dxs));
+                    },
+                    |acc, part| acc.accumulate(part),
                 );
-                std::mem::swap(resident_grads, &mut self.resident_fold_slots[0]);
+                let grads = self.bp_fold_slots.remove(0);
+                for t in std::mem::take(&mut inputs[i]) {
+                    scratch::give(t); // layer i's checkpoints are consumed
+                }
+                span.end();
+                // Free the shell before queueing the offload: the prefetcher
+                // can start the next H2D while the gradient is still in the
+                // D2H engine's queue.
+                feed.release(block);
+                d2h.submit(OffloadJob {
+                    layer: i,
+                    grads,
+                    dst: std::mem::take(&mut block_grads[i]),
+                    enqueue_ns: self.tel.now_nanos(),
+                    route: route.clone(),
+                });
+            }
 
-                tree_sum(&self.loss_buf)
-            })
+            // Embedding backward (scatter-add) per sample, then fold the
+            // resident gradients in sample order — the same op sequence as
+            // the reference trainer — while the D2H engine drains.
+            for (s, (tokens, _)) in batch.iter().enumerate() {
+                self.shell
+                    .embed_backward(&dy[s], tokens, &mut self.head_scratches[s]);
+            }
+            for t in dy {
+                scratch::give(t);
+            }
+            // Resident groups fold down the same canonical tree.
+            fold_with(
+                &self.fold_plan,
+                &mut self.resident_fold_slots,
+                |s, slot| slot.set_resident_scaled(&self.head_scratches[s], scale),
+                |acc, part| acc.accumulate_scaled(part, 1.0),
+            );
+            std::mem::swap(resident_grads, &mut self.resident_fold_slots[0]);
+
+            tree_sum(&self.loss_buf)
         });
-        // The engine thread has exited: every accumulator is home, in
-        // whatever order — which buffer serves which layer is invisible.
-        self.grad_ring
-            .extend(std::iter::from_fn(|| done_rx.try_recv().ok()));
-        assert_eq!(
-            self.grad_ring.len(),
-            GRAD_RING,
-            "offload engine lost an accumulator"
-        );
+        // Every job has ended: each destination is back in the workspace
+        // and each accumulator home, in whatever order — which buffer
+        // serves which layer is invisible.
+        d2h.drain(ring, block_grads);
+        assert_eq!(ring.len(), GRAD_RING, "offload engine lost an accumulator");
         // Streaming norm partials were recorded at delivery time (on the
         // reduced gradients); surface them to the engine's norm fold.
         if want_norm {
-            for (p, bits) in norm_partials.iter_mut().zip(&self.norm_bits) {
+            for (p, bits) in norm_partials.iter_mut().zip(self.norm_bits.iter()) {
                 *p = f64::from_bits(bits.load(Ordering::Relaxed));
             }
         }
@@ -913,6 +1075,59 @@ mod tests {
             "optimizer worker count must not affect results"
         );
         assert_eq!(base, run(4), "repeat runs must be identical");
+    }
+
+    /// A sink whose hand-off of layer 1 panics.
+    struct RefusingSink;
+
+    const REFUSAL: &str = "sink refused layer 1";
+
+    impl GradSink for RefusingSink {
+        fn layer_ready(
+            &self,
+            layer: usize,
+            grad: Vec<f32>,
+            deliver: &(dyn Fn(usize, Vec<f32>) + Sync),
+        ) {
+            if layer == 1 {
+                panic!("{REFUSAL}");
+            }
+            deliver(layer, grad);
+        }
+        fn reduce_step(&self, _grads: &mut [Vec<f32>]) {}
+        fn reduce_resident(&self, _groups: [&mut [f32]; 4]) {}
+    }
+
+    /// A sink that panics on the D2H engine fails the step on the caller's
+    /// thread with its own message; a second step fails the same way
+    /// instead of waiting on the engine, and the trainer still drops.
+    #[test]
+    fn a_sink_panic_on_the_d2h_engine_reaches_the_caller() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let cfg = tiny(4);
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let hocfg = HostOffloadConfig::default();
+            let tel = Telemetry::disabled();
+            let backend = WindowedBackend::from_model(Transformer::new(cfg, 26), &hocfg, tel);
+            let mut t = Engine::with_sink(backend, hocfg.engine_options(), Arc::new(RefusingSink));
+            let data = batch(&cfg, 13);
+            for _ in 0..2 {
+                let failed = catch_unwind(AssertUnwindSafe(|| t.train_step(&data))).err();
+                let _ = tx.send(failed.and_then(|p| p.downcast_ref::<String>().cloned()));
+            }
+            drop(t);
+            let _ = tx.send(None);
+        });
+        let next = |what: &str| {
+            rx.recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("a panicking sink hung {what}"))
+        };
+        assert_eq!(next("the step").as_deref(), Some(REFUSAL));
+        assert_eq!(next("the next step").as_deref(), Some(REFUSAL));
+        assert_eq!(next("the drop"), None);
     }
 
     #[test]

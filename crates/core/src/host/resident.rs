@@ -86,7 +86,7 @@ impl ParamBackend for ResidentBackend {
         batch: &[(Vec<u32>, Vec<u32>)],
         ws: &mut StepWorkspace,
         _plan: &StepPlan,
-        _sink: &dyn GradSink,
+        _sink: &std::sync::Arc<dyn GradSink>,
     ) -> f32 {
         let b = batch.len();
         // Per-sample gradients and losses fold down the canonical pairwise

@@ -4,20 +4,33 @@
 //! Host memory is the authoritative parameter store ([`LayerStore`]); the
 //! device holds a transient window of `m + 1` reusable *shells* (the §III-E3
 //! buffer pool: `m` window slots plus the incoming-layer buffer, term `s^j`
-//! of constraint (1c)). [`LayerStream::run`] circulates the shells between a
-//! prefetcher thread — which waits for a free shell, loads the next layer of
-//! the pass into it and accounts the copy on the [`HostDevice`] — and the
-//! consumer, which computes on each layer as it lands and hands the shell
-//! back. The window bound is the shell count: the prefetcher can never run
-//! more than `m + 1` layers ahead of the last release.
+//! of constraint (1c)). [`LayerStream::run`] circulates the shells between
+//! the stream's prefetcher thread — which waits for a free shell, loads the
+//! next layer of the pass into it and accounts the copy on the
+//! [`HostDevice`] — and the consumer, which computes on each layer as it
+//! lands and hands the shell back. The window bound is the shell count: the
+//! prefetcher can never run more than `m + 1` layers ahead of the last
+//! release.
+//!
+//! The prefetcher is long-lived, like the optimizer and spill actors: it is
+//! started with the stream, takes its orders over a channel and is joined
+//! when the stream drops, so no pass starts a thread. An order is one pass,
+//! or — when a serving engine knows the next round will run — a run of
+//! forward passes it chains on as it goes ([`LayerStream::stage`]): the
+//! prefetcher then moves on to the next pass's first layers as soon as the
+//! current pass's tail frees a shell. Only a read-only store may be read
+//! ahead like that.
 //!
 //! Every store → shell conversion in the crate goes through [`load`], and
-//! the shell channels are built in [`LayerStream::run`] only (`ci.sh` guards
-//! both), so training, serving and evaluation compute on the same
+//! the shell channels are built in [`LayerStream::issue`] only (`ci.sh`
+//! guards both), so training, serving and evaluation compute on the same
 //! device-resident value grid by construction.
 
+use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use crossbeam_channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -72,28 +85,79 @@ struct Link {
     h_fetch_wait: Histogram,
 }
 
+/// A panic payload, carried from the prefetcher thread to the consumer.
+type Panic = Box<dyn Any + Send>;
+
+/// A closed order's budget: the prefetcher has staged every pass it was
+/// given and let go of the order.
+const CLOSED: usize = usize::MAX;
+
+/// One order for the prefetcher thread: the store it reads, the access
+/// sequence, how many passes of it to run, and the prefetcher's ends of the
+/// order's shell queues.
+struct Order {
+    store: Arc<LayerStore>,
+    pass: Pass,
+    /// Passes the order runs. The consumer raises it to chain another pass
+    /// onto a running order; the prefetcher sets [`CLOSED`] when it has
+    /// staged the last one. Both go through one atomic, so a raise either
+    /// lands before the close or sees it.
+    budget: Arc<AtomicUsize>,
+    free: Receiver<Block>,
+    ready: Sender<(usize, Block)>,
+}
+
+/// The consumer's side of an issued order.
+struct Issued {
+    store: Arc<LayerStore>,
+    pass: Pass,
+    budget: Arc<AtomicUsize>,
+    /// Passes ordered beyond the one the next [`LayerStream::run`] consumes.
+    ahead: usize,
+    ready: Receiver<(usize, Block)>,
+    /// `None` once the order winds down.
+    free: Option<Sender<Block>>,
+    /// A receiver of the free queue too: the shells left in it come home
+    /// when the order ends.
+    free_home: Receiver<Block>,
+}
+
 /// The streaming H2D engine. It owns the device side only; the store a
 /// pass reads is an argument, so the owner decides how it is built (tiered
 /// for training, moment-free for serving). See the module docs.
 pub(crate) struct LayerStream {
-    link: Link,
-    /// The `m + 1` device shells. Behind a lock only so the `&self`
-    /// evaluation paths can borrow one; [`LayerStream::run`] goes through
-    /// `get_mut`.
+    link: Arc<Link>,
+    /// The `m + 1` device shells while no order is issued. Behind a lock
+    /// only so the `&self` evaluation paths can borrow one;
+    /// [`LayerStream::run`] goes through `get_mut`.
     shells: Mutex<Vec<Block>>,
+    window: usize,
     precision: Precision,
+    /// The order the next [`LayerStream::run`] consumes a pass of, when it
+    /// was issued ahead of that run.
+    staged: Option<Issued>,
+    /// A pass [`LayerStream::stage`] could not chain onto the staged order
+    /// (the prefetcher had closed it): issued as soon as the next run ends.
+    stage_after_run: bool,
+    /// Orders to the prefetcher; `None` once the stream is dropping.
+    orders: Option<Sender<Order>>,
+    /// One report per order, sent once the prefetcher has let go of it:
+    /// `Err` carries the panic that ended it.
+    ends: Receiver<Result<(), Panic>>,
+    prefetcher: Option<JoinHandle<()>>,
 }
 
 impl LayerStream {
     /// Builds the stream for a model of `layers` blocks shaped like
     /// `template`, which becomes the first of the `m + 1` device shells (the
-    /// rest are clones of it). `window` is clamped to `1..=window_max`; with
-    /// a `device_capacity` budget, `window_max` is the deepest `m` whose
-    /// `m + 1` slots fit beside the `reserved` bytes and the device holds
-    /// exactly the budget, otherwise `window_max` is the layer count and
-    /// the device is sized to exactly `reserved + (m + 1)` slots. Every size
-    /// is fixed here, for the stream's lifetime. `reserved` is allocated on
-    /// the device here and stays allocated.
+    /// rest are clones of it), and starts its prefetcher thread. `window` is
+    /// clamped to `1..=window_max`; with a `device_capacity` budget,
+    /// `window_max` is the deepest `m` whose `m + 1` slots fit beside the
+    /// `reserved` bytes and the device holds exactly the budget, otherwise
+    /// `window_max` is the layer count and the device is sized to exactly
+    /// `reserved + (m + 1)` slots. Every size is fixed here, for the
+    /// stream's lifetime. `reserved` is allocated on the device here and
+    /// stays allocated.
     ///
     /// # Panics
     /// Panics if the budget cannot hold the reserved bytes plus the two
@@ -124,25 +188,79 @@ impl LayerStream {
         let capacity = device_capacity.unwrap_or(reserved + (m as u64 + 1) * block_bytes);
         let device = Arc::new(HostDevice::with_telemetry(capacity, tel));
         device.alloc(reserved);
+        let link = Arc::new(Link {
+            device,
+            tel: tel.clone(),
+            block_bytes,
+            c_issued: tel.counter("prefetch.issued"),
+            c_completed: tel.counter("prefetch.completed"),
+            c_refetched: tel.counter("prefetch.refetched"),
+            h_shell_wait: tel.histogram("prefetch.shell_wait_ns"),
+            h_fetch_wait: tel.histogram("prefetch.fetch_wait_ns"),
+        });
+        let (order_tx, order_rx) = bounded::<Order>(1);
+        let (end_tx, end_rx) = bounded(1);
+        let shared = Arc::clone(&link);
+        crate::telemetry::count_spawn();
+        let prefetcher = std::thread::Builder::new()
+            .name("prefetch".into())
+            .spawn(move || {
+                while let Ok(order) = order_rx.recv() {
+                    let Order {
+                        store,
+                        pass,
+                        budget,
+                        free,
+                        ready,
+                    } = order;
+                    let prefetcher = Prefetcher {
+                        link: &shared,
+                        store: &store,
+                        precision,
+                        free,
+                        ready,
+                    };
+                    // A failed fetch (a spill-tier read) ends only its
+                    // order: the shell queues drop while it unwinds, so the
+                    // consumer wakes, and the panic travels to it in the
+                    // report.
+                    let end = catch_unwind(AssertUnwindSafe(move || {
+                        let mut done = 0;
+                        while prefetcher.run(pass, m) {
+                            done += 1;
+                            let close = budget.compare_exchange(
+                                done,
+                                CLOSED,
+                                Ordering::SeqCst,
+                                Ordering::SeqCst,
+                            );
+                            if close.is_ok() {
+                                break;
+                            }
+                        }
+                    }));
+                    if end_tx.send(end).is_err() {
+                        return;
+                    }
+                }
+            })
+            .expect("spawn prefetcher");
         LayerStream {
-            link: Link {
-                device,
-                tel: tel.clone(),
-                block_bytes,
-                c_issued: tel.counter("prefetch.issued"),
-                c_completed: tel.counter("prefetch.completed"),
-                c_refetched: tel.counter("prefetch.refetched"),
-                h_shell_wait: tel.histogram("prefetch.shell_wait_ns"),
-                h_fetch_wait: tel.histogram("prefetch.fetch_wait_ns"),
-            },
+            link,
             shells: Mutex::new(vec![template; m + 1]),
+            window: m,
             precision,
+            staged: None,
+            stage_after_run: false,
+            orders: Some(order_tx),
+            ends: end_rx,
+            prefetcher: Some(prefetcher),
         }
     }
 
     /// The working-window size `m` in force.
     pub(crate) fn window(&self) -> usize {
-        self.shells.lock().len() - 1
+        self.window
     }
 
     /// Bytes of one device slot.
@@ -199,70 +317,170 @@ impl LayerStream {
             .collect()
     }
 
-    /// Runs one pass over `store`: a scoped prefetcher thread fills shells in
-    /// `pass` order while `consume` takes each layer from the [`Feed`] and
-    /// releases the shell when done with it. Returns `consume`'s result once
-    /// the prefetcher has stopped and every shell is back in the pool.
+    /// Hands every shell to a fresh pair of shell queues and orders the
+    /// prefetcher to run `passes` passes of `pass` over `store` through
+    /// them.
     ///
-    /// A consumer that returns before the end of the pass is fine: the
-    /// layers already staged are drained and un-accounted. One that panics
-    /// stops the prefetcher at its next channel operation; the panic then
-    /// propagates. A prefetcher that panics (a failed spill-tier fill)
-    /// starves the consumer, whose own panic is then only a symptom: the
-    /// prefetcher's is the one re-raised on the calling thread.
-    pub(crate) fn run<R>(
-        &mut self,
-        store: &LayerStore,
-        pass: Pass,
-        consume: impl FnOnce(&mut Feed<'_>) -> R,
-    ) -> R {
-        let link = &self.link;
-        let blocks = self.shells.get_mut();
-        let m = blocks.len() - 1;
+    /// # Panics
+    /// Panics if a panicked pass took every shell with it.
+    fn issue(&mut self, store: &Arc<LayerStore>, pass: Pass, passes: usize) -> Issued {
+        let m = self.window;
+        let shells = self.shells.get_mut();
+        assert_eq!(
+            shells.len(),
+            m + 1,
+            "a panicked pass lost the window's shells"
+        );
         let (ready_tx, ready_rx) = bounded::<(usize, Block)>(m);
         let (free_tx, free_rx) = bounded::<Block>(m + 1);
-        for shell in blocks.drain(..) {
+        for shell in shells.drain(..) {
             // Room for all m + 1, and we hold a receiver: cannot fail.
             let _ = free_tx.send(shell);
         }
-        let prefetcher = Prefetcher {
-            link,
-            store,
-            precision: self.precision,
+        let budget = Arc::new(AtomicUsize::new(passes));
+        let order = Order {
+            store: Arc::clone(store),
+            pass,
+            budget: Arc::clone(&budget),
             free: free_rx.clone(),
             ready: ready_tx,
         };
-        let mut feed = Feed {
-            link,
+        (self.orders.as_ref().expect("stream alive"))
+            .send(order)
+            .expect("prefetcher thread alive");
+        Issued {
+            store: Arc::clone(store),
+            pass,
+            budget,
+            ahead: passes - 1,
             ready: ready_rx,
-            free: free_tx,
-        };
-        let out = std::thread::scope(|scope| {
-            let prefetch = scope.spawn(move || prefetcher.run(pass, m));
-            let out = catch_unwind(AssertUnwindSafe(|| consume(&mut feed)));
-            // Nothing more will be released: once the free queue is empty
-            // the prefetcher stops. Whatever it staged meanwhile comes back
-            // here (nothing, when the consumer ran the whole pass).
-            let Feed { ready, free, .. } = feed;
-            drop(free);
-            while let Ok((_, shell)) = ready.recv() {
-                link.device.free(link.block_bytes);
-                blocks.push(shell);
-            }
-            if let Err(panic) = prefetch.join() {
-                resume_unwind(panic);
-            }
-            out.unwrap_or_else(|panic| resume_unwind(panic))
-        });
-        while let Ok(shell) = free_rx.try_recv() {
-            blocks.push(shell);
+            free: Some(free_tx),
+            free_home: free_rx,
         }
-        assert_eq!(blocks.len(), m + 1, "window shells must all return");
+    }
+
+    /// Orders a forward pass over `store` to follow the pass the next
+    /// [`LayerStream::run`] consumes — its own, or the one a previous
+    /// `stage` ordered. The prefetcher runs straight on into it: each shell
+    /// the consumer releases in the tail of the current pass is filled with
+    /// the next pass's first layers while the caller still computes and
+    /// then works between passes. Only a read-only store may be read ahead —
+    /// a training store's layer may take an update after the order is
+    /// issued — so a training pass is always issued at `run` entry.
+    ///
+    /// # Panics
+    /// Panics if `store` holds Adam moments, or if the pass the next run
+    /// consumes is not a forward pass over `store`.
+    pub(crate) fn stage(&mut self, store: &Arc<LayerStore>) {
+        assert!(
+            store.is_read_only(),
+            "a pass may be issued ahead of `run` only on a read-only store"
+        );
+        let Some(order) = &mut self.staged else {
+            // The next run's pass and the one after it, in one order.
+            self.staged = Some(self.issue(store, Pass::Forward, 2));
+            return;
+        };
+        assert!(
+            order.pass == Pass::Forward && Arc::ptr_eq(&order.store, store),
+            "a forward pass is chained onto another pass"
+        );
+        let raised = order
+            .budget
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |b| {
+                (b != CLOSED).then(|| b + 1)
+            });
+        match raised {
+            Ok(_) => order.ahead += 1,
+            // The prefetcher has staged all of the next run's pass already.
+            Err(_) => self.stage_after_run = true,
+        }
+    }
+
+    /// Runs one pass over `store`: the prefetcher fills shells in `pass`
+    /// order (it may have started already, when the pass was staged) while
+    /// `consume` takes each layer from the [`Feed`] and releases the shell
+    /// when done with it. Returns `consume`'s result once the prefetcher
+    /// has let go of the pass and every shell is back in the pool — or,
+    /// when [`LayerStream::stage`] chained another pass onto this one, once
+    /// the whole pass has been consumed; the prefetcher is then already
+    /// filling the freed shells with the next pass's layers.
+    ///
+    /// A consumer that returns before the end of the pass is fine: the
+    /// layers already staged (of this pass or a chained one) are drained
+    /// and un-accounted. One that panics ends the pass the same way while
+    /// it unwinds. A prefetch that panics (a failed spill-tier fill) ends
+    /// the pass, and its panic is re-raised on the calling thread — at the
+    /// consumer's next [`Feed::next`], or here; the prefetcher thread lives
+    /// on for the next pass.
+    ///
+    /// # Panics
+    /// Panics if a different pass is staged.
+    pub(crate) fn run<R>(
+        &mut self,
+        store: &Arc<LayerStore>,
+        pass: Pass,
+        consume: impl FnOnce(&mut Feed<'_>) -> R,
+    ) -> R {
+        let stage_after_run = std::mem::take(&mut self.stage_after_run);
+        let mut order = match self.staged.take() {
+            Some(staged) => {
+                assert!(
+                    staged.pass == pass && Arc::ptr_eq(&staged.store, store),
+                    "the staged pass is not the one being run"
+                );
+                staged
+            }
+            None => self.issue(store, pass, 1),
+        };
+        let total = match pass {
+            Pass::Forward => store.len(),
+            Pass::ForwardBackward => 2 * store.len() - self.window,
+        };
+        let home = self.shells.get_mut();
+        let mut feed = Feed::new(&self.link, &mut order, &self.ends, home, self.window);
+        let out = consume(&mut feed);
+        let chained = feed.taken == total && feed.order.ahead > 0;
+        if chained {
+            // The order's queues carry on into the chained pass.
+            feed.ended = true;
+        } else if let Some(panic) = feed.wind_down() {
+            resume_unwind(panic);
+        }
+        drop(feed);
+        if chained {
+            order.ahead -= 1;
+            self.staged = Some(order);
+        }
+        if stage_after_run {
+            self.staged = Some(self.issue(store, Pass::Forward, 1));
+        }
         out
     }
 }
 
-/// The prefetcher (H2D copy engine) of one [`LayerStream::run`].
+impl Drop for LayerStream {
+    /// Winds down a staged pass nobody will run, then stops and joins the
+    /// prefetcher.
+    fn drop(&mut self) {
+        if let Some(mut staged) = self.staged.take() {
+            let home = self.shells.get_mut();
+            drop(Feed::new(
+                &self.link,
+                &mut staged,
+                &self.ends,
+                home,
+                self.window,
+            ));
+        }
+        drop(self.orders.take());
+        if let Some(prefetcher) = self.prefetcher.take() {
+            let _ = prefetcher.join();
+        }
+    }
+}
+
+/// The prefetcher's view of one pass.
 struct Prefetcher<'a> {
     link: &'a Link,
     store: &'a LayerStore,
@@ -277,9 +495,9 @@ impl Prefetcher<'_> {
     /// positions ahead of the H2D copy — disk reads hide under compute
     /// exactly like the H2D prefetch itself ([`LayerStore::prefill`] is a
     /// no-op for resident layers and for layers whose update is still in
-    /// flight; the read then falls back to a demand fill). Returns early
-    /// when the consumer has gone away.
-    fn run(self, pass: Pass, m: usize) {
+    /// flight; the read then falls back to a demand fill). Returns whether
+    /// the whole pass was staged: `false` when the consumer has gone away.
+    fn run(&self, pass: Pass, m: usize) -> bool {
         let n = self.store.len();
         let total = match pass {
             Pass::Forward => n,
@@ -295,12 +513,13 @@ impl Prefetcher<'_> {
                 self.store.prefill(layer_at(p + lookahead));
             }
             let Some(shell) = self.fetch(layer_at(p), p >= n) else {
-                return;
+                return false;
             };
             if self.ready.send((layer_at(p), shell)).is_err() {
-                return;
+                return false;
             }
         }
+        true
     }
 
     /// Waits for a free shell (the window bound), then copies `layer` into
@@ -340,24 +559,54 @@ impl Prefetcher<'_> {
 /// The consumer's end of a running stream.
 pub(crate) struct Feed<'a> {
     link: &'a Link,
-    ready: Receiver<(usize, Block)>,
-    free: Sender<Block>,
+    order: &'a mut Issued,
+    ends: &'a Receiver<Result<(), Panic>>,
+    /// Where the shells rest between orders.
+    home: &'a mut Vec<Block>,
+    window: usize,
+    /// Layers taken so far.
+    taken: usize,
+    ended: bool,
 }
 
-impl Feed<'_> {
+impl<'a> Feed<'a> {
+    fn new(
+        link: &'a Link,
+        order: &'a mut Issued,
+        ends: &'a Receiver<Result<(), Panic>>,
+        home: &'a mut Vec<Block>,
+        window: usize,
+    ) -> Self {
+        Feed {
+            link,
+            order,
+            ends,
+            home,
+            window,
+            taken: 0,
+            ended: false,
+        }
+    }
+
     /// Takes the next staged layer of the pass, blocking until its copy has
     /// landed; the wait accrues to the `prefetch.fetch_wait_ns` histogram.
     ///
     /// # Panics
-    /// Panics if the prefetcher is gone: the pass is exhausted, or its
-    /// thread died (that panic is the one to read).
+    /// Re-raises the prefetcher's panic if its pass died; panics if the
+    /// pass is exhausted.
     pub(crate) fn next(&mut self) -> (usize, Block) {
         let Link { tel, .. } = self.link;
         let t0 = tel.now_nanos();
-        let item = self.ready.recv().expect("layer stream ended early");
+        let Ok(item) = self.order.ready.recv() else {
+            if let Some(panic) = self.wind_down() {
+                resume_unwind(panic);
+            }
+            panic!("layer stream ended early");
+        };
         self.link
             .h_fetch_wait
             .record(tel.now_nanos().saturating_sub(t0));
+        self.taken += 1;
         item
     }
 
@@ -365,9 +614,46 @@ impl Feed<'_> {
     /// prefetcher reuse it.
     pub(crate) fn release(&mut self, shell: Block) {
         self.link.device.free(self.link.block_bytes);
-        // `run` holds a receiver of this queue and it has room for every
-        // shell: cannot fail.
-        let _ = self.free.send(shell);
+        // The order holds a receiver of this queue and it has room for
+        // every shell: cannot fail.
+        let free = self.order.free.as_ref().expect("pass still running");
+        let _ = free.send(shell);
+    }
+
+    /// Ends the order, once: nothing more will be released, so the
+    /// prefetcher stops as soon as the free queue is empty, and whatever it
+    /// staged meanwhile is drained and un-accounted (nothing, when the
+    /// consumer ran the whole pass and no pass was chained onto it). Every
+    /// shell then comes home; one a panicking consumer dropped is replaced
+    /// by a clone of one that came back. Returns the panic that ended the
+    /// prefetcher's order, if one did.
+    fn wind_down(&mut self) -> Option<Panic> {
+        if std::mem::replace(&mut self.ended, true) {
+            return None;
+        }
+        drop(self.order.free.take());
+        while let Ok((_, shell)) = self.order.ready.recv() {
+            self.link.device.free(self.link.block_bytes);
+            self.home.push(shell);
+        }
+        let end = self.ends.recv().ok().and_then(Result::err);
+        while let Ok(shell) = self.order.free_home.try_recv() {
+            self.home.push(shell);
+        }
+        let shells = self.window + 1;
+        if self.home.len() < shells {
+            if let Some(shell) = self.home.first().cloned() {
+                self.home.resize(shells, shell);
+            }
+        }
+        end
+    }
+}
+
+impl Drop for Feed<'_> {
+    fn drop(&mut self) {
+        // A consumer unwinding: its own panic is the one propagating.
+        let _ = self.wind_down();
     }
 }
 
@@ -396,6 +682,35 @@ mod tests {
         let template = blocks.into_iter().next().expect("at least one layer");
         let stream = LayerStream::new(template, layers, precision, window, None, reserved, tel);
         (store, stream)
+    }
+
+    /// A read-only (moment-free) store over a fresh `layers`-block model
+    /// and a stream beside it.
+    fn frozen_fixture(layers: usize, window: usize) -> (Arc<LayerStore>, LayerStream) {
+        let (store, stream) = fixture(
+            layers,
+            Precision::F32,
+            window,
+            RESERVED,
+            &Telemetry::disabled(),
+        );
+        let images = (0..layers).map(|i| store.read_params(i)).collect();
+        (
+            LayerStore::without_moments(images, stream.block_elems()),
+            stream,
+        )
+    }
+
+    /// A forward consumer: every layer's parameters, in pass order.
+    fn forward_like(feed: &mut Feed<'_>, n: usize) -> Vec<(usize, Vec<f32>)> {
+        (0..n)
+            .map(|_| {
+                let (layer, block) = feed.next();
+                let params = block.flatten_params();
+                feed.release(block);
+                (layer, params)
+            })
+            .collect()
     }
 
     /// The training consumer's shell discipline: FP releases every layer
@@ -522,6 +837,62 @@ mod tests {
         });
         assert_eq!(tel.counter("prefetch.issued").get(), (3 * n - m) as u64);
         assert_eq!(tel.counter("prefetch.refetched").get(), (n - m) as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "a pass may be issued ahead of `run` only on a read-only store")]
+    fn a_pass_is_issued_early_only_on_a_read_only_store() {
+        let (store, mut stream) = fixture(3, Precision::F32, 1, 0, &Telemetry::disabled());
+        stream.stage(&store);
+    }
+
+    /// Chained passes deliver what a pass issued at `run` entry does, and
+    /// copy nothing more. With `m + 1 ≥ n` the prefetcher can stage a
+    /// whole chained pass before its run starts and close the order, so a
+    /// later `stage` cannot chain and issues its pass after that run
+    /// instead; either way the bits and the byte count are the same.
+    #[test]
+    fn a_staged_pass_delivers_what_an_unstaged_one_does() {
+        let n = 4;
+        for m in [1, 3, 4] {
+            let (store, mut stream) = frozen_fixture(n, m);
+            let bb = stream.block_bytes();
+            let plain = stream.run(&store, Pass::Forward, |feed| forward_like(feed, n));
+            let chained = 4;
+            for _ in 0..chained {
+                stream.stage(&store);
+                let got = stream.run(&store, Pass::Forward, |feed| forward_like(feed, n));
+                assert_eq!(got, plain, "m = {m}");
+            }
+            let last = stream.run(&store, Pass::Forward, |feed| forward_like(feed, n));
+            assert_eq!(last, plain, "m = {m}");
+            let passes = 1 + chained + 1;
+            assert_eq!(stream.device().h2d_bytes(), (passes * n) as u64 * bb);
+            assert_eq!(stream.device().used(), RESERVED, "m = {m}");
+        }
+    }
+
+    #[test]
+    fn a_staged_order_stopped_early_or_dropped_returns_every_shell() {
+        for m in [1, 3] {
+            let (store, mut stream) = frozen_fixture(4, m);
+            let device = Arc::clone(stream.device());
+            within_timeout(move || {
+                // A pass that stops early ends its order, chained pass and
+                // all.
+                stream.stage(&store);
+                let first = stream.run(&store, Pass::Forward, |feed| {
+                    let (layer, block) = feed.next();
+                    feed.release(block);
+                    layer
+                });
+                assert_eq!(first, 0);
+                assert_eq!(stream.device().used(), RESERVED);
+                stream.stage(&store);
+                drop(stream);
+            });
+            assert_eq!(device.used(), RESERVED, "m = {m}: every staged slot freed");
+        }
     }
 
     #[test]

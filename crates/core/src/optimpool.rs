@@ -67,6 +67,9 @@ pub struct LayerStore {
     lens: Vec<usize>,
     placement: Vec<Tier>,
     tier: Option<TierStore>,
+    /// Built without Adam moments ([`LayerStore::without_moments`]): no
+    /// layer ever takes an update.
+    read_only: bool,
 }
 
 pub(crate) struct SlotCell {
@@ -121,7 +124,8 @@ impl LayerStore {
     /// Builds an all-resident store from per-layer flat parameter vectors.
     pub fn new(layer_params: Vec<Vec<f32>>) -> Arc<Self> {
         let lens = layer_params.iter().map(Vec::len).collect();
-        Self::all_resident(layer_params.into_iter().map(Slot::resident).collect(), lens)
+        let slots = layer_params.into_iter().map(Slot::resident).collect();
+        Self::all_resident(slots, lens, false)
     }
 
     /// An all-resident store holding parameters only — no Adam moments. The
@@ -136,10 +140,10 @@ impl LayerStore {
             params,
             ..Slot::resident(Vec::new())
         };
-        Self::all_resident(images.into_iter().map(bare).collect(), lens)
+        Self::all_resident(images.into_iter().map(bare).collect(), lens, true)
     }
 
-    fn all_resident(slots: Vec<Slot>, lens: Vec<usize>) -> Arc<Self> {
+    fn all_resident(slots: Vec<Slot>, lens: Vec<usize>, read_only: bool) -> Arc<Self> {
         let cell = |slot| SlotCell {
             lock: Mutex::new(slot),
             cv: Condvar::new(),
@@ -149,6 +153,7 @@ impl LayerStore {
             placement: vec![Tier::Ram; lens.len()],
             lens,
             tier: None,
+            read_only,
         })
     }
 
@@ -212,7 +217,13 @@ impl LayerStore {
             lens,
             placement,
             tier: Some(tier),
+            read_only: false,
         }))
+    }
+
+    /// Whether the store holds parameters only, so no layer ever changes.
+    pub(crate) fn is_read_only(&self) -> bool {
+        self.read_only
     }
 
     /// Number of layers.
@@ -612,6 +623,7 @@ impl OptimizerPool {
         let updates = Arc::clone(&self.updates);
         let queue_depth = self.queue_depth.clone();
         let recycle = Arc::clone(&self.recycle);
+        crate::telemetry::count_spawn();
         self.handles.push(
             std::thread::Builder::new()
                 .name(format!("optim-{w}"))

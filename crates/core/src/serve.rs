@@ -32,7 +32,10 @@
 //! round in-flight sequences run their single pending token — *decode*),
 //! then the tied LM head and per-request sampling. Parameter H2D overlaps
 //! decode compute exactly as it overlaps training compute: the prefetcher
-//! thread stages layer `i+1` while the compute loop runs layer `i`.
+//! thread stages layer `i+1` while the compute loop runs layer `i`. When
+//! the next round is certain, its pass is chained onto this one's, so the
+//! prefetcher stages its first layers under this round's last layers and
+//! head instead of after them.
 //!
 //! The pass is **selectively batched** (Orca): the pending rows of every
 //! active sequence are stacked into one `[ΣR, hidden]` activation
@@ -185,6 +188,14 @@ struct ActiveReq {
     admit_ns: u64,
     ttft_ns: Option<u64>,
     rounds: u64,
+}
+
+impl ActiveReq {
+    /// Whether the round now running is this request's last: it samples
+    /// its final token, or fills its slot's token capacity.
+    fn last_round(&self, max_seq: usize) -> bool {
+        self.generated.len() + 1 >= self.max_new_tokens || self.pos + self.pending.len() >= max_seq
+    }
 }
 
 /// The continuous-batching generation engine.
@@ -481,10 +492,12 @@ impl ServeEngine {
     /// Runs one engine round; returns the requests that finished in it.
     ///
     /// A round is: admission → stack and embed every active slot's pending
-    /// tokens → one streamed pass over all layers (prefetcher thread
+    /// tokens → one streamed pass over all layers (the stream's prefetcher
     /// staging H2D ahead of compute, `m+1` shells circulating through the
     /// device budget), one GEMM per linear over the whole stack → last-row
     /// logits in one head product → one sampled token per active slot.
+    /// When another round is certain, its pass is chained onto this one, so
+    /// its first layers are staged under this round's tail and head.
     pub fn step(&mut self) -> Vec<GenResult> {
         self.admit();
         let t_round = Instant::now();
@@ -510,6 +523,16 @@ impl ServeEngine {
         }
 
         // ---- one layer-streamed pass over the stacked sequences ----
+        // When another round is certain — a request is waiting, or a slot
+        // stays active past this round — its pass is chained onto this
+        // one: the prefetcher fills each shell this pass's tail releases
+        // with the next round's first layers, under the last layers, the
+        // head, sampling, admission and embedding. Otherwise nothing is
+        // copied that no round would consume.
+        let max_seq = self.max_seq;
+        if !self.queue.is_empty() || self.slots.iter().flatten().any(|r| !r.last_round(max_seq)) {
+            self.stream.stage(&self.store);
+        }
         // Run the whole stack through each layer as it lands, then release
         // the shell back to the window.
         let (tel, batch, kv) = (&self.tel, &mut self.batch, &mut self.kv);
@@ -528,6 +551,7 @@ impl ServeEngine {
         let now = self.now_ns();
         for (n, slot) in self.slots.iter_mut().filter(|s| s.is_some()).enumerate() {
             let req = slot.as_mut().expect("filtered to active slots");
+            let last = req.last_round(self.max_seq);
             let tok = sample(self.batch.logits(n), self.temperature, &mut req.rng);
             req.pos += req.pending.len();
             req.generated.push(tok);
@@ -537,7 +561,7 @@ impl ServeEngine {
                 req.ttft_ns = Some(since_admit);
                 self.h_ttft.record(since_admit);
             }
-            if req.generated.len() >= req.max_new_tokens || req.pos >= self.max_seq {
+            if last {
                 let req = slot.take().expect("active request");
                 self.c_completed.incr();
                 self.h_latency.record(since_admit);

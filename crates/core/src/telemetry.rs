@@ -137,6 +137,23 @@ pub fn thread_ordinal() -> u64 {
     ORDINAL.with(|o| *o)
 }
 
+/// Threads the crates have started since the process began. Every non-test
+/// spawn site calls [`count_spawn`] as it starts one, so a step path that
+/// starts threads shows as a rising `thread.spawns`.
+static THREAD_SPAWNS: AtomicU64 = AtomicU64::new(0);
+
+/// Counts one thread start; called beside every spawn site in the crates.
+pub(crate) fn count_spawn() {
+    THREAD_SPAWNS.fetch_add(1, Ordering::Relaxed);
+}
+
+/// The process-global `thread.spawns` count: threads the crates have
+/// started so far (the kernel pool's helpers, started by the `rayon` shim,
+/// are not among them).
+pub fn thread_spawns() -> u64 {
+    THREAD_SPAWNS.load(Ordering::Relaxed)
+}
+
 struct Inner {
     origin: Instant,
     counters: Mutex<BTreeMap<String, Arc<CounterCell>>>,
@@ -449,7 +466,8 @@ impl Telemetry {
 /// calls, gflops_x100}` for the GEMM layouts and `op.<name>.{flops,
 /// nanos, calls, gflops_x100}` for the non-GEMM row/elementwise kernels
 /// (`gflops_x100` is mean GFLOP/s × 100, so the integer gauge keeps two
-/// decimal places; op FLOP counts are nominal per-element cost factors).
+/// decimal places; op FLOP counts are nominal per-element cost factors),
+/// plus the process-global [`thread_spawns`] as `thread.spawns`.
 /// Call it at a step boundary — e.g. the end of `train_step` — so
 /// snapshots see up-to-date values.
 ///
@@ -474,6 +492,7 @@ pub fn record_kernel_stats(tel: &Telemetry) {
         tel.gauge(&format!("kernel.{name}.gflops_x100"))
             .set((stats.gflops() * 100.0).round() as i64);
     }
+    tel.gauge("thread.spawns").set(thread_spawns() as i64);
     let ops = stronghold_tensor::ops::stats::snapshot();
     for (stats, name) in ops.iter().zip(stronghold_tensor::ops::stats::NAMES) {
         tel.gauge(&format!("op.{name}.flops"))

@@ -275,6 +275,7 @@ impl TierStore {
         let f2h = self.f2h.clone();
         let queue_wait = self.queue_wait.clone();
         let n = self.n;
+        crate::telemetry::count_spawn();
         let handle = std::thread::Builder::new()
             .name("spill".into())
             .spawn(move || {

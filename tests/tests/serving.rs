@@ -379,3 +379,63 @@ fn queue_wait_is_reported_separately_from_service_time() {
     assert_eq!(h.count(), 2);
     assert_eq!(h.sum(), out[0].queue_ns + out[1].queue_ns);
 }
+
+/// The next round's pass is staged under this round's head only when
+/// another round is certain, so staging never copies a layer no round
+/// consumes: after `generate` the link carried exactly one pass per round,
+/// and prefetch issued exactly one fetch per layer per round. Across the
+/// two slot counts the workload both queues requests (a waiting request
+/// makes the next round certain) and runs rounds where every active slot
+/// finishes (nothing may be staged then).
+#[test]
+fn staging_copies_exactly_the_layers_the_rounds_consume() {
+    for slots in [1, 2, 5] {
+        let tel = Telemetry::enabled();
+        let mut eng = ServeEngine::from_model(
+            Transformer::new(tiny(3), 9),
+            ServeConfig {
+                window: 1,
+                slots,
+                ..ServeConfig::default()
+            },
+            tel.clone(),
+        );
+        let out = eng.generate(workload());
+        assert_eq!(out.len(), workload().len());
+        let rounds = tel.counter("serve.rounds").get();
+        assert_eq!(
+            eng.device().h2d_bytes(),
+            rounds * 3 * eng.block_bytes(),
+            "slots {slots}: H2D bytes over {rounds} rounds"
+        );
+        assert_eq!(tel.counter("prefetch.issued").get(), rounds * 3);
+        assert_eq!(tel.counter("prefetch.completed").get(), rounds * 3);
+        assert_eq!(eng.device().used(), eng.kv_arena_bytes());
+    }
+}
+
+/// An engine dropped between rounds with the next round's pass staged —
+/// its prefetcher holding shells, or blocked waiting for one — winds that
+/// pass down and joins its threads instead of hanging.
+#[test]
+fn dropping_an_engine_with_a_staged_pass_returns() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut eng = ServeEngine::new(
+            tiny(4),
+            9,
+            ServeConfig {
+                window: 1,
+                ..ServeConfig::default()
+            },
+        );
+        eng.generate(workload());
+        eng.submit(workload().swap_remove(0));
+        // The request decodes on: its next round's pass is staged here.
+        assert!(eng.step().is_empty(), "the prefill round finishes nothing");
+        drop(eng);
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(10))
+        .expect("dropping an engine with a staged pass hung");
+}

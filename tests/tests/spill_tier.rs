@@ -329,25 +329,37 @@ fn a_failed_spill_read_aborts_the_step_instead_of_hanging() {
             .unwrap()
             .set_len(0)
             .unwrap();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            t.train_step(&batch);
-            t.flush();
-        }));
-        let msg = outcome
+        let mut step = || {
+            catch_unwind(AssertUnwindSafe(|| {
+                t.train_step(&batch);
+                t.flush();
+            }))
             .err()
-            .map(|p| p.downcast_ref::<String>().cloned().unwrap_or_default());
-        let _ = tx.send(msg);
+            .map(|p| p.downcast_ref::<String>().cloned().unwrap_or_default())
+        };
+        let _ = tx.send(step());
+        // The prefetcher thread outlives the failed pass: the next step
+        // reaches the same failure instead of a dead stream, and the
+        // trainer still drops.
+        let _ = tx.send(step());
+        drop(t);
+        let _ = tx.send(None);
     });
-    let msg = rx
-        .recv_timeout(Duration::from_secs(10))
-        .expect("a failed spill read hung the step")
-        .expect("a failed spill read must panic");
+    let next = |what: &str| {
+        rx.recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("a failed spill read hung {what}"))
+    };
+    let msg = next("the step").expect("a failed spill read must panic");
+    let again = next("the next step").expect("the failure is recorded");
+    assert_eq!(next("the drop"), None);
     // Layer 0 stays in RAM; layer 1 is the first spilled read, in file
     // slot 0.
-    assert!(
-        msg.contains("layer 1, file slot 0, fill: failed to fill whole buffer"),
-        "unexpected panic: {msg}"
-    );
+    for msg in [msg, again] {
+        assert!(
+            msg.contains("layer 1, file slot 0, fill: failed to fill whole buffer"),
+            "unexpected panic: {msg}"
+        );
+    }
 }
 
 /// The calibration loop over the file tier: one telemetry-enabled run's
