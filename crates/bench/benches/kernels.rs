@@ -15,9 +15,11 @@
 //! `parallel_never_slower` verdict (`"unverified"` below two cores).
 //!
 //! A third section measures the serving decode linears (hidden 256, the
-//! `serve-closed` model) at `m ∈ {1, 4, 8, 16}` stacked rows: the
-//! batch-stable product that packs the weight on every call against the
-//! pre-packed one that reads a [`matmul::PackedNt`] image, in µs per call.
+//! `serve-closed` model) at `m ∈ {1, 4, 8, 16}` stacked rows, and the
+//! `train-stream` linears (hidden 512) at its `m = 15`: the batch-stable
+//! product that packs the weight on every call against the pre-packed one
+//! that reads a [`matmul::PackedNt`] image, in µs per call — the gap is
+//! what the per-call `nt` pack costs a token-light product.
 //!
 //! A fourth section (`decode_attention`) measures one head's serving
 //! attention (`dh = 32`, the `serve-closed` head) for `rows ∈ {1, 56}` new
@@ -197,49 +199,56 @@ fn runtime_sweep(reps: usize, cores: usize) -> (Vec<Value>, bool) {
     (rows, never_slower)
 }
 
-/// Times the four decode linears of a hidden-256 block at each stacked row
-/// count, packing the weight per call (`_stable`) and reading it
-/// pre-packed, on the default pool as the serving engine runs them.
+/// Times the four linears of a block, packing the weight per call
+/// (`_stable`) and reading it pre-packed, on the default pool as the
+/// runtime runs them: a hidden-256 block at each serving decode row count
+/// (`_decode` rows) and a hidden-512 block at `train-stream`'s 15 rows
+/// (`_train` rows).
 fn decode_sweep(reps: usize) -> Vec<Value> {
     println!(
         "\n{:<18} {:>3} {:>5} {:>5}  {:>10} {:>10} {:>8}",
         "decode shape", "m", "k", "n", "stable µs", "packed µs", "speedup"
     );
-    let h = 256;
     let mut rows = Vec::new();
-    for (name, k, n) in [
-        ("qkv", h, 3 * h),
-        ("proj", h, h),
-        ("fc1", h, 4 * h),
-        ("fc2", 4 * h, h),
-    ] {
-        let mut rng = seeded_rng(0xB00E);
-        let w = normal([n, k], 1.0, &mut rng);
-        let image = matmul::PackedNt::pack(&w);
-        for m in [1usize, 4, 8, 16] {
-            let x = normal([m, k], 1.0, &mut rng);
-            let mut y = vec![0.0f32; m * n];
-            let flops = 2 * (m * k * n) as u64;
-            let us = |gflops: f64| flops as f64 / gflops / 1e3;
-            let us_stable = us(time_gflops(flops, reps, || {
-                matmul::matmul_nt_stable(x.data(), w.data(), &mut y, m, k, n)
-            }));
-            let us_packed = us(time_gflops(flops, reps, || {
-                matmul::matmul_packed(x.data(), image.view(), &mut y, m)
-            }));
-            let label = format!("{name}_m{m}_decode");
-            println!(
-                "{label:<18} {m:>3} {k:>5} {n:>5}  {us_stable:>10.1} {us_packed:>10.1} {:>7.2}x",
-                us_stable / us_packed
-            );
-            let mut row = Map::new();
-            row.insert("shape".into(), Value::from(label));
-            row.insert("m".into(), Value::from(m as u64));
-            row.insert("k".into(), Value::from(k as u64));
-            row.insert("n".into(), Value::from(n as u64));
-            row.insert("us_stable".into(), Value::from(us_stable));
-            row.insert("us_packed".into(), Value::from(us_packed));
-            rows.push(Value::Object(row));
+    let sizes = [
+        (256, &[1usize, 4, 8, 16][..], "decode"),
+        (512, &[15][..], "train"),
+    ];
+    for (h, ms, role) in sizes {
+        for (name, k, n) in [
+            ("qkv", h, 3 * h),
+            ("proj", h, h),
+            ("fc1", h, 4 * h),
+            ("fc2", 4 * h, h),
+        ] {
+            let mut rng = seeded_rng(0xB00E);
+            let w = normal([n, k], 1.0, &mut rng);
+            let image = matmul::PackedNt::pack(&w);
+            for &m in ms {
+                let x = normal([m, k], 1.0, &mut rng);
+                let mut y = vec![0.0f32; m * n];
+                let flops = 2 * (m * k * n) as u64;
+                let us = |gflops: f64| flops as f64 / gflops / 1e3;
+                let us_stable = us(time_gflops(flops, reps, || {
+                    matmul::matmul_nt_stable(x.data(), w.data(), &mut y, m, k, n)
+                }));
+                let us_packed = us(time_gflops(flops, reps, || {
+                    matmul::matmul_packed(x.data(), image.view(), &mut y, m)
+                }));
+                let label = format!("{name}_m{m}_{role}");
+                println!(
+                    "{label:<18} {m:>3} {k:>5} {n:>5}  {us_stable:>10.1} {us_packed:>10.1} {:>7.2}x",
+                    us_stable / us_packed
+                );
+                let mut row = Map::new();
+                row.insert("shape".into(), Value::from(label));
+                row.insert("m".into(), Value::from(m as u64));
+                row.insert("k".into(), Value::from(k as u64));
+                row.insert("n".into(), Value::from(n as u64));
+                row.insert("us_stable".into(), Value::from(us_stable));
+                row.insert("us_packed".into(), Value::from(us_packed));
+                rows.push(Value::Object(row));
+            }
         }
     }
     rows

@@ -19,6 +19,10 @@
 //!   layout differences — `nt` and `tn` read their transposed operand
 //!   contiguously while packing — so the micro-kernel only ever sees one
 //!   canonical format and no transpose is ever materialized as a tensor.
+//!   An operand whose rows run along the reduction axis (`A` of `nn`/`nt`,
+//!   `B` of `nt`) is transposed on the way; the x86 tiers do that in
+//!   registers, one tile at a time, chosen with the tier's micro-kernel
+//!   (`pack_panels` is the scalar form and the oracle).
 //!   An operand already in panel order skips the `B` half: a [`PanelView`]
 //!   describes where its blocks and panels sit (`PanelLayout`), and
 //!   [`matmul_packed`]'s tasks slice their panels straight out of it — a
@@ -430,21 +434,32 @@ impl PackedNt {
     /// Packs a row-major `b: [n, k]` for the detected ISA tier.
     pub fn pack(b: &Tensor) -> Self {
         let (n, k) = dims2(b, "PackedNt::pack");
-        match detected_nr() {
-            32 => Self::pack_for::<32>(b.data(), n, k),
-            _ => Self::pack_for::<16>(b.data(), n, k),
+        let b = b.data();
+        match simd::tier() {
+            #[cfg(target_arch = "x86_64")]
+            simd::IsaTier::Avx512 => Self::pack_for(AVX512, b, n, k),
+            #[cfg(target_arch = "x86_64")]
+            simd::IsaTier::Avx2Fma => Self::pack_for(AVX2, b, n, k),
+            simd::IsaTier::Portable => Self::pack_for(PORTABLE, b, n, k),
         }
     }
 
-    /// Packs for an `NR`-wide micro-tile (the instantiation under test may
-    /// differ from the detected tier).
-    fn pack_for<const NR: usize>(b: &[f32], n: usize, k: usize) -> Self {
+    /// Packs with one tier's `B` packer (the instantiation under test may
+    /// differ from the detected tier; its ISA must be present).
+    fn pack_for<const MR: usize, const NR: usize>(
+        kernels: Kernels<MR, NR>,
+        b: &[f32],
+        n: usize,
+        k: usize,
+    ) -> Self {
         let layout = PanelLayout::with_nr(NR, k, n);
         let mut data = vec![0.0; layout.len()];
         for k0 in (0..k).step_by(KC) {
             let kc = (k - k0).min(KC);
             let block = &mut data[layout.block(k0)..layout.block(k0 + kc)];
-            pack_b::<NR>(true, b, block, 0, n, k0, kc, n, k);
+            // SAFETY: `kernels` is the detected tier's, or a test's whose
+            // ISA it checked first.
+            unsafe { (kernels.pack_b)(true, b, block, 0, n, k0, kc, n, k) };
         }
         PackedNt { data, layout }
     }
@@ -479,8 +494,8 @@ impl PackedNt {
 /// Where the blocked engine reads `B` from.
 #[derive(Clone, Copy)]
 enum BSource<'a> {
-    /// As stored (`[K,N]`, or `[N,K]` for `nt`): each task packs its panel
-    /// group per `KC` block.
+    /// As stored (`[K,N]`, or `[N,K]` for `nt`): each task packs each panel
+    /// of its group per `KC` block.
     Raw(&'a [f32]),
     /// Already in panel order: tasks slice it directly.
     Panels(PanelView<'a>),
@@ -505,14 +520,10 @@ fn gemm_stable(
     let store = Write::Store;
     match simd::tier() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: feature presence verified by `tier()` at detection time.
-        simd::IsaTier::Avx512 => gemm_blocked::<8, 32>(layout, a, b, c, m, k, n, store, mk_avx512),
+        simd::IsaTier::Avx512 => gemm_blocked(layout, a, b, c, m, k, n, store, AVX512),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        simd::IsaTier::Avx2Fma => gemm_blocked::<6, 16>(layout, a, b, c, m, k, n, store, mk_avx2),
-        simd::IsaTier::Portable => {
-            gemm_blocked::<4, 16>(layout, a, b, c, m, k, n, store, mk_portable)
-        }
+        simd::IsaTier::Avx2Fma => gemm_blocked(layout, a, b, c, m, k, n, store, AVX2),
+        simd::IsaTier::Portable => gemm_blocked(layout, a, b, c, m, k, n, store, PORTABLE),
     }
     stats::record(
         layout.index(),
@@ -614,18 +625,10 @@ fn gemm(
         let b = BSource::Raw(b);
         match simd::tier() {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: feature presence verified by `tier()` at detection time.
-            simd::IsaTier::Avx512 => {
-                gemm_blocked::<8, 32>(layout, a, b, c, m, k, n, write, mk_avx512)
-            }
+            simd::IsaTier::Avx512 => gemm_blocked(layout, a, b, c, m, k, n, write, AVX512),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above.
-            simd::IsaTier::Avx2Fma => {
-                gemm_blocked::<6, 16>(layout, a, b, c, m, k, n, write, mk_avx2)
-            }
-            simd::IsaTier::Portable => {
-                gemm_blocked::<4, 16>(layout, a, b, c, m, k, n, write, mk_portable)
-            }
+            simd::IsaTier::Avx2Fma => gemm_blocked(layout, a, b, c, m, k, n, write, AVX2),
+            simd::IsaTier::Portable => gemm_blocked(layout, a, b, c, m, k, n, write, PORTABLE),
         }
     }
     stats::record(
@@ -799,13 +802,52 @@ unsafe fn mk_portable(pa: &[f32], pb: &[f32], kc: usize, acc: &mut [[f32; 16]; 4
     microkernel_body::<4, 16>(pa, pb, kc, acc);
 }
 
+/// Packer signature, shared by both operands (see [`pack_panels`]):
+/// `(scatter, src, dst, x0, xc, k0, kc, x_len, k)`.
+type Pack = unsafe fn(bool, &[f32], &mut [f32], usize, usize, usize, usize, usize, usize);
+
+/// One ISA tier's blocked-engine kernels — the micro-kernel and the `A`
+/// and `B` packers — all compiled for the tier's vector subtarget, so
+/// `simd::tier()` picks them together.
+#[derive(Clone, Copy)]
+struct Kernels<const MR: usize, const NR: usize> {
+    mk: MicroKernel<MR, NR>,
+    pack_a: Pack,
+    pack_b: Pack,
+}
+
+/// The AVX-512 tier: 8×32 tiles, `B` panels through 16×16 transposes,
+/// `A` strips through 8×8 ones.
+#[cfg(target_arch = "x86_64")]
+const AVX512: Kernels<8, 32> = Kernels {
+    mk: mk_avx512,
+    pack_a: pack_a_avx512,
+    pack_b: pack_b_avx512,
+};
+
+/// The AVX2+FMA tier: 6×16 tiles, `B` panels through 8×8 transposes, `A`
+/// strips through 8×8 ones with two of the eight rows masked off.
+#[cfg(target_arch = "x86_64")]
+const AVX2: Kernels<6, 16> = Kernels {
+    mk: mk_avx2,
+    pack_a: pack_a_avx2,
+    pack_b: pack_b_avx2,
+};
+
+/// The baseline tier: every packer is the scalar [`pack_panels`].
+const PORTABLE: Kernels<4, 16> = Kernels {
+    mk: mk_portable,
+    pack_a: pack_panels::<4>,
+    pack_b: pack_panels::<16>,
+};
+
 thread_local! {
     /// Per-thread packed-`A` scratch, grown on demand and reused across
     /// GEMM calls. Pool helpers are persistent threads, so theirs stays
     /// warm too. Separate from [`PACK_B`] because a dispatching thread
     /// keeps its shared packed `A` borrowed while it runs tasks itself.
     static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread packed-`B` scratch (one panel group, one `KC` block).
+    /// Per-thread packed-`B` scratch (one panel, one `KC` block).
     static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -850,12 +892,13 @@ pub(crate) fn fan_out(tasks: usize, parallel: bool, task: impl Fn(usize) + Sync)
 }
 
 /// The blocked engine proper. Generic over the micro-tile so each ISA
-/// tier gets register-file-matched shapes; `mk` is the ISA-specific
-/// micro-kernel instantiation.
+/// tier gets register-file-matched shapes; `kernels` are the tier's
+/// micro-kernel and packers.
 ///
-/// The task grid is (M tile × panel group). Every task packs its own `B`
-/// group per `KC` block — or, for a [`PanelView`] source, slices that group
-/// out of the image, whose panels hold the same floats in the same order;
+/// The task grid is (M tile × panel group). Every task packs each `B`
+/// panel of its group per `KC` block right before the panel's strips run,
+/// so they read it from L1 — or, for a [`PanelView`] source, slices the
+/// panel out of the image, which holds the same floats in the same order;
 /// the `A` tile is packed per task when there are several M tiles, but a
 /// single M tile is shared by all tasks, so the caller packs it once for
 /// the whole of `K` before fanning out.
@@ -869,7 +912,7 @@ fn gemm_blocked<const MR: usize, const NR: usize>(
     k: usize,
     n: usize,
     write: Write,
-    mk: MicroKernel<MR, NR>,
+    kernels: Kernels<MR, NR>,
 ) {
     let mc_max = MR * MC_STRIPS;
     let k_blocks = k.div_ceil(KC);
@@ -884,7 +927,7 @@ fn gemm_blocked<const MR: usize, const NR: usize>(
         BSource::Raw(_) => {
             // Every M tile's tasks pack all of B between them.
             stats::record_packed_b(layout.index(), (tiles_m * n * k) as u64);
-            group.min(n_panels) * NR * KC
+            NR * KC
         }
         BSource::Panels(v) => {
             assert!(
@@ -909,31 +952,36 @@ fn gemm_blocked<const MR: usize, const NR: usize>(
             let scratch = grown(&mut scratch, pack_len);
             for (kb, k0) in (0..k).step_by(KC).enumerate() {
                 let kc = (k - k0).min(KC);
-                // The group's panels and the distance between them.
-                let (pb, stride): (&[f32], usize) = match b {
-                    BSource::Raw(raw) => {
-                        pack_b::<NR>(layout == Layout::NT, raw, scratch, j0, nc, k0, kc, n, k);
-                        (&*scratch, NR * kc)
-                    }
-                    BSource::Panels(v) => {
-                        let stride = v.layout.panel_stride(k0);
-                        (&v.data[v.layout.block(k0) + j0 / NR * stride..], stride)
-                    }
-                };
                 let tile = write.tile(kb, k_blocks);
-                let multiply = |pa: &[f32]| {
+                let mut multiply = |pa: &[f32]| {
                     for p in 0..n_panels {
                         let jr = p * NR;
                         let nr_eff = (nc - jr).min(NR);
-                        let pbp = &pb[p * stride..p * stride + NR * kc];
+                        // Panel `p` of the group: packed right before its
+                        // strips run, so they read it from L1.
+                        let pbp: &[f32] = match b {
+                            BSource::Raw(raw) => {
+                                let nt = layout == Layout::NT;
+                                let (j, pb) = (j0 + jr, &mut scratch[..NR * kc]);
+                                // SAFETY: the dispatch picked `kernels` for
+                                // the detected ISA.
+                                unsafe { (kernels.pack_b)(nt, raw, pb, j, nr_eff, k0, kc, n, k) };
+                                pb
+                            }
+                            BSource::Panels(v) => {
+                                let stride = v.layout.panel_stride(k0);
+                                let at = v.layout.block(k0) + (j0 + jr) / NR * stride;
+                                &v.data[at..at + NR * kc]
+                            }
+                        };
                         for s in 0..m_strips {
                             let ir = s * MR;
                             let mr_eff = (mc - ir).min(MR);
                             let pas = &pa[s * MR * kc..(s + 1) * MR * kc];
                             let mut acc = [[0.0f32; NR]; MR];
-                            // SAFETY: `gemm` selected `mk` to match the
+                            // SAFETY: the dispatch picked `kernels` for the
                             // detected ISA; slices hold kc full steps.
-                            unsafe { mk(pas, pbp, kc, &mut acc) };
+                            unsafe { (kernels.mk)(pas, pbp, kc, &mut acc) };
                             // SAFETY: the (i0+ir, j0+jr) tile clipped to
                             // (mr_eff, nr_eff) lies inside C, and no other
                             // task touches it.
@@ -957,7 +1005,9 @@ fn gemm_blocked<const MR: usize, const NR: usize>(
                     None => PACK_A.with(|pa| {
                         let mut pa = pa.borrow_mut();
                         let pa = grown(&mut pa, a_block);
-                        pack_a::<MR>(layout == Layout::TN, a, pa, i0, mc, k0, kc, m, k);
+                        let scatter = layout != Layout::TN;
+                        // SAFETY: as for `pack_b`.
+                        unsafe { (kernels.pack_a)(scatter, a, pa, i0, mc, k0, kc, m, k) };
                         multiply(pa);
                     }),
                 }
@@ -972,19 +1022,12 @@ fn gemm_blocked<const MR: usize, const NR: usize>(
         PACK_A.with(|pa| {
             let mut pa = pa.borrow_mut();
             let pa = grown(&mut pa, k_blocks * a_block);
+            let scatter = layout != Layout::TN;
             for (kb, k0) in (0..k).step_by(KC).enumerate() {
                 let block = &mut pa[kb * a_block..(kb + 1) * a_block];
-                pack_a::<MR>(
-                    layout == Layout::TN,
-                    a,
-                    block,
-                    0,
-                    m,
-                    k0,
-                    (k - k0).min(KC),
-                    m,
-                    k,
-                );
+                let kc = (k - k0).min(KC);
+                // SAFETY: as for `pack_b`.
+                unsafe { (kernels.pack_a)(scatter, a, block, 0, m, k0, kc, m, k) };
             }
             let pa = &*pa;
             fan_out(n_groups, parallel, |t| run_task(t, Some(pa)));
@@ -992,101 +1035,289 @@ fn gemm_blocked<const MR: usize, const NR: usize>(
     }
 }
 
-/// Packs an `mc × kc` block of `A` into `MR`-row strips: strip `s` holds
-/// `pa[s·MR·kc + kk·MR + r] = A[i0 + s·MR + r][k0 + kk]`, zero-padded in
-/// `r` past `mc`. `a_t` selects the `[K,M]`-stored (`tn`) reading, which
-/// is contiguous in `r`.
+/// Packs an `xc × kc` block of an operand into `W`-wide panels — `A` into
+/// `MR`-row strips, `B` into `NR`-column panels: panel `p` holds
+/// `dst[p·W·kc + kk·W + j] = X[x0 + p·W + j][k0 + kk]`, zero-padded in `j`
+/// past `xc`, where `X` is the operand indexed (row or column of the
+/// product, reduction index). `scatter` selects the storage `[x_len, k]`
+/// (`A` of `nn`/`nt`, `B` of `nt`), where a panel row gathers one float
+/// from each of `W` source rows; otherwise the operand is stored
+/// `[k, x_len]` (`A` of `tn`, `B` of `nn`) and each panel row is one
+/// contiguous copy. This scalar form is the portable tier's packer and the
+/// oracle of the tiled ones.
 #[allow(clippy::too_many_arguments)]
-fn pack_a<const MR: usize>(
-    a_t: bool,
-    a: &[f32],
-    pa: &mut [f32],
-    i0: usize,
-    mc: usize,
+#[inline(always)]
+fn pack_panels<const W: usize>(
+    scatter: bool,
+    src: &[f32],
+    dst: &mut [f32],
+    x0: usize,
+    xc: usize,
     k0: usize,
     kc: usize,
-    m: usize,
+    x_len: usize,
     k: usize,
 ) {
-    let strips = mc.div_ceil(MR);
-    for s in 0..strips {
-        let base = s * MR * kc;
-        let row0 = i0 + s * MR;
-        let rows = (mc - s * MR).min(MR);
-        let dst = &mut pa[base..base + MR * kc];
-        if a_t {
-            // A stored [K,M]: MR consecutive columns are contiguous.
-            for kk in 0..kc {
-                let src = &a[(k0 + kk) * m + row0..(k0 + kk) * m + row0 + rows];
-                let d = &mut dst[kk * MR..kk * MR + MR];
-                d[..rows].copy_from_slice(src);
-                d[rows..].iter_mut().for_each(|x| *x = 0.0);
-            }
+    for p in 0..xc.div_ceil(W) {
+        let x = x0 + p * W;
+        let cols = (xc - p * W).min(W);
+        let dst = &mut dst[p * W * kc..(p + 1) * W * kc];
+        if scatter {
+            scatter_panel::<W>(src, dst, x, cols, k0, kc, k, 0);
         } else {
-            // A stored [M,K]: read each row contiguously, scatter into
-            // the strip interleave (writes stay inside the L1-resident
-            // scratch).
-            for r in 0..rows {
-                let src = &a[(row0 + r) * k + k0..(row0 + r) * k + k0 + kc];
-                for (kk, &v) in src.iter().enumerate() {
-                    dst[kk * MR + r] = v;
-                }
-            }
-            for r in rows..MR {
-                for kk in 0..kc {
-                    dst[kk * MR + r] = 0.0;
-                }
+            for kk in 0..kc {
+                let row = &src[(k0 + kk) * x_len + x..][..cols];
+                let d = &mut dst[kk * W..(kk + 1) * W];
+                d[..cols].copy_from_slice(row);
+                d[cols..].iter_mut().for_each(|v| *v = 0.0);
             }
         }
     }
 }
 
-/// Packs a `kc × nc` block of `B` into `NR`-column panels: panel `p`
-/// holds `pb[p·NR·kc + kk·NR + j] = B[k0 + kk][j0 + p·NR + j]`,
-/// zero-padded in `j` past `nc`. `b_t` selects the `[N,K]`-stored (`nt`)
-/// reading, which is contiguous in `kk`.
+/// Panel rows `from..kc` of one scatter-packed panel (see [`pack_panels`]):
+/// source rows `x..x + cols` read contiguously, one float to each panel
+/// row, and zero lanes past `cols`.
 #[allow(clippy::too_many_arguments)]
-fn pack_b<const NR: usize>(
-    b_t: bool,
-    b: &[f32],
-    pb: &mut [f32],
-    j0: usize,
-    nc: usize,
+#[inline(always)]
+fn scatter_panel<const W: usize>(
+    src: &[f32],
+    dst: &mut [f32],
+    x: usize,
+    cols: usize,
     k0: usize,
     kc: usize,
-    n: usize,
     k: usize,
+    from: usize,
 ) {
-    let panels = nc.div_ceil(NR);
-    for p in 0..panels {
-        let base = p * NR * kc;
-        let col0 = j0 + p * NR;
-        let cols = (nc - p * NR).min(NR);
-        let dst = &mut pb[base..base + NR * kc];
-        if b_t {
-            // B stored [N,K]: each output column is a contiguous B row.
-            for j in 0..cols {
-                let src = &b[(col0 + j) * k + k0..(col0 + j) * k + k0 + kc];
-                for (kk, &v) in src.iter().enumerate() {
-                    dst[kk * NR + j] = v;
-                }
-            }
-            for j in cols..NR {
-                for kk in 0..kc {
-                    dst[kk * NR + j] = 0.0;
-                }
-            }
-        } else {
-            // B stored [K,N]: NR consecutive columns are contiguous.
-            for kk in 0..kc {
-                let src = &b[(k0 + kk) * n + col0..(k0 + kk) * n + col0 + cols];
-                let d = &mut dst[kk * NR..kk * NR + NR];
-                d[..cols].copy_from_slice(src);
-                d[cols..].iter_mut().for_each(|x| *x = 0.0);
-            }
+    for j in 0..cols {
+        let row = &src[(x + j) * k + k0..][..kc];
+        for kk in from..kc {
+            dst[kk * W + j] = row[kk];
+        }
+    }
+    for j in cols..W {
+        for kk in from..kc {
+            dst[kk * W + j] = 0.0;
         }
     }
 }
+
+/// [`pack_panels`] with the scatter done one register tile at a time: a
+/// full panel's first `kc − kc % T` rows are `W/R` tiles per `T` panel
+/// rows, each `R` source rows × `T` reduction indices transposed in
+/// registers and stored as `T` contiguous `R`-lane runs. The floats and
+/// their places are the scalar scatter's; a partial panel (`xc` ends inside
+/// it) and the last `kc % T` rows of a full one take the scalar loop.
+///
+/// # Safety
+/// `transpose(src, ld_src, dst, ld_dst)` must write `dst[c·ld_dst + r] =
+/// src[r·ld_src + c]` for `r < R`, `c < T` and nothing else, and the caller
+/// must ensure the ISA it is compiled for is available.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+unsafe fn pack_panels_tiled<const W: usize, const R: usize, const T: usize>(
+    transpose: unsafe fn(&[f32], usize, &mut [f32], usize),
+    scatter: bool,
+    src: &[f32],
+    dst: &mut [f32],
+    x0: usize,
+    xc: usize,
+    k0: usize,
+    kc: usize,
+    x_len: usize,
+    k: usize,
+) {
+    const { assert!(W.is_multiple_of(R)) };
+    if !scatter {
+        return pack_panels::<W>(false, src, dst, x0, xc, k0, kc, x_len, k);
+    }
+    let tiled = kc - kc % T;
+    for p in 0..xc.div_ceil(W) {
+        let x = x0 + p * W;
+        let cols = (xc - p * W).min(W);
+        let dst = &mut dst[p * W * kc..(p + 1) * W * kc];
+        let from = if cols == W {
+            for kb in (0..tiled).step_by(T) {
+                for jb in (0..W).step_by(R) {
+                    let (s, d) = (&src[(x + jb) * k + k0 + kb..], &mut dst[kb * W + jb..]);
+                    // SAFETY: this function's own precondition.
+                    unsafe { transpose(s, k, d, W) };
+                }
+            }
+            tiled
+        } else {
+            0
+        };
+        scatter_panel::<W>(src, dst, x, cols, k0, kc, k, from);
+    }
+}
+
+/// `dst[c·ld_dst + r] = src[r·ld_src + c]` for `r < R ≤ 8`, `c < 8`: eight
+/// rows loaded as `ymm` vectors, transposed by the unpack / shuffle /
+/// lane-swap network, stored as eight `R`-lane runs. Below eight rows
+/// (`R = 6`, the AVX2 tile height) the missing rows are loads of row
+/// `R − 1` again, and their lanes are masked off the stores.
+///
+/// # Safety
+/// Caller must ensure `avx` is available.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx")]
+unsafe fn transpose_8x8<const R: usize>(
+    src: &[f32],
+    ld_src: usize,
+    dst: &mut [f32],
+    ld_dst: usize,
+) {
+    use core::arch::x86_64::*;
+    const { assert!(R > 0 && R <= 8) };
+    // Bounds every access below: loads read 8 floats from rows `< R`,
+    // stores write `R` lanes of runs `< 8`.
+    assert!(src.len() >= (R - 1) * ld_src + 8 && dst.len() >= 7 * ld_dst + R);
+    let (s, d) = (src.as_ptr(), dst.as_mut_ptr());
+    let mut r = [_mm256_setzero_ps(); 8];
+    for (i, v) in r.iter_mut().enumerate() {
+        *v = _mm256_loadu_ps(s.add(i.min(R - 1) * ld_src));
+    }
+    // Per 128-bit lane L: t[2i] interleaves rows 2i, 2i+1 at columns 4L,
+    // 4L+1; t[2i+1] at columns 4L+2, 4L+3.
+    let mut t = r;
+    for i in 0..4 {
+        t[2 * i] = _mm256_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+        t[2 * i + 1] = _mm256_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+    }
+    // u[4g + c], lane L: rows 4g..4g+4 of column 4L + c.
+    let mut u = t;
+    for g in 0..2 {
+        let t = &t[4 * g..4 * g + 4];
+        u[4 * g] = _mm256_shuffle_ps::<0x44>(t[0], t[2]);
+        u[4 * g + 1] = _mm256_shuffle_ps::<0xEE>(t[0], t[2]);
+        u[4 * g + 2] = _mm256_shuffle_ps::<0x44>(t[1], t[3]);
+        u[4 * g + 3] = _mm256_shuffle_ps::<0xEE>(t[1], t[3]);
+    }
+    let lanes: [i32; 8] = std::array::from_fn(|i| if i < R { -1 } else { 0 });
+    let mask = _mm256_loadu_si256(lanes.as_ptr().cast());
+    for c in 0..8 {
+        let (lo, hi) = (u[c % 4], u[4 + c % 4]);
+        let v = if c < 4 {
+            _mm256_permute2f128_ps::<0x20>(lo, hi)
+        } else {
+            _mm256_permute2f128_ps::<0x31>(lo, hi)
+        };
+        if R == 8 {
+            _mm256_storeu_ps(d.add(c * ld_dst), v);
+        } else {
+            _mm256_maskstore_ps(d.add(c * ld_dst), mask, v);
+        }
+    }
+}
+
+/// `dst[c·ld_dst + r] = src[r·ld_src + c]` for `r, c < 16`: the network of
+/// [`transpose_8x8`] on `zmm` vectors, with two 128-bit-lane shuffle stages
+/// in place of the lane swap.
+///
+/// # Safety
+/// Caller must ensure `avx512f` is available.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn transpose_16x16(src: &[f32], ld_src: usize, dst: &mut [f32], ld_dst: usize) {
+    use core::arch::x86_64::*;
+    // Bounds every access below: 16 floats from each of 16 rows and runs.
+    assert!(src.len() >= 15 * ld_src + 16 && dst.len() >= 15 * ld_dst + 16);
+    let (s, d) = (src.as_ptr(), dst.as_mut_ptr());
+    let mut r = [_mm512_setzero_ps(); 16];
+    for (i, v) in r.iter_mut().enumerate() {
+        *v = _mm512_loadu_ps(s.add(i * ld_src));
+    }
+    let mut t = r;
+    for i in 0..8 {
+        t[2 * i] = _mm512_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+        t[2 * i + 1] = _mm512_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+    }
+    // u[4g + c], lane L: rows 4g..4g+4 of column 4L + c.
+    let mut u = t;
+    for g in 0..4 {
+        let t = &t[4 * g..4 * g + 4];
+        u[4 * g] = _mm512_shuffle_ps::<0x44>(t[0], t[2]);
+        u[4 * g + 1] = _mm512_shuffle_ps::<0xEE>(t[0], t[2]);
+        u[4 * g + 2] = _mm512_shuffle_ps::<0x44>(t[1], t[3]);
+        u[4 * g + 3] = _mm512_shuffle_ps::<0xEE>(t[1], t[3]);
+    }
+    // v[8h + e], lanes: rows 8h..8h+4 of columns e and e+8, then rows
+    // 8h+4..8h+8 of the same two columns.
+    let mut v = u;
+    for h in 0..2 {
+        let u = &u[8 * h..8 * h + 8];
+        for c in 0..4 {
+            v[8 * h + c] = _mm512_shuffle_f32x4::<0x88>(u[c], u[4 + c]);
+            v[8 * h + 4 + c] = _mm512_shuffle_f32x4::<0xDD>(u[c], u[4 + c]);
+        }
+    }
+    for e in 0..8 {
+        let (lo, hi) = (v[e], v[8 + e]);
+        _mm512_storeu_ps(d.add(e * ld_dst), _mm512_shuffle_f32x4::<0x88>(lo, hi));
+        _mm512_storeu_ps(
+            d.add((e + 8) * ld_dst),
+            _mm512_shuffle_f32x4::<0xDD>(lo, hi),
+        );
+    }
+}
+
+/// Defines one tier's tiled packer: [`pack_panels_tiled`] with `W`-wide
+/// panels, `R × T` tiles and `$transpose`, compiled under the tier's
+/// `#[target_feature]` (which implies the transpose's own ISA).
+macro_rules! tiled_packer {
+    ($(#[$doc:meta])* $name:ident, $feature:literal,
+     <$w:literal, $r:literal, $t:literal>, $transpose:expr) => {
+        $(#[$doc])*
+        ///
+        /// # Safety
+        #[doc = concat!("Caller must ensure `", $feature, "` is available.")]
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = $feature)]
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn $name(
+            scatter: bool,
+            src: &[f32],
+            dst: &mut [f32],
+            x0: usize,
+            xc: usize,
+            k0: usize,
+            kc: usize,
+            x_len: usize,
+            k: usize,
+        ) {
+            // SAFETY: the transpose is correct for an `R × T` tile, and its
+            // ISA is implied by this function's precondition.
+            unsafe {
+                pack_panels_tiled::<$w, $r, $t>(
+                    $transpose, scatter, src, dst, x0, xc, k0, kc, x_len, k,
+                )
+            }
+        }
+    };
+}
+
+tiled_packer!(
+    /// The AVX-512 tier's `A` packer: 8-row strips through 8×8 transposes.
+    pack_a_avx512, "avx512f", <8, 8, 8>, transpose_8x8::<8>
+);
+tiled_packer!(
+    /// The AVX-512 tier's `B` packer: 32-column panels through 16×16
+    /// transposes.
+    pack_b_avx512, "avx512f", <32, 16, 16>, transpose_16x16
+);
+tiled_packer!(
+    /// The AVX2 tier's `A` packer: 6-row strips through 8×8 transposes with
+    /// two rows masked off.
+    pack_a_avx2, "avx2", <6, 6, 8>, transpose_8x8::<6>
+);
+tiled_packer!(
+    /// The AVX2 tier's `B` packer: 16-column panels through 8×8 transposes.
+    pack_b_avx2, "avx2", <16, 8, 8>, transpose_8x8::<8>
+);
 
 /// Writes the valid `mr × nr` corner of an accumulator tile into `C`.
 ///
@@ -1428,18 +1659,38 @@ mod tests {
     /// One `nt` product through one micro-tile instantiation, with `B`
     /// packed per call and read from its image: the two outputs' bits.
     fn nt_raw_and_packed<const MR: usize, const NR: usize>(
-        mk: MicroKernel<MR, NR>,
+        kernels: Kernels<MR, NR>,
         a: &[f32],
         b: &[f32],
         (m, k, n): (usize, usize, usize),
     ) -> (Vec<u32>, Vec<u32>) {
-        let image = PackedNt::pack_for::<NR>(b, n, k);
+        let image = PackedNt::pack_for(kernels, b, n, k);
         let mut raw = vec![0.0; m * n];
         let mut pre = vec![f32::NAN; m * n];
         let raw_b = BSource::Raw(b);
-        gemm_blocked::<MR, NR>(Layout::NT, a, raw_b, &mut raw, m, k, n, Write::Store, mk);
+        gemm_blocked::<MR, NR>(
+            Layout::NT,
+            a,
+            raw_b,
+            &mut raw,
+            m,
+            k,
+            n,
+            Write::Store,
+            kernels,
+        );
         let packed = BSource::Panels(image.view());
-        gemm_blocked::<MR, NR>(Layout::NT, a, packed, &mut pre, m, k, n, Write::Store, mk);
+        gemm_blocked::<MR, NR>(
+            Layout::NT,
+            a,
+            packed,
+            &mut pre,
+            m,
+            k,
+            n,
+            Write::Store,
+            kernels,
+        );
         (bits(&raw), bits(&pre))
     }
 
@@ -1447,7 +1698,7 @@ mod tests {
     /// micro-tile instantiation, as a leaf and as zero → accumulate →
     /// `0.0 + s·c` over a `C` that starts as garbage: both outputs' bits.
     fn tn_leaf_and_two_pass<const MR: usize, const NR: usize>(
-        mk: MicroKernel<MR, NR>,
+        kernels: Kernels<MR, NR>,
         a: &[f32],
         b: &[f32],
         (t, m, n): (usize, usize, usize),
@@ -1464,7 +1715,7 @@ mod tests {
             t,
             n,
             Write::Leaf(s),
-            mk,
+            kernels,
         );
         let mut two = vec![0.0; m * n];
         gemm_blocked::<MR, NR>(
@@ -1476,7 +1727,7 @@ mod tests {
             t,
             n,
             Write::Accumulate,
-            mk,
+            kernels,
         );
         two.iter_mut().for_each(|x| *x = 0.0 + s * *x);
         (bits(&leaf), bits(&two))
@@ -1519,16 +1770,16 @@ mod tests {
                 let a = normal([m, k], 1.0, &mut rng);
                 let b = normal([n, k], 1.0, &mut rng);
                 let (a, b, shape) = (a.data(), b.data(), (m, k, n));
-                let (raw, pre) = nt_raw_and_packed::<4, 16>(mk_portable, a, b, shape);
+                let (raw, pre) = nt_raw_and_packed(PORTABLE, a, b, shape);
                 prop_assert!(raw == pre, "portable 4x16 at {shape:?}");
                 #[cfg(target_arch = "x86_64")]
                 {
                     if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-                        let (raw, pre) = nt_raw_and_packed::<6, 16>(mk_avx2, a, b, shape);
+                        let (raw, pre) = nt_raw_and_packed(AVX2, a, b, shape);
                         prop_assert!(raw == pre, "avx2 6x16 at {shape:?}");
                     }
                     if is_x86_feature_detected!("avx512f") {
-                        let (raw, pre) = nt_raw_and_packed::<8, 32>(mk_avx512, a, b, shape);
+                        let (raw, pre) = nt_raw_and_packed(AVX512, a, b, shape);
                         prop_assert!(raw == pre, "avx512 8x32 at {shape:?}");
                     }
                 }
@@ -1558,7 +1809,7 @@ mod tests {
             for p in 0..n.div_ceil(NR) {
                 let panel = match source {
                     BSource::Raw(raw) => {
-                        pack_b::<NR>(b_t, raw, &mut scratch, 0, n, k0, kc, n, k);
+                        pack_panels::<NR>(b_t, raw, &mut scratch, 0, n, k0, kc, n, k);
                         &scratch[p * NR * kc..(p + 1) * NR * kc]
                     }
                     BSource::Panels(v) => {
@@ -1575,7 +1826,7 @@ mod tests {
     /// Whether one product through one micro-tile instantiation computes
     /// the same bits with `B` packed per call from `raw` as read from `view`.
     fn raw_equals_view<const MR: usize, const NR: usize>(
-        mk: MicroKernel<MR, NR>,
+        kernels: Kernels<MR, NR>,
         a: &[f32],
         raw: &[f32],
         view: PanelView<'_>,
@@ -1585,8 +1836,18 @@ mod tests {
         let mut want = vec![0.0; m * n];
         let mut got = vec![f32::NAN; m * n];
         let w = Write::Store;
-        gemm_blocked::<MR, NR>(layout, a, BSource::Raw(raw), &mut want, m, k, n, w, mk);
-        gemm_blocked::<MR, NR>(layout, a, BSource::Panels(view), &mut got, m, k, n, w, mk);
+        gemm_blocked::<MR, NR>(layout, a, BSource::Raw(raw), &mut want, m, k, n, w, kernels);
+        gemm_blocked::<MR, NR>(
+            layout,
+            a,
+            BSource::Panels(view),
+            &mut got,
+            m,
+            k,
+            n,
+            w,
+            kernels,
+        );
         bits(&want) == bits(&got)
     }
 
@@ -1619,15 +1880,15 @@ mod tests {
             if NR == 16 {
                 tiers.push((
                     "portable 4x16",
-                    raw_equals_view::<4, 16>(mk_portable, q, k, kv, m),
-                    raw_equals_view::<4, 16>(mk_portable, p, v, vv, m),
+                    raw_equals_view(PORTABLE, q, k, kv, m),
+                    raw_equals_view(PORTABLE, p, v, vv, m),
                 ));
                 #[cfg(target_arch = "x86_64")]
                 if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
                     tiers.push((
                         "avx2 6x16",
-                        raw_equals_view::<6, 16>(mk_avx2, q, k, kv, m),
-                        raw_equals_view::<6, 16>(mk_avx2, p, v, vv, m),
+                        raw_equals_view(AVX2, q, k, kv, m),
+                        raw_equals_view(AVX2, p, v, vv, m),
                     ));
                 }
             } else {
@@ -1635,8 +1896,8 @@ mod tests {
                 if is_x86_feature_detected!("avx512f") {
                     tiers.push((
                         "avx512 8x32",
-                        raw_equals_view::<8, 32>(mk_avx512, q, k, kv, m),
-                        raw_equals_view::<8, 32>(mk_avx512, p, v, vv, m),
+                        raw_equals_view(AVX512, q, k, kv, m),
+                        raw_equals_view(AVX512, p, v, vv, m),
                     ));
                 }
             }
@@ -1715,17 +1976,17 @@ mod tests {
                 let shape = (t, m, n);
                 for s in [1.0f32, 0.5, 1.0 / 3.0, 0.25] {
                     let (a, b) = (dy.data(), x.data());
-                    let (leaf, two) = tn_leaf_and_two_pass::<4, 16>(mk_portable, a, b, shape, s);
+                    let (leaf, two) = tn_leaf_and_two_pass(PORTABLE, a, b, shape, s);
                     prop_assert!(leaf == two, "portable 4x16 at {shape:?} s={s}");
                     #[cfg(target_arch = "x86_64")]
                     {
                         if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-                            let (leaf, two) = tn_leaf_and_two_pass::<6, 16>(mk_avx2, a, b, shape, s);
+                            let (leaf, two) = tn_leaf_and_two_pass(AVX2, a, b, shape, s);
                             prop_assert!(leaf == two, "avx2 6x16 at {shape:?} s={s}");
                         }
                         if is_x86_feature_detected!("avx512f") {
                             let (leaf, two) =
-                                tn_leaf_and_two_pass::<8, 32>(mk_avx512, a, b, shape, s);
+                                tn_leaf_and_two_pass(AVX512, a, b, shape, s);
                             prop_assert!(leaf == two, "avx512 8x32 at {shape:?} s={s}");
                         }
                     }
@@ -1740,6 +2001,80 @@ mod tests {
                         "detected tier at {shape:?} s={s}"
                     );
                 }
+            }
+        }
+    }
+
+    /// Whether `pack` writes exactly the floats of the scalar
+    /// [`pack_panels`] into a NaN-filled scratch, and nothing past them.
+    #[cfg(target_arch = "x86_64")]
+    fn pack_matches_scalar<const W: usize>(
+        pack: Pack,
+        scatter: bool,
+        src: &[f32],
+        (x0, xc, k0, kc, x_len, k): (usize, usize, usize, usize, usize, usize),
+    ) -> bool {
+        let len = xc.div_ceil(W) * W * kc;
+        let mut want = vec![0.0; len];
+        pack_panels::<W>(scatter, src, &mut want, x0, xc, k0, kc, x_len, k);
+        let mut got = vec![f32::NAN; len + W];
+        // SAFETY: callers pass a tier's packer only where its ISA is present.
+        unsafe { pack(scatter, src, &mut got, x0, xc, k0, kc, x_len, k) };
+        bits(&want) == bits(&got[..len]) && got[len..].iter().all(|v| v.is_nan())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// The tiled packers' bit contract: each x86 tier's `A` (`MR` 6
+        /// and 8) and `B` (`NR` 16 and 32) packer writes the scalar
+        /// packer's floats in the scalar packer's places — in both storage
+        /// orders, for blocks starting anywhere in the operand, with
+        /// partial panels and `kc` off every tile depth.
+        #[cfg(target_arch = "x86_64")]
+        #[test]
+        fn prop_tiled_packs_are_bitwise_the_scalar_pack(
+            x_len in 1usize..100,
+            k in 1usize..2 * KC + 40,
+            (x0, xc, k0, kc) in (0usize..1000, 0usize..1000, 0usize..1000, 0usize..1000),
+            seed in 0u64..1000,
+        ) {
+            let x0 = x0 % x_len;
+            let xc = 1 + xc % (x_len - x0);
+            let k0 = k0 % k;
+            let kc = 1 + kc % (k - k0).min(KC);
+            let src = normal([x_len * k], 1.0, &mut seeded_rng(seed));
+            let at = (x0, xc, k0, kc, x_len, k);
+            for scatter in [true, false] {
+                let src = src.data();
+                if is_x86_feature_detected!("avx2") {
+                    prop_assert!(pack_matches_scalar::<6>(AVX2.pack_a, scatter, src, at));
+                    prop_assert!(pack_matches_scalar::<16>(AVX2.pack_b, scatter, src, at));
+                }
+                if is_x86_feature_detected!("avx512f") {
+                    prop_assert!(pack_matches_scalar::<8>(AVX512.pack_a, scatter, src, at));
+                    prop_assert!(pack_matches_scalar::<32>(AVX512.pack_b, scatter, src, at));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stable_nt_equals_packed_at_train_stream_shapes() {
+        // The `train-stream` linears (hidden 512) at one row, at its 15
+        // rows and across one full M tile: the weight packed per call and
+        // the weight packed once compute the same bits.
+        let mut rng = seeded_rng(21);
+        let h = 512;
+        for (k, n) in [(h, 3 * h), (h, h), (h, 4 * h), (4 * h, h)] {
+            let w = normal([n, k], 1.0, &mut rng);
+            let image = PackedNt::pack(&w);
+            for m in [1, 15, 127] {
+                let x = normal([m, k], 1.0, &mut rng);
+                let mut want = vec![0.0; m * n];
+                matmul_nt_stable(x.data(), w.data(), &mut want, m, k, n);
+                let mut got = vec![f32::NAN; m * n];
+                matmul_packed(x.data(), image.view(), &mut got, m);
+                assert!(bits(&want) == bits(&got), "m {m}, [{n}, {k}]");
             }
         }
     }

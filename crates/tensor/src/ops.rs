@@ -238,9 +238,16 @@ dispatch! {
                     *a += e;
                 }
             }
+            // The remainder's exponentials as one `-inf`-padded block (the
+            // padding lanes come out 0 and are dropped), summed in order.
+            let rest = it.into_remainder();
+            let mut block = [f32::NEG_INFINITY; LANES];
+            block[..rest.len()].copy_from_slice(rest);
+            for b in block.iter_mut() {
+                *b = exp_approx(*b - m);
+            }
             let mut tail = 0.0f32;
-            for v in it.into_remainder() {
-                let e = exp_approx(*v - m);
+            for (v, &e) in rest.iter_mut().zip(&block) {
                 *v = e;
                 tail += e;
             }
@@ -1918,6 +1925,74 @@ mod tests {
         let (mut m, mut v) = (vec![0.0f32; 33], vec![0.0f32; 33]);
         adam_fused(&mut p, &g, &mut m, &mut v, 0.9, 0.999, 1e-4, 1e-6, 1e-8);
         assert!(p.iter().all(|x| x.is_finite()));
+    }
+
+    /// `k_softmax_rows`' body with the remainder exponentials taken one
+    /// element at a time, as a plain loop: the scalar twin of the
+    /// vectorised kernel.
+    fn softmax_rows_twin(x: &mut [f32], cols: usize) {
+        for row in x.chunks_exact_mut(cols) {
+            let mut mx = [f32::NEG_INFINITY; LANES];
+            let mut it = row.chunks_exact(LANES);
+            for c in it.by_ref() {
+                for (m, &v) in mx.iter_mut().zip(c) {
+                    *m = m.max(v);
+                }
+            }
+            let mut m = hmax(mx);
+            for &v in it.remainder() {
+                m = m.max(v);
+            }
+            let mut acc = [0.0f32; LANES];
+            let mut it = row.chunks_exact_mut(LANES);
+            for c in it.by_ref() {
+                for (a, v) in acc.iter_mut().zip(c.iter_mut()) {
+                    let e = exp_approx(*v - m);
+                    *v = e;
+                    *a += e;
+                }
+            }
+            let mut tail = 0.0f32;
+            for v in it.into_remainder() {
+                let e = exp_approx(*v - m);
+                *v = e;
+                tail += e;
+            }
+            let inv = 1.0 / (hsum(acc) + tail);
+            for v in row.iter_mut() {
+                *v *= inv;
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn softmax_and_gelu_bitwise_match_their_scalar_twins() {
+        // Every width across and off the lane count, the softmax rows
+        // causally masked (row r keeps columns 0..=r, the rest -inf) as an
+        // attention head's scores are.
+        let mut rng = seeded_rng(41);
+        for w in 1..=48usize {
+            let mut x = normal([w, w], 4.0, &mut rng);
+            for (r, row) in x.data_mut().chunks_exact_mut(w).enumerate() {
+                row[r + 1..].fill(f32::NEG_INFINITY);
+            }
+            let mut want = x.data().to_vec();
+            softmax_rows_twin(&mut want, w);
+            softmax_rows_(&mut x);
+            assert_eq!(bits(x.data()), bits(&want), "softmax width {w}");
+
+            let v = normal([w], 6.0, &mut rng);
+            let want: Vec<f32> = v
+                .data()
+                .iter()
+                .map(|&v| 0.5 * v * (1.0 + tanh_approx(SQRT_2_OVER_PI * (v + GELU_C * v * v * v))))
+                .collect();
+            assert_eq!(bits(gelu(&v).data()), bits(&want), "gelu width {w}");
+        }
     }
 
     proptest! {

@@ -178,8 +178,17 @@ pub fn exp_approx(x: f32) -> f32 {
     p = p * r + 0.5;
     p = p * r * r + r + 1.0;
     // 2^n by direct exponent-field construction (n ∈ [-126, 127] after
-    // the clamps, so the result is always a normal number).
-    let scale = f32::from_bits((((n as i32) + 127) << 23) as u32);
+    // the clamps, so the result is always a normal number). A NaN `x`
+    // passes both clamps, so its `n` is pinned to a bound here; `p` is NaN
+    // then, and so is the result.
+    let n = if n >= -126.0 { n } else { -126.0 };
+    // SAFETY: `n` is an integer in [-126, 127]: the clamps bound a
+    // non-NaN `xc` to [EXP_DISCARDED, EXP_HI] (so `xc·log2 e` rounds into
+    // that range), and the line above maps NaN to -126. It is therefore
+    // finite and representable in `i32`. The saturating `as i32` it
+    // replaces does not vectorise.
+    let n = unsafe { n.to_int_unchecked::<i32>() };
+    let scale = f32::from_bits(((n + 127) << 23) as u32);
     let y = p * scale;
     if x < EXP_LO {
         0.0
