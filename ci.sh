@@ -75,7 +75,8 @@ fi
 # `thread::scope` sites in crates/*/src, keyed by file, enclosing fn and
 # kind (one line per site, duplicates counted), must equal the list below.
 # Each entry has one tag: `persistent` (started once, lives as long as its
-# owner: the prefetcher, the D2H engine, the optimizer and spill actors) or
+# owner: the prefetcher, the D2H engine, the optimizer and spill actors, and
+# the kernel pool's helpers, which live as long as the process) or
 # `item-11` (spawned per step: the data-parallel replica fork, which ROADMAP
 # item 11(c) moves onto a parked crew, emptying these entries). A new
 # per-pass or per-step fan-out fails here.
@@ -86,6 +87,7 @@ crates/core/src/host/offloaded.rs start spawn persistent
 crates/core/src/host/stream.rs new spawn persistent
 crates/core/src/optimpool.rs spawn_worker spawn persistent
 crates/core/src/tier.rs spawn_worker spawn persistent
+crates/tensor/src/pool.rs ensure_helpers spawn persistent
 EOF
 )
 untagged_spawns=$(echo "$allowed_spawns" | grep -vE '^[^ ]+ [A-Za-z0-9_]+ (scope|spawn) (persistent|item-11)$' || true)
@@ -105,6 +107,21 @@ if [ "$spawns" != "$expected_spawns" ] || [ -n "$untagged_spawns" ]; then
     echo "thread spawn sites differ from the allowlist in ci.sh (< allowed, > found):"
     diff <(echo "$expected_spawns") <(echo "$spawns") || true
     [ -z "$untagged_spawns" ] || printf 'entries without one persistent / item-11 tag:\n%s\n' "$untagged_spawns"
+    exit 1
+fi
+# Every shim has a dependent: each package under shims/ must be named in the
+# manifest of a non-shim workspace member or of benchmark/Cargo.toml (as a
+# dependency or dev-dependency). A shim that nothing, or only another shim,
+# uses fails here.
+dead_shims=""
+for manifest in shims/*/Cargo.toml; do
+    name=$(awk -F'"' '/^name = / { print $2; exit }' "$manifest")
+    if ! grep -qE "^$name = " crates/*/Cargo.toml tests/Cargo.toml benchmark/Cargo.toml; then
+        dead_shims="$dead_shims $name"
+    fi
+done
+if [ -n "$dead_shims" ]; then
+    echo "shims no non-shim manifest depends on: [$dead_shims]"
     exit 1
 fi
 # Every runtime input is accounted for: the `pub` fields of the config

@@ -40,6 +40,7 @@ use serde_json::{Map, Value};
 use stronghold_tensor::attention::{Attention, DecodeScratch, KvCache};
 use stronghold_tensor::init::{normal, seeded_rng};
 use stronghold_tensor::matmul::{self, matmul, matmul_nt, matmul_tn};
+use stronghold_tensor::pool;
 use stronghold_tensor::Tensor;
 
 /// One benchmarked GEMM shape: `C[m,n] = op(A) · op(B)` with depth `k`.
@@ -140,15 +141,11 @@ fn runtime_shapes() -> Vec<RuntimeShape> {
 /// "not slower": best-of timings of ~100 µs kernels repeat to a few percent.
 const NEVER_SLOWER_TOLERANCE: f64 = 0.95;
 
-/// Times every runtime shape on one thread and on `cores` threads; returns
-/// the rows and whether no parallel row lost to its one-thread twin.
+/// Times every runtime shape on one thread and on `cores` threads, best of
+/// `reps` each; returns the rows and whether no parallel row lost to its
+/// one-thread twin. The twins take turns rep by rep (after one untimed
+/// warmup each), so a slow stretch on a shared box hits both alike.
 fn runtime_sweep(reps: usize, cores: usize) -> (Vec<Value>, bool) {
-    let pool = |threads: usize| {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool")
-    };
     println!(
         "\n{:<22} {:>5} {:>5} {:>5}  {:>3}  {:>10} {:>12} {:>8}",
         "runtime shape", "m", "k", "n", "op", "1t GF/s", "cores GF/s", "speedup"
@@ -165,17 +162,24 @@ fn runtime_sweep(reps: usize, cores: usize) -> (Vec<Value>, bool) {
             _ => (normal([k, m], 1.0, &mut rng), normal([k, n], 1.0, &mut rng)),
         };
         let mut c = Tensor::zeros([m, n]);
-        let mut run = |threads: usize| {
-            pool(threads).install(|| {
-                time_gflops(flops, reps, || match s.layout {
-                    "nn" => matmul::matmul_into(&a, &b, &mut c),
-                    "nt" => matmul::matmul_nt_into(&a, &b, &mut c),
-                    _ => matmul::matmul_tn_into(&a, &b, &mut c),
-                })
-            })
-        };
-        let gf_1t = run(1);
-        let gf_par = run(cores);
+        let mut best = [f64::INFINITY; 2];
+        for rep in 0..=reps {
+            for (threads, best) in [1, cores].into_iter().zip(&mut best) {
+                let dt = pool::with_threads(threads, || {
+                    let t0 = Instant::now();
+                    match s.layout {
+                        "nn" => matmul::matmul_into(&a, &b, &mut c),
+                        "nt" => matmul::matmul_nt_into(&a, &b, &mut c),
+                        _ => matmul::matmul_tn_into(&a, &b, &mut c),
+                    }
+                    t0.elapsed().as_secs_f64()
+                });
+                if rep > 0 {
+                    *best = best.min(dt);
+                }
+            }
+        }
+        let [gf_1t, gf_par] = best.map(|dt| flops as f64 / dt / 1e9);
         let speedup = gf_par / gf_1t;
         never_slower &= speedup >= NEVER_SLOWER_TOLERANCE;
         println!(
@@ -349,7 +353,7 @@ fn main() {
     println!(
         "GEMM kernel sweep ({} mode, {reps} rep(s), {} threads)",
         if quick { "quick" } else { "full" },
-        rayon::current_num_threads(),
+        pool::current_num_threads(),
     );
     println!(
         "{:<18} {:>5} {:>5} {:>5}  {:>3}  {:>10}",
@@ -397,10 +401,10 @@ fn main() {
     root.insert("reps".into(), Value::from(reps as u64));
     root.insert(
         "threads".into(),
-        Value::from(rayon::current_num_threads() as u64),
+        Value::from(pool::current_num_threads() as u64),
     );
     // Threaded GFLOP/s depend on physical parallelism; flag runs where the
-    // rayon pool outnumbers the cores so figures aren't compared across
+    // kernel pool outnumbers the cores so figures aren't compared across
     // differently-starved machines.
     let cores = std::thread::available_parallelism()
         .map(|n| n.get() as u64)
@@ -408,7 +412,7 @@ fn main() {
     root.insert("cores".into(), Value::from(cores));
     root.insert(
         "core_starved".into(),
-        Value::from(cores < rayon::current_num_threads() as u64),
+        Value::from(cores < pool::current_num_threads() as u64),
     );
     root.insert("results".into(), Value::Array(rows));
     // µs-scale kernels: many reps, so best-of finds a quiet one.

@@ -19,7 +19,7 @@ use std::time::Instant;
 use serde_json::{Map, Value};
 use stronghold_model::config::ModelConfig;
 use stronghold_tensor::init::{normal, seeded_rng};
-use stronghold_tensor::{ops, simd};
+use stronghold_tensor::{ops, pool, simd};
 use stronghold_tensor::{scratch, Precision, Tensor};
 
 /// Best-of-`reps` wall nanoseconds for `f`. One untimed warmup call
@@ -268,9 +268,9 @@ fn main() {
     };
 
     println!(
-        "non-GEMM op sweep ({} mode, {reps} rep(s), {} rayon threads)",
+        "non-GEMM op sweep ({} mode, {reps} rep(s), {} pool threads)",
         if quick { "quick" } else { "full" },
-        rayon::current_num_threads(),
+        pool::current_num_threads(),
     );
 
     let mut results = Vec::new();
@@ -320,17 +320,17 @@ fn main() {
     root.insert("reps".into(), Value::from(reps as u64));
     root.insert(
         "threads".into(),
-        Value::from(rayon::current_num_threads() as u64),
+        Value::from(pool::current_num_threads() as u64),
     );
     // Same machine stamp the other sweeps carry: op timings from a box
-    // whose rayon pool exceeds its cores measure time-slicing, not kernels.
+    // whose kernel pool exceeds its cores measure time-slicing, not kernels.
     let cores = std::thread::available_parallelism()
         .map(|n| n.get() as u64)
         .unwrap_or(1);
     root.insert("cores".into(), Value::from(cores));
     root.insert(
         "core_starved".into(),
-        Value::from(cores < rayon::current_num_threads() as u64),
+        Value::from(cores < pool::current_num_threads() as u64),
     );
     root.insert("results".into(), Value::Array(rows_json));
     let json = serde_json::to_string_pretty(&Value::Object(root)).expect("sweep serializes");

@@ -17,9 +17,7 @@
 //!   the traffic-validation tests measure.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
-
-use parking_lot::RwLock;
+use std::sync::{Arc, Barrier, PoisonError, RwLock};
 
 use crate::order::tree_reduce_into;
 
@@ -137,7 +135,9 @@ impl CommRank {
             return;
         }
         {
-            let mut slot = shared.slots[self.rank].write();
+            let mut slot = shared.slots[self.rank]
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
             slot.clear();
             slot.reserve(total);
             for p in parts.iter() {
@@ -147,7 +147,11 @@ impl CommRank {
         // Publish barrier: all contributions visible before anyone reads.
         shared.barrier.wait();
         {
-            let guards: Vec<_> = shared.slots.iter().map(|s| s.read()).collect();
+            let guards: Vec<_> = shared
+                .slots
+                .iter()
+                .map(|s| s.read().unwrap_or_else(PoisonError::into_inner))
+                .collect();
             let srcs: Vec<&[f32]> = guards.iter().map(|g| g.as_slice()).collect();
             let mut off = 0usize;
             for p in parts.iter_mut() {

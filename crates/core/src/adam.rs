@@ -4,11 +4,9 @@
 //! (§III-E1) runs many of these in parallel, one per layer, which is safe and
 //! exactly order-independent because states never alias across layers.
 
-use serde::{Deserialize, Serialize};
-
 /// Adam hyper-parameters (paper §V-B: hyper-parameters follow Megatron-LM /
 /// ZeRO-Offload defaults).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct AdamParams {
     /// Learning rate.
     pub lr: f32,

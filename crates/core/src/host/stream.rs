@@ -29,15 +29,15 @@
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use crossbeam_channel::{bounded, Receiver, Sender};
-use parking_lot::Mutex;
 use stronghold_model::block::{Block, BlockGrads};
 use stronghold_tensor::Precision;
 
 use crate::host::device::HostDevice;
+use crate::lock;
 use crate::optimpool::LayerStore;
 use crate::telemetry::{Counter, Histogram, Telemetry};
 
@@ -280,12 +280,12 @@ impl LayerStream {
 
     /// Flat parameter count of one block.
     pub(crate) fn block_elems(&self) -> usize {
-        self.shells.lock()[0].param_count()
+        lock(&self.shells)[0].param_count()
     }
 
     /// A zeroed gradient accumulator shaped like one block.
     pub(crate) fn zero_grads(&self) -> BlockGrads {
-        self.shells.lock()[0].zero_grads()
+        lock(&self.shells)[0].zero_grads()
     }
 
     /// Streams every layer, ascending, through one shell on the calling
@@ -297,7 +297,7 @@ impl LayerStream {
         store: &LayerStore,
         mut per_layer: impl FnMut(&Block, usize),
     ) {
-        let shell = &mut self.shells.lock()[0];
+        let shell = &mut lock(&self.shells)[0];
         for i in 0..store.len() {
             store.with_params(i, |p| load(shell, p, self.precision));
             per_layer(shell, i);
@@ -307,7 +307,7 @@ impl LayerStream {
     /// Every layer as an owned block holding the store's FP32 masters (never
     /// the rounded device values) — the checkpoint export.
     pub(crate) fn master_blocks(&self, store: &LayerStore) -> Vec<Block> {
-        let shells = self.shells.lock();
+        let shells = lock(&self.shells);
         (0..store.len())
             .map(|i| {
                 let mut block = shells[0].clone();
@@ -325,7 +325,10 @@ impl LayerStream {
     /// Panics if a panicked pass took every shell with it.
     fn issue(&mut self, store: &Arc<LayerStore>, pass: Pass, passes: usize) -> Issued {
         let m = self.window;
-        let shells = self.shells.get_mut();
+        let shells = self
+            .shells
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
         assert_eq!(
             shells.len(),
             m + 1,
@@ -437,7 +440,10 @@ impl LayerStream {
             Pass::Forward => store.len(),
             Pass::ForwardBackward => 2 * store.len() - self.window,
         };
-        let home = self.shells.get_mut();
+        let home = self
+            .shells
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
         let mut feed = Feed::new(&self.link, &mut order, &self.ends, home, self.window);
         let out = consume(&mut feed);
         let chained = feed.taken == total && feed.order.ahead > 0;
@@ -464,7 +470,10 @@ impl Drop for LayerStream {
     /// prefetcher.
     fn drop(&mut self) {
         if let Some(mut staged) = self.staged.take() {
-            let home = self.shells.get_mut();
+            let home = self
+                .shells
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner);
             drop(Feed::new(
                 &self.link,
                 &mut staged,

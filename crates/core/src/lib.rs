@@ -49,7 +49,69 @@ pub mod telemetry;
 pub mod tier;
 pub mod trainer;
 
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+
 pub use error::RuntimeError;
 pub use method::{IterationReport, TrainingMethod};
 pub use telemetry::Telemetry;
 pub use trainer::Stronghold;
+
+/// Locks `m`, taking the guard back from a poisoned lock. A thread that
+/// panicked while holding it (a layer whose swap-file I/O failed panics
+/// under its slot lock) must not turn every later lock — the trainer's
+/// drop and flush among them — into a second panic.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Waits on `cv`, recovering the guard from poison as [`lock`] does.
+pub(crate) fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{lock, wait};
+    use std::sync::{Arc, Condvar, Mutex};
+
+    #[test]
+    fn lock_and_mutate() {
+        let m = Mutex::new(1);
+        *lock(&m) += 41;
+        assert_eq!(*lock(&m), 42);
+    }
+
+    #[test]
+    fn condvar_wakes_waiter() {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let pair2 = Arc::clone(&pair);
+        let waiter = std::thread::spawn(move || {
+            let (flag, cv) = &*pair2;
+            let mut ready = lock(flag);
+            while !*ready {
+                ready = wait(cv, ready);
+            }
+            *ready
+        });
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        {
+            let (flag, cv) = &*pair;
+            *lock(flag) = true;
+            cv.notify_all();
+        }
+        assert!(waiter.join().unwrap());
+    }
+
+    #[test]
+    fn poison_is_recovered() {
+        let m = Arc::new(Mutex::new(5));
+        let m2 = Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let _g = lock(&m2);
+            panic!("poison it");
+        })
+        .join();
+        assert!(m.is_poisoned());
+        assert_eq!(*lock(&m), 5);
+    }
+}

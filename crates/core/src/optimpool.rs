@@ -30,15 +30,15 @@
 //! clears.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
 
 use crate::adam::{self, AdamParams, AdamState};
 use crate::nvme::NvmeStore;
 use crate::telemetry::{Gauge, Telemetry};
 use crate::tier::{io_failure, Tier, TierPlan, TierStore};
+use crate::{lock, wait};
 
 /// Floats per component (params, m, v) a spilled update pages through its
 /// actor's staging triple at once — 1 MiB each. A power-of-two multiple of
@@ -268,19 +268,19 @@ impl LayerStore {
     pub(crate) fn with_params<R>(&self, layer: usize, f: impl FnOnce(&[f32]) -> R) -> R {
         let cell = &self.slots[layer];
         if self.placement[layer] == Tier::Ram {
-            let mut slot = cell.lock.lock();
+            let mut slot = lock(&cell.lock);
             while slot.pending_update {
-                cell.cv.wait(&mut slot);
+                slot = wait(&cell.cv, slot);
             }
             return f(&slot.params);
         }
         let tier = self.tier.as_ref().expect("tiered store");
         let t0 = std::time::Instant::now();
-        let mut slot = cell.lock.lock();
+        let mut slot = lock(&cell.lock);
         let buf = loop {
             slot.check_io();
             if slot.pending_update {
-                cell.cv.wait(&mut slot);
+                slot = wait(&cell.cv, slot);
                 continue;
             }
             if slot.filled {
@@ -295,10 +295,10 @@ impl LayerStore {
                 let fs = slot.file_slot;
                 drop(slot);
                 tier.enqueue_fill(layer, fs);
-                slot = cell.lock.lock();
+                slot = lock(&cell.lock);
                 continue;
             }
-            cell.cv.wait(&mut slot);
+            slot = wait(&cell.cv, slot);
         };
         drop(slot);
         tier.add_fill_wait(t0.elapsed().as_nanos() as u64);
@@ -319,7 +319,7 @@ impl LayerStore {
         }
         let cell = &self.slots[layer];
         let fs = {
-            let mut slot = cell.lock.lock();
+            let mut slot = lock(&cell.lock);
             if slot.pending_update || slot.filled || slot.fill_inflight || slot.failure.is_some() {
                 return;
             }
@@ -332,7 +332,7 @@ impl LayerStore {
     /// Marks a layer as having an in-flight update (called when gradients
     /// are offloaded, before the optimizer task is queued).
     pub fn mark_pending(&self, layer: usize) {
-        self.slots[layer].lock.lock().pending_update = true;
+        lock(&self.slots[layer].lock).pending_update = true;
     }
 
     /// Applies an Adam update for a layer and releases waiters.
@@ -360,7 +360,7 @@ impl LayerStore {
     ) {
         let cell = &self.slots[layer];
         if self.placement[layer] == Tier::Ram {
-            let mut slot = cell.lock.lock();
+            let mut slot = lock(&cell.lock);
             let Slot { params, adam, .. } = &mut *slot;
             adam.step(params, grads, hp);
             slot.pending_update = false;
@@ -370,14 +370,14 @@ impl LayerStore {
         assert_eq!(grads.len(), self.lens[layer], "adam: params vs grads");
         let tier = self.tier.as_ref().expect("tiered store");
         let (fs, t) = {
-            let mut slot = cell.lock.lock();
+            let mut slot = lock(&cell.lock);
             // No fill may observe or race the rewrite. Callers mark the
             // layer pending before submitting, and prefill skips pending
             // layers, so in the pipeline the flag is already set and the
             // wait is dead — but the protocol stays safe under any caller.
             slot.pending_update = true;
             while slot.fill_inflight {
-                cell.cv.wait(&mut slot);
+                slot = wait(&cell.cv, slot);
             }
             if slot.filled {
                 slot.filled = false;
@@ -386,7 +386,7 @@ impl LayerStore {
             (slot.file_slot, slot.adam.t + 1)
         };
         let stepped = step_in_file(tier, fs, grads, t, hp, staging);
-        let mut slot = cell.lock.lock();
+        let mut slot = lock(&cell.lock);
         match stepped {
             Ok(()) => {
                 slot.adam.t = t;
@@ -407,7 +407,7 @@ impl LayerStore {
     pub fn snapshot(&self, layer: usize) -> Vec<f32> {
         let cell = &self.slots[layer];
         if self.placement[layer] == Tier::Ram {
-            return cell.lock.lock().params.clone();
+            return lock(&cell.lock).params.clone();
         }
         let mut out = Vec::new();
         self.read_params_into(layer, &mut out);
@@ -436,14 +436,14 @@ impl LayerStore {
     pub fn adam_snapshot(&self, layer: usize) -> AdamState {
         let cell = &self.slots[layer];
         if self.placement[layer] == Tier::Ram {
-            return cell.lock.lock().adam.clone();
+            return lock(&cell.lock).adam.clone();
         }
         let tier = self.tier.as_ref().expect("tiered store");
         let n = self.lens[layer];
         let (fs, t) = {
-            let mut slot = cell.lock.lock();
+            let mut slot = lock(&cell.lock);
             while slot.pending_update {
-                cell.cv.wait(&mut slot);
+                slot = wait(&cell.cv, slot);
             }
             slot.check_io();
             (slot.file_slot, slot.adam.t)
@@ -471,15 +471,15 @@ impl LayerStore {
         );
         let cell = &self.slots[layer];
         if self.placement[layer] == Tier::Ram {
-            cell.lock.lock().adam = state;
+            lock(&cell.lock).adam = state;
             return;
         }
         let tier = self.tier.as_ref().expect("tiered store");
         let n = self.lens[layer];
         let fs = {
-            let mut slot = cell.lock.lock();
+            let mut slot = lock(&cell.lock);
             while slot.pending_update || slot.fill_inflight {
-                cell.cv.wait(&mut slot);
+                slot = wait(&cell.cv, slot);
             }
             slot.adam.t = state.t;
             slot.file_slot
@@ -514,7 +514,7 @@ impl LayerStore {
         if let Some(tier) = &self.tier {
             tier.quiesce();
             for cell in self.slots.iter() {
-                cell.lock.lock().check_io();
+                lock(&cell.lock).check_io();
             }
         }
     }
@@ -640,13 +640,13 @@ impl OptimizerPool {
                         busy_ns.add(dt);
                         updates.fetch_add(1, Ordering::SeqCst);
                         {
-                            let mut free = recycle.lock();
+                            let mut free = lock(&recycle);
                             if free.len() < MAX_RECYCLED {
                                 free.push(task.grads);
                             }
                         }
-                        let (lock, cv) = &*inflight;
-                        let mut n = lock.lock();
+                        let (count, cv) = &*inflight;
+                        let mut n = lock(count);
                         *n -= 1;
                         if *n == 0 {
                             cv.notify_all();
@@ -679,7 +679,7 @@ impl OptimizerPool {
     /// gradients *directly* into such a buffer, so a streamed update pays no
     /// copy beyond the flatten itself.
     pub fn recycled_buffer(&self) -> Vec<f32> {
-        match self.recycle.lock().pop() {
+        match lock(&self.recycle).pop() {
             Some(mut buf) => {
                 buf.clear();
                 buf
@@ -699,8 +699,8 @@ impl OptimizerPool {
             "gradient length mismatch for layer {layer}"
         );
         {
-            let (lock, _) = &*self.inflight;
-            *lock.lock() += 1;
+            let (count, _) = &*self.inflight;
+            *lock(count) += 1;
         }
         self.queue_depth.add(1);
         self.tx
@@ -712,10 +712,10 @@ impl OptimizerPool {
 
     /// Blocks until every submitted update has been applied.
     pub fn flush(&self) {
-        let (lock, cv) = &*self.inflight;
-        let mut n = lock.lock();
+        let (count, cv) = &*self.inflight;
+        let mut n = lock(count);
         while *n > 0 {
-            cv.wait(&mut n);
+            n = wait(cv, n);
         }
     }
 

@@ -137,21 +137,21 @@ pub fn thread_ordinal() -> u64 {
     ORDINAL.with(|o| *o)
 }
 
-/// Threads the crates have started since the process began. Every non-test
-/// spawn site calls [`count_spawn`] as it starts one, so a step path that
-/// starts threads shows as a rising `thread.spawns`.
+/// Threads `core` has started since the process began. Every non-test
+/// spawn site here calls [`count_spawn`] as it starts one (the kernel pool
+/// counts its own helpers), so a step path that starts threads shows as a
+/// rising `thread.spawns`.
 static THREAD_SPAWNS: AtomicU64 = AtomicU64::new(0);
 
-/// Counts one thread start; called beside every spawn site in the crates.
+/// Counts one thread start; called beside every spawn site in `core`.
 pub(crate) fn count_spawn() {
     THREAD_SPAWNS.fetch_add(1, Ordering::Relaxed);
 }
 
 /// The process-global `thread.spawns` count: threads the crates have
-/// started so far (the kernel pool's helpers, started by the `rayon` shim,
-/// are not among them).
+/// started so far, the kernel pool's helpers among them.
 pub fn thread_spawns() -> u64 {
-    THREAD_SPAWNS.load(Ordering::Relaxed)
+    THREAD_SPAWNS.load(Ordering::Relaxed) + stronghold_tensor::pool::helper_starts()
 }
 
 struct Inner {
@@ -467,7 +467,8 @@ impl Telemetry {
 /// nanos, calls, gflops_x100}` for the non-GEMM row/elementwise kernels
 /// (`gflops_x100` is mean GFLOP/s × 100, so the integer gauge keeps two
 /// decimal places; op FLOP counts are nominal per-element cost factors),
-/// plus the process-global [`thread_spawns`] as `thread.spawns`.
+/// plus the process-global [`thread_spawns`] as `thread.spawns` and the
+/// kernel pool's busy → inline fallbacks as `pool.inline_dispatches`.
 /// Call it at a step boundary — e.g. the end of `train_step` — so
 /// snapshots see up-to-date values.
 ///
@@ -493,6 +494,8 @@ pub fn record_kernel_stats(tel: &Telemetry) {
             .set((stats.gflops() * 100.0).round() as i64);
     }
     tel.gauge("thread.spawns").set(thread_spawns() as i64);
+    tel.gauge("pool.inline_dispatches")
+        .set(stronghold_tensor::pool::inline_dispatches() as i64);
     let ops = stronghold_tensor::ops::stats::snapshot();
     for (stats, name) in ops.iter().zip(stronghold_tensor::ops::stats::NAMES) {
         tel.gauge(&format!("op.{name}.flops"))
@@ -858,6 +861,9 @@ mod tests {
             .as_f64()
             .is_some());
         assert!(snap["gauges"]["kernel.tn.calls"]["value"]
+            .as_f64()
+            .is_some());
+        assert!(snap["gauges"]["pool.inline_dispatches"]["value"]
             .as_f64()
             .is_some());
 

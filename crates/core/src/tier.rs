@@ -53,13 +53,13 @@
 //! turn.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 use crossbeam_channel::{bounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
 
 use crate::nvme::NvmeStore;
 use crate::telemetry::{Counter, Histogram, Telemetry};
+use crate::{lock, wait};
 
 /// Where one layer's FP32 masters + Adam moments live.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -286,13 +286,13 @@ impl TierStore {
                         enqueued_ns,
                     } = job;
                     queue_wait.record(tel.now_nanos().saturating_sub(enqueued_ns));
-                    let mut buf = free.lock().pop().unwrap_or_else(|| vec![0.0; n]);
+                    let mut buf = lock(&free).pop().unwrap_or_else(|| vec![0.0; n]);
                     let read = {
                         let _s = tel.span("spill-read", "fill");
                         nvme.read_at(file_slot, 0, &mut buf, &mut Vec::new())
                     };
                     let cell = &slots[layer];
-                    let mut slot = cell.lock.lock();
+                    let mut slot = lock(&cell.lock);
                     match read {
                         Ok(()) => {
                             f2h.add(4 * n as u64);
@@ -304,14 +304,14 @@ impl TierStore {
                         Err(e) => {
                             let msg = io_failure(layer, file_slot, "fill", &e);
                             slot.failure.get_or_insert(msg);
-                            free.lock().push(buf);
+                            lock(&free).push(buf);
                         }
                     }
                     slot.fill_inflight = false;
                     cell.cv.notify_all();
                     drop(slot);
-                    let (lock, cv) = &*inflight;
-                    let mut k = lock.lock();
+                    let (count, cv) = &*inflight;
+                    let mut k = lock(count);
                     *k -= 1;
                     if *k == 0 {
                         cv.notify_all();
@@ -327,7 +327,7 @@ impl TierStore {
     /// slot lock — bounded-channel backpressure may block here).
     pub(crate) fn enqueue_fill(&self, layer: usize, file_slot: usize) {
         let enqueued_ns = self.tel.now_nanos();
-        *self.inflight.0.lock() += 1;
+        *lock(&self.inflight.0) += 1;
         self.tx
             .as_ref()
             .expect("tier store alive")
@@ -341,16 +341,16 @@ impl TierStore {
 
     /// Blocks until every enqueued fill has completed (landed or failed).
     pub fn quiesce(&self) {
-        let (lock, cv) = &*self.inflight;
-        let mut k = lock.lock();
+        let (count, cv) = &*self.inflight;
+        let mut k = lock(count);
         while *k > 0 {
-            cv.wait(&mut k);
+            k = wait(cv, k);
         }
     }
 
     /// Returns a consumed fill buffer to the free list.
     pub(crate) fn give_buffer(&self, buf: Vec<f32>) {
-        self.free.lock().push(buf);
+        lock(&self.free).push(buf);
     }
 
     /// The underlying swap store.

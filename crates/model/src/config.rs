@@ -1,14 +1,12 @@
 //! Model configurations, including every row of the paper's Table I.
 
-use serde::{Deserialize, Serialize};
-
 /// Default sequence length used throughout the paper's evaluation (§III-F).
 pub const DEFAULT_SEQ: usize = 1024;
 /// Default vocabulary size (§III-F uses vs = 30k).
 pub const DEFAULT_VOCAB: usize = 30_000;
 
 /// A GPT-style model configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ModelConfig {
     /// Number of transformer blocks (`n` in the paper).
     pub layers: usize,

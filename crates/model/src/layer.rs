@@ -6,8 +6,6 @@
 //! Under tensor parallelism the spec describes the *per-GPU shard*, which the
 //! paper notes is then the offloading unit.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::ModelConfig;
 
 /// Bytes per FP32 scalar.
@@ -16,7 +14,7 @@ pub const F32_BYTES: u64 = 4;
 pub const ADAM_STATE_BYTES: u64 = 8;
 
 /// The kind of a model layer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LayerKind {
     /// Token + positional embedding (kept on-GPU by STRONGHOLD, Fig. 3).
     Embedding,
@@ -28,7 +26,7 @@ pub enum LayerKind {
 
 /// Static description of one layer: the unit of offloading, profiling and
 /// window accounting.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LayerSpec {
     /// Position in the forward execution order (0-based).
     pub index: usize,

@@ -1,12 +1,10 @@
 //! Hardware specifications of the paper's two evaluation platforms (§V-A).
 
-use serde::{Deserialize, Serialize};
-
 /// One gibibyte.
 pub const GIB: u64 = 1 << 30;
 
 /// GPU device specification.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct GpuSpec {
     /// Device memory in bytes.
     pub mem_bytes: u64,
@@ -19,7 +17,7 @@ pub struct GpuSpec {
 }
 
 /// CPU and host-memory specification.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CpuSpec {
     /// Physical cores available to the optimizer pool.
     pub cores: usize,
@@ -30,7 +28,7 @@ pub struct CpuSpec {
 }
 
 /// PCIe link between host and device.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PcieSpec {
     /// Effective bandwidth for pinned, bulk transfers (bytes/s per direction).
     pub pinned_bw: f64,
@@ -39,7 +37,7 @@ pub struct PcieSpec {
 }
 
 /// NVMe secondary storage (§III-G).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct NvmeSpec {
     /// Capacity in bytes.
     pub capacity: u64,
@@ -50,14 +48,14 @@ pub struct NvmeSpec {
 }
 
 /// Inter-node network.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct NetSpec {
     /// Per-node network bandwidth in bytes/s.
     pub bw: f64,
 }
 
 /// A complete evaluation platform.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Platform {
     /// GPU per node.
     pub gpu: GpuSpec,

@@ -1,7 +1,5 @@
 //! Virtual time.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in virtual time, in nanoseconds since iteration start.
 ///
 /// `SimTime` is also used for durations; the arithmetic saturates on
@@ -17,9 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!((a + b).as_secs_f64(), 1.0);
 /// assert_eq!(a - b, SimTime::ZERO); // saturating
 /// ```
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimTime(pub u64);
 
 impl SimTime {

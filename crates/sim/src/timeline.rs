@@ -2,12 +2,10 @@
 //! and an ASCII trace renderer (the reproduction of the paper's Fig. 4
 //! profiling trace).
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 /// A lane identifies one hardware unit in the rendered trace.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Lane {
     /// GPU compute stream `k`.
     Compute(u8),
@@ -49,7 +47,7 @@ impl Lane {
 }
 
 /// One scheduled operation in the trace.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Segment {
     /// Hardware lane.
     pub lane: Lane,

@@ -2,9 +2,10 @@
 //!
 //! This crate provides the numerical foundation that stands in for PyTorch's
 //! CPU/GPU tensor runtime in the original system: dense `f32` tensors,
-//! rayon-parallel kernels (matmul, elementwise, softmax, layernorm, GELU) and
-//! hand-written forward/backward passes for the layer types a GPT-style
-//! transformer needs (linear, multi-head attention, embedding, cross-entropy).
+//! kernels (matmul, elementwise, softmax, layernorm, GELU) parallel over one
+//! persistent fork-join pool ([`pool`]), and hand-written forward/backward
+//! passes for the layer types a GPT-style transformer needs (linear,
+//! multi-head attention, embedding, cross-entropy).
 //!
 //! Everything is deterministic: parallel reductions are structured so the
 //! floating-point summation order does not depend on thread scheduling, which
@@ -20,6 +21,7 @@ pub mod linear;
 pub mod loss;
 pub mod matmul;
 pub mod ops;
+pub mod pool;
 pub mod scratch;
 pub mod shape;
 pub mod simd;

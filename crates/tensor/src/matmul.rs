@@ -61,8 +61,7 @@
 
 use std::cell::RefCell;
 
-use rayon::prelude::*;
-
+use crate::pool;
 use crate::shape::Shape;
 use crate::simd::{self, SendPtr};
 use crate::tensor::Tensor;
@@ -877,7 +876,7 @@ fn panels_per_task<const NR: usize>(n_panels: usize, tiles_m: usize) -> usize {
 /// the work must cover the fork-join (see [`PAR_FLOPS_THRESHOLD`]) and
 /// the calling thread must be allowed more than one worker.
 pub(crate) fn worth_forking(flops: usize) -> bool {
-    flops >= PAR_FLOPS_THRESHOLD && rayon::current_num_threads() > 1
+    flops >= PAR_FLOPS_THRESHOLD && pool::current_num_threads() > 1
 }
 
 /// Runs `task(0..tasks)` on the fork-join pool when `parallel`, else in
@@ -885,7 +884,7 @@ pub(crate) fn worth_forking(flops: usize) -> bool {
 /// never changes a bit.
 pub(crate) fn fan_out(tasks: usize, parallel: bool, task: impl Fn(usize) + Sync) {
     if parallel && tasks > 1 {
-        (0..tasks).into_par_iter().for_each(task);
+        pool::for_each(0..tasks, task);
     } else {
         (0..tasks).for_each(task);
     }
@@ -1574,11 +1573,7 @@ mod tests {
         let at = normal([k, m], 1.0, &mut rng);
         let b = normal([k, n], 1.0, &mut rng);
         let run = |threads: usize| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            pool.install(|| {
+            pool::with_threads(threads, || {
                 let bits =
                     |t: &Tensor| -> Vec<u32> { t.data().iter().map(|v| v.to_bits()).collect() };
                 (

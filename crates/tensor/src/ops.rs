@@ -37,8 +37,7 @@
 
 use std::time::Instant;
 
-use rayon::prelude::*;
-
+use crate::pool;
 use crate::simd::{self, dispatch, exp_approx, hmax, hsum, tanh_approx, SendPtr, LANES};
 use crate::tensor::Tensor;
 
@@ -73,9 +72,9 @@ const COL_BLOCK: usize = 256;
 /// changes the arithmetic.
 #[inline]
 fn for_each_chunk(n: usize, min_elems: usize, run: impl Fn(usize, usize) + Sync) {
-    if n >= min_elems && rayon::current_num_threads() > 1 {
+    if n >= min_elems && pool::current_num_threads() > 1 {
         let chunk = min_elems / TASKS_AT_MIN;
-        (0..n.div_ceil(chunk)).into_par_iter().for_each(|t| {
+        pool::for_each(0..n.div_ceil(chunk), |t| {
             let lo = t * chunk;
             run(lo, (lo + chunk).min(n));
         });
@@ -93,9 +92,9 @@ fn for_each_row_block(
     min_elems: usize,
     run: impl Fn(usize, usize) + Sync,
 ) {
-    if rows * cols >= min_elems && rows > 1 && rayon::current_num_threads() > 1 {
+    if rows * cols >= min_elems && rows > 1 && pool::current_num_threads() > 1 {
         let rb = (min_elems / TASKS_AT_MIN / cols.max(1)).max(1);
-        (0..rows.div_ceil(rb)).into_par_iter().for_each(|t| {
+        pool::for_each(0..rows.div_ceil(rb), |t| {
             let lo = t * rb;
             run(lo, (lo + rb).min(rows));
         });
@@ -852,10 +851,10 @@ pub fn bias_grad_acc(dy: &Tensor, db: &mut Tensor) {
     assert_eq!(db.numel(), cols);
     let start = Instant::now();
     let dyd = dy.data();
-    if rows * cols >= PAR_MIN_ELEMS && cols >= 2 * COL_BLOCK && rayon::current_num_threads() > 1 {
+    if rows * cols >= PAR_MIN_ELEMS && cols >= 2 * COL_BLOCK && pool::current_num_threads() > 1 {
         let pd = SendPtr(db.data_mut().as_mut_ptr());
         let tasks = cols.div_ceil(COL_BLOCK);
-        (0..tasks).into_par_iter().for_each(|t| {
+        pool::for_each(0..tasks, |t| {
             let c0 = t * COL_BLOCK;
             let c1 = (c0 + COL_BLOCK).min(cols);
             // SAFETY: disjoint column ranges of `db`.
@@ -1088,11 +1087,11 @@ pub fn layernorm_backward_into(
     let start = Instant::now();
     let (xd, dyd, gd) = (x.data(), dy.data(), gamma.data());
     // dγ/dβ: column-split reduction (row order per column is fixed).
-    if rows * cols >= PAR_MIN_ELEMS && cols >= 2 * COL_BLOCK && rayon::current_num_threads() > 1 {
+    if rows * cols >= PAR_MIN_ELEMS && cols >= 2 * COL_BLOCK && pool::current_num_threads() > 1 {
         let pg = SendPtr(dgamma.data_mut().as_mut_ptr());
         let pb = SendPtr(dbeta.data_mut().as_mut_ptr());
         let tasks = cols.div_ceil(COL_BLOCK);
-        (0..tasks).into_par_iter().for_each(|t| {
+        pool::for_each(0..tasks, |t| {
             let c0 = t * COL_BLOCK;
             let c1 = (c0 + COL_BLOCK).min(cols);
             // SAFETY: disjoint column ranges of dgamma/dbeta.
@@ -1487,8 +1486,6 @@ pub mod stats {
 /// equivalence proptests. Do not optimize these.
 #[cfg(test)]
 mod seed {
-    use rayon::prelude::*;
-
     use super::LayerNormCache;
     use crate::tensor::Tensor;
 
@@ -1533,7 +1530,7 @@ mod seed {
         let (_rows, cols) = x.shape().as_2d();
         assert_eq!(bias.numel(), cols);
         let b = bias.data().to_vec();
-        x.data_mut().par_chunks_mut(cols).for_each(|row| {
+        x.data_mut().chunks_mut(cols).for_each(|row| {
             for (r, bb) in row.iter_mut().zip(b.iter()) {
                 *r += bb;
             }
@@ -1558,7 +1555,7 @@ mod seed {
     pub fn gelu(x: &Tensor) -> Tensor {
         let data = x
             .data()
-            .par_iter()
+            .iter()
             .map(|&v| {
                 let inner = SQRT_2_OVER_PI * (v + GELU_C * v * v * v);
                 0.5 * v * (1.0 + inner.tanh())
@@ -1572,8 +1569,8 @@ mod seed {
         assert!(dy.shape().same(x.shape()));
         let data = dy
             .data()
-            .par_iter()
-            .zip(x.data().par_iter())
+            .iter()
+            .zip(x.data().iter())
             .map(|(&g, &v)| {
                 let u = SQRT_2_OVER_PI * (v + GELU_C * v * v * v);
                 let t = u.tanh();
@@ -1590,7 +1587,7 @@ mod seed {
         let (_rows, cols) = x.shape().as_2d();
         let mut out = x.clone();
         out.data_mut()
-            .par_chunks_mut(cols)
+            .chunks_mut(cols)
             .for_each(softmax_row_inplace);
         out
     }
@@ -1615,9 +1612,9 @@ mod seed {
         let (_rows, cols) = y.shape().as_2d();
         let mut dx = Tensor::zeros(*y.shape());
         dx.data_mut()
-            .par_chunks_mut(cols)
-            .zip(dy.data().par_chunks(cols))
-            .zip(y.data().par_chunks(cols))
+            .chunks_mut(cols)
+            .zip(dy.data().chunks(cols))
+            .zip(y.data().chunks(cols))
             .for_each(|((dxr, dyr), yr)| {
                 let dot: f32 = dyr.iter().zip(yr.iter()).map(|(a, b)| a * b).sum();
                 for ((d, g), v) in dxr.iter_mut().zip(dyr.iter()).zip(yr.iter()) {
@@ -1643,9 +1640,9 @@ mod seed {
         let g = gamma.data();
         let b = beta.data();
         out.data_mut()
-            .par_chunks_mut(cols)
-            .zip(x.data().par_chunks(cols))
-            .zip(mean.par_iter_mut().zip(rstd.par_iter_mut()))
+            .chunks_mut(cols)
+            .zip(x.data().chunks(cols))
+            .zip(mean.iter_mut().zip(rstd.iter_mut()))
             .for_each(|((o, xr), (m, rs))| {
                 let mu: f32 = xr.iter().sum::<f32>() / cols as f32;
                 let var: f32 = xr.iter().map(|v| (v - mu) * (v - mu)).sum::<f32>() / cols as f32;
@@ -1686,7 +1683,7 @@ mod seed {
             }
         }
         dx.data_mut()
-            .par_chunks_mut(cols)
+            .chunks_mut(cols)
             .enumerate()
             .for_each(|(r, dxr)| {
                 let xr = &x.data()[r * cols..(r + 1) * cols];
@@ -2141,11 +2138,7 @@ mod tests {
         let again = run();
         assert!(baseline == again, "repeat run differs");
         for threads in [1usize, 2, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let got = pool.install(run);
+            let got = pool::with_threads(threads, run);
             assert!(
                 got == baseline,
                 "results differ under {threads}-thread pool"

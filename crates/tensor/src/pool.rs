@@ -1,30 +1,21 @@
-//! Offline shim for `rayon`.
+//! The kernel pool: one process-wide, persistent fork-join pool behind
+//! every parallel kernel.
 //!
-//! Two tiers of fidelity:
+//! [`for_each`] runs a closure over an index range: the calling thread and
+//! the pool's helpers claim indices from a shared atomic cursor. This is
+//! the dispatch the blocked GEMM engine uses for its tile grid and the
+//! streaming kernels for their chunks. Any schedule is bit-identical,
+//! because every kernel that dispatches here gives each index a disjoint
+//! output and a summation order fixed by shape alone.
 //!
-//! * The slice adapters (`par_iter` / `par_iter_mut` / `par_chunks` /
-//!   `par_chunks_mut`) return the corresponding **std sequential
-//!   iterators**. Every adapter the workspace chains on them (`zip`,
-//!   `enumerate`, `map`, `for_each`, `collect`, `sum`) is then the plain
-//!   `Iterator` machinery, so kernels compile unchanged and — as a bonus
-//!   — reductions become bit-exact deterministic regardless of thread
-//!   count.
-//! * Index-space parallelism (`(0..n).into_par_iter().for_each(..)`) is
-//!   **real**: the calling thread and the helpers of one process-wide
-//!   persistent pool claim indices from a shared atomic cursor. This is
-//!   the dispatch the blocked GEMM engine uses for its tile grid, where
-//!   each index owns a disjoint output tile and the summation order is a
-//!   function of shape alone, so any schedule is bit-identical.
-//!
-//! # The pool
-//!
-//! * **Lifecycle.** Helpers are OS threads started lazily by the first
-//!   dispatch that wants them — `available_parallelism − 1` by default,
-//!   more when a [`ThreadPool::install`] override asks for a wider
-//!   fan-out — and they live, parked, until the process exits (like real
-//!   rayon's global pool they are never joined). Because they persist,
-//!   whatever a kernel keeps in `thread_local` storage (pack scratch,
-//!   tensor pools) stays warm from one dispatch to the next.
+//! * **Lifecycle.** Helpers are OS threads (`kernel-pool-{i}`) started
+//!   lazily by the first dispatch that wants them —
+//!   `available_parallelism − 1` by default, more when a [`with_threads`]
+//!   override asks for a wider fan-out — and they live, parked, until the
+//!   process exits (they are never joined). Because they persist, whatever
+//!   a kernel keeps in `thread_local` storage (pack scratch, tensor pools)
+//!   stays warm from one dispatch to the next. [`helper_starts`] counts
+//!   them.
 //! * **The caller takes part.** A dispatch publishes the job, wakes
 //!   sleeping helpers, and then claims indices itself. It returns once the
 //!   cursor is exhausted and every helper that *joined* has left; a helper
@@ -37,7 +28,7 @@
 //!   finds it taken — another thread's job, or a dispatch nested inside a
 //!   task — runs its range sequentially on the calling thread instead of
 //!   queueing, so concurrent callers never oversubscribe the machine and
-//!   nesting cannot deadlock.
+//!   nesting cannot deadlock. [`inline_dispatches`] counts these.
 //! * **Placement.** A helper that joins a job on the very CPU its
 //!   dispatcher is running on would time-share that CPU while another sits
 //!   idle — and the kernel's balancer can take a second to notice (newly
@@ -48,11 +39,6 @@
 //! * **Panics.** A panicking task stops further claims, is carried to the
 //!   dispatching thread and resumed there after all helpers have left the
 //!   job; the pool stays usable.
-//!
-//! [`ThreadPoolBuilder`] / [`ThreadPool::install`] mirror rayon's pool
-//! API closely enough for thread-count-sensitivity tests: `install` runs
-//! the closure on the calling thread with a thread-local override that
-//! `current_num_threads` (and thus `for_each` fan-out) observes.
 
 use std::any::Any;
 use std::cell::{Cell, UnsafeCell};
@@ -62,19 +48,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Sequential stand-ins for `rayon::prelude` traits, plus the real
-/// range-parallel entry point.
-pub mod prelude {
-    pub use crate::{
-        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator, ParallelSlice,
-        ParallelSliceMut,
-    };
-}
-
 thread_local! {
-    /// Pool-size override installed by [`ThreadPool::install`].
+    /// Fan-out override installed by [`with_threads`].
     static POOL_SIZE: Cell<Option<usize>> = const { Cell::new(None) };
 }
+
+/// Dispatches that found the pool busy and ran inline.
+static INLINE_DISPATCHES: AtomicU64 = AtomicU64::new(0);
 
 /// The machine's available parallelism, read once: the std query walks
 /// cgroup files on Linux (allocating as it goes), which is far too slow
@@ -89,121 +69,54 @@ fn default_num_threads() -> usize {
 }
 
 /// Number of threads parallel dispatch will use on this thread (the
-/// caller plus helpers): the innermost [`ThreadPool::install`] override,
-/// else the machine's available parallelism.
+/// caller plus helpers): the innermost [`with_threads`] override, else the
+/// machine's available parallelism.
 pub fn current_num_threads() -> usize {
     POOL_SIZE
         .with(|p| p.get())
         .unwrap_or_else(default_num_threads)
 }
 
-/// Error type mirroring rayon's builder error (this shim cannot fail).
-#[derive(Debug)]
-pub struct ThreadPoolBuildError;
-
-impl std::fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "thread pool build error")
+/// Runs `f` with `threads` governing every dispatch this thread makes
+/// inside it; the previous count is restored when `f` returns or unwinds.
+pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    struct Reset(Option<usize>);
+    impl Drop for Reset {
+        fn drop(&mut self) {
+            POOL_SIZE.with(|p| p.set(self.0));
+        }
     }
+    let _reset = Reset(POOL_SIZE.with(|p| p.replace(Some(threads))));
+    f()
 }
 
-impl std::error::Error for ThreadPoolBuildError {}
-
-/// Builder mirroring `rayon::ThreadPoolBuilder`.
-#[derive(Default)]
-pub struct ThreadPoolBuilder {
-    num_threads: Option<usize>,
-}
-
-impl ThreadPoolBuilder {
-    /// Fresh builder (defaults to available parallelism).
-    pub fn new() -> Self {
-        ThreadPoolBuilder::default()
-    }
-
-    /// Sets the worker count (0 means "default", as in rayon).
-    pub fn num_threads(mut self, n: usize) -> Self {
-        self.num_threads = if n == 0 { None } else { Some(n) };
-        self
-    }
-
-    /// Builds the pool. Infallible in this shim.
-    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        Ok(ThreadPool {
-            num_threads: self.num_threads.unwrap_or_else(default_num_threads),
-        })
-    }
-}
-
-/// A sized pool handle: a fan-out width, not a set of threads. Parallel
-/// dispatch under [`ThreadPool::install`] runs on the one process-wide
-/// pool, which grows to this width on demand.
-pub struct ThreadPool {
-    num_threads: usize,
-}
-
-impl ThreadPool {
-    /// Runs `f` with this pool's thread count governing all parallel
-    /// dispatch performed inside (on this thread).
-    pub fn install<R, F: FnOnce() -> R>(&self, f: F) -> R {
-        POOL_SIZE.with(|p| {
-            let old = p.replace(Some(self.num_threads));
-            // Restore on unwind too, so a panicking closure does not leak
-            // the override into later work on this thread.
-            struct Reset<'a>(&'a Cell<Option<usize>>, Option<usize>);
-            impl Drop for Reset<'_> {
-                fn drop(&mut self) {
-                    self.0.set(self.1);
-                }
-            }
-            let _reset = Reset(p, old);
-            f()
-        })
-    }
-
-    /// This pool's thread count.
-    pub fn current_num_threads(&self) -> usize {
-        self.num_threads
-    }
-}
-
-/// `into_par_iter` over index ranges (the only item type the workspace
-/// fans out over).
-pub trait IntoParallelIterator {
-    /// The parallel iterator type.
-    type Iter;
-    /// Converts into a parallel iterator.
-    fn into_par_iter(self) -> Self::Iter;
-}
-
-impl IntoParallelIterator for Range<usize> {
-    type Iter = ParRange;
-    fn into_par_iter(self) -> ParRange {
-        ParRange { range: self }
-    }
-}
-
-/// Parallel iterator over `Range<usize>`: real fan-out over the pool.
-pub struct ParRange {
-    range: Range<usize>,
-}
-
-impl ParRange {
-    /// Applies `f` to every index. With more than one worker the calling
-    /// thread and up to `current_num_threads() − 1` pool helpers claim
-    /// indices dynamically from an atomic cursor; when the pool is already
-    /// running a job (another thread's, or the one this call is nested in)
-    /// the range runs sequentially right here. Either way the caller
-    /// returns only after every index completes. `f` must tolerate any
-    /// assignment of indices to threads (in the workspace each index owns
-    /// disjoint output, so results do not depend on the schedule).
-    pub fn for_each<F: Fn(usize) + Sync>(self, f: F) {
-        let workers = current_num_threads().min(self.range.len());
-        if workers > 1 && POOL.run(self.range.clone(), workers - 1, &f) {
+/// Applies `f` to every index of `range`. With more than one worker the
+/// calling thread and up to `current_num_threads() − 1` pool helpers claim
+/// indices dynamically from an atomic cursor; when the pool is already
+/// running a job (another thread's, or the one this call is nested in) the
+/// range runs sequentially right here. Either way the caller returns only
+/// after every index completes. `f` must tolerate any assignment of
+/// indices to threads.
+pub fn for_each<F: Fn(usize) + Sync>(range: Range<usize>, f: F) {
+    let workers = current_num_threads().min(range.len());
+    if workers > 1 {
+        if POOL.run(range.clone(), workers - 1, &f) {
             return;
         }
-        self.range.for_each(f);
+        INLINE_DISPATCHES.fetch_add(1, Ordering::Relaxed);
     }
+    range.for_each(f);
+}
+
+/// Dispatches so far that wanted helpers but found the pool busy and ran
+/// their whole range on the calling thread.
+pub fn inline_dispatches() -> u64 {
+    INLINE_DISPATCHES.load(Ordering::Relaxed)
+}
+
+/// Helper threads the pool has started so far.
+pub fn helper_starts() -> u64 {
+    POOL.spawned.load(Ordering::Relaxed) as u64
 }
 
 /// How long an idle helper polls for the next job before it parks.
@@ -369,7 +282,7 @@ impl Pool {
         let mut have = self.spawned.load(Ordering::Relaxed);
         while have < want {
             let spawned = std::thread::Builder::new()
-                .name(format!("rayon-shim-{have}"))
+                .name(format!("kernel-pool-{have}"))
                 .spawn(move || self.helper_main());
             if spawned.is_err() {
                 break;
@@ -504,128 +417,38 @@ mod cpu {
     pub fn leave(_cpu: usize) {}
 }
 
-/// `par_chunks` on slices.
-pub trait ParallelSlice<T> {
-    /// Chunked iteration; sequential in this shim.
-    fn par_chunks(&self, chunk_size: usize) -> std::slice::Chunks<'_, T>;
-}
-
-impl<T> ParallelSlice<T> for [T] {
-    fn par_chunks(&self, chunk_size: usize) -> std::slice::Chunks<'_, T> {
-        self.chunks(chunk_size)
-    }
-}
-
-/// `par_chunks_mut` on slices.
-pub trait ParallelSliceMut<T> {
-    /// Mutable chunked iteration; sequential in this shim.
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> std::slice::ChunksMut<'_, T>;
-}
-
-impl<T> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> std::slice::ChunksMut<'_, T> {
-        self.chunks_mut(chunk_size)
-    }
-}
-
-/// `par_iter` on slices.
-pub trait IntoParallelRefIterator<T> {
-    /// Element iteration; sequential in this shim.
-    fn par_iter(&self) -> std::slice::Iter<'_, T>;
-}
-
-impl<T> IntoParallelRefIterator<T> for [T] {
-    fn par_iter(&self) -> std::slice::Iter<'_, T> {
-        self.iter()
-    }
-}
-
-/// `par_iter_mut` on slices.
-pub trait IntoParallelRefMutIterator<T> {
-    /// Mutable element iteration; sequential in this shim.
-    fn par_iter_mut(&mut self) -> std::slice::IterMut<'_, T>;
-}
-
-impl<T> IntoParallelRefMutIterator<T> for [T] {
-    fn par_iter_mut(&mut self) -> std::slice::IterMut<'_, T> {
-        self.iter_mut()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
+    use super::{current_num_threads, for_each, inline_dispatches, with_threads};
+    use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
-    #[test]
-    fn adapters_compose_like_rayon() {
-        let xs = [1.0f32, 2.0, 3.0, 4.0];
-        let doubled: Vec<f32> = xs.par_iter().map(|x| x * 2.0).collect();
-        assert_eq!(doubled, vec![2.0, 4.0, 6.0, 8.0]);
-
-        let mut ys = vec![0.0f32; 4];
-        ys.par_iter_mut()
-            .zip(xs.par_iter())
-            .for_each(|(y, x)| *y = x + 1.0);
-        assert_eq!(ys, vec![2.0, 3.0, 4.0, 5.0]);
-
-        let mut rows = vec![0usize; 6];
-        rows.par_chunks_mut(2)
-            .enumerate()
-            .for_each(|(i, row)| row.iter_mut().for_each(|v| *v = i));
-        assert_eq!(rows, vec![0, 0, 1, 1, 2, 2]);
-
-        let chunk_sums: Vec<usize> = rows.par_chunks(2).map(|c| c.iter().sum()).collect();
-        assert_eq!(chunk_sums, vec![0, 2, 4]);
+    /// Dispatches `0..n` and checks every index ran exactly once.
+    fn dispatch_and_check(n: usize) {
+        let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+        for_each(0..n, |i| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
-    fn par_range_visits_every_index_exactly_once() {
-        use std::sync::atomic::{AtomicU32, Ordering};
+    fn for_each_visits_every_index_exactly_once() {
         for threads in [1usize, 2, 8] {
-            let pool = crate::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let hits: Vec<AtomicU32> = (0..100).map(|_| AtomicU32::new(0)).collect();
-            pool.install(|| {
-                assert_eq!(crate::current_num_threads(), threads);
-                (0..100usize).into_par_iter().for_each(|i| {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                });
+            with_threads(threads, || {
+                assert_eq!(current_num_threads(), threads);
+                dispatch_and_check(100);
             });
-            for h in &hits {
-                assert_eq!(h.load(Ordering::Relaxed), 1);
-            }
         }
     }
 
     #[test]
-    fn install_restores_thread_count_on_exit() {
-        let outside = crate::current_num_threads();
-        let pool = crate::ThreadPoolBuilder::new()
-            .num_threads(3)
-            .build()
-            .unwrap();
-        pool.install(|| assert_eq!(crate::current_num_threads(), 3));
-        assert_eq!(crate::current_num_threads(), outside);
-        assert_eq!(pool.current_num_threads(), 3);
-    }
-
-    fn pool_of(threads: usize) -> crate::ThreadPool {
-        crate::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap()
-    }
-
-    /// Dispatches `0..n` and checks every index ran exactly once.
-    fn dispatch_and_check(n: usize) {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        (0..n).into_par_iter().for_each(|i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    fn with_threads_restores_the_count_on_exit_and_unwind() {
+        let outside = current_num_threads();
+        with_threads(3, || assert_eq!(current_num_threads(), 3));
+        assert_eq!(current_num_threads(), outside);
+        let caught = std::panic::catch_unwind(|| with_threads(5, || panic!("inside")));
+        assert!(caught.is_err());
+        assert_eq!(current_num_threads(), outside);
     }
 
     #[test]
@@ -638,7 +461,7 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     start.wait();
-                    pool_of(2).install(|| {
+                    with_threads(2, || {
                         for _ in 0..200 {
                             dispatch_and_check(37);
                         }
@@ -653,15 +476,18 @@ mod tests {
         // Task 0 of the outer job parks on a barrier, so the pool is
         // provably mid-job while the second thread dispatches; that
         // dispatch has to complete on its own for the outer job to end.
+        // One of the two runs inline (the inner one, or the outer one if
+        // another test holds the pool), and the counter shows it.
+        let before = inline_dispatches();
         let gate = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
             s.spawn(|| {
                 gate.wait();
-                pool_of(2).install(|| dispatch_and_check(64));
+                with_threads(2, || dispatch_and_check(64));
                 gate.wait();
             });
-            pool_of(2).install(|| {
-                (0..2usize).into_par_iter().for_each(|i| {
+            with_threads(2, || {
+                for_each(0..2, |i| {
                     if i == 0 {
                         gate.wait();
                         gate.wait();
@@ -669,15 +495,15 @@ mod tests {
                 });
             });
         });
+        assert!(inline_dispatches() > before);
     }
 
     #[test]
     fn nested_dispatch_completes() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let total = AtomicUsize::new(0);
-        pool_of(4).install(|| {
-            (0..6usize).into_par_iter().for_each(|_| {
-                (0..50usize).into_par_iter().for_each(|_| {
+        with_threads(4, || {
+            for_each(0..6, |_| {
+                for_each(0..50, |_| {
                     total.fetch_add(1, Ordering::Relaxed);
                 });
             });
@@ -691,8 +517,8 @@ mod tests {
         // be the one that claims the panicking index.
         for _ in 0..4 {
             let caught = std::panic::catch_unwind(|| {
-                pool_of(2).install(|| {
-                    (0..16usize).into_par_iter().for_each(|i| {
+                with_threads(2, || {
+                    for_each(0..16, |i| {
                         if i == 7 {
                             panic!("task 7 failed");
                         }
@@ -701,7 +527,7 @@ mod tests {
             });
             let payload = caught.expect_err("the task's panic must reach the dispatcher");
             assert_eq!(payload.downcast_ref::<&str>(), Some(&"task 7 failed"));
-            pool_of(2).install(|| dispatch_and_check(100));
+            with_threads(2, || dispatch_and_check(100));
         }
     }
 }

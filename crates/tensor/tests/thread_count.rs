@@ -2,8 +2,8 @@
 //! count may not move with the number of dispatches. A binary of its own,
 //! so no other test's threads come and go while it counts.
 
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use stronghold_tensor::pool;
 
 /// `Threads:` from `/proc/self/status`; `None` where there is no procfs.
 fn os_threads() -> Option<usize> {
@@ -17,17 +17,13 @@ fn thread_count_does_not_grow_with_dispatches() {
     let Some(before) = os_threads() else {
         return; // not Linux: nothing to read the count from
     };
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(4)
-        .build()
-        .unwrap();
     let sum = AtomicUsize::new(0);
     let dispatch = || {
-        (0..8usize).into_par_iter().for_each(|i| {
+        pool::for_each(0..8, |i| {
             sum.fetch_add(i, Ordering::Relaxed);
         });
     };
-    pool.install(|| {
+    pool::with_threads(4, || {
         for _ in 0..10 {
             dispatch();
         }
@@ -35,6 +31,11 @@ fn thread_count_does_not_grow_with_dispatches() {
         assert!(
             after_10 <= before + 3,
             "a 4-wide fan-out needs at most 3 helpers: {before} -> {after_10} threads"
+        );
+        assert_eq!(
+            pool::helper_starts() as usize,
+            after_10 - before,
+            "the helper-start count matches the threads that appeared"
         );
         for _ in 10..10_000 {
             dispatch();

@@ -223,11 +223,7 @@ fn pooled_kernel_step_allocations_stop_growing() {
     );
     // Pin the width so the pool engages whatever the machine: the helpers
     // start on the first dispatch, inside the warm-up.
-    let two_wide = rayon::ThreadPoolBuilder::new()
-        .num_threads(2)
-        .build()
-        .unwrap();
-    two_wide.install(|| {
+    stronghold_tensor::pool::with_threads(2, || {
         for _ in 0..2 {
             t.train_step(&batch);
         }
@@ -274,7 +270,7 @@ fn pooled_kernel_step_allocations_stop_growing() {
             cache.recycle();
         }
     };
-    two_wide.install(|| {
+    stronghold_tensor::pool::with_threads(2, || {
         kernels(6);
         let steady = allocs_during(|| kernels(10));
         assert!(

@@ -11,6 +11,7 @@ use stronghold_model::block::Block;
 use stronghold_tensor::attention::Attention;
 use stronghold_tensor::init::{normal, seeded_rng};
 use stronghold_tensor::matmul::{matmul, matmul_nt, matmul_tn};
+use stronghold_tensor::pool::with_threads;
 use stronghold_tensor::Tensor;
 
 const WIDTHS: [usize; 3] = [1, 2, 8];
@@ -19,21 +20,12 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Runs `f` under a fork-join width of `threads`.
-fn under<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .unwrap()
-        .install(f)
-}
-
 /// `run` gives the same bits at every width.
 fn assert_width_invariant(what: &str, run: impl Fn() -> Vec<Vec<u32>>) {
-    let base = under(WIDTHS[0], &run);
+    let base = with_threads(WIDTHS[0], &run);
     for threads in &WIDTHS[1..] {
         assert!(
-            under(*threads, &run) == base,
+            with_threads(*threads, &run) == base,
             "{what}: bits differ between 1 and {threads} threads"
         );
     }
