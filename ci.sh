@@ -75,18 +75,16 @@ fi
 # `thread::scope` sites in crates/*/src, keyed by file, enclosing fn and
 # kind (one line per site, duplicates counted), must equal the list below.
 # Each entry has one tag: `persistent` (started once, lives as long as its
-# owner: the prefetcher, the D2H engine, the optimizer and spill actors, and
-# the kernel pool's helpers, which live as long as the process) or
+# owner: the `core::actor` threads — the prefetcher, the D2H engine, the
+# optimizer and spill actors — and the kernel pool's helpers, which live as
+# long as the process) or
 # `item-11` (spawned per step: the data-parallel replica fork, which ROADMAP
 # item 11(c) moves onto a parked crew, emptying these entries). A new
 # per-pass or per-step fan-out fails here.
 allowed_spawns=$(LC_ALL=C sort <<'EOF'
 crates/core/src/host/data_parallel.rs train_step scope item-11
 crates/core/src/host/data_parallel.rs train_step spawn item-11
-crates/core/src/host/offloaded.rs start spawn persistent
-crates/core/src/host/stream.rs new spawn persistent
-crates/core/src/optimpool.rs spawn_worker spawn persistent
-crates/core/src/tier.rs spawn_worker spawn persistent
+crates/core/src/actor.rs start spawn persistent
 crates/tensor/src/pool.rs ensure_helpers spawn persistent
 EOF
 )
@@ -107,6 +105,21 @@ if [ "$spawns" != "$expected_spawns" ] || [ -n "$untagged_spawns" ]; then
     echo "thread spawn sites differ from the allowlist in ci.sh (< allowed, > found):"
     diff <(echo "$expected_spawns") <(echo "$spawns") || true
     [ -z "$untagged_spawns" ] || printf 'entries without one persistent / item-11 tag:\n%s\n' "$untagged_spawns"
+    exit 1
+fi
+# The runtime's long-lived threads share one lifecycle: outside test code,
+# `thread::Builder` (a named thread) and `catch_unwind` (a job's panic
+# caught for its owner) appear in crates/core/src in actor.rs only. A
+# hand-rolled worker loop beside the actor fails here.
+own_loops=$(find crates/core/src -name '*.rs' ! -path crates/core/src/actor.rs -exec awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[ \t]*\/\// { next }
+    /thread::Builder|catch_unwind/ { print FILENAME ":" FNR ": " $0 }
+' {} +)
+if [ -n "$own_loops" ]; then
+    echo "thread lifecycle outside core::actor:"
+    echo "$own_loops"
     exit 1
 fi
 # Every shim has a dependent: each package under shims/ must be named in the

@@ -30,11 +30,9 @@
 //! [`WindowedBackend`] mechanism, and [`HostOffloadTrainer`] *is*
 //! `Engine<WindowedBackend>` (the model-building constructors live here).
 
-use std::any::Any;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use bytes::Bytes;
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
@@ -44,6 +42,7 @@ use stronghold_model::config::ModelConfig;
 use stronghold_model::transformer::{Transformer, TransformerGrads};
 use stronghold_tensor::{scratch, Precision, Tensor};
 
+use crate::actor::Actor;
 use crate::adam::{AdamParams, AdamState};
 use crate::clip::GlobalNorm;
 use crate::error::RuntimeError;
@@ -156,15 +155,6 @@ struct Route {
     want_norm: bool,
 }
 
-/// A job's end, handed back by the D2H engine once its gradient is copied
-/// out and (streaming) handed to the sink: the workspace destination, and
-/// the panic that ended the job, if one did.
-struct JobEnd {
-    layer: usize,
-    dst: Vec<f32>,
-    panic: Option<Box<dyn Any + Send>>,
-}
-
 /// A ring accumulator on its way back to BP: dropping it sends it home —
 /// after its copy, or while a panicking job unwinds — so BP never waits on
 /// one that is gone.
@@ -182,6 +172,7 @@ impl Drop for Homebound<'_> {
 }
 
 /// What the D2H engine reads besides its jobs, fixed for its lifetime.
+#[derive(Clone)]
 struct OffloadCtx {
     store: Arc<LayerStore>,
     pool: Arc<OptimizerPool>,
@@ -258,67 +249,39 @@ impl OffloadCtx {
 /// layer's backward on the compute thread, so layer `i`'s D2H overlaps
 /// layer `i−1`'s backward.
 struct D2hEngine {
-    /// `None` once the backend is dropping.
-    jobs: Option<Sender<OffloadJob>>,
+    jobs: Actor<OffloadJob>,
     /// Accumulators, back as soon as they are copied out.
     home: Receiver<BlockGrads>,
-    ends: Receiver<JobEnd>,
+    /// Each ended job's layer and workspace destination.
+    dsts: Receiver<(usize, Vec<f32>)>,
     /// Accumulators sent with a job and not taken back yet.
     lent: usize,
-    /// Jobs whose end has not been taken yet.
-    in_flight: usize,
-    thread: Option<JoinHandle<()>>,
 }
 
 impl D2hEngine {
     /// Starts the engine thread. At most [`GRAD_RING`] jobs exist at once
     /// (each carries a ring accumulator), so no job send ever blocks.
     fn start(ctx: OffloadCtx) -> Self {
-        let (jobs, rx) = bounded::<OffloadJob>(GRAD_RING);
         let (home_tx, home) = bounded(GRAD_RING);
-        let (end_tx, ends) = unbounded();
-        crate::telemetry::count_spawn();
-        let thread = std::thread::Builder::new()
-            .name("d2h".into())
-            .spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    // A panicking job (a sink's) ends only itself: its
-                    // panic travels to the compute thread with its end.
-                    let layer = job.layer;
-                    let end = match catch_unwind(AssertUnwindSafe(|| ctx.offload(job, &home_tx))) {
-                        Ok(dst) => JobEnd {
-                            layer,
-                            dst,
-                            panic: None,
-                        },
-                        Err(panic) => JobEnd {
-                            layer,
-                            dst: Vec::new(),
-                            panic: Some(panic),
-                        },
-                    };
-                    if end_tx.send(end).is_err() {
-                        return;
-                    }
-                }
-            })
-            .expect("spawn D2H engine");
+        let (dst_tx, dsts) = unbounded();
+        let jobs = Actor::start(["d2h".into()], Some(GRAD_RING), || {
+            let (ctx, home, dsts) = (ctx.clone(), home_tx.clone(), dst_tx.clone());
+            move |job: OffloadJob| {
+                let layer = job.layer;
+                let _ = dsts.send((layer, ctx.offload(job, &home)));
+            }
+        });
         D2hEngine {
-            jobs: Some(jobs),
+            jobs,
             home,
-            ends,
+            dsts,
             lent: 0,
-            in_flight: 0,
-            thread: Some(thread),
         }
     }
 
     fn submit(&mut self, job: OffloadJob) {
         self.lent += 1;
-        self.in_flight += 1;
-        (self.jobs.as_ref().expect("backend alive"))
-            .send(job)
-            .expect("D2H engine alive");
+        self.jobs.send(job);
     }
 
     /// A free ring accumulator, waiting for the engine to hand one back
@@ -334,14 +297,11 @@ impl D2hEngine {
 
     /// Waits until every job sent has ended: each destination goes back to
     /// `dsts` and each accumulator home to `ring`. Then re-raises, on the
-    /// calling thread, the first panic that ended a job.
+    /// calling thread, the first panic that ended a job (a sink's).
     fn drain(&mut self, ring: &mut Vec<BlockGrads>, dsts: &mut [Vec<f32>]) {
-        let mut failure = None;
-        while self.in_flight > 0 {
-            let JobEnd { layer, dst, panic } = self.ends.recv().expect("D2H engine alive");
-            self.in_flight -= 1;
+        let failure = self.jobs.flush();
+        while let Ok((layer, dst)) = self.dsts.try_recv() {
             dsts[layer] = dst;
-            failure = failure.or(panic);
         }
         // Every ended job has sent its accumulator home.
         for _ in 0..std::mem::take(&mut self.lent) {
@@ -349,15 +309,6 @@ impl D2hEngine {
         }
         if let Some(panic) = failure {
             resume_unwind(panic);
-        }
-    }
-}
-
-impl Drop for D2hEngine {
-    fn drop(&mut self) {
-        drop(self.jobs.take());
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
         }
     }
 }

@@ -12,30 +12,29 @@
 //! prefetcher can never run more than `m + 1` layers ahead of the last
 //! release.
 //!
-//! The prefetcher is long-lived, like the optimizer and spill actors: it is
-//! started with the stream, takes its orders over a channel and is joined
-//! when the stream drops, so no pass starts a thread. An order is one pass,
-//! or — when a serving engine knows the next round will run — a run of
-//! forward passes it chains on as it goes ([`LayerStream::stage`]): the
-//! prefetcher then moves on to the next pass's first layers as soon as the
-//! current pass's tail frees a shell. Only a read-only store may be read
-//! ahead like that.
+//! The prefetcher is a long-lived [`Actor`], like the D2H engine, the
+//! optimizer and the spill filler: it is started with the stream, takes its
+//! orders over a channel and is joined when the stream drops, so no pass
+//! starts a thread. An order is one pass, or — when a serving engine knows
+//! the next round will run — a run of forward passes it chains on as it
+//! goes ([`LayerStream::stage`]): the prefetcher then moves on to the next
+//! pass's first layers as soon as the current pass's tail frees a shell.
+//! Only a read-only store may be read ahead like that.
 //!
 //! Every store → shell conversion in the crate goes through [`load`], and
 //! the shell channels are built in [`LayerStream::issue`] only (`ci.sh`
 //! guards both), so training, serving and evaluation compute on the same
 //! device-resident value grid by construction.
 
-use std::any::Any;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
 
 use crossbeam_channel::{bounded, Receiver, Sender};
 use stronghold_model::block::{Block, BlockGrads};
 use stronghold_tensor::Precision;
 
+use crate::actor::{Actor, Panic};
 use crate::host::device::HostDevice;
 use crate::lock;
 use crate::optimpool::LayerStore;
@@ -84,9 +83,6 @@ struct Link {
     /// … and consumer wait for a prefetched layer (window too small).
     h_fetch_wait: Histogram,
 }
-
-/// A panic payload, carried from the prefetcher thread to the consumer.
-type Panic = Box<dyn Any + Send>;
 
 /// A closed order's budget: the prefetcher has staged every pass it was
 /// given and let go of the order.
@@ -139,12 +135,9 @@ pub(crate) struct LayerStream {
     /// A pass [`LayerStream::stage`] could not chain onto the staged order
     /// (the prefetcher had closed it): issued as soon as the next run ends.
     stage_after_run: bool,
-    /// Orders to the prefetcher; `None` once the stream is dropping.
-    orders: Option<Sender<Order>>,
-    /// One report per order, sent once the prefetcher has let go of it:
-    /// `Err` carries the panic that ended it.
-    ends: Receiver<Result<(), Panic>>,
-    prefetcher: Option<JoinHandle<()>>,
+    /// The prefetcher thread; one order is in flight at a time, so its
+    /// flush hands back the panic that ended the current order.
+    prefetcher: Actor<Order>,
 }
 
 impl LayerStream {
@@ -198,53 +191,37 @@ impl LayerStream {
             h_shell_wait: tel.histogram("prefetch.shell_wait_ns"),
             h_fetch_wait: tel.histogram("prefetch.fetch_wait_ns"),
         });
-        let (order_tx, order_rx) = bounded::<Order>(1);
-        let (end_tx, end_rx) = bounded(1);
-        let shared = Arc::clone(&link);
-        crate::telemetry::count_spawn();
-        let prefetcher = std::thread::Builder::new()
-            .name("prefetch".into())
-            .spawn(move || {
-                while let Ok(order) = order_rx.recv() {
-                    let Order {
-                        store,
-                        pass,
-                        budget,
-                        free,
-                        ready,
-                    } = order;
-                    let prefetcher = Prefetcher {
-                        link: &shared,
-                        store: &store,
-                        precision,
-                        free,
-                        ready,
-                    };
-                    // A failed fetch (a spill-tier read) ends only its
-                    // order: the shell queues drop while it unwinds, so the
-                    // consumer wakes, and the panic travels to it in the
-                    // report.
-                    let end = catch_unwind(AssertUnwindSafe(move || {
-                        let mut done = 0;
-                        while prefetcher.run(pass, m) {
-                            done += 1;
-                            let close = budget.compare_exchange(
-                                done,
-                                CLOSED,
-                                Ordering::SeqCst,
-                                Ordering::SeqCst,
-                            );
-                            if close.is_ok() {
-                                break;
-                            }
-                        }
-                    }));
-                    if end_tx.send(end).is_err() {
-                        return;
+        let prefetcher = Actor::start(["prefetch".into()], Some(1), || {
+            let link = Arc::clone(&link);
+            move |order: Order| {
+                let Order {
+                    store,
+                    pass,
+                    budget,
+                    free,
+                    ready,
+                } = order;
+                let prefetcher = Prefetcher {
+                    link: &link,
+                    store: &store,
+                    precision,
+                    free,
+                    ready,
+                };
+                // A failed fetch (a spill-tier read) ends only its order:
+                // the shell queues drop while it unwinds, so the consumer
+                // wakes and takes the panic from the actor's flush.
+                let mut done = 0;
+                while prefetcher.run(pass, m) {
+                    done += 1;
+                    let close =
+                        budget.compare_exchange(done, CLOSED, Ordering::SeqCst, Ordering::SeqCst);
+                    if close.is_ok() {
+                        break;
                     }
                 }
-            })
-            .expect("spawn prefetcher");
+            }
+        });
         LayerStream {
             link,
             shells: Mutex::new(vec![template; m + 1]),
@@ -252,9 +229,7 @@ impl LayerStream {
             precision,
             staged: None,
             stage_after_run: false,
-            orders: Some(order_tx),
-            ends: end_rx,
-            prefetcher: Some(prefetcher),
+            prefetcher,
         }
     }
 
@@ -348,9 +323,7 @@ impl LayerStream {
             free: free_rx.clone(),
             ready: ready_tx,
         };
-        (self.orders.as_ref().expect("stream alive"))
-            .send(order)
-            .expect("prefetcher thread alive");
+        self.prefetcher.send(order);
         Issued {
             store: Arc::clone(store),
             pass,
@@ -444,7 +417,7 @@ impl LayerStream {
             .shells
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner);
-        let mut feed = Feed::new(&self.link, &mut order, &self.ends, home, self.window);
+        let mut feed = Feed::new(&self.link, &mut order, &self.prefetcher, home, self.window);
         let out = consume(&mut feed);
         let chained = feed.taken == total && feed.order.ahead > 0;
         if chained {
@@ -466,8 +439,8 @@ impl LayerStream {
 }
 
 impl Drop for LayerStream {
-    /// Winds down a staged pass nobody will run, then stops and joins the
-    /// prefetcher.
+    /// Winds down a staged pass nobody will run; the prefetcher is joined
+    /// when its actor drops.
     fn drop(&mut self) {
         if let Some(mut staged) = self.staged.take() {
             let home = self
@@ -477,14 +450,10 @@ impl Drop for LayerStream {
             drop(Feed::new(
                 &self.link,
                 &mut staged,
-                &self.ends,
+                &self.prefetcher,
                 home,
                 self.window,
             ));
-        }
-        drop(self.orders.take());
-        if let Some(prefetcher) = self.prefetcher.take() {
-            let _ = prefetcher.join();
         }
     }
 }
@@ -569,7 +538,7 @@ impl Prefetcher<'_> {
 pub(crate) struct Feed<'a> {
     link: &'a Link,
     order: &'a mut Issued,
-    ends: &'a Receiver<Result<(), Panic>>,
+    prefetcher: &'a Actor<Order>,
     /// Where the shells rest between orders.
     home: &'a mut Vec<Block>,
     window: usize,
@@ -582,14 +551,14 @@ impl<'a> Feed<'a> {
     fn new(
         link: &'a Link,
         order: &'a mut Issued,
-        ends: &'a Receiver<Result<(), Panic>>,
+        prefetcher: &'a Actor<Order>,
         home: &'a mut Vec<Block>,
         window: usize,
     ) -> Self {
         Feed {
             link,
             order,
-            ends,
+            prefetcher,
             home,
             window,
             taken: 0,
@@ -645,7 +614,7 @@ impl<'a> Feed<'a> {
             self.link.device.free(self.link.block_bytes);
             self.home.push(shell);
         }
-        let end = self.ends.recv().ok().and_then(Result::err);
+        let end = self.prefetcher.flush();
         while let Ok(shell) = self.order.free_home.try_recv() {
             self.home.push(shell);
         }

@@ -4,8 +4,9 @@
 //! them as asynchronous actors so several layers' parameter updates run in
 //! parallel on the multi-core CPU, concurrently with GPU backward
 //! computation. The original system rides on Ray's gRPC actor layer; this
-//! reproduction uses a crossbeam-channel worker pool with identical
-//! semantics (documented substitution in DESIGN.md).
+//! reproduction runs the actors on the crate's channel-fed worker primitive
+//! (`crate::actor`) with identical semantics (documented substitution in
+//! DESIGN.md).
 //!
 //! Correctness note mirrored from the paper (§III-A "no stale updates"):
 //! each update touches exactly one layer's parameters and optimizer state,
@@ -29,11 +30,11 @@
 //! nothing outlives it: the write-back has landed when `pending_update`
 //! clears.
 
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
-
+use crate::actor::Actor;
 use crate::adam::{self, AdamParams, AdamState};
 use crate::nvme::NvmeStore;
 use crate::telemetry::{Gauge, Telemetry};
@@ -342,9 +343,9 @@ impl LayerStore {
     /// 12·S out, all on the calling thread, and `pending_update` clears only
     /// once the last chunk is written back, so readers and checkpoints never
     /// observe a stale file image. A failed swap-file access does not panic
-    /// here — the caller may be an optimizer actor whose death would strand
-    /// `flush` — but is recorded and re-raised by the next access to the
-    /// layer and by [`LayerStore::flush_spill`].
+    /// here — the unwind would leave `pending_update` set and strand the
+    /// layer's readers — but is recorded and re-raised by the next access to
+    /// the layer and by [`LayerStore::flush_spill`].
     pub fn apply_update(&self, layer: usize, grads: &[f32], hp: &AdamParams) {
         self.apply_update_with(layer, grads, hp, &mut Staging::default());
     }
@@ -574,87 +575,69 @@ struct UpdateTask {
 }
 
 /// Cap on the gradient-buffer free list. In steady state at most
-/// `layers` buffers are in flight at once, and each retains the capacity
-/// of the largest layer it ever carried.
+/// `layers` buffers are in flight at once (the `optim.grad_buffers` gauge
+/// counts the allocations), and each retains the capacity of the largest
+/// layer it ever carried.
 const MAX_RECYCLED: usize = 64;
 
 /// The concurrent optimizer pool: `workers` actor threads applying
 /// update tasks against a shared [`LayerStore`].
 pub struct OptimizerPool {
     store: Arc<LayerStore>,
-    tx: Option<Sender<UpdateTask>>,
-    inflight: Arc<(Mutex<usize>, Condvar)>,
     updates: Arc<AtomicUsize>,
-    handles: Vec<std::thread::JoinHandle<()>>,
     queue_depth: Gauge,
     recycle: Arc<Mutex<Vec<Vec<f32>>>>,
+    /// Gradient buffers [`OptimizerPool::recycled_buffer`] has allocated.
+    grad_buffers: Gauge,
+    actors: Actor<UpdateTask>,
 }
 
 impl OptimizerPool {
     /// Spawns `workers` optimizer actors over `store`, recording per-update
     /// latency (`optim.update_ns`), cumulative worker busy time
-    /// (`optim.busy_ns`) and live queue depth (`optim.queue_depth`) into
-    /// `tel`.
+    /// (`optim.busy_ns`), live queue depth (`optim.queue_depth`) and the
+    /// gradient buffers allocated (`optim.grad_buffers`) into `tel`.
     ///
     /// # Panics
     /// Panics if `workers == 0`.
     pub fn with_telemetry(store: Arc<LayerStore>, workers: usize, tel: &Telemetry) -> Self {
         assert!(workers > 0);
-        let (tx, rx) = unbounded::<UpdateTask>();
-        let mut pool = OptimizerPool {
+        let updates = Arc::new(AtomicUsize::new(0));
+        let queue_depth = tel.gauge("optim.queue_depth");
+        let recycle = Arc::new(Mutex::new(Vec::new()));
+        let names = (0..workers).map(|w| format!("optim-{w}"));
+        let actors = Actor::start(names, None, || {
+            let (store, updates, queue_depth, recycle) = (
+                Arc::clone(&store),
+                Arc::clone(&updates),
+                queue_depth.clone(),
+                Arc::clone(&recycle),
+            );
+            let update_ns = tel.histogram("optim.update_ns");
+            let busy_ns = tel.counter("optim.busy_ns");
+            let (tel, mut staging) = (tel.clone(), Staging::default());
+            move |task: UpdateTask| {
+                queue_depth.add(-1);
+                let t0 = tel.now_nanos();
+                store.apply_update_with(task.layer, &task.grads, &task.hp, &mut staging);
+                let dt = tel.now_nanos().saturating_sub(t0);
+                update_ns.record(dt);
+                busy_ns.add(dt);
+                updates.fetch_add(1, Ordering::SeqCst);
+                let mut free = lock(&recycle);
+                if free.len() < MAX_RECYCLED {
+                    free.push(task.grads);
+                }
+            }
+        });
+        OptimizerPool {
             store,
-            tx: Some(tx),
-            inflight: Arc::new((Mutex::new(0usize), Condvar::new())),
-            updates: Arc::new(AtomicUsize::new(0)),
-            handles: Vec::with_capacity(workers),
-            queue_depth: tel.gauge("optim.queue_depth"),
-            recycle: Arc::new(Mutex::new(Vec::new())),
-        };
-        for w in 0..workers {
-            pool.spawn_worker(w, rx.clone(), tel.clone());
+            updates,
+            queue_depth,
+            recycle,
+            grad_buffers: tel.gauge("optim.grad_buffers"),
+            actors,
         }
-        pool
-    }
-
-    /// Spawns actor thread `w` on the shared task channel.
-    fn spawn_worker(&mut self, w: usize, rx: Receiver<UpdateTask>, tel: Telemetry) {
-        let store = Arc::clone(&self.store);
-        let inflight = Arc::clone(&self.inflight);
-        let updates = Arc::clone(&self.updates);
-        let queue_depth = self.queue_depth.clone();
-        let recycle = Arc::clone(&self.recycle);
-        crate::telemetry::count_spawn();
-        self.handles.push(
-            std::thread::Builder::new()
-                .name(format!("optim-{w}"))
-                .spawn(move || {
-                    let update_ns = tel.histogram("optim.update_ns");
-                    let busy_ns = tel.counter("optim.busy_ns");
-                    let mut staging = Staging::default();
-                    while let Ok(task) = rx.recv() {
-                        queue_depth.add(-1);
-                        let t0 = tel.now_nanos();
-                        store.apply_update_with(task.layer, &task.grads, &task.hp, &mut staging);
-                        let dt = tel.now_nanos().saturating_sub(t0);
-                        update_ns.record(dt);
-                        busy_ns.add(dt);
-                        updates.fetch_add(1, Ordering::SeqCst);
-                        {
-                            let mut free = lock(&recycle);
-                            if free.len() < MAX_RECYCLED {
-                                free.push(task.grads);
-                            }
-                        }
-                        let (count, cv) = &*inflight;
-                        let mut n = lock(count);
-                        *n -= 1;
-                        if *n == 0 {
-                            cv.notify_all();
-                        }
-                    }
-                })
-                .expect("spawn optimizer worker"),
-        );
     }
 
     /// Submits an asynchronous update for `layer` with the hyper-params of
@@ -684,7 +667,10 @@ impl OptimizerPool {
                 buf.clear();
                 buf
             }
-            None => Vec::new(),
+            None => {
+                self.grad_buffers.add(1);
+                Vec::new()
+            }
         }
     }
 
@@ -698,40 +684,24 @@ impl OptimizerPool {
             self.store.param_len(layer),
             "gradient length mismatch for layer {layer}"
         );
-        {
-            let (count, _) = &*self.inflight;
-            *lock(count) += 1;
-        }
         self.queue_depth.add(1);
-        self.tx
-            .as_ref()
-            .expect("pool alive")
-            .send(UpdateTask { layer, grads, hp })
-            .expect("optimizer pool channel closed");
+        self.actors.send(UpdateTask { layer, grads, hp });
     }
 
     /// Blocks until every submitted update has been applied.
+    ///
+    /// # Panics
+    /// Re-raises, on the calling thread, the first panic that ended an
+    /// update since the last flush.
     pub fn flush(&self) {
-        let (count, cv) = &*self.inflight;
-        let mut n = lock(count);
-        while *n > 0 {
-            n = wait(cv, n);
+        if let Some(panic) = self.actors.flush() {
+            resume_unwind(panic);
         }
     }
 
     /// Total updates applied since creation.
     pub fn updates_applied(&self) -> usize {
         self.updates.load(Ordering::SeqCst)
-    }
-}
-
-impl Drop for OptimizerPool {
-    fn drop(&mut self) {
-        self.flush();
-        drop(self.tx.take());
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
     }
 }
 
@@ -949,22 +919,37 @@ mod tests {
         pool.submit_with(0, &[1.0; 5], AdamParams::default()); // wrong length: panics here, not in a worker
     }
 
+    /// Three steps of 4 layers: one latency sample per update, and the
+    /// gradient buffers allocated stay within `layers` (retired buffers are
+    /// drawn again, see [`MAX_RECYCLED`]).
     #[test]
     fn telemetry_counts_updates_and_latency() {
         let tel = Telemetry::enabled();
-        let store = store_with(4, 32);
+        let layers = 4;
+        let store = store_with(layers, 32);
         let pool = OptimizerPool::with_telemetry(Arc::clone(&store), 2, &tel);
-        for l in 0..4 {
-            store.mark_pending(l);
-            pool.submit_with(l, &[0.5; 32], AdamParams::default());
+        for _ in 0..3 {
+            for l in 0..layers {
+                store.mark_pending(l);
+                pool.submit_with(l, &[0.5; 32], AdamParams::default());
+            }
+            pool.flush();
         }
-        pool.flush();
         let h = tel.histogram("optim.update_ns");
-        assert_eq!(h.count(), 4, "one latency sample per update");
+        assert_eq!(
+            h.count(),
+            3 * layers as u64,
+            "one latency sample per update"
+        );
         assert_eq!(tel.counter("optim.busy_ns").get(), h.sum());
         let depth = tel.gauge("optim.queue_depth");
         assert_eq!(depth.get(), 0, "queue drained");
         assert!(depth.peak() >= 1);
+        let buffers = tel.gauge("optim.grad_buffers").get();
+        assert!(
+            (1..=layers as i64).contains(&buffers),
+            "{buffers} gradient buffers allocated for {layers} layers"
+        );
     }
 
     #[test]

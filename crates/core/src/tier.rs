@@ -52,14 +52,14 @@
 //! resident at once and the `host_capacity` budget holds through the FP→BP
 //! turn.
 
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
-use crossbeam_channel::{bounded, Receiver, Sender};
-
+use crate::actor::Actor;
+use crate::lock;
 use crate::nvme::NvmeStore;
-use crate::telemetry::{Counter, Histogram, Telemetry};
-use crate::{lock, wait};
+use crate::telemetry::{Counter, Telemetry};
 
 /// Where one layer's FP32 masters + Adam moments live.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -221,130 +221,105 @@ pub(crate) fn io_failure(
 /// together.
 pub struct TierStore {
     nvme: Arc<NvmeStore>,
-    slots: Arc<Vec<crate::optimpool::SlotCell>>,
     /// Floats per component (params, m or v) — one file slot is `3 * n`.
     n: usize,
-    tx: Option<Sender<TierJob>>,
-    inflight: Arc<(Mutex<usize>, Condvar)>,
     /// Fill buffers, every one `n` floats long. Only the fill thread finding
-    /// the list empty allocates, so its length never exceeds the most fills
-    /// ever out at once.
+    /// the list empty allocates (counted by the `spill.fill_buffers`
+    /// gauge), so its length never exceeds the most fills ever out at once.
     free: Arc<Mutex<Vec<Vec<f32>>>>,
     tel: Telemetry,
     f2h: Counter,
     h2f: Counter,
-    queue_wait: Histogram,
     fill_wait: Arc<AtomicU64>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    /// The spill thread.
+    fills: Actor<TierJob>,
 }
 
 impl TierStore {
-    /// Spawns the engine and its I/O thread.
+    /// Starts the engine and its I/O thread.
     pub(crate) fn new(
         nvme: Arc<NvmeStore>,
         slots: Arc<Vec<crate::optimpool::SlotCell>>,
         n: usize,
         tel: &Telemetry,
     ) -> Self {
-        let (tx, rx) = bounded::<TierJob>(QUEUE_CAP);
-        let mut store = TierStore {
-            nvme,
-            slots,
-            n,
-            tx: Some(tx),
-            inflight: Arc::new((Mutex::new(0usize), Condvar::new())),
-            free: Arc::new(Mutex::new(Vec::new())),
-            tel: tel.clone(),
-            f2h: tel.counter("spill.f2h_bytes"),
-            h2f: tel.counter("spill.h2f_bytes"),
-            queue_wait: tel.histogram("spill.queue_wait_ns"),
-            fill_wait: Arc::new(AtomicU64::new(0)),
-            handle: None,
-        };
-        store.spawn_worker(rx);
-        store
-    }
-
-    /// Spawns the I/O thread on the job channel.
-    fn spawn_worker(&mut self, rx: Receiver<TierJob>) {
-        let nvme = Arc::clone(&self.nvme);
-        let slots = Arc::clone(&self.slots);
-        let inflight = Arc::clone(&self.inflight);
-        let free = Arc::clone(&self.free);
-        let tel = self.tel.clone();
-        let f2h = self.f2h.clone();
-        let queue_wait = self.queue_wait.clone();
-        let n = self.n;
-        crate::telemetry::count_spawn();
-        let handle = std::thread::Builder::new()
-            .name("spill".into())
-            .spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    let TierJob::Fill {
-                        layer,
-                        file_slot,
-                        enqueued_ns,
-                    } = job;
-                    queue_wait.record(tel.now_nanos().saturating_sub(enqueued_ns));
-                    let mut buf = lock(&free).pop().unwrap_or_else(|| vec![0.0; n]);
-                    let read = {
-                        let _s = tel.span("spill-read", "fill");
-                        nvme.read_at(file_slot, 0, &mut buf, &mut Vec::new())
-                    };
-                    let cell = &slots[layer];
-                    let mut slot = lock(&cell.lock);
-                    match read {
-                        Ok(()) => {
-                            f2h.add(4 * n as u64);
-                            // The slot's cache is empty whenever a fill is
-                            // in flight: nothing to recycle.
-                            slot.params = buf;
-                            slot.filled = true;
-                        }
-                        Err(e) => {
-                            let msg = io_failure(layer, file_slot, "fill", &e);
-                            slot.failure.get_or_insert(msg);
-                            lock(&free).push(buf);
-                        }
+        let free = Arc::new(Mutex::new(Vec::new()));
+        let f2h = tel.counter("spill.f2h_bytes");
+        let fills = Actor::start(["spill".into()], Some(QUEUE_CAP), || {
+            let (nvme, slots, free, tel, f2h) = (
+                Arc::clone(&nvme),
+                Arc::clone(&slots),
+                Arc::clone(&free),
+                tel.clone(),
+                f2h.clone(),
+            );
+            let queue_wait = tel.histogram("spill.queue_wait_ns");
+            let allocated = tel.gauge("spill.fill_buffers");
+            move |job: TierJob| {
+                let TierJob::Fill {
+                    layer,
+                    file_slot,
+                    enqueued_ns,
+                } = job;
+                queue_wait.record(tel.now_nanos().saturating_sub(enqueued_ns));
+                let mut buf = lock(&free).pop().unwrap_or_else(|| {
+                    allocated.add(1);
+                    vec![0.0; n]
+                });
+                let read = {
+                    let _s = tel.span("spill-read", "fill");
+                    nvme.read_at(file_slot, 0, &mut buf, &mut Vec::new())
+                };
+                let cell = &slots[layer];
+                let mut slot = lock(&cell.lock);
+                match read {
+                    Ok(()) => {
+                        f2h.add(4 * n as u64);
+                        // The slot's cache is empty whenever a fill is in
+                        // flight: nothing to recycle.
+                        slot.params = buf;
+                        slot.filled = true;
                     }
-                    slot.fill_inflight = false;
-                    cell.cv.notify_all();
-                    drop(slot);
-                    let (count, cv) = &*inflight;
-                    let mut k = lock(count);
-                    *k -= 1;
-                    if *k == 0 {
-                        cv.notify_all();
+                    Err(e) => {
+                        let msg = io_failure(layer, file_slot, "fill", &e);
+                        slot.failure.get_or_insert(msg);
+                        lock(&free).push(buf);
                     }
                 }
-            })
-            .expect("spawn spill worker");
-        self.handle = Some(handle);
+                slot.fill_inflight = false;
+                cell.cv.notify_all();
+            }
+        });
+        TierStore {
+            nvme,
+            n,
+            free,
+            tel: tel.clone(),
+            f2h,
+            h2f: tel.counter("spill.h2f_bytes"),
+            fill_wait: Arc::new(AtomicU64::new(0)),
+            fills,
+        }
     }
 
     /// Enqueues an asynchronous fill of `layer` from `file_slot`. The caller
     /// must have set the slot's `fill_inflight` flag (and must NOT hold the
     /// slot lock — bounded-channel backpressure may block here).
     pub(crate) fn enqueue_fill(&self, layer: usize, file_slot: usize) {
-        let enqueued_ns = self.tel.now_nanos();
-        *lock(&self.inflight.0) += 1;
-        self.tx
-            .as_ref()
-            .expect("tier store alive")
-            .send(TierJob::Fill {
-                layer,
-                file_slot,
-                enqueued_ns,
-            })
-            .expect("tier channel closed");
+        self.fills.send(TierJob::Fill {
+            layer,
+            file_slot,
+            enqueued_ns: self.tel.now_nanos(),
+        });
     }
 
     /// Blocks until every enqueued fill has completed (landed or failed).
+    ///
+    /// # Panics
+    /// Re-raises a panic that ended a fill job.
     pub fn quiesce(&self) {
-        let (count, cv) = &*self.inflight;
-        let mut k = lock(count);
-        while *k > 0 {
-            k = wait(cv, k);
+        if let Some(panic) = self.fills.flush() {
+            resume_unwind(panic);
         }
     }
 
@@ -379,16 +354,6 @@ impl TierStore {
     /// Telemetry handle (for spans recorded off the worker threads).
     pub(crate) fn telemetry(&self) -> &Telemetry {
         &self.tel
-    }
-}
-
-impl Drop for TierStore {
-    fn drop(&mut self) {
-        self.quiesce();
-        drop(self.tx.take());
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
     }
 }
 

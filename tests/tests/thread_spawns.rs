@@ -22,8 +22,11 @@ fn spawns_during(work: impl FnOnce()) -> u64 {
 }
 
 /// Every pipeline thread of a trainer or a serving engine is started with
-/// it and lives as long as it does, so once warm a training step (f32,
-/// bf16, spilled, clipped) and a serving round start no thread at all. The
+/// it and lives as long as it does: constructing one starts a fixed number
+/// (the prefetcher, the D2H engine, the optimizer actors, the spill filler;
+/// a serving engine only its prefetcher), and once warm a training step
+/// (f32, bf16, spilled, clipped) and a serving round start no thread at
+/// all. The
 /// data-parallel trainer still forks one thread per replica per step
 /// (ROADMAP item 11(c)); that count is pinned too, so it cannot grow.
 #[test]
@@ -39,10 +42,13 @@ fn warm_steps_and_rounds_start_no_thread() {
         },
         ..HostOffloadConfig::default()
     };
+    // Threads each construction starts: prefetch + d2h + 2 optimizer
+    // actors, and the spill filler when a layer is spilled.
     let trainers = [
-        ("f32", host),
+        ("f32", 4, host),
         (
             "bf16",
+            4,
             HostOffloadConfig {
                 precision: Precision::Bf16,
                 ..host
@@ -50,6 +56,7 @@ fn warm_steps_and_rounds_start_no_thread() {
         ),
         (
             "spilled",
+            5,
             HostOffloadConfig {
                 host_capacity: Some(0),
                 ..host
@@ -57,14 +64,18 @@ fn warm_steps_and_rounds_start_no_thread() {
         ),
         (
             "clipped",
+            4,
             HostOffloadConfig {
                 clip_norm: Some(f32::MAX),
                 ..host
             },
         ),
     ];
-    for (tag, hocfg) in trainers {
-        let mut t = HostOffloadTrainer::new(cfg, 7, hocfg);
+    for (tag, born, hocfg) in trainers {
+        let mut t = None;
+        let started = spawns_during(|| t = Some(HostOffloadTrainer::new(cfg, 7, hocfg)));
+        assert_eq!(started, born, "{tag}: threads started by construction");
+        let mut t = t.expect("constructed");
         for _ in 0..2 {
             t.train_step(&batch);
         }
@@ -77,14 +88,22 @@ fn warm_steps_and_rounds_start_no_thread() {
         assert_eq!(warm, 0, "{tag}: threads started by 3 warm training steps");
     }
 
-    let mut eng = ServeEngine::new(
-        cfg,
-        7,
-        ServeConfig {
-            slots: 2,
-            ..ServeConfig::default()
-        },
+    let mut eng = None;
+    let started = spawns_during(|| {
+        eng = Some(ServeEngine::new(
+            cfg,
+            7,
+            ServeConfig {
+                slots: 2,
+                ..ServeConfig::default()
+            },
+        ))
+    });
+    assert_eq!(
+        started, 1,
+        "threads started by constructing a serving engine"
     );
+    let mut eng = eng.expect("constructed");
     for id in 0..3 {
         eng.submit(GenRequest {
             id,
