@@ -22,8 +22,11 @@
 //!   per-replica gradient element count — the §III-F volume formula with
 //!   zero tolerance.
 //! * **Zero steady-state allocation.** Bucket buffers come from and return
-//!   to the optimizer pool's recycler, and the communicator's rendezvous
-//!   slots grow once; the steady-state step allocates nothing new.
+//!   to the optimizer pool's fixed buffers — a rank's pool holds
+//!   `max(optimizer_workers, layers per bucket)` of them, since a bucket
+//!   parks all its layers before delivering any — and the communicator's
+//!   rendezvous slots grow once; the steady-state step allocates nothing
+//!   new.
 //!
 //! Telemetry: `comm.allreduce_bytes` (bytes through the collective, summed
 //! over ranks), `comm.bucket_flushes` (bucket all-reduces), spans on the
@@ -40,6 +43,7 @@ use stronghold_model::transformer::Transformer;
 use crate::error::RuntimeError;
 use crate::host::engine::{Engine, GradSink};
 use crate::host::offloaded::{HostOffloadConfig, WindowedBackend};
+use crate::optimpool::GradBuffer;
 use crate::telemetry::{Counter, Gauge, Telemetry};
 
 /// Configuration for [`DataParallelTrainer`]: the replica count and the
@@ -119,7 +123,7 @@ impl BucketPlan {
 
 struct BucketState {
     /// Per-layer parked gradients awaiting their bucket's completion.
-    pending: Vec<Option<Vec<f32>>>,
+    pending: Vec<Option<GradBuffer>>,
     /// Next bucket to flush. Buckets flush strictly in plan order so every
     /// rank issues the identical collective sequence (the SPMD contract of
     /// [`CommRank`]) no matter how the replicas' D2H engines interleave.
@@ -175,10 +179,10 @@ impl AllReduceSink {
         &self,
         st: &mut BucketState,
         b: usize,
-        deliver: &(dyn Fn(usize, Vec<f32>) + Sync),
+        deliver: &(dyn Fn(usize, GradBuffer) + Sync),
     ) {
         let layers: Vec<usize> = self.plan.layers_of(b).collect();
-        let mut bufs: Vec<Vec<f32>> = layers
+        let mut bufs: Vec<GradBuffer> = layers
             .iter()
             .map(|&l| st.pending[l].take().expect("bucket layer pending"))
             .collect();
@@ -196,8 +200,8 @@ impl GradSink for AllReduceSink {
     fn layer_ready(
         &self,
         layer: usize,
-        grad: Vec<f32>,
-        deliver: &(dyn Fn(usize, Vec<f32>) + Sync),
+        grad: GradBuffer,
+        deliver: &(dyn Fn(usize, GradBuffer) + Sync),
     ) {
         let mut guard = self.state.lock().expect("bucket state");
         let st: &mut BucketState = &mut guard;
@@ -283,10 +287,14 @@ impl DataParallelTrainer {
         let engines: Vec<Engine<WindowedBackend>> = ranks
             .into_iter()
             .map(|rank| {
-                let backend =
-                    WindowedBackend::from_model(Transformer::new(cfg, seed), &dp.host, tel.clone());
-                let layer_bytes = backend.block_elems() * 4;
+                let layer_bytes = cfg.block_params() as usize * 4;
                 let plan = BucketPlan::new(cfg.layers, layer_bytes, dp.bucket_bytes);
+                // The sink parks a whole bucket before delivering any of it,
+                // so the rank's optimizer pool holds at least a bucket's
+                // worth of gradient buffers.
+                let model = Transformer::new(cfg, seed);
+                let backend =
+                    WindowedBackend::from_model(model, &dp.host, plan.per_bucket, tel.clone());
                 let sink = Arc::new(AllReduceSink::new(rank, plan, tel.clone()));
                 Engine::with_sink(backend, dp.host.engine_options(), sink)
             })

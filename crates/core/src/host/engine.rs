@@ -30,6 +30,7 @@ use stronghold_tensor::Precision;
 use crate::adam::{AdamParams, AdamState};
 use crate::clip::GlobalNorm;
 use crate::error::RuntimeError;
+use crate::optimpool::GradBuffer;
 use crate::schedule::LrSchedule;
 use crate::telemetry::{Gauge, Telemetry};
 
@@ -136,10 +137,17 @@ pub struct ResidentParamsMut<'a> {
 /// throughout and must be `Send + Sync`.
 pub trait GradSink: Send + Sync {
     /// Streaming hand-off: layer `layer`'s flat gradient is complete and
-    /// owned by `grad`. The sink forwards it (possibly later, possibly
-    /// together with other layers) to `deliver`, which routes it into the
-    /// backend's optimizer pipeline. Called from backend worker threads.
-    fn layer_ready(&self, layer: usize, grad: Vec<f32>, deliver: &(dyn Fn(usize, Vec<f32>) + Sync));
+    /// owned by `grad`, one of the optimizer pool's fixed buffers. The sink
+    /// forwards it (possibly later, possibly together with other layers) to
+    /// `deliver`, which routes it into the backend's optimizer pipeline.
+    /// A buffer the sink drops instead goes back to the pool. Called from
+    /// backend worker threads.
+    fn layer_ready(
+        &self,
+        layer: usize,
+        grad: GradBuffer,
+        deliver: &(dyn Fn(usize, GradBuffer) + Sync),
+    );
     /// Deferred hand-off: the whole step's per-layer gradients, reduced in
     /// place before clipping / dispatch. `grads[i]` is layer `i`'s flat
     /// gradient.
@@ -159,8 +167,8 @@ impl GradSink for LocalSink {
     fn layer_ready(
         &self,
         layer: usize,
-        grad: Vec<f32>,
-        deliver: &(dyn Fn(usize, Vec<f32>) + Sync),
+        grad: GradBuffer,
+        deliver: &(dyn Fn(usize, GradBuffer) + Sync),
     ) {
         deliver(layer, grad);
     }

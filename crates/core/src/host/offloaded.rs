@@ -52,7 +52,7 @@ use crate::host::engine::{
     TrainingState,
 };
 use crate::host::stream::{LayerStream, Pass};
-use crate::optimpool::{LayerStore, OptimizerPool};
+use crate::optimpool::{GradBuffer, LayerStore, OptimizerPool};
 use crate::schedule::LrSchedule;
 use crate::telemetry::{Counter, Histogram, Telemetry};
 use crate::tier::TierPlan;
@@ -62,7 +62,9 @@ use crate::tier::TierPlan;
 pub struct HostOffloadConfig {
     /// Working-window size in layers (`m`).
     pub window: usize,
-    /// Concurrent CPU optimizer actors.
+    /// Concurrent CPU optimizer actors (default 2). The optimizer pool
+    /// holds one layer-sized gradient buffer per actor, allocated with the
+    /// trainer.
     pub optimizer_workers: usize,
     /// Adam hyper-parameters.
     pub adam: AdamParams,
@@ -108,7 +110,7 @@ impl Default for HostOffloadConfig {
     fn default() -> Self {
         HostOffloadConfig {
             window: 2,
-            optimizer_workers: 4,
+            optimizer_workers: 2,
             adam: AdamParams::default(),
             schedule: None,
             clip_norm: None,
@@ -214,15 +216,19 @@ impl OffloadCtx {
         let grads = acc.grads.as_ref().expect("accumulator in hand");
         match route {
             Some(route) => {
-                // Flatten straight into a recycled pool buffer: the D2H copy
-                // *is* the optimizer hand-off, no second copy. The sink
-                // decides when the buffer reaches `deliver` (a reducing sink
-                // may park it in a bucket first); the norm partial is taken
-                // there, so it reflects the reduced gradient.
+                // Flatten straight into a pool buffer: the D2H copy *is*
+                // the optimizer hand-off, no second copy. With every buffer
+                // on loan the draw waits for an update to retire, holding
+                // the accumulator, so BP waits behind it. The sink decides
+                // when the buffer reaches `deliver` (a reducing sink may
+                // park it in a bucket first); the norm partial is taken
+                // there, so it reflects the reduced gradient. A buffer
+                // dropped on the way — a sink's panic — goes back to the
+                // pool.
                 let mut buf = self.pool.recycled_buffer();
                 grads.flatten_into_as(&mut buf, self.precision);
                 drop(acc);
-                let deliver = |layer: usize, buf: Vec<f32>| {
+                let deliver = |layer: usize, buf: GradBuffer| {
                     if route.want_norm {
                         let sum_sq = GlobalNorm::layer_sum_sq(&buf);
                         self.norm_bits[layer].store(sum_sq.to_bits(), Ordering::Relaxed);
@@ -364,10 +370,15 @@ pub struct WindowedBackend {
 
 impl WindowedBackend {
     /// Splits an existing model into the resident shell and the offloaded
-    /// layer store.
+    /// layer store. `parked` is how many gradients the step's sink may hold
+    /// undelivered at once (a data-parallel bucket's layers; 0 for a sink
+    /// that delivers each as it comes): the optimizer pool holds
+    /// `max(optimizer_workers, parked)` gradient buffers, so a sink never
+    /// waits for a buffer only its own delivery would free.
     pub(crate) fn from_model(
         model: Transformer,
         hocfg: &HostOffloadConfig,
+        parked: usize,
         tel: Telemetry,
     ) -> Self {
         let cfg = model.cfg;
@@ -402,9 +413,11 @@ impl WindowedBackend {
         );
         let store =
             LayerStore::tiered(flats, &tier_plan, &tel).expect("create spill tier swap file");
+        let workers = hocfg.optimizer_workers.max(1);
         let pool = Arc::new(OptimizerPool::with_telemetry(
             Arc::clone(&store),
-            hocfg.optimizer_workers.max(1),
+            workers,
+            workers.max(parked),
             &tel,
         ));
         let grad_ring = (0..GRAD_RING).map(|_| stream.zero_grads()).collect();
@@ -508,7 +521,7 @@ impl WindowedBackend {
     }
 
     /// Flat gradient elements of one transformer block (every block has the
-    /// same shape) — sizes the data-parallel gradient buckets.
+    /// same shape).
     pub(crate) fn block_elems(&self) -> usize {
         self.stream.block_elems()
     }
@@ -852,7 +865,7 @@ impl Engine<WindowedBackend> {
         hocfg: HostOffloadConfig,
         tel: Telemetry,
     ) -> Self {
-        let backend = WindowedBackend::from_model(Transformer::new(cfg, seed), &hocfg, tel);
+        let backend = WindowedBackend::from_model(Transformer::new(cfg, seed), &hocfg, 0, tel);
         Engine::from_backend(backend, hocfg.engine_options())
     }
 
@@ -875,7 +888,7 @@ impl Engine<WindowedBackend> {
             resident_adams,
             ..
         } = st;
-        let backend = WindowedBackend::from_model(model, &hocfg, Telemetry::disabled());
+        let backend = WindowedBackend::from_model(model, &hocfg, 0, Telemetry::disabled());
         for (i, adam) in block_adams.into_iter().enumerate() {
             backend.store.set_adam(i, adam);
         }
@@ -1037,8 +1050,8 @@ mod tests {
         fn layer_ready(
             &self,
             layer: usize,
-            grad: Vec<f32>,
-            deliver: &(dyn Fn(usize, Vec<f32>) + Sync),
+            grad: GradBuffer,
+            deliver: &(dyn Fn(usize, GradBuffer) + Sync),
         ) {
             if layer == 1 {
                 panic!("{REFUSAL}");
@@ -1050,22 +1063,26 @@ mod tests {
     }
 
     /// A sink that panics on the D2H engine fails the step on the caller's
-    /// thread with its own message; a second step fails the same way
-    /// instead of waiting on the engine, and the trainer still drops.
+    /// thread with its own message; every later step fails the same way
+    /// instead of waiting on the engine, and the trainer still drops. The
+    /// refused buffer goes back to the pool each time: `C + 2` failing
+    /// steps would drain a pool of `C` that lost one per step.
     #[test]
     fn a_sink_panic_on_the_d2h_engine_reaches_the_caller() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         use std::sync::mpsc;
         use std::time::Duration;
         let cfg = tiny(4);
+        // One step more than the default pool's buffers, and one to spare.
+        let failing_steps = HostOffloadConfig::default().optimizer_workers + 2;
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || {
             let hocfg = HostOffloadConfig::default();
             let tel = Telemetry::disabled();
-            let backend = WindowedBackend::from_model(Transformer::new(cfg, 26), &hocfg, tel);
+            let backend = WindowedBackend::from_model(Transformer::new(cfg, 26), &hocfg, 0, tel);
             let mut t = Engine::with_sink(backend, hocfg.engine_options(), Arc::new(RefusingSink));
             let data = batch(&cfg, 13);
-            for _ in 0..2 {
+            for _ in 0..failing_steps {
                 let failed = catch_unwind(AssertUnwindSafe(|| t.train_step(&data))).err();
                 let _ = tx.send(failed.and_then(|p| p.downcast_ref::<String>().cloned()));
             }
@@ -1076,8 +1093,10 @@ mod tests {
             rx.recv_timeout(Duration::from_secs(10))
                 .unwrap_or_else(|_| panic!("a panicking sink hung {what}"))
         };
-        assert_eq!(next("the step").as_deref(), Some(REFUSAL));
-        assert_eq!(next("the next step").as_deref(), Some(REFUSAL));
+        for step in 0..failing_steps {
+            let failed = next(&format!("step {step}"));
+            assert_eq!(failed.as_deref(), Some(REFUSAL), "step {step}");
+        }
         assert_eq!(next("the drop"), None);
     }
 

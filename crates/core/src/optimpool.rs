@@ -29,7 +29,19 @@
 //! `3 × SPILL_CHUNK` floats per actor, never a whole layer's state, and
 //! nothing outlives it: the write-back has landed when `pending_update`
 //! clears.
+//!
+//! Gradients reach the actors in the pool's own buffers, a fixed set
+//! allocated when the pool is built: one per actor, since an actor steps
+//! one update at a time and a buffer beyond that would only hold a queued
+//! gradient (a data-parallel rank, whose sink parks a whole bucket, holds
+//! a bucket's worth). A [`GradBuffer`] goes home when it drops — its update
+//! retired, or a panic unwound past it — and a draw from a pool with none
+//! home waits for one instead of allocating. So the pool's host footprint
+//! is a closed form of the config, `buffers × layer`, and the wait is the
+//! pipeline's second back-pressure after the D2H gradient ring: the D2H
+//! engine holds a ring accumulator while it waits, so BP waits behind it.
 
+use std::ops::{Deref, DerefMut};
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -570,48 +582,99 @@ fn step_in_file(
 /// the pool.
 struct UpdateTask {
     layer: usize,
-    grads: Vec<f32>,
+    grads: GradBuffer,
     hp: AdamParams,
 }
 
-/// Cap on the gradient-buffer free list. In steady state at most
-/// `layers` buffers are in flight at once (the `optim.grad_buffers` gauge
-/// counts the allocations), and each retains the capacity of the largest
-/// layer it ever carried.
-const MAX_RECYCLED: usize = 64;
+/// The pool's gradient buffers not on loan, and the condvar a draw waits on
+/// while there are none.
+type Bank = (Mutex<Vec<Vec<f32>>>, Condvar);
+
+/// One of the optimizer pool's fixed gradient buffers, on loan from
+/// [`OptimizerPool::recycled_buffer`]. Dropping it is the only way back:
+/// it returns to the pool's free list when its update retires, and equally
+/// when a sink drops it or a panic unwinds past it, so no path loses one
+/// and the fixed pool never runs dry for good.
+pub struct GradBuffer {
+    buf: Vec<f32>,
+    bank: Arc<Bank>,
+}
+
+impl Deref for GradBuffer {
+    type Target = Vec<f32>;
+
+    fn deref(&self) -> &Vec<f32> {
+        &self.buf
+    }
+}
+
+impl DerefMut for GradBuffer {
+    fn deref_mut(&mut self) -> &mut Vec<f32> {
+        &mut self.buf
+    }
+}
+
+impl Drop for GradBuffer {
+    fn drop(&mut self) {
+        let (free, retired) = &*self.bank;
+        lock(free).push(std::mem::take(&mut self.buf));
+        retired.notify_one();
+    }
+}
 
 /// The concurrent optimizer pool: `workers` actor threads applying
-/// update tasks against a shared [`LayerStore`].
+/// update tasks against a shared [`LayerStore`], fed from a fixed set of
+/// gradient buffers.
 pub struct OptimizerPool {
     store: Arc<LayerStore>,
     updates: Arc<AtomicUsize>,
     queue_depth: Gauge,
-    recycle: Arc<Mutex<Vec<Vec<f32>>>>,
-    /// Gradient buffers [`OptimizerPool::recycled_buffer`] has allocated.
-    grad_buffers: Gauge,
+    bank: Arc<Bank>,
     actors: Actor<UpdateTask>,
 }
 
 impl OptimizerPool {
-    /// Spawns `workers` optimizer actors over `store`, recording per-update
-    /// latency (`optim.update_ns`), cumulative worker busy time
-    /// (`optim.busy_ns`), live queue depth (`optim.queue_depth`) and the
-    /// gradient buffers allocated (`optim.grad_buffers`) into `tel`.
+    /// Spawns `workers` optimizer actors over `store` and allocates the
+    /// pool's `buffers` gradient buffers, each as long as the store's
+    /// largest layer and touched once, so the pool's whole footprint is
+    /// resident from here on. One buffer per actor keeps every actor busy
+    /// — a buffer beyond that would only hold a queued gradient — so
+    /// `buffers` is `workers` unless a sink parks gradients before
+    /// delivering them (a data-parallel bucket). Records per-update latency
+    /// (`optim.update_ns`), cumulative worker busy time (`optim.busy_ns`),
+    /// live queue depth (`optim.queue_depth`) and the buffer count
+    /// (`optim.grad_buffers`) into `tel`.
     ///
     /// # Panics
-    /// Panics if `workers == 0`.
-    pub fn with_telemetry(store: Arc<LayerStore>, workers: usize, tel: &Telemetry) -> Self {
-        assert!(workers > 0);
+    /// Panics if `workers == 0` or `buffers < workers`.
+    pub fn with_telemetry(
+        store: Arc<LayerStore>,
+        workers: usize,
+        buffers: usize,
+        tel: &Telemetry,
+    ) -> Self {
+        assert!(workers > 0 && buffers >= workers);
+        let len = (0..store.len()).map(|l| store.param_len(l)).max();
+        let len = len.unwrap_or(0);
+        let free = (0..buffers)
+            .map(|_| {
+                // Written once, so every page is resident from the start.
+                let mut buf = Vec::with_capacity(len);
+                buf.resize(len, 0.0);
+                buf.clear();
+                buf
+            })
+            .collect();
+        let bank = Arc::new((Mutex::new(free), Condvar::new()));
+        tel.gauge("optim.grad_buffers").set(buffers as i64);
         let updates = Arc::new(AtomicUsize::new(0));
         let queue_depth = tel.gauge("optim.queue_depth");
-        let recycle = Arc::new(Mutex::new(Vec::new()));
         let names = (0..workers).map(|w| format!("optim-{w}"));
         let actors = Actor::start(names, None, || {
-            let (store, updates, queue_depth, recycle) = (
+            let (store, updates, queue_depth) = (
                 Arc::clone(&store),
                 Arc::clone(&updates),
                 queue_depth.clone(),
-                Arc::clone(&recycle),
             );
             let update_ns = tel.histogram("optim.update_ns");
             let busy_ns = tel.counter("optim.busy_ns");
@@ -624,18 +687,13 @@ impl OptimizerPool {
                 update_ns.record(dt);
                 busy_ns.add(dt);
                 updates.fetch_add(1, Ordering::SeqCst);
-                let mut free = lock(&recycle);
-                if free.len() < MAX_RECYCLED {
-                    free.push(task.grads);
-                }
             }
         });
         OptimizerPool {
             store,
             updates,
             queue_depth,
-            recycle,
-            grad_buffers: tel.gauge("optim.grad_buffers"),
+            bank,
             actors,
         }
     }
@@ -645,47 +703,59 @@ impl OptimizerPool {
     /// reaches the actors). The caller must have called
     /// [`LayerStore::mark_pending`] when the gradients left the GPU.
     ///
-    /// The gradients are copied into a buffer drawn from the pool's free
-    /// list (refilled by workers as updates retire), so steady-state
+    /// The gradients are copied into one of the pool's buffers, so
     /// submission allocates nothing and the caller keeps its own buffer
     /// for reuse — the "D2H copy" of §III-E3 without a fresh staging
-    /// vector per layer per step.
+    /// vector per layer per step. A malformed gradient is rejected before a
+    /// buffer is drawn.
     pub fn submit_with(&self, layer: usize, grads: &[f32], hp: AdamParams) {
+        self.check_len(layer, grads.len());
         let mut buf = self.recycled_buffer();
         buf.extend_from_slice(grads);
         self.submit_owned(layer, buf, hp);
     }
 
-    /// An empty gradient buffer drawn from the pool's free list (refilled by
-    /// workers as updates retire). Fill it and hand it back through
+    /// An empty gradient buffer from the pool's fixed set. When every
+    /// buffer is on loan this waits until one comes back — an update
+    /// retires, or a holder drops its buffer — and never allocates: a
+    /// drained pool is back-pressure on the thread drawing, as the
+    /// gradient ring is on BP. Fill the buffer and hand it back through
     /// [`OptimizerPool::submit_owned`] — the offload thread flattens layer
-    /// gradients *directly* into such a buffer, so a streamed update pays no
-    /// copy beyond the flatten itself.
-    pub fn recycled_buffer(&self) -> Vec<f32> {
-        match lock(&self.recycle).pop() {
-            Some(mut buf) => {
-                buf.clear();
-                buf
+    /// gradients *directly* into one, so a streamed update pays no copy
+    /// beyond the flatten itself.
+    pub fn recycled_buffer(&self) -> GradBuffer {
+        let (free, retired) = &*self.bank;
+        let mut free = lock(free);
+        let mut buf = loop {
+            match free.pop() {
+                Some(buf) => break buf,
+                None => free = wait(retired, free),
             }
-            None => {
-                self.grad_buffers.add(1);
-                Vec::new()
-            }
+        };
+        drop(free);
+        buf.clear();
+        GradBuffer {
+            buf,
+            bank: Arc::clone(&self.bank),
         }
     }
 
-    /// Submits an update whose gradient buffer the caller already owns
-    /// (typically one from [`OptimizerPool::recycled_buffer`]); the buffer
-    /// travels to the worker without another copy and returns to the free
-    /// list when the update retires.
-    pub fn submit_owned(&self, layer: usize, grads: Vec<f32>, hp: AdamParams) {
+    /// Submits an update whose gradient buffer the caller already drew from
+    /// [`OptimizerPool::recycled_buffer`]; the buffer travels to the worker
+    /// without another copy and returns to the pool when the update retires.
+    pub fn submit_owned(&self, layer: usize, grads: GradBuffer, hp: AdamParams) {
+        self.check_len(layer, grads.len());
+        self.queue_depth.add(1);
+        self.actors.send(UpdateTask { layer, grads, hp });
+    }
+
+    /// A gradient fails fast on the submitting thread, not in an actor.
+    fn check_len(&self, layer: usize, len: usize) {
         assert_eq!(
-            grads.len(),
+            len,
             self.store.param_len(layer),
             "gradient length mismatch for layer {layer}"
         );
-        self.queue_depth.add(1);
-        self.actors.send(UpdateTask { layer, grads, hp });
     }
 
     /// Blocks until every submitted update has been applied.
@@ -717,24 +787,104 @@ mod tests {
         LayerStore::new((0..layers).map(|l| layer_init(l, n)).collect())
     }
 
+    /// Runs `body` on its own thread and fails if it has not returned
+    /// within ten seconds: a draw that never wakes fails, not hangs.
+    fn within_watchdog(body: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            body();
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the body returned");
+    }
+
     #[test]
     fn recycler_reuses_and_takes_buffers_back() {
         let store = store_with(1, 8);
-        let pool = OptimizerPool::with_telemetry(Arc::clone(&store), 1, &Telemetry::disabled());
-        // Nothing retired yet: a draw is a fresh, unallocated buffer.
-        assert_eq!(pool.recycled_buffer().capacity(), 0);
-        // A buffer retired by a worker is drawn again: contents cleared,
-        // capacity kept.
-        let mut buf = Vec::with_capacity(64);
+        let pool = OptimizerPool::with_telemetry(Arc::clone(&store), 1, 1, &Telemetry::disabled());
+        // The buffer was allocated with the pool, one layer long.
+        let mut buf = pool.recycled_buffer();
+        assert!(buf.is_empty());
+        assert!(buf.capacity() >= 8);
+        let home = buf.as_ptr();
         buf.extend_from_slice(&[0.5; 8]);
         store.mark_pending(0);
         pool.submit_owned(0, buf, AdamParams::default());
         pool.flush();
+        // The retired update handed it back: same allocation, cleared.
         let again = pool.recycled_buffer();
+        assert_eq!(again.as_ptr(), home);
         assert!(again.is_empty());
-        assert!(again.capacity() >= 64);
-        // The free list held exactly that one buffer.
-        assert_eq!(pool.recycled_buffer().capacity(), 0);
+        // A buffer dropped without an update goes back too.
+        drop(again);
+        assert_eq!(pool.recycled_buffer().as_ptr(), home);
+    }
+
+    /// With all `C` buffers lent to updates still running, the `C + 1`-th
+    /// draw waits — it does not allocate — and returns as soon as one of
+    /// those updates retires.
+    #[test]
+    fn a_dry_pool_blocks_the_next_draw_until_an_update_retires() {
+        const C: usize = 2;
+        let store = store_with(C, 8);
+        let pool = Arc::new(OptimizerPool::with_telemetry(
+            Arc::clone(&store),
+            C,
+            C,
+            &Telemetry::disabled(),
+        ));
+        // Each update waits on its slot's lock, held here.
+        let mut held = Vec::new();
+        for l in 0..C {
+            store.mark_pending(l);
+            held.push(lock(&store.slots[l].lock));
+            pool.submit_with(l, &[0.5; 8], AdamParams::default());
+        }
+        let (drawn, draws) = std::sync::mpsc::channel();
+        let drawer = Arc::clone(&pool);
+        std::thread::spawn(move || {
+            let buf = drawer.recycled_buffer();
+            let _ = drawn.send(buf.capacity());
+        });
+        let wait = std::time::Duration::from_millis(100);
+        assert!(
+            draws.recv_timeout(wait).is_err(),
+            "a dry pool lent a buffer"
+        );
+        drop(held.pop());
+        let capacity = draws
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a retired update frees the draw");
+        assert!(capacity >= 8, "the retired buffer, not a new one");
+        drop(held);
+        within_watchdog(move || pool.flush());
+    }
+
+    /// A buffer comes home from every exit: an update that unwinds on its
+    /// actor, and a malformed gradient refused before any buffer is drawn.
+    /// With one buffer in all, a lost one hangs the next draw.
+    #[test]
+    fn no_exit_loses_a_buffer() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        within_watchdog(|| {
+            // No Adam moments: every update panics on its actor.
+            let store = LayerStore::without_moments(vec![vec![0.25; 8]; 2], 8);
+            let pool = OptimizerPool::with_telemetry(store, 1, 1, &Telemetry::disabled());
+            for l in 0..2 {
+                pool.submit_with(l, &[0.5; 8], AdamParams::default());
+                let failed = catch_unwind(AssertUnwindSafe(|| pool.flush()));
+                assert!(failed.is_err(), "the update's panic reaches flush");
+            }
+            let held = pool.recycled_buffer();
+            let refused = catch_unwind(AssertUnwindSafe(|| {
+                pool.submit_with(0, &[0.5; 5], AdamParams::default())
+            }));
+            assert!(refused.is_err(), "a short gradient is refused");
+            drop(held);
+            drop(pool.recycled_buffer());
+        });
     }
 
     /// Any number of actors stepping layers at once — resident, or spilled
@@ -758,6 +908,7 @@ mod tests {
             for (kind, store) in [("resident", store_with(6, 32)), ("spilled", spilled)] {
                 let pool = OptimizerPool::with_telemetry(
                     Arc::clone(&store),
+                    workers,
                     workers,
                     &Telemetry::disabled(),
                 );
@@ -865,7 +1016,7 @@ mod tests {
     fn a_failed_spilled_update_wakes_flush_and_reraises_on_the_caller() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let store = fully_spilled(vec![vec![0.25; 64]; 2]);
-        let pool = OptimizerPool::with_telemetry(Arc::clone(&store), 1, &Telemetry::disabled());
+        let pool = OptimizerPool::with_telemetry(Arc::clone(&store), 1, 1, &Telemetry::disabled());
         let nvme = store.tier_store().unwrap().nvme();
         std::fs::OpenOptions::new()
             .write(true)
@@ -895,7 +1046,7 @@ mod tests {
     #[test]
     fn many_updates_across_layers_complete() {
         let store = store_with(16, 64);
-        let pool = OptimizerPool::with_telemetry(Arc::clone(&store), 4, &Telemetry::disabled());
+        let pool = OptimizerPool::with_telemetry(Arc::clone(&store), 4, 4, &Telemetry::disabled());
         for iter in 0..10 {
             for l in 0..16 {
                 store.mark_pending(l);
@@ -914,20 +1065,22 @@ mod tests {
     #[should_panic(expected = "gradient length mismatch")]
     fn malformed_gradient_rejected_at_submit() {
         let store = store_with(2, 8);
-        let pool = OptimizerPool::with_telemetry(Arc::clone(&store), 2, &Telemetry::disabled());
+        let pool = OptimizerPool::with_telemetry(Arc::clone(&store), 2, 2, &Telemetry::disabled());
         store.mark_pending(0);
         pool.submit_with(0, &[1.0; 5], AdamParams::default()); // wrong length: panics here, not in a worker
     }
 
     /// Three steps of 4 layers: one latency sample per update, and the
-    /// gradient buffers allocated stay within `layers` (retired buffers are
-    /// drawn again, see [`MAX_RECYCLED`]).
+    /// pool's gradient buffers are the ones it was built with, one per
+    /// actor, before the first update and after the last.
     #[test]
     fn telemetry_counts_updates_and_latency() {
         let tel = Telemetry::enabled();
-        let layers = 4;
+        let (layers, workers) = (4, 2);
         let store = store_with(layers, 32);
-        let pool = OptimizerPool::with_telemetry(Arc::clone(&store), 2, &tel);
+        let pool = OptimizerPool::with_telemetry(Arc::clone(&store), workers, workers, &tel);
+        let buffers = tel.gauge("optim.grad_buffers");
+        assert_eq!(buffers.get(), workers as i64, "allocated when built");
         for _ in 0..3 {
             for l in 0..layers {
                 store.mark_pending(l);
@@ -945,11 +1098,8 @@ mod tests {
         let depth = tel.gauge("optim.queue_depth");
         assert_eq!(depth.get(), 0, "queue drained");
         assert!(depth.peak() >= 1);
-        let buffers = tel.gauge("optim.grad_buffers").get();
-        assert!(
-            (1..=layers as i64).contains(&buffers),
-            "{buffers} gradient buffers allocated for {layers} layers"
-        );
+        assert_eq!(buffers.get(), workers as i64, "never another buffer");
+        assert_eq!(buffers.peak(), workers as i64, "never another buffer");
     }
 
     #[test]

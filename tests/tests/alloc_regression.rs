@@ -26,6 +26,7 @@ use stronghold_core::host::{
     HostResidentTrainer,
 };
 use stronghold_core::schedule::LrSchedule;
+use stronghold_core::Telemetry;
 use stronghold_integration_tests::batch_for;
 use stronghold_model::config::{tiny, ModelConfig};
 use stronghold_tensor::Precision;
@@ -326,12 +327,14 @@ fn spilled_step_allocations_stop_growing() {
     );
 }
 
-/// The live-heap contracts' shape: blocks large enough that a gradient
-/// buffer per layer beyond the ring — `(nb − 2)·4·S`, 1.6 MB here —
-/// exceeds [`LIVE_HEAP_CONSTANT`], so a gradient term that scales with
-/// depth again cannot hide inside it (a trainer holding one accumulator
-/// per layer, a per-sample scratch and a fold slot overruns both bounds),
-/// and a sequence short enough that debug builds run it quickly.
+/// The live-heap contracts' shape: blocks large enough that one
+/// block-sized buffer, `4·S` (0.8 MB here), is most of
+/// [`LIVE_HEAP_CONSTANT`] and two of them exceed it, so a gradient term
+/// that scales with depth again cannot hide inside it (a trainer holding
+/// one accumulator per layer, a per-sample scratch and a fold slot, or an
+/// optimizer pool holding one gradient buffer per layer instead of one per
+/// actor, overruns both bounds), and a sequence short enough that debug
+/// builds run it quickly.
 fn live_heap_cfg(batch: usize) -> ModelConfig {
     ModelConfig::new(4, 128, 4)
         .with_seq(4)
@@ -342,8 +345,9 @@ fn live_heap_cfg(batch: usize) -> ModelConfig {
 /// Everything the plans do not size: the model shell (embedding, final LN)
 /// and its gradient scratches, the compute thread's tensor scratch pool (at
 /// most 64 pooled tensors, ≤ 6 KiB each at this shape), kernel pack
-/// buffers, channels and thread handles. The runs keep ≥ 1.7 MB of the
-/// bound spare on a 2-core x86-64 box.
+/// buffers, channels and thread handles. The runs keep 0.3–1.7 MB of the
+/// bound spare on a 2-core x86-64 box: at the tightest, less than one
+/// block-sized buffer (0.8 MB).
 const LIVE_HEAP_CONSTANT: i64 = 1 << 20;
 
 /// Optimizer actors of the live-heap runs.
@@ -441,11 +445,14 @@ fn windowed_live_heap_is_bounded_by_the_plan() {
                 let mut t = HostOffloadTrainer::new(cfg, 7, live_heap_config(precision, window));
                 assert_eq!(t.spilled_layers(), 0, "{tag}: nothing spills");
                 let layer = 4 * cfg.block_params() as i64;
-                let (layers, m) = (cfg.layers as i64, t.window() as i64);
+                let m = t.window() as i64;
                 let terms = [
                     ("resident image", t.tier_plan().resident_bytes() as i64),
                     gradient_term(layer, b),
-                    ("optimizer gradient buffers, one per layer", layers * layer),
+                    (
+                        "optimizer gradient buffers, one per optimizer actor",
+                        OPTIMIZER_WORKERS as i64 * layer,
+                    ),
                     ("device shells, m + 1", (m + 1) * layer),
                     ("constant", LIVE_HEAP_CONSTANT),
                 ];
@@ -473,25 +480,25 @@ fn spilled_live_heap_is_bounded_by_the_plan() {
             let batch = batch_for(&cfg, 49);
             let base = live_bytes();
             let resident = (cfg.layers - SPILLED) as u64;
-            let mut t = HostOffloadTrainer::new(
-                cfg,
-                7,
-                HostOffloadConfig {
-                    host_capacity: Some(12 * resident * cfg.block_params()),
-                    ..live_heap_config(precision, window)
-                },
-            );
+            let hocfg = HostOffloadConfig {
+                host_capacity: Some(12 * resident * cfg.block_params()),
+                ..live_heap_config(precision, window)
+            };
+            let mut t = HostOffloadTrainer::new(cfg, 7, hocfg);
             assert_eq!(
                 t.spilled_layers(),
                 SPILLED,
                 "{tag}: the spill tier must be active"
             );
             let layer = 4 * cfg.block_params() as i64;
-            let (layers, m) = (cfg.layers as i64, t.window() as i64);
+            let m = t.window() as i64;
             let terms = [
                 ("resident image", t.tier_plan().resident_bytes() as i64),
                 gradient_term(layer, batch.len()),
-                ("optimizer gradient buffers, one per layer", layers * layer),
+                (
+                    "optimizer gradient buffers, one per optimizer actor",
+                    OPTIMIZER_WORKERS as i64 * layer,
+                ),
                 ("device shells, m + 1", (m + 1) * layer),
                 ("fill buffers, m + 2", (m + 2) * layer),
                 (
@@ -501,6 +508,23 @@ fn spilled_live_heap_is_bounded_by_the_plan() {
                 ("constant", LIVE_HEAP_CONSTANT),
             ];
             assert_live_heap_within(&tag, &mut t, &batch, base, &terms);
+            drop(t);
+            // The fill pool's closed form, a gate rather than a cap: a fill
+            // pool that blocked when dry could deadlock against demand
+            // fills. Read on a run with telemetry on, which the heap check
+            // cannot use (its span log grows every step).
+            let tel = Telemetry::enabled();
+            let mut traced = HostOffloadTrainer::with_telemetry(cfg, 7, hocfg, tel.clone());
+            for _ in 0..8 {
+                traced.train_step(&batch);
+                traced.flush();
+            }
+            let fills = tel.gauge("spill.fill_buffers").get();
+            assert!(
+                (1..=m + 2).contains(&fills),
+                "{tag}: {fills} fill buffers, the plan's m + 2 is {}",
+                m + 2
+            );
         }
     }
 }

@@ -143,6 +143,47 @@ fn dp_matrix_matches_single_replica_resident_bitwise() {
     }
 }
 
+/// A rank's sink parks a whole bucket before delivering any of it, so the
+/// rank's optimizer pool holds a bucket's worth of gradient buffers, not
+/// one per actor: with a single actor, a whole-model bucket and a one-layer
+/// bucket both finish three streamed steps (a pool of one buffer could not
+/// fill a four-layer bucket) and land on the resident reference bit for
+/// bit.
+#[test]
+fn dp_with_one_optimizer_actor_cannot_deadlock() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    let cfg = cfg();
+    let steps = 3;
+    let (ref_losses, ref_params) = resident_reference(steps);
+    let layer_bytes = cfg.block_params() as usize * 4;
+    for bucket_bytes in [usize::MAX, layer_bytes] {
+        let mut dp = dp_config(2, 2, true, bucket_bytes);
+        dp.host.optimizer_workers = 1;
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            let batch = batch_for(&cfg, 71);
+            let mut t = DataParallelTrainer::new(cfg, SEED, dp);
+            let losses: Vec<f32> = (0..steps).map(|_| t.train_step(&batch)).collect();
+            t.flush();
+            let params: Vec<Vec<f32>> = (0..cfg.layers)
+                .map(|i| t.replica(0).block_params(i))
+                .collect();
+            let _ = done.send((losses, params));
+        });
+        let (losses, params) = finished
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("bucket_bytes {bucket_bytes}: the data-parallel step hung"));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&losses),
+            bits(&ref_losses),
+            "bucket_bytes {bucket_bytes}"
+        );
+        assert_eq!(params, ref_params, "bucket_bytes {bucket_bytes}");
+    }
+}
+
 /// Thread-interleaving determinism at the trainer level: the most
 /// concurrent cell (4 replicas, streaming dispatch, layer-sized buckets,
 /// the replicas' D2H engines racing the bucket cursor) repeated from
