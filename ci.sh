@@ -345,6 +345,10 @@ grep -q '"ns_new"' "$OPS_SMOKE_OUT"
 grep -q '"op": "adam_bw_floor"' "$OPS_SMOKE_OUT"
 grep -q '"op": "round_copy_bf16"' "$OPS_SMOKE_OUT"
 grep -q '"gbps"' "$OPS_SMOKE_OUT"
+# Model construction's cost per parameter, on all pool threads and on one.
+grep -q '"op": "init_normal"' "$OPS_SMOKE_OUT"
+grep -q '"op": "init_normal_1t"' "$OPS_SMOKE_OUT"
+grep -q '"ns_per_elem"' "$OPS_SMOKE_OUT"
 
 echo "==> dp-bench smoke (quick mode)"
 # Bounded weak-scaling sweep: catches dp bench bit-rot and BENCH_dp.json

@@ -3,7 +3,9 @@
 //! Covers layernorm fwd/bwd, GELU fwd/bwd, row softmax fwd/bwd, bias
 //! add/grad, add/axpy, and the fused Adam step over GPT activation row
 //! shapes (`[tokens, d_model]`) and cache-resident flat Adam sizes, plus the
-//! layer stream's fused half-precision round-copy over one streamed block.
+//! layer stream's fused half-precision round-copy and model construction's
+//! `init::normal` draw (on all pool threads and on one) over one streamed
+//! block.
 //! Reports per-op wall time and writes the whole sweep to `BENCH_ops.json`
 //! (override the path with `BENCH_OPS_OUT`) so the op perf trajectory is
 //! diffable across PRs.
@@ -240,6 +242,29 @@ fn sweep_round_copy(n: usize, reps: usize, out: &mut Vec<Row>) {
     }
 }
 
+/// Benchmarks `init::normal` over one `n`-element draw (model
+/// construction's cost per parameter) on every pool thread and on one.
+fn sweep_init_normal(n: usize, reps: usize, out: &mut Vec<Row>) {
+    let mut rng = seeded_rng(0x1417);
+    for (op, threads) in [
+        ("init_normal", pool::current_num_threads()),
+        ("init_normal_1t", 1),
+    ] {
+        let ns_new = pool::with_threads(threads, || {
+            time_ns(reps, || {
+                std::hint::black_box(normal([n], 0.02, &mut rng));
+            })
+        });
+        out.push(Row {
+            op,
+            rows: 1,
+            cols: n,
+            ns_new,
+            bytes_per_elem: None,
+        });
+    }
+}
+
 fn main() {
     let quick = std::env::var("STRONGHOLD_OBENCH_QUICK").is_ok_and(|v| v == "1");
     // cargo runs benches with cwd = the package dir; default the output
@@ -281,10 +306,11 @@ fn main() {
         sweep_adam(n, reps, &mut results);
     }
     sweep_round_copy(block(if quick { 32 } else { 512 }), reps, &mut results);
+    sweep_init_normal(block(if quick { 32 } else { 512 }), reps, &mut results);
 
     println!(
-        "{:<15} {:>6} {:>8}  {:>12}  {:>6}",
-        "op", "rows", "cols", "ns", "GB/s"
+        "{:<15} {:>6} {:>8}  {:>12}  {:>8}  {:>6}",
+        "op", "rows", "cols", "ns", "ns/elem", "GB/s"
     );
     let mut rows_json: Vec<Value> = Vec::new();
     for r in &results {
@@ -292,12 +318,14 @@ fn main() {
         let gbps = r
             .bytes_per_elem
             .map(|b| (r.rows * r.cols * b) as f64 / r.ns_new);
+        let ns_per_elem = r.ns_new / (r.rows * r.cols) as f64;
         println!(
-            "{:<15} {:>6} {:>8}  {:>12.0}  {}",
+            "{:<15} {:>6} {:>8}  {:>12.0}  {:>8.3}  {}",
             r.op,
             r.rows,
             r.cols,
             r.ns_new,
+            ns_per_elem,
             gbps.map_or(String::new(), |g| format!("{g:>6.1}"))
         );
         let mut row = Map::new();
@@ -305,6 +333,7 @@ fn main() {
         row.insert("rows".into(), Value::from(r.rows as u64));
         row.insert("cols".into(), Value::from(r.cols as u64));
         row.insert("ns_new".into(), Value::from(r.ns_new));
+        row.insert("ns_per_elem".into(), Value::from(ns_per_elem));
         if let Some(g) = gbps {
             row.insert("gbps".into(), Value::from(g));
         }

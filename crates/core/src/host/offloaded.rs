@@ -182,6 +182,8 @@ struct OffloadCtx {
     device: Arc<HostDevice>,
     tel: Telemetry,
     wait: Histogram,
+    /// Time a streamed job waited to draw an optimizer gradient buffer.
+    buffer_wait: Histogram,
     copied: Counter,
     precision: Precision,
     block_bytes: u64,
@@ -207,25 +209,32 @@ impl OffloadCtx {
         } = job;
         let tel = &self.tel;
         self.wait.record(tel.now_nanos().saturating_sub(enqueue_ns));
-        let span = tel.span("d2h-copy", format!("d2h L{layer}"));
-        self.device.begin_d2h();
+        // The copy's span opens once it can run, so a wait for a buffer
+        // is not counted as copy time.
+        let open_copy = || {
+            self.device.begin_d2h();
+            tel.span("d2h-copy", format!("d2h L{layer}"))
+        };
         let acc = Homebound {
             grads: Some(grads),
             home,
         };
         let grads = acc.grads.as_ref().expect("accumulator in hand");
-        match route {
+        let span = match route {
             Some(route) => {
                 // Flatten straight into a pool buffer: the D2H copy *is*
                 // the optimizer hand-off, no second copy. With every buffer
                 // on loan the draw waits for an update to retire, holding
-                // the accumulator, so BP waits behind it. The sink decides
-                // when the buffer reaches `deliver` (a reducing sink may
-                // park it in a bucket first); the norm partial is taken
-                // there, so it reflects the reduced gradient. A buffer
-                // dropped on the way — a sink's panic — goes back to the
-                // pool.
+                // the accumulator, so BP waits behind it; the wait accrues
+                // to `offload.buffer_wait_ns`. The sink decides when the
+                // buffer reaches `deliver` (a reducing sink may park it in
+                // a bucket first); the norm partial is taken there, so it
+                // reflects the reduced gradient. A buffer dropped on the
+                // way — a sink's panic — goes back to the pool.
+                let t0 = tel.now_nanos();
                 let mut buf = self.pool.recycled_buffer();
+                self.buffer_wait.record(tel.now_nanos().saturating_sub(t0));
+                let span = open_copy();
                 grads.flatten_into_as(&mut buf, self.precision);
                 drop(acc);
                 let deliver = |layer: usize, buf: GradBuffer| {
@@ -237,12 +246,15 @@ impl OffloadCtx {
                     self.pool.submit_owned(layer, buf, route.hp);
                 };
                 route.sink.layer_ready(layer, buf, &deliver);
+                span
             }
             None => {
+                let span = open_copy();
                 grads.flatten_into_as(&mut dst, self.precision);
                 drop(acc);
+                span
             }
-        }
+        };
         self.device.end_d2h(self.block_bytes);
         span.end();
         self.copied.incr();
@@ -430,6 +442,7 @@ impl WindowedBackend {
             device: Arc::clone(stream.device()),
             tel: tel.clone(),
             wait: tel.histogram("d2h.queue_wait_ns"),
+            buffer_wait: tel.histogram("offload.buffer_wait_ns"),
             copied: tel.counter("offload.grads"),
             precision: hocfg.precision,
             block_bytes: stream.block_bytes(),

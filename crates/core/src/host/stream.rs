@@ -82,6 +82,8 @@ struct Link {
     h_shell_wait: Histogram,
     /// … and consumer wait for a prefetched layer (window too small).
     h_fetch_wait: Histogram,
+    /// Prefetcher wait for a layer's masters: its pending update or fill.
+    h_lend_wait: Histogram,
 }
 
 /// A closed order's budget: the prefetcher has staged every pass it was
@@ -190,6 +192,7 @@ impl LayerStream {
             c_refetched: tel.counter("prefetch.refetched"),
             h_shell_wait: tel.histogram("prefetch.shell_wait_ns"),
             h_fetch_wait: tel.histogram("prefetch.fetch_wait_ns"),
+            h_lend_wait: tel.histogram("prefetch.lend_wait_ns"),
         });
         let prefetcher = Actor::start(["prefetch".into()], Some(1), || {
             let link = Arc::clone(&link);
@@ -502,8 +505,9 @@ impl Prefetcher<'_> {
 
     /// Waits for a free shell (the window bound), then copies `layer` into
     /// it: blocks while the layer's update from the previous iteration is
-    /// pending, allocates the slot, loads, accounts the traffic. `None`
-    /// when no shell will ever come back.
+    /// pending (`prefetch.lend_wait_ns`, outside the `h2d-copy` span),
+    /// allocates the slot, loads, accounts the traffic. `None` when no
+    /// shell will ever come back.
     fn fetch(&self, layer: usize, refetch: bool) -> Option<Block> {
         let Link { device, tel, .. } = self.link;
         self.link.c_issued.incr();
@@ -517,11 +521,17 @@ impl Prefetcher<'_> {
         } else {
             format!("h2d L{layer}")
         };
-        let span = tel.span("h2d-copy", name);
-        device.begin_h2d();
-        let bytes = self.store.with_params(layer, |masters| {
+        // The copy's span opens once the masters are lent, so a wait for
+        // the layer's pending update or fill is not counted as copy time.
+        let t_lend = tel.now_nanos();
+        let (bytes, span) = self.store.with_params(layer, |masters| {
+            self.link
+                .h_lend_wait
+                .record(tel.now_nanos().saturating_sub(t_lend));
+            let span = tel.span("h2d-copy", name);
+            device.begin_h2d();
             device.alloc(self.link.block_bytes);
-            load(&mut shell, masters, self.precision)
+            (load(&mut shell, masters, self.precision), span)
         });
         device.end_h2d(bytes);
         span.end();
@@ -815,6 +825,46 @@ mod tests {
         });
         assert_eq!(tel.counter("prefetch.issued").get(), (3 * n - m) as u64);
         assert_eq!(tel.counter("prefetch.refetched").get(), (n - m) as u64);
+    }
+
+    /// A copy's span opens once the masters are lent: while layer 1's
+    /// update is pending, the prefetcher's wait for it accrues to
+    /// `prefetch.lend_wait_ns`, and the `h2d L1` span covers only the copy
+    /// after it.
+    #[test]
+    fn a_pending_update_is_a_lend_wait_not_copy_time() {
+        const HOLD: Duration = Duration::from_millis(200);
+        let tel = Telemetry::enabled();
+        let (store, mut stream) = fixture(3, Precision::F32, 1, 0, &tel);
+        let grads = vec![0.0; store.param_len(1)];
+        store.mark_pending(1);
+        stream.run(&store, Pass::Forward, |feed| {
+            // Layer 0 is staged, so the prefetcher has the second shell and
+            // waits on layer 1 while the update is held.
+            let (_, block) = feed.next();
+            std::thread::sleep(HOLD);
+            store.apply_update(1, &grads, &crate::adam::AdamParams::default());
+            feed.release(block);
+            forward_like(feed, 2);
+        });
+        let hold = HOLD.as_nanos() as u64;
+        let copy = tel
+            .spans()
+            .into_iter()
+            .find(|s| s.track == "h2d-copy" && s.name == "h2d L1")
+            .expect("layer 1 was copied");
+        assert!(
+            copy.end_ns - copy.start_ns < hold / 2,
+            "the h2d L1 span ran {} ns of a {hold} ns hold",
+            copy.end_ns - copy.start_ns
+        );
+        let lend = tel.histogram("prefetch.lend_wait_ns");
+        assert_eq!(lend.count(), 3, "one lend per copy");
+        assert!(
+            lend.sum() >= hold / 2,
+            "lend waits sum to {} ns under a {hold} ns hold",
+            lend.sum()
+        );
     }
 
     #[test]

@@ -173,8 +173,10 @@ impl LayerStore {
     /// Builds a store whose layers are placed per `plan`: `Tier::Ram` slots
     /// behave exactly as in [`LayerStore::new`]; `Tier::File` slots write
     /// their initial params + zero moments to a fresh swap file and page
-    /// through the tier's async fill thread. Falls back to the plain
-    /// resident store when the plan spills nothing.
+    /// through the tier's async fill thread. The zeros are written, not
+    /// left as the sized file's holes (which read back as zeros too): with
+    /// holes, `train-spill`'s steady-state step ran ~5 % slower. Falls back
+    /// to the plain resident store when the plan spills nothing.
     ///
     /// # Panics
     /// Panics if spilled layers have non-uniform parameter counts (the swap
@@ -642,8 +644,9 @@ impl OptimizerPool {
     /// `buffers` is `workers` unless a sink parks gradients before
     /// delivering them (a data-parallel bucket). Records per-update latency
     /// (`optim.update_ns`), cumulative worker busy time (`optim.busy_ns`),
-    /// live queue depth (`optim.queue_depth`) and the buffer count
-    /// (`optim.grad_buffers`) into `tel`.
+    /// live queue depth (`optim.queue_depth`), the buffer count
+    /// (`optim.grad_buffers`) and one `adam L{layer}` span per update on
+    /// the `optim` track into `tel`.
     ///
     /// # Panics
     /// Panics if `workers == 0` or `buffers < workers`.
@@ -682,7 +685,9 @@ impl OptimizerPool {
             move |task: UpdateTask| {
                 queue_depth.add(-1);
                 let t0 = tel.now_nanos();
+                let span = tel.span("optim", format!("adam L{}", task.layer));
                 store.apply_update_with(task.layer, &task.grads, &task.hp, &mut staging);
+                span.end();
                 let dt = tel.now_nanos().saturating_sub(t0);
                 update_ns.record(dt);
                 busy_ns.add(dt);
@@ -965,6 +970,24 @@ mod tests {
         let store = LayerStore::tiered(layer_params, &plan, &Telemetry::disabled()).unwrap();
         assert_eq!(store.spilled_layers(), layers);
         store
+    }
+
+    /// A fresh spilled layer's moments are written zeros, not the swap
+    /// file's holes (see [`LayerStore::tiered`]), and read back as zeros.
+    #[test]
+    fn a_fresh_spilled_layer_has_written_zero_moments() {
+        let n = SPILL_CHUNK + 37;
+        let store = fully_spilled(vec![layer_init(0, n), layer_init(1, n)]);
+        let nvme = store.tier.as_ref().expect("tiered store").nvme();
+        assert_eq!(nvme.bytes_written(), 2 * 3 * 4 * n as u64);
+        for l in 0..2 {
+            let fresh = store.adam_snapshot(l);
+            assert_eq!((fresh.m.len(), fresh.v.len(), fresh.t), (n, n, 0));
+            assert!(
+                fresh.m.iter().chain(&fresh.v).all(|x| x.to_bits() == 0),
+                "layer {l}: moments not all +0.0"
+            );
+        }
     }
 
     /// The spilled update steps its layer chunk by chunk; a resident store

@@ -3,6 +3,7 @@
 use rand_chacha::ChaCha8Rng;
 
 use crate::init;
+use crate::scratch;
 use crate::tensor::Tensor;
 
 /// Token and learned positional embedding table.
@@ -48,7 +49,9 @@ impl Embedding {
         self.token.numel() + self.position.numel()
     }
 
-    /// Embeds a token sequence: `tokens: [T] -> [T, H]`.
+    /// Embeds a token sequence: `tokens: [T] -> [T, H]`, into a tensor
+    /// rented from this thread's [`scratch`] pool (the step loops give it
+    /// back once the first block has consumed it).
     ///
     /// # Panics
     /// Panics if any token id is out of vocabulary or `T` exceeds the
@@ -60,7 +63,8 @@ impl Embedding {
             t <= self.position.shape().dim(0),
             "sequence longer than positional table"
         );
-        let mut out = Tensor::zeros([t, h]);
+        // Every row is overwritten below.
+        let mut out = scratch::take([t, h]);
         for (i, &tok) in tokens.iter().enumerate() {
             let tok = tok as usize;
             assert!(

@@ -65,10 +65,40 @@ impl ChaCha8Rng {
             *out = w.wrapping_add(*inp);
         }
         // 64-bit block counter in words 12..14.
-        let counter = ((self.input[13] as u64) << 32 | self.input[12] as u64).wrapping_add(1);
+        let counter = self.counter().wrapping_add(1);
         self.input[12] = counter as u32;
         self.input[13] = (counter >> 32) as u32;
         self.index = 0;
+    }
+
+    /// The 64-bit block counter: the index of the next block `refill`
+    /// generates.
+    fn counter(&self) -> u64 {
+        (self.input[13] as u64) << 32 | self.input[12] as u64
+    }
+
+    /// Position in the keystream, in 32-bit words: how many words have
+    /// been drawn since the stream's start (upstream `get_word_pos`).
+    pub fn get_word_pos(&self) -> u128 {
+        // `block` holds block `counter − 1`, of which `index` words are
+        // drawn; a fresh generator has counter 0 and index 16.
+        (self.counter() as u128) * 16 + self.index as u128 - 16
+    }
+
+    /// Seeks to keystream word `word_offset` (upstream `set_word_pos`):
+    /// the next draw returns the word a fresh generator with this seed
+    /// would return after `word_offset` draws. The block counter is 64
+    /// bits, so offsets wrap at 2^68 words.
+    pub fn set_word_pos(&mut self, word_offset: u128) {
+        let block = (word_offset / 16) as u64;
+        self.input[12] = block as u32;
+        self.input[13] = (block >> 32) as u32;
+        self.index = 16;
+        let within = (word_offset % 16) as usize;
+        if within != 0 {
+            self.refill();
+            self.index = within;
+        }
     }
 }
 
@@ -135,6 +165,28 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
         assert!((var - 1.0 / 12.0).abs() < 0.01, "var {var}");
+    }
+
+    #[test]
+    fn word_pos_counts_draws_and_seeks_anywhere() {
+        let mut seq = ChaCha8Rng::seed_from_u64(11);
+        let words: Vec<u32> = (0..80).map(|_| seq.next_u32()).collect();
+        assert_eq!(seq.get_word_pos(), 80);
+        // Every offset, block boundaries included, from fresh and from a
+        // generator that has already drawn past it.
+        for pos in 0..64usize {
+            let mut fresh = ChaCha8Rng::seed_from_u64(11);
+            assert_eq!(fresh.get_word_pos(), 0);
+            fresh.set_word_pos(pos as u128);
+            assert_eq!(fresh.get_word_pos(), pos as u128);
+            let mut used = seq.clone();
+            used.set_word_pos(pos as u128);
+            for (i, want) in words[pos..pos + 16].iter().enumerate() {
+                assert_eq!(fresh.next_u32(), *want, "fresh seek to {pos}, word {i}");
+                assert_eq!(used.next_u32(), *want, "backward seek to {pos}, word {i}");
+            }
+            assert_eq!(fresh.get_word_pos(), pos as u128 + 16);
+        }
     }
 
     #[test]

@@ -529,6 +529,48 @@ fn spilled_live_heap_is_bounded_by_the_plan() {
     }
 }
 
+/// A warm trainer's live heap does not creep with run length: a bf16
+/// trainer at window 1 and a spilled f32 trainer at window 2 (the shapes of
+/// strongbench's `train-stream` and `train-spill`, scaled down), stepped
+/// back to back through eight batches with one flush at the end of each
+/// stretch, hold no more at step 40 than at step 10. A per-step grower of a
+/// few bytes would show here as 30 steps' worth — so would an activation
+/// the step gives to the compute thread's scratch pool without having
+/// rented it there (the embedding output), which grows the pool by one
+/// tensor a step up to its 64-slot cap.
+#[test]
+fn warm_live_heap_holds_from_step_10_to_step_40() {
+    let _serial = serial();
+    let cfg = live_heap_cfg(1);
+    let batches: Vec<_> = (0..8).map(|i| batch_for(&cfg, 70 + i)).collect();
+    let spilled = HostOffloadConfig {
+        host_capacity: Some(12 * cfg.block_params()),
+        ..live_heap_config(Precision::F32, 2)
+    };
+    for (tag, hocfg) in [
+        ("bf16", live_heap_config(Precision::Bf16, 1)),
+        ("spilled", spilled),
+    ] {
+        let mut t = HostOffloadTrainer::new(cfg, 7, hocfg);
+        let mut steps = 0;
+        let mut live_after = |t: &mut HostOffloadTrainer, n: usize| {
+            while steps < n {
+                t.train_step(&batches[steps % batches.len()]);
+                steps += 1;
+            }
+            t.flush();
+            live_bytes()
+        };
+        let at_10 = live_after(&mut t, 10);
+        let at_40 = live_after(&mut t, 40);
+        assert!(
+            at_40 <= at_10,
+            "{tag}: live heap grew by {} B from step 10 to step 40",
+            at_40 - at_10
+        );
+    }
+}
+
 /// The data-parallel step must reach the same steady state: replica
 /// engines, fold slots, bucket buffers (recycled through the optimizer
 /// pool's free list) and the communicator's rendezvous slots all grow once

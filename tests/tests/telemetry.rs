@@ -73,6 +73,58 @@ fn host_trainer_prefetch_counts_and_overlap() {
     }
 }
 
+/// Every optimizer update is one `adam L{layer}` span on the `optim` track,
+/// so a trace shows the step boundary (BP L0 → D2H L0 → Adam L0 → H2D L0);
+/// each H2D copy records its wait for the layer's masters and each streamed
+/// D2H copy its wait for a gradient buffer, outside their copy spans.
+#[test]
+fn updates_are_spans_and_copy_waits_are_histograms() {
+    let cfg = tiny(4);
+    let steps = 3;
+    let batch = batch_for(&cfg, 301);
+    let tel = Telemetry::enabled();
+    let mut t = HostOffloadTrainer::with_telemetry(
+        cfg,
+        11,
+        HostOffloadConfig {
+            window: 1,
+            optimizer_workers: 2,
+            adam: AdamParams::default(),
+            ..HostOffloadConfig::default()
+        },
+        tel.clone(),
+    );
+    for _ in 0..steps {
+        t.train_step(&batch);
+    }
+    t.flush();
+
+    let updates = tel.histogram("optim.update_ns").count();
+    assert_eq!(
+        updates,
+        (cfg.layers * steps) as u64,
+        "one update per layer per step"
+    );
+    let spans = tel.spans();
+    let adam: Vec<_> = spans.iter().filter(|s| s.track == "optim").collect();
+    assert_eq!(adam.len() as u64, updates, "one optim span per update");
+    for layer in 0..cfg.layers {
+        let name = format!("adam L{layer}");
+        let n = adam.iter().filter(|s| s.name == name).count();
+        assert_eq!(n, steps, "{name} spans");
+    }
+    assert_eq!(
+        tel.histogram("prefetch.lend_wait_ns").count(),
+        tel.counter("prefetch.issued").get(),
+        "one lend wait per H2D copy"
+    );
+    assert_eq!(
+        tel.histogram("offload.buffer_wait_ns").count(),
+        tel.counter("offload.grads").get(),
+        "one buffer wait per streamed D2H copy"
+    );
+}
+
 /// With the window spanning the whole model nothing slides out, so the BP
 /// re-fetch counter must stay at zero while the FP counter is unchanged.
 #[test]
