@@ -45,13 +45,23 @@ if [ "$steps" != "crates/core/src/host/data_parallel.rs crates/core/src/host/eng
 fi
 # The spill tier holds no more than its plan: swap-file I/O is positional
 # and zero-copy (the two slice casts in nvme.rs are the only `unsafe` in
-# core, and no file sits behind a lock), and a spilled update writes back
-# on the optimizer actor that ran it — the spill workers carry fills only.
+# core, and no file sits behind a lock), a spilled layer is read straight
+# into its reader's memory and updated on the optimizer actor that steps
+# it, so the tier's own code (tier.rs, nvme.rs, outside tests) starts no
+# thread — no actor, spawn or channel — and keeps no buffer pool.
 unsafe_in=$(grep -rlw 'unsafe' crates/core/src | LC_ALL=C sort | tr '\n' ' ')
-spill_job=$(awk '/enum TierJob/,/^}/' crates/core/src/tier.rs | grep -w 'Spill' || true)
+spill_engine=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[ \t]*\/\// { next }
+    /(^|[^A-Za-z0-9_])(Actor|spawn|thread|bounded|unbounded|Sender|Receiver)([^A-Za-z0-9_]|$)|Vec<Vec<f32>>/ {
+        print FILENAME ":" FNR ": " $0
+    }
+' crates/core/src/tier.rs crates/core/src/nvme.rs)
 locked_file=$(grep -rn 'Mutex<\(std::fs::\)\?File>' crates/core/src || true)
-if [ "$unsafe_in" != "crates/core/src/nvme.rs " ] || [ -n "$spill_job" ] || [ -n "$locked_file" ]; then
-    echo "spill tier copies or serialises again: unsafe in [$unsafe_in], TierJob::Spill [$spill_job], Mutex<File> [$locked_file]"
+if [ "$unsafe_in" != "crates/core/src/nvme.rs " ] || [ -n "$spill_engine" ] || [ -n "$locked_file" ]; then
+    echo "spill tier copies or serialises again: unsafe in [$unsafe_in], Mutex<File> [$locked_file]"
+    [ -z "$spill_engine" ] || printf 'spill-tier threads or buffer pools:\n%s\n' "$spill_engine"
     exit 1
 fi
 # Gradient memory is constant, not proportional to the model's depth: the
@@ -75,8 +85,8 @@ fi
 # `thread::scope` sites in crates/*/src, keyed by file, enclosing fn and
 # kind (one line per site, duplicates counted), must equal the list below.
 # Each entry has one tag: `persistent` (started once, lives as long as its
-# owner: the `core::actor` threads — the prefetcher, the D2H engine, the
-# optimizer and spill actors — and the kernel pool's helpers, which live as
+# owner: the `core::actor` threads — the prefetcher, the D2H engine and
+# the optimizer actors — and the kernel pool's helpers, which live as
 # long as the process) or
 # `item-11` (spawned per step: the data-parallel replica fork, which ROADMAP
 # item 11(c) moves onto a parked crew, emptying these entries). A new

@@ -1,6 +1,6 @@
 //! The one long-lived worker primitive behind the runtime's threads: the
-//! layer stream's prefetcher, the D2H engine, the spill filler and the
-//! optimizer actors (§III-E1; the paper's Ray actor pool).
+//! layer stream's prefetcher, the D2H engine and the optimizer actors
+//! (§III-E1; the paper's Ray actor pool).
 //!
 //! An [`Actor`] starts its named threads once, at construction, and joins
 //! them when it drops, so no step or round starts a thread. Jobs reach the

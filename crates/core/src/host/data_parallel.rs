@@ -165,7 +165,7 @@ impl AllReduceSink {
     /// across ranks, so the counters sum to exactly `4·w·(w−1)·len` bytes.
     fn allreduce(&self, parts: &mut [&mut [f32]], what: &str, count_flush: bool) {
         let total: usize = parts.iter().map(|p| p.len()).sum();
-        let span = self.tel.span("comm", format!("allreduce {what}"));
+        let span = self.tel.span("comm", format_args!("allreduce {what}"));
         self.comm.allreduce_vec(parts);
         span.end();
         self.bytes

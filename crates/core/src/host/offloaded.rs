@@ -213,7 +213,7 @@ impl OffloadCtx {
         // is not counted as copy time.
         let open_copy = || {
             self.device.begin_d2h();
-            tel.span("d2h-copy", format!("d2h L{layer}"))
+            tel.span("d2h-copy", format_args!("d2h L{layer}"))
         };
         let acc = Homebound {
             grads: Some(grads),
@@ -395,10 +395,16 @@ impl WindowedBackend {
     ) -> Self {
         let cfg = model.cfg;
         let mut shell = model;
-        let blocks = std::mem::take(&mut shell.blocks);
-        let flats: Vec<Vec<f32>> = blocks.iter().map(|b| b.flatten_params()).collect();
-        let template =
-            (blocks.into_iter().next()).expect("offloaded trainer needs at least one block");
+        // Each block is dropped as soon as it is flattened (the first is
+        // kept as the shell template), so set-up never holds the model
+        // twice.
+        let mut blocks = std::mem::take(&mut shell.blocks).into_iter();
+        let template = blocks
+            .next()
+            .expect("offloaded trainer needs at least one block");
+        let flats: Vec<Vec<f32>> = std::iter::once(template.flatten_params())
+            .chain(blocks.map(|b| b.flatten_params()))
+            .collect();
         let block_elems = template.param_count();
         // A device block slot holds the layer at transfer precision — half
         // modes halve it, which is what doubles the window a fixed arena
@@ -505,8 +511,9 @@ impl WindowedBackend {
         self.pool.updates_applied()
     }
 
-    /// Cumulative nanoseconds the pipeline spent blocked on file-tier
-    /// fills, measured whether or not telemetry is enabled.
+    /// Cumulative nanoseconds the pipeline spent reading spilled layers'
+    /// parameters off the swap file, measured whether or not telemetry is
+    /// enabled.
     pub fn fill_wait_nanos(&self) -> u64 {
         self.store.fill_wait_nanos()
     }
@@ -663,7 +670,7 @@ impl ParamBackend for WindowedBackend {
             for i in 0..nb {
                 let (gi, block) = feed.next();
                 assert_eq!(gi, i, "fp prefetch order");
-                let span = self.tel.span("compute", format!("fp L{i}"));
+                let span = self.tel.span("compute", format_args!("fp L{i}"));
                 let next = x.iter().map(|xs| block.forward_no_cache(xs)).collect();
                 span.end();
                 inputs.push(std::mem::replace(&mut x, next));
@@ -706,7 +713,7 @@ impl ParamBackend for WindowedBackend {
                         blk
                     }
                 };
-                let span = self.tel.span("compute", format!("bp L{i}"));
+                let span = self.tel.span("compute", format_args!("bp L{i}"));
                 // Deterministic fan-in: per-sample gradients fold down the
                 // canonical pairwise tree — the same association the
                 // resident trainer and every other fan-in in the repo use.
@@ -847,8 +854,8 @@ impl ParamBackend for WindowedBackend {
 
     fn flush(&self) {
         // Pool first (a spilled update has written back when it retires),
-        // then the spill engine's fills — after both, every pending flag is
-        // clear and the file image is current.
+        // then a recorded spill I/O failure, if any, is re-raised — after
+        // both, every pending flag is clear and the file image is current.
         self.pool.flush();
         self.store.flush_spill();
     }

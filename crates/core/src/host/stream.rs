@@ -12,8 +12,8 @@
 //! prefetcher can never run more than `m + 1` layers ahead of the last
 //! release.
 //!
-//! The prefetcher is a long-lived [`Actor`], like the D2H engine, the
-//! optimizer and the spill filler: it is started with the stream, takes its
+//! The prefetcher is a long-lived [`Actor`], like the D2H engine and the
+//! optimizer actors: it is started with the stream, takes its
 //! orders over a channel and is joined when the stream drops, so no pass
 //! starts a thread. An order is one pass, or — when a serving engine knows
 //! the next round will run — a run of forward passes it chains on as it
@@ -32,12 +32,13 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use crossbeam_channel::{bounded, Receiver, Sender};
 use stronghold_model::block::{Block, BlockGrads};
+use stronghold_tensor::simd::round_copy;
 use stronghold_tensor::Precision;
 
 use crate::actor::{Actor, Panic};
 use crate::host::device::HostDevice;
 use crate::lock;
-use crate::optimpool::LayerStore;
+use crate::optimpool::{LayerStore, Masters, SPILL_CHUNK};
 use crate::telemetry::{Counter, Histogram, Telemetry};
 
 /// The layer access sequence of one [`LayerStream::run`].
@@ -52,17 +53,46 @@ pub(crate) enum Pass {
 }
 
 /// Turns one store layer into a loaded shell — the only place in the crate
-/// that does — in one pass over the master slice: a plain copy at F32, and
-/// in a half mode each value is rounded through the transfer format on its
-/// way into the shell. The device computes on the half grid while the store
+/// that does — in one pass over the masters: a plain copy at F32, and in a
+/// half mode each value is rounded through the transfer format on its way
+/// into the shell. The device computes on the half grid while the store
 /// keeps full masters, and because the rounding is idempotent a re-fetch of
 /// an unchanged layer reloads identical bits. The half-width payload itself
 /// is never materialised (the link is a memcpy; its cost is the bytes
 /// touched), only accounted: returns the bytes that cross the link. A
 /// serving store holds serving-form images, which load into serving-form
 /// shells the same way; their panel padding is layout and crosses no link.
-fn load(shell: &mut Block, masters: &[f32], precision: Precision) -> u64 {
-    shell.load_flat_params_as(masters, precision);
+///
+/// A spilled layer is read from its file range straight into the shell's
+/// tensors, one tensor at a time: at F32 in place, in a half mode through
+/// `staging`, one [`SPILL_CHUNK`] at most, which the same rounding copies
+/// on into the shell.
+fn load(
+    shell: &mut Block,
+    masters: Masters<'_>,
+    precision: Precision,
+    staging: &mut Vec<f32>,
+) -> u64 {
+    match masters {
+        Masters::Ram(flat) => shell.load_flat_params_as(flat, precision),
+        Masters::File(file) => {
+            assert_eq!(file.len(), shell.flat_len());
+            shell.load_flat_params_with(|off, dst| {
+                if !precision.is_half() {
+                    return file.read(off, dst);
+                }
+                let chunk = dst.len().min(SPILL_CHUNK);
+                if staging.len() < chunk {
+                    staging.resize(chunk, 0.0);
+                }
+                for (i, piece) in dst.chunks_mut(SPILL_CHUNK).enumerate() {
+                    let staged = &mut staging[..piece.len()];
+                    file.read(off + i * SPILL_CHUNK, staged);
+                    round_copy(precision, staged, piece);
+                }
+            });
+        }
+    }
     shell.param_count() as u64 * precision.param_bytes()
 }
 
@@ -82,7 +112,8 @@ struct Link {
     h_shell_wait: Histogram,
     /// … and consumer wait for a prefetched layer (window too small).
     h_fetch_wait: Histogram,
-    /// Prefetcher wait for a layer's masters: its pending update or fill.
+    /// Prefetcher wait for a layer's masters: its pending update, or
+    /// another reader of a spilled layer.
     h_lend_wait: Histogram,
 }
 
@@ -196,6 +227,8 @@ impl LayerStream {
         });
         let prefetcher = Actor::start(["prefetch".into()], Some(1), || {
             let link = Arc::clone(&link);
+            // Half-precision loads of spilled layers round through it.
+            let mut staging = Vec::new();
             move |order: Order| {
                 let Order {
                     store,
@@ -204,10 +237,11 @@ impl LayerStream {
                     free,
                     ready,
                 } = order;
-                let prefetcher = Prefetcher {
+                let mut prefetcher = Prefetcher {
                     link: &link,
                     store: &store,
                     precision,
+                    staging: &mut staging,
                     free,
                     ready,
                 };
@@ -276,8 +310,9 @@ impl LayerStream {
         mut per_layer: impl FnMut(&Block, usize),
     ) {
         let shell = &mut lock(&self.shells)[0];
+        let mut staging = Vec::new();
         for i in 0..store.len() {
-            store.with_params(i, |p| load(shell, p, self.precision));
+            store.with_params(i, |p| load(shell, p, self.precision, &mut staging));
             per_layer(shell, i);
         }
     }
@@ -289,7 +324,7 @@ impl LayerStream {
         (0..store.len())
             .map(|i| {
                 let mut block = shells[0].clone();
-                store.with_params(i, |p| load(&mut block, p, Precision::F32));
+                store.with_params(i, |p| load(&mut block, p, Precision::F32, &mut Vec::new()));
                 block
             })
             .collect()
@@ -388,7 +423,7 @@ impl LayerStream {
     /// A consumer that returns before the end of the pass is fine: the
     /// layers already staged (of this pass or a chained one) are drained
     /// and un-accounted. One that panics ends the pass the same way while
-    /// it unwinds. A prefetch that panics (a failed spill-tier fill) ends
+    /// it unwinds. A prefetch that panics (a failed spill-tier read) ends
     /// the pass, and its panic is re-raised on the calling thread — at the
     /// consumer's next [`Feed::next`], or here; the prefetcher thread lives
     /// on for the next pass.
@@ -466,33 +501,24 @@ struct Prefetcher<'a> {
     link: &'a Link,
     store: &'a LayerStore,
     precision: Precision,
+    staging: &'a mut Vec<f32>,
     free: Receiver<Block>,
     ready: Sender<(usize, Block)>,
 }
 
 impl Prefetcher<'_> {
-    /// Walks the pass, staging each layer into the next free shell. The
-    /// access sequence is fully known, so file-tier fills are issued `m + 1`
-    /// positions ahead of the H2D copy — disk reads hide under compute
-    /// exactly like the H2D prefetch itself ([`LayerStore::prefill`] is a
-    /// no-op for resident layers and for layers whose update is still in
-    /// flight; the read then falls back to a demand fill). Returns whether
-    /// the whole pass was staged: `false` when the consumer has gone away.
-    fn run(&self, pass: Pass, m: usize) -> bool {
+    /// Walks the pass, staging each layer into the next free shell — a
+    /// spilled layer's disk read included, so it hides under compute
+    /// exactly like the rest of the copy. Returns whether the whole pass
+    /// was staged: `false` when the consumer has gone away.
+    fn run(&mut self, pass: Pass, m: usize) -> bool {
         let n = self.store.len();
         let total = match pass {
             Pass::Forward => n,
             Pass::ForwardBackward => 2 * n - m,
         };
         let layer_at = |p: usize| if p < n { p } else { total - 1 - p };
-        let lookahead = m + 1;
-        for p in 0..lookahead.min(total) {
-            self.store.prefill(layer_at(p));
-        }
         for p in 0..total {
-            if p + lookahead < total {
-                self.store.prefill(layer_at(p + lookahead));
-            }
             let Some(shell) = self.fetch(layer_at(p), p >= n) else {
                 return false;
             };
@@ -506,9 +532,12 @@ impl Prefetcher<'_> {
     /// Waits for a free shell (the window bound), then copies `layer` into
     /// it: blocks while the layer's update from the previous iteration is
     /// pending (`prefetch.lend_wait_ns`, outside the `h2d-copy` span),
-    /// allocates the slot, loads, accounts the traffic. `None` when no
-    /// shell will ever come back.
-    fn fetch(&self, layer: usize, refetch: bool) -> Option<Block> {
+    /// loads, takes the layer's device slot, accounts the traffic. The slot
+    /// is taken once the load has landed, and the copy's in-flight mark
+    /// ends even if it does not, so a spilled layer's read that fails, and
+    /// unwinds out of the load, leaves neither behind. `None` when no shell
+    /// will ever come back.
+    fn fetch(&mut self, layer: usize, refetch: bool) -> Option<Block> {
         let Link { device, tel, .. } = self.link;
         self.link.c_issued.incr();
         let t0 = tel.now_nanos();
@@ -516,24 +545,21 @@ impl Prefetcher<'_> {
         self.link
             .h_shell_wait
             .record(tel.now_nanos().saturating_sub(t0));
-        let name = if refetch {
-            format!("h2d' L{layer}")
-        } else {
-            format!("h2d L{layer}")
-        };
+        let tag = if refetch { "h2d'" } else { "h2d" };
         // The copy's span opens once the masters are lent, so a wait for
-        // the layer's pending update or fill is not counted as copy time.
+        // the layer's pending update is not counted as copy time.
         let t_lend = tel.now_nanos();
-        let (bytes, span) = self.store.with_params(layer, |masters| {
+        let (copy, bytes, span) = self.store.with_params(layer, |masters| {
             self.link
                 .h_lend_wait
                 .record(tel.now_nanos().saturating_sub(t_lend));
-            let span = tel.span("h2d-copy", name);
-            device.begin_h2d();
+            let span = tel.span("h2d-copy", format_args!("{tag} L{layer}"));
+            let copy = InFlight::begin(device);
+            let bytes = load(&mut shell, masters, self.precision, self.staging);
             device.alloc(self.link.block_bytes);
-            (load(&mut shell, masters, self.precision), span)
+            (copy, bytes, span)
         });
-        device.end_h2d(bytes);
+        copy.land(bytes);
         span.end();
         if refetch {
             self.link.c_refetched.incr()
@@ -541,6 +567,29 @@ impl Prefetcher<'_> {
             self.link.c_completed.incr()
         }
         Some(shell)
+    }
+}
+
+/// An H2D copy marked in flight on its device (`device.h2d_inflight`) for
+/// as long as it lives: [`InFlight::land`] ends it with its bytes, and a
+/// copy dropped unlanded — its load unwound — ends with none.
+struct InFlight<'a>(&'a HostDevice);
+
+impl<'a> InFlight<'a> {
+    fn begin(device: &'a HostDevice) -> Self {
+        device.begin_h2d();
+        InFlight(device)
+    }
+
+    fn land(self, bytes: u64) {
+        self.0.end_h2d(bytes);
+        std::mem::forget(self);
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.end_h2d(0);
     }
 }
 

@@ -24,7 +24,7 @@
 //! |---|---|
 //! | §III-C working window, Fig. 3 pipelines | [`offload`] (sim), [`host::offloaded`] (real; no hook registry: the paper hooks into PyTorch's loop, here [`host::Engine::train_step`] owns the loop and channels drive the prefetcher and the D2H engine) |
 //! | §III-D analytical model (P1, P2, Eqs. 3–5) | [`analytic`], [`profile`] |
-//! | §III-E1 concurrent CPU optimizers | [`optimpool`], [`adam`]; the actors, like the prefetcher, the D2H engine and the spill filler, are instances of the one long-lived worker primitive `actor` |
+//! | §III-E1 concurrent CPU optimizers | [`optimpool`], [`adam`]; the actors, like the prefetcher and the D2H engine, are instances of the one long-lived worker primitive `actor` |
 //! | §III-E3 user-level memory management | [`host::device::HostDevice`] arena + the `m + 1` shell pool of the layer stream (`host::stream`) |
 //! | §III-G NVMe tier | [`nvme`], [`tier`] |
 //! | §IV-A multi-stream execution | [`multistream`] (sim only: Figs. 11 / 14; on the host the kernel pool shares the one parameter copy inside every GEMM) |

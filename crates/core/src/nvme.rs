@@ -5,9 +5,11 @@
 //! simulator side of this lives in [`crate::offload`] (the `Nvme` cold
 //! tier); this module provides the *functional* backing store — a real
 //! temporary swap file of fixed-size slots with positional reads and
-//! writes. The asynchronous side (fills on the spill thread, the chunked
-//! update on the optimizer actors) lives in [`crate::tier::TierStore`] and
-//! [`crate::optimpool::LayerStore`].
+//! writes. Its readers are the layer stream's prefetcher, which reads a
+//! spilled layer straight into a device shell, and the optimizer actors,
+//! which page a spilled update through in chunks
+//! ([`crate::optimpool::LayerStore`]); [`crate::tier::TierStore`] meters
+//! the traffic.
 //!
 //! I/O is positional and zero-copy: `pread` / `pwrite`
 //! ([`std::os::unix::fs::FileExt`], so the store is unix-only) straight

@@ -59,7 +59,7 @@ use crate::{lock, wait};
 /// whole-layer kernel runs a full vector: the vectorized body and the
 /// scalar tail cover the same elements, and the chunked step is
 /// bit-identical to the resident one.
-const SPILL_CHUNK: usize = 1 << 18;
+pub(crate) const SPILL_CHUNK: usize = 1 << 18;
 
 /// An optimizer actor's reusable page-in buffers for spilled updates: one
 /// chunk each of params, m and v.
@@ -69,14 +69,14 @@ pub(crate) type Staging = [Vec<f32>; 3];
 /// offloading runtime. All access is through layer-granular locks.
 ///
 /// Placement is per-layer ([`Tier`]): a slot either holds its FP32 masters
-/// and Adam moments resident in RAM (the classic mode), or pages them
-/// through a file slot on the [`TierStore`] spill engine (§III-G). The API
-/// surface is identical either way, and — because f32 ↔ le-bytes file round
-/// trips are bit-exact — so is the training math.
+/// and Adam moments resident in RAM (the classic mode), or keeps them in a
+/// file slot of the [`TierStore`] swap file (§III-G), read and updated in
+/// place there. The API surface is identical either way, and — because
+/// f32 ↔ le-bytes file round trips are bit-exact — so is the training math.
 pub struct LayerStore {
-    slots: Arc<Vec<SlotCell>>,
-    /// Per-layer parameter counts (valid even for spilled layers whose
-    /// RAM-side `params` vector is empty between fills).
+    slots: Vec<SlotCell>,
+    /// Per-layer parameter counts (valid for spilled layers too, whose
+    /// RAM-side `params` vector is empty).
     lens: Vec<usize>,
     placement: Vec<Tier>,
     tier: Option<TierStore>,
@@ -85,28 +85,27 @@ pub struct LayerStore {
     read_only: bool,
 }
 
-pub(crate) struct SlotCell {
-    pub(crate) lock: Mutex<Slot>,
-    pub(crate) cv: Condvar,
+struct SlotCell {
+    lock: Mutex<Slot>,
+    cv: Condvar,
 }
 
-pub(crate) struct Slot {
-    /// Resident layers: the authoritative masters. Spilled layers: an
-    /// evict-after-read fill cache (empty unless `filled`).
-    pub(crate) params: Vec<f32>,
+struct Slot {
+    /// Resident layers: the authoritative masters. Spilled layers: empty.
+    params: Vec<f32>,
     /// Resident layers: the authoritative moments. Spilled layers: `m`/`v`
     /// are empty (they live in the file slot) and only `t` is meaningful.
-    pub(crate) adam: AdamState,
-    pub(crate) pending_update: bool,
+    adam: AdamState,
+    pending_update: bool,
     /// Spilled layers only: index into the swap file.
-    pub(crate) file_slot: usize,
-    /// Spilled layers only: a completed fill is cached in `params`.
-    pub(crate) filled: bool,
-    /// Spilled layers only: a fill job is queued or running.
-    pub(crate) fill_inflight: bool,
+    file_slot: usize,
+    /// Spilled layers only: a reader is reading the layer's parameters
+    /// off its file slot. An update waits for it to clear, and so does the
+    /// next reader.
+    reading: bool,
     /// Spilled layers only: the first swap-file I/O failure on this layer.
     /// Every later access re-raises it (see [`Slot::check_io`]).
-    pub(crate) failure: Option<String>,
+    failure: Option<String>,
 }
 
 impl Slot {
@@ -117,8 +116,7 @@ impl Slot {
             adam: AdamState::new(n),
             pending_update: false,
             file_slot: usize::MAX,
-            filled: false,
-            fill_inflight: false,
+            reading: false,
             failure: None,
         }
     }
@@ -162,7 +160,7 @@ impl LayerStore {
             cv: Condvar::new(),
         };
         Arc::new(LayerStore {
-            slots: Arc::new(slots.into_iter().map(cell).collect()),
+            slots: slots.into_iter().map(cell).collect(),
             placement: vec![Tier::Ram; lens.len()],
             lens,
             tier: None,
@@ -172,11 +170,11 @@ impl LayerStore {
 
     /// Builds a store whose layers are placed per `plan`: `Tier::Ram` slots
     /// behave exactly as in [`LayerStore::new`]; `Tier::File` slots write
-    /// their initial params + zero moments to a fresh swap file and page
-    /// through the tier's async fill thread. The zeros are written, not
-    /// left as the sized file's holes (which read back as zeros too): with
-    /// holes, `train-spill`'s steady-state step ran ~5 % slower. Falls back
-    /// to the plain resident store when the plan spills nothing.
+    /// their initial params + zero moments to a fresh swap file, where they
+    /// are read and updated in place. The zeros are written, not left as
+    /// the sized file's holes (which read back as zeros too): with holes,
+    /// `train-spill`'s steady-state step ran ~5 % slower. Falls back to the
+    /// plain resident store when the plan spills nothing.
     ///
     /// # Panics
     /// Panics if spilled layers have non-uniform parameter counts (the swap
@@ -225,13 +223,11 @@ impl LayerStore {
                 cv: Condvar::new(),
             });
         }
-        let slots = Arc::new(slots);
-        let tier = TierStore::new(nvme, Arc::clone(&slots), n, tel);
         Ok(Arc::new(LayerStore {
             slots,
             lens,
             placement,
-            tier: Some(tier),
+            tier: Some(TierStore::new(nvme, n, tel)),
             read_only: false,
         }))
     }
@@ -264,84 +260,61 @@ impl LayerStore {
     /// [`LayerStore::read_params`] into a caller-owned buffer, clearing it
     /// first.
     pub fn read_params_into(&self, layer: usize, out: &mut Vec<f32>) {
-        self.with_params(layer, |params| {
-            out.clear();
-            out.extend_from_slice(params);
+        out.clear();
+        self.with_params(layer, |masters| match masters {
+            Masters::Ram(params) => out.extend_from_slice(params),
+            Masters::File(file) => {
+                out.resize(file.len(), 0.0);
+                file.read(0, out);
+            }
         })
     }
 
     /// Lends a layer's parameters to `f` without copying them — the read
     /// the H2D stream loads device shells from. Blocks while an update for
-    /// the layer is pending. A resident layer is lent under its slot lock;
-    /// a spilled layer's fill cache is consumed (and evicted), with a
-    /// demand fill issued if no prefill landed ahead of the read. Time
-    /// spent blocked on a fill accrues to the store's fill-wait clock.
+    /// the layer is pending. A resident layer is lent as its slice, under
+    /// its slot lock; a spilled layer as its file range, which `f` reads
+    /// straight into its own memory while the slot's `reading` flag holds
+    /// the next update (and the next reader) off. No lock is held across
+    /// the file I/O. The lend of a spilled layer is one `spill-read` span,
+    /// counts its `4·S` bytes and accrues to the store's fill-wait clock.
     ///
     /// # Panics
     /// Panics on the calling thread if the layer's swap-file I/O failed,
-    /// naming the layer, the file slot and the error.
-    pub(crate) fn with_params<R>(&self, layer: usize, f: impl FnOnce(&[f32]) -> R) -> R {
+    /// now or earlier, naming the layer, the file slot and the error.
+    pub(crate) fn with_params<R>(&self, layer: usize, f: impl FnOnce(Masters<'_>) -> R) -> R {
         let cell = &self.slots[layer];
+        let mut slot = lock(&cell.lock);
         if self.placement[layer] == Tier::Ram {
-            let mut slot = lock(&cell.lock);
             while slot.pending_update {
                 slot = wait(&cell.cv, slot);
             }
-            return f(&slot.params);
+            return f(Masters::Ram(&slot.params));
         }
         let tier = self.tier.as_ref().expect("tiered store");
-        let t0 = std::time::Instant::now();
-        let mut slot = lock(&cell.lock);
-        let buf = loop {
+        loop {
             slot.check_io();
-            if slot.pending_update {
-                slot = wait(&cell.cv, slot);
-                continue;
-            }
-            if slot.filled {
-                slot.filled = false;
-                break std::mem::take(&mut slot.params);
-            }
-            if !slot.fill_inflight {
-                // Demand fill: flag it, then enqueue outside the slot lock
-                // (bounded-channel backpressure must never block a worker's
-                // access to this slot).
-                slot.fill_inflight = true;
-                let fs = slot.file_slot;
-                drop(slot);
-                tier.enqueue_fill(layer, fs);
-                slot = lock(&cell.lock);
-                continue;
+            if !slot.pending_update && !slot.reading {
+                break;
             }
             slot = wait(&cell.cv, slot);
+        }
+        slot.reading = true;
+        let file = SpillRange {
+            tier,
+            cell,
+            layer,
+            file_slot: slot.file_slot,
+            len: self.lens[layer],
         };
         drop(slot);
-        tier.add_fill_wait(t0.elapsed().as_nanos() as u64);
-        let out = f(&buf);
-        tier.give_buffer(buf);
-        out
-    }
-
-    /// Issues an asynchronous fill of a spilled layer ahead of its read —
-    /// the schedule-driven prefetch of the file tier. No-op for resident
-    /// layers, layers already filled/filling or failed, and layers whose
-    /// update is still in flight (the file image is stale until the
-    /// write-back lands; the eventual read falls back to a demand fill).
-    pub fn prefill(&self, layer: usize) {
-        let Some(tier) = &self.tier else { return };
-        if self.placement[layer] != Tier::File {
-            return;
-        }
-        let cell = &self.slots[layer];
-        let fs = {
-            let mut slot = lock(&cell.lock);
-            if slot.pending_update || slot.filled || slot.fill_inflight || slot.failure.is_some() {
-                return;
-            }
-            slot.fill_inflight = true;
-            slot.file_slot
+        let t0 = std::time::Instant::now();
+        let out = {
+            let _s = tier.telemetry().span("spill-read", "fill");
+            f(Masters::File(&file))
         };
-        tier.enqueue_fill(layer, fs);
+        tier.count_read(t0.elapsed().as_nanos() as u64);
+        out
     }
 
     /// Marks a layer as having an in-flight update (called when gradients
@@ -386,17 +359,11 @@ impl LayerStore {
         let tier = self.tier.as_ref().expect("tiered store");
         let (fs, t) = {
             let mut slot = lock(&cell.lock);
-            // No fill may observe or race the rewrite. Callers mark the
-            // layer pending before submitting, and prefill skips pending
-            // layers, so in the pipeline the flag is already set and the
-            // wait is dead — but the protocol stays safe under any caller.
+            // No reader may observe or race the rewrite: a read that began
+            // before the layer was marked pending finishes first.
             slot.pending_update = true;
-            while slot.fill_inflight {
+            while slot.reading {
                 slot = wait(&cell.cv, slot);
-            }
-            if slot.filled {
-                slot.filled = false;
-                tier.give_buffer(std::mem::take(&mut slot.params));
             }
             (slot.file_slot, slot.adam.t + 1)
         };
@@ -493,7 +460,7 @@ impl LayerStore {
         let n = self.lens[layer];
         let fs = {
             let mut slot = lock(&cell.lock);
-            while slot.pending_update || slot.fill_inflight {
+            while slot.pending_update || slot.reading {
                 slot = wait(&cell.cv, slot);
             }
             slot.adam.t = state.t;
@@ -517,24 +484,23 @@ impl LayerStore {
         self.tier.as_ref()
     }
 
-    /// Blocks until every enqueued fill has completed. Run after the
-    /// optimizer-pool flush — which has landed every write-back, since an
-    /// update writes back inside `apply_update` — it leaves nothing in
-    /// flight.
+    /// Re-raises the first recorded swap-file I/O failure of any layer, so
+    /// a failed read or update surfaces at the step boundary. Run after the
+    /// optimizer-pool flush, which has landed every write-back: an update
+    /// writes back inside `apply_update`.
     ///
     /// # Panics
-    /// Panics with the first recorded swap-file I/O failure of any layer,
-    /// so a failed fill or update surfaces at the step boundary.
+    /// Panics with that failure.
     pub fn flush_spill(&self) {
-        if let Some(tier) = &self.tier {
-            tier.quiesce();
-            for cell in self.slots.iter() {
+        if self.tier.is_some() {
+            for cell in &self.slots {
                 lock(&cell.lock).check_io();
             }
         }
     }
 
-    /// Cumulative nanoseconds readers spent blocked on file-tier fills.
+    /// Cumulative nanoseconds readers spent reading spilled layers'
+    /// parameters off the swap file.
     pub fn fill_wait_nanos(&self) -> u64 {
         self.tier.as_ref().map_or(0, TierStore::fill_wait_nanos)
     }
@@ -577,6 +543,61 @@ fn step_in_file(
         nvme.write_at(file_slot, 2 * n + start, v, &mut scratch)?;
     }
     Ok(())
+}
+
+/// A layer's FP32 masters as [`LayerStore::with_params`] lends them.
+pub(crate) enum Masters<'a> {
+    /// A resident layer's slice, lent under its slot lock.
+    Ram(&'a [f32]),
+    /// A spilled layer's range of its file slot.
+    File(&'a SpillRange<'a>),
+}
+
+/// A spilled layer's parameters on the swap file, lent while its slot's
+/// `reading` flag is set; the flag clears, and the slot's waiters wake,
+/// when the lend ends, whether it returns or unwinds.
+pub(crate) struct SpillRange<'a> {
+    tier: &'a TierStore,
+    cell: &'a SlotCell,
+    layer: usize,
+    file_slot: usize,
+    len: usize,
+}
+
+impl SpillRange<'_> {
+    /// Parameter count of the layer.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Reads the layer's parameters `off..off + out.len()` straight into
+    /// `out`.
+    ///
+    /// # Panics
+    /// Panics if the range passes the layer's end, and if the read fails:
+    /// the failure is first recorded on the layer's slot, so every later
+    /// access re-raises it.
+    pub(crate) fn read(&self, off: usize, out: &mut [f32]) {
+        assert!(off + out.len() <= self.len, "read past the layer's end");
+        let read = self
+            .tier
+            .nvme()
+            .read_at(self.file_slot, off, out, &mut Vec::new());
+        if let Err(e) = read {
+            let msg = io_failure(self.layer, self.file_slot, "fill", &e);
+            lock(&self.cell.lock)
+                .failure
+                .get_or_insert_with(|| msg.clone());
+            panic!("{msg}");
+        }
+    }
+}
+
+impl Drop for SpillRange<'_> {
+    fn drop(&mut self) {
+        lock(&self.cell.lock).reading = false;
+        self.cell.cv.notify_all();
+    }
 }
 
 /// An asynchronous parameter-update task. Carries its own hyper-params so a
@@ -685,7 +706,7 @@ impl OptimizerPool {
             move |task: UpdateTask| {
                 queue_depth.add(-1);
                 let t0 = tel.now_nanos();
-                let span = tel.span("optim", format!("adam L{}", task.layer));
+                let span = tel.span("optim", format_args!("adam L{}", task.layer));
                 store.apply_update_with(task.layer, &task.grads, &task.hp, &mut staging);
                 span.end();
                 let dt = tel.now_nanos().saturating_sub(t0);
@@ -962,6 +983,84 @@ mod tests {
                 "reader must observe post-update params"
             );
         }
+    }
+
+    /// A spilled layer's direct read and its update exclude each other
+    /// without a lock held across the file I/O: an update waits for a read
+    /// in flight on the layer, and a read waits for a pending update. Each
+    /// read sees the params a resident store holds at the same point, bit
+    /// for bit, and after both updates the params and moments match too.
+    #[test]
+    fn a_spilled_read_and_its_update_exclude_each_other() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+        within_watchdog(|| {
+            let hp = AdamParams::default();
+            let init = layer_init(0, 40);
+            let grads = [vec![0.5; 40], vec![-0.25; 40]];
+            let resident = LayerStore::new(vec![init.clone()]);
+            let spilled = fully_spilled(vec![init]);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let blocked = Duration::from_millis(100);
+
+            // An update waits for a read in flight.
+            let (reading, read_started) = channel();
+            let (release, released) = channel::<()>();
+            let reader = {
+                let spilled = Arc::clone(&spilled);
+                std::thread::spawn(move || {
+                    spilled.with_params(0, |masters| {
+                        let Masters::File(file) = masters else {
+                            panic!("a spilled layer is lent as its file range");
+                        };
+                        reading.send(()).unwrap();
+                        released.recv().unwrap();
+                        let mut out = vec![0.0; file.len()];
+                        file.read(0, &mut out);
+                        out
+                    })
+                })
+            };
+            read_started.recv().unwrap();
+            let updater = {
+                let (spilled, grads) = (Arc::clone(&spilled), grads[0].clone());
+                std::thread::spawn(move || spilled.apply_update(0, &grads, &hp))
+            };
+            std::thread::sleep(blocked);
+            assert!(!updater.is_finished(), "an update ran under a read");
+            release.send(()).unwrap();
+            let seen = reader.join().unwrap();
+            assert_eq!(
+                bits(&seen),
+                bits(&resident.snapshot(0)),
+                "the read saw the update"
+            );
+            updater.join().unwrap();
+            resident.apply_update(0, &grads[0], &hp);
+            assert_eq!(bits(&spilled.read_params(0)), bits(&resident.snapshot(0)));
+
+            // A read waits for a pending update.
+            spilled.mark_pending(0);
+            let reader = {
+                let spilled = Arc::clone(&spilled);
+                std::thread::spawn(move || spilled.read_params(0))
+            };
+            std::thread::sleep(blocked);
+            assert!(!reader.is_finished(), "a read ran under a pending update");
+            spilled.apply_update(0, &grads[1], &hp);
+            resident.apply_update(0, &grads[1], &hp);
+            let seen = reader.join().unwrap();
+            assert_eq!(
+                bits(&seen),
+                bits(&resident.snapshot(0)),
+                "the read missed the update"
+            );
+            let (got, want) = (spilled.adam_snapshot(0), resident.adam_snapshot(0));
+            assert_eq!(
+                (bits(&got.m), bits(&got.v), got.t),
+                (bits(&want.m), bits(&want.v), want.t)
+            );
+        });
     }
 
     fn fully_spilled(layer_params: Vec<Vec<f32>>) -> Arc<LayerStore> {

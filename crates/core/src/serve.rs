@@ -539,7 +539,7 @@ impl ServeEngine {
         self.stream.run(&self.store, Pass::Forward, |feed| {
             for layer_kv in kv.iter_mut() {
                 let (i, block) = feed.next();
-                let span = tel.span("serve-compute", format!("L{i}"));
+                let span = tel.span("serve-compute", format_args!("L{i}"));
                 batch.block_forward(&block, layer_kv);
                 span.end();
                 feed.release(block);

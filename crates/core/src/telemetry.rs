@@ -244,15 +244,17 @@ impl Telemetry {
     }
 
     /// Starts a span on `track`; the span records itself when the guard
-    /// drops (or at an explicit [`SpanGuard::end`]).
-    pub fn span(&self, track: &str, name: impl Into<String>) -> SpanGuard {
+    /// drops (or at an explicit [`SpanGuard::end`]). The name is rendered
+    /// only when telemetry is on, so a per-layer name passed as
+    /// `format_args!` costs a disabled run no allocation.
+    pub fn span(&self, track: &str, name: impl std::fmt::Display) -> SpanGuard {
         match &self.inner {
             None => SpanGuard { state: None },
             Some(inner) => SpanGuard {
                 state: Some(SpanGuardState {
                     inner: Arc::clone(inner),
                     track: track.to_string(),
-                    name: name.into(),
+                    name: name.to_string(),
                     start_ns: inner.now_nanos(),
                 }),
             },

@@ -16,26 +16,32 @@
 //!   placement is reproducible run to run. Placement is invisible to the
 //!   math either way: f32 ↔ little-endian file round trips are bit-exact,
 //!   so a spilled layer trains bit-identically to a resident one.
-//! * [`TierStore`] — the async fill engine: one spill thread over a
-//!   bounded channel. Fills (file → host) are issued ahead
-//!   of the working window by the layer stream's prefetcher — the access
-//!   pattern is fully known, so disk reads hide under compute exactly like
-//!   H2D prefetch. Fill buffers circulate through one free list, so a run
-//!   holds at most the fills in flight plus the one being lent (`m + 2` at
-//!   window `m`). The update side is not here: an Adam update of a spilled
-//!   layer pages in, steps and writes back chunk by chunk on the optimizer
-//!   actor that runs it ([`crate::optimpool::LayerStore::apply_update`]).
+//! * [`TierStore`] — the file side: the swap file and the meters of the
+//!   traffic across it. There is no fill engine. The access pattern is
+//!   fully known, and the working window already runs the layer stream's
+//!   prefetcher `m + 1` layers ahead of compute, so the prefetcher reads a
+//!   spilled layer straight from its file slot into the device shell it
+//!   loads (`LayerStore::with_params` lends the file range): one copy per
+//!   spilled fetch, and no host buffer holds a second image of the layer.
+//!   The disk read hides under compute exactly like the H2D copy it is
+//!   part of. The update side is not here either: an
+//!   Adam update of a spilled layer pages in, steps and writes back chunk
+//!   by chunk on the optimizer actor that runs it
+//!   ([`crate::optimpool::LayerStore::apply_update`]). A read and an
+//!   update of one layer exclude each other through its slot's flags; no
+//!   lock is held across file I/O.
 //!
-//! A failed swap-file read is recorded on the layer's slot and wakes its
-//! waiters; the next access re-raises it as a panic on the accessing
-//! thread, and `flush` re-raises it too — a failing disk aborts the run, it
-//! never leaves a reader waiting for a fill that will not land.
+//! A failed swap-file read is recorded on the layer's slot, wakes its
+//! waiters and panics on the reading thread; the next access re-raises it,
+//! and `flush` re-raises it too — a failing disk aborts the run, it never
+//! leaves a reader waiting on a layer that cannot be read.
 //!
 //! Telemetry: `spill.f2h_bytes` / `spill.h2f_bytes` counters meter every
 //! byte crossing the file boundary (zero-tolerance tested against the
-//! closed-form per-step formulas below), `spill.queue_wait_ns` records how
-//! long fills sat queued, and an always-on fill-wait clock totals the time
-//! readers spent blocked on fills, whether or not telemetry is enabled.
+//! closed-form per-step formulas below), a `spill-read` span wraps every
+//! read of a layer, and an always-on clock totals the time readers spent
+//! reading spilled layers off the file ([`TierStore::fill_wait_nanos`]),
+//! whether or not telemetry is enabled.
 //!
 //! # Per-step traffic formulas
 //!
@@ -43,21 +49,14 @@
 //! window `m` (f32 everywhere — the device transfer precision never touches
 //! this tier):
 //!
-//! * file → host: `4·S` (FP fill) `+ 4·S` if the layer is re-fetched for BP
-//!   (`layer < nb − m`) `+ 12·S` (the update pages params + m + v back in);
+//! * file → host: `4·S` (FP fetch) `+ 4·S` if the layer is re-fetched for
+//!   BP (`layer < nb − m`) `+ 12·S` (the update pages params + m + v back
+//!   in);
 //! * host → file: `12·S` (the update writes params + m + v back out).
-//!
-//! The fill cache is *evict-after-read*: a filled layer leaves RAM as soon
-//! as the prefetcher stages it, so at most a window's worth of fills is
-//! resident at once and the `host_capacity` budget holds through the FP→BP
-//! turn.
 
-use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use crate::actor::Actor;
-use crate::lock;
 use crate::nvme::NvmeStore;
 use crate::telemetry::{Counter, Telemetry};
 
@@ -191,20 +190,6 @@ impl TierPlan {
     }
 }
 
-/// One queued job of the spill thread.
-pub(crate) enum TierJob {
-    /// Read `layer`'s parameters from `file_slot` into its fill cache.
-    Fill {
-        layer: usize,
-        file_slot: usize,
-        enqueued_ns: u64,
-    },
-}
-
-/// Bounded queue depth: far above the `m + 1` fills a pass keeps ahead of
-/// the window, without letting the queue grow unbounded.
-const QUEUE_CAP: usize = 64;
-
 /// The message a failed swap-file access is re-raised with.
 pub(crate) fn io_failure(
     layer: usize,
@@ -215,117 +200,33 @@ pub(crate) fn io_failure(
     format!("spill tier I/O failed: layer {layer}, file slot {file_slot}, {what}: {err}")
 }
 
-/// The async fill engine over one [`NvmeStore`] swap file. Owned by a
-/// tiered [`crate::optimpool::LayerStore`]; its thread deposits fills into (and
-/// clear in-flight flags on) the store's slots, so the two are constructed
-/// together.
+/// The file side of a tiered [`crate::optimpool::LayerStore`]: its
+/// [`NvmeStore`] swap file and the meters of the traffic across it. It
+/// owns no thread and no buffer: a spilled layer is read straight into
+/// its reader's memory, and updated in place by the optimizer actor that
+/// steps it.
 pub struct TierStore {
     nvme: Arc<NvmeStore>,
     /// Floats per component (params, m or v) — one file slot is `3 * n`.
     n: usize,
-    /// Fill buffers, every one `n` floats long. Only the fill thread finding
-    /// the list empty allocates (counted by the `spill.fill_buffers`
-    /// gauge), so its length never exceeds the most fills ever out at once.
-    free: Arc<Mutex<Vec<Vec<f32>>>>,
     tel: Telemetry,
     f2h: Counter,
     h2f: Counter,
-    fill_wait: Arc<AtomicU64>,
-    /// The spill thread.
-    fills: Actor<TierJob>,
+    read_ns: AtomicU64,
 }
 
 impl TierStore {
-    /// Starts the engine and its I/O thread.
-    pub(crate) fn new(
-        nvme: Arc<NvmeStore>,
-        slots: Arc<Vec<crate::optimpool::SlotCell>>,
-        n: usize,
-        tel: &Telemetry,
-    ) -> Self {
-        let free = Arc::new(Mutex::new(Vec::new()));
-        let f2h = tel.counter("spill.f2h_bytes");
-        let fills = Actor::start(["spill".into()], Some(QUEUE_CAP), || {
-            let (nvme, slots, free, tel, f2h) = (
-                Arc::clone(&nvme),
-                Arc::clone(&slots),
-                Arc::clone(&free),
-                tel.clone(),
-                f2h.clone(),
-            );
-            let queue_wait = tel.histogram("spill.queue_wait_ns");
-            let allocated = tel.gauge("spill.fill_buffers");
-            move |job: TierJob| {
-                let TierJob::Fill {
-                    layer,
-                    file_slot,
-                    enqueued_ns,
-                } = job;
-                queue_wait.record(tel.now_nanos().saturating_sub(enqueued_ns));
-                let mut buf = lock(&free).pop().unwrap_or_else(|| {
-                    allocated.add(1);
-                    vec![0.0; n]
-                });
-                let read = {
-                    let _s = tel.span("spill-read", "fill");
-                    nvme.read_at(file_slot, 0, &mut buf, &mut Vec::new())
-                };
-                let cell = &slots[layer];
-                let mut slot = lock(&cell.lock);
-                match read {
-                    Ok(()) => {
-                        f2h.add(4 * n as u64);
-                        // The slot's cache is empty whenever a fill is in
-                        // flight: nothing to recycle.
-                        slot.params = buf;
-                        slot.filled = true;
-                    }
-                    Err(e) => {
-                        let msg = io_failure(layer, file_slot, "fill", &e);
-                        slot.failure.get_or_insert(msg);
-                        lock(&free).push(buf);
-                    }
-                }
-                slot.fill_inflight = false;
-                cell.cv.notify_all();
-            }
-        });
+    /// Meters traffic across `nvme`, whose slots hold `n` floats each of
+    /// params, m and v.
+    pub(crate) fn new(nvme: Arc<NvmeStore>, n: usize, tel: &Telemetry) -> Self {
         TierStore {
             nvme,
             n,
-            free,
             tel: tel.clone(),
-            f2h,
+            f2h: tel.counter("spill.f2h_bytes"),
             h2f: tel.counter("spill.h2f_bytes"),
-            fill_wait: Arc::new(AtomicU64::new(0)),
-            fills,
+            read_ns: AtomicU64::new(0),
         }
-    }
-
-    /// Enqueues an asynchronous fill of `layer` from `file_slot`. The caller
-    /// must have set the slot's `fill_inflight` flag (and must NOT hold the
-    /// slot lock — bounded-channel backpressure may block here).
-    pub(crate) fn enqueue_fill(&self, layer: usize, file_slot: usize) {
-        self.fills.send(TierJob::Fill {
-            layer,
-            file_slot,
-            enqueued_ns: self.tel.now_nanos(),
-        });
-    }
-
-    /// Blocks until every enqueued fill has completed (landed or failed).
-    ///
-    /// # Panics
-    /// Re-raises a panic that ended a fill job.
-    pub fn quiesce(&self) {
-        if let Some(panic) = self.fills.flush() {
-            resume_unwind(panic);
-        }
-    }
-
-    /// Returns a consumed fill buffer to the free list.
-    pub(crate) fn give_buffer(&self, buf: Vec<f32>) {
-        lock(&self.free).push(buf);
     }
 
     /// The underlying swap store.
@@ -333,15 +234,17 @@ impl TierStore {
         &self.nvme
     }
 
-    /// Adds `ns` to the cumulative fill-wait clock (time readers spent
-    /// blocked on file-tier fills).
-    pub(crate) fn add_fill_wait(&self, ns: u64) {
-        self.fill_wait.fetch_add(ns, Ordering::Relaxed);
+    /// Counts one completed read of a spilled layer's parameters (`4·n`
+    /// bytes) that took `ns` nanoseconds.
+    pub(crate) fn count_read(&self, ns: u64) {
+        self.f2h.add(4 * self.n as u64);
+        self.read_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Cumulative nanoseconds readers spent blocked on fills.
+    /// Cumulative nanoseconds readers spent reading spilled layers' parameters
+    /// off the swap file.
     pub fn fill_wait_nanos(&self) -> u64 {
-        self.fill_wait.load(Ordering::Relaxed)
+        self.read_ns.load(Ordering::Relaxed)
     }
 
     /// Counts one completed spilled update: its page-in and write-back of

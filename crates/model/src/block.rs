@@ -465,10 +465,19 @@ impl Block {
     /// Panics if `flat.len() != self.flat_len()`.
     pub fn load_flat_params_as(&mut self, flat: &[f32], precision: Precision) {
         assert_eq!(flat.len(), self.flat_len());
+        self.load_flat_params_with(|off, p| round_copy(precision, &flat[off..off + p.len()], p));
+    }
+
+    /// Fills every parameter's storage in canonical order: `fill(off, p)`
+    /// writes the flat image's floats `off..off + p.len()` into `p`, for
+    /// one tensor after another — so a loader can read each one from
+    /// wherever the image lives (a swap file) without first gathering the
+    /// image in one buffer.
+    pub fn load_flat_params_with(&mut self, mut fill: impl FnMut(usize, &mut [f32])) {
         let mut off = 0;
         for p in self.param_slices_mut() {
             let n = p.len();
-            round_copy(precision, &flat[off..off + n], p);
+            fill(off, p);
             off += n;
         }
     }

@@ -159,7 +159,7 @@ pub struct HostCalibration {
     /// Time copy spans ran concurrently with compute spans (the pipeline's
     /// hidden transfer time).
     pub overlap_ns: u64,
-    /// Total file→host spill-tier traffic (window fills + optimizer
+    /// Total file→host spill-tier traffic (window fetches + optimizer
     /// page-ins of spilled layers; 0 without a file tier).
     pub spill_read_bytes: u64,
     /// Total "spill-read" track busy time.

@@ -309,12 +309,72 @@ dispatch! {
 }
 
 dispatch! {
-    /// `dst[i] = f32(f16(src[i]))`.
+    /// `dst[i] = f32(f16(src[i]))` through the scalar encoder: the portable
+    /// tier, and the oracle of the F16C path below.
     fn k_round_f16(src: &[f32], dst: &mut [MaybeUninit<f32>]) {
         for (d, s) in dst.iter_mut().zip(src) {
             d.write(crate::half::round_through_f16(*s));
         }
     }
+}
+
+/// Whether [`k_round_f16_f16c`] may run: an AVX2 tier with F16C.
+#[cfg(target_arch = "x86_64")]
+fn has_f16c() -> bool {
+    tier() != IsaTier::Portable && std::arch::is_x86_feature_detected!("f16c")
+}
+
+/// [`k_round_f16`] without a branch per element: the hardware round trip
+/// `vcvtps2ph` (round to nearest even) → `vcvtph2ps` puts eight values on
+/// the f16 grid at once, and two blends give back the scalar encoder's
+/// result where the hardware's differs — a NaN keeps no payload (the
+/// scalar encoder returns the sign and the quiet NaN), and a magnitude
+/// strictly between 2⁻²⁵ and 2⁻²⁴ flushes to a signed zero (the scalar
+/// encoder's underflow, where the hardware rounds up to 2⁻²⁴). The tail
+/// of fewer than eight goes through the scalar encoder.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,f16c")]
+fn k_round_f16_f16c(src: &[f32], dst: &mut [MaybeUninit<f32>]) {
+    use std::arch::x86_64::*;
+    let n = src.len().min(dst.len());
+    let body = n - n % 8;
+    let magnitude = _mm256_set1_epi32(0x7fff_ffff);
+    let (inf, quiet) = (
+        _mm256_set1_epi32(0x7f80_0000),
+        _mm256_set1_epi32(0x7fc0_0000),
+    );
+    let (lo, hi) = (
+        _mm256_set1_epi32(0x3300_0000),
+        _mm256_set1_epi32(0x3380_0000),
+    );
+    for i in (0..body).step_by(8) {
+        // SAFETY: `i + 8 <= n`, so eight floats are in bounds of both
+        // slices; `MaybeUninit<f32>` has the layout of `f32`.
+        let x = unsafe { _mm256_loadu_ps(src.as_ptr().add(i)) };
+        let grid = _mm256_cvtph_ps(_mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(x));
+        let bits = _mm256_castps_si256(x);
+        let abs = _mm256_and_si256(bits, magnitude);
+        let sign = _mm256_andnot_si256(magnitude, bits);
+        let nan = _mm256_cmpgt_epi32(abs, inf);
+        let flushed = _mm256_and_si256(_mm256_cmpgt_epi32(abs, lo), _mm256_cmpgt_epi32(hi, abs));
+        let out = _mm256_blendv_epi8(_mm256_castps_si256(grid), _mm256_or_si256(sign, quiet), nan);
+        let out = _mm256_blendv_epi8(out, sign, flushed);
+        // SAFETY: as for the load.
+        unsafe { _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), out) };
+    }
+    for (d, s) in dst[body..n].iter_mut().zip(&src[body..n]) {
+        d.write(crate::half::round_through_f16(*s));
+    }
+}
+
+/// `dst[i] = f32(f16(src[i]))` on the fastest path this CPU has.
+fn round_f16(src: &[f32], dst: &mut [MaybeUninit<f32>]) {
+    #[cfg(target_arch = "x86_64")]
+    if has_f16c() {
+        // SAFETY: `has_f16c` verified AVX2 and F16C.
+        return unsafe { k_round_f16_f16c(src, dst) };
+    }
+    k_round_f16(src, dst)
 }
 
 /// Initialises every element of `dst` with `src` rounded through the half
@@ -330,7 +390,7 @@ fn round_into(precision: Precision, src: &[f32], dst: &mut [MaybeUninit<f32>]) {
             crate::ops::stats::ROUND_BF16
         }
         Precision::F16 => {
-            k_round_f16(src, dst);
+            round_f16(src, dst);
             crate::ops::stats::ROUND_F16
         }
         Precision::F32 => unreachable!("F32 copies without rounding"),
@@ -594,6 +654,60 @@ mod tests {
                 prop_assert_eq!(out.as_ptr(), at);
                 prop_assert_eq!(&out[..kept], &vec![7.0f32; kept][..]);
                 prop_assert_eq!(bits(&out[kept..]), bits(&want));
+            }
+        }
+    }
+
+    /// One f32 of class `class % 6`, drawn from the random `bits` and
+    /// `h`: any bits, or one of the classes a uniform draw all but never
+    /// reaches — NaN payloads, signed zeros and f32 subnormals, the band
+    /// around 2⁻²⁵ and 2⁻²⁴ (f16 subnormals included), exact ties between
+    /// f16 neighbours (normal, subnormal, and 65520, the tie with +∞), and
+    /// the overflow range up to ±∞.
+    fn f16_edge(class: u32, bits: u32, h: u16) -> f32 {
+        let sign = bits & 0x8000_0000;
+        let within =
+            |lo: u32, hi: u32| f32::from_bits(sign | (lo + (bits & 0x7fff_ffff) % (hi - lo)));
+        match class % 6 {
+            0 => f32::from_bits(bits),
+            1 => f32::from_bits(sign | 0x7f80_0000 | (bits & 0x7f_ffff).max(1)),
+            2 => f32::from_bits(bits & 0x807f_ffff),
+            3 => within(0x3280_0000, 0x3900_0000),
+            4 => {
+                let h = h & 0x7bff; // finite, below the largest finite
+                let a = crate::half::f16_bits_to_f32(h) as f64;
+                let b = crate::half::f16_bits_to_f32(h + 1) as f64;
+                // Exact: f32 has 13 more mantissa bits than f16.
+                f32::from_bits(sign | (((a + b) / 2.0) as f32).to_bits())
+            }
+            _ => within(0x4770_0000, 0x7f80_0001),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // The F16C round trip is the scalar encoder bit for bit, over
+        // lengths that exercise the eight-wide body and the scalar tail.
+        #[cfg(target_arch = "x86_64")]
+        #[test]
+        fn prop_f16c_round_matches_the_scalar_encoder(
+            draws in proptest::collection::vec(
+                (0u32..6, proptest::num::f32::ANY, proptest::num::u16::ANY),
+                0..70,
+            ),
+        ) {
+            let src: Vec<f32> = draws.iter().map(|(c, x, h)| f16_edge(*c, x.to_bits(), *h)).collect();
+            if has_f16c() {
+                let mut fast = vec![MaybeUninit::new(f32::NAN); src.len()];
+                // SAFETY: `has_f16c` verified AVX2 and F16C.
+                unsafe { k_round_f16_f16c(&src, &mut fast) };
+                for (i, (s, f)) in src.iter().zip(&fast).enumerate() {
+                    // SAFETY: the kernel initialised every element.
+                    let f = unsafe { f.assume_init() };
+                    let want = crate::half::round_through_f16(*s);
+                    prop_assert_eq!(f.to_bits(), want.to_bits(), "element {} of {:e}", i, s);
+                }
             }
         }
     }

@@ -23,8 +23,8 @@ fn spawns_during(work: impl FnOnce()) -> u64 {
 
 /// Every pipeline thread of a trainer or a serving engine is started with
 /// it and lives as long as it does: constructing one starts a fixed number
-/// (the prefetcher, the D2H engine, the optimizer actors, the spill filler;
-/// a serving engine only its prefetcher), and once warm a training step
+/// (the prefetcher, the D2H engine, the optimizer actors; a serving engine
+/// only its prefetcher), and once warm a training step
 /// (f32, bf16, spilled, clipped) and a serving round start no thread at
 /// all. The
 /// data-parallel trainer still forks one thread per replica per step
@@ -43,7 +43,8 @@ fn warm_steps_and_rounds_start_no_thread() {
         ..HostOffloadConfig::default()
     };
     // Threads each construction starts: prefetch + d2h + 2 optimizer
-    // actors, and the spill filler when a layer is spilled.
+    // actors. A spilled trainer starts no more: the prefetcher reads its
+    // spilled layers off the swap file itself.
     let trainers = [
         ("f32", 4, host),
         (
@@ -56,7 +57,7 @@ fn warm_steps_and_rounds_start_no_thread() {
         ),
         (
             "spilled",
-            5,
+            4,
             HostOffloadConfig {
                 host_capacity: Some(0),
                 ..host
