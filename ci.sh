@@ -132,6 +132,22 @@ if [ -n "$own_loops" ]; then
     echo "$own_loops"
     exit 1
 fi
+# Every simulated method is a plan: a schedule is a `sim::plan::Plan` and
+# `sim::plan::price` is its one pricer. Outside crates/sim/src/plan.rs no
+# source names the old resource servers (`FifoResource`, `WorkerPool`), and
+# outside test code none records a timeline segment itself
+# (`.record(Lane::`). A hand-driven schedule beside the pricer fails here.
+hand_schedules=$(find crates tests benchmark/src examples -name '*.rs' ! -path crates/sim/src/plan.rs -exec awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^[ \t]*\/\// { next }
+    /FifoResource|WorkerPool/ || (!in_tests && /\.record\(Lane::/) { print FILENAME ":" FNR ": " $0 }
+' {} +)
+if [ -n "$hand_schedules" ]; then
+    echo "schedule driven outside sim::plan:"
+    echo "$hand_schedules"
+    exit 1
+fi
 # Every shim has a dependent: each package under shims/ must be named in the
 # manifest of a non-shim workspace member or of benchmark/Cargo.toml (as a
 # dependency or dev-dependency). A shim that nothing, or only another shim,

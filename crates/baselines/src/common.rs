@@ -1,9 +1,9 @@
-//! Shared scheduling helpers for the baseline iteration simulators.
+//! Shared helpers for the baseline plan builders.
 
 use stronghold_model::config::ModelConfig;
 use stronghold_model::layer::{build_layers, LayerSpec};
 use stronghold_model::memory;
-use stronghold_sim::{CostModel, FifoResource, Lane, Platform, SimTime, Timeline};
+use stronghold_sim::{CostModel, Lane, Plan, Platform};
 
 /// The layer list of a configuration (embedding + blocks + head).
 pub fn layers_of(cfg: &ModelConfig) -> Vec<LayerSpec> {
@@ -21,47 +21,43 @@ pub fn gpu_capacity(platform: &Platform) -> u64 {
     memory::usable_device_bytes(platform.gpu.mem_bytes)
 }
 
-/// Schedules a plain compute-only FP+BP sweep on `compute`, recording into
-/// `tl`. Returns the completion time of the last backward op.
-pub fn schedule_fp_bp(
-    layers: &[LayerSpec],
-    cost: &CostModel,
-    batch: usize,
-    compute: &mut FifoResource,
-    tl: &mut Timeline,
-) -> SimTime {
-    let mut end = SimTime::ZERO;
+/// Appends a plain compute-only FP+BP sweep on compute stream 0 to `plan`.
+pub fn schedule_fp_bp(plan: &mut Plan, layers: &[LayerSpec], cost: &CostModel, batch: usize) {
     for (i, l) in layers.iter().enumerate() {
-        let (s, e) = compute.schedule(SimTime::ZERO, cost.layer_fp(l, batch));
-        tl.record(Lane::Compute(0), format!("fp L{i}"), s, e);
-        end = e;
+        plan.push(
+            Lane::Compute(0),
+            cost.layer_fp(l, batch),
+            [],
+            format!("fp L{i}"),
+        );
     }
     for (i, l) in layers.iter().enumerate().rev() {
-        let (s, e) = compute.schedule(SimTime::ZERO, cost.layer_bp(l, batch));
-        tl.record(Lane::Compute(0), format!("bp L{i}"), s, e);
-        end = e;
+        plan.push(
+            Lane::Compute(0),
+            cost.layer_bp(l, batch),
+            [],
+            format!("bp L{i}"),
+        );
     }
-    end
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use stronghold_model::config::common_1_7b;
+    use stronghold_sim::{price, SimTime};
 
     #[test]
     fn fp_bp_sweep_is_serial_sum() {
         let cfg = common_1_7b();
         let layers = layers_of(&cfg);
         let cost = CostModel::new(Platform::v100_server());
-        let mut compute = FifoResource::new("c");
-        let mut tl = Timeline::new();
-        let end = schedule_fp_bp(&layers, &cost, cfg.batch, &mut compute, &mut tl);
+        let mut plan = Plan::new(1);
+        schedule_fp_bp(&mut plan, &layers, &cost, cfg.batch);
         let manual: SimTime = layers.iter().fold(SimTime::ZERO, |a, l| {
             a + cost.layer_fp(l, cfg.batch) + cost.layer_bp(l, cfg.batch)
         });
-        assert_eq!(end, manual);
-        tl.assert_lanes_serialized();
+        assert_eq!(price(&plan).makespan(), manual);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use stronghold_model::layer::LayerKind;
 use stronghold_model::memory;
 use stronghold_sim::calibration as cal;
 use stronghold_sim::cost::CopyKind;
-use stronghold_sim::{CostModel, FifoResource, Lane, Platform, SimTime, Timeline};
+use stronghold_sim::{price, CostModel, Lane, OpId, Plan, Platform, SimTime};
 
 use crate::common::{gpu_capacity, layers_of, residual_gpu_bytes};
 
@@ -67,67 +67,66 @@ impl TrainingMethod for L2L {
         }
         let cost = CostModel::new(*platform);
         let layers = layers_of(cfg);
-        let mut compute = FifoResource::new("compute");
-        let mut h2d = FifoResource::new("h2d");
-        let mut d2h = FifoResource::new("d2h");
-        let mut tl = Timeline::new();
+        let mut plan = Plan::new(1);
         let sync = SimTime::from_micros(cal::L2L_LAYER_SYNC_US);
-        let mut prev = SimTime::ZERO;
+        let zero = SimTime::ZERO;
+        // Fully synchronous: every op waits for the one issued before it.
+        let mut prev: Option<OpId> = None;
 
         // FP: synchronous copy-in then compute, layer by layer.
         for (i, l) in layers.iter().enumerate() {
             let mut ready = prev;
             if l.kind == LayerKind::Block {
-                let (s, e) = h2d.schedule(
-                    prev + sync,
-                    cost.h2d(l.param_bytes(), CopyKind::PageableSync),
-                );
-                tl.record(Lane::CopyIn, format!("h2d L{i}"), s, e);
-                ready = e; // GPU stalls until the copy lands
+                let dur = cost.h2d(l.param_bytes(), CopyKind::PageableSync);
+                let after = prev.map(|op| (op, sync));
+                // The GPU stalls until the copy lands.
+                ready = Some(plan.push(Lane::CopyIn, dur, after, format!("h2d L{i}")));
             }
-            let (s, e) = compute.schedule(ready, cost.layer_fp(l, cfg.batch));
-            tl.record(Lane::Compute(0), format!("fp L{i}"), s, e);
-            prev = e;
+            let after = ready.map(|op| (op, zero));
+            prev = Some(plan.push(
+                Lane::Compute(0),
+                cost.layer_fp(l, cfg.batch),
+                after,
+                format!("fp L{i}"),
+            ));
         }
         // BP: copy-in, compute, on-device optimizer, write updated params out.
         for (i, l) in layers.iter().enumerate().rev() {
             let mut ready = prev;
             if l.kind == LayerKind::Block {
-                let (s, e) = h2d.schedule(
-                    prev + sync,
-                    cost.h2d(l.param_bytes(), CopyKind::PageableSync),
-                );
-                tl.record(Lane::CopyIn, format!("h2d' L{i}"), s, e);
-                ready = e;
+                let dur = cost.h2d(l.param_bytes(), CopyKind::PageableSync);
+                let after = prev.map(|op| (op, sync));
+                ready = Some(plan.push(Lane::CopyIn, dur, after, format!("h2d' L{i}")));
             }
-            let (s, e) = compute.schedule(ready, cost.layer_bp(l, cfg.batch));
-            tl.record(Lane::Compute(0), format!("bp L{i}"), s, e);
-            let (s2, e2) = compute.schedule(e, cost.gpu_optim(l));
-            tl.record(Lane::Compute(0), format!("gopt L{i}"), s2, e2);
-            prev = e2;
+            let after = ready.map(|op| (op, zero));
+            plan.push(
+                Lane::Compute(0),
+                cost.layer_bp(l, cfg.batch),
+                after,
+                format!("bp L{i}"),
+            );
+            let gopt = plan.push(
+                Lane::Compute(0),
+                cost.gpu_optim(l),
+                [],
+                format!("gopt L{i}"),
+            );
+            prev = Some(gopt);
             if l.kind == LayerKind::Block {
-                let (s3, e3) =
-                    d2h.schedule(e2 + sync, cost.d2h(l.param_bytes(), CopyKind::PageableSync));
-                tl.record(Lane::CopyOut, format!("d2h L{i}"), s3, e3);
-                prev = e3; // fully synchronous: compute waits for the writeback
+                let dur = cost.d2h(l.param_bytes(), CopyKind::PageableSync);
+                // Compute waits for the writeback.
+                prev = Some(plan.push(Lane::CopyOut, dur, [(gopt, sync)], format!("d2h L{i}")));
             }
         }
 
-        tl.assert_lanes_serialized();
-        let report = IterationReport {
-            method: self.name().into(),
-            cfg: *cfg,
-            iter_time: tl.makespan(),
-            throughput: 0.0,
-            tflops: 0.0,
-            gpu_peak: Self::gpu_usage(cfg),
-            cpu_peak: Self::cpu_usage(cfg),
-            overlap: tl.overlap_fraction(),
-            gpu_util: tl.utilization(Lane::Compute(0)),
-            timeline: tl,
-            window: 1,
-        };
-        Ok(report.finish(flops_per_sample(cfg), cfg.batch))
+        Ok(IterationReport::from_timeline(
+            self.name(),
+            cfg,
+            price(&plan),
+            (Self::gpu_usage(cfg), Self::cpu_usage(cfg)),
+            1,
+            flops_per_sample(cfg),
+        ))
     }
 }
 

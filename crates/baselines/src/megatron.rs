@@ -10,7 +10,7 @@ use stronghold_core::error::{Result, RuntimeError};
 use stronghold_core::method::{flops_per_sample, IterationReport, TrainingMethod};
 use stronghold_model::config::ModelConfig;
 use stronghold_model::memory;
-use stronghold_sim::{CostModel, FifoResource, Lane, Platform, SimTime, Timeline};
+use stronghold_sim::{price, CostModel, Lane, Plan, Platform};
 
 use crate::common::{gpu_capacity, layers_of, residual_gpu_bytes, schedule_fp_bp};
 
@@ -43,31 +43,25 @@ impl TrainingMethod for MegatronLM {
         }
         let cost = CostModel::new(*platform);
         let layers = layers_of(cfg);
-        let mut compute = FifoResource::new("compute");
-        let mut tl = Timeline::new();
-        let bp_done = schedule_fp_bp(&layers, &cost, cfg.batch, &mut compute, &mut tl);
+        let mut plan = Plan::new(1);
+        schedule_fp_bp(&mut plan, &layers, &cost, cfg.batch);
         // Fused on-GPU Adam across all layers.
-        let mut end = bp_done;
         for (i, l) in layers.iter().enumerate() {
-            let (s, e) = compute.schedule(SimTime::ZERO, cost.gpu_optim(l));
-            tl.record(Lane::Compute(0), format!("gopt L{i}"), s, e);
-            end = e;
+            plan.push(
+                Lane::Compute(0),
+                cost.gpu_optim(l),
+                [],
+                format!("gopt L{i}"),
+            );
         }
-        tl.assert_lanes_serialized();
-        let report = IterationReport {
-            method: self.name().into(),
-            cfg: *cfg,
-            iter_time: end,
-            throughput: 0.0,
-            tflops: 0.0,
-            gpu_peak: Self::gpu_usage(cfg),
-            cpu_peak: 0,
-            overlap: 1.0,
-            gpu_util: tl.utilization(Lane::Compute(0)),
-            timeline: tl,
-            window: 0,
-        };
-        Ok(report.finish(flops_per_sample(cfg), cfg.batch))
+        Ok(IterationReport::from_timeline(
+            self.name(),
+            cfg,
+            price(&plan),
+            (Self::gpu_usage(cfg), 0),
+            0,
+            flops_per_sample(cfg),
+        ))
     }
 }
 

@@ -24,7 +24,7 @@ use stronghold_core::serve::{sample, GenRequest, GenResult};
 use stronghold_model::config::ModelConfig;
 use stronghold_model::memory;
 use stronghold_model::transformer::{DecodeBatch, Transformer};
-use stronghold_sim::{CostModel, FifoResource, Lane, Platform, SimTime, Timeline};
+use stronghold_sim::{price, CostModel, Lane, Plan, Platform};
 use stronghold_tensor::attention::KvCache;
 use stronghold_tensor::init::seeded_rng;
 
@@ -59,29 +59,24 @@ impl PlainInference {
         }
         let cost = CostModel::new(*platform);
         let layers = layers_of(cfg);
-        let mut compute = FifoResource::new("compute");
-        let mut tl = Timeline::new();
-        let mut prev = SimTime::ZERO;
+        let mut plan = Plan::new(1);
         for (i, l) in layers.iter().enumerate() {
-            let (s, e) = compute.schedule(prev, cost.layer_fp(l, cfg.batch));
-            tl.record(Lane::Compute(0), format!("fp L{i}"), s, e);
-            prev = e;
+            plan.push(
+                Lane::Compute(0),
+                cost.layer_fp(l, cfg.batch),
+                [],
+                format!("fp L{i}"),
+            );
         }
         let fp_flops: u64 = layers.iter().map(|l| l.flops_fp).sum();
-        let report = IterationReport {
-            method: "PyTorch".into(),
-            cfg: *cfg,
-            iter_time: tl.makespan(),
-            throughput: 0.0,
-            tflops: 0.0,
-            gpu_peak: Self::gpu_usage(cfg),
-            cpu_peak: 0,
-            overlap: 1.0,
-            gpu_util: tl.utilization(Lane::Compute(0)),
-            timeline: tl,
-            window: 0,
-        };
-        Ok(report.finish(fp_flops, cfg.batch))
+        Ok(IterationReport::from_timeline(
+            "PyTorch",
+            cfg,
+            price(&plan),
+            (Self::gpu_usage(cfg), 0),
+            0,
+            fp_flops,
+        ))
     }
 }
 

@@ -22,7 +22,7 @@ use stronghold_model::layer::LayerKind;
 use stronghold_model::memory;
 use stronghold_sim::calibration as cal;
 use stronghold_sim::cost::CopyKind;
-use stronghold_sim::{CostModel, FifoResource, Lane, Platform, SimTime, Timeline};
+use stronghold_sim::{price, CostModel, Lane, OpId, Plan, Platform, SimTime};
 
 use crate::common::{gpu_capacity, layers_of};
 
@@ -87,16 +87,6 @@ impl ZeroInfinity {
             (platform.cpu.ram_bytes as f64 * cal::HOST_USABLE_FRACTION) as u64
         }
     }
-
-    fn nvme_read_time(&self, platform: &Platform, bytes: u64) -> SimTime {
-        let n = platform.nvme.expect("nvme");
-        SimTime::from_secs_f64(bytes as f64 / (n.read_bw * cal::ZINF_NVME_SMALL_IO_DERATE))
-    }
-
-    fn nvme_write_time(&self, platform: &Platform, bytes: u64) -> SimTime {
-        let n = platform.nvme.expect("nvme");
-        SimTime::from_secs_f64(bytes as f64 / (n.write_bw * cal::ZINF_NVME_SMALL_IO_DERATE))
-    }
 }
 
 impl TrainingMethod for ZeroInfinity {
@@ -130,109 +120,123 @@ impl TrainingMethod for ZeroInfinity {
         }
         let cost = CostModel::new(*platform);
         let layers = layers_of(cfg);
-        let mut compute = FifoResource::new("compute");
-        let mut h2d = FifoResource::new("h2d");
-        let mut d2h = FifoResource::new("d2h");
-        let mut nvme_ch = FifoResource::new("nvme");
-        let mut tl = Timeline::new();
+        // The NVMe tier, taken up front; its demand paging moves small,
+        // scattered I/O at a derated bandwidth.
+        let nvme = match (self.use_nvme, platform.nvme) {
+            (false, _) => None,
+            (true, Some(n)) => Some(n),
+            (true, None) => {
+                return Err(RuntimeError::Infeasible {
+                    method: "ZeRO-Infinity".into(),
+                    reason: "the platform has no NVMe tier".into(),
+                })
+            }
+        };
+        let paged = |bytes: u64, bw: f64| {
+            SimTime::from_secs_f64(bytes as f64 / (bw * cal::ZINF_NVME_SMALL_IO_DERATE))
+        };
+        let mut plan = Plan::new(1);
         let sync = SimTime::from_micros(cal::ZINF_LAYER_SYNC_US);
         let zero = SimTime::ZERO;
 
         // Depth-1 prefetch: layer i's gather may start once layer i-1's
-        // compute starts; with NVMe the (derated) disk read precedes the
-        // PCIe hop on the same chain.
-        let fetch = |prev_compute: SimTime,
-                     bytes: u64,
-                     label: String,
-                     tl: &mut Timeline,
-                     h2d: &mut FifoResource,
-                     nvme_ch: &mut FifoResource| {
-            let issue = prev_compute + sync;
-            let ready = if self.use_nvme {
-                let (s, e) = nvme_ch.schedule(issue, self.nvme_read_time(platform, bytes));
-                tl.record(Lane::Nvme, format!("nv {label}"), s, e);
-                e
-            } else {
-                issue
+        // compute ends; with NVMe the (derated) disk read precedes the PCIe
+        // hop on the same chain.
+        let fetch = |plan: &mut Plan, prev_compute: Option<OpId>, bytes: u64, label: String| {
+            let issue = prev_compute.map(|op| (op, sync));
+            let ready = match nvme {
+                Some(n) => {
+                    let read = paged(bytes, n.read_bw);
+                    Some((
+                        plan.push(Lane::Nvme, read, issue, format!("nv {label}")),
+                        zero,
+                    ))
+                }
+                None => issue,
             };
-            let (s, e) = h2d.schedule(ready, cost.h2d(bytes, CopyKind::PinnedBulk));
-            tl.record(Lane::CopyIn, label, s, e);
-            e
+            plan.push(
+                Lane::CopyIn,
+                cost.h2d(bytes, CopyKind::PinnedBulk),
+                ready,
+                label,
+            )
         };
 
-        let mut prev_compute = zero;
+        let mut prev_compute = None;
         for (i, l) in layers.iter().enumerate() {
-            let mut ready = prev_compute;
-            if l.kind == LayerKind::Block {
-                let e = fetch(
+            let fetched = (l.kind == LayerKind::Block).then(|| {
+                fetch(
+                    &mut plan,
                     prev_compute,
                     l.param_bytes(),
                     format!("h2d L{i}"),
-                    &mut tl,
-                    &mut h2d,
-                    &mut nvme_ch,
-                );
-                ready = ready.max(e);
-            }
-            let (s, e) = compute.schedule(ready, cost.layer_fp(l, cfg.batch));
-            tl.record(Lane::Compute(0), format!("fp L{i}"), s, e);
-            prev_compute = e;
+                )
+            });
+            let after = fetched.map(|op| (op, zero));
+            prev_compute = Some(plan.push(
+                Lane::Compute(0),
+                cost.layer_fp(l, cfg.batch),
+                after,
+                format!("fp L{i}"),
+            ));
         }
-        let mut last_grad = zero;
+        let mut last_grad = None;
         for (i, l) in layers.iter().enumerate().rev() {
-            let mut ready = prev_compute;
-            if l.kind == LayerKind::Block {
-                let e = fetch(
+            let fetched = (l.kind == LayerKind::Block).then(|| {
+                fetch(
+                    &mut plan,
                     prev_compute,
                     l.param_bytes(),
                     format!("h2d' L{i}"),
-                    &mut tl,
-                    &mut h2d,
-                    &mut nvme_ch,
-                );
-                ready = ready.max(e);
-            }
-            let (s, e) = compute.schedule(ready, cost.layer_bp(l, cfg.batch));
-            tl.record(Lane::Compute(0), format!("bp L{i}"), s, e);
-            prev_compute = e;
+                )
+            });
+            let after = fetched.map(|op| (op, zero));
+            let bp = plan.push(
+                Lane::Compute(0),
+                cost.layer_bp(l, cfg.batch),
+                after,
+                format!("bp L{i}"),
+            );
+            prev_compute = Some(bp);
             if l.kind == LayerKind::Block {
-                let (s2, e2) = d2h.schedule(e, cost.d2h(l.grad_bytes(), CopyKind::PinnedBulk));
-                tl.record(Lane::CopyOut, format!("d2h g L{i}"), s2, e2);
-                last_grad = last_grad.max(e2);
+                let dur = cost.d2h(l.grad_bytes(), CopyKind::PinnedBulk);
+                last_grad =
+                    Some(plan.push(Lane::CopyOut, dur, [(bp, zero)], format!("d2h g L{i}")));
             }
         }
 
-        // Fused post-BP CPU optimizer. With NVMe the optimizer state pages
-        // through the (derated) disk channel: 16 B/param read, 12 B written.
+        // Fused post-BP CPU optimizer, after the last backward op and the
+        // last gradient copy. With NVMe the optimizer state pages through
+        // the (derated) disk channel: 16 B/param read, 12 B written. The
+        // channel is idle by then (its last read fed layer 1's backward),
+        // so the paging and the optimizer span the same interval.
         let total_params: u64 = layers.iter().map(|l| l.params).sum();
-        let opt_start = prev_compute.max(last_grad);
-        let opt_end = if self.use_nvme {
-            let rd = self.nvme_read_time(platform, total_params * 16);
-            let wr = self.nvme_write_time(platform, total_params * 12);
-            let (s, e) = nvme_ch.schedule(opt_start, rd + wr);
-            tl.record(Lane::Nvme, "opt paging", s, e);
-            e
-        } else {
-            let secs = total_params as f64 * cal::ADAM_BYTES_PER_PARAM / cal::ZERO_CPU_ADAM_BW;
-            opt_start + SimTime::from_secs_f64(secs)
+        let after: Vec<(OpId, SimTime)> = prev_compute
+            .into_iter()
+            .chain(last_grad)
+            .map(|op| (op, zero))
+            .collect();
+        let opt = match nvme {
+            Some(n) => {
+                let dur =
+                    paged(total_params * 16, n.read_bw) + paged(total_params * 12, n.write_bw);
+                plan.push(Lane::Nvme, dur, after.clone(), "opt paging");
+                dur
+            }
+            None => SimTime::from_secs_f64(
+                total_params as f64 * cal::ADAM_BYTES_PER_PARAM / cal::ZERO_CPU_ADAM_BW,
+            ),
         };
-        tl.record(Lane::CpuOptim, "fused adam", opt_start, opt_end);
+        plan.push(Lane::CpuOptim, opt, after, "fused adam");
 
-        tl.assert_lanes_serialized();
-        let report = IterationReport {
-            method: self.name().into(),
-            cfg: *cfg,
-            iter_time: tl.makespan(),
-            throughput: 0.0,
-            tflops: 0.0,
-            gpu_peak: self.gpu_usage(cfg),
-            cpu_peak: self.cpu_usage(cfg),
-            overlap: tl.overlap_fraction(),
-            gpu_util: tl.utilization(Lane::Compute(0)),
-            timeline: tl,
-            window: 1,
-        };
-        Ok(report.finish(flops_per_sample(cfg), cfg.batch))
+        Ok(IterationReport::from_timeline(
+            self.name(),
+            cfg,
+            price(&plan),
+            (self.gpu_usage(cfg), self.cpu_usage(cfg)),
+            1,
+            flops_per_sample(cfg),
+        ))
     }
 }
 
@@ -284,6 +288,12 @@ mod tests {
             (0.3..0.7).contains(&ratio),
             "ZI/Megatron = {ratio:.3}, paper <0.57"
         );
+    }
+
+    #[test]
+    fn nvme_mode_without_an_nvme_device_is_infeasible() {
+        let r = ZeroInfinity::with_nvme().iteration(&common_1_7b(), &Platform::a10_cluster(1));
+        assert!(matches!(r, Err(RuntimeError::Infeasible { .. })));
     }
 
     #[test]

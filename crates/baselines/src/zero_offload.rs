@@ -16,7 +16,7 @@ use stronghold_model::config::ModelConfig;
 use stronghold_model::layer::LayerKind;
 use stronghold_sim::calibration as cal;
 use stronghold_sim::cost::CopyKind;
-use stronghold_sim::{CostModel, FifoResource, Lane, Platform, SimTime, Timeline};
+use stronghold_sim::{price, CostModel, Lane, Plan, Platform, SimTime};
 
 use crate::common::{gpu_capacity, layers_of, residual_gpu_bytes};
 
@@ -64,56 +64,65 @@ impl TrainingMethod for ZeroOffload {
         }
         let cost = CostModel::new(*platform);
         let layers = layers_of(cfg);
-        let mut compute = FifoResource::new("compute");
-        let mut d2h = FifoResource::new("d2h");
-        let mut h2d = FifoResource::new("h2d");
-        let mut tl = Timeline::new();
+        let mut plan = Plan::new(1);
 
         // FP: parameters are resident, pure compute.
-        let mut prev = SimTime::ZERO;
         for (i, l) in layers.iter().enumerate() {
-            let (s, e) = compute.schedule(prev, cost.layer_fp(l, cfg.batch));
-            tl.record(Lane::Compute(0), format!("fp L{i}"), s, e);
-            prev = e;
+            plan.push(
+                Lane::Compute(0),
+                cost.layer_fp(l, cfg.batch),
+                [],
+                format!("fp L{i}"),
+            );
         }
         // BP: per-layer gradient offload overlapping the remaining backward.
-        let mut last_grad_out = SimTime::ZERO;
+        // The fused single CPU optimizer over all offloaded parameters waits
+        // for the last backward op and the last gradient copy.
+        let (mut last_bp, mut last_grad) = (None, None);
         for (i, l) in layers.iter().enumerate().rev() {
-            let (s, e) = compute.schedule(prev, cost.layer_bp(l, cfg.batch));
-            tl.record(Lane::Compute(0), format!("bp L{i}"), s, e);
-            prev = e;
+            let bp = plan.push(
+                Lane::Compute(0),
+                cost.layer_bp(l, cfg.batch),
+                [],
+                format!("bp L{i}"),
+            );
+            last_bp = Some(bp);
             if l.kind == LayerKind::Block {
-                let (s2, e2) = d2h.schedule(e, cost.d2h(l.grad_bytes(), CopyKind::PinnedBulk));
-                tl.record(Lane::CopyOut, format!("d2h g L{i}"), s2, e2);
-                last_grad_out = last_grad_out.max(e2);
+                let dur = cost.d2h(l.grad_bytes(), CopyKind::PinnedBulk);
+                let d2h = plan.push(
+                    Lane::CopyOut,
+                    dur,
+                    [(bp, SimTime::ZERO)],
+                    format!("d2h g L{i}"),
+                );
+                last_grad = Some(d2h);
             }
         }
-        // Fused single CPU optimizer over all offloaded parameters, after BP.
         let total_params: u64 = layers.iter().map(|l| l.params).sum();
         let opt_secs = total_params as f64 * cal::ADAM_BYTES_PER_PARAM / cal::ZERO_CPU_ADAM_BW;
-        let opt_start = prev.max(last_grad_out);
-        let opt_end = opt_start + SimTime::from_secs_f64(opt_secs);
-        tl.record(Lane::CpuOptim, "fused adam", opt_start, opt_end);
+        let after = last_bp
+            .into_iter()
+            .chain(last_grad)
+            .map(|op| (op, SimTime::ZERO));
+        let opt = plan.push(
+            Lane::CpuOptim,
+            SimTime::from_secs_f64(opt_secs),
+            after,
+            "fused adam",
+        );
         // Updated parameters return to the device before the next iteration.
         let param_bytes: u64 = layers.iter().map(|l| l.param_bytes()).sum();
-        let (s, e) = h2d.schedule(opt_end, cost.h2d(param_bytes, CopyKind::PinnedBulk));
-        tl.record(Lane::CopyIn, "params back", s, e);
+        let dur = cost.h2d(param_bytes, CopyKind::PinnedBulk);
+        plan.push(Lane::CopyIn, dur, [(opt, SimTime::ZERO)], "params back");
 
-        tl.assert_lanes_serialized();
-        let report = IterationReport {
-            method: self.name().into(),
-            cfg: *cfg,
-            iter_time: tl.makespan(),
-            throughput: 0.0,
-            tflops: 0.0,
-            gpu_peak: Self::gpu_usage(cfg),
-            cpu_peak: Self::cpu_usage(cfg),
-            overlap: tl.overlap_fraction(),
-            gpu_util: tl.utilization(Lane::Compute(0)),
-            timeline: tl,
-            window: 0,
-        };
-        Ok(report.finish(flops_per_sample(cfg), cfg.batch))
+        Ok(IterationReport::from_timeline(
+            self.name(),
+            cfg,
+            price(&plan),
+            (Self::gpu_usage(cfg), Self::cpu_usage(cfg)),
+            0,
+            flops_per_sample(cfg),
+        ))
     }
 }
 

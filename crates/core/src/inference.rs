@@ -9,7 +9,7 @@ use stronghold_model::config::ModelConfig;
 use stronghold_model::layer::build_layers;
 use stronghold_model::memory;
 use stronghold_sim::cost::CopyKind;
-use stronghold_sim::{CostModel, FifoResource, Lane, Platform, SimTime, Timeline};
+use stronghold_sim::{price, CostModel, Lane, OpId, Plan, Platform, SimTime};
 
 use crate::error::{Result, RuntimeError};
 use crate::memplan::StrongholdMemPlan;
@@ -75,53 +75,44 @@ pub fn simulate_inference(
     let cost = CostModel::new(*platform);
     let layers = build_layers(cfg);
     let nb = cfg.layers;
-    let mut compute = FifoResource::new("compute");
-    let mut h2d = FifoResource::new("h2d");
-    let mut tl = Timeline::new();
-    let zero = SimTime::ZERO;
     let t_async = cost.t_async();
     let nl = layers.len();
-    let mut fp_end = vec![zero; nl];
-    let mut ci = vec![zero; nl];
+    let mut plan = Plan::new(1);
+    let mut fp: Vec<OpId> = Vec::with_capacity(nl);
+    let mut fetched = vec![None; nl];
 
-    // First m blocks preloaded; the rest stream through the window.
-    for i in 0..nl {
+    // First m blocks preloaded; the rest stream through the window. Block
+    // j is fetched at layer i = j - m's hook, `t_async` after layer i-1's
+    // compute — which is also when layer j-m-1 = i-1 frees its slot.
+    for (i, l) in layers.iter().enumerate() {
         let j = i + m;
         if (m + 1..=nb).contains(&j) && (1..=nb).contains(&i) {
-            let hook = fp_end[i.saturating_sub(1)] + t_async;
-            let slot = if j >= 2 * m + 2 {
-                fp_end[j - m - 1]
-            } else {
-                zero
-            };
             let dur = cost.h2d(layers[j].param_bytes(), CopyKind::PinnedBulk);
-            let (s, e) = h2d.schedule(hook.max(slot), dur);
-            ci[j] = e;
-            tl.record(Lane::CopyIn, format!("h2d L{j}"), s, e);
+            let after = [(fp[i - 1], t_async)];
+            fetched[j] = Some(plan.push(Lane::CopyIn, dur, after, format!("h2d L{j}")));
         }
-        let prev = if i > 0 { fp_end[i - 1] } else { zero };
-        let (s, e) = compute.schedule(prev.max(ci[i]), cost.layer_fp(&layers[i], cfg.batch));
-        fp_end[i] = e;
-        tl.record(Lane::Compute(0), format!("fp L{i}"), s, e);
+        let after = fetched[i].map(|op| (op, SimTime::ZERO));
+        fp.push(plan.push(
+            Lane::Compute(0),
+            cost.layer_fp(l, cfg.batch),
+            after,
+            format!("fp L{i}"),
+        ));
     }
 
-    let iter_time = tl.makespan();
     let fp_flops: u64 = layers.iter().map(|l| l.flops_fp).sum();
-    tl.assert_lanes_serialized();
-    let report = IterationReport {
-        method: "STRONGHOLD-inference".into(),
-        cfg: *cfg,
-        iter_time,
-        throughput: 0.0,
-        tflops: 0.0,
-        gpu_peak: inference_gpu_usage(cfg, m),
-        cpu_peak: build_layers(cfg).iter().map(|l| l.param_bytes()).sum(),
-        overlap: tl.overlap_fraction(),
-        gpu_util: tl.utilization(Lane::Compute(0)),
-        timeline: tl,
-        window: m,
-    };
-    Ok(report.finish(fp_flops, cfg.batch))
+    let peaks = (
+        inference_gpu_usage(cfg, m),
+        layers.iter().map(|l| l.param_bytes()).sum(),
+    );
+    Ok(IterationReport::from_timeline(
+        "STRONGHOLD-inference",
+        cfg,
+        price(&plan),
+        peaks,
+        m,
+        fp_flops,
+    ))
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! baselines), plus the per-iteration report the harnesses consume.
 
 use stronghold_model::config::ModelConfig;
-use stronghold_sim::{Platform, SimTime, Timeline};
+use stronghold_sim::{Lane, Platform, SimTime, Timeline};
 
 use crate::error::Result;
 
@@ -34,8 +34,43 @@ pub struct IterationReport {
 }
 
 impl IterationReport {
+    /// The report of one priced plan: the iteration takes the timeline's
+    /// makespan, `overlap` is its copy/compute overlap and `gpu_util` the
+    /// mean utilization of its compute lanes. `peaks` is the method's
+    /// closed-form `(gpu, cpu)` memory; `flops_per_sample` what one sample
+    /// costs (training or forward-only).
+    pub fn from_timeline(
+        method: impl Into<String>,
+        cfg: &ModelConfig,
+        timeline: Timeline,
+        peaks: (u64, u64),
+        window: usize,
+        flops_per_sample: u64,
+    ) -> Self {
+        let compute: Vec<f64> = timeline
+            .lanes()
+            .into_iter()
+            .filter(|l| matches!(l, Lane::Compute(_)))
+            .map(|l| timeline.utilization(l))
+            .collect();
+        let report = IterationReport {
+            method: method.into(),
+            cfg: *cfg,
+            iter_time: timeline.makespan(),
+            throughput: 0.0,
+            tflops: 0.0,
+            gpu_peak: peaks.0,
+            cpu_peak: peaks.1,
+            overlap: timeline.overlap_fraction(),
+            gpu_util: compute.iter().sum::<f64>() / compute.len().max(1) as f64,
+            timeline,
+            window,
+        };
+        report.finish(flops_per_sample, cfg.batch)
+    }
+
     /// Derives throughput/TFLOPs fields from the timeline and model.
-    pub fn finish(mut self, total_flops_per_sample: u64, batch: usize) -> Self {
+    fn finish(mut self, total_flops_per_sample: u64, batch: usize) -> Self {
         let secs = self.iter_time.as_secs_f64();
         if secs > 0.0 {
             self.throughput = batch as f64 / secs;

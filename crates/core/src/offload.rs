@@ -1,16 +1,16 @@
-//! The STRONGHOLD iteration scheduler on the virtual-time simulator.
+//! The STRONGHOLD iteration as a plan for the virtual-time simulator.
 //!
-//! Emits the exact operation pipeline of Fig. 3 — prefetch / compute /
+//! Builds the exact operation pipeline of Fig. 3 — prefetch / compute /
 //! offload during FP, prefetch / offload / CPU-update / compute during BP —
-//! against FIFO resources, and prices it with the platform cost model. The
-//! resulting timeline *is* the reproduction of the paper's Fig. 4 trace, and
-//! its makespan drives every throughput figure.
+//! as a [`Plan`] and prices it with the platform cost model. The resulting
+//! timeline *is* the reproduction of the paper's Fig. 4 trace, and its
+//! makespan drives every throughput figure.
 
 use stronghold_model::config::ModelConfig;
 use stronghold_model::layer::LayerSpec;
 use stronghold_sim::calibration as cal;
 use stronghold_sim::cost::CopyKind;
-use stronghold_sim::{CostModel, FifoResource, Lane, Platform, SimTime, Timeline, WorkerPool};
+use stronghold_sim::{price, CostModel, Lane, OpId, Plan, Platform, SimTime, Timeline};
 
 use crate::analytic::solve_window;
 use crate::error::{Result, RuntimeError};
@@ -18,20 +18,6 @@ use crate::memplan::{ColdTier, StrongholdMemPlan};
 use crate::method::{flops_per_sample, IterationReport};
 use crate::profile::LayerProfile;
 use crate::telemetry::Telemetry;
-
-/// Telemetry track name of a simulator lane. Compute tracks contain
-/// `"compute"` and copy tracks contain `"copy"` so
-/// [`Telemetry::copy_compute_overlap`] sees them.
-fn lane_track(lane: Lane) -> String {
-    match lane {
-        Lane::Compute(k) => format!("sim-compute[{k}]"),
-        Lane::CopyIn => "h2d-copy".to_string(),
-        Lane::CopyOut => "d2h-copy".to_string(),
-        Lane::CpuOptim => "cpu-optim".to_string(),
-        Lane::Nvme => "nvme-io".to_string(),
-        Lane::Network => "network".to_string(),
-    }
-}
 
 /// Replays a simulated timeline into telemetry spans (virtual-time
 /// nanoseconds), so simulator runs and real-thread runs share the same
@@ -41,7 +27,7 @@ pub fn bridge_timeline(tel: &Telemetry, tl: &Timeline) {
         return;
     }
     for lane in tl.lanes() {
-        let track = lane_track(lane);
+        let track = lane.track();
         let busy = tel.counter(&format!("sim.busy_ns.{track}"));
         for (start_ns, end_ns) in tl.busy_intervals(lane) {
             busy.add(end_ns - start_ns);
@@ -49,7 +35,7 @@ pub fn bridge_timeline(tel: &Telemetry, tl: &Timeline) {
     }
     for s in tl.segments() {
         tel.record_span(
-            &lane_track(s.lane),
+            &s.lane.track(),
             &s.label,
             s.start.as_nanos(),
             s.end.as_nanos(),
@@ -156,16 +142,16 @@ pub fn simulate_iteration_with_telemetry(
     opts: &OffloadOptions,
     tel: &Telemetry,
 ) -> Result<IterationReport> {
-    let plan = StrongholdMemPlan::new(*cfg, opts.streams, opts.cold_tier);
+    let mem = StrongholdMemPlan::new(*cfg, opts.streams, opts.cold_tier);
     let m = derive_window(cfg, platform, opts)?;
-    if !plan.feasible(platform, m) {
+    if !mem.feasible(platform, m) {
         return Err(RuntimeError::Infeasible {
             method: "STRONGHOLD".into(),
             reason: format!("window {m} infeasible"),
         });
     }
     let cpu_cap = StrongholdMemPlan::cpu_capacity(platform);
-    if plan.cpu_usage() > cpu_cap {
+    if mem.cpu_usage() > cpu_cap {
         return Err(RuntimeError::Infeasible {
             method: "STRONGHOLD".into(),
             reason: "host pinned budget exceeded".into(),
@@ -173,7 +159,7 @@ pub fn simulate_iteration_with_telemetry(
     }
 
     let cost = CostModel::new(*platform);
-    let layers = plan.layers().to_vec();
+    let layers = mem.layers();
     let nb = cfg.layers; // block count; layers[1..=nb] are blocks
     let k = opts.streams.max(1);
     let micro = cfg.batch.div_ceil(k);
@@ -192,244 +178,209 @@ pub fn simulate_iteration_with_telemetry(
 
     let t_async = cost.t_async();
     let apen = alloc_penalty(opts.pooled_allocator);
-    let nvme = matches!(opts.cold_tier, ColdTier::Nvme { .. });
+    let zero = SimTime::ZERO;
 
     // What FP offloads and BP fetches back: a layer's parameters plus its
     // activation checkpoints. FP fetches parameters only; BP offloads
     // gradients.
     let state_bytes = |l: &LayerSpec| l.param_bytes() + l.act_checkpoint_bytes * cfg.batch as u64;
+    // Each layer's NVMe times (state read, state write, gradient write),
+    // taken up front: a platform without the tier fails here, not mid-plan.
+    let nvme_io: Option<Vec<[SimTime; 3]>> = match opts.cold_tier {
+        ColdTier::CpuRam => None,
+        ColdTier::Nvme { .. } => Some(
+            layers
+                .iter()
+                .map(|l| {
+                    Some([
+                        cost.nvme_read(state_bytes(l))?,
+                        cost.nvme_write(state_bytes(l))?,
+                        cost.nvme_write(l.grad_bytes())?,
+                    ])
+                })
+                .collect::<Option<_>>()
+                .ok_or_else(|| RuntimeError::Infeasible {
+                    method: "STRONGHOLD".into(),
+                    reason: "the platform has no NVMe tier".into(),
+                })?,
+        ),
+    };
 
-    // Resources.
-    let mut compute: Vec<FifoResource> = (0..k)
-        .map(|s| FifoResource::new(format!("compute{s}")))
-        .collect();
-    let mut h2d = FifoResource::new("h2d");
-    let mut d2h = FifoResource::new("d2h");
-    let mut nvme_ch = FifoResource::new("nvme");
     let workers = if opts.concurrent_optimizers {
         cost.useful_optim_workers()
     } else {
         1
     };
-    let mut pool = WorkerPool::new("adam", workers);
-    let mut tl = Timeline::new();
-
-    // Telemetry handles, hoisted so the scheduling loops pay one Option
-    // check per event.
-    let c_pf_issued = tel.counter("sim.prefetch.issued");
-    let c_pf_done = tel.counter("sim.prefetch.completed");
-    let c_off_issued = tel.counter("sim.offload.issued");
-    let c_off_done = tel.counter("sim.offload.completed");
-    let c_stalls = tel.counter("sim.window_stalls");
-    let h_stall = tel.histogram("sim.window_stall_ns");
+    let mut plan = Plan::new(workers);
 
     let nl = layers.len();
-    let zero = SimTime::ZERO;
-    // Completion events per layer.
-    let mut fp_end = vec![vec![zero; nl]; k];
-    let mut bp_end = vec![vec![zero; nl]; k];
-    let mut ci_fp = vec![zero; nl];
-    let mut co_fp = vec![zero; nl];
-    let mut ci_bp = vec![zero; nl];
-    let mut co_bp = vec![zero; nl];
-    let mut nv_r_fp = vec![zero; nl];
-    let mut nv_r_bp = vec![zero; nl];
-
     // Layer residency classes.
     let first_window_end = m.min(nb); // blocks 1..=first_window_end resident
     let sliding_start = first_window_end + 1; // first block that slides
-    let is_resident = |i: usize| i == 0 || i == nl - 1 || (1..=first_window_end).contains(&i);
     let bp_seed_start = if nb >= m { nb - m + 1 } else { 1 }; // last m blocks stay at FP end
     let stays_for_bp = |i: usize| i >= bp_seed_start.max(sliding_start);
 
+    // Per-layer op ids of the window's fetches and offloads.
+    let mut fp_fetch = vec![None; nl];
+    let mut fp_offload = vec![None; nl];
+    let mut bp_fetch = vec![None; nl];
+    let mut bp_offload = vec![None; nl];
+    // Every prefetch that waited for a window slot, as `(hook, slot)`: it
+    // stalled when the slot freed after the hook fired — the window bound
+    // of constraint (1c) biting.
+    let mut slot_waits: Vec<(OpId, OpId)> = Vec::new();
+
+    // A window prefetch (step 1 of FP and of BP): with the NVMe tier a
+    // staging read first (deeply pipelined: FIFO on the NVMe channel), then
+    // the H2D copy once the layer's hook has fired, `t_async` after `hook`,
+    // and the offload `slot` has freed a window slot (m+1 slots in all).
+    let mut fetch = |plan: &mut Plan, j: usize, hook: OpId, slot: Option<OpId>, bytes, tick| {
+        let staged = nvme_io
+            .as_ref()
+            .map(|io| plan.push(Lane::Nvme, io[j][0], [], format!("nv-r{tick} L{j}")));
+        slot_waits.extend(slot.map(|op| (hook, op)));
+        let after = [(hook, t_async)]
+            .into_iter()
+            .chain(slot.map(|op| (op, zero)))
+            .chain(staged.map(|op| (op, zero)));
+        let dur = cost.h2d(bytes, CopyKind::PinnedBulk) + apen;
+        Some(plan.push(Lane::CopyIn, dur, after, format!("h2d{tick} L{j}")))
+    };
+
     // ---------------- Forward propagation (Fig. 3b) ----------------
-    for i in 0..nl {
-        let l = &layers[i];
+    let mut fp0: Vec<OpId> = Vec::with_capacity(nl); // stream 0's FP ops
+    for (i, l) in layers.iter().enumerate() {
         // Prefetch the layer just outside the window (step 1) at the
-        // pre_forward hook of layer i.
+        // pre_forward hook of layer i; the FP offload of layer i-1, if it
+        // slid, frees its slot.
         let j = i + m;
         if (sliding_start..=nb).contains(&j) && (1..=nb).contains(&i) {
-            // NVMe staging read (deeply pipelined: FIFO on the NVMe channel).
-            if nvme {
-                let dur = cost.nvme_read(state_bytes(&layers[j])).expect("nvme");
-                let (s, e) = nvme_ch.schedule(zero, dur);
-                nv_r_fp[j] = e;
-                tl.record(Lane::Nvme, format!("nv-r L{j}"), s, e);
-            }
-            // Hook fires when layer i's compute is about to start.
-            let hook = fp_end[0][i.saturating_sub(1)] + t_async;
-            // Slot freed by the FP offload of layer j-m-1 (m+1 slots total).
-            let slot = if j > sliding_start + m {
-                co_fp[j - m - 1]
-            } else {
-                zero
-            };
-            let ready = hook.max(slot).max(nv_r_fp[j]);
-            // The prefetch is stalled when no window slot is free at hook
-            // time — the window bound of constraint (1c) biting.
-            if slot > hook {
-                c_stalls.incr();
-                h_stall.record((slot - hook).as_nanos());
-            }
-            c_pf_issued.incr();
-            let dur = cost.h2d(layers[j].param_bytes(), CopyKind::PinnedBulk) + apen;
-            let (s, e) = h2d.schedule(ready, dur);
-            ci_fp[j] = e;
-            c_pf_done.incr();
-            tl.record(Lane::CopyIn, format!("h2d L{j}"), s, e);
+            let bytes = layers[j].param_bytes();
+            fp_fetch[j] = fetch(&mut plan, j, fp0[i - 1], fp_offload[i - 1], bytes, "");
         }
 
         // Compute (step 2) on every stream.
-        let base = kdur(cost.layer_fp(l, micro));
-        for (s_idx, lane) in compute.iter_mut().enumerate() {
-            let prev = if i > 0 { fp_end[s_idx][i - 1] } else { zero };
-            let ready = prev.max(ci_fp[i]);
-            let (s, e) = lane.schedule(ready, base);
-            fp_end[s_idx][i] = e;
-            tl.record(Lane::Compute(s_idx as u8), format!("fp L{i}"), s, e);
-        }
+        let dur = kdur(cost.layer_fp(l, micro));
+        let ops: Vec<OpId> = (0..k)
+            .map(|s| {
+                let after = fp_fetch[i].map(|op| (op, zero));
+                plan.push(Lane::Compute(s as u8), dur, after, format!("fp L{i}"))
+            })
+            .collect();
+        fp0.push(ops[0]);
 
         // Offload the finished layer (step 3) unless it stays for BP.
         if (sliding_start..=nb).contains(&i) && !stays_for_bp(i) {
-            let ready = (0..k).map(|s| fp_end[s][i]).max().unwrap_or(zero) + t_async;
-            c_off_issued.incr();
+            let after = ops.iter().map(|&op| (op, t_async));
             let dur = cost.d2h(state_bytes(l), CopyKind::PinnedBulk) + apen;
-            let (s, e) = d2h.schedule(ready, dur);
-            co_fp[i] = e;
-            c_off_done.incr();
-            tl.record(Lane::CopyOut, format!("d2h L{i}"), s, e);
-            if nvme {
-                let dur = cost.nvme_write(state_bytes(l)).expect("nvme");
-                let (s2, e2) = nvme_ch.schedule(e, dur);
-                tl.record(Lane::Nvme, format!("nv-w L{i}"), s2, e2);
+            let off = plan.push(Lane::CopyOut, dur, after, format!("d2h L{i}"));
+            fp_offload[i] = Some(off);
+            if let Some(io) = &nvme_io {
+                plan.push(Lane::Nvme, io[i][1], [(off, zero)], format!("nv-w L{i}"));
             }
         }
     }
 
     // ---------------- Backward propagation (Fig. 3c) ----------------
-    let mut last_bp_all = zero; // completion of the whole BP sweep
-    let mut gpu_optim_end = zero;
-    let mut pending_optims: Vec<(usize, SimTime)> = Vec::new();
-    for i in (0..nl).rev() {
-        let l = &layers[i];
-
-        // Step 1: prefetch the next layer in the BP direction.
-        if (1..=nb).contains(&i) {
-            let j = i as isize - m as isize;
-            let j = if j >= sliding_start as isize {
-                Some(j as usize)
-            } else {
-                None
-            };
-            if let Some(j) = j {
-                if nvme {
-                    let dur = cost.nvme_read(state_bytes(&layers[j])).expect("nvme");
-                    let (s, e) = nvme_ch.schedule(zero, dur);
-                    nv_r_bp[j] = e;
-                    tl.record(Lane::Nvme, format!("nv-r' L{j}"), s, e);
-                }
-                let hook = bp_end[0][(i + 1).min(nl - 1)] + t_async;
-                // Slot freed by the BP offload of layer j+m+1.
-                let slot = if j + m < nb { co_bp[j + m + 1] } else { zero };
-                let ready = hook.max(slot).max(nv_r_bp[j]);
-                if slot > hook {
-                    c_stalls.incr();
-                    h_stall.record((slot - hook).as_nanos());
-                }
-                c_pf_issued.incr();
-                let dur = cost.h2d(state_bytes(&layers[j]), CopyKind::PinnedBulk) + apen;
-                let (s, e) = h2d.schedule(ready, dur);
-                ci_bp[j] = e;
-                c_pf_done.incr();
-                tl.record(Lane::CopyIn, format!("h2d' L{j}"), s, e);
-            }
+    let mut bp_prev: Vec<OpId> = Vec::new(); // the layer above's BP ops, per stream
+    let mut updates: Vec<(usize, OpId)> = Vec::new(); // (layer, gradient offload)
+    for (i, l) in layers.iter().enumerate().rev() {
+        // Step 1: prefetch the next layer in the BP direction; the BP
+        // offload of layer i+1, if it slid, frees its slot.
+        if (1..=nb).contains(&i) && i >= sliding_start + m {
+            let j = i - m;
+            let bytes = state_bytes(&layers[j]);
+            bp_fetch[j] = fetch(&mut plan, j, bp_prev[0], bp_offload[i + 1], bytes, "'");
         }
 
         // Step 4: backward compute on every stream.
-        let base = kdur(cost.layer_bp(l, micro));
-        for (s_idx, lane) in compute.iter_mut().enumerate() {
-            let prev = if i + 1 < nl {
-                bp_end[s_idx][i + 1]
-            } else {
-                fp_end[s_idx][nl - 1]
-            };
-            let fetched = if is_resident(i) || stays_for_bp(i) {
-                zero
-            } else {
-                ci_bp[i]
-            };
-            let (s, e) = lane.schedule(prev.max(fetched), base);
-            bp_end[s_idx][i] = e;
-            tl.record(Lane::Compute(s_idx as u8), format!("bp L{i}"), s, e);
-            last_bp_all = last_bp_all.max(e);
-        }
+        let dur = kdur(cost.layer_bp(l, micro));
+        let ops: Vec<OpId> = (0..k)
+            .map(|s| {
+                let after = bp_fetch[i].map(|op| (op, zero));
+                plan.push(Lane::Compute(s as u8), dur, after, format!("bp L{i}"))
+            })
+            .collect();
 
-        // Step 2+3: offload gradients and dispatch the CPU optimizer for
-        // sliding layers; GPU optimizer for resident layers.
-        let mut grads_ready = (0..k).map(|s| bp_end[s][i]).max().unwrap_or(zero) + t_async;
+        // Step 2+3: offload gradients for the CPU optimizer of sliding
+        // layers; GPU optimizer for resident layers.
+        let mut gap = t_async;
         if k > 1 {
-            grads_ready += cost.intra_gpu_allreduce(l.grad_bytes(), k);
+            gap += cost.intra_gpu_allreduce(l.grad_bytes(), k);
         }
+        let grads = ops.iter().map(|&op| (op, gap));
         if (sliding_start..=nb).contains(&i) {
-            c_off_issued.incr();
             let dur = cost.d2h(l.grad_bytes(), CopyKind::PinnedBulk) + apen;
-            let (s, e) = d2h.schedule(grads_ready, dur);
-            co_bp[i] = e;
-            c_off_done.incr();
-            tl.record(Lane::CopyOut, format!("d2h' L{i}"), s, e);
-            // CPU optimizer actor (§III-E1). With concurrent updates the
-            // actor starts as soon as the gradients land; without the
-            // optimization the single optimizer runs only after BP drains,
-            // so the dispatch is deferred below.
-            pending_optims.push((i, e + t_async));
-            if nvme {
-                let dur = cost.nvme_write(l.grad_bytes()).expect("nvme");
-                let (s3, e3) = nvme_ch.schedule(e, dur);
-                tl.record(Lane::Nvme, format!("nv-w' L{i}"), s3, e3);
+            let off = plan.push(Lane::CopyOut, dur, grads, format!("d2h' L{i}"));
+            bp_offload[i] = Some(off);
+            updates.push((i, off));
+            if let Some(io) = &nvme_io {
+                plan.push(Lane::Nvme, io[i][2], [(off, zero)], format!("nv-w' L{i}"));
             }
         } else {
             // Resident layer: fused GPU Adam right after its backward.
-            let dur = cost.gpu_optim(l);
-            let (s, e) = compute[0].schedule(grads_ready, dur);
-            gpu_optim_end = gpu_optim_end.max(e);
-            tl.record(Lane::Compute(0), format!("gopt L{i}"), s, e);
+            plan.push(
+                Lane::Compute(0),
+                cost.gpu_optim(l),
+                grads,
+                format!("gopt L{i}"),
+            );
+        }
+        bp_prev = ops;
+    }
+
+    // CPU optimizer actors (§III-E1), in gradient arrival order: the D2H
+    // lane is FIFO, so push order is arrival order. With concurrent updates
+    // an actor starts as soon as its gradients land; without the
+    // optimization the single optimizer runs only after BP drains (layer
+    // 0's backward, the last op of every stream).
+    let drained: Vec<(OpId, SimTime)> = if opts.concurrent_optimizers {
+        Vec::new()
+    } else {
+        bp_prev.iter().map(|&op| (op, t_async)).collect()
+    };
+    for (i, off) in updates {
+        let after = [(off, t_async)].into_iter().chain(drained.iter().copied());
+        plan.push(
+            Lane::CpuOptim,
+            cost.cpu_optim(&layers[i]),
+            after,
+            format!("adam L{i}"),
+        );
+    }
+
+    let tl = price(&plan);
+    let c_stalls = tel.counter("sim.window_stalls");
+    let h_stall = tel.histogram("sim.window_stall_ns");
+    let end = |op: OpId| tl.segments()[op].end;
+    for (hook, slot) in slot_waits {
+        let (fired, freed) = (end(hook) + t_async, end(slot));
+        if freed > fired {
+            c_stalls.incr();
+            h_stall.record((freed - fired).as_nanos());
         }
     }
-
-    // Dispatch CPU optimizer tasks. Sorted by readiness so the actor pool
-    // services gradients in arrival order (deterministic across runs).
-    pending_optims.sort_by_key(|(i, t)| (*t, *i));
-    for (i, ready) in pending_optims {
-        let ready = if opts.concurrent_optimizers {
-            ready
-        } else {
-            ready.max(last_bp_all + t_async)
-        };
-        let (_, s, e) = pool.dispatch(ready, cost.cpu_optim(&layers[i]));
-        tl.record(Lane::CpuOptim, format!("adam L{i}"), s, e);
+    let issued = |ops: [&[Option<OpId>]; 2]| ops.concat().into_iter().flatten().count() as u64;
+    let prefetches = issued([&fp_fetch, &bp_fetch]);
+    let offloads = issued([&fp_offload, &bp_offload]);
+    for name in ["sim.prefetch.issued", "sim.prefetch.completed"] {
+        tel.counter(name).add(prefetches);
     }
-
-    let iter_time = tl.makespan().max(pool.drain_time()).max(gpu_optim_end);
-    tl.assert_lanes_serialized();
+    for name in ["sim.offload.issued", "sim.offload.completed"] {
+        tel.counter(name).add(offloads);
+    }
     bridge_timeline(tel, &tl);
 
-    let report = IterationReport {
-        method: "STRONGHOLD".into(),
-        cfg: *cfg,
-        iter_time,
-        throughput: 0.0,
-        tflops: 0.0,
-        gpu_peak: plan.gpu_usage(m),
-        cpu_peak: plan.cpu_usage(),
-        overlap: tl.overlap_fraction(),
-        gpu_util: (0..k)
-            .map(|s| tl.utilization(Lane::Compute(s as u8)))
-            .sum::<f64>()
-            / k as f64,
-        timeline: tl,
-        window: m,
-    };
-    Ok(report.finish(flops_per_sample(cfg), cfg.batch))
+    let peaks = (mem.gpu_usage(m), mem.cpu_usage());
+    let flops = flops_per_sample(cfg);
+    Ok(IterationReport::from_timeline(
+        "STRONGHOLD",
+        cfg,
+        tl,
+        peaks,
+        m,
+        flops,
+    ))
 }
 
 #[cfg(test)]
@@ -600,6 +551,18 @@ mod tests {
         );
         assert_eq!(a.throughput, b.throughput);
         assert_eq!(a.timeline.segments().len(), b.timeline.segments().len());
+    }
+
+    #[test]
+    fn nvme_tier_without_an_nvme_device_is_infeasible() {
+        let opts = OffloadOptions {
+            cold_tier: ColdTier::Nvme {
+                cpu_cache_layers: 64,
+            },
+            ..OffloadOptions::default()
+        };
+        let err = simulate_iteration(&common_1_7b(), &Platform::a10_cluster(1), &opts);
+        assert!(matches!(err, Err(RuntimeError::Infeasible { .. })));
     }
 
     #[test]

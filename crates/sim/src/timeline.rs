@@ -34,6 +34,20 @@ impl Lane {
         }
     }
 
+    /// Telemetry track name. Compute tracks contain `"compute"` and copy
+    /// tracks contain `"copy"`, so the telemetry layer's copy/compute
+    /// overlap sees them.
+    pub fn track(&self) -> String {
+        match self {
+            Lane::Compute(k) => format!("sim-compute[{k}]"),
+            Lane::CopyIn => "h2d-copy".to_string(),
+            Lane::CopyOut => "d2h-copy".to_string(),
+            Lane::CpuOptim => "cpu-optim".to_string(),
+            Lane::Nvme => "nvme-io".to_string(),
+            Lane::Network => "network".to_string(),
+        }
+    }
+
     fn glyph(&self) -> char {
         match self {
             Lane::Compute(_) => '#',
@@ -71,8 +85,15 @@ impl Timeline {
         Timeline::default()
     }
 
-    /// Records one operation.
-    pub fn record(&mut self, lane: Lane, label: impl Into<String>, start: SimTime, end: SimTime) {
+    /// Records one operation ([`crate::plan::price`] is the only caller
+    /// outside tests).
+    pub(crate) fn record(
+        &mut self,
+        lane: Lane,
+        label: impl Into<String>,
+        start: SimTime,
+        end: SimTime,
+    ) {
         debug_assert!(end >= start, "segment ends before it starts");
         self.segments.push(Segment {
             lane,
