@@ -143,49 +143,16 @@ pub fn simulate_iteration_with_telemetry(
     tel: &Telemetry,
 ) -> Result<IterationReport> {
     let mem = StrongholdMemPlan::new(*cfg, opts.streams, opts.cold_tier);
-    let m = derive_window(cfg, platform, opts)?;
-    if !mem.feasible(platform, m) {
-        return Err(RuntimeError::Infeasible {
-            method: "STRONGHOLD".into(),
-            reason: format!("window {m} infeasible"),
-        });
-    }
-    let cpu_cap = StrongholdMemPlan::cpu_capacity(platform);
-    if mem.cpu_usage() > cpu_cap {
-        return Err(RuntimeError::Infeasible {
-            method: "STRONGHOLD".into(),
-            reason: "host pinned budget exceeded".into(),
-        });
-    }
-
     let cost = CostModel::new(*platform);
     let layers = mem.layers();
-    let nb = cfg.layers; // block count; layers[1..=nb] are blocks
-    let k = opts.streams.max(1);
-    let micro = cfg.batch.div_ceil(k);
-
-    // Multi-stream kernel stretch: k concurrent kernels of per-kernel SM
-    // utilization u share the array; once k·u exceeds 1 every kernel slows
-    // proportionally, plus a per-extra-stream scheduling overhead (§IV-A).
-    let u = cal::batch_util(micro as f64);
-    let stretch =
-        (k as f64 * u).max(1.0) * (1.0 + (k as f64 - 1.0) * cal::STREAM_OVERHEAD_FRACTION);
-    // Without the pooled allocator (§III-E3 ablation), per-tensor
-    // cudaMalloc/cudaFree synchronize the device and stall the compute
-    // stream on every window slide.
-    let compute_stall = alloc_penalty(opts.pooled_allocator) * 2;
-    let kdur = |base: SimTime| SimTime::from_secs_f64(base.as_secs_f64() * stretch) + compute_stall;
-
-    let t_async = cost.t_async();
-    let apen = alloc_penalty(opts.pooled_allocator);
-    let zero = SimTime::ZERO;
-
     // What FP offloads and BP fetches back: a layer's parameters plus its
     // activation checkpoints. FP fetches parameters only; BP offloads
     // gradients.
     let state_bytes = |l: &LayerSpec| l.param_bytes() + l.act_checkpoint_bytes * cfg.batch as u64;
     // Each layer's NVMe times (state read, state write, gradient write),
-    // taken up front: a platform without the tier fails here, not mid-plan.
+    // taken up front: a platform without the tier fails here, with that
+    // reason, before the window is sized (whose memory plan would reject
+    // the missing tier as a window that does not fit) or the plan built.
     let nvme_io: Option<Vec<[SimTime; 3]>> = match opts.cold_tier {
         ColdTier::CpuRam => None,
         ColdTier::Nvme { .. } => Some(
@@ -205,6 +172,41 @@ pub fn simulate_iteration_with_telemetry(
                 })?,
         ),
     };
+
+    let m = derive_window(cfg, platform, opts)?;
+    if !mem.feasible(platform, m) {
+        return Err(RuntimeError::Infeasible {
+            method: "STRONGHOLD".into(),
+            reason: format!("window {m} infeasible"),
+        });
+    }
+    let cpu_cap = StrongholdMemPlan::cpu_capacity(platform);
+    if mem.cpu_usage() > cpu_cap {
+        return Err(RuntimeError::Infeasible {
+            method: "STRONGHOLD".into(),
+            reason: "host pinned budget exceeded".into(),
+        });
+    }
+
+    let nb = cfg.layers; // block count; layers[1..=nb] are blocks
+    let k = opts.streams.max(1);
+    let micro = cfg.batch.div_ceil(k);
+
+    // Multi-stream kernel stretch: k concurrent kernels of per-kernel SM
+    // utilization u share the array; once k·u exceeds 1 every kernel slows
+    // proportionally, plus a per-extra-stream scheduling overhead (§IV-A).
+    let u = cal::batch_util(micro as f64);
+    let stretch =
+        (k as f64 * u).max(1.0) * (1.0 + (k as f64 - 1.0) * cal::STREAM_OVERHEAD_FRACTION);
+    // Without the pooled allocator (§III-E3 ablation), per-tensor
+    // cudaMalloc/cudaFree synchronize the device and stall the compute
+    // stream on every window slide.
+    let compute_stall = alloc_penalty(opts.pooled_allocator) * 2;
+    let kdur = |base: SimTime| SimTime::from_secs_f64(base.as_secs_f64() * stretch) + compute_stall;
+
+    let t_async = cost.t_async();
+    let apen = alloc_penalty(opts.pooled_allocator);
+    let zero = SimTime::ZERO;
 
     let workers = if opts.concurrent_optimizers {
         cost.useful_optim_workers()
@@ -562,7 +564,46 @@ mod tests {
             ..OffloadOptions::default()
         };
         let err = simulate_iteration(&common_1_7b(), &Platform::a10_cluster(1), &opts);
-        assert!(matches!(err, Err(RuntimeError::Infeasible { .. })));
+        match err {
+            Err(RuntimeError::Infeasible { reason, .. }) => {
+                assert_eq!(reason, "the platform has no NVMe tier")
+            }
+            other => panic!("expected the missing tier, got {other:?}"),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        /// On random plans — 1 to 3 compute streams, both copy lanes and
+        /// the CPU-optimizer and NVMe lanes, random durations (zero
+        /// included) and dependencies — the timeline's overlap fraction is
+        /// the bridged telemetry's copy/compute overlap over its copy busy
+        /// time, to the bit.
+        #[test]
+        fn prop_overlap_fraction_is_the_bridged_telemetry_overlap(
+            streams in 1usize..4,
+            ops in proptest::collection::vec((0usize..6, 0u64..50, 0usize..1000, 0u64..4), 1..40),
+        ) {
+            let mut plan = Plan::new(2);
+            for (i, &(lane, ms, dep, gap)) in ops.iter().enumerate() {
+                let lane = match lane {
+                    0 => Lane::Compute((dep % streams) as u8),
+                    1 => Lane::CopyIn,
+                    2 => Lane::CopyOut,
+                    3 => Lane::CpuOptim,
+                    4 => Lane::Nvme,
+                    _ => Lane::Compute(((dep + 1) % streams) as u8),
+                };
+                let after = (i > 0 && dep % 3 != 0).then(|| (dep % i, SimTime::from_millis(gap)));
+                plan.push(lane, SimTime::from_millis(ms), after, format!("op {i}"));
+            }
+            let tl = price(&plan);
+            let tel = Telemetry::enabled();
+            bridge_timeline(&tel, &tl);
+            let (copy, _, overlap) = tel.copy_compute_overlap();
+            let want = if copy == 0 { 1.0 } else { overlap as f64 / copy as f64 };
+            proptest::prop_assert_eq!(tl.overlap_fraction().to_bits(), want.to_bits());
+        }
     }
 
     #[test]

@@ -166,23 +166,49 @@ impl Timeline {
 
     /// Fraction of copy time (H2D + D2H) hidden under compute: 1.0 means all
     /// communication overlapped (the paper's "completely hide the data
-    /// transfer overhead", §III-A).
+    /// transfer overhead", §III-A). Measured on the union of the copy
+    /// lanes' intervals against the union of every compute lane's, as the
+    /// telemetry layer's `copy_compute_overlap` measures real threads: the
+    /// share of copy time during which some compute stream runs.
     pub fn overlap_fraction(&self) -> f64 {
-        let copy: f64 = self
-            .segments
-            .iter()
-            .filter(|s| matches!(s.lane, Lane::CopyIn | Lane::CopyOut))
-            .map(|s| (s.end - s.start).as_secs_f64())
-            .sum();
-        if copy == 0.0 {
+        let copy = self.union_of(|l| matches!(l, Lane::CopyIn | Lane::CopyOut));
+        let compute = self.union_of(|l| matches!(l, Lane::Compute(_)));
+        let copy_ns: u64 = copy.iter().map(|(s, e)| e - s).sum();
+        if copy_ns == 0 {
             return 1.0;
         }
-        // Copy time exposed beyond compute-busy intervals: approximate by
-        // comparing the makespan with pure-compute critical path.
-        let compute = self.compute_busy().as_secs_f64();
-        let makespan = self.makespan().as_secs_f64();
-        let exposed = (makespan - compute).max(0.0).min(copy);
-        1.0 - exposed / copy
+        let (mut hidden, mut j) = (0u64, 0);
+        for &(s, e) in &copy {
+            while j < compute.len() && compute[j].1 <= s {
+                j += 1;
+            }
+            let mut k = j;
+            while k < compute.len() && compute[k].0 < e {
+                hidden += e.min(compute[k].1) - s.max(compute[k].0);
+                k += 1;
+            }
+        }
+        hidden as f64 / copy_ns as f64
+    }
+
+    /// The union of the selected lanes' segments as disjoint, sorted
+    /// `(start_ns, end_ns)` intervals.
+    fn union_of(&self, pick: impl Fn(Lane) -> bool) -> Vec<(u64, u64)> {
+        let mut iv: Vec<(u64, u64)> = self
+            .segments
+            .iter()
+            .filter(|s| pick(s.lane) && s.end > s.start)
+            .map(|s| (s.start.as_nanos(), s.end.as_nanos()))
+            .collect();
+        iv.sort_unstable();
+        let mut union: Vec<(u64, u64)> = Vec::with_capacity(iv.len());
+        for (s, e) in iv {
+            match union.last_mut() {
+                Some(last) if s <= last.1 => last.1 = last.1.max(e),
+                _ => union.push((s, e)),
+            }
+        }
+        union
     }
 
     /// Verifies no two segments on the same lane overlap (FIFO legality).
@@ -309,6 +335,19 @@ mod tests {
         t.record(Lane::CopyIn, "in", ms(50), ms(150)); // fully exposed
         let f = t.overlap_fraction();
         assert!(f < 0.1, "overlap fraction {f}");
+    }
+
+    /// Two compute streams busy at once count once: a copy exposed while
+    /// both idle stays exposed, however much the streams' busy times sum
+    /// to.
+    #[test]
+    fn overlap_counts_compute_streams_once() {
+        let mut t = Timeline::new();
+        t.record(Lane::Compute(0), "fp a", ms(0), ms(100));
+        t.record(Lane::Compute(1), "fp b", ms(0), ms(100));
+        t.record(Lane::CopyIn, "in", ms(50), ms(150));
+        t.record(Lane::CopyOut, "out", ms(90), ms(110));
+        assert!((t.overlap_fraction() - 0.5).abs() < 1e-12, "{}", t.overlap_fraction());
     }
 
     #[test]
