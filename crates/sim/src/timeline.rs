@@ -347,7 +347,11 @@ mod tests {
         t.record(Lane::Compute(1), "fp b", ms(0), ms(100));
         t.record(Lane::CopyIn, "in", ms(50), ms(150));
         t.record(Lane::CopyOut, "out", ms(90), ms(110));
-        assert!((t.overlap_fraction() - 0.5).abs() < 1e-12, "{}", t.overlap_fraction());
+        assert!(
+            (t.overlap_fraction() - 0.5).abs() < 1e-12,
+            "{}",
+            t.overlap_fraction()
+        );
     }
 
     #[test]
