@@ -81,6 +81,24 @@ if [ "$grad_fields" != "bp_fold_slots:Vec<BlockGrads> grad_ring:Vec<BlockGrads> 
     echo "gradient buffers scale with depth again: BlockGrads fields [$grad_fields], other zero_grads() sites [$grad_allocs]"
     exit 1
 fi
+# One update routine: every optimizer update, resident or spilled, from a
+# host copy or a lent ring accumulator, steps its layer chunk by chunk
+# through `LayerStore::step_chunk`, so the non-test code of optimpool.rs
+# calls `adam::fused_step` from exactly one site and never steps a slot
+# through `AdamState::step`. A second whole-layer path fails here.
+optimpool=crates/core/src/optimpool.rs
+update_sites=$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /^[ \t]*\/\// { next }
+    /fused_step\(/ { fused++ }
+    /\.step\(/ { print FILENAME ":" FNR ": " $0 }
+    END { print "fused_step sites: " fused + 0 }
+' "$optimpool")
+if [ "$update_sites" != "fused_step sites: 1" ]; then
+    echo "a second optimizer update path in $optimpool:"
+    echo "$update_sites"
+    exit 1
+fi
 # Every thread the crates start is accounted for: the non-test `spawn(` and
 # `thread::scope` sites in crates/*/src, keyed by file, enclosing fn and
 # kind (one line per site, duplicates counted), must equal the list below.

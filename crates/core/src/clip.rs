@@ -11,6 +11,47 @@
 /// Independent f64 accumulators of [`GlobalNorm::layer_sum_sq`].
 const NORM_LANES: usize = 8;
 
+/// The lanes of [`GlobalNorm::layer_sum_sq`], fed a layer's flat gradient
+/// a piece at a time — by a reader that never holds it flat — to the same
+/// bits as one call over the whole slice.
+#[derive(Default)]
+pub(crate) struct NormLanes {
+    lanes: [f64; NORM_LANES],
+    seen: usize,
+}
+
+impl NormLanes {
+    /// Feeds the next `grads` of the flat gradient.
+    ///
+    /// # Panics
+    /// Panics if an earlier piece was not a whole number of lanes: only
+    /// the last piece may be ragged.
+    pub(crate) fn add(&mut self, grads: &[f32]) {
+        assert_eq!(
+            self.seen % NORM_LANES,
+            0,
+            "only the last piece may be ragged"
+        );
+        self.seen += grads.len();
+        let chunks = grads.chunks_exact(NORM_LANES);
+        let tail = chunks.remainder();
+        for chunk in chunks {
+            for (acc, g) in self.lanes.iter_mut().zip(chunk) {
+                *acc += (*g as f64) * (*g as f64);
+            }
+        }
+        for (acc, g) in self.lanes.iter_mut().zip(tail) {
+            *acc += (*g as f64) * (*g as f64);
+        }
+    }
+
+    /// The lanes summed pairwise: the partial.
+    pub(crate) fn total(&self) -> f64 {
+        let [a, b, c, d, e, f, g, h] = self.lanes;
+        ((a + b) + (c + d)) + ((e + f) + (g + h))
+    }
+}
+
 /// Accumulates per-layer squared-norm contributions in layer order.
 #[derive(Clone, Debug, Default)]
 pub struct GlobalNorm {
@@ -44,19 +85,9 @@ impl GlobalNorm {
     /// function of the slice whoever computes it, and its adds overlap
     /// instead of waiting on one serial chain.
     pub fn layer_sum_sq(grads: &[f32]) -> f64 {
-        let mut lanes = [0.0f64; NORM_LANES];
-        let chunks = grads.chunks_exact(NORM_LANES);
-        let tail = chunks.remainder();
-        for chunk in chunks {
-            for (acc, g) in lanes.iter_mut().zip(chunk) {
-                *acc += (*g as f64) * (*g as f64);
-            }
-        }
-        for (acc, g) in lanes.iter_mut().zip(tail) {
-            *acc += (*g as f64) * (*g as f64);
-        }
-        let [a, b, c, d, e, f, g, h] = lanes;
-        ((a + b) + (c + d)) + ((e + f) + (g + h))
+        let mut lanes = NormLanes::default();
+        lanes.add(grads);
+        lanes.total()
     }
 
     /// Folds a precomputed per-layer partial (see

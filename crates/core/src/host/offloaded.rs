@@ -13,9 +13,11 @@
 //! * **compute thread** — runs FP/BP batch-major with activation
 //!   checkpointing, keeps the last `m` layers resident across the FP→BP
 //!   turn, and hands each layer's gradient off as its backward ends;
-//! * **D2H engine thread** — flattens and accounts each handed-off gradient
-//!   and, when streaming, routes it through the step's sink to the
-//!   optimizer;
+//! * **D2H engine thread** — accounts each handed-off gradient and, when
+//!   streaming, routes it through the step's sink to the optimizer: a sink
+//!   that delivers at once gets the ring accumulator itself, which the
+//!   optimizer reads chunk by chunk; otherwise the engine flattens it into
+//!   a host buffer;
 //! * **optimizer pool** — [`OptimizerPool`] actors apply Adam concurrently
 //!   with the next step's forward work (§III-E1).
 //!
@@ -44,7 +46,6 @@ use stronghold_tensor::{scratch, Precision, Tensor};
 
 use crate::actor::Actor;
 use crate::adam::{AdamParams, AdamState};
-use crate::clip::GlobalNorm;
 use crate::error::RuntimeError;
 use crate::host::device::HostDevice;
 use crate::host::engine::{
@@ -62,9 +63,11 @@ use crate::tier::TierPlan;
 pub struct HostOffloadConfig {
     /// Working-window size in layers (`m`).
     pub window: usize,
-    /// Concurrent CPU optimizer actors (default 2). The optimizer pool
-    /// holds one layer-sized gradient buffer per actor, allocated with the
-    /// trainer.
+    /// Concurrent CPU optimizer actors (default 2). Every update's chunks
+    /// are shared among them. A trainer whose sink parks gradients (a
+    /// data-parallel rank) or that clips holds up to one layer-sized
+    /// gradient buffer per actor (a bucket's worth on a rank), allocated on
+    /// first use.
     pub optimizer_workers: usize,
     /// Adam hyper-parameters.
     pub adam: AdamParams,
@@ -134,9 +137,10 @@ impl HostOffloadConfig {
 
 /// One layer's gradient offload, handed from the compute thread to the D2H
 /// engine. Everything it carries is owned: the ring accumulator (returned
-/// as soon as it is copied, so BP can fold a later layer into it), the
-/// workspace destination `ws.block_grads[layer]` (taken for the copy and
-/// handed back with the job's end), and the step's route.
+/// once it is copied out, or once the update it was lent to retires, so BP
+/// can fold a later layer into it), the workspace destination
+/// `ws.block_grads[layer]` (taken for the copy and handed back with the
+/// job's end), and the step's route.
 struct OffloadJob {
     layer: usize,
     grads: BlockGrads,
@@ -157,22 +161,6 @@ struct Route {
     want_norm: bool,
 }
 
-/// A ring accumulator on its way back to BP: dropping it sends it home —
-/// after its copy, or while a panicking job unwinds — so BP never waits on
-/// one that is gone.
-struct Homebound<'a> {
-    grads: Option<BlockGrads>,
-    home: &'a Sender<BlockGrads>,
-}
-
-impl Drop for Homebound<'_> {
-    fn drop(&mut self) {
-        if let Some(grads) = self.grads.take() {
-            let _ = self.home.send(grads);
-        }
-    }
-}
-
 /// What the D2H engine reads besides its jobs, fixed for its lifetime.
 #[derive(Clone)]
 struct OffloadCtx {
@@ -187,18 +175,26 @@ struct OffloadCtx {
     copied: Counter,
     precision: Precision,
     block_bytes: u64,
+    /// Flat gradient elements of one block.
+    block_elems: usize,
+    /// The step's sink delivers each gradient as it comes (parks none), so
+    /// a streamed job lends it the ring accumulator instead of flattening
+    /// it into a pool buffer.
+    lend_ring: bool,
 }
 
 impl OffloadCtx {
-    /// Runs one job: flattens the finished layer's gradient (rounded
-    /// through the transfer format in a half mode — the optimizer ingests
-    /// the rounded f32 values against its FP32 masters, and the half-width
-    /// payload is accounted, not materialised), accounts the D2H traffic,
-    /// and either hands the flat gradient to the step's sink (streaming)
-    /// or leaves it in the job's destination for the engine's deferred
-    /// dispatch. The accumulator goes straight home once copied — before a
-    /// reducing sink can wait on the other replicas. Returns the
-    /// destination.
+    /// Runs one job: accounts the D2H traffic of the finished layer's
+    /// gradient and either hands it to the step's sink (streaming) or
+    /// flattens it into the job's destination for the engine's deferred
+    /// dispatch. A gradient leaves as a [`GradBuffer`], whose values are
+    /// rounded through the transfer format in a half mode — the optimizer
+    /// ingests the rounded f32 values against its FP32 masters, and the
+    /// half-width payload is accounted, not materialised. A sink that
+    /// delivers at once is lent the ring accumulator itself; a parking
+    /// sink gets a flat copy in a pool buffer, and the accumulator goes
+    /// home as soon as it is copied — before a reducing sink can wait on
+    /// the other replicas. Returns the destination.
     fn offload(&self, job: OffloadJob, home: &Sender<BlockGrads>) -> Vec<f32> {
         let OffloadJob {
             layer,
@@ -215,42 +211,45 @@ impl OffloadCtx {
             self.device.begin_d2h();
             tel.span("d2h-copy", format_args!("d2h L{layer}"))
         };
-        let acc = Homebound {
-            grads: Some(grads),
-            home,
-        };
-        let grads = acc.grads.as_ref().expect("accumulator in hand");
+        // Sends the accumulator home when it drops: after a flatten, once
+        // the update it is lent to retires, or while a panic unwinds past
+        // it, so BP never waits on one that is gone.
+        let acc = GradBuffer::ring(grads, self.block_elems, self.precision, home.clone());
         let span = match route {
             Some(route) => {
-                // Flatten straight into a pool buffer: the D2H copy *is*
-                // the optimizer hand-off, no second copy. With every buffer
-                // on loan the draw waits for an update to retire, holding
-                // the accumulator, so BP waits behind it; the wait accrues
-                // to `offload.buffer_wait_ns`. The sink decides when the
-                // buffer reaches `deliver` (a reducing sink may park it in
-                // a bucket first); the norm partial is taken there, so it
-                // reflects the reduced gradient. A buffer dropped on the
-                // way — a sink's panic — goes back to the pool.
-                let t0 = tel.now_nanos();
-                let mut buf = self.pool.recycled_buffer();
-                self.buffer_wait.record(tel.now_nanos().saturating_sub(t0));
-                let span = open_copy();
-                grads.flatten_into_as(&mut buf, self.precision);
-                drop(acc);
-                let deliver = |layer: usize, buf: GradBuffer| {
+                // With every pool buffer on loan the draw waits for an
+                // update to retire, holding the accumulator, so BP waits
+                // behind it; the wait accrues to `offload.buffer_wait_ns`.
+                // The sink decides when the gradient reaches `deliver` (a
+                // reducing sink may park it in a bucket first); the norm
+                // partial is taken there, so it reflects the reduced
+                // gradient. A gradient dropped on the way — a sink's panic
+                // — goes home.
+                let (grad, span) = if self.lend_ring {
+                    (acc, open_copy())
+                } else {
+                    let t0 = tel.now_nanos();
+                    let mut buf = self.pool.recycled_buffer();
+                    self.buffer_wait.record(tel.now_nanos().saturating_sub(t0));
+                    let span = open_copy();
+                    acc.flatten_into(&mut buf);
+                    drop(acc);
+                    (buf, span)
+                };
+                let deliver = |layer: usize, grad: GradBuffer| {
                     if route.want_norm {
-                        let sum_sq = GlobalNorm::layer_sum_sq(&buf);
+                        let sum_sq = grad.sum_sq();
                         self.norm_bits[layer].store(sum_sq.to_bits(), Ordering::Relaxed);
                     }
                     self.store.mark_pending(layer);
-                    self.pool.submit_owned(layer, buf, route.hp);
+                    self.pool.submit_owned(layer, grad, route.hp);
                 };
-                route.sink.layer_ready(layer, buf, &deliver);
+                route.sink.layer_ready(layer, grad, &deliver);
                 span
             }
             None => {
                 let span = open_copy();
-                grads.flatten_into_as(&mut dst, self.precision);
+                acc.flatten_into(&mut dst);
                 drop(acc);
                 span
             }
@@ -268,12 +267,14 @@ impl OffloadCtx {
 /// layer `i−1`'s backward.
 struct D2hEngine {
     jobs: Actor<OffloadJob>,
-    /// Accumulators, back as soon as they are copied out.
+    /// Accumulators, back once copied out or once their update retires.
     home: Receiver<BlockGrads>,
     /// Each ended job's layer and workspace destination.
     dsts: Receiver<(usize, Vec<f32>)>,
     /// Accumulators sent with a job and not taken back yet.
     lent: usize,
+    /// BP's wait for a free accumulator (`grad.ring_wait_ns`).
+    ring_wait: Histogram,
 }
 
 impl D2hEngine {
@@ -294,6 +295,7 @@ impl D2hEngine {
             home,
             dsts,
             lent: 0,
+            ring_wait: ctx.tel.histogram("grad.ring_wait_ns"),
         }
     }
 
@@ -302,28 +304,29 @@ impl D2hEngine {
         self.jobs.send(job);
     }
 
-    /// A free ring accumulator, waiting for the engine to hand one back
-    /// when all are lent out — the ring is the back-pressure.
-    fn accumulator(&mut self, ring: &mut Vec<BlockGrads>) -> BlockGrads {
-        if let Some(acc) = ring.pop() {
-            return acc;
-        }
-        assert!(self.lent > 0, "offload engine lost an accumulator");
-        self.lent -= 1;
-        self.home.recv().expect("D2H engine alive")
+    /// A free ring accumulator, waiting for one to come home when all are
+    /// lent out — the ring is the back-pressure. One `grad.ring_wait_ns`
+    /// sample per call, zero when the ring had one.
+    fn accumulator(&mut self, ring: &mut Vec<BlockGrads>, tel: &Telemetry) -> BlockGrads {
+        let t0 = tel.now_nanos();
+        let acc = ring.pop().unwrap_or_else(|| {
+            assert!(self.lent > 0, "offload engine lost an accumulator");
+            self.lent -= 1;
+            self.home.recv().expect("D2H engine alive")
+        });
+        self.ring_wait.record(tel.now_nanos().saturating_sub(t0));
+        acc
     }
 
-    /// Waits until every job sent has ended: each destination goes back to
-    /// `dsts` and each accumulator home to `ring`. Then re-raises, on the
-    /// calling thread, the first panic that ended a job (a sink's).
-    fn drain(&mut self, ring: &mut Vec<BlockGrads>, dsts: &mut [Vec<f32>]) {
+    /// Waits until every job sent has ended, each destination back in
+    /// `dsts`, and re-raises, on the calling thread, the first panic that
+    /// ended a job (a sink's). An accumulator lent to an update may still
+    /// be out: it comes home when the update retires, and BP takes it from
+    /// there when it next runs out.
+    fn drain(&mut self, dsts: &mut [Vec<f32>]) {
         let failure = self.jobs.flush();
         while let Ok((layer, dst)) = self.dsts.try_recv() {
             dsts[layer] = dst;
-        }
-        // Every ended job has sent its accumulator home.
-        for _ in 0..std::mem::take(&mut self.lent) {
-            ring.push(self.home.recv().expect("D2H engine alive"));
         }
         if let Some(panic) = failure {
             resume_unwind(panic);
@@ -332,7 +335,7 @@ impl D2hEngine {
 }
 
 /// Gradient accumulators in the ring: the one BP folds the current layer
-/// into, plus the one the D2H engine is copying out.
+/// into, plus the one the D2H engine or an update is reading out.
 const GRAD_RING: usize = 2;
 
 /// The working-window placement backend: block parameters live in a
@@ -350,11 +353,12 @@ pub struct WindowedBackend {
     /// The D2H side: the gradient copy engine.
     d2h: D2hEngine,
     tel: Telemetry,
-    /// The gradient accumulator ring, home between steps: [`GRAD_RING`]
-    /// block-sized buffers. In a step they circulate — BP takes one as each
-    /// layer's fold root, the D2H engine copies it out and hands it back —
-    /// so gradient memory is constant, not proportional to the model's
-    /// depth. Contents are never read before a fold leaf overwrites them.
+    /// The gradient accumulator ring: [`GRAD_RING`] block-sized buffers,
+    /// here or on their way home. They circulate — BP takes one as each
+    /// layer's fold root, the D2H engine copies it out or lends it to the
+    /// layer's update, and it comes back — so gradient memory is constant,
+    /// not proportional to the model's depth. Contents are never read
+    /// before a fold leaf overwrites them.
     grad_ring: Vec<BlockGrads>,
     /// Per-sample head/embedding scratches (grown to the largest batch seen).
     head_scratches: Vec<TransformerGrads>,
@@ -384,9 +388,10 @@ impl WindowedBackend {
     /// Splits an existing model into the resident shell and the offloaded
     /// layer store. `parked` is how many gradients the step's sink may hold
     /// undelivered at once (a data-parallel bucket's layers; 0 for a sink
-    /// that delivers each as it comes): the optimizer pool holds
-    /// `max(optimizer_workers, parked)` gradient buffers, so a sink never
-    /// waits for a buffer only its own delivery would free.
+    /// that delivers each as it comes, which is lent the ring accumulators
+    /// and draws no host buffer on the streaming path): the optimizer pool
+    /// may hold `max(optimizer_workers, parked)` gradient buffers, so a
+    /// sink never waits for a buffer only its own delivery would free.
     pub(crate) fn from_model(
         model: Transformer,
         hocfg: &HostOffloadConfig,
@@ -452,6 +457,8 @@ impl WindowedBackend {
             copied: tel.counter("offload.grads"),
             precision: hocfg.precision,
             block_bytes: stream.block_bytes(),
+            block_elems,
+            lend_ring: parked == 0,
         });
         WindowedBackend {
             cfg,
@@ -658,7 +665,7 @@ impl ParamBackend for WindowedBackend {
         });
         let (d2h, ring) = (&mut self.d2h, &mut self.grad_ring);
         // Nothing is in flight unless an earlier step unwound mid-backward.
-        d2h.drain(ring, block_grads);
+        d2h.drain(block_grads);
         let loss = self.stream.run(&self.store, Pass::ForwardBackward, |feed| {
             // ---- compute ("GPU") ----
             // FP, batch-major; each layer's input tensors are *moved* into
@@ -720,7 +727,7 @@ impl ParamBackend for WindowedBackend {
                 // Its root is a ring accumulator (at b = 1 the only buffer),
                 // and each leaf is written once, scaled, by the block leaf
                 // the resident trainer runs too.
-                let acc = d2h.accumulator(ring);
+                let acc = d2h.accumulator(ring, &self.tel);
                 self.bp_fold_slots.insert(0, acc);
                 fold_with(
                     &self.fold_plan,
@@ -770,11 +777,11 @@ impl ParamBackend for WindowedBackend {
 
             tree_sum(&self.loss_buf)
         });
-        // Every job has ended: each destination is back in the workspace
-        // and each accumulator home, in whatever order — which buffer
-        // serves which layer is invisible.
-        d2h.drain(ring, block_grads);
-        assert_eq!(ring.len(), GRAD_RING, "offload engine lost an accumulator");
+        // Every job has ended and each destination is back in the
+        // workspace; the accumulators lent to the last updates come home as
+        // those retire, in whatever order — which buffer serves which layer
+        // is invisible.
+        d2h.drain(block_grads);
         // Streaming norm partials were recorded at delivery time (on the
         // reduced gradients); surface them to the engine's norm fold.
         if want_norm {
@@ -1085,39 +1092,99 @@ mod tests {
     /// A sink that panics on the D2H engine fails the step on the caller's
     /// thread with its own message; every later step fails the same way
     /// instead of waiting on the engine, and the trainer still drops. The
-    /// refused buffer goes back to the pool each time: `C + 2` failing
-    /// steps would drain a pool of `C` that lost one per step.
+    /// refused gradient — the ring accumulator lent to the sink — goes home
+    /// each time: `GRAD_RING + 2` failing steps would hang BP on a ring
+    /// that lost one per step. With the default two actors and with one,
+    /// at windows 1 and 2.
     #[test]
     fn a_sink_panic_on_the_d2h_engine_reaches_the_caller() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         use std::sync::mpsc;
         use std::time::Duration;
         let cfg = tiny(4);
-        // One step more than the default pool's buffers, and one to spare.
-        let failing_steps = HostOffloadConfig::default().optimizer_workers + 2;
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let hocfg = HostOffloadConfig::default();
-            let tel = Telemetry::disabled();
-            let backend = WindowedBackend::from_model(Transformer::new(cfg, 26), &hocfg, 0, tel);
-            let mut t = Engine::with_sink(backend, hocfg.engine_options(), Arc::new(RefusingSink));
-            let data = batch(&cfg, 13);
-            for _ in 0..failing_steps {
-                let failed = catch_unwind(AssertUnwindSafe(|| t.train_step(&data))).err();
-                let _ = tx.send(failed.and_then(|p| p.downcast_ref::<String>().cloned()));
+        let failing_steps = GRAD_RING + 2;
+        let configs =
+            [(2, 2), (1, 1), (1, 2)].map(|(optimizer_workers, window)| HostOffloadConfig {
+                optimizer_workers,
+                window,
+                ..HostOffloadConfig::default()
+            });
+        for hocfg in configs {
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let tel = Telemetry::disabled();
+                let backend =
+                    WindowedBackend::from_model(Transformer::new(cfg, 26), &hocfg, 0, tel);
+                let mut t =
+                    Engine::with_sink(backend, hocfg.engine_options(), Arc::new(RefusingSink));
+                let data = batch(&cfg, 13);
+                for _ in 0..failing_steps {
+                    let failed = catch_unwind(AssertUnwindSafe(|| t.train_step(&data))).err();
+                    let _ = tx.send(failed.and_then(|p| p.downcast_ref::<String>().cloned()));
+                }
+                drop(t);
+                let _ = tx.send(None);
+            });
+            let next = |what: &str| {
+                rx.recv_timeout(Duration::from_secs(10))
+                    .unwrap_or_else(|_| panic!("a panicking sink hung {what}, {hocfg:?}"))
+            };
+            for step in 0..failing_steps {
+                let failed = next(&format!("step {step}"));
+                assert_eq!(failed.as_deref(), Some(REFUSAL), "step {step}");
             }
-            drop(t);
-            let _ = tx.send(None);
-        });
-        let next = |what: &str| {
-            rx.recv_timeout(Duration::from_secs(10))
-                .unwrap_or_else(|_| panic!("a panicking sink hung {what}"))
-        };
-        for step in 0..failing_steps {
-            let failed = next(&format!("step {step}"));
-            assert_eq!(failed.as_deref(), Some(REFUSAL), "step {step}");
+            assert_eq!(next("the drop"), None);
         }
-        assert_eq!(next("the drop"), None);
+    }
+
+    /// One optimizer actor on a `train-spill`-shaped store — 8 layers of
+    /// two chunks each, 6 of them on the swap file — at windows 1 and 2:
+    /// every chunk of every update queues on the one actor while BP waits
+    /// on the ring for an accumulator the actor still reads and the
+    /// prefetcher waits on pending updates, and three steps finish within
+    /// the watchdog, bit-equal to the same trainer with two actors.
+    #[test]
+    fn one_actor_on_a_spilled_store_finishes_every_step() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let cfg = ModelConfig::new(8, 152, 4)
+            .with_seq(4)
+            .with_vocab(32)
+            .with_batch(1);
+        assert!(cfg.block_params() as usize > crate::optimpool::SPILL_CHUNK);
+        let data = batch(&cfg, 14);
+        let run = move |optimizer_workers: usize, window: usize| {
+            let (tx, rx) = mpsc::channel();
+            let data = data.clone();
+            std::thread::spawn(move || {
+                let hocfg = HostOffloadConfig {
+                    window,
+                    optimizer_workers,
+                    host_capacity: Some(2 * 12 * cfg.block_params()),
+                    ..HostOffloadConfig::default()
+                };
+                let mut t = HostOffloadTrainer::new(cfg, 27, hocfg);
+                assert_eq!(t.spilled_layers(), 6);
+                for _ in 0..3 {
+                    t.train_step(&data);
+                }
+                t.flush();
+                assert_eq!(t.optimizer_updates(), 3 * cfg.layers);
+                let _ = tx.send(
+                    (0..cfg.layers)
+                        .map(|i| t.block_params(i))
+                        .collect::<Vec<_>>(),
+                );
+            });
+            rx.recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("{optimizer_workers} actors at window {window} hung"))
+        };
+        for window in [1, 2] {
+            assert!(
+                run(1, window) == run(2, window),
+                "window {window}: params diverged"
+            );
+        }
     }
 
     #[test]

@@ -63,8 +63,9 @@ pub(crate) enum Pass {
 /// serving store holds serving-form images, which load into serving-form
 /// shells the same way; their panel padding is layout and crosses no link.
 ///
-/// A spilled layer is read from its file range straight into the shell's
-/// tensors, one tensor at a time: at F32 in place, in a half mode through
+/// A resident layer is copied out of its chunks one tensor at a time, and a
+/// spilled layer is read from its file range straight into the shell's
+/// tensors, one tensor at a time too: at F32 in place, in a half mode through
 /// `staging`, one [`SPILL_CHUNK`] at most, which the same rounding copies
 /// on into the shell.
 fn load(
@@ -74,7 +75,10 @@ fn load(
     staging: &mut Vec<f32>,
 ) -> u64 {
     match masters {
-        Masters::Ram(flat) => shell.load_flat_params_as(flat, precision),
+        Masters::Ram(ram) => {
+            assert_eq!(ram.len(), shell.flat_len());
+            shell.load_flat_params_with(|off, dst| ram.read_as(off, dst, precision));
+        }
         Masters::File(file) => {
             assert_eq!(file.len(), shell.flat_len());
             shell.load_flat_params_with(|off, dst| {

@@ -15,55 +15,79 @@
 //!
 //! Mixed precision (ZeRO-Offload-style split): the store always holds
 //! **FP32 master** parameters and Adam moments, regardless of the trainer's
-//! device/transfer precision. Under a half mode the backends round
-//! gradients through the transfer format *before* submission
-//! ("convert-on-ingest" — the `Vec<f32>` arriving here already carries the
-//! half-grid values), so the fused AdamW step below runs unchanged at the
-//! memory-bandwidth floor and checkpoints serialize bit-exact FP32 masters.
+//! device/transfer precision. Under a half mode each gradient value is
+//! rounded through the transfer format on its way to the update
+//! ("convert-on-ingest"), so the fused AdamW step below runs unchanged at
+//! the memory-bandwidth floor and checkpoints serialize bit-exact FP32
+//! masters.
 //!
-//! Spilled layers (§III-G) are updated in place on the file: the actor
-//! running the update pages params, m and v in one chunk at a time
-//! through a small staging triple it owns, steps the chunk and writes it
-//! back before reading the next, as ZeRO-Infinity steps NVMe-resident
-//! optimizer state sub-group by sub-group. An update therefore holds
-//! `3 × SPILL_CHUNK` floats per actor, never a whole layer's state, and
-//! nothing outlives it: the write-back has landed when `pending_update`
-//! clears.
+//! An update is stepped in `SPILL_CHUNK`s, one routine for every layer
+//! (`LayerStore::step_chunk`), and the chunks of one update are dealt to
+//! every actor, so a layer's update — the step boundary's layer 0 above
+//! all — runs on all of them at once. A resident layer keeps its masters
+//! and moments as one lock per chunk, so two actors step disjoint chunks
+//! side by side. A spilled layer (§III-G) is stepped in place on the file:
+//! the actor pages the chunk's params, m and v in through a small staging
+//! triple it owns, steps it and writes it back, as ZeRO-Infinity steps
+//! NVMe-resident optimizer state sub-group by sub-group. An update holds
+//! `3 × SPILL_CHUNK` floats per actor, never a whole layer's state. The
+//! layer's `pending_update` clears, and its Adam `t` commits, only when the
+//! last chunk retires: readers and checkpoints never see a stale image.
 //!
-//! Gradients reach the actors in the pool's own buffers, a fixed set
-//! allocated when the pool is built: one per actor, since an actor steps
-//! one update at a time and a buffer beyond that would only hold a queued
-//! gradient (a data-parallel rank, whose sink parks a whole bucket, holds
-//! a bucket's worth). A [`GradBuffer`] goes home when it drops — its update
-//! retired, or a panic unwound past it — and a draw from a pool with none
-//! home waits for one instead of allocating. So the pool's host footprint
-//! is a closed form of the config, `buffers × layer`, and the wait is the
-//! pipeline's second back-pressure after the D2H gradient ring: the D2H
-//! engine holds a ring accumulator while it waits, so BP waits behind it.
+//! A gradient reaches the actors as a [`GradBuffer`]. A sink that delivers
+//! each gradient as soon as it lands lends the D2H engine's ring
+//! accumulator itself: each chunk's gradient is round-copied out of it, a
+//! cache-sized piece at a time, into the actor's own staging right before
+//! Adam reads it, so no layer-sized host copy of a gradient exists, and
+//! the accumulator goes home to BP when the update's last chunk retires.
+//! A sink that parks gradients (a data-parallel bucket) and the clipped
+//! deferred dispatch hold a host copy instead, in one of the pool's
+//! layer-sized buffers, read by the same chunk routine. Those buffers are
+//! allocated on a path's first draw, at most `buffers` of them, and a draw
+//! from a pool with none home and none left to allocate waits instead of
+//! allocating, so the pool's host footprint stays a closed form of the
+//! config.
 
 use std::ops::{Deref, DerefMut};
 use std::panic::resume_unwind;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
+
+use crossbeam_channel::Sender;
+use stronghold_model::block::BlockGrads;
+use stronghold_tensor::simd::round_copy;
+use stronghold_tensor::Precision;
 
 use crate::actor::Actor;
 use crate::adam::{self, AdamParams, AdamState};
+use crate::clip::NormLanes;
 use crate::nvme::NvmeStore;
-use crate::telemetry::{Gauge, Telemetry};
+use crate::telemetry::{Counter, Gauge, Histogram, Telemetry};
 use crate::tier::{io_failure, Tier, TierPlan, TierStore};
 use crate::{lock, wait};
 
-/// Floats per component (params, m, v) a spilled update pages through its
-/// actor's staging triple at once — 1 MiB each. A power-of-two multiple of
-/// the widest vector tier's 16 lanes, so every chunk starts where the
-/// whole-layer kernel runs a full vector: the vectorized body and the
-/// scalar tail cover the same elements, and the chunked step is
-/// bit-identical to the resident one.
+/// Floats per chunk of an update: the unit the actors share out, the lock
+/// granule of a resident layer, and what a spilled update pages through
+/// its actor's staging triple at once (1 MiB per component). A
+/// power-of-two multiple of the widest vector tier's 16 lanes, so every
+/// chunk starts where the whole-layer kernel runs a full vector: the
+/// vectorized body and the scalar tail cover the same elements, and the
+/// chunked step is bit-identical to a whole-layer one.
 pub(crate) const SPILL_CHUNK: usize = 1 << 18;
 
-/// An optimizer actor's reusable page-in buffers for spilled updates: one
-/// chunk each of params, m and v.
-pub(crate) type Staging = [Vec<f32>; 3];
+/// Floats of a chunk's gradient an actor round-copies out of a ring
+/// accumulator at once (64 KiB): small enough to stay in the core's L2
+/// cache until Adam reads it back, and a multiple of 16, so each piece
+/// starts on a full vector too.
+const GRAD_PIECE: usize = 1 << 14;
+
+/// An optimizer actor's reusable buffers: one chunk each of a spilled
+/// layer's params, m and v, and one piece of a lent gradient.
+#[derive(Default)]
+struct Staging {
+    page: [Vec<f32>; 3],
+    grad: Vec<f32>,
+}
 
 /// Per-layer parameter + optimizer-state storage, the "CPU RAM" side of the
 /// offloading runtime. All access is through layer-granular locks.
@@ -75,8 +99,8 @@ pub(crate) type Staging = [Vec<f32>; 3];
 /// f32 ↔ le-bytes file round trips are bit-exact — so is the training math.
 pub struct LayerStore {
     slots: Vec<SlotCell>,
-    /// Per-layer parameter counts (valid for spilled layers too, whose
-    /// RAM-side `params` vector is empty).
+    /// Per-layer parameter counts (valid for spilled layers too, which hold
+    /// nothing in RAM).
     lens: Vec<usize>,
     placement: Vec<Tier>,
     tier: Option<TierStore>,
@@ -88,17 +112,25 @@ pub struct LayerStore {
 struct SlotCell {
     lock: Mutex<Slot>,
     cv: Condvar,
+    /// Resident layers: the authoritative masters and moments, one lock
+    /// per [`SPILL_CHUNK`]. Read under the slot lock while no update is
+    /// pending; stepped chunk by chunk while one is. Spilled layers: empty.
+    ram: Vec<Mutex<RamChunk>>,
+    /// Spilled layers only: index into the swap file.
+    file_slot: usize,
+}
+
+/// One chunk of a resident layer: its masters and Adam moments.
+struct RamChunk {
+    params: Vec<f32>,
+    m: Vec<f32>,
+    v: Vec<f32>,
 }
 
 struct Slot {
-    /// Resident layers: the authoritative masters. Spilled layers: empty.
-    params: Vec<f32>,
-    /// Resident layers: the authoritative moments. Spilled layers: `m`/`v`
-    /// are empty (they live in the file slot) and only `t` is meaningful.
-    adam: AdamState,
+    /// Adam steps committed.
+    t: u64,
     pending_update: bool,
-    /// Spilled layers only: index into the swap file.
-    file_slot: usize,
     /// Spilled layers only: a reader is reading the layer's parameters
     /// off its file slot. An update waits for it to clear, and so does the
     /// next reader.
@@ -109,18 +141,6 @@ struct Slot {
 }
 
 impl Slot {
-    fn resident(params: Vec<f32>) -> Self {
-        let n = params.len();
-        Slot {
-            params,
-            adam: AdamState::new(n),
-            pending_update: false,
-            file_slot: usize::MAX,
-            reading: false,
-            failure: None,
-        }
-    }
-
     /// Re-raises a recorded spill I/O failure as a panic on the calling
     /// thread. The worker or actor that hit it recorded it and woke every
     /// waiter instead of dying, so nothing is left blocked.
@@ -131,11 +151,53 @@ impl Slot {
     }
 }
 
+impl SlotCell {
+    fn new(ram: Vec<Mutex<RamChunk>>, file_slot: usize) -> Self {
+        SlotCell {
+            lock: Mutex::new(Slot {
+                t: 0,
+                pending_update: false,
+                reading: false,
+                failure: None,
+            }),
+            cv: Condvar::new(),
+            ram,
+            file_slot,
+        }
+    }
+
+    /// A resident layer: `params` cut into chunks, each beside zeroed
+    /// moments. Without `moments` the layer is never stepped, so its image
+    /// stays one chunk, uncopied.
+    fn resident(params: Vec<f32>, moments: bool) -> Self {
+        let chunk = |params: Vec<f32>| {
+            let n = if moments { params.len() } else { 0 };
+            Mutex::new(RamChunk {
+                m: vec![0.0; n],
+                v: vec![0.0; n],
+                params,
+            })
+        };
+        let ram = if !moments || params.len() <= SPILL_CHUNK {
+            vec![chunk(params)]
+        } else {
+            params
+                .chunks(SPILL_CHUNK)
+                .map(|c| chunk(c.to_vec()))
+                .collect()
+        };
+        SlotCell::new(ram, usize::MAX)
+    }
+}
+
 impl LayerStore {
     /// Builds an all-resident store from per-layer flat parameter vectors.
     pub fn new(layer_params: Vec<Vec<f32>>) -> Arc<Self> {
         let lens = layer_params.iter().map(Vec::len).collect();
-        let slots = layer_params.into_iter().map(Slot::resident).collect();
+        let slots = layer_params
+            .into_iter()
+            .map(|p| SlotCell::resident(p, true))
+            .collect();
         Self::all_resident(slots, lens, false)
     }
 
@@ -143,24 +205,20 @@ impl LayerStore {
     /// read-only store of the serving engine, whose layers are flat images
     /// of `params` parameters each: a serving-form block's image carries
     /// panel padding, which is layout, so the store counts parameters, not
-    /// image floats. [`LayerStore::apply_update`] on it fails the
-    /// optimizer's length check.
+    /// image floats. An update of one of its layers fails the optimizer's
+    /// length check.
     pub(crate) fn without_moments(images: Vec<Vec<f32>>, params: usize) -> Arc<Self> {
         let lens = vec![params; images.len()];
-        let bare = |params| Slot {
-            params,
-            ..Slot::resident(Vec::new())
-        };
-        Self::all_resident(images.into_iter().map(bare).collect(), lens, true)
+        let slots = images
+            .into_iter()
+            .map(|p| SlotCell::resident(p, false))
+            .collect();
+        Self::all_resident(slots, lens, true)
     }
 
-    fn all_resident(slots: Vec<Slot>, lens: Vec<usize>, read_only: bool) -> Arc<Self> {
-        let cell = |slot| SlotCell {
-            lock: Mutex::new(slot),
-            cv: Condvar::new(),
-        };
+    fn all_resident(slots: Vec<SlotCell>, lens: Vec<usize>, read_only: bool) -> Arc<Self> {
         Arc::new(LayerStore {
-            slots: slots.into_iter().map(cell).collect(),
+            slots,
             placement: vec![Tier::Ram; lens.len()],
             lens,
             tier: None,
@@ -211,17 +269,11 @@ impl LayerStore {
                 nvme.write_at(fs, n, &zeros, &mut scratch)?;
                 nvme.write_at(fs, 2 * n, &zeros, &mut scratch)?;
                 // Nothing in RAM: params, m and v live in the file slot.
-                Slot {
-                    file_slot: fs,
-                    ..Slot::resident(Vec::new())
-                }
+                SlotCell::new(Vec::new(), fs)
             } else {
-                Slot::resident(p)
+                SlotCell::resident(p, true)
             };
-            slots.push(SlotCell {
-                lock: Mutex::new(slot),
-                cv: Condvar::new(),
-            });
+            slots.push(slot);
         }
         Ok(Arc::new(LayerStore {
             slots,
@@ -262,7 +314,7 @@ impl LayerStore {
     pub fn read_params_into(&self, layer: usize, out: &mut Vec<f32>) {
         out.clear();
         self.with_params(layer, |masters| match masters {
-            Masters::Ram(params) => out.extend_from_slice(params),
+            Masters::Ram(ram) => ram.append_to(out),
             Masters::File(file) => {
                 out.resize(file.len(), 0.0);
                 file.read(0, out);
@@ -272,7 +324,7 @@ impl LayerStore {
 
     /// Lends a layer's parameters to `f` without copying them — the read
     /// the H2D stream loads device shells from. Blocks while an update for
-    /// the layer is pending. A resident layer is lent as its slice, under
+    /// the layer is pending. A resident layer is lent as its chunks, under
     /// its slot lock; a spilled layer as its file range, which `f` reads
     /// straight into its own memory while the slot's `reading` flag holds
     /// the next update (and the next reader) off. No lock is held across
@@ -289,7 +341,7 @@ impl LayerStore {
             while slot.pending_update {
                 slot = wait(&cell.cv, slot);
             }
-            return f(Masters::Ram(&slot.params));
+            return f(Masters::Ram(RamMasters(&cell.ram)));
         }
         let tier = self.tier.as_ref().expect("tiered store");
         loop {
@@ -304,7 +356,6 @@ impl LayerStore {
             tier,
             cell,
             layer,
-            file_slot: slot.file_slot,
             len: self.lens[layer],
         };
         drop(slot);
@@ -323,60 +374,146 @@ impl LayerStore {
         lock(&self.slots[layer].lock).pending_update = true;
     }
 
-    /// Applies an Adam update for a layer and releases waiters.
-    ///
-    /// Resident layers step in place. Spilled layers step straight through
-    /// their file slot, chunk by chunk (see the module docs): 12·S bytes in,
-    /// 12·S out, all on the calling thread, and `pending_update` clears only
-    /// once the last chunk is written back, so readers and checkpoints never
-    /// observe a stale file image. A failed swap-file access does not panic
-    /// here — the unwind would leave `pending_update` set and strand the
-    /// layer's readers — but is recorded and re-raised by the next access to
-    /// the layer and by [`LayerStore::flush_spill`].
+    /// Applies an Adam update for a layer on the calling thread and releases
+    /// waiters: every chunk through the routine the pool's actors share, so
+    /// a resident layer steps in place and a spilled one straight through
+    /// its file slot (12·S bytes in, 12·S out), and `pending_update` clears
+    /// only once the last chunk is written back, so readers and checkpoints
+    /// never observe a stale file image. A failed swap-file access does not
+    /// panic here — the unwind would leave `pending_update` set and strand
+    /// the layer's readers — but is recorded and re-raised by the next
+    /// access to the layer and by [`LayerStore::flush_spill`].
     pub fn apply_update(&self, layer: usize, grads: &[f32], hp: &AdamParams) {
-        self.apply_update_with(layer, grads, hp, &mut Staging::default());
+        assert_eq!(grads.len(), self.lens[layer], "adam: params vs grads");
+        let t = self.enter_update(layer);
+        let mut staging = Staging::default();
+        let mut stepped = true;
+        for index in 0..self.chunks(layer) {
+            stepped &= self.step_chunk(layer, index, GradSource::Flat(grads), t, hp, &mut staging);
+        }
+        self.end_update(layer, stepped);
     }
 
-    /// [`LayerStore::apply_update`] paging a spilled layer through the
-    /// caller's reusable `staging` buffers.
-    pub(crate) fn apply_update_with(
+    /// Chunks an update of `layer` is stepped in (at least one).
+    fn chunks(&self, layer: usize) -> usize {
+        self.lens[layer].div_ceil(SPILL_CHUNK).max(1)
+    }
+
+    /// Opens a chunk's share of an update of `layer`: marks the layer
+    /// pending, waits out a read of a spilled layer still in flight (one
+    /// that began before the layer was marked), and returns the Adam step
+    /// the update commits. Every chunk of one update sees the same step:
+    /// it commits only at [`LayerStore::end_update`].
+    fn enter_update(&self, layer: usize) -> u64 {
+        let cell = &self.slots[layer];
+        let mut slot = lock(&cell.lock);
+        slot.pending_update = true;
+        while slot.reading {
+            slot = wait(&cell.cv, slot);
+        }
+        slot.t + 1
+    }
+
+    /// Adam step `t` of chunk `index` of `layer`, with the gradient read
+    /// from `grads` one [`GRAD_PIECE`] at a time — the one update routine of
+    /// every layer. A resident chunk steps in place under its own lock; a
+    /// spilled one is paged into `staging`, stepped with the same formula,
+    /// and written back. Returns false, with the failure recorded on the
+    /// layer, if its swap-file I/O failed.
+    ///
+    /// # Panics
+    /// Panics if the store holds no Adam moments, and if a chunk's moments
+    /// do not match its masters.
+    fn step_chunk(
         &self,
         layer: usize,
-        grads: &[f32],
+        index: usize,
+        grads: GradSource<'_>,
+        t: u64,
         hp: &AdamParams,
         staging: &mut Staging,
-    ) {
-        let cell = &self.slots[layer];
-        if self.placement[layer] == Tier::Ram {
-            let mut slot = lock(&cell.lock);
-            let Slot { params, adam, .. } = &mut *slot;
-            adam.step(params, grads, hp);
-            slot.pending_update = false;
-            cell.cv.notify_all();
-            return;
+    ) -> bool {
+        let stepped = self.try_step_chunk(layer, index, grads, t, hp, staging);
+        if let Err(e) = &stepped {
+            let cell = &self.slots[layer];
+            lock(&cell.lock)
+                .failure
+                .get_or_insert_with(|| io_failure(layer, cell.file_slot, "update", e));
         }
-        assert_eq!(grads.len(), self.lens[layer], "adam: params vs grads");
-        let tier = self.tier.as_ref().expect("tiered store");
-        let (fs, t) = {
-            let mut slot = lock(&cell.lock);
-            // No reader may observe or race the rewrite: a read that began
-            // before the layer was marked pending finishes first.
-            slot.pending_update = true;
-            while slot.reading {
-                slot = wait(&cell.cv, slot);
+        stepped.is_ok()
+    }
+
+    fn try_step_chunk(
+        &self,
+        layer: usize,
+        index: usize,
+        grads: GradSource<'_>,
+        t: u64,
+        hp: &AdamParams,
+        staging: &mut Staging,
+    ) -> std::io::Result<()> {
+        assert!(!self.read_only, "adam: params vs state: no Adam moments");
+        let (n, cell) = (self.lens[layer], &self.slots[layer]);
+        let start = index * SPILL_CHUNK;
+        let len = SPILL_CHUNK.min(n - start);
+        let Staging { page, grad } = staging;
+        // Byte staging of a big-endian host; untouched on little-endian ones.
+        let mut scratch = Vec::new();
+        let file = self
+            .tier
+            .as_ref()
+            .filter(|_| self.placement[layer] == Tier::File);
+        let mut ram;
+        let [p, m, v] = match file {
+            Some(tier) => {
+                for buf in page.iter_mut().filter(|buf| buf.len() < len) {
+                    buf.resize(len, 0.0);
+                }
+                let [p, m, v] = page;
+                let (p, m, v) = (&mut p[..len], &mut m[..len], &mut v[..len]);
+                let _s = tier.telemetry().span("spill-read", "update-page-in");
+                let nvme = tier.nvme();
+                nvme.read_at(cell.file_slot, start, p, &mut scratch)?;
+                nvme.read_at(cell.file_slot, n + start, m, &mut scratch)?;
+                nvme.read_at(cell.file_slot, 2 * n + start, v, &mut scratch)?;
+                [p, m, v]
             }
-            (slot.file_slot, slot.adam.t + 1)
+            None => {
+                ram = lock(&cell.ram[index]);
+                let RamChunk { params, m, v } = &mut *ram;
+                [params.as_mut_slice(), m.as_mut_slice(), v.as_mut_slice()]
+            }
         };
-        let stepped = step_in_file(tier, fs, grads, t, hp, staging);
+        assert_eq!(m.len(), p.len(), "adam: params vs state");
+        for off in (0..len).step_by(GRAD_PIECE) {
+            let r = off..len.min(off + GRAD_PIECE);
+            let g = grads.piece(start + off, r.len(), grad);
+            adam::fused_step(&mut p[r.clone()], g, &mut m[r.clone()], &mut v[r], t, hp);
+        }
+        if let Some(tier) = file {
+            let _s = tier.telemetry().span("spill-write", "update-write-back");
+            let nvme = tier.nvme();
+            nvme.write_at(cell.file_slot, start, p, &mut scratch)?;
+            nvme.write_at(cell.file_slot, n + start, m, &mut scratch)?;
+            nvme.write_at(cell.file_slot, 2 * n + start, v, &mut scratch)?;
+        }
+        Ok(())
+    }
+
+    /// Closes an update of `layer` once its last chunk has retired: commits
+    /// its Adam step if every chunk stepped, clears `pending_update` and
+    /// wakes the layer's waiters either way, so nothing is left blocked.
+    fn end_update(&self, layer: usize, stepped: bool) {
+        let cell = &self.slots[layer];
         let mut slot = lock(&cell.lock);
-        match stepped {
-            Ok(()) => {
-                slot.adam.t = t;
+        if stepped {
+            slot.t += 1;
+            if let Some(tier) = self
+                .tier
+                .as_ref()
+                .filter(|_| self.placement[layer] == Tier::File)
+            {
                 tier.count_update();
-            }
-            Err(e) => {
-                slot.failure
-                    .get_or_insert(io_failure(layer, fs, "update", &e));
             }
         }
         slot.pending_update = false;
@@ -387,12 +524,12 @@ impl LayerStore {
     /// guarantees (tests); spilled layers wait out any in-flight update so
     /// the file image read back is current.
     pub fn snapshot(&self, layer: usize) -> Vec<f32> {
-        let cell = &self.slots[layer];
-        if self.placement[layer] == Tier::Ram {
-            return lock(&cell.lock).params.clone();
-        }
         let mut out = Vec::new();
-        self.read_params_into(layer, &mut out);
+        if self.placement[layer] == Tier::Ram {
+            RamMasters(&self.slots[layer].ram).append_to(&mut out);
+        } else {
+            self.read_params_into(layer, &mut out);
+        }
         out
     }
 
@@ -418,21 +555,29 @@ impl LayerStore {
     pub fn adam_snapshot(&self, layer: usize) -> AdamState {
         let cell = &self.slots[layer];
         if self.placement[layer] == Tier::Ram {
-            return lock(&cell.lock).adam.clone();
+            let t = lock(&cell.lock).t;
+            let (mut m, mut v) = (Vec::new(), Vec::new());
+            for chunk in &cell.ram {
+                let chunk = lock(chunk);
+                m.extend_from_slice(&chunk.m);
+                v.extend_from_slice(&chunk.v);
+            }
+            return AdamState { m, v, t };
         }
         let tier = self.tier.as_ref().expect("tiered store");
         let n = self.lens[layer];
-        let (fs, t) = {
+        let t = {
             let mut slot = lock(&cell.lock);
             while slot.pending_update {
                 slot = wait(&cell.cv, slot);
             }
             slot.check_io();
-            (slot.file_slot, slot.adam.t)
+            slot.t
         };
         let mut m = vec![0.0; n];
         let mut v = vec![0.0; n];
         let mut scratch = Vec::new();
+        let fs = cell.file_slot;
         for (off, buf) in [(n, &mut m), (2 * n, &mut v)] {
             if let Err(e) = tier.nvme().read_at(fs, off, buf, &mut scratch) {
                 panic!("{}", io_failure(layer, fs, "adam snapshot", &e));
@@ -441,7 +586,8 @@ impl LayerStore {
         AdamState { m, v, t }
     }
 
-    /// Replaces a layer's Adam moment state (checkpoint restore).
+    /// Replaces a layer's Adam moment state (checkpoint restore), once no
+    /// update or read of the layer is in flight.
     ///
     /// # Panics
     /// Panics if the state's moment length does not match the layer.
@@ -452,20 +598,23 @@ impl LayerStore {
             "adam state length mismatch for layer {layer}"
         );
         let cell = &self.slots[layer];
+        let mut slot = lock(&cell.lock);
+        while slot.pending_update || slot.reading {
+            slot = wait(&cell.cv, slot);
+        }
+        slot.t = state.t;
         if self.placement[layer] == Tier::Ram {
-            lock(&cell.lock).adam = state;
+            let parts = state.m.chunks(SPILL_CHUNK).zip(state.v.chunks(SPILL_CHUNK));
+            for (chunk, (m, v)) in cell.ram.iter().zip(parts) {
+                let mut chunk = lock(chunk);
+                chunk.m.copy_from_slice(m);
+                chunk.v.copy_from_slice(v);
+            }
             return;
         }
+        drop(slot);
         let tier = self.tier.as_ref().expect("tiered store");
-        let n = self.lens[layer];
-        let fs = {
-            let mut slot = lock(&cell.lock);
-            while slot.pending_update || slot.reading {
-                slot = wait(&cell.cv, slot);
-            }
-            slot.adam.t = state.t;
-            slot.file_slot
-        };
+        let (n, fs) = (self.lens[layer], cell.file_slot);
         let mut scratch = Vec::new();
         for (off, buf) in [(n, &state.m), (2 * n, &state.v)] {
             if let Err(e) = tier.nvme().write_at(fs, off, buf, &mut scratch) {
@@ -486,8 +635,8 @@ impl LayerStore {
 
     /// Re-raises the first recorded swap-file I/O failure of any layer, so
     /// a failed read or update surfaces at the step boundary. Run after the
-    /// optimizer-pool flush, which has landed every write-back: an update
-    /// writes back inside `apply_update`.
+    /// optimizer-pool flush, which has landed every write-back: an update's
+    /// last chunk writes back before it retires.
     ///
     /// # Panics
     /// Panics with that failure.
@@ -506,51 +655,56 @@ impl LayerStore {
     }
 }
 
-/// Adam step `t` of the spilled layer in `file_slot`, in place on the swap
-/// file: each [`SPILL_CHUNK`] of params, m and v is read into `staging`,
-/// stepped with the resident path's formula, and written back before the
-/// next is read.
-fn step_in_file(
-    tier: &TierStore,
-    file_slot: usize,
-    grads: &[f32],
-    t: u64,
-    hp: &AdamParams,
-    staging: &mut Staging,
-) -> std::io::Result<()> {
-    let n = grads.len();
-    let (nvme, tel) = (tier.nvme(), tier.telemetry());
-    let chunk = SPILL_CHUNK.min(n);
-    for buf in staging.iter_mut().filter(|buf| buf.len() < chunk) {
-        buf.resize(chunk, 0.0);
-    }
-    let [params, m, v] = staging;
-    // Byte staging of a big-endian host; untouched on little-endian ones.
-    let mut scratch = Vec::new();
-    for start in (0..n).step_by(SPILL_CHUNK) {
-        let len = SPILL_CHUNK.min(n - start);
-        let (p, m, v) = (&mut params[..len], &mut m[..len], &mut v[..len]);
-        {
-            let _s = tel.span("spill-read", "update-page-in");
-            nvme.read_at(file_slot, start, p, &mut scratch)?;
-            nvme.read_at(file_slot, n + start, m, &mut scratch)?;
-            nvme.read_at(file_slot, 2 * n + start, v, &mut scratch)?;
-        }
-        adam::fused_step(p, &grads[start..start + len], m, v, t, hp);
-        let _s = tel.span("spill-write", "update-write-back");
-        nvme.write_at(file_slot, start, p, &mut scratch)?;
-        nvme.write_at(file_slot, n + start, m, &mut scratch)?;
-        nvme.write_at(file_slot, 2 * n + start, v, &mut scratch)?;
-    }
-    Ok(())
-}
-
 /// A layer's FP32 masters as [`LayerStore::with_params`] lends them.
 pub(crate) enum Masters<'a> {
-    /// A resident layer's slice, lent under its slot lock.
-    Ram(&'a [f32]),
+    /// A resident layer's chunks, lent under its slot lock.
+    Ram(RamMasters<'a>),
     /// A spilled layer's range of its file slot.
     File(&'a SpillRange<'a>),
+}
+
+/// A resident layer's masters, chunk by chunk.
+pub(crate) struct RamMasters<'a>(&'a [Mutex<RamChunk>]);
+
+impl RamMasters<'_> {
+    /// Floats in the layer's image.
+    pub(crate) fn len(&self) -> usize {
+        self.0.iter().map(|c| lock(c).params.len()).sum()
+    }
+
+    /// Copies the image's floats `off..off + out.len()` into `out`, each
+    /// rounded through `precision` on the way ([`round_copy`]).
+    ///
+    /// # Panics
+    /// Panics if the range passes the image's end.
+    pub(crate) fn read_as(&self, off: usize, out: &mut [f32], precision: Precision) {
+        let (mut start, mut done) = (0, 0);
+        for chunk in self.0 {
+            if done == out.len() {
+                break;
+            }
+            let chunk = lock(chunk);
+            let end = start + chunk.params.len();
+            if off + done < end {
+                let from = off + done - start;
+                let k = (chunk.params.len() - from).min(out.len() - done);
+                round_copy(
+                    precision,
+                    &chunk.params[from..from + k],
+                    &mut out[done..done + k],
+                );
+                done += k;
+            }
+            start = end;
+        }
+        assert_eq!(done, out.len(), "read past the layer's end");
+    }
+
+    fn append_to(&self, out: &mut Vec<f32>) {
+        for chunk in self.0 {
+            out.extend_from_slice(&lock(chunk).params);
+        }
+    }
 }
 
 /// A spilled layer's parameters on the swap file, lent while its slot's
@@ -560,7 +714,6 @@ pub(crate) struct SpillRange<'a> {
     tier: &'a TierStore,
     cell: &'a SlotCell,
     layer: usize,
-    file_slot: usize,
     len: usize,
 }
 
@@ -579,12 +732,10 @@ impl SpillRange<'_> {
     /// access re-raises it.
     pub(crate) fn read(&self, off: usize, out: &mut [f32]) {
         assert!(off + out.len() <= self.len, "read past the layer's end");
-        let read = self
-            .tier
-            .nvme()
-            .read_at(self.file_slot, off, out, &mut Vec::new());
+        let fs = self.cell.file_slot;
+        let read = self.tier.nvme().read_at(fs, off, out, &mut Vec::new());
         if let Err(e) = read {
-            let msg = io_failure(self.layer, self.file_slot, "fill", &e);
+            let msg = io_failure(self.layer, fs, "fill", &e);
             lock(&self.cell.lock)
                 .failure
                 .get_or_insert_with(|| msg.clone());
@@ -600,72 +751,329 @@ impl Drop for SpillRange<'_> {
     }
 }
 
-/// An asynchronous parameter-update task. Carries its own hyper-params so a
-/// per-step learning-rate schedule reaches the actors without reconfiguring
-/// the pool.
-struct UpdateTask {
-    layer: usize,
-    grads: GradBuffer,
-    hp: AdamParams,
+/// Where an update reads its gradient from.
+#[derive(Clone, Copy)]
+enum GradSource<'a> {
+    /// A flat host copy, already on the transfer grid.
+    Flat(&'a [f32]),
+    /// A ring accumulator, each value rounded through the transfer
+    /// precision as it is read.
+    Ring(&'a BlockGrads, Precision),
 }
 
-/// The pool's gradient buffers not on loan, and the condvar a draw waits on
-/// while there are none.
-type Bank = (Mutex<Vec<Vec<f32>>>, Condvar);
+impl<'a> GradSource<'a> {
+    /// The flat gradient's floats `off..off + len`: a slice of a host copy,
+    /// or round-copied out of an accumulator into `stage`.
+    fn piece<'s>(self, off: usize, len: usize, stage: &'s mut Vec<f32>) -> &'s [f32]
+    where
+        'a: 's,
+    {
+        match self {
+            GradSource::Flat(flat) => &flat[off..off + len],
+            GradSource::Ring(acc, precision) => {
+                if stage.len() < len {
+                    stage.resize(len, 0.0);
+                }
+                acc.read_flat_as(off, &mut stage[..len], precision);
+                &stage[..len]
+            }
+        }
+    }
+}
 
-/// One of the optimizer pool's fixed gradient buffers, on loan from
-/// [`OptimizerPool::recycled_buffer`]. Dropping it is the only way back:
-/// it returns to the pool's free list when its update retires, and equally
-/// when a sink drops it or a panic unwinds past it, so no path loses one
-/// and the fixed pool never runs dry for good.
+/// The pool's layer-sized gradient buffers: allocated on first draw, at
+/// most `cap` of them, and the condvar a draw waits on while none is home
+/// and none is left to allocate.
+struct Bank {
+    shelf: Mutex<Shelf>,
+    retired: Condvar,
+    /// Floats per buffer: the store's largest layer.
+    len: usize,
+    cap: usize,
+    /// `optim.grad_buffers`: buffers allocated so far.
+    made: Gauge,
+}
+
+struct Shelf {
+    free: Vec<Vec<f32>>,
+    made: usize,
+}
+
+/// A layer's gradient on its way to an update, handed to the step's sink
+/// and on to the optimizer pool. It is either one of the pool's host
+/// buffers, on loan from [`OptimizerPool::recycled_buffer`] (it derefs to
+/// the `Vec`), or — from a sink that delivers each gradient at once — the
+/// D2H engine's ring accumulator itself, which has no host copy to deref
+/// to: the update reads it chunk by chunk. Dropping it is the only way
+/// back: a buffer returns to the pool's free list and an accumulator goes
+/// home to BP when its update retires, and equally when a sink drops it or
+/// a panic unwinds past it, so no path loses one.
 pub struct GradBuffer {
-    buf: Vec<f32>,
-    bank: Arc<Bank>,
+    grads: Grads,
+}
+
+// The ring variant carries the accumulator by value: boxing it would
+// allocate once per update.
+#[allow(clippy::large_enum_variant)]
+enum Grads {
+    Host {
+        buf: Vec<f32>,
+        bank: Arc<Bank>,
+    },
+    Ring {
+        acc: Option<BlockGrads>,
+        /// Flat gradient elements of the block.
+        len: usize,
+        precision: Precision,
+        home: Sender<BlockGrads>,
+    },
+}
+
+impl GradBuffer {
+    /// Lends ring accumulator `acc` (`len` flat elements, read through
+    /// `precision`); it goes back over `home` when the loan ends.
+    pub(crate) fn ring(
+        acc: BlockGrads,
+        len: usize,
+        precision: Precision,
+        home: Sender<BlockGrads>,
+    ) -> Self {
+        GradBuffer {
+            grads: Grads::Ring {
+                acc: Some(acc),
+                len,
+                precision,
+                home,
+            },
+        }
+    }
+
+    fn flat_len(&self) -> usize {
+        match &self.grads {
+            Grads::Host { buf, .. } => buf.len(),
+            Grads::Ring { len, .. } => *len,
+        }
+    }
+
+    fn source(&self) -> GradSource<'_> {
+        match &self.grads {
+            Grads::Host { buf, .. } => GradSource::Flat(buf),
+            Grads::Ring { acc, precision, .. } => {
+                GradSource::Ring(acc.as_ref().expect("accumulator on loan"), *precision)
+            }
+        }
+    }
+
+    /// Writes the flat gradient into `out`, clearing it first.
+    pub(crate) fn flatten_into(&self, out: &mut Vec<f32>) {
+        match self.source() {
+            GradSource::Flat(flat) => {
+                out.clear();
+                out.extend_from_slice(flat);
+            }
+            GradSource::Ring(acc, precision) => acc.flatten_into_as(out, precision),
+        }
+    }
+
+    /// [`crate::clip::GlobalNorm::layer_sum_sq`] of the flat gradient, bit for bit; an
+    /// accumulator is read a stack-sized piece at a time.
+    pub(crate) fn sum_sq(&self) -> f64 {
+        const PIECE: usize = 1 << 10;
+        let mut lanes = NormLanes::default();
+        match self.source() {
+            GradSource::Flat(flat) => lanes.add(flat),
+            GradSource::Ring(acc, precision) => {
+                let mut stage = [0.0f32; PIECE];
+                let len = self.flat_len();
+                for off in (0..len).step_by(PIECE) {
+                    let piece = &mut stage[..PIECE.min(len - off)];
+                    acc.read_flat_as(off, piece, precision);
+                    lanes.add(piece);
+                }
+            }
+        }
+        lanes.total()
+    }
 }
 
 impl Deref for GradBuffer {
     type Target = Vec<f32>;
 
+    /// # Panics
+    /// Panics on a lent ring accumulator, which has no host copy.
     fn deref(&self) -> &Vec<f32> {
-        &self.buf
+        match &self.grads {
+            Grads::Host { buf, .. } => buf,
+            Grads::Ring { .. } => panic!("a lent ring accumulator has no host copy"),
+        }
     }
 }
 
 impl DerefMut for GradBuffer {
     fn deref_mut(&mut self) -> &mut Vec<f32> {
-        &mut self.buf
+        match &mut self.grads {
+            Grads::Host { buf, .. } => buf,
+            Grads::Ring { .. } => panic!("a lent ring accumulator has no host copy"),
+        }
     }
 }
 
 impl Drop for GradBuffer {
     fn drop(&mut self) {
-        let (free, retired) = &*self.bank;
-        lock(free).push(std::mem::take(&mut self.buf));
-        retired.notify_one();
+        match &mut self.grads {
+            Grads::Host { buf, bank } => {
+                lock(&bank.shelf).free.push(std::mem::take(buf));
+                bank.retired.notify_one();
+            }
+            Grads::Ring { acc, home, .. } => {
+                if let Some(acc) = acc.take() {
+                    let _ = home.send(acc);
+                }
+            }
+        }
     }
 }
 
-/// The concurrent optimizer pool: `workers` actor threads applying
-/// update tasks against a shared [`LayerStore`], fed from a fixed set of
-/// gradient buffers.
-pub struct OptimizerPool {
+/// One chunk of one layer's update: the unit of work an actor takes.
+struct Chunk {
+    layer: usize,
+    index: usize,
+}
+
+/// The update a layer has in flight, and the countdown of its chunks.
+/// One per layer, made with the pool, so an update allocates nothing.
+#[derive(Default)]
+struct Inflight {
+    job: RwLock<Option<Job>>,
+    /// Chunks not yet retired.
+    left: AtomicUsize,
+    /// When the first chunk started (0: none has).
+    start_ns: AtomicU64,
+    /// A chunk's swap-file I/O failed: the Adam step does not commit.
+    failed: AtomicBool,
+    /// A chunk panicked: the step does not commit, nor count as applied.
+    panicked: AtomicBool,
+}
+
+struct Job {
+    grads: GradBuffer,
+    /// This update's hyper-params, so a per-step learning-rate schedule
+    /// reaches the actors without reconfiguring the pool.
+    hp: AdamParams,
+}
+
+/// What the pool and its actors share.
+struct Shared {
     store: Arc<LayerStore>,
-    updates: Arc<AtomicUsize>,
+    inflight: Vec<Inflight>,
+    updates: AtomicUsize,
+    tel: Telemetry,
     queue_depth: Gauge,
+    update_ns: Histogram,
+    busy_ns: Counter,
+}
+
+impl Shared {
+    /// Runs chunk `index` of `layer`'s update on an actor, through its
+    /// reusable `staging`.
+    fn run_chunk(&self, Chunk { layer, index }: Chunk, staging: &mut Staging) {
+        let inflight = &self.inflight[layer];
+        // Declared first, so it retires the chunk after the job's read
+        // guard is released, on return and on unwind alike.
+        let _retire = Retire {
+            shared: self,
+            layer,
+        };
+        let now = self.tel.now_nanos().max(1);
+        let first = inflight
+            .start_ns
+            .compare_exchange(0, now, Ordering::AcqRel, Ordering::Acquire);
+        if first.is_ok() {
+            self.queue_depth.add(-1);
+        }
+        let t = self.store.enter_update(layer);
+        let job = inflight.job.read().unwrap_or_else(PoisonError::into_inner);
+        let job = job.as_ref().expect("an update in flight");
+        let source = job.grads.source();
+        if !self
+            .store
+            .step_chunk(layer, index, source, t, &job.hp, staging)
+        {
+            inflight.failed.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// The last chunk of `layer`'s update has retired: the step commits
+    /// (unless a chunk failed), the layer's readers wake, the update is one
+    /// `adam L{layer}` span and one `optim.update_ns` sample, and its
+    /// gradient goes home.
+    fn retire(&self, layer: usize) {
+        let inflight = &self.inflight[layer];
+        let job = inflight
+            .job
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        let panicked = inflight.panicked.load(Ordering::Relaxed);
+        let failed = panicked || inflight.failed.load(Ordering::Relaxed);
+        self.store.end_update(layer, !failed);
+        let (start, end) = (
+            inflight.start_ns.load(Ordering::Acquire),
+            self.tel.now_nanos(),
+        );
+        if self.tel.is_enabled() {
+            self.tel
+                .record_span("optim", &format!("adam L{layer}"), start, end);
+        }
+        if !panicked {
+            let dt = end.saturating_sub(start);
+            self.update_ns.record(dt);
+            self.busy_ns.add(dt);
+            self.updates.fetch_add(1, Ordering::SeqCst);
+        }
+        drop(job);
+    }
+}
+
+/// Retires one chunk when it drops; the last chunk of an update to retire
+/// closes the update.
+struct Retire<'a> {
+    shared: &'a Shared,
+    layer: usize,
+}
+
+impl Drop for Retire<'_> {
+    fn drop(&mut self) {
+        let inflight = &self.shared.inflight[self.layer];
+        if std::thread::panicking() {
+            inflight.panicked.store(true, Ordering::Relaxed);
+        }
+        if inflight.left.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.shared.retire(self.layer);
+        }
+    }
+}
+
+/// The concurrent optimizer pool: `workers` actor threads stepping the
+/// chunks of update tasks against a shared [`LayerStore`].
+pub struct OptimizerPool {
+    shared: Arc<Shared>,
     bank: Arc<Bank>,
-    actors: Actor<UpdateTask>,
+    actors: Actor<Chunk>,
 }
 
 impl OptimizerPool {
-    /// Spawns `workers` optimizer actors over `store` and allocates the
-    /// pool's `buffers` gradient buffers, each as long as the store's
-    /// largest layer and touched once, so the pool's whole footprint is
-    /// resident from here on. One buffer per actor keeps every actor busy
-    /// — a buffer beyond that would only hold a queued gradient — so
-    /// `buffers` is `workers` unless a sink parks gradients before
-    /// delivering them (a data-parallel bucket). Records per-update latency
-    /// (`optim.update_ns`), cumulative worker busy time (`optim.busy_ns`),
-    /// live queue depth (`optim.queue_depth`), the buffer count
+    /// Spawns `workers` optimizer actors over `store`. The pool may hold up
+    /// to `buffers` host gradient buffers, each as long as the store's
+    /// largest layer, allocated — and touched once, so its pages are
+    /// resident from then on — when a draw first finds none home. A sink
+    /// that delivers each gradient at once lends its ring accumulators
+    /// instead and never draws one; one buffer per actor keeps every actor
+    /// busy otherwise, so `buffers` is `workers` unless a sink parks
+    /// gradients before delivering them (a data-parallel bucket). Records
+    /// per-update latency, first chunk started to last retired
+    /// (`optim.update_ns`, summed into `optim.busy_ns`), live queue depth
+    /// in updates (`optim.queue_depth`), the buffers allocated
     /// (`optim.grad_buffers`) and one `adam L{layer}` span per update on
     /// the `optim` track into `tel`.
     ///
@@ -679,46 +1087,32 @@ impl OptimizerPool {
     ) -> Self {
         assert!(workers > 0 && buffers >= workers);
         let len = (0..store.len()).map(|l| store.param_len(l)).max();
-        let len = len.unwrap_or(0);
-        let free = (0..buffers)
-            .map(|_| {
-                // Written once, so every page is resident from the start.
-                let mut buf = Vec::with_capacity(len);
-                buf.resize(len, 0.0);
-                buf.clear();
-                buf
-            })
-            .collect();
-        let bank = Arc::new((Mutex::new(free), Condvar::new()));
-        tel.gauge("optim.grad_buffers").set(buffers as i64);
-        let updates = Arc::new(AtomicUsize::new(0));
-        let queue_depth = tel.gauge("optim.queue_depth");
+        let bank = Arc::new(Bank {
+            shelf: Mutex::new(Shelf {
+                free: Vec::with_capacity(buffers),
+                made: 0,
+            }),
+            retired: Condvar::new(),
+            len: len.unwrap_or(0),
+            cap: buffers,
+            made: tel.gauge("optim.grad_buffers"),
+        });
+        let shared = Arc::new(Shared {
+            inflight: (0..store.len()).map(|_| Inflight::default()).collect(),
+            store,
+            updates: AtomicUsize::new(0),
+            tel: tel.clone(),
+            queue_depth: tel.gauge("optim.queue_depth"),
+            update_ns: tel.histogram("optim.update_ns"),
+            busy_ns: tel.counter("optim.busy_ns"),
+        });
         let names = (0..workers).map(|w| format!("optim-{w}"));
         let actors = Actor::start(names, None, || {
-            let (store, updates, queue_depth) = (
-                Arc::clone(&store),
-                Arc::clone(&updates),
-                queue_depth.clone(),
-            );
-            let update_ns = tel.histogram("optim.update_ns");
-            let busy_ns = tel.counter("optim.busy_ns");
-            let (tel, mut staging) = (tel.clone(), Staging::default());
-            move |task: UpdateTask| {
-                queue_depth.add(-1);
-                let t0 = tel.now_nanos();
-                let span = tel.span("optim", format_args!("adam L{}", task.layer));
-                store.apply_update_with(task.layer, &task.grads, &task.hp, &mut staging);
-                span.end();
-                let dt = tel.now_nanos().saturating_sub(t0);
-                update_ns.record(dt);
-                busy_ns.add(dt);
-                updates.fetch_add(1, Ordering::SeqCst);
-            }
+            let (shared, mut staging) = (Arc::clone(&shared), Staging::default());
+            move |chunk: Chunk| shared.run_chunk(chunk, &mut staging)
         });
         OptimizerPool {
-            store,
-            updates,
-            queue_depth,
+            shared,
             bank,
             actors,
         }
@@ -729,11 +1123,9 @@ impl OptimizerPool {
     /// reaches the actors). The caller must have called
     /// [`LayerStore::mark_pending`] when the gradients left the GPU.
     ///
-    /// The gradients are copied into one of the pool's buffers, so
-    /// submission allocates nothing and the caller keeps its own buffer
-    /// for reuse — the "D2H copy" of §III-E3 without a fresh staging
-    /// vector per layer per step. A malformed gradient is rejected before a
-    /// buffer is drawn.
+    /// The gradients are copied into one of the pool's buffers, so the
+    /// caller keeps its own buffer for reuse. A malformed gradient is
+    /// rejected before a buffer is drawn.
     pub fn submit_with(&self, layer: usize, grads: &[f32], hp: AdamParams) {
         self.check_len(layer, grads.len());
         let mut buf = self.recycled_buffer();
@@ -741,45 +1133,73 @@ impl OptimizerPool {
         self.submit_owned(layer, buf, hp);
     }
 
-    /// An empty gradient buffer from the pool's fixed set. When every
-    /// buffer is on loan this waits until one comes back — an update
-    /// retires, or a holder drops its buffer — and never allocates: a
+    /// An empty gradient buffer from the pool's fixed set: a free one, else
+    /// a new one while fewer than `buffers` exist, else it waits until one
+    /// comes back — an update retires, or a holder drops its buffer. A
     /// drained pool is back-pressure on the thread drawing, as the
     /// gradient ring is on BP. Fill the buffer and hand it back through
-    /// [`OptimizerPool::submit_owned`] — the offload thread flattens layer
-    /// gradients *directly* into one, so a streamed update pays no copy
+    /// [`OptimizerPool::submit_owned`] — the offload thread flattens a
+    /// gradient a sink will park *directly* into one, so it pays no copy
     /// beyond the flatten itself.
     pub fn recycled_buffer(&self) -> GradBuffer {
-        let (free, retired) = &*self.bank;
-        let mut free = lock(free);
-        let mut buf = loop {
-            match free.pop() {
-                Some(buf) => break buf,
-                None => free = wait(retired, free),
+        let bank = &*self.bank;
+        let mut shelf = lock(&bank.shelf);
+        let buf = loop {
+            if let Some(mut buf) = shelf.free.pop() {
+                buf.clear();
+                break buf;
             }
+            if shelf.made < bank.cap {
+                shelf.made += 1;
+                bank.made.set(shelf.made as i64);
+                // Written once, so every page is resident from the start.
+                let mut buf = Vec::with_capacity(bank.len);
+                buf.resize(bank.len, 0.0);
+                buf.clear();
+                break buf;
+            }
+            shelf = wait(&bank.retired, shelf);
         };
-        drop(free);
-        buf.clear();
         GradBuffer {
-            buf,
-            bank: Arc::clone(&self.bank),
+            grads: Grads::Host {
+                buf,
+                bank: Arc::clone(&self.bank),
+            },
         }
     }
 
-    /// Submits an update whose gradient buffer the caller already drew from
-    /// [`OptimizerPool::recycled_buffer`]; the buffer travels to the worker
-    /// without another copy and returns to the pool when the update retires.
+    /// Submits an update whose gradient the caller already holds as a
+    /// [`GradBuffer`]: it travels to the actors without another copy, its
+    /// chunks are dealt to every actor, and it goes home when the last
+    /// chunk retires.
+    ///
+    /// # Panics
+    /// Panics if the gradient's length is not the layer's, or if the layer
+    /// still has an update in flight.
     pub fn submit_owned(&self, layer: usize, grads: GradBuffer, hp: AdamParams) {
-        self.check_len(layer, grads.len());
-        self.queue_depth.add(1);
-        self.actors.send(UpdateTask { layer, grads, hp });
+        self.check_len(layer, grads.flat_len());
+        let inflight = &self.shared.inflight[layer];
+        {
+            let mut job = inflight.job.write().unwrap_or_else(PoisonError::into_inner);
+            assert!(job.is_none(), "layer {layer} has an update in flight");
+            *job = Some(Job { grads, hp });
+        }
+        let chunks = self.shared.store.chunks(layer);
+        inflight.left.store(chunks, Ordering::Release);
+        inflight.start_ns.store(0, Ordering::Release);
+        inflight.failed.store(false, Ordering::Relaxed);
+        inflight.panicked.store(false, Ordering::Relaxed);
+        self.shared.queue_depth.add(1);
+        for index in 0..chunks {
+            self.actors.send(Chunk { layer, index });
+        }
     }
 
     /// A gradient fails fast on the submitting thread, not in an actor.
     fn check_len(&self, layer: usize, len: usize) {
         assert_eq!(
             len,
-            self.store.param_len(layer),
+            self.shared.store.param_len(layer),
             "gradient length mismatch for layer {layer}"
         );
     }
@@ -788,7 +1208,7 @@ impl OptimizerPool {
     ///
     /// # Panics
     /// Re-raises, on the calling thread, the first panic that ended an
-    /// update since the last flush.
+    /// update's chunk since the last flush.
     pub fn flush(&self) {
         if let Some(panic) = self.actors.flush() {
             resume_unwind(panic);
@@ -797,13 +1217,15 @@ impl OptimizerPool {
 
     /// Total updates applied since creation.
     pub fn updates_applied(&self) -> usize {
-        self.updates.load(Ordering::SeqCst)
+        self.shared.updates.load(Ordering::SeqCst)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clip::GlobalNorm;
+    use proptest::prelude::*;
 
     fn layer_init(layer: usize, n: usize) -> Vec<f32> {
         (0..n).map(|i| (layer * n + i) as f32 * 0.01).collect()
@@ -1193,8 +1615,8 @@ mod tests {
     }
 
     /// Three steps of 4 layers: one latency sample per update, and the
-    /// pool's gradient buffers are the ones it was built with, one per
-    /// actor, before the first update and after the last.
+    /// pool allocates no gradient buffer until the first draw and never
+    /// more than one per actor.
     #[test]
     fn telemetry_counts_updates_and_latency() {
         let tel = Telemetry::enabled();
@@ -1202,7 +1624,7 @@ mod tests {
         let store = store_with(layers, 32);
         let pool = OptimizerPool::with_telemetry(Arc::clone(&store), workers, workers, &tel);
         let buffers = tel.gauge("optim.grad_buffers");
-        assert_eq!(buffers.get(), workers as i64, "allocated when built");
+        assert_eq!(buffers.get(), 0, "none allocated before a draw");
         for _ in 0..3 {
             for l in 0..layers {
                 store.mark_pending(l);
@@ -1220,8 +1642,235 @@ mod tests {
         let depth = tel.gauge("optim.queue_depth");
         assert_eq!(depth.get(), 0, "queue drained");
         assert!(depth.peak() >= 1);
-        assert_eq!(buffers.get(), workers as i64, "never another buffer");
-        assert_eq!(buffers.peak(), workers as i64, "never another buffer");
+        assert!(buffers.get() >= 1, "the draws allocated");
+        assert!(
+            buffers.peak() <= workers as i64,
+            "one buffer per actor at most"
+        );
+    }
+
+    /// A flat gradient laid out as a block's gradient tensors (canonical
+    /// order) — what a ring accumulator holds.
+    fn ring_grads(hidden: usize, heads: usize, flat: &[f32]) -> BlockGrads {
+        use stronghold_model::block::Block;
+        let block = Block::new(hidden, heads, &mut stronghold_tensor::init::seeded_rng(3));
+        let mut g = block.zero_grads();
+        let mut off = 0;
+        for t in [
+            &mut g.ln1_g,
+            &mut g.ln1_b,
+            &mut g.attn.qkv.weight,
+            &mut g.attn.qkv.bias,
+            &mut g.attn.proj.weight,
+            &mut g.attn.proj.bias,
+            &mut g.ln2_g,
+            &mut g.ln2_b,
+            &mut g.fc1.weight,
+            &mut g.fc1.bias,
+            &mut g.fc2.weight,
+            &mut g.fc2.bias,
+        ] {
+            let n = t.numel();
+            t.data_mut().copy_from_slice(&flat[off..off + n]);
+            off += n;
+        }
+        assert_eq!(off, flat.len(), "{hidden} x {heads} block");
+        g
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Gradient values spanning the half formats' range, rounding edges
+    /// included.
+    fn gradient(n: usize, seed: u64) -> Vec<f32> {
+        use rand::Rng;
+        let mut rng = stronghold_tensor::init::seeded_rng(seed);
+        (0..n)
+            .map(|_| rng.gen_range(-1.0f32..1.0) * 10f32.powi(rng.gen_range(-6i32..3)))
+            .collect()
+    }
+
+    const PRECISIONS: [Precision; 3] = [Precision::F32, Precision::Bf16, Precision::F16];
+
+    /// Block shapes `(hidden, heads)` whose flat lengths are not a multiple
+    /// of 16 (1 089 and 268 349 floats) or fill one chunk and a ragged
+    /// second (268 349).
+    const SHAPES: [(usize, usize); 2] = [(9, 3), (149, 1)];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        /// A layer stepped as chunks, dealt in a shuffled order to 1, 2 or 4
+        /// actors that each step whatever chunk they draw next, is bitwise
+        /// `AdamState::step` on the flattened, rounded gradient: params,
+        /// m, v and t after two steps, resident or spilled, at f32, bf16
+        /// and f16, reading the gradient from a ring accumulator or from a
+        /// host copy.
+        #[test]
+        fn prop_chunks_dealt_to_actors_step_the_whole_layer(
+            shape in 0usize..2,
+            precision in 0usize..3,
+            spilled in 0usize..2,
+            actors in 0usize..3,
+            ring in 0usize..2,
+            seed in 0u64..1_000_000,
+        ) {
+            use rand::Rng;
+            let ((hidden, heads), precision) = (SHAPES[shape], PRECISIONS[precision]);
+            let actors = [1, 2, 4][actors];
+            let hp = AdamParams { lr: 1e-2, ..AdamParams::default() };
+            let n = 12 * hidden * hidden + 13 * hidden;
+            let init = gradient(n, seed);
+            let store = if spilled == 1 {
+                fully_spilled(vec![init.clone()])
+            } else {
+                LayerStore::new(vec![init.clone()])
+            };
+            let (mut want_p, mut want) = (init, AdamState::new(n));
+            let mut rng = stronghold_tensor::init::seeded_rng(seed ^ 0x5eed);
+            for step in 0..2u64 {
+                let acc = ring_grads(hidden, heads, &gradient(n, seed + 1 + step));
+                let mut flat = Vec::new();
+                acc.flatten_into_as(&mut flat, precision);
+                want.step(&mut want_p, &flat, &hp);
+
+                let source = if ring == 1 {
+                    GradSource::Ring(&acc, precision)
+                } else {
+                    GradSource::Flat(&flat)
+                };
+                let mut deck: Vec<usize> = (0..store.chunks(0)).collect();
+                for i in (1..deck.len()).rev() {
+                    deck.swap(i, rng.gen_range(0..i + 1));
+                }
+                let next = AtomicUsize::new(0);
+                std::thread::scope(|s| {
+                    for _ in 0..actors {
+                        s.spawn(|| {
+                            let mut staging = Staging::default();
+                            while let Some(&index) = deck.get(next.fetch_add(1, Ordering::SeqCst)) {
+                                let t = store.enter_update(0);
+                                assert!(store.step_chunk(0, index, source, t, &hp, &mut staging));
+                            }
+                        });
+                    }
+                });
+                store.end_update(0, true);
+            }
+            let got = store.adam_snapshot(0);
+            prop_assert_eq!(bits(&store.snapshot(0)), bits(&want_p));
+            // The lend a shell loads from reads the same masters, cut
+            // anywhere, across chunk edges too.
+            let cut = rng.gen_range(0..n + 1);
+            let mut lent = vec![0.0; n];
+            store.with_params(0, |masters| match masters {
+                Masters::Ram(ram) => {
+                    ram.read_as(0, &mut lent[..cut], Precision::F32);
+                    ram.read_as(cut, &mut lent[cut..], Precision::F32);
+                }
+                Masters::File(file) => {
+                    file.read(0, &mut lent[..cut]);
+                    file.read(cut, &mut lent[cut..]);
+                }
+            });
+            prop_assert_eq!(bits(&lent), bits(&want_p));
+            prop_assert_eq!(bits(&got.m), bits(&want.m));
+            prop_assert_eq!(bits(&got.v), bits(&want.v));
+            prop_assert_eq!(got.t, want.t);
+        }
+    }
+
+    /// The pool deals a lent accumulator's chunks to its actors and steps
+    /// the layer as `AdamState::step` does on the rounded flat gradient;
+    /// the accumulator comes home when the update retires, and the flat
+    /// gradient's norm partial reads the same through the loan.
+    #[test]
+    fn a_lent_accumulator_is_stepped_by_every_actor_and_comes_home() {
+        let (hidden, heads) = SHAPES[1];
+        let n = 12 * hidden * hidden + 13 * hidden;
+        let hp = AdamParams::default();
+        let init = gradient(n, 7);
+        let flat_in = gradient(n, 8);
+        for workers in [1, 2, 4] {
+            for precision in [Precision::F32, Precision::Bf16] {
+                let ctx = format!("{workers} actors, {}", precision.name());
+                let mut flat = Vec::new();
+                ring_grads(hidden, heads, &flat_in).flatten_into_as(&mut flat, precision);
+                let (mut want_p, mut want) = (init.clone(), AdamState::new(n));
+                want.step(&mut want_p, &flat, &hp);
+                let spilled = fully_spilled(vec![init.clone()]);
+                for store in [LayerStore::new(vec![init.clone()]), spilled] {
+                    let pool = OptimizerPool::with_telemetry(
+                        Arc::clone(&store),
+                        workers,
+                        workers,
+                        &Telemetry::disabled(),
+                    );
+                    let (home, back) = crossbeam_channel::bounded(1);
+                    let lent =
+                        GradBuffer::ring(ring_grads(hidden, heads, &flat_in), n, precision, home);
+                    assert_eq!(
+                        lent.sum_sq().to_bits(),
+                        GlobalNorm::layer_sum_sq(&flat).to_bits(),
+                        "{ctx}: norm partial"
+                    );
+                    store.mark_pending(0);
+                    pool.submit_owned(0, lent, hp);
+                    pool.flush();
+                    assert!(back.try_recv().is_ok(), "{ctx}: the accumulator came home");
+                    let got = store.adam_snapshot(0);
+                    assert_eq!(bits(&store.snapshot(0)), bits(&want_p), "{ctx}");
+                    assert_eq!(
+                        (bits(&got.m), bits(&got.v), got.t),
+                        (bits(&want.m), bits(&want.v), 1)
+                    );
+                    assert_eq!(pool.updates_applied(), 1);
+                }
+            }
+        }
+    }
+
+    /// An update that panics mid-layer — chunk 1 of 3, whose moments were
+    /// cut short — ends on its actor while the other chunks still run: at 1
+    /// and 2 actors `flush` re-raises the panic, the lent accumulator comes
+    /// home, the layer's readers wake, and its Adam step does not commit.
+    #[test]
+    fn an_update_panicking_mid_layer_sends_its_accumulator_home() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        within_watchdog(|| {
+            let (hidden, heads) = (210, 2);
+            let n = 12 * hidden * hidden + 13 * hidden;
+            for workers in [1, 2] {
+                let store = LayerStore::new(vec![gradient(n, 9)]);
+                assert_eq!(store.chunks(0), 3);
+                lock(&store.slots[0].ram[1]).m.clear();
+                let pool = OptimizerPool::with_telemetry(
+                    Arc::clone(&store),
+                    workers,
+                    workers,
+                    &Telemetry::disabled(),
+                );
+                let (home, back) = crossbeam_channel::bounded(1);
+                let acc = ring_grads(hidden, heads, &gradient(n, 10));
+                store.mark_pending(0);
+                pool.submit_owned(
+                    0,
+                    GradBuffer::ring(acc, n, Precision::F32, home),
+                    AdamParams::default(),
+                );
+                let panic = catch_unwind(AssertUnwindSafe(|| pool.flush())).expect_err("re-raised");
+                let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+                assert!(msg.contains("adam: params vs state"), "{msg}");
+                assert!(
+                    back.try_recv().is_ok(),
+                    "{workers} actors: the accumulator came home"
+                );
+                drop(store.read_params(0));
+                assert_eq!(store.adam_snapshot(0).t, 0, "the step did not commit");
+                assert_eq!(pool.updates_applied(), 0);
+            }
+        });
     }
 
     #[test]

@@ -557,6 +557,33 @@ impl BlockGrads {
         }
     }
 
+    /// Reads floats `off..off + out.len()` of the flat gradient (canonical
+    /// order) into `out`, each rounded through `precision` on the way: the
+    /// values [`BlockGrads::flatten_into_as`] leaves at those positions,
+    /// without the flat vector ever existing. The offloaded trainer's
+    /// optimizer reads a ring accumulator this way, a piece at a time.
+    ///
+    /// # Panics
+    /// Panics if the range passes the gradient's end.
+    pub fn read_flat_as(&self, off: usize, out: &mut [f32], precision: Precision) {
+        let (mut start, mut done) = (0, 0);
+        for t in self.tensors() {
+            if done == out.len() {
+                break;
+            }
+            let data = t.data();
+            let end = start + data.len();
+            if off + done < end {
+                let from = off + done - start;
+                let k = (data.len() - from).min(out.len() - done);
+                round_copy(precision, &data[from..from + k], &mut out[done..done + k]);
+                done += k;
+            }
+            start = end;
+        }
+        assert_eq!(done, out.len(), "read past the gradient's end");
+    }
+
     /// The four layernorm gain / bias gradients.
     fn layernorm_mut(&mut self) -> [&mut Tensor; 4] {
         [
@@ -752,6 +779,7 @@ mod tests {
         #[test]
         fn prop_fused_passes_match_their_two_pass_forms(
             mut flat in proptest::collection::vec(proptest::num::f32::ANY, 872..873),
+            cuts in proptest::collection::vec(0usize..873, 1..6),
         ) {
             // The classes uniform bits all but never draw.
             let planted = [-0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY, 1.0e-40, -65520.0];
@@ -777,6 +805,17 @@ mod tests {
                 grads.flatten_into_as(&mut out, precision);
                 prop_assert_eq!(out.as_ptr(), at);
                 prop_assert_eq!(bits(&out), bits(&grid));
+
+                // Read as ranges cut anywhere — inside a tensor, across
+                // tensor edges, empty — the same values again.
+                let mut cuts = cuts.clone();
+                cuts.extend([0, flat.len()]);
+                cuts.sort_unstable();
+                let mut pieces = vec![0.0; flat.len()];
+                for w in cuts.windows(2) {
+                    grads.read_flat_as(w[0], &mut pieces[w[0]..w[1]], precision);
+                }
+                prop_assert_eq!(bits(&pieces), bits(&grid));
             }
         }
     }

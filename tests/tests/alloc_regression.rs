@@ -205,10 +205,10 @@ fn offloaded_step_allocations_stop_growing() {
     offloaded_allocations_stop_growing(2, Precision::F32);
 }
 
-/// The half mode rounds inside the shell load and flattens each gradient
-/// straight into a recycled optimizer buffer, so it settles at the same
-/// incidental level: no staging buffer regrown, no buffer reallocated per
-/// layer. (Its own test, hence its own thread: a second trainer on a thread
+/// The half mode rounds inside the shell load and as each optimizer actor
+/// reads a piece of a lent gradient into its staging, so it settles at the
+/// same incidental level: no staging buffer regrown, no buffer reallocated
+/// per layer. (Its own test, hence its own thread: a second trainer on a thread
 /// whose scratch pool the first one ordered shifts the count by a few.)
 #[test]
 fn offloaded_bf16_step_allocations_stop_growing() {
@@ -352,9 +352,9 @@ fn spilled_step_allocations_stop_growing() {
 /// [`LIVE_HEAP_CONSTANT`] and two of them exceed it, so a gradient term
 /// that scales with depth again cannot hide inside it (a trainer holding
 /// one accumulator per layer, a per-sample scratch and a fold slot, or an
-/// optimizer pool holding one gradient buffer per layer instead of one per
-/// actor, overruns both bounds), and a sequence short enough that debug
-/// builds run it quickly.
+/// optimizer pool holding a layer-sized gradient buffer per actor again,
+/// overruns both bounds), and a sequence short enough that debug builds
+/// run it quickly.
 fn live_heap_cfg(batch: usize) -> ModelConfig {
     ModelConfig::new(4, 128, 4)
         .with_seq(4)
@@ -365,9 +365,9 @@ fn live_heap_cfg(batch: usize) -> ModelConfig {
 /// Everything the plans do not size: the model shell (embedding, final LN)
 /// and its gradient scratches, the compute thread's tensor scratch pool (at
 /// most 64 pooled tensors, ≤ 6 KiB each at this shape), kernel pack
-/// buffers, channels and thread handles. The runs keep 0.3–1.7 MB of the
-/// bound spare on a 2-core x86-64 box: at the tightest, less than one
-/// block-sized buffer (0.8 MB).
+/// buffers, channels and thread handles. The runs keep 0.47–1.31 MB of the
+/// bound spare on a 2-core x86-64 box (set-up 0.97–1.83 MB): at the
+/// tightest, less than one block-sized buffer (0.8 MB).
 const LIVE_HEAP_CONSTANT: i64 = 1 << 20;
 
 /// Optimizer actors of the live-heap runs.
@@ -395,6 +395,21 @@ fn gradient_term(layer: i64, batch: usize) -> (&'static str, i64) {
     (
         "gradients: ring 2, fold partials depth(b) − 1",
         (GRAD_RING + depth - 1) as i64 * layer,
+    )
+}
+
+/// Floats of a lent gradient an optimizer actor stages at once.
+const GRAD_PIECE: i64 = 1 << 14;
+
+/// What the optimizer holds of the gradients: the trainer's sink delivers
+/// each at once, so its updates read the ring accumulators in place and the
+/// pool allocates no layer-sized gradient buffer; each actor stages one
+/// piece of a gradient at a time (every live-heap block is longer than a
+/// piece).
+fn grad_staging_term() -> (&'static str, i64) {
+    (
+        "gradient staging, one piece per optimizer actor",
+        OPTIMIZER_WORKERS as i64 * 4 * GRAD_PIECE,
     )
 }
 
@@ -444,11 +459,11 @@ fn assert_live_heap_within(
 }
 
 /// What an unspilled windowed run holds must follow from its plan too:
-/// the resident image, the gradient ring and fold partials, the optimizer's
-/// gradient buffers and the window's shells, plus the stated constant — no
-/// gradient term grows with depth. At every precision × window × a batch of
-/// three (two fold partials beside the ring accumulator at the root) and of
-/// one (the ring accumulator is the whole fold).
+/// the resident image, the gradient ring and fold partials, the optimizer
+/// actors' gradient staging and the window's shells, plus the stated
+/// constant — no gradient term grows with depth. At every precision ×
+/// window × a batch of three (two fold partials beside the ring accumulator
+/// at the root) and of one (the ring accumulator is the whole fold).
 #[test]
 fn windowed_live_heap_is_bounded_by_the_plan() {
     let _serial = serial();
@@ -468,10 +483,7 @@ fn windowed_live_heap_is_bounded_by_the_plan() {
                 let terms = [
                     ("resident image", t.tier_plan().resident_bytes() as i64),
                     gradient_term(layer, b),
-                    (
-                        "optimizer gradient buffers, one per optimizer actor",
-                        OPTIMIZER_WORKERS as i64 * layer,
-                    ),
+                    grad_staging_term(),
                     ("device shells, m + 1", (m + 1) * layer),
                     ("constant", LIVE_HEAP_CONSTANT),
                 ];
@@ -515,10 +527,7 @@ fn spilled_live_heap_is_bounded_by_the_plan() {
             let terms = [
                 ("resident image", t.tier_plan().resident_bytes() as i64),
                 gradient_term(layer, batch.len()),
-                (
-                    "optimizer gradient buffers, one per optimizer actor",
-                    OPTIMIZER_WORKERS as i64 * layer,
-                ),
+                grad_staging_term(),
                 ("device shells, m + 1", (m + 1) * layer),
                 (
                     "update staging, 3 chunks per optimizer actor",
@@ -543,8 +552,8 @@ fn spilled_live_heap_is_bounded_by_the_plan() {
 /// soon as it is flattened into the store, so the peak live heap while a
 /// trainer is built — the model's construction included — stays within one
 /// model image (4 bytes a parameter), the plan's resident terms (the Adam
-/// moments of the layers it keeps in RAM, the device shells, the
-/// optimizer's gradient buffers, the gradient ring) and the stated
+/// moments of the layers it keeps in RAM, the device shells, the gradient
+/// ring; the optimizer allocates no gradient buffer) and the stated
 /// constant. With every layer spilled the resident terms are smallest, and
 /// sixteen blocks make the bound bite there: a set-up that flattened every
 /// block before dropping any would hold a second image of the blocks, more
@@ -577,10 +586,6 @@ fn set_up_holds_the_model_once() {
                 t.tier_plan().resident_bytes() as i64 * 2 / 3,
             ),
             ("device shells, m + 1", (m + 1) * layer),
-            (
-                "optimizer gradient buffers, one per optimizer actor",
-                OPTIMIZER_WORKERS as i64 * layer,
-            ),
             ("gradient ring", GRAD_RING as i64 * layer),
             ("constant", LIVE_HEAP_CONSTANT),
         ];

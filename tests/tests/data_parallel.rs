@@ -13,6 +13,7 @@ use stronghold_core::adam::AdamParams;
 use stronghold_core::host::{
     DataParallelConfig, DataParallelTrainer, HostOffloadConfig, HostResidentTrainer,
 };
+use stronghold_core::telemetry::Telemetry;
 use stronghold_integration_tests::batch_for;
 use stronghold_model::config::{tiny, ModelConfig};
 
@@ -148,7 +149,8 @@ fn dp_matrix_matches_single_replica_resident_bitwise() {
 /// one per actor: with a single actor, a whole-model bucket and a one-layer
 /// bucket both finish three streamed steps (a pool of one buffer could not
 /// fill a four-layer bucket) and land on the resident reference bit for
-/// bit.
+/// bit. A parking sink gets each gradient as a host copy: every streamed
+/// D2H copy records its wait for a gradient buffer.
 #[test]
 fn dp_with_one_optimizer_actor_cannot_deadlock() {
     use std::sync::mpsc;
@@ -161,9 +163,11 @@ fn dp_with_one_optimizer_actor_cannot_deadlock() {
         let mut dp = dp_config(2, 2, true, bucket_bytes);
         dp.host.optimizer_workers = 1;
         let (done, finished) = mpsc::channel();
+        let tel = Telemetry::enabled();
+        let recorded = tel.clone();
         std::thread::spawn(move || {
             let batch = batch_for(&cfg, 71);
-            let mut t = DataParallelTrainer::new(cfg, SEED, dp);
+            let mut t = DataParallelTrainer::with_telemetry(cfg, SEED, dp, recorded);
             let losses: Vec<f32> = (0..steps).map(|_| t.train_step(&batch)).collect();
             t.flush();
             let params: Vec<Vec<f32>> = (0..cfg.layers)
@@ -181,6 +185,11 @@ fn dp_with_one_optimizer_actor_cannot_deadlock() {
             "bucket_bytes {bucket_bytes}"
         );
         assert_eq!(params, ref_params, "bucket_bytes {bucket_bytes}");
+        assert_eq!(
+            tel.histogram("offload.buffer_wait_ns").count(),
+            tel.counter("offload.grads").get(),
+            "bucket_bytes {bucket_bytes}: one buffer wait per streamed D2H copy"
+        );
     }
 }
 

@@ -73,10 +73,13 @@ fn host_trainer_prefetch_counts_and_overlap() {
     }
 }
 
-/// Every optimizer update is one `adam L{layer}` span on the `optim` track,
-/// so a trace shows the step boundary (BP L0 → D2H L0 → Adam L0 → H2D L0);
-/// each H2D copy records its wait for the layer's masters and each streamed
-/// D2H copy its wait for a gradient buffer, outside their copy spans.
+/// Every optimizer update is one `adam L{layer}` span on the `optim` track
+/// — however many actors step its chunks — so a trace shows the step
+/// boundary (BP L0 → D2H L0 → Adam L0 → H2D L0); each H2D copy records its
+/// wait for the layer's masters outside its copy span, and BP records its
+/// wait for a ring accumulator once per layer per step. The trainer's sink
+/// delivers each gradient at once, so its D2H engine lends the accumulator
+/// to the update and never waits for a host gradient buffer.
 #[test]
 fn updates_are_spans_and_copy_waits_are_histograms() {
     let cfg = tiny(4);
@@ -119,10 +122,21 @@ fn updates_are_spans_and_copy_waits_are_histograms() {
         "one lend wait per H2D copy"
     );
     assert_eq!(
-        tel.histogram("offload.buffer_wait_ns").count(),
-        tel.counter("offload.grads").get(),
-        "one buffer wait per streamed D2H copy"
+        tel.histogram("grad.ring_wait_ns").count(),
+        (cfg.layers * steps) as u64,
+        "one ring wait per layer per step"
     );
+    assert_eq!(
+        tel.counter("offload.grads").get(),
+        (cfg.layers * steps) as u64,
+        "one D2H copy per layer per step"
+    );
+    assert_eq!(
+        tel.histogram("offload.buffer_wait_ns").count(),
+        0,
+        "a lent accumulator draws no buffer"
+    );
+    assert_eq!(tel.gauge("optim.grad_buffers").peak(), 0, "none allocated");
 }
 
 /// With the window spanning the whole model nothing slides out, so the BP
