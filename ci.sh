@@ -64,6 +64,36 @@ if [ "$unsafe_in" != "crates/core/src/nvme.rs " ] || [ -n "$spill_engine" ] || [
     [ -z "$spill_engine" ] || printf 'spill-tier threads or buffer pools:\n%s\n' "$spill_engine"
     exit 1
 fi
+# The keystream's wide refill is the ChaCha8 shim's only `unsafe`: each
+# `#[target_feature]` tier is an `unsafe fn` (the attribute on the line
+# above it), called once, from the `refill_*` wrapper that checks the CPU
+# feature first. Any other `unsafe` in shims/rand_chacha fails here.
+chacha_unsafe=$(awk '
+    /^[ \t]*\/\// { next }
+    match($0, /^[ \t]*(pub(\([a-z]+\))? )?(unsafe )?fn [A-Za-z_][A-Za-z0-9_]*/) {
+        fn = substr($0, RSTART, RLENGTH)
+        sub(/.* /, "", fn)
+    }
+    /(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/ {
+        line = $0
+        sub(/^[ \t]*/, "", line)
+        if (line ~ /^unsafe fn /) line = (prev ~ /^[ \t]*#\[target_feature\(/) ? "target_feature fn" : "fn"
+        print fn ": " line
+    }
+    NF { prev = $0 }
+' shims/rand_chacha/src/*.rs | LC_ALL=C sort)
+expected_chacha_unsafe=$(LC_ALL=C sort <<'EOF'
+blocks_avx2: target_feature fn
+blocks_avx512: target_feature fn
+refill_avx2: unsafe { blocks_avx2(input, first, out) };
+refill_avx512: unsafe { blocks_avx512(input, first, out) };
+EOF
+)
+if [ "$chacha_unsafe" != "$expected_chacha_unsafe" ]; then
+    echo "unsafe in shims/rand_chacha outside the target_feature refill wrappers (< allowed, > found):"
+    diff <(echo "$expected_chacha_unsafe") <(echo "$chacha_unsafe") || true
+    exit 1
+fi
 # Gradient memory is constant, not proportional to the model's depth: the
 # windowed backend's block gradients are the two-accumulator ring and the
 # fold partials (plus the one accumulator an offload job carries), and those

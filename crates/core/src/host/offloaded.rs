@@ -32,6 +32,7 @@
 //! [`WindowedBackend`] mechanism, and [`HostOffloadTrainer`] *is*
 //! `Engine<WindowedBackend>` (the model-building constructors live here).
 
+use std::borrow::Cow;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -400,21 +401,33 @@ impl WindowedBackend {
     ) -> Self {
         let cfg = model.cfg;
         let mut shell = model;
-        // Each block is dropped as soon as it is flattened (the first is
-        // kept as the shell template), so set-up never holds the model
-        // twice.
         let mut blocks = std::mem::take(&mut shell.blocks).into_iter();
         let template = blocks
             .next()
             .expect("offloaded trainer needs at least one block");
-        let flats: Vec<Vec<f32>> = std::iter::once(template.flatten_params())
-            .chain(blocks.map(|b| b.flatten_params()))
-            .collect();
         let block_elems = template.param_count();
         // A device block slot holds the layer at transfer precision — half
         // modes halve it, which is what doubles the window a fixed arena
         // budget admits. The stream clamps the window to what the arena
         // admits and sizes an unbudgeted arena to it.
+        let window = LayerStream::fit_window(
+            block_elems as u64 * hocfg.precision.param_bytes(),
+            cfg.layers,
+            hocfg.window,
+            hocfg.device_capacity,
+            0,
+        );
+        // Host-tier placement: deterministic, derived from the RAM budget
+        // and the (known) layer schedule. The store pages `Tier::File`
+        // layers through the async spill engine; with nothing spilled it
+        // degenerates to the classic resident store.
+        let tier_plan = TierPlan::plan(cfg.layers, block_elems, window, hocfg.host_capacity);
+        // The store takes the blocks straight from their tensors and drops
+        // each as soon as it is stored, so set-up never holds the model
+        // twice; the first block stays, as the stream's shell template.
+        let layers = std::iter::once(Cow::Borrowed(&template)).chain(blocks.map(Cow::Owned));
+        let store = LayerStore::tiered(layers, tier_plan.tiers(), &tel)
+            .expect("create spill tier swap file");
         let stream = LayerStream::new(
             template,
             cfg.layers,
@@ -424,18 +437,7 @@ impl WindowedBackend {
             0,
             &tel,
         );
-        // Host-tier placement: deterministic, derived from the RAM budget
-        // and the (known) layer schedule. The store pages `Tier::File`
-        // layers through the async spill engine; with nothing spilled it
-        // degenerates to the classic resident store.
-        let tier_plan = TierPlan::plan(
-            cfg.layers,
-            block_elems,
-            stream.window(),
-            hocfg.host_capacity,
-        );
-        let store =
-            LayerStore::tiered(flats, &tier_plan, &tel).expect("create spill tier swap file");
+        debug_assert_eq!(stream.window(), window);
         let workers = hocfg.optimizer_workers.max(1);
         let pool = Arc::new(OptimizerPool::with_telemetry(
             Arc::clone(&store),

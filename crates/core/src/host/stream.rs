@@ -178,6 +178,34 @@ pub(crate) struct LayerStream {
 }
 
 impl LayerStream {
+    /// The window a stream of `layers` blocks of `block_bytes` each runs:
+    /// `window` clamped as [`LayerStream::new`] describes.
+    ///
+    /// # Panics
+    /// Panics if the budget cannot hold the reserved bytes plus the two
+    /// slots a window of one needs.
+    pub(crate) fn fit_window(
+        block_bytes: u64,
+        layers: usize,
+        window: usize,
+        device_capacity: Option<u64>,
+        reserved: u64,
+    ) -> usize {
+        let window_max = match device_capacity {
+            Some(cap) => {
+                let slots = cap.saturating_sub(reserved) / block_bytes;
+                assert!(
+                    slots >= 2,
+                    "device_capacity {cap} B cannot hold a window of one layer: {reserved} B \
+                     reserved + 2 slots of {block_bytes} B needed"
+                );
+                (slots as usize - 1).min(layers)
+            }
+            None => layers,
+        };
+        window.clamp(1, window_max)
+    }
+
     /// Builds the stream for a model of `layers` blocks shaped like
     /// `template`, which becomes the first of the `m + 1` device shells (the
     /// rest are clones of it), and starts its prefetcher thread. `window` is
@@ -202,19 +230,7 @@ impl LayerStream {
         tel: &Telemetry,
     ) -> Self {
         let block_bytes = template.param_count() as u64 * precision.param_bytes();
-        let window_max = match device_capacity {
-            Some(cap) => {
-                let slots = cap.saturating_sub(reserved) / block_bytes;
-                assert!(
-                    slots >= 2,
-                    "device_capacity {cap} B cannot hold a window of one layer: {reserved} B \
-                     reserved + 2 slots of {block_bytes} B needed"
-                );
-                (slots as usize - 1).min(layers)
-            }
-            None => layers,
-        };
-        let m = window.clamp(1, window_max);
+        let m = Self::fit_window(block_bytes, layers, window, device_capacity, reserved);
         let capacity = device_capacity.unwrap_or(reserved + (m as u64 + 1) * block_bytes);
         let device = Arc::new(HostDevice::with_telemetry(capacity, tel));
         device.alloc(reserved);

@@ -48,13 +48,15 @@
 //! allocating, so the pool's host footprint stays a closed form of the
 //! config.
 
+use std::borrow::Cow;
 use std::ops::{Deref, DerefMut};
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 
 use crossbeam_channel::Sender;
-use stronghold_model::block::BlockGrads;
+use stronghold_model::block::{Block, BlockGrads};
+use stronghold_tensor::pool;
 use stronghold_tensor::simd::round_copy;
 use stronghold_tensor::Precision;
 
@@ -63,7 +65,7 @@ use crate::adam::{self, AdamParams, AdamState};
 use crate::clip::NormLanes;
 use crate::nvme::NvmeStore;
 use crate::telemetry::{Counter, Gauge, Histogram, Telemetry};
-use crate::tier::{io_failure, Tier, TierPlan, TierStore};
+use crate::tier::{io_failure, Tier, TierStore};
 use crate::{lock, wait};
 
 /// Floats per chunk of an update: the unit the actors share out, the lock
@@ -121,6 +123,7 @@ struct SlotCell {
 }
 
 /// One chunk of a resident layer: its masters and Adam moments.
+#[derive(Default)]
 struct RamChunk {
     params: Vec<f32>,
     m: Vec<f32>,
@@ -166,120 +169,217 @@ impl SlotCell {
         }
     }
 
-    /// A resident layer: `params` cut into chunks, each beside zeroed
-    /// moments. Without `moments` the layer is never stepped, so its image
-    /// stays one chunk, uncopied.
-    fn resident(params: Vec<f32>, moments: bool) -> Self {
-        let chunk = |params: Vec<f32>| {
-            let n = if moments { params.len() } else { 0 };
-            Mutex::new(RamChunk {
-                m: vec![0.0; n],
-                v: vec![0.0; n],
-                params,
-            })
-        };
-        let ram = if !moments || params.len() <= SPILL_CHUNK {
-            vec![chunk(params)]
-        } else {
-            params
-                .chunks(SPILL_CHUNK)
-                .map(|c| chunk(c.to_vec()))
-                .collect()
-        };
+    /// A resident layer: `image` copied once into its chunks. A layer of
+    /// more than one chunk fills its chunks on the kernel pool, one task
+    /// per chunk, each allocating and writing only its own memory; one
+    /// chunk, the whole of every small model's layer, is filled inline and
+    /// starts no pool helper. The Adam moments come later
+    /// ([`SlotCell::zero_moments`]).
+    fn resident(image: &impl LayerImage) -> Self {
+        let n = image.len();
+        let ram: Vec<Mutex<RamChunk>> = (0..n.div_ceil(SPILL_CHUNK).max(1))
+            .map(|_| Mutex::default())
+            .collect();
+        pool::for_each(0..ram.len(), |c| {
+            let (lo, hi) = (c * SPILL_CHUNK, ((c + 1) * SPILL_CHUNK).min(n));
+            let params = &mut lock(&ram[c]).params;
+            params.reserve_exact(hi - lo);
+            image.append_range(lo, hi - lo, params);
+        });
         SlotCell::new(ram, usize::MAX)
+    }
+
+    /// Gives a resident layer its Adam moments, written as zeros chunk by
+    /// chunk on the kernel pool like [`SlotCell::resident`]'s params, so
+    /// their pages are faulted in here and not by the layer's first update:
+    /// left to that update, `train-stream`'s 200 MB of moments were faulted
+    /// in by the optimizer actors beside BP, and the first step took about
+    /// twice a steady one. The store calls it once the caller's blocks are
+    /// gone, so the moments never sit beside a block not yet stored.
+    fn zero_moments(&self) {
+        let written_zeros = |k| {
+            // Opaque to the optimizer, so the allocation and the zeros
+            // written into it cannot fold into one calloc that leaves the
+            // pages to the first update again.
+            let mut z: Vec<f32> = std::hint::black_box(Vec::with_capacity(k));
+            z.resize(k, 0.0);
+            z
+        };
+        pool::for_each(0..self.ram.len(), |c| {
+            let mut chunk = lock(&self.ram[c]);
+            let k = chunk.params.len();
+            chunk.m = written_zeros(k);
+            chunk.v = written_zeros(k);
+        });
+    }
+}
+
+/// A layer's parameters in canonical flat order, as a [`LayerStore`] is
+/// built from them: a block's tensors, or a flat vector.
+pub(crate) trait LayerImage: Sync {
+    /// The image's storage, contiguous pieces in order.
+    fn parts(&self) -> impl Iterator<Item = &[f32]>;
+
+    /// Floats in the image.
+    fn len(&self) -> usize {
+        self.parts().map(<[f32]>::len).sum()
+    }
+
+    /// Appends the image's floats `off..off + len` to `out`.
+    ///
+    /// # Panics
+    /// Panics if the range passes the image's end.
+    fn append_range(&self, off: usize, len: usize, out: &mut Vec<f32>) {
+        let (mut start, mut done) = (0, 0);
+        for part in self.parts() {
+            if done == len {
+                break;
+            }
+            let end = start + part.len();
+            if off + done < end {
+                let from = off + done - start;
+                let k = (part.len() - from).min(len - done);
+                out.extend_from_slice(&part[from..from + k]);
+                done += k;
+            }
+            start = end;
+        }
+        assert_eq!(done, len, "read past the image's end");
+    }
+}
+
+impl LayerImage for Vec<f32> {
+    fn parts(&self) -> impl Iterator<Item = &[f32]> {
+        std::iter::once(self.as_slice())
+    }
+}
+
+impl LayerImage for Block {
+    fn parts(&self) -> impl Iterator<Item = &[f32]> {
+        self.param_slices().into_iter()
+    }
+}
+
+/// A block the caller keeps (the windowed backend's shell template)
+/// beside the blocks it hands over.
+impl LayerImage for Cow<'_, Block> {
+    fn parts(&self) -> impl Iterator<Item = &[f32]> {
+        self.as_ref().parts()
     }
 }
 
 impl LayerStore {
     /// Builds an all-resident store from per-layer flat parameter vectors.
     pub fn new(layer_params: Vec<Vec<f32>>) -> Arc<Self> {
-        let lens = layer_params.iter().map(Vec::len).collect();
-        let slots = layer_params
-            .into_iter()
-            .map(|p| SlotCell::resident(p, true))
-            .collect();
-        Self::all_resident(slots, lens, false)
+        let placement = vec![Tier::Ram; layer_params.len()];
+        Self::tiered(layer_params, &placement, &Telemetry::disabled())
+            .expect("an all-resident store does no I/O")
     }
 
     /// An all-resident store holding parameters only — no Adam moments. The
     /// read-only store of the serving engine, whose layers are flat images
     /// of `params` parameters each: a serving-form block's image carries
     /// panel padding, which is layout, so the store counts parameters, not
-    /// image floats. An update of one of its layers fails the optimizer's
+    /// image floats. Each image is one chunk, uncopied: no layer is ever
+    /// stepped. An update of one of its layers fails the optimizer's
     /// length check.
     pub(crate) fn without_moments(images: Vec<Vec<f32>>, params: usize) -> Arc<Self> {
         let lens = vec![params; images.len()];
         let slots = images
             .into_iter()
-            .map(|p| SlotCell::resident(p, false))
+            .map(|params| {
+                let chunk = RamChunk {
+                    params,
+                    ..RamChunk::default()
+                };
+                SlotCell::new(vec![Mutex::new(chunk)], usize::MAX)
+            })
             .collect();
-        Self::all_resident(slots, lens, true)
-    }
-
-    fn all_resident(slots: Vec<SlotCell>, lens: Vec<usize>, read_only: bool) -> Arc<Self> {
         Arc::new(LayerStore {
             slots,
             placement: vec![Tier::Ram; lens.len()],
             lens,
             tier: None,
-            read_only,
+            read_only: true,
         })
     }
 
-    /// Builds a store whose layers are placed per `plan`: `Tier::Ram` slots
-    /// behave exactly as in [`LayerStore::new`]; `Tier::File` slots write
-    /// their initial params + zero moments to a fresh swap file, where they
-    /// are read and updated in place. The zeros are written, not left as
-    /// the sized file's holes (which read back as zeros too): with holes,
-    /// `train-spill`'s steady-state step ran ~5 % slower. Falls back to the
-    /// plain resident store when the plan spills nothing.
+    /// Builds a store whose layers are placed per `placement` (a
+    /// [`TierPlan`](crate::tier::TierPlan)'s tiers), taking each layer in
+    /// turn from `layers` and dropping it as soon as it is stored, so the
+    /// caller's model is never held twice. `Tier::Ram` slots copy the
+    /// layer once into their chunks ([`SlotCell::resident`]) and get their
+    /// moments once every layer is stored ([`SlotCell::zero_moments`]).
+    /// `Tier::File` slots write the layer to a fresh swap file, its
+    /// parameters straight from its storage and then its zero moments from
+    /// one reused chunk of zeros, and are read and updated in place there.
+    /// The zeros are written, not left as the sized file's holes (which
+    /// read back as zeros too): with holes, `train-spill`'s steady-state
+    /// step ran ~5 % slower.
     ///
     /// # Panics
-    /// Panics if spilled layers have non-uniform parameter counts (the swap
-    /// file uses fixed-size slots).
-    pub fn tiered(
-        layer_params: Vec<Vec<f32>>,
-        plan: &TierPlan,
+    /// Panics if `layers` does not yield one layer per placement, or if
+    /// the spilled layers have non-uniform parameter counts (the swap file
+    /// uses fixed-size slots).
+    pub(crate) fn tiered<I: LayerImage>(
+        layers: impl IntoIterator<Item = I>,
+        placement: &[Tier],
         tel: &Telemetry,
     ) -> std::io::Result<Arc<Self>> {
-        let lens: Vec<usize> = layer_params.iter().map(Vec::len).collect();
-        let placement: Vec<Tier> = plan.tiers().to_vec();
-        assert_eq!(placement.len(), lens.len(), "plan vs layer count");
-        let spilled: Vec<usize> = (0..lens.len())
-            .filter(|l| placement[*l] == Tier::File)
-            .collect();
-        if spilled.is_empty() {
-            return Ok(LayerStore::new(layer_params));
-        }
-        let n = lens[spilled[0]];
-        assert!(
-            spilled.iter().all(|l| lens[*l] == n),
-            "spilled layers must have uniform parameter counts"
-        );
-        let nvme = NvmeStore::create(spilled.len(), 3 * n)?;
+        let spilled = placement.iter().filter(|t| **t == Tier::File).count();
+        let mut lens = Vec::with_capacity(placement.len());
+        let mut slots = Vec::with_capacity(placement.len());
+        let mut file_slots = 0;
+        // The swap file, sized at the first spilled layer, and the chunk
+        // of zeros every spilled layer's moments are written from.
+        let mut file: Option<(Arc<NvmeStore>, Vec<f32>)> = None;
         let mut scratch = Vec::new();
-        let zeros = vec![0.0f32; n];
-        let mut slots = Vec::with_capacity(lens.len());
-        let mut next_file_slot = 0usize;
-        for (l, p) in layer_params.into_iter().enumerate() {
-            let slot = if placement[l] == Tier::File {
-                let fs = next_file_slot;
-                next_file_slot += 1;
-                nvme.write_at(fs, 0, &p, &mut scratch)?;
-                nvme.write_at(fs, n, &zeros, &mut scratch)?;
-                nvme.write_at(fs, 2 * n, &zeros, &mut scratch)?;
-                // Nothing in RAM: params, m and v live in the file slot.
-                SlotCell::new(Vec::new(), fs)
-            } else {
-                SlotCell::resident(p, true)
+        for (l, layer) in layers.into_iter().enumerate() {
+            let n = layer.len();
+            lens.push(n);
+            if placement[l] == Tier::Ram {
+                slots.push(SlotCell::resident(&layer));
+                continue;
+            }
+            let (nvme, zeros) = match &file {
+                Some(file) => file,
+                None => file.insert((
+                    NvmeStore::create(spilled, 3 * n)?,
+                    vec![0.0; n.min(SPILL_CHUNK)],
+                )),
             };
-            slots.push(slot);
+            assert_eq!(
+                3 * n,
+                nvme.slot_floats(),
+                "spilled layers must have uniform parameter counts"
+            );
+            let fs = file_slots;
+            file_slots += 1;
+            let mut off = 0;
+            for part in layer.parts() {
+                nvme.write_at(fs, off, part, &mut scratch)?;
+                off += part.len();
+            }
+            while off < 3 * n {
+                let k = zeros.len().min(3 * n - off);
+                nvme.write_at(fs, off, &zeros[..k], &mut scratch)?;
+                off += k;
+            }
+            // Nothing in RAM: params, m and v live in the file slot.
+            slots.push(SlotCell::new(Vec::new(), fs));
+        }
+        assert_eq!(lens.len(), placement.len(), "plan vs layer count");
+        for slot in &slots {
+            slot.zero_moments();
         }
         Ok(Arc::new(LayerStore {
             slots,
+            placement: placement.to_vec(),
+            tier: file.map(|(nvme, _)| {
+                let n = nvme.slot_floats() / 3;
+                TierStore::new(nvme, n, tel)
+            }),
             lens,
-            placement,
-            tier: Some(TierStore::new(nvme, n, tel)),
             read_only: false,
         }))
     }
@@ -1225,6 +1325,7 @@ impl OptimizerPool {
 mod tests {
     use super::*;
     use crate::clip::GlobalNorm;
+    use crate::tier::TierPlan;
     use proptest::prelude::*;
 
     fn layer_init(layer: usize, n: usize) -> Vec<f32> {
@@ -1488,7 +1589,7 @@ mod tests {
     fn fully_spilled(layer_params: Vec<Vec<f32>>) -> Arc<LayerStore> {
         let (layers, n) = (layer_params.len(), layer_params[0].len());
         let plan = TierPlan::plan(layers, n, 1, Some(0));
-        let store = LayerStore::tiered(layer_params, &plan, &Telemetry::disabled()).unwrap();
+        let store = LayerStore::tiered(layer_params, plan.tiers(), &Telemetry::disabled()).unwrap();
         assert_eq!(store.spilled_layers(), layers);
         store
     }

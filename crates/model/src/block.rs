@@ -402,7 +402,7 @@ impl Block {
 
     /// Every parameter's storage in canonical order (a weight's is its
     /// panel image in serving form).
-    fn param_slices(&self) -> [&[f32]; 12] {
+    pub fn param_slices(&self) -> [&[f32]; 12] {
         let [qkv_w, qkv_b] = self.attn.qkv.param_data();
         let [proj_w, proj_b] = self.attn.proj.param_data();
         let [fc1_w, fc1_b] = self.fc1.param_data();

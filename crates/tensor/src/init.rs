@@ -11,7 +11,6 @@
 //! draws exactly the values the sequential loop would, and the caller's
 //! generator is left where that loop would leave it.
 
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -75,20 +74,40 @@ pub fn normal(shape: impl Into<Shape>, std: f32, rng: &mut ChaCha8Rng) -> Tensor
     Tensor::from_vec(shape, data)
 }
 
+/// Box–Muller pairs whose keystream words [`fill_normal`] copies out of
+/// the generator at once (1 KiB of words).
+const BATCH_PAIRS: usize = 64;
+
 /// Fills `out` pair by pair from `rng`; an odd tail draws a whole pair and
-/// keeps its first value.
+/// keeps its first value. Each pair's four words come out of the
+/// generator's buffer in bulk ([`ChaCha8Rng::fill_u32`]) and become the two
+/// uniforms `gen_range` would have made of them.
 fn fill_normal(out: &mut [f32], std: f32, rng: &mut ChaCha8Rng) {
-    for pair in out.chunks_mut(2) {
-        // Box–Muller transform: two uniforms -> two independent normals.
-        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
-        pair[0] = (r * theta.cos()) as f32 * std;
-        if let Some(second) = pair.get_mut(1) {
-            *second = (r * theta.sin()) as f32 * std;
+    let mut words = [0u32; WORDS_PER_PAIR as usize * BATCH_PAIRS];
+    for batch in out.chunks_mut(2 * BATCH_PAIRS) {
+        let words = &mut words[..WORDS_PER_PAIR as usize * batch.len().div_ceil(2)];
+        rng.fill_u32(words);
+        for (pair, w) in batch.chunks_mut(2).zip(words.chunks_exact(4)) {
+            // Box–Muller transform: two uniforms -> two independent normals.
+            let u1 = uniform(w[0], w[1], f64::MIN_POSITIVE, 1.0);
+            let u2 = uniform(w[2], w[3], 0.0, 1.0);
+            let r = (-2.0 * u1.ln()).sqrt();
+            let theta = 2.0 * std::f64::consts::PI * u2;
+            pair[0] = (r * theta.cos()) as f32 * std;
+            if let Some(second) = pair.get_mut(1) {
+                *second = (r * theta.sin()) as f32 * std;
+            }
         }
     }
+}
+
+/// `gen_range(start..end)` of an `f64`, from the two keystream words its
+/// `next_u64` joins (the first one high): the top 53 bits as a `[0, 1)`
+/// uniform, scaled into the range.
+fn uniform(high: u32, low: u32, start: f64, end: f64) -> f64 {
+    let bits = (u64::from(high) << 32 | u64::from(low)) >> 11;
+    let u = bits as f64 * (1.0 / (1u64 << 53) as f64);
+    start + (end - start) * u
 }
 
 /// GPT-2 style scaled-normal init (std = 0.02, residual projections scaled by
@@ -101,7 +120,7 @@ pub fn gpt2_normal(shape: impl Into<Shape>, rng: &mut ChaCha8Rng) -> Tensor {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::RngCore;
+    use rand::{Rng, RngCore};
 
     /// The sequential loop `normal` ran before it fanned out, kept verbatim
     /// as the oracle for the chunked draw.
