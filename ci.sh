@@ -6,12 +6,12 @@ cd "$(dirname "$0")"
 
 echo "==> one layer stream (structural guard)"
 # A store layer becomes a loaded shell in host/stream.rs only (the resident
-# trainer's optimizer write-back and the profiler's H2D timing are the other
-# two callers of `load_flat_params`), and the shell channels are built
-# there only: a second hand-copied pipeline fails here.
+# trainer's optimizer write-back is the other caller of `load_flat_params`),
+# and the shell channels are built there only: a second hand-copied
+# pipeline fails here.
 loads=$(grep -rl 'load_flat_params' crates/core/src | LC_ALL=C sort | tr '\n' ' ')
 channels=$(grep -rl 'bounded::<(usize, Block)>' crates/core/src | tr '\n' ' ')
-if [ "$loads" != "crates/core/src/host/profiler.rs crates/core/src/host/resident.rs crates/core/src/host/stream.rs " ] ||
+if [ "$loads" != "crates/core/src/host/resident.rs crates/core/src/host/stream.rs " ] ||
     [ "$channels" != "crates/core/src/host/stream.rs " ]; then
     echo "layer-stream code outside host/stream.rs: load_flat_params in [$loads], shell channels in [$channels]"
     exit 1
@@ -310,9 +310,10 @@ fi
 # runs to the end of the file.) The check is by name, so an item that shares
 # its name with a live one passes. The deliberate exceptions are listed
 # below with one tag each — `test-hook` (an accessor the integration tests
-# observe through), `oracle` (a reference implementation tests compare
-# against) or `item-N` (the input an open ROADMAP item names) — and the
-# found set must equal the list, so a stale entry fails too.
+# observe through) or `oracle` (a reference implementation tests compare
+# against) — and the found set must equal the list, so a stale entry fails
+# too. An input kept for future work is not an exception: it comes back
+# with its caller.
 allowed_items=$(LC_ALL=C sort <<'EOF'
 all_finite test-hook
 allreduce_reference oracle
@@ -320,28 +321,19 @@ arena_usage test-hook
 at_mut test-hook
 block_backward oracle
 block_forward_decode oracle
-calibrate_host item-13
-calibrate_nvme item-13
 collective_calls test-hook
 dp_traffic_bytes test-hook
 from_millis test-hook
 from_state_blob test-hook
 kv_arena_bytes test-hook
 max_abs_diff test-hook
-measure_host_profile_with_precision item-13
-measure_tier_bandwidths item-6
 nbytes test-hook
-predict_spill_ns_per_step item-13
-predict_step_ns item-13
-predict_step_ns_for item-13
-predicted_spill_ns_per_step item-6
-recalibrate_profile item-13
 resident_bytes test-hook
 round_through oracle
 spill_traffic test-hook
 EOF
 )
-untagged=$(echo "$allowed_items" | grep -vE '^[A-Za-z0-9_]+ (test-hook|oracle|item-[0-9]+)$' || true)
+untagged=$(echo "$allowed_items" | grep -vE '^[A-Za-z0-9_]+ (test-hook|oracle)$' || true)
 # shellcheck disable=SC2086 # the caller set is a list of globs
 uncalled=$(find $caller_set -name '*.rs' | LC_ALL=C sort | xargs awk '
     FNR == 1 { in_tests = 0; in_reexport = 0 }
@@ -372,7 +364,7 @@ stale=$(awk 'NR == FNR { found[$1]; next } NF && !($1 in found) { print $1 }' <(
 if [ -n "$not_allowed$stale$untagged" ]; then
     [ -z "$not_allowed" ] || printf 'public items nothing but their definition and tests name:\n%s\n' "$not_allowed"
     [ -z "$stale" ] || printf 'allowlist entries whose item is named again or gone:\n%s\n' "$stale"
-    [ -z "$untagged" ] || printf 'allowlist entries without one test-hook / oracle / item-N tag:\n%s\n' "$untagged"
+    [ -z "$untagged" ] || printf 'allowlist entries without one test-hook / oracle tag:\n%s\n' "$untagged"
     exit 1
 fi
 

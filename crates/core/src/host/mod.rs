@@ -32,7 +32,6 @@ pub mod data_parallel;
 pub mod device;
 pub mod engine;
 pub mod offloaded;
-pub mod profiler;
 pub mod resident;
 pub(crate) mod stream;
 
@@ -43,4 +42,4 @@ pub use engine::{
 pub use offloaded::{HostOffloadConfig, HostOffloadTrainer};
 pub use resident::HostResidentTrainer;
 
-pub use crate::tier::{Tier, TierBandwidths, TierPlan};
+pub use crate::tier::{Tier, TierPlan};

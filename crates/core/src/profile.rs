@@ -3,10 +3,12 @@
 //! During the first few training iterations STRONGHOLD measures, per layer:
 //! GPU compute time for FP and BP, CPU↔GPU transfer times for the layer's
 //! model state, and optimizer update times. The [`analytic`](crate::analytic)
-//! window solver consumes this profile. On the simulator the "measurement"
-//! prices the warm-up iterations through the cost model — exactly what a real
-//! profiler would observe; on the functional substrate the profile is built
-//! from wall-clock measurements.
+//! window solver consumes this profile. Here the "measurement" prices the
+//! warm-up iterations through the simulator's cost model — exactly what a
+//! real profiler would observe on the simulated platform. The functional
+//! substrate takes its window from `HostOffloadConfig` (or from the solver
+//! fed this profile and the backend's `arena_usage` curve); it has no
+//! wall-clock profiling pass of its own.
 
 use stronghold_model::layer::LayerSpec;
 use stronghold_sim::cost::CopyKind;

@@ -3,17 +3,17 @@
 //! STRONGHOLD memory-maps an NVMe swap file so secondary storage extends the
 //! working-set ceiling beyond host RAM; ZeRO-Infinity generalizes the idea
 //! into a GPU ↔ CPU ↔ NVMe hierarchy and 10Cache adds heterogeneous,
-//! cost-aware per-tensor placement from measured tier bandwidths. This module
-//! makes the third tier real in the functional substrate:
+//! per-tensor placement from profiled cost. This module makes the third
+//! tier real in the functional substrate:
 //!
 //! * [`Tier`] — where one layer's FP32 master parameters + Adam moments
 //!   live: host RAM (the classic [`crate::optimpool::LayerStore`] slot) or a
 //!   file slot on the [`crate::nvme::NvmeStore`] swap file.
 //! * [`TierPlan`] — the per-layer placement decision, derived
 //!   *deterministically* from a `host_capacity` byte budget and the known
-//!   layer schedule. Measured bandwidths ([`TierBandwidths`]) only
-//!   *annotate* predicted migration cost; they never change the plan, so
-//!   placement is reproducible run to run. Placement is invisible to the
+//!   layer schedule. No measurement enters it, so placement is
+//!   reproducible run to run (strongbench's `train-spill` reports the
+//!   disk's measured rates beside it). Placement is invisible to the
 //!   math either way: f32 ↔ little-endian file round trips are bit-exact,
 //!   so a spilled layer trains bit-identically to a resident one.
 //! * [`TierStore`] — the file side: the swap file and the meters of the
@@ -68,20 +68,6 @@ pub enum Tier {
     Ram,
     /// A slot on the file-backed swap store (params, m, v contiguously).
     File,
-}
-
-/// Measured tier bandwidths (bytes per nanosecond), as probed by
-/// [`crate::host::profiler::measure_tier_bandwidths`]. Used only to
-/// *annotate* a [`TierPlan`] with predicted per-layer migration cost —
-/// placement itself stays deterministic.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TierBandwidths {
-    /// Host-RAM copy bandwidth.
-    pub ram_bytes_per_ns: f64,
-    /// Swap-file read bandwidth.
-    pub file_read_bytes_per_ns: f64,
-    /// Swap-file write bandwidth.
-    pub file_write_bytes_per_ns: f64,
 }
 
 /// Resident cost of one parameter in the host tier: FP32 master + Adam m +
@@ -172,21 +158,6 @@ impl TierPlan {
             return 0;
         }
         3 * self.param_len as u64 * 4
-    }
-
-    /// Predicted extra nanoseconds per step for paging `layer` through the
-    /// file tier instead of RAM, from measured bandwidths — the 10Cache
-    /// cost annotation (reporting only; placement never depends on it).
-    pub fn predicted_spill_ns_per_step(&self, layer: usize, m: usize, bw: &TierBandwidths) -> u64 {
-        if self.tiers[layer] != Tier::File {
-            return 0;
-        }
-        let reads = self.f2h_bytes_per_step(layer, m) as f64;
-        let writes = self.h2f_bytes_per_step(layer) as f64;
-        let file_ns = reads / bw.file_read_bytes_per_ns.max(f64::MIN_POSITIVE)
-            + writes / bw.file_write_bytes_per_ns.max(f64::MIN_POSITIVE);
-        let ram_ns = (reads + writes) / bw.ram_bytes_per_ns.max(f64::MIN_POSITIVE);
-        (file_ns - ram_ns).max(0.0) as u64
     }
 }
 
@@ -311,22 +282,5 @@ mod tests {
         let res = TierPlan::plan(6, 10, 2, None);
         assert_eq!(res.f2h_bytes_per_step(0, 2), 0);
         assert_eq!(res.h2f_bytes_per_step(0), 0);
-    }
-
-    #[test]
-    fn predicted_cost_is_positive_when_disk_slower_than_ram() {
-        let plan = TierPlan::plan(4, 1000, 2, Some(0));
-        let bw = TierBandwidths {
-            ram_bytes_per_ns: 10.0,
-            file_read_bytes_per_ns: 1.0,
-            file_write_bytes_per_ns: 0.5,
-        };
-        let cheap = plan.predicted_spill_ns_per_step(3, 2, &bw);
-        let dear = plan.predicted_spill_ns_per_step(0, 2, &bw);
-        assert!(cheap > 0);
-        assert!(
-            dear > cheap,
-            "BP-refetched layer costs more: {dear} vs {cheap}"
-        );
     }
 }

@@ -3,6 +3,11 @@
 //! Every constant is anchored to an observation in the paper or to a
 //! well-known hardware characteristic; DESIGN.md §1 explains the calibration
 //! policy (reproduce *shapes and ratios*, not absolute samples/s).
+//!
+//! They are priors for the simulated platforms only. Nothing measured on
+//! the functional substrate is fed back into them: strongbench reports the
+//! host's own rates (`nvme.*_gbps`, `tier.*`) beside the simulator, not
+//! through it.
 
 /// GPU kernel efficiency model: achieved FLOP/s = `peak × batch_util(bs)`.
 ///
@@ -131,158 +136,6 @@ pub const TENSORS_PER_LAYER: usize = 12;
 /// pressure forces). Anchors Fig. 12's ≥2.6× STRONGHOLD advantage.
 pub const ZERO_DP_LAYER_OVERHEAD_US: u64 = 45_000;
 
-/// A calibration measured on a real host run: totals over `steps` training
-/// steps, distilled from telemetry span tracks and device traffic counters
-/// by `core::host::profiler::calibrate_host`. The constants above are the
-/// model's *priors*; a `HostCalibration` replaces them with this box's
-/// observed bandwidths and overlap so the simulator predicts host step
-/// times within a tested error bound (see `tests/tests/spill_tier.rs`).
-///
-/// Plain numbers only — `sim` cannot depend on `core`, so the bridge that
-/// fills this struct from live telemetry lives on the core side.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct HostCalibration {
-    /// Training steps the measurement covers.
-    pub steps: u64,
-    /// Total wall time of those steps.
-    pub wall_ns: u64,
-    /// Total compute-track busy time (union of compute spans).
-    pub compute_ns: u64,
-    /// Total host→device traffic.
-    pub h2d_bytes: u64,
-    /// Total H2D copy-track busy time.
-    pub h2d_busy_ns: u64,
-    /// Total device→host traffic.
-    pub d2h_bytes: u64,
-    /// Total D2H copy-track busy time.
-    pub d2h_busy_ns: u64,
-    /// Time copy spans ran concurrently with compute spans (the pipeline's
-    /// hidden transfer time).
-    pub overlap_ns: u64,
-    /// Total file→host spill-tier traffic (window fetches + optimizer
-    /// page-ins of spilled layers; 0 without a file tier).
-    pub spill_read_bytes: u64,
-    /// Total "spill-read" track busy time.
-    pub spill_read_busy_ns: u64,
-    /// Total host→file spill-tier traffic (optimizer write-backs).
-    pub spill_write_bytes: u64,
-    /// Total "spill-write" track busy time.
-    pub spill_write_busy_ns: u64,
-}
-
-impl HostCalibration {
-    /// Measured H2D bandwidth in bytes per nanosecond (0 if nothing moved).
-    pub fn h2d_bandwidth(&self) -> f64 {
-        if self.h2d_busy_ns == 0 {
-            0.0
-        } else {
-            self.h2d_bytes as f64 / self.h2d_busy_ns as f64
-        }
-    }
-
-    /// Measured D2H bandwidth in bytes per nanosecond (0 if nothing moved).
-    pub fn d2h_bandwidth(&self) -> f64 {
-        if self.d2h_busy_ns == 0 {
-            0.0
-        } else {
-            self.d2h_bytes as f64 / self.d2h_busy_ns as f64
-        }
-    }
-
-    /// Measured file→host spill-read bandwidth in bytes per nanosecond
-    /// (0 if the run had no spill tier).
-    pub fn spill_read_bandwidth(&self) -> f64 {
-        if self.spill_read_busy_ns == 0 {
-            0.0
-        } else {
-            self.spill_read_bytes as f64 / self.spill_read_busy_ns as f64
-        }
-    }
-
-    /// Measured host→file spill-write bandwidth in bytes per nanosecond.
-    pub fn spill_write_bandwidth(&self) -> f64 {
-        if self.spill_write_busy_ns == 0 {
-            0.0
-        } else {
-            self.spill_write_bytes as f64 / self.spill_write_busy_ns as f64
-        }
-    }
-
-    /// Rewrites an [`NvmeSpec`](crate::hardware::NvmeSpec)'s bandwidth
-    /// terms from the measured spill-tier bandwidths, keeping its capacity:
-    /// the calibration loop closed over the §III-G NVMe model. Directions
-    /// that moved no bytes keep the spec's prior.
-    pub fn calibrate_nvme(&self, spec: crate::hardware::NvmeSpec) -> crate::hardware::NvmeSpec {
-        let read = self.spill_read_bandwidth() * 1e9; // bytes/ns → bytes/s
-        let write = self.spill_write_bandwidth() * 1e9;
-        crate::hardware::NvmeSpec {
-            capacity: spec.capacity,
-            read_bw: if read > 0.0 { read } else { spec.read_bw },
-            write_bw: if write > 0.0 { write } else { spec.write_bw },
-        }
-    }
-
-    /// Predicted spill-tier busy time per step for a given per-step traffic,
-    /// from the measured bandwidths (0 when a direction never moved).
-    pub fn predict_spill_ns_per_step(&self, read_bytes: f64, write_bytes: f64) -> f64 {
-        let r = self.spill_read_bandwidth();
-        let w = self.spill_write_bandwidth();
-        (if r > 0.0 { read_bytes / r } else { 0.0 }) + (if w > 0.0 { write_bytes / w } else { 0.0 })
-    }
-
-    /// Fraction of copy busy time hidden under compute, clamped to [0, 1].
-    pub fn overlap_efficiency(&self) -> f64 {
-        let copy = (self.h2d_busy_ns + self.d2h_busy_ns) as f64;
-        if copy == 0.0 {
-            0.0
-        } else {
-            (self.overlap_ns as f64 / copy).clamp(0.0, 1.0)
-        }
-    }
-
-    /// Copy time the pipeline failed to hide, per step.
-    pub fn exposed_copy_ns_per_step(&self) -> f64 {
-        let copy = (self.h2d_busy_ns + self.d2h_busy_ns) as f64;
-        (copy - self.overlap_ns as f64).max(0.0) / self.steps.max(1) as f64
-    }
-
-    /// Compute busy time per step.
-    pub fn compute_ns_per_step(&self) -> f64 {
-        self.compute_ns as f64 / self.steps.max(1) as f64
-    }
-
-    /// Host work per step the phase model does not name (embedding/head,
-    /// gradient folds, dispatch): measured wall minus modeled phases. May
-    /// be negative when span unions over-count; consumers add it signed.
-    pub fn residual_ns_per_step(&self) -> f64 {
-        self.wall_ns as f64 / self.steps.max(1) as f64
-            - self.compute_ns_per_step()
-            - self.exposed_copy_ns_per_step()
-    }
-
-    /// Predicted step time for the *measured* shape: compute + exposed
-    /// copy + residual. Exact on the calibration run by construction; the
-    /// tested claim is that it transfers to a fresh run of the same shape.
-    pub fn predict_step_ns(&self) -> f64 {
-        self.compute_ns_per_step() + self.exposed_copy_ns_per_step() + self.residual_ns_per_step()
-    }
-
-    /// Predicted step time for a *different* shape on the same box: scale
-    /// transfer terms by this box's measured bandwidths and overlap, keep
-    /// the measured residual.
-    pub fn predict_step_ns_for(&self, h2d_bytes: f64, d2h_bytes: f64, compute_ns: f64) -> f64 {
-        let bw_up = self.h2d_bandwidth();
-        let bw_down = self.d2h_bandwidth();
-        let copy = (if bw_up > 0.0 { h2d_bytes / bw_up } else { 0.0 })
-            + (if bw_down > 0.0 {
-                d2h_bytes / bw_down
-            } else {
-                0.0
-            });
-        compute_ns + copy * (1.0 - self.overlap_efficiency()) + self.residual_ns_per_step()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,70 +178,5 @@ mod tests {
         let bytes = 8.0 * 1024.0 * (1u64 << 30) as f64 * CLUSTER_PINNED_FRACTION;
         let params_b = bytes / 16.0 / 1e9;
         assert!((80.0..85.0).contains(&params_b), "{params_b}");
-    }
-
-    fn sample_cal() -> HostCalibration {
-        HostCalibration {
-            steps: 4,
-            wall_ns: 40_000,
-            compute_ns: 24_000,      // 6000/step
-            h2d_bytes: 32_000,       // 2 B/ns
-            h2d_busy_ns: 16_000,     // 4000/step
-            d2h_bytes: 8_000,        // 1 B/ns
-            d2h_busy_ns: 8_000,      // 2000/step
-            overlap_ns: 12_000,      // half the copy time hidden
-            spill_read_bytes: 6_000, // 3 B/ns
-            spill_read_busy_ns: 2_000,
-            spill_write_bytes: 4_000, // 0.5 B/ns
-            spill_write_busy_ns: 8_000,
-        }
-    }
-
-    #[test]
-    fn host_calibration_bandwidths_and_overlap() {
-        let c = sample_cal();
-        assert!((c.h2d_bandwidth() - 2.0).abs() < 1e-12);
-        assert!((c.d2h_bandwidth() - 1.0).abs() < 1e-12);
-        assert!((c.overlap_efficiency() - 0.5).abs() < 1e-12);
-        assert!((c.exposed_copy_ns_per_step() - 3_000.0).abs() < 1e-9);
-        assert!((c.compute_ns_per_step() - 6_000.0).abs() < 1e-9);
-        // wall/step 10000 − compute 6000 − exposed 3000 = 1000 residual.
-        assert!((c.residual_ns_per_step() - 1_000.0).abs() < 1e-9);
-        // Prediction decomposes back to wall/step on the calibrated shape.
-        assert!((c.predict_step_ns() - 10_000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn host_calibration_scales_to_other_shapes() {
-        let c = sample_cal();
-        // Same per-step traffic and compute as the measured shape must
-        // reproduce the measured step time.
-        let same = c.predict_step_ns_for(8_000.0, 2_000.0, 6_000.0);
-        assert!((same - 10_000.0).abs() < 1e-9, "{same}");
-        // Doubling traffic adds exactly the extra exposed copy time.
-        let double = c.predict_step_ns_for(16_000.0, 4_000.0, 6_000.0);
-        assert!(double > same);
-        assert!((double - same - 3_000.0).abs() < 1e-9);
-        // Empty calibration stays finite.
-        let z = HostCalibration::default();
-        assert!(z.predict_step_ns_for(1e9, 1e9, 5.0).is_finite());
-    }
-
-    #[test]
-    fn spill_bandwidths_and_nvme_bridge() {
-        let c = sample_cal();
-        assert!((c.spill_read_bandwidth() - 3.0).abs() < 1e-12);
-        assert!((c.spill_write_bandwidth() - 0.5).abs() < 1e-12);
-        // 600 B read at 3 B/ns + 100 B written at 0.5 B/ns.
-        assert!((c.predict_spill_ns_per_step(600.0, 100.0) - 400.0).abs() < 1e-9);
-        let spec = crate::hardware::Platform::v100_server().nvme.unwrap();
-        let cal = c.calibrate_nvme(spec);
-        assert_eq!(cal.capacity, spec.capacity);
-        assert!((cal.read_bw - 3.0e9).abs() < 1.0, "3 B/ns = 3 GB/s");
-        assert!((cal.write_bw - 0.5e9).abs() < 1.0);
-        // A run without spill traffic keeps the spec's priors.
-        let keep = HostCalibration::default().calibrate_nvme(spec);
-        assert_eq!(keep.read_bw, spec.read_bw);
-        assert_eq!(keep.write_bw, spec.write_bw);
     }
 }

@@ -22,11 +22,6 @@ impl SimTime {
     /// Time zero.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// From whole nanoseconds.
-    pub const fn from_nanos(ns: u64) -> Self {
-        SimTime(ns)
-    }
-
     /// From microseconds.
     pub const fn from_micros(us: u64) -> Self {
         SimTime(us * 1_000)

@@ -17,13 +17,15 @@
 use bytes::Bytes;
 use stronghold_core::adam::AdamParams;
 use stronghold_core::analytic::solve_window;
-use stronghold_core::host::profiler::measure_host_profile_with_precision;
 use stronghold_core::host::{
     DataParallelConfig, DataParallelTrainer, HostOffloadConfig, HostOffloadTrainer,
     HostResidentTrainer,
 };
+use stronghold_core::profile::LayerProfile;
 use stronghold_integration_tests::batch_for;
 use stronghold_model::config::{tiny, ModelConfig};
+use stronghold_model::layer::build_layers;
+use stronghold_sim::{CostModel, Platform};
 use stronghold_tensor::Precision;
 
 const SEED: u64 = 21;
@@ -124,18 +126,19 @@ fn fixed_capacity_budget_doubles_half_mode_window() {
     assert_eq!(bf16_t.device().capacity(), budget);
 }
 
-/// The analytic solver sees the same doubling: a profile measured at half
-/// precision reports half-width `s_fp`, so `m_mem_max` under a fixed
-/// capacity comes out (roughly) twice the FP32 bound.
+/// The analytic solver sees the same doubling: fed a half mode's
+/// `arena_usage` curve, whose slots are half as wide, `m_mem_max` under a
+/// fixed capacity comes out (at least) twice the FP32 bound. The warm-up
+/// profile is the cost model's; the memory bound reads only the curve.
 #[test]
 fn solver_m_mem_max_doubles_at_half_precision() {
     let cfg = tiny(8);
-    let batch = batch_for(&cfg, 56);
+    let cost = CostModel::new(Platform::v100_server());
+    let profile = LayerProfile::from_cost_model(&build_layers(&cfg), &cost, cfg.batch);
     let capacity = 4 * cfg.block_params() as u64 * 4;
     let m_mem_max = |precision| {
-        let p = measure_host_profile_with_precision(&cfg, SEED, &batch, 1, precision);
-        let bytes = cfg.block_params() as u64 * precision.param_bytes();
-        solve_window(&p, |m| (m as u64 + 1) * bytes, capacity)
+        let t = HostOffloadTrainer::new(cfg, SEED, hocfg(precision, 1));
+        solve_window(&profile, |m| t.arena_usage(m), capacity)
             .expect("solvable")
             .m_mem_max
     };

@@ -6,11 +6,10 @@
 //! checkpoints versus the all-resident trainer — across windows, host
 //! budgets, and device precisions. Spill traffic is
 //! metered with zero tolerance against the closed-form per-step formulas,
-//! and one run's measured spill bandwidths predict a fresh run's spill busy
-//! time within a stated bound (the §III-G calibration loop).
+//! and the swap-file reads and write-backs show as busy time on the
+//! `spill-read` / `spill-write` telemetry tracks.
 
 use stronghold_core::adam::AdamParams;
-use stronghold_core::host::profiler::calibrate_host;
 use stronghold_core::host::{
     DataParallelConfig, DataParallelTrainer, HostOffloadConfig, HostOffloadTrainer,
     HostResidentTrainer, Tier,
@@ -215,6 +214,15 @@ fn spill_byte_accounting_is_exact() {
         t.fill_wait_nanos() > 0,
         "spilled reads must report fill time"
     );
+    // Every fill and page-in is a span on the `spill-read` track, every
+    // write-back one on `spill-write`.
+    for track in ["spill-read", "spill-write"] {
+        assert!(
+            tel.spans().iter().any(|s| s.track == track),
+            "no span on the {track} track"
+        );
+        assert!(tel.track_busy_nanos(track) > 0, "{track} busy time");
+    }
 }
 
 /// Data parallelism composes with the spill tier: replicas with private
@@ -375,134 +383,4 @@ fn a_failed_spill_read_aborts_the_step_instead_of_hanging() {
             "unexpected panic: {msg}"
         );
     }
-}
-
-/// The calibration loop over the file tier: one telemetry-enabled run's
-/// measured spill bandwidths, distilled through `calibrate_host`, predict a
-/// *fresh* run's spill busy time within 8× in either direction (a loose
-/// bound — CI disks are noisy — but enough to catch a model that is off by
-/// orders of magnitude), and re-anchor the simulator's NVMe spec.
-#[test]
-fn measured_spill_bandwidth_calibrates_the_nvme_model() {
-    let cfg = tiny(4);
-    let batch = batch_for(&cfg, 125);
-    let budget = capacity_for(&cfg, 1);
-    let steps = 4u64;
-    let measure = || {
-        let tel = Telemetry::enabled();
-        let mut t =
-            HostOffloadTrainer::with_telemetry(cfg, SEED, spill_cfg(2, budget), tel.clone());
-        for _ in 0..steps {
-            t.train_step(&batch);
-        }
-        t.flush();
-        let cal = calibrate_host(&tel, t.device(), steps, 0);
-        let plan = t.tier_plan().clone();
-        let m = t.window();
-        let read_per_step: u64 = (0..cfg.layers).map(|l| plan.f2h_bytes_per_step(l, m)).sum();
-        let write_per_step: u64 = (0..cfg.layers).map(|l| plan.h2f_bytes_per_step(l)).sum();
-        (cal, read_per_step, write_per_step)
-    };
-    let (cal_a, read_b, write_b) = measure();
-    assert!(cal_a.spill_read_bandwidth() > 0.0);
-    assert!(cal_a.spill_write_bandwidth() > 0.0);
-    let (cal_b, _, _) = measure();
-    let predicted = cal_a.predict_spill_ns_per_step(read_b as f64, write_b as f64);
-    let measured =
-        (cal_b.spill_read_busy_ns + cal_b.spill_write_busy_ns) as f64 / cal_b.steps as f64;
-    assert!(predicted > 0.0 && measured > 0.0);
-    let ratio = predicted / measured;
-    assert!(
-        (0.125..=8.0).contains(&ratio),
-        "calibrated spill prediction off by more than 8×: predicted {predicted:.0} ns/step, \
-         fresh run measured {measured:.0} ns/step"
-    );
-    // The measured bandwidths re-anchor the simulator's §III-G NVMe spec.
-    let prior = stronghold_sim::hardware::Platform::v100_server()
-        .nvme
-        .unwrap();
-    let spec = cal_a.calibrate_nvme(prior);
-    assert_eq!(spec.capacity, prior.capacity);
-    assert!((spec.read_bw - cal_a.spill_read_bandwidth() * 1e9).abs() < 1.0);
-    assert!((spec.write_bw - cal_a.spill_write_bandwidth() * 1e9).abs() < 1.0);
-}
-
-/// Calibration acceptance: distill telemetry-enabled training steps into a
-/// [`stronghold_sim::calibration::HostCalibration`], then predict the step
-/// time of a *fresh* run of the same shape. The prediction must land within
-/// 25% of the fresh run's measured mean step time.
-///
-/// Neither side is biased, but on a loaded box neither is steady: a tiny
-/// step hands work between five threads, and each hand-off that loses the
-/// CPU waits out a scheduler slice, so one release-build step took
-/// 1.4–15 ms beside two busy loops on a 2-core box. A mean of ten such
-/// steps on each side missed by 27–47 % in about one run in ten. So each
-/// side runs until it has spent [`SIDE_NS`] in steps — hundreds of slices,
-/// whatever the build or the load — and the two runs step in alternation,
-/// so a slow stretch of the box lands on both.
-#[test]
-fn calibrated_prediction_lands_within_25_percent_of_a_fresh_run() {
-    use stronghold_sim::calibration::HostCalibration;
-    /// Step time each side accumulates before the comparison.
-    const SIDE_NS: u64 = 500_000_000;
-    let cfg = tiny(6);
-    let batch = batch_for(&cfg, 109);
-    let hocfg = HostOffloadConfig {
-        window: 2,
-        optimizer_workers: 2,
-        adam: adam(),
-        ..HostOffloadConfig::default()
-    };
-    let tel = Telemetry::enabled();
-    let mut calibrated = HostOffloadTrainer::with_telemetry(cfg, 41, hocfg, tel.clone());
-    // Telemetry on too, so both runs pay the same recording cost.
-    let mut fresh = HostOffloadTrainer::with_telemetry(cfg, 41, hocfg, Telemetry::enabled());
-    // Each step runs to a flushed boundary, so its telemetry totals are
-    // complete when read.
-    let step = |t: &mut HostOffloadTrainer| {
-        let t0 = std::time::Instant::now();
-        t.train_step(&batch);
-        t.flush();
-        t0.elapsed().as_nanos() as u64
-    };
-    // Warm both pipelines (thread-local scratch pools, channel buffers)
-    // outside every measured step.
-    for _ in 0..2 {
-        step(&mut calibrated);
-        step(&mut fresh);
-    }
-    let before = calibrate_host(&tel, calibrated.device(), 1, 0);
-    let (mut cal_wall, mut fresh_wall, mut pairs) = (0, 0, 0u64);
-    while pairs < 10 || cal_wall.min(fresh_wall) < SIDE_NS {
-        // Neither run always follows the other.
-        if pairs % 2 == 0 {
-            cal_wall += step(&mut calibrated);
-            fresh_wall += step(&mut fresh);
-        } else {
-            fresh_wall += step(&mut fresh);
-            cal_wall += step(&mut calibrated);
-        }
-        pairs += 1;
-    }
-    let after = calibrate_host(&tel, calibrated.device(), 1, 0);
-    let cal = HostCalibration {
-        steps: pairs,
-        wall_ns: cal_wall,
-        compute_ns: after.compute_ns - before.compute_ns,
-        h2d_bytes: after.h2d_bytes - before.h2d_bytes,
-        h2d_busy_ns: after.h2d_busy_ns - before.h2d_busy_ns,
-        d2h_bytes: after.d2h_bytes - before.d2h_bytes,
-        d2h_busy_ns: after.d2h_busy_ns - before.d2h_busy_ns,
-        overlap_ns: after.overlap_ns.saturating_sub(before.overlap_ns),
-        ..HostCalibration::default()
-    };
-    let predicted = cal.predict_step_ns();
-    let measured = fresh_wall as f64 / pairs as f64;
-    let err = (predicted - measured).abs() / measured;
-    assert!(
-        err <= 0.25,
-        "calibrated prediction off by {:.1}% (predicted {predicted:.0} ns, a fresh run \
-         measured {measured:.0} ns, {pairs} steps each)",
-        err * 100.0
-    );
 }
