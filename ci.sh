@@ -17,9 +17,10 @@ if [ "$loads" != "crates/core/src/host/resident.rs crates/core/src/host/stream.r
     exit 1
 fi
 # Half conversion on a step path exists once, in `tensor` (the fused
-# round-copy behind `load_flat_params_as` / `flatten_into_as`): the packed
-# pack / unpack / round-through forms are the oracle and may appear in
-# `core` only inside its `#[cfg(test)]` modules.
+# `round_copy` the stream loads shells with and `BlockGrads::read_flat_as`
+# reads gradients with): the packed pack / unpack / round-through forms are
+# the oracle and may appear in `core` only inside its `#[cfg(test)]`
+# modules.
 packed=$(find crates/core/src -name '*.rs' -exec awk '
     FNR == 1 { in_tests = 0 }
     /^#\[cfg\(test\)\]/ { in_tests = 1 }
@@ -28,6 +29,24 @@ packed=$(find crates/core/src -name '*.rs' -exec awk '
 if [ -n "$packed" ]; then
     echo "packed half conversion on a core step path:"
     echo "$packed"
+    exit 1
+fi
+# One gradient route: from BP to Adam a block gradient is its ring
+# accumulator, lent to the update (a data-parallel bucket all-reduces it and
+# a clipped step scales it in place). Outside test code, host/engine.rs,
+# host/offloaded.rs and optimpool.rs neither flatten a gradient
+# (`flatten_into`) nor keep a `Vec<Vec<f32>>` buffer set (a function's
+# parameter, such as a store's layer images, is not one). A second,
+# flat-gradient route fails here.
+flat_routes=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[ \t]*\/\// { next }
+    /flatten_into/ || (/Vec<Vec<f32>>/ && !/fn [A-Za-z_]/) { print FILENAME ":" FNR ": " $0 }
+' crates/core/src/host/engine.rs crates/core/src/host/offloaded.rs crates/core/src/optimpool.rs)
+if [ -n "$flat_routes" ]; then
+    echo "a flat-gradient route beside the ring accumulator:"
+    echo "$flat_routes"
     exit 1
 fi
 # The trainer is the engine: `HostOffloadTrainer` / `HostResidentTrainer`
@@ -94,16 +113,16 @@ if [ "$chacha_unsafe" != "$expected_chacha_unsafe" ]; then
     diff <(echo "$expected_chacha_unsafe") <(echo "$chacha_unsafe") || true
     exit 1
 fi
-# Gradient memory is constant, not proportional to the model's depth: the
-# windowed backend's block gradients are the two-accumulator ring and the
-# fold partials (plus the one accumulator an offload job carries), and those
-# two are the only block-shaped `zero_grads()` allocation sites — the
+# Gradient memory is a closed form of the config: the windowed backend's
+# block gradients are the accumulator ring, sized once at construction, and
+# the fold partials (plus the one accumulator an offload job carries), and
+# those two are the only block-shaped `zero_grads()` allocation sites — the
 # shell's are resident-group shaped. A per-layer accumulator vector or a
 # per-sample scratch fails here.
 offloaded=crates/core/src/host/offloaded.rs
 grad_fields=$(grep -E '^    [a-z_]+: (Vec<)?BlockGrads' "$offloaded" | tr -d ' ,' | LC_ALL=C sort | tr '\n' ' ')
 grad_allocs=$(grep -n 'zero_grads()' "$offloaded" | grep -v \
-    -e 'let grad_ring = (0\.\.GRAD_RING)\.map(|_| stream\.zero_grads())\.collect();' \
+    -e 'let grad_ring = (0\.\.ring)\.map(|_| stream\.zero_grads())\.collect();' \
     -e 'self\.bp_fold_slots\.push(self\.stream\.zero_grads())' \
     -e 'self\.shell\.zero_grads()' || true)
 if [ "$grad_fields" != "bp_fold_slots:Vec<BlockGrads> grad_ring:Vec<BlockGrads> grads:BlockGrads " ] ||
@@ -112,7 +131,8 @@ if [ "$grad_fields" != "bp_fold_slots:Vec<BlockGrads> grad_ring:Vec<BlockGrads> 
     exit 1
 fi
 # One update routine: every optimizer update, resident or spilled, from a
-# host copy or a lent ring accumulator, steps its layer chunk by chunk
+# lent ring accumulator (or `LayerStore::apply_update`'s flat gradient),
+# steps its layer chunk by chunk
 # through `LayerStore::step_chunk`, so the non-test code of optimpool.rs
 # calls `adam::fused_step` from exactly one site and never steps a slot
 # through `AdamState::step`. A second whole-layer path fails here.

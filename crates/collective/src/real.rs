@@ -31,6 +31,10 @@ pub fn allreduce_reference(buffers: &[Vec<f32>]) -> Vec<f32> {
     acc
 }
 
+/// Most ranks one communicator serves: a rank reads the others'
+/// contributions through a stack array this long.
+const MAX_WORLD: usize = 64;
+
 struct CommShared {
     world: usize,
     /// One contribution slot per rank. Writers hold the lock only between
@@ -57,9 +61,13 @@ impl Communicator {
     /// onto the replica threads.
     ///
     /// # Panics
-    /// Panics if `world` is zero.
+    /// Panics if `world` is zero or above 64: a rank reads the others'
+    /// contributions through a stack array.
     pub fn new(world: usize) -> (Communicator, Vec<CommRank>) {
-        assert!(world > 0, "Communicator: world must be positive");
+        assert!(
+            (1..=MAX_WORLD).contains(&world),
+            "Communicator: world must be in 1..={MAX_WORLD}"
+        );
         let shared = Arc::new(CommShared {
             world,
             slots: (0..world).map(|_| RwLock::new(Vec::new())).collect(),
@@ -114,12 +122,17 @@ impl CommRank {
 
     /// All-reduce (sum) over a single contiguous buffer.
     pub fn allreduce(&self, buf: &mut [f32]) {
-        self.allreduce_vec(&mut [buf]);
+        self.allreduce_vec(|part| part(buf));
     }
 
     /// Vectored all-reduce (sum): the logical contribution is the
-    /// concatenation of `parts`, reduced elementwise across ranks with the
-    /// canonical rank tree and scattered back into `parts` in place.
+    /// concatenation of the parts `parts` hands to its callback, in order,
+    /// reduced elementwise across ranks with the canonical rank tree and
+    /// scattered back into those parts in place. `parts` is called twice —
+    /// once to gather the contribution, once to scatter the result — and
+    /// must hand out the same parts in the same order both times; the
+    /// caller needs no list of them, and a call allocates nothing once
+    /// this rank's slot has grown to the largest contribution.
     ///
     /// Because the reduction associates over *ranks*, the result for any
     /// element is independent of how the surrounding buffer was cut into
@@ -128,36 +141,37 @@ impl CommRank {
     /// proptests pin down).
     ///
     /// Every rank must call this with the same total element count.
-    pub fn allreduce_vec(&self, parts: &mut [&mut [f32]]) {
+    pub fn allreduce_vec(&self, mut parts: impl FnMut(&mut dyn FnMut(&mut [f32]))) {
         let shared = &*self.shared;
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        if shared.world == 1 || total == 0 {
+        if shared.world == 1 {
             return;
         }
-        {
+        let total = {
             let mut slot = shared.slots[self.rank]
                 .write()
                 .unwrap_or_else(PoisonError::into_inner);
             slot.clear();
-            slot.reserve(total);
-            for p in parts.iter() {
-                slot.extend_from_slice(p);
-            }
+            parts(&mut |p| slot.extend_from_slice(p));
+            slot.len()
+        };
+        if total == 0 {
+            return;
         }
         // Publish barrier: all contributions visible before anyone reads.
         shared.barrier.wait();
         {
-            let guards: Vec<_> = shared
-                .slots
-                .iter()
-                .map(|s| s.read().unwrap_or_else(PoisonError::into_inner))
-                .collect();
-            let srcs: Vec<&[f32]> = guards.iter().map(|g| g.as_slice()).collect();
+            let guards: [_; MAX_WORLD] = std::array::from_fn(|r| {
+                let slot = shared.slots.get(r)?;
+                Some(slot.read().unwrap_or_else(PoisonError::into_inner))
+            });
+            let srcs: [&[f32]; MAX_WORLD] =
+                std::array::from_fn(|r| guards[r].as_deref().map_or(&[][..], Vec::as_slice));
+            let srcs = &srcs[..shared.world];
             let mut off = 0usize;
-            for p in parts.iter_mut() {
-                tree_reduce_into(p, &srcs, off);
+            parts(&mut |p| {
+                tree_reduce_into(p, srcs, off);
                 off += p.len();
-            }
+            });
         }
         // Drain barrier: nobody rewrites a slot while a peer still reads.
         shared.barrier.wait();
@@ -203,7 +217,7 @@ mod tests {
                         prev = s;
                     }
                     parts.push(rest);
-                    rank.allreduce_vec(&mut parts);
+                    rank.allreduce_vec(|part| parts.iter_mut().for_each(|p| part(p)));
                 });
             }
         });

@@ -21,12 +21,12 @@
 //!   the byte counters equal `4 · V_dp = 4 · w·(w−1)·E` where `E` is the
 //!   per-replica gradient element count — the §III-F volume formula with
 //!   zero tolerance.
-//! * **Zero steady-state allocation.** Bucket buffers come from and return
-//!   to the optimizer pool's fixed buffers — a rank's pool holds
-//!   `max(optimizer_workers, layers per bucket)` of them, since a bucket
-//!   parks all its layers before delivering any — and the communicator's
-//!   rendezvous slots grow once; the steady-state step allocates nothing
-//!   new.
+//! * **Zero steady-state allocation.** A bucket parks the ring
+//!   accumulators themselves and all-reduces their storage in place — a
+//!   rank's ring holds `GRAD_RING + max(optimizer_workers, layers per
+//!   bucket)` of them, since a bucket parks all its layers before
+//!   delivering any — and the communicator's rendezvous slots grow once;
+//!   the steady-state step allocates nothing new.
 //!
 //! Telemetry: `comm.allreduce_bytes` (bytes through the collective, summed
 //! over ranks), `comm.bucket_flushes` (bucket all-reduces), spans on the
@@ -40,7 +40,6 @@ use stronghold_collective::real::{CommRank, Communicator};
 use stronghold_model::config::ModelConfig;
 use stronghold_model::transformer::Transformer;
 
-use crate::error::RuntimeError;
 use crate::host::engine::{Engine, GradSink};
 use crate::host::offloaded::{HostOffloadConfig, WindowedBackend};
 use crate::optimpool::GradBuffer;
@@ -160,38 +159,47 @@ impl AllReduceSink {
         }
     }
 
-    /// All-reduces `parts` (one collective over their concatenation) and
+    /// All-reduces the parts `parts` hands out (one collective over their
+    /// concatenation, see [`CommRank::allreduce_vec`]) in a `comm` span
+    /// named `allreduce {what}` (rendered only with telemetry on) and
     /// accounts the traffic: each rank moves `(w−1)` copies of the buffer
     /// across ranks, so the counters sum to exactly `4·w·(w−1)·len` bytes.
-    fn allreduce(&self, parts: &mut [&mut [f32]], what: &str, count_flush: bool) {
-        let total: usize = parts.iter().map(|p| p.len()).sum();
+    fn allreduce(
+        &self,
+        what: std::fmt::Arguments<'_>,
+        mut parts: impl FnMut(&mut dyn FnMut(&mut [f32])),
+    ) {
         let span = self.tel.span("comm", format_args!("allreduce {what}"));
-        self.comm.allreduce_vec(parts);
+        let mut total = 0;
+        self.comm.allreduce_vec(|part| {
+            total = 0;
+            parts(&mut |p| {
+                total += p.len();
+                part(p);
+            });
+        });
         span.end();
         self.bytes
             .add((self.comm.world().saturating_sub(1) * total * 4) as u64);
-        if count_flush {
-            self.flushes.add(1);
-        }
     }
 
+    /// All-reduces bucket `b`'s parked accumulators in place, in flush
+    /// order, then delivers them.
     fn flush_bucket(
         &self,
         st: &mut BucketState,
         b: usize,
         deliver: &(dyn Fn(usize, GradBuffer) + Sync),
     ) {
-        let layers: Vec<usize> = self.plan.layers_of(b).collect();
-        let mut bufs: Vec<GradBuffer> = layers
-            .iter()
-            .map(|&l| st.pending[l].take().expect("bucket layer pending"))
-            .collect();
-        {
-            let mut parts: Vec<&mut [f32]> = bufs.iter_mut().map(|v| v.as_mut_slice()).collect();
-            self.allreduce(&mut parts, &format!("bucket {b}"), true);
-        }
-        for (l, buf) in layers.into_iter().zip(bufs) {
-            deliver(l, buf);
+        self.allreduce(format_args!("bucket {b}"), |part| {
+            for l in self.plan.layers_of(b) {
+                let grad = st.pending[l].as_mut().expect("bucket layer pending");
+                grad.parts_mut().into_iter().for_each(&mut *part);
+            }
+        });
+        self.flushes.add(1);
+        for l in self.plan.layers_of(b) {
+            deliver(l, st.pending[l].take().expect("bucket layer pending"));
         }
     }
 }
@@ -200,11 +208,14 @@ impl GradSink for AllReduceSink {
     fn layer_ready(
         &self,
         layer: usize,
-        grad: GradBuffer,
+        mut grad: GradBuffer,
         deliver: &(dyn Fn(usize, GradBuffer) + Sync),
     ) {
         let mut guard = self.state.lock().expect("bucket state");
         let st: &mut BucketState = &mut guard;
+        // Onto the transfer grid once, before any replica reads it: the
+        // collective sums the values the update would have read.
+        grad.round_in_place();
         st.pending[layer] = Some(grad);
         // Flush every bucket that just became complete. The mutex is held
         // across the collective on purpose: it serializes this rank's
@@ -223,22 +234,7 @@ impl GradSink for AllReduceSink {
         }
     }
 
-    fn reduce_step(&self, grads: &mut [Vec<f32>]) {
-        // Deferred path: same buckets, same descending-layer order, one
-        // collective per bucket — the identical SPMD sequence the streaming
-        // path issues, just all at once.
-        for b in 0..self.plan.buckets() {
-            let (lo, hi) = self.plan.range(b);
-            let mut parts: Vec<&mut [f32]> = grads[lo..=hi]
-                .iter_mut()
-                .rev()
-                .map(|v| v.as_mut_slice())
-                .collect();
-            self.allreduce(&mut parts, &format!("bucket {b}"), true);
-        }
-    }
-
-    fn reduce_resident(&self, groups: [&mut [f32]; 4]) {
+    fn reduce_resident(&self, mut groups: [&mut [f32]; 4]) {
         // Called exactly once per step, after every bucket has flushed:
         // reset the bucket cursor for the next step, then reduce the four
         // resident groups in one vectored collective.
@@ -247,8 +243,9 @@ impl GradSink for AllReduceSink {
             debug_assert!(st.pending.iter().all(Option::is_none));
             st.next = 0;
         }
-        let mut parts: Vec<&mut [f32]> = groups.into_iter().collect();
-        self.allreduce(&mut parts, "resident", false);
+        self.allreduce(format_args!("resident"), |part| {
+            groups.iter_mut().for_each(|g| part(g));
+        });
     }
 }
 
@@ -290,8 +287,8 @@ impl DataParallelTrainer {
                 let layer_bytes = cfg.block_params() as usize * 4;
                 let plan = BucketPlan::new(cfg.layers, layer_bytes, dp.bucket_bytes);
                 // The sink parks a whole bucket before delivering any of it,
-                // so the rank's optimizer pool holds at least a bucket's
-                // worth of gradient buffers.
+                // so the rank's accumulator ring holds a bucket's worth
+                // beyond its two.
                 let model = Transformer::new(cfg, seed);
                 let backend =
                     WindowedBackend::from_model(model, &dp.host, plan.per_bucket, tel.clone());
@@ -390,31 +387,6 @@ impl DataParallelTrainer {
             e.flush();
         }
     }
-
-    /// Validates a configuration against a model shape without building the
-    /// replicas: replica count, window, and batch divisibility.
-    pub fn validate(
-        cfg: &ModelConfig,
-        dp: &DataParallelConfig,
-        global_batch: usize,
-    ) -> Result<(), RuntimeError> {
-        if dp.replicas == 0 {
-            return Err(RuntimeError::Config("replicas must be ≥ 1".into()));
-        }
-        if global_batch == 0 || !global_batch.is_multiple_of(dp.replicas) {
-            return Err(RuntimeError::Config(format!(
-                "global batch {global_batch} is not a positive multiple of {} replicas",
-                dp.replicas
-            )));
-        }
-        if dp.host.window == 0 || dp.host.window > cfg.layers {
-            return Err(RuntimeError::Config(format!(
-                "window {} outside 1..={} layers",
-                dp.host.window, cfg.layers
-            )));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -511,27 +483,5 @@ mod tests {
             t.train_step(&data);
             assert_eq!(t.allreduce_bytes(), per_step * step, "after step {step}");
         }
-    }
-
-    #[test]
-    fn validate_rejects_bad_shapes() {
-        let cfg = tiny(3);
-        let dp = DataParallelConfig::default();
-        assert!(DataParallelTrainer::validate(&cfg, &dp, 8).is_ok());
-        assert!(DataParallelTrainer::validate(&cfg, &dp, 7).is_err());
-        assert!(DataParallelTrainer::validate(&cfg, &dp, 0).is_err());
-        let bad = DataParallelConfig {
-            replicas: 0,
-            ..DataParallelConfig::default()
-        };
-        assert!(DataParallelTrainer::validate(&cfg, &bad, 8).is_err());
-        let bad = DataParallelConfig {
-            host: HostOffloadConfig {
-                window: 99,
-                ..DataParallelConfig::default().host
-            },
-            ..DataParallelConfig::default()
-        };
-        assert!(DataParallelTrainer::validate(&cfg, &bad, 8).is_err());
     }
 }

@@ -12,15 +12,17 @@
 //! applied) lives behind the [`ParamBackend`] trait.
 //!
 //! Bit-identity across backends is preserved by construction: every backend
-//! deposits per-layer flat gradients into the same [`StepWorkspace`] layout,
-//! so the engine's single clip/LR/dispatch sequence sees identical values in
-//! identical order regardless of the backend, and the resident parameter
-//! groups (embedding + final LN) are stepped by engine-owned Adam states in
-//! one fixed order.
+//! keeps its block gradients itself — the windowed one in its ring
+//! accumulators — and records each layer's norm partial into the same
+//! [`StepWorkspace`] slot, so the engine's single norm/clip/LR sequence
+//! sees identical values in identical order regardless of the backend; it
+//! hands the clip scale back through [`ParamBackend::release_held`], and
+//! the resident parameter groups (embedding + final LN) are stepped by
+//! engine-owned Adam states in one fixed order.
 //!
 //! The engine also preserves the zero-allocation step contract: the
-//! workspace buffers are reused across steps (`flatten_into` clears rather
-//! than reallocates) and the norm accumulator lives on the stack.
+//! workspace is reused across steps and the norm accumulator lives on the
+//! stack.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use stronghold_model::config::ModelConfig;
@@ -45,11 +47,11 @@ pub struct EngineOptions {
     /// Global gradient-norm clip threshold (None → no clipping; the
     /// gradient bits are then never touched between backward and the
     /// optimizer, preserving historical results exactly). It also picks the
-    /// dispatch policy: without clipping, backends whose pipeline can stream
-    /// dispatch each layer's optimizer update as soon as its gradient lands
-    /// (during backward); with it, dispatch is deferred to the end of the
-    /// step — whole-step clipping needs every gradient before any update.
-    /// Both paths are bit-identical.
+    /// dispatch policy: without clipping, a pipelined backend submits each
+    /// layer's optimizer update as soon as its gradient lands (during
+    /// backward); with it, the backend holds every gradient until the end
+    /// of the step — whole-step clipping needs every gradient before any
+    /// update. Both paths are bit-identical.
     pub clip_norm: Option<f32>,
     /// Device-residency / transfer precision (the ZeRO-Offload-style
     /// fp16-param/fp32-master split). CPU master weights and Adam moments
@@ -78,33 +80,27 @@ impl Default for EngineOptions {
 pub struct StepPlan {
     /// Adam hyper-parameters for this step, with the scheduled LR applied.
     pub hp: AdamParams,
-    /// Whether the backend may dispatch block updates itself as gradients
-    /// land (true exactly when clipping is off). A backend that streams
-    /// must set [`StepWorkspace::streamed`]; one that cannot stream simply
-    /// ignores the flag.
-    pub streaming: bool,
+    /// Clipping is on: the backend holds every block gradient until
+    /// [`ParamBackend::release_held`] instead of submitting its update as
+    /// it lands.
+    pub hold: bool,
+    /// The engine folds the global norm (clipping or telemetry is on): the
+    /// backend fills [`StepWorkspace::norm_partials`].
+    pub want_norm: bool,
 }
 
 /// Engine-owned gradient workspace, reused across steps.
 ///
 /// Backends fill it during [`ParamBackend::forward_backward`]; the engine
-/// then clips, schedules and dispatches from it. `block_grads[i]` is layer
-/// `i`'s flat gradient in the canonical flatten order; `resident_grads`
-/// holds the embedding + final-LN gradients (its `blocks` field is unused
-/// by the engine — backends may use it as an accumulation target).
+/// then clips and schedules from it. `resident_grads` holds the embedding +
+/// final-LN gradients (its `blocks` field is unused by the engine).
 pub struct StepWorkspace {
-    /// Per-layer flat gradients, in ascending layer order.
-    pub block_grads: Vec<Vec<f32>>,
     /// Resident-group (embedding + final LN) gradient accumulator.
     pub resident_grads: TransformerGrads,
-    /// Per-layer squared-norm partials (see [`GlobalNorm::layer_sum_sq`]),
-    /// filled by streaming backends whose gradients are gone by the time the
-    /// engine computes the norm gauge. Only read when `streamed` is set.
+    /// Per-layer squared-norm partials of the block gradients (see
+    /// [`GlobalNorm::layer_sum_sq`]), in ascending layer order. Filled
+    /// when [`StepPlan::want_norm`] is set.
     pub norm_partials: Vec<f64>,
-    /// Set by a backend that dispatched its own block updates mid-backward
-    /// under [`StepPlan::streaming`]; tells the engine to skip the deferred
-    /// dispatch loop and fold `norm_partials` instead of `block_grads`.
-    pub streamed: bool,
 }
 
 /// Mutable views of the resident parameter groups, in the fixed step order
@@ -122,8 +118,8 @@ pub struct ResidentParamsMut<'a> {
 
 /// Where finished gradients go before the optimizer sees them.
 ///
-/// The engine (and, in the streaming path, the backend's D2H engine)
-/// hand every completed gradient to the step's `GradSink`, which decides
+/// The backend's D2H engine hands every completed block gradient, and the
+/// engine the resident groups, to the step's `GradSink`, which decides
 /// what a "final" gradient means for this trainer:
 ///
 /// * [`LocalSink`] — single-replica training: gradients pass through
@@ -131,16 +127,16 @@ pub struct ResidentParamsMut<'a> {
 /// * `AllReduceSink` (in `host::data_parallel`) — DDP-style data
 ///   parallelism: gradients rendezvous with the other replicas in bucketed
 ///   all-reduces before any optimizer update, overlapping communication
-///   with the rest of backward on the streaming path.
+///   with the rest of backward.
 ///
 /// The sink is shared with the backend's worker threads, so it is `&self`
 /// throughout and must be `Send + Sync`.
 pub trait GradSink: Send + Sync {
-    /// Streaming hand-off: layer `layer`'s flat gradient is complete and
-    /// owned by `grad`, one of the optimizer pool's fixed buffers. The sink
-    /// forwards it (possibly later, possibly together with other layers) to
-    /// `deliver`, which routes it into the backend's optimizer pipeline.
-    /// A buffer the sink drops instead goes back to the pool. Called from
+    /// Layer `layer`'s gradient is complete and owned by `grad`, a ring
+    /// accumulator on loan. The sink forwards it (possibly later, possibly
+    /// together with other layers, possibly reduced in place) to `deliver`,
+    /// which routes it into the backend's optimizer pipeline. An
+    /// accumulator the sink drops instead goes home to BP. Called from
     /// backend worker threads.
     fn layer_ready(
         &self,
@@ -148,13 +144,9 @@ pub trait GradSink: Send + Sync {
         grad: GradBuffer,
         deliver: &(dyn Fn(usize, GradBuffer) + Sync),
     );
-    /// Deferred hand-off: the whole step's per-layer gradients, reduced in
-    /// place before clipping / dispatch. `grads[i]` is layer `i`'s flat
-    /// gradient.
-    fn reduce_step(&self, grads: &mut [Vec<f32>]);
     /// Reduces the resident parameter-group gradients in the fixed step
     /// order (token, position, final-LN gain, final-LN bias). Called every
-    /// step, streaming or not — resident gradients never stream.
+    /// step, after every block gradient has been delivered.
     fn reduce_resident(&self, groups: [&mut [f32]; 4]);
 }
 
@@ -172,7 +164,6 @@ impl GradSink for LocalSink {
     ) {
         deliver(layer, grad);
     }
-    fn reduce_step(&self, _grads: &mut [Vec<f32>]) {}
     fn reduce_resident(&self, _groups: [&mut [f32]; 4]) {}
 }
 
@@ -181,17 +172,15 @@ impl GradSink for LocalSink {
 /// Implementations own the model parameters (wherever they live) and the
 /// machinery to run a forward/backward pass over them; the [`Engine`] owns
 /// everything else. The contract for [`ParamBackend::forward_backward`]:
-/// zero and then fill `ws.block_grads` (one flat vector per layer, batch
-/// mean-scaled) and `ws.resident_grads`, and return the mean loss. When
-/// `plan.streaming` is false no optimizer work happens there — the engine
-/// dispatches updates afterwards through
-/// [`ParamBackend::dispatch_block_update`] so that clipping and the LR
-/// schedule see the whole step's gradients. When `plan.streaming` is true a
-/// pipelined backend may instead submit each block's update itself (with
-/// `plan.hp`) as soon as that layer's gradient is complete, overlapping the
-/// optimizer with the rest of backward; it must then set `ws.streamed`, and
-/// fill `ws.norm_partials[i]` (via [`GlobalNorm::layer_sum_sq`]) whenever
-/// telemetry is enabled so the engine can still publish `step.grad_norm`.
+/// compute every block's gradient (batch mean-scaled) and fill
+/// `ws.resident_grads`, fill `ws.norm_partials[i]` (via
+/// [`GlobalNorm::layer_sum_sq`] of layer `i`'s gradient on the transfer
+/// grid) when `plan.want_norm` is set, and return the mean loss. A block
+/// gradient is either held by the backend until the engine calls
+/// [`ParamBackend::release_held`] with the step's clip scale, or — when
+/// `plan.hold` is false and the backend's pipeline streams — submitted
+/// (with `plan.hp`) as soon as it is complete, overlapping the optimizer
+/// with the rest of backward.
 pub trait ParamBackend {
     /// Model configuration.
     fn config(&self) -> ModelConfig;
@@ -203,10 +192,10 @@ pub trait ParamBackend {
     fn new_resident_grads(&self) -> TransformerGrads;
     /// Runs one forward/backward pass over `batch`, filling `ws`; returns
     /// the mean loss (or, for a rank of a data-parallel group, the raw
-    /// shard loss partial — see `host::data_parallel`). On the streaming
-    /// path every finished layer gradient must be routed through
-    /// `sink.layer_ready` rather than submitted directly, so a reducing sink
-    /// can rendezvous it first.
+    /// shard loss partial — see `host::data_parallel`). Every finished
+    /// block gradient of a pipelined backend is routed through
+    /// `sink.layer_ready` rather than submitted or held directly, so a
+    /// reducing sink can rendezvous it first.
     fn forward_backward(
         &mut self,
         batch: &[(Vec<u32>, Vec<u32>)],
@@ -214,9 +203,12 @@ pub trait ParamBackend {
         plan: &StepPlan,
         sink: &std::sync::Arc<dyn GradSink>,
     ) -> f32;
-    /// Applies (or dispatches asynchronously) layer `i`'s optimizer update
-    /// with the hyper-parameters chosen by the engine for this step.
-    fn dispatch_block_update(&mut self, layer: usize, grads: &[f32], hp: &AdamParams);
+    /// Applies (or dispatches asynchronously) the optimizer update of
+    /// every block gradient the step held, in ascending layer order, each
+    /// scaled by `scale` (the clip scale; exactly 1.0 leaves the bits
+    /// untouched) with the hyper-parameters chosen by the engine for this
+    /// step. Called once per step, after the norm.
+    fn release_held(&mut self, scale: f32, hp: &AdamParams);
     /// Mutable access to the resident parameter groups.
     fn resident_params_mut(&mut self) -> ResidentParamsMut<'_>;
     /// Mean loss over a batch without updating.
@@ -465,10 +457,8 @@ impl<B: ParamBackend> Engine<B> {
         let cfg = backend.config();
         let n = backend.num_blocks();
         let ws = StepWorkspace {
-            block_grads: vec![Vec::new(); n],
             resident_grads: backend.new_resident_grads(),
             norm_partials: vec![0.0; n],
-            streamed: false,
         };
         let tel = backend.telemetry().clone();
         let lr_gauge = tel.gauge("step.lr");
@@ -527,34 +517,31 @@ impl<B: ParamBackend> Engine<B> {
         assert!(!batch.is_empty());
         // The per-step hyper-parameters are fixed *before* the pass so a
         // streaming backend can dispatch optimizer updates mid-backward
-        // with the same scheduled LR the deferred path would use.
+        // with the same scheduled LR a held update gets.
         let mut hp = self.opts.adam;
         if let Some(schedule) = self.opts.schedule {
             hp.lr = schedule.at(self.step);
         }
-        // Streaming requires clipping off: whole-step clipping must see
-        // every gradient before any update is applied.
+        // Whole-step clipping must see every gradient before any update
+        // is applied, so it holds them; the norm is folded only when
+        // clipping or telemetry needs it.
         let plan = StepPlan {
             hp,
-            streaming: self.opts.clip_norm.is_none(),
+            hold: self.opts.clip_norm.is_some(),
+            want_norm: self.opts.clip_norm.is_some() || self.tel.is_enabled(),
         };
-        self.ws.streamed = false;
-        if plan.streaming && self.tel.is_enabled() {
+        if plan.want_norm {
             self.ws.norm_partials.fill(0.0);
         }
         let loss = self
             .backend
             .forward_backward(batch, &mut self.ws, &plan, &self.sink);
 
-        // Gradient rendezvous: on the streaming path the sink already saw
-        // every block gradient via `layer_ready`; on the deferred path it
-        // reduces the whole step here. The resident groups never stream.
-        // Either way this happens *before* the norm, so clipping sees the
-        // reduced (e.g. replica-summed) gradients — exactly what a
-        // single-replica run over the global batch would clip.
-        if !self.ws.streamed {
-            self.sink.reduce_step(&mut self.ws.block_grads);
-        }
+        // Gradient rendezvous: the sink already saw every block gradient
+        // via `layer_ready`; the resident groups are reduced here. Either
+        // way this happens *before* the norm, so clipping sees the reduced
+        // (e.g. replica-summed) gradients — exactly what a single-replica
+        // run over the global batch would clip.
         {
             let rg = &mut self.ws.resident_grads;
             self.sink.reduce_resident([
@@ -566,24 +553,15 @@ impl<B: ParamBackend> Engine<B> {
         }
 
         // Global gradient norm: a deterministic layer-ordered reduction
-        // (blocks ascending, then token, position, lnf gain, lnf bias).
-        // Computed only when clipping or telemetry needs it; reading the
-        // gradients cannot perturb them, so enabling telemetry stays
-        // bit-neutral. A streamed step folds the per-layer f64 partials the
-        // backend recorded (the block gradients are already in flight to the
-        // optimizer); the fold order and arithmetic are identical, so the
-        // gauge value matches the deferred path bit-for-bit.
+        // (blocks ascending, then token, position, lnf gain, lnf bias),
+        // folding the per-layer f64 partials the backend recorded. Reading
+        // the gradients cannot perturb them, so enabling telemetry stays
+        // bit-neutral.
         let mut clip_scale = 1.0f32;
-        if self.opts.clip_norm.is_some() || self.tel.is_enabled() {
+        if plan.want_norm {
             let mut acc = GlobalNorm::new();
-            if self.ws.streamed {
-                for part in &self.ws.norm_partials {
-                    acc.add_layer_sum_sq(*part);
-                }
-            } else {
-                for g in &self.ws.block_grads {
-                    acc.add_layer(g);
-                }
+            for part in &self.ws.norm_partials {
+                acc.add_layer_sum_sq(*part);
             }
             let rg = &self.ws.resident_grads;
             acc.add_layer(rg.embedding.token.data());
@@ -595,15 +573,9 @@ impl<B: ParamBackend> Engine<B> {
                 clip_scale = acc.clip_scale(max_norm);
             }
         }
-        // A streamed step can never need scaling: streaming is only planned
-        // when clipping is off, so the scale is exactly 1.0.
-        debug_assert!(!(self.ws.streamed && clip_scale != 1.0));
         // With clipping disabled (or within budget) the scale is exactly 1.0
         // and the gradient bits are never touched.
         if clip_scale != 1.0 {
-            for g in self.ws.block_grads.iter_mut() {
-                scale_in_place(g, clip_scale);
-            }
             let rg = &mut self.ws.resident_grads;
             scale_in_place(rg.embedding.token.data_mut(), clip_scale);
             scale_in_place(rg.embedding.position.data_mut(), clip_scale);
@@ -613,15 +585,11 @@ impl<B: ParamBackend> Engine<B> {
 
         self.lr_gauge.set(fixed_point_x1e6(hp.lr));
 
-        // Optimizer dispatch: per-block updates in ascending layer order
-        // (resident applies inline; windowed hands off to the concurrent
-        // actor pool), then the resident groups in fixed order.
-        // A streamed step already submitted the block updates mid-backward.
-        if !self.ws.streamed {
-            for (i, g) in self.ws.block_grads.iter().enumerate() {
-                self.backend.dispatch_block_update(i, g, &hp);
-            }
-        }
+        // Optimizer dispatch: the held block updates in ascending layer
+        // order (resident applies inline; windowed hands off to the
+        // concurrent actor pool, and holds none when it streamed), then the
+        // resident groups in fixed order.
+        self.backend.release_held(clip_scale, &hp);
         let rg = &self.ws.resident_grads;
         let rp = self.backend.resident_params_mut();
         self.token_adam

@@ -13,11 +13,11 @@
 //! * **compute thread** — runs FP/BP batch-major with activation
 //!   checkpointing, keeps the last `m` layers resident across the FP→BP
 //!   turn, and hands each layer's gradient off as its backward ends;
-//! * **D2H engine thread** — accounts each handed-off gradient and, when
-//!   streaming, routes it through the step's sink to the optimizer: a sink
-//!   that delivers at once gets the ring accumulator itself, which the
-//!   optimizer reads chunk by chunk; otherwise the engine flattens it into
-//!   a host buffer;
+//! * **D2H engine thread** — accounts each handed-off gradient and lends
+//!   its ring accumulator, through the step's sink, to the layer's update,
+//!   which reads it chunk by chunk; a clipped step holds the accumulator
+//!   until the global norm is known. The accumulator is the gradient's
+//!   only host form from BP to Adam;
 //! * **optimizer pool** — [`OptimizerPool`] actors apply Adam concurrently
 //!   with the next step's forward work (§III-E1).
 //!
@@ -35,10 +35,10 @@
 use std::borrow::Cow;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
-use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam_channel::{bounded, Receiver, Sender};
 use stronghold_collective::order::{fold_with, tree_sum, FoldPlan};
 use stronghold_model::block::{Block, BlockGrads};
 use stronghold_model::config::ModelConfig;
@@ -54,6 +54,7 @@ use crate::host::engine::{
     TrainingState,
 };
 use crate::host::stream::{LayerStream, Pass};
+use crate::lock;
 use crate::optimpool::{GradBuffer, LayerStore, OptimizerPool};
 use crate::schedule::LrSchedule;
 use crate::telemetry::{Counter, Histogram, Telemetry};
@@ -65,10 +66,10 @@ pub struct HostOffloadConfig {
     /// Working-window size in layers (`m`).
     pub window: usize,
     /// Concurrent CPU optimizer actors (default 2). Every update's chunks
-    /// are shared among them. A trainer whose sink parks gradients (a
-    /// data-parallel rank) or that clips holds up to one layer-sized
-    /// gradient buffer per actor (a bucket's worth on a rank), allocated on
-    /// first use.
+    /// are shared among them. A data-parallel rank, whose sink parks a
+    /// bucket of gradients, holds `max(optimizer_workers, layers per
+    /// bucket)` ring accumulators beyond the two every trainer has, so
+    /// every actor has an update to step.
     pub optimizer_workers: usize,
     /// Adam hyper-parameters.
     pub adam: AdamParams,
@@ -76,8 +77,9 @@ pub struct HostOffloadConfig {
     pub schedule: Option<LrSchedule>,
     /// Global gradient-norm clip threshold. `None` → no clipping, and each
     /// layer's Adam update is dispatched as soon as its gradient lands
-    /// (§III-E1 BP/optimizer overlap); `Some` defers dispatch to the end of
-    /// the step. See [`EngineOptions::clip_norm`].
+    /// (§III-E1 BP/optimizer overlap); `Some` holds every gradient, one ring
+    /// accumulator per layer, until the end of the step. See
+    /// [`EngineOptions::clip_norm`].
     pub clip_norm: Option<f32>,
     /// Device-residency / transfer precision. With `Bf16`/`F16` the
     /// prefetcher streams half-width parameters H2D and the offload engine
@@ -138,29 +140,31 @@ impl HostOffloadConfig {
 
 /// One layer's gradient offload, handed from the compute thread to the D2H
 /// engine. Everything it carries is owned: the ring accumulator (returned
-/// once it is copied out, or once the update it was lent to retires, so BP
-/// can fold a later layer into it), the workspace destination
-/// `ws.block_grads[layer]` (taken for the copy and handed back with the
-/// job's end), and the step's route.
+/// once the update it is lent to retires, so BP can fold a later layer
+/// into it) and the step's route.
 struct OffloadJob {
     layer: usize,
     grads: BlockGrads,
-    /// Deferred dispatch: the flat gradient lands here.
-    dst: Vec<f32>,
     enqueue_ns: u64,
-    /// Streaming dispatch: where the flat gradient goes instead.
-    route: Option<Route>,
+    route: Route,
 }
 
-/// A streamed step's gradient route: the sink that receives each flat
-/// gradient and the update its final form becomes.
+/// A step's gradient route: the sink that receives each gradient and what
+/// its final form becomes.
 #[derive(Clone)]
 struct Route {
     sink: Arc<dyn GradSink>,
     hp: AdamParams,
-    /// Record each delivered gradient's norm partial (telemetry on).
+    /// Record each delivered gradient's norm partial.
     want_norm: bool,
+    /// Hold each delivered gradient for [`ParamBackend::release_held`]
+    /// instead of submitting it (clipping is on).
+    hold: bool,
 }
+
+/// Gradients a clipped step holds until its global norm is known, one slot
+/// per layer.
+type Held = Arc<Mutex<Vec<Option<GradBuffer>>>>;
 
 /// What the D2H engine reads besides its jobs, fixed for its lifetime.
 #[derive(Clone)]
@@ -168,97 +172,59 @@ struct OffloadCtx {
     store: Arc<LayerStore>,
     pool: Arc<OptimizerPool>,
     norm_bits: Arc<Vec<AtomicU64>>,
+    held: Held,
     device: Arc<HostDevice>,
     tel: Telemetry,
     wait: Histogram,
-    /// Time a streamed job waited to draw an optimizer gradient buffer.
-    buffer_wait: Histogram,
     copied: Counter,
     precision: Precision,
     block_bytes: u64,
     /// Flat gradient elements of one block.
     block_elems: usize,
-    /// The step's sink delivers each gradient as it comes (parks none), so
-    /// a streamed job lends it the ring accumulator instead of flattening
-    /// it into a pool buffer.
-    lend_ring: bool,
 }
 
 impl OffloadCtx {
     /// Runs one job: accounts the D2H traffic of the finished layer's
-    /// gradient and either hands it to the step's sink (streaming) or
-    /// flattens it into the job's destination for the engine's deferred
-    /// dispatch. A gradient leaves as a [`GradBuffer`], whose values are
-    /// rounded through the transfer format in a half mode — the optimizer
-    /// ingests the rounded f32 values against its FP32 masters, and the
-    /// half-width payload is accounted, not materialised. A sink that
-    /// delivers at once is lent the ring accumulator itself; a parking
-    /// sink gets a flat copy in a pool buffer, and the accumulator goes
-    /// home as soon as it is copied — before a reducing sink can wait on
-    /// the other replicas. Returns the destination.
-    fn offload(&self, job: OffloadJob, home: &Sender<BlockGrads>) -> Vec<f32> {
+    /// gradient and lends its ring accumulator to the step's sink as a
+    /// [`GradBuffer`], read through the transfer format in a half mode —
+    /// the optimizer ingests the rounded f32 values against its FP32
+    /// masters, and the half-width payload is accounted, not materialised.
+    /// The sink decides when the gradient reaches `deliver` (a reducing
+    /// sink parks it in a bucket first), which takes its norm partial —
+    /// of the reduced gradient — and submits its update, or holds it on
+    /// the grid for a clipped step. A gradient dropped on the way — a
+    /// sink's panic — goes home.
+    fn offload(&self, job: OffloadJob, home: &Sender<BlockGrads>) {
         let OffloadJob {
             layer,
             grads,
-            mut dst,
             enqueue_ns,
             route,
         } = job;
         let tel = &self.tel;
         self.wait.record(tel.now_nanos().saturating_sub(enqueue_ns));
-        // The copy's span opens once it can run, so a wait for a buffer
-        // is not counted as copy time.
-        let open_copy = || {
-            self.device.begin_d2h();
-            tel.span("d2h-copy", format_args!("d2h L{layer}"))
-        };
-        // Sends the accumulator home when it drops: after a flatten, once
-        // the update it is lent to retires, or while a panic unwinds past
-        // it, so BP never waits on one that is gone.
-        let acc = GradBuffer::ring(grads, self.block_elems, self.precision, home.clone());
-        let span = match route {
-            Some(route) => {
-                // With every pool buffer on loan the draw waits for an
-                // update to retire, holding the accumulator, so BP waits
-                // behind it; the wait accrues to `offload.buffer_wait_ns`.
-                // The sink decides when the gradient reaches `deliver` (a
-                // reducing sink may park it in a bucket first); the norm
-                // partial is taken there, so it reflects the reduced
-                // gradient. A gradient dropped on the way — a sink's panic
-                // — goes home.
-                let (grad, span) = if self.lend_ring {
-                    (acc, open_copy())
-                } else {
-                    let t0 = tel.now_nanos();
-                    let mut buf = self.pool.recycled_buffer();
-                    self.buffer_wait.record(tel.now_nanos().saturating_sub(t0));
-                    let span = open_copy();
-                    acc.flatten_into(&mut buf);
-                    drop(acc);
-                    (buf, span)
-                };
-                let deliver = |layer: usize, grad: GradBuffer| {
-                    if route.want_norm {
-                        let sum_sq = grad.sum_sq();
-                        self.norm_bits[layer].store(sum_sq.to_bits(), Ordering::Relaxed);
-                    }
-                    self.store.mark_pending(layer);
-                    self.pool.submit_owned(layer, grad, route.hp);
-                };
-                route.sink.layer_ready(layer, grad, &deliver);
-                span
+        self.device.begin_d2h();
+        let span = tel.span("d2h-copy", format_args!("d2h L{layer}"));
+        let grad = GradBuffer::ring(grads, self.block_elems, self.precision, home.clone());
+        let deliver = |layer: usize, mut grad: GradBuffer| {
+            if route.hold {
+                grad.round_in_place();
             }
-            None => {
-                let span = open_copy();
-                acc.flatten_into(&mut dst);
-                drop(acc);
-                span
+            if route.want_norm {
+                let sum_sq = grad.sum_sq();
+                self.norm_bits[layer].store(sum_sq.to_bits(), Ordering::Relaxed);
+            }
+            if route.hold {
+                lock(&self.held)[layer] = Some(grad);
+            } else {
+                self.store.mark_pending(layer);
+                self.pool.submit(layer, grad, route.hp);
             }
         };
+        route.sink.layer_ready(layer, grad, &deliver);
         self.device.end_d2h(self.block_bytes);
         span.end();
         self.copied.incr();
-        dst
     }
 }
 
@@ -268,10 +234,8 @@ impl OffloadCtx {
 /// layer `i−1`'s backward.
 struct D2hEngine {
     jobs: Actor<OffloadJob>,
-    /// Accumulators, back once copied out or once their update retires.
+    /// Accumulators, back once their update retires.
     home: Receiver<BlockGrads>,
-    /// Each ended job's layer and workspace destination.
-    dsts: Receiver<(usize, Vec<f32>)>,
     /// Accumulators sent with a job and not taken back yet.
     lent: usize,
     /// BP's wait for a free accumulator (`grad.ring_wait_ns`).
@@ -279,22 +243,18 @@ struct D2hEngine {
 }
 
 impl D2hEngine {
-    /// Starts the engine thread. At most [`GRAD_RING`] jobs exist at once
-    /// (each carries a ring accumulator), so no job send ever blocks.
-    fn start(ctx: OffloadCtx) -> Self {
-        let (home_tx, home) = bounded(GRAD_RING);
-        let (dst_tx, dsts) = unbounded();
-        let jobs = Actor::start(["d2h".into()], Some(GRAD_RING), || {
-            let (ctx, home, dsts) = (ctx.clone(), home_tx.clone(), dst_tx.clone());
-            move |job: OffloadJob| {
-                let layer = job.layer;
-                let _ = dsts.send((layer, ctx.offload(job, &home)));
-            }
+    /// Starts the engine thread for a ring of `ring` accumulators. At most
+    /// `ring` jobs exist at once (each carries one), so no job send ever
+    /// blocks, nor does an accumulator's way home.
+    fn start(ctx: OffloadCtx, ring: usize) -> Self {
+        let (home_tx, home) = bounded(ring);
+        let jobs = Actor::start(["d2h".into()], Some(ring), || {
+            let (ctx, home) = (ctx.clone(), home_tx.clone());
+            move |job: OffloadJob| ctx.offload(job, &home)
         });
         D2hEngine {
             jobs,
             home,
-            dsts,
             lent: 0,
             ring_wait: ctx.tel.histogram("grad.ring_wait_ns"),
         }
@@ -319,24 +279,21 @@ impl D2hEngine {
         acc
     }
 
-    /// Waits until every job sent has ended, each destination back in
-    /// `dsts`, and re-raises, on the calling thread, the first panic that
-    /// ended a job (a sink's). An accumulator lent to an update may still
-    /// be out: it comes home when the update retires, and BP takes it from
-    /// there when it next runs out.
-    fn drain(&mut self, dsts: &mut [Vec<f32>]) {
-        let failure = self.jobs.flush();
-        while let Ok((layer, dst)) = self.dsts.try_recv() {
-            dsts[layer] = dst;
-        }
-        if let Some(panic) = failure {
+    /// Waits until every job sent has ended and re-raises, on the calling
+    /// thread, the first panic that ended a job (a sink's). An accumulator
+    /// lent to an update, or held for one, may still be out: it comes home
+    /// when the update retires, and BP takes it from there when it next
+    /// runs out.
+    fn drain(&mut self) {
+        if let Some(panic) = self.jobs.flush() {
             resume_unwind(panic);
         }
     }
 }
 
-/// Gradient accumulators in the ring: the one BP folds the current layer
-/// into, plus the one the D2H engine or an update is reading out.
+/// Gradient accumulators in the ring of a trainer whose sink delivers each
+/// gradient at once: the one BP folds the current layer into, plus the one
+/// an update is reading out.
 const GRAD_RING: usize = 2;
 
 /// The working-window placement backend: block parameters live in a
@@ -354,13 +311,17 @@ pub struct WindowedBackend {
     /// The D2H side: the gradient copy engine.
     d2h: D2hEngine,
     tel: Telemetry,
-    /// The gradient accumulator ring: [`GRAD_RING`] block-sized buffers,
-    /// here or on their way home. They circulate — BP takes one as each
-    /// layer's fold root, the D2H engine copies it out or lends it to the
-    /// layer's update, and it comes back — so gradient memory is constant,
-    /// not proportional to the model's depth. Contents are never read
-    /// before a fold leaf overwrites them.
+    /// The gradient accumulator ring: block-sized buffers, here or on
+    /// their way home, as many as the config fixes at construction (see
+    /// [`WindowedBackend::from_model`]). They circulate — BP takes one as
+    /// each layer's fold root, the D2H engine lends it to the layer's
+    /// update, and it comes back — so unless the step clips, gradient
+    /// memory does not grow with the model's depth. Contents are never
+    /// read before a fold leaf overwrites them.
     grad_ring: Vec<BlockGrads>,
+    /// A clipped step's gradients, held on the grid for
+    /// [`ParamBackend::release_held`].
+    held: Held,
     /// Per-sample head/embedding scratches (grown to the largest batch seen).
     head_scratches: Vec<TransformerGrads>,
     /// Canonical-tree merge schedule for every batch fan-in this step.
@@ -389,10 +350,15 @@ impl WindowedBackend {
     /// Splits an existing model into the resident shell and the offloaded
     /// layer store. `parked` is how many gradients the step's sink may hold
     /// undelivered at once (a data-parallel bucket's layers; 0 for a sink
-    /// that delivers each as it comes, which is lent the ring accumulators
-    /// and draws no host buffer on the streaming path): the optimizer pool
-    /// may hold `max(optimizer_workers, parked)` gradient buffers, so a
-    /// sink never waits for a buffer only its own delivery would free.
+    /// that delivers each as it comes). The accumulator ring is the only
+    /// gradient back-pressure, sized here once:
+    ///
+    /// * [`GRAD_RING`] when the sink delivers at once and clipping is off;
+    /// * `GRAD_RING + max(optimizer_workers, parked)` for a parking sink, so
+    ///   a sink never waits for an accumulator only its own delivery would
+    ///   free, and every actor has an update to step;
+    /// * `max(GRAD_RING, layers)` with clipping on: every gradient is held
+    ///   until the step's global norm is known.
     pub(crate) fn from_model(
         model: Transformer,
         hocfg: &HostOffloadConfig,
@@ -442,26 +408,31 @@ impl WindowedBackend {
         let pool = Arc::new(OptimizerPool::with_telemetry(
             Arc::clone(&store),
             workers,
-            workers.max(parked),
             &tel,
         ));
-        let grad_ring = (0..GRAD_RING).map(|_| stream.zero_grads()).collect();
-        tel.gauge("grad.accumulators").set(GRAD_RING as i64);
+        let ring = match (hocfg.clip_norm, parked) {
+            (Some(_), _) => GRAD_RING.max(cfg.layers),
+            (None, 0) => GRAD_RING,
+            (None, parked) => GRAD_RING + workers.max(parked),
+        };
+        let grad_ring = (0..ring).map(|_| stream.zero_grads()).collect();
+        tel.gauge("grad.accumulators").set(ring as i64);
         let norm_bits = Arc::new((0..cfg.layers).map(|_| AtomicU64::new(0)).collect());
-        let d2h = D2hEngine::start(OffloadCtx {
+        let held: Held = Arc::new(Mutex::new((0..cfg.layers).map(|_| None).collect()));
+        let ctx = OffloadCtx {
             store: Arc::clone(&store),
             pool: Arc::clone(&pool),
             norm_bits: Arc::clone(&norm_bits),
+            held: Arc::clone(&held),
             device: Arc::clone(stream.device()),
             tel: tel.clone(),
             wait: tel.histogram("d2h.queue_wait_ns"),
-            buffer_wait: tel.histogram("offload.buffer_wait_ns"),
             copied: tel.counter("offload.grads"),
             precision: hocfg.precision,
             block_bytes: stream.block_bytes(),
             block_elems,
-            lend_ring: parked == 0,
-        });
+        };
+        let d2h = D2hEngine::start(ctx, ring);
         WindowedBackend {
             cfg,
             shell,
@@ -470,6 +441,7 @@ impl WindowedBackend {
             stream,
             d2h,
             grad_ring,
+            held,
             tel,
             head_scratches: Vec::new(),
             fold_plan: FoldPlan::default(),
@@ -592,20 +564,21 @@ impl ParamBackend for WindowedBackend {
     }
 
     /// One forward/backward pass with the working-window pipeline; fills
-    /// `ws.block_grads` (flattened on the D2H path as each layer's backward
-    /// ends) and `ws.resident_grads` — or, under [`StepPlan::streaming`],
-    /// submits each layer's optimizer update straight from the D2H engine.
+    /// `ws.resident_grads` and hands each layer's gradient, as its backward
+    /// ends, to the D2H engine, which submits the layer's optimizer update
+    /// through the step's sink — or, under [`StepPlan::hold`], holds it for
+    /// [`ParamBackend::release_held`].
     ///
     /// Three-way overlap: the stream's prefetcher thread runs H2D copies ahead
     /// of compute, the compute thread runs FP/BP, and the D2H engine thread
-    /// flattens and accounts each finished layer's gradient off the compute
+    /// accounts and routes each finished layer's gradient off the compute
     /// thread's critical path, so layer `i`'s D2H overlaps layer `i−1`'s
     /// backward. Both copy threads live as long as the backend: a step
     /// starts none.
     ///
     /// Steady-state the loop performs no per-element heap allocation: the
-    /// accumulator ring, fold partials, head scratches, and the D2H buffers
-    /// are backend/workspace fields that are overwritten each step, and all
+    /// accumulator ring, fold partials and head scratches are backend
+    /// fields that are overwritten each step, and all
     /// activation tensors cycle through the thread-local scratch pool. A
     /// fold leaf writes its slot without reading it ([`Block::leaf_backward`],
     /// the routine the resident trainer runs too), so which buffer serves
@@ -644,30 +617,29 @@ impl ParamBackend for WindowedBackend {
         }
         self.loss_buf.clear();
         self.loss_buf.resize(b, 0.0);
-        ws.streamed = plan.streaming;
-        let want_norm = plan.streaming && self.tel.is_enabled();
-        if want_norm {
+        if plan.want_norm {
             for bits in self.norm_bits.iter() {
                 bits.store(0, Ordering::Relaxed);
             }
         }
         let StepWorkspace {
-            block_grads,
             resident_grads,
             norm_partials,
-            ..
         } = ws;
-        // Under streaming dispatch the D2H engine hands each flat gradient
-        // to the sink, which delivers it to the optimizer (immediately for
-        // local training; after the replica rendezvous for data-parallel).
-        let route = plan.streaming.then(|| Route {
+        // The D2H engine hands each gradient to the sink, which delivers it
+        // to the optimizer (immediately for local training; after the
+        // replica rendezvous for data-parallel).
+        let route = Route {
             sink: Arc::clone(sink),
             hp: plan.hp,
-            want_norm,
-        });
+            want_norm: plan.want_norm,
+            hold: plan.hold,
+        };
         let (d2h, ring) = (&mut self.d2h, &mut self.grad_ring);
-        // Nothing is in flight unless an earlier step unwound mid-backward.
-        d2h.drain(block_grads);
+        // Nothing is in flight, and nothing held, unless an earlier step
+        // unwound mid-backward; what it held goes home.
+        d2h.drain();
+        lock(&self.held).iter_mut().for_each(|g| drop(g.take()));
         let loss = self.stream.run(&self.store, Pass::ForwardBackward, |feed| {
             // ---- compute ("GPU") ----
             // FP, batch-major; each layer's input tensors are *moved* into
@@ -706,10 +678,10 @@ impl ParamBackend for WindowedBackend {
             }
 
             // BP: recompute-from-checkpoint, folding each layer into a ring
-            // accumulator and handing it to the D2H engine so the flatten
-            // (and, when streaming, the optimizer submission) overlaps the
-            // next layer's backward. With clipping active the engine
-            // dispatches after the step's global norm is known.
+            // accumulator and handing it to the D2H engine so its route to
+            // the optimizer overlaps the next layer's backward. With
+            // clipping active the engine releases the held updates once the
+            // step's global norm is known.
             for i in (0..nb).rev() {
                 let block = match kept.pop() {
                     Some((k, blk)) => {
@@ -752,7 +724,6 @@ impl ParamBackend for WindowedBackend {
                 d2h.submit(OffloadJob {
                     layer: i,
                     grads,
-                    dst: std::mem::take(&mut block_grads[i]),
                     enqueue_ns: self.tel.now_nanos(),
                     route: route.clone(),
                 });
@@ -779,14 +750,13 @@ impl ParamBackend for WindowedBackend {
 
             tree_sum(&self.loss_buf)
         });
-        // Every job has ended and each destination is back in the
-        // workspace; the accumulators lent to the last updates come home as
-        // those retire, in whatever order — which buffer serves which layer
-        // is invisible.
-        d2h.drain(block_grads);
-        // Streaming norm partials were recorded at delivery time (on the
-        // reduced gradients); surface them to the engine's norm fold.
-        if want_norm {
+        // Every job has ended; the accumulators lent to the last updates
+        // come home as those retire, in whatever order — which buffer
+        // serves which layer is invisible.
+        d2h.drain();
+        // Norm partials were recorded at delivery time (on the reduced
+        // gradients); surface them to the engine's norm fold.
+        if plan.want_norm {
             for (p, bits) in norm_partials.iter_mut().zip(self.norm_bits.iter()) {
                 *p = f64::from_bits(bits.load(Ordering::Relaxed));
             }
@@ -799,11 +769,20 @@ impl ParamBackend for WindowedBackend {
         }
     }
 
-    /// Marks the layer pending and hands the update to the actor pool; the
-    /// next iteration's prefetch of this layer blocks until it is applied.
-    fn dispatch_block_update(&mut self, layer: usize, grads: &[f32], hp: &AdamParams) {
-        self.store.mark_pending(layer);
-        self.pool.submit_with(layer, grads, *hp);
+    /// Scales each held gradient on the grid, marks its layer pending and
+    /// hands the update to the actor pool, in ascending layer order; the
+    /// next iteration's prefetch of a layer blocks until it is applied. A
+    /// step that submitted its updates as they landed holds none.
+    fn release_held(&mut self, scale: f32, hp: &AdamParams) {
+        for (layer, held) in lock(&self.held).iter_mut().enumerate() {
+            if let Some(mut grad) = held.take() {
+                if scale != 1.0 {
+                    grad.scale(scale);
+                }
+                self.store.mark_pending(layer);
+                self.pool.submit(layer, grad, *hp);
+            }
+        }
     }
 
     fn resident_params_mut(&mut self) -> ResidentParamsMut<'_> {
@@ -1087,7 +1066,6 @@ mod tests {
             }
             deliver(layer, grad);
         }
-        fn reduce_step(&self, _grads: &mut [Vec<f32>]) {}
         fn reduce_resident(&self, _groups: [&mut [f32]; 4]) {}
     }
 
@@ -1140,11 +1118,13 @@ mod tests {
     }
 
     /// One optimizer actor on a `train-spill`-shaped store — 8 layers of
-    /// two chunks each, 6 of them on the swap file — at windows 1 and 2:
-    /// every chunk of every update queues on the one actor while BP waits
-    /// on the ring for an accumulator the actor still reads and the
-    /// prefetcher waits on pending updates, and three steps finish within
-    /// the watchdog, bit-equal to the same trainer with two actors.
+    /// two chunks each, 6 of them on the swap file — at windows 1 and 2,
+    /// clipping off and on: every chunk of every update queues on the one
+    /// actor while BP waits on the ring for an accumulator the actor still
+    /// reads — with clipping, a ring of 8 held to the step's end and then
+    /// released at once — and the prefetcher waits on pending updates, and
+    /// three steps finish within the watchdog, bit-equal to the same
+    /// trainer with two actors.
     #[test]
     fn one_actor_on_a_spilled_store_finishes_every_step() {
         use std::sync::mpsc;
@@ -1155,13 +1135,14 @@ mod tests {
             .with_batch(1);
         assert!(cfg.block_params() as usize > crate::optimpool::SPILL_CHUNK);
         let data = batch(&cfg, 14);
-        let run = move |optimizer_workers: usize, window: usize| {
+        let run = move |optimizer_workers: usize, window: usize, clip_norm: Option<f32>| {
             let (tx, rx) = mpsc::channel();
             let data = data.clone();
             std::thread::spawn(move || {
                 let hocfg = HostOffloadConfig {
                     window,
                     optimizer_workers,
+                    clip_norm,
                     host_capacity: Some(2 * 12 * cfg.block_params()),
                     ..HostOffloadConfig::default()
                 };
@@ -1179,12 +1160,14 @@ mod tests {
                 );
             });
             rx.recv_timeout(Duration::from_secs(10))
-                .unwrap_or_else(|_| panic!("{optimizer_workers} actors at window {window} hung"))
+                .unwrap_or_else(|_| {
+                    panic!("{optimizer_workers} actors at window {window}, clip {clip_norm:?} hung")
+                })
         };
-        for window in [1, 2] {
+        for (window, clip_norm) in [(1, None), (2, None), (1, Some(0.05)), (2, Some(0.05))] {
             assert!(
-                run(1, window) == run(2, window),
-                "window {window}: params diverged"
+                run(1, window, clip_norm) == run(2, window, clip_norm),
+                "window {window}, clip {clip_norm:?}: params diverged"
             );
         }
     }

@@ -11,6 +11,7 @@ use bytes::Bytes;
 use stronghold_collective::order::{fold_with, tree_sum, FoldPlan};
 use stronghold_model::config::ModelConfig;
 use stronghold_model::transformer::{Transformer, TransformerGrads};
+use stronghold_tensor::Precision;
 
 use crate::adam::{AdamParams, AdamState};
 use crate::error::RuntimeError;
@@ -18,6 +19,7 @@ use crate::host::engine::{
     Engine, EngineOptions, GradSink, ParamBackend, ResidentParamsMut, StepPlan, StepWorkspace,
     TrainingState,
 };
+use crate::optimpool::block_sum_sq;
 use crate::telemetry::Telemetry;
 
 /// The in-memory placement backend: the whole model lives in one
@@ -26,11 +28,14 @@ use crate::telemetry::Telemetry;
 pub struct ResidentBackend {
     model: Transformer,
     block_adams: Vec<AdamState>,
-    /// Reused flat-parameter staging buffer for the per-block Adam step.
-    flat_stage: Vec<f32>,
+    /// Reused flat staging of the per-block Adam step: parameters and
+    /// gradient.
+    flat_stage: [Vec<f32>; 2],
     /// Canonical-tree merge schedule for the batch fan-in.
     fold_plan: FoldPlan,
-    /// Reusable partial accumulators for the tree fold (≈ log₂ batch).
+    /// Reusable partial accumulators for the tree fold (≈ log₂ batch). The
+    /// root, `fold_slots[0]`, holds the step's block gradients until
+    /// [`ParamBackend::release_held`].
     fold_slots: Vec<TransformerGrads>,
     /// Reusable per-sample raw loss buffer for the loss tree.
     loss_buf: Vec<f32>,
@@ -42,7 +47,7 @@ impl ResidentBackend {
         ResidentBackend {
             model,
             block_adams,
-            flat_stage: Vec::new(),
+            flat_stage: [Vec::new(), Vec::new()],
             fold_plan: FoldPlan::default(),
             fold_slots: Vec::new(),
             loss_buf: Vec::new(),
@@ -70,22 +75,24 @@ impl ParamBackend for ResidentBackend {
     }
 
     fn new_resident_grads(&self) -> TransformerGrads {
-        // Full-model grads: the fold root swapped in here carries the block
-        // gradients too; the engine only reads the resident groups.
-        self.model.zero_grads()
+        // The resident groups only: the block gradients stay in the fold
+        // root.
+        TransformerGrads {
+            blocks: Vec::new(),
+            ..self.model.zero_grads()
+        }
     }
 
     /// The fused whole-model pass runs forward *and* backward per sample,
-    /// and never streams optimizer dispatch ([`StepPlan`]
-    /// is ignored and `ws.streamed` stays false): with everything in memory
-    /// the engine's deferred dispatch loop *is* the inline update, and
-    /// leaving it there keeps this trainer the reference the overlapped
-    /// pipelines are checked against.
+    /// and always holds its block gradients ([`StepPlan::hold`] is
+    /// ignored): with everything in memory [`ParamBackend::release_held`]
+    /// *is* the inline update, and leaving it there keeps this trainer the
+    /// reference the overlapped pipelines are checked against.
     fn forward_backward(
         &mut self,
         batch: &[(Vec<u32>, Vec<u32>)],
         ws: &mut StepWorkspace,
-        _plan: &StepPlan,
+        plan: &StepPlan,
         _sink: &std::sync::Arc<dyn GradSink>,
     ) -> f32 {
         let b = batch.len();
@@ -121,18 +128,33 @@ impl ParamBackend for ResidentBackend {
                 |acc, part| acc.accumulate_scaled(part, 1.0),
             );
         }
-        std::mem::swap(&mut ws.resident_grads, &mut self.fold_slots[0]);
-        for (i, g) in ws.resident_grads.blocks.iter().enumerate() {
-            g.flatten_into(&mut ws.block_grads[i]);
+        // The resident groups go to the engine; the block gradients stay
+        // in the fold root.
+        let (rg, root) = (&mut ws.resident_grads, &mut self.fold_slots[0]);
+        std::mem::swap(&mut rg.embedding, &mut root.embedding);
+        std::mem::swap(&mut rg.lnf_g, &mut root.lnf_g);
+        std::mem::swap(&mut rg.lnf_b, &mut root.lnf_b);
+        if plan.want_norm {
+            let parts = ws.norm_partials.iter_mut().zip(&self.model.blocks);
+            for ((part, block), g) in parts.zip(&root.blocks) {
+                *part = block_sum_sq(g, block.param_count(), Precision::F32);
+            }
         }
         tree_sum(&self.loss_buf) / b as f32
     }
 
-    fn dispatch_block_update(&mut self, layer: usize, grads: &[f32], hp: &AdamParams) {
-        let block = &mut self.model.blocks[layer];
-        block.flatten_params_into(&mut self.flat_stage);
-        self.block_adams[layer].step(&mut self.flat_stage, grads, hp);
-        block.load_flat_params(&self.flat_stage);
+    fn release_held(&mut self, scale: f32, hp: &AdamParams) {
+        let [params, grads] = &mut self.flat_stage;
+        for (i, g) in self.fold_slots[0].blocks.iter().enumerate() {
+            g.flatten_into(grads);
+            if scale != 1.0 {
+                grads.iter_mut().for_each(|x| *x *= scale);
+            }
+            let block = &mut self.model.blocks[i];
+            block.flatten_params_into(params);
+            self.block_adams[i].step(params, grads, hp);
+            block.load_flat_params(params);
+        }
     }
 
     fn resident_params_mut(&mut self) -> ResidentParamsMut<'_> {

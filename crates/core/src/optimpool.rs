@@ -34,22 +34,16 @@
 //! layer's `pending_update` clears, and its Adam `t` commits, only when the
 //! last chunk retires: readers and checkpoints never see a stale image.
 //!
-//! A gradient reaches the actors as a [`GradBuffer`]. A sink that delivers
-//! each gradient as soon as it lands lends the D2H engine's ring
-//! accumulator itself: each chunk's gradient is round-copied out of it, a
-//! cache-sized piece at a time, into the actor's own staging right before
-//! Adam reads it, so no layer-sized host copy of a gradient exists, and
-//! the accumulator goes home to BP when the update's last chunk retires.
-//! A sink that parks gradients (a data-parallel bucket) and the clipped
-//! deferred dispatch hold a host copy instead, in one of the pool's
-//! layer-sized buffers, read by the same chunk routine. Those buffers are
-//! allocated on a path's first draw, at most `buffers` of them, and a draw
-//! from a pool with none home and none left to allocate waits instead of
-//! allocating, so the pool's host footprint stays a closed form of the
-//! config.
+//! A gradient reaches the actors as a [`GradBuffer`]: the D2H engine's ring
+//! accumulator itself, lent to the update. Each chunk's gradient is
+//! round-copied out of it, a cache-sized piece at a time, into the actor's
+//! own staging right before Adam reads it, so no layer-sized host copy of
+//! a gradient exists, and the accumulator goes home to BP when the
+//! update's last chunk retires. A data-parallel bucket all-reduces it in
+//! place and a clipped step scales it in place first; the pool holds no
+//! gradient buffer of its own.
 
 use std::borrow::Cow;
-use std::ops::{Deref, DerefMut};
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
@@ -854,7 +848,8 @@ impl Drop for SpillRange<'_> {
 /// Where an update reads its gradient from.
 #[derive(Clone, Copy)]
 enum GradSource<'a> {
-    /// A flat host copy, already on the transfer grid.
+    /// A flat gradient, already on the transfer grid
+    /// ([`LayerStore::apply_update`]).
     Flat(&'a [f32]),
     /// A ring accumulator, each value rounded through the transfer
     /// precision as it is read.
@@ -881,52 +876,22 @@ impl<'a> GradSource<'a> {
     }
 }
 
-/// The pool's layer-sized gradient buffers: allocated on first draw, at
-/// most `cap` of them, and the condvar a draw waits on while none is home
-/// and none is left to allocate.
-struct Bank {
-    shelf: Mutex<Shelf>,
-    retired: Condvar,
-    /// Floats per buffer: the store's largest layer.
-    len: usize,
-    cap: usize,
-    /// `optim.grad_buffers`: buffers allocated so far.
-    made: Gauge,
-}
-
-struct Shelf {
-    free: Vec<Vec<f32>>,
-    made: usize,
-}
-
-/// A layer's gradient on its way to an update, handed to the step's sink
-/// and on to the optimizer pool. It is either one of the pool's host
-/// buffers, on loan from [`OptimizerPool::recycled_buffer`] (it derefs to
-/// the `Vec`), or — from a sink that delivers each gradient at once — the
-/// D2H engine's ring accumulator itself, which has no host copy to deref
-/// to: the update reads it chunk by chunk. Dropping it is the only way
-/// back: a buffer returns to the pool's free list and an accumulator goes
-/// home to BP when its update retires, and equally when a sink drops it or
-/// a panic unwinds past it, so no path loses one.
+/// A layer's gradient on its way to an update: the D2H engine's ring
+/// accumulator, lent to the step's sink and on to the optimizer pool,
+/// which reads it chunk by chunk. A sink may change it in place first —
+/// a data-parallel bucket all-reduces its storage, a clipped step scales
+/// it — once it is on the transfer grid (`GradBuffer::round_in_place`).
+/// Dropping it is the only way back: the accumulator goes home to BP when
+/// its update retires, and equally when a sink drops it or a panic
+/// unwinds past it, so no path loses one.
 pub struct GradBuffer {
-    grads: Grads,
-}
-
-// The ring variant carries the accumulator by value: boxing it would
-// allocate once per update.
-#[allow(clippy::large_enum_variant)]
-enum Grads {
-    Host {
-        buf: Vec<f32>,
-        bank: Arc<Bank>,
-    },
-    Ring {
-        acc: Option<BlockGrads>,
-        /// Flat gradient elements of the block.
-        len: usize,
-        precision: Precision,
-        home: Sender<BlockGrads>,
-    },
+    acc: Option<BlockGrads>,
+    /// Flat gradient elements of the block.
+    len: usize,
+    /// The grid the values are read through: the transfer precision, or
+    /// F32 once they are rounded in place.
+    precision: Precision,
+    home: Sender<BlockGrads>,
 }
 
 impl GradBuffer {
@@ -939,97 +904,99 @@ impl GradBuffer {
         home: Sender<BlockGrads>,
     ) -> Self {
         GradBuffer {
-            grads: Grads::Ring {
-                acc: Some(acc),
-                len,
-                precision,
-                home,
-            },
+            acc: Some(acc),
+            len,
+            precision,
+            home,
         }
     }
 
-    fn flat_len(&self) -> usize {
-        match &self.grads {
-            Grads::Host { buf, .. } => buf.len(),
-            Grads::Ring { len, .. } => *len,
-        }
+    fn acc(&self) -> &BlockGrads {
+        self.acc.as_ref().expect("accumulator on loan")
     }
 
     fn source(&self) -> GradSource<'_> {
-        match &self.grads {
-            Grads::Host { buf, .. } => GradSource::Flat(buf),
-            Grads::Ring { acc, precision, .. } => {
-                GradSource::Ring(acc.as_ref().expect("accumulator on loan"), *precision)
-            }
-        }
+        GradSource::Ring(self.acc(), self.precision)
     }
 
-    /// Writes the flat gradient into `out`, clearing it first.
-    pub(crate) fn flatten_into(&self, out: &mut Vec<f32>) {
-        match self.source() {
-            GradSource::Flat(flat) => {
-                out.clear();
-                out.extend_from_slice(flat);
-            }
-            GradSource::Ring(acc, precision) => acc.flatten_into_as(out, precision),
-        }
+    /// The accumulator's storage, tensor by tensor: every float of the
+    /// flat gradient once. The in-place passes (rounding, scaling, an
+    /// all-reduce) are element-wise, so their order is immaterial.
+    pub(crate) fn parts_mut(&mut self) -> [&mut [f32]; 12] {
+        let g = self.acc.as_mut().expect("accumulator on loan");
+        [
+            g.ln1_g.data_mut(),
+            g.ln1_b.data_mut(),
+            g.attn.qkv.weight.data_mut(),
+            g.attn.qkv.bias.data_mut(),
+            g.attn.proj.weight.data_mut(),
+            g.attn.proj.bias.data_mut(),
+            g.ln2_g.data_mut(),
+            g.ln2_b.data_mut(),
+            g.fc1.weight.data_mut(),
+            g.fc1.bias.data_mut(),
+            g.fc2.weight.data_mut(),
+            g.fc2.bias.data_mut(),
+        ]
     }
 
-    /// [`crate::clip::GlobalNorm::layer_sum_sq`] of the flat gradient, bit for bit; an
-    /// accumulator is read a stack-sized piece at a time.
-    pub(crate) fn sum_sq(&self) -> f64 {
+    /// Rounds the values onto the transfer grid in place, once, and reads
+    /// them as F32 from then on: the values every later reader — a norm,
+    /// an all-reduce, the update — would have read through the transfer
+    /// precision. Nothing to do at F32.
+    pub(crate) fn round_in_place(&mut self) {
         const PIECE: usize = 1 << 10;
-        let mut lanes = NormLanes::default();
-        match self.source() {
-            GradSource::Flat(flat) => lanes.add(flat),
-            GradSource::Ring(acc, precision) => {
-                let mut stage = [0.0f32; PIECE];
-                let len = self.flat_len();
-                for off in (0..len).step_by(PIECE) {
-                    let piece = &mut stage[..PIECE.min(len - off)];
-                    acc.read_flat_as(off, piece, precision);
-                    lanes.add(piece);
-                }
+        let precision = std::mem::replace(&mut self.precision, Precision::F32);
+        if !precision.is_half() {
+            return;
+        }
+        let mut stage = [0.0f32; PIECE];
+        for part in self.parts_mut() {
+            for piece in part.chunks_mut(PIECE) {
+                let stage = &mut stage[..piece.len()];
+                stage.copy_from_slice(piece);
+                round_copy(precision, stage, piece);
             }
         }
-        lanes.total()
+    }
+
+    /// Multiplies every value by `s` — a clipped step's scale, applied to
+    /// the values on the grid ([`GradBuffer::round_in_place`] first).
+    pub(crate) fn scale(&mut self, s: f32) {
+        self.round_in_place();
+        for part in self.parts_mut() {
+            for x in part {
+                *x *= s;
+            }
+        }
+    }
+
+    /// [`crate::clip::GlobalNorm::layer_sum_sq`] of the flat gradient, bit
+    /// for bit ([`block_sum_sq`]).
+    pub(crate) fn sum_sq(&self) -> f64 {
+        block_sum_sq(self.acc(), self.len, self.precision)
     }
 }
 
-impl Deref for GradBuffer {
-    type Target = Vec<f32>;
-
-    /// # Panics
-    /// Panics on a lent ring accumulator, which has no host copy.
-    fn deref(&self) -> &Vec<f32> {
-        match &self.grads {
-            Grads::Host { buf, .. } => buf,
-            Grads::Ring { .. } => panic!("a lent ring accumulator has no host copy"),
-        }
+/// [`crate::clip::GlobalNorm::layer_sum_sq`] of `acc`'s flat gradient (`len`
+/// floats) read through `precision`, bit for bit, a stack-sized piece at a
+/// time: no flat copy of the gradient exists.
+pub(crate) fn block_sum_sq(acc: &BlockGrads, len: usize, precision: Precision) -> f64 {
+    const PIECE: usize = 1 << 10;
+    let mut lanes = NormLanes::default();
+    let mut stage = [0.0f32; PIECE];
+    for off in (0..len).step_by(PIECE) {
+        let piece = &mut stage[..PIECE.min(len - off)];
+        acc.read_flat_as(off, piece, precision);
+        lanes.add(piece);
     }
-}
-
-impl DerefMut for GradBuffer {
-    fn deref_mut(&mut self) -> &mut Vec<f32> {
-        match &mut self.grads {
-            Grads::Host { buf, .. } => buf,
-            Grads::Ring { .. } => panic!("a lent ring accumulator has no host copy"),
-        }
-    }
+    lanes.total()
 }
 
 impl Drop for GradBuffer {
     fn drop(&mut self) {
-        match &mut self.grads {
-            Grads::Host { buf, bank } => {
-                lock(&bank.shelf).free.push(std::mem::take(buf));
-                bank.retired.notify_one();
-            }
-            Grads::Ring { acc, home, .. } => {
-                if let Some(acc) = acc.take() {
-                    let _ = home.send(acc);
-                }
-            }
+        if let Some(acc) = self.acc.take() {
+            let _ = self.home.send(acc);
         }
     }
 }
@@ -1158,45 +1125,20 @@ impl Drop for Retire<'_> {
 /// chunks of update tasks against a shared [`LayerStore`].
 pub struct OptimizerPool {
     shared: Arc<Shared>,
-    bank: Arc<Bank>,
     actors: Actor<Chunk>,
 }
 
 impl OptimizerPool {
-    /// Spawns `workers` optimizer actors over `store`. The pool may hold up
-    /// to `buffers` host gradient buffers, each as long as the store's
-    /// largest layer, allocated — and touched once, so its pages are
-    /// resident from then on — when a draw first finds none home. A sink
-    /// that delivers each gradient at once lends its ring accumulators
-    /// instead and never draws one; one buffer per actor keeps every actor
-    /// busy otherwise, so `buffers` is `workers` unless a sink parks
-    /// gradients before delivering them (a data-parallel bucket). Records
-    /// per-update latency, first chunk started to last retired
-    /// (`optim.update_ns`, summed into `optim.busy_ns`), live queue depth
-    /// in updates (`optim.queue_depth`), the buffers allocated
-    /// (`optim.grad_buffers`) and one `adam L{layer}` span per update on
-    /// the `optim` track into `tel`.
+    /// Spawns `workers` optimizer actors over `store`. Records per-update
+    /// latency, first chunk started to last retired (`optim.update_ns`,
+    /// summed into `optim.busy_ns`), live queue depth in updates
+    /// (`optim.queue_depth`) and one `adam L{layer}` span per update on the
+    /// `optim` track into `tel`.
     ///
     /// # Panics
-    /// Panics if `workers == 0` or `buffers < workers`.
-    pub fn with_telemetry(
-        store: Arc<LayerStore>,
-        workers: usize,
-        buffers: usize,
-        tel: &Telemetry,
-    ) -> Self {
-        assert!(workers > 0 && buffers >= workers);
-        let len = (0..store.len()).map(|l| store.param_len(l)).max();
-        let bank = Arc::new(Bank {
-            shelf: Mutex::new(Shelf {
-                free: Vec::with_capacity(buffers),
-                made: 0,
-            }),
-            retired: Condvar::new(),
-            len: len.unwrap_or(0),
-            cap: buffers,
-            made: tel.gauge("optim.grad_buffers"),
-        });
+    /// Panics if `workers == 0`.
+    pub fn with_telemetry(store: Arc<LayerStore>, workers: usize, tel: &Telemetry) -> Self {
+        assert!(workers > 0);
         let shared = Arc::new(Shared {
             inflight: (0..store.len()).map(|_| Inflight::default()).collect(),
             store,
@@ -1211,73 +1153,22 @@ impl OptimizerPool {
             let (shared, mut staging) = (Arc::clone(&shared), Staging::default());
             move |chunk: Chunk| shared.run_chunk(chunk, &mut staging)
         });
-        OptimizerPool {
-            shared,
-            bank,
-            actors,
-        }
+        OptimizerPool { shared, actors }
     }
 
-    /// Submits an asynchronous update for `layer` with the hyper-params of
-    /// this one update (so a per-step [`crate::schedule::LrSchedule`]
-    /// reaches the actors). The caller must have called
-    /// [`LayerStore::mark_pending`] when the gradients left the GPU.
-    ///
-    /// The gradients are copied into one of the pool's buffers, so the
-    /// caller keeps its own buffer for reuse. A malformed gradient is
-    /// rejected before a buffer is drawn.
-    pub fn submit_with(&self, layer: usize, grads: &[f32], hp: AdamParams) {
-        self.check_len(layer, grads.len());
-        let mut buf = self.recycled_buffer();
-        buf.extend_from_slice(grads);
-        self.submit_owned(layer, buf, hp);
-    }
-
-    /// An empty gradient buffer from the pool's fixed set: a free one, else
-    /// a new one while fewer than `buffers` exist, else it waits until one
-    /// comes back — an update retires, or a holder drops its buffer. A
-    /// drained pool is back-pressure on the thread drawing, as the
-    /// gradient ring is on BP. Fill the buffer and hand it back through
-    /// [`OptimizerPool::submit_owned`] — the offload thread flattens a
-    /// gradient a sink will park *directly* into one, so it pays no copy
-    /// beyond the flatten itself.
-    pub fn recycled_buffer(&self) -> GradBuffer {
-        let bank = &*self.bank;
-        let mut shelf = lock(&bank.shelf);
-        let buf = loop {
-            if let Some(mut buf) = shelf.free.pop() {
-                buf.clear();
-                break buf;
-            }
-            if shelf.made < bank.cap {
-                shelf.made += 1;
-                bank.made.set(shelf.made as i64);
-                // Written once, so every page is resident from the start.
-                let mut buf = Vec::with_capacity(bank.len);
-                buf.resize(bank.len, 0.0);
-                buf.clear();
-                break buf;
-            }
-            shelf = wait(&bank.retired, shelf);
-        };
-        GradBuffer {
-            grads: Grads::Host {
-                buf,
-                bank: Arc::clone(&self.bank),
-            },
-        }
-    }
-
-    /// Submits an update whose gradient the caller already holds as a
-    /// [`GradBuffer`]: it travels to the actors without another copy, its
-    /// chunks are dealt to every actor, and it goes home when the last
-    /// chunk retires.
+    /// Submits an asynchronous update of `layer` from a lent gradient, with
+    /// the hyper-params of this one update (so a per-step
+    /// [`crate::schedule::LrSchedule`] reaches the actors). The caller must
+    /// have called [`LayerStore::mark_pending`] when the gradient left the
+    /// GPU. The gradient travels to the actors without a copy, its chunks
+    /// are dealt to every actor, and it goes home when the last chunk
+    /// retires.
     ///
     /// # Panics
     /// Panics if the gradient's length is not the layer's, or if the layer
     /// still has an update in flight.
-    pub fn submit_owned(&self, layer: usize, grads: GradBuffer, hp: AdamParams) {
-        self.check_len(layer, grads.flat_len());
+    pub fn submit(&self, layer: usize, grads: GradBuffer, hp: AdamParams) {
+        self.check_len(layer, grads.len);
         let inflight = &self.shared.inflight[layer];
         {
             let mut job = inflight.job.write().unwrap_or_else(PoisonError::into_inner);
@@ -1327,6 +1218,7 @@ mod tests {
     use crate::clip::GlobalNorm;
     use crate::tier::TierPlan;
     use proptest::prelude::*;
+    use stronghold_tensor::PackedHalf;
 
     fn layer_init(layer: usize, n: usize) -> Vec<f32> {
         (0..n).map(|i| (layer * n + i) as f32 * 0.01).collect()
@@ -1349,90 +1241,48 @@ mod tests {
             .expect("the body returned");
     }
 
-    #[test]
-    fn recycler_reuses_and_takes_buffers_back() {
-        let store = store_with(1, 8);
-        let pool = OptimizerPool::with_telemetry(Arc::clone(&store), 1, 1, &Telemetry::disabled());
-        // The buffer was allocated with the pool, one layer long.
-        let mut buf = pool.recycled_buffer();
-        assert!(buf.is_empty());
-        assert!(buf.capacity() >= 8);
-        let home = buf.as_ptr();
-        buf.extend_from_slice(&[0.5; 8]);
-        store.mark_pending(0);
-        pool.submit_owned(0, buf, AdamParams::default());
-        pool.flush();
-        // The retired update handed it back: same allocation, cleared.
-        let again = pool.recycled_buffer();
-        assert_eq!(again.as_ptr(), home);
-        assert!(again.is_empty());
-        // A buffer dropped without an update goes back too.
-        drop(again);
-        assert_eq!(pool.recycled_buffer().as_ptr(), home);
+    /// Flat lengths of a one-head block of hidden size 1 and 2.
+    const B1: usize = 25;
+    const B2: usize = 74;
+
+    /// `flat` (a one-head block's length) as an F32 ring accumulator lent
+    /// with `home` to go back to.
+    fn lend_to(home: &crossbeam_channel::Sender<BlockGrads>, flat: &[f32]) -> GradBuffer {
+        let hidden = (1..).find(|h| 12 * h * h + 13 * h >= flat.len()).unwrap();
+        let acc = ring_grads(hidden, 1, flat);
+        GradBuffer::ring(acc, flat.len(), Precision::F32, home.clone())
     }
 
-    /// With all `C` buffers lent to updates still running, the `C + 1`-th
-    /// draw waits — it does not allocate — and returns as soon as one of
-    /// those updates retires.
-    #[test]
-    fn a_dry_pool_blocks_the_next_draw_until_an_update_retires() {
-        const C: usize = 2;
-        let store = store_with(C, 8);
-        let pool = Arc::new(OptimizerPool::with_telemetry(
-            Arc::clone(&store),
-            C,
-            C,
-            &Telemetry::disabled(),
-        ));
-        // Each update waits on its slot's lock, held here.
-        let mut held = Vec::new();
-        for l in 0..C {
-            store.mark_pending(l);
-            held.push(lock(&store.slots[l].lock));
-            pool.submit_with(l, &[0.5; 8], AdamParams::default());
-        }
-        let (drawn, draws) = std::sync::mpsc::channel();
-        let drawer = Arc::clone(&pool);
-        std::thread::spawn(move || {
-            let buf = drawer.recycled_buffer();
-            let _ = drawn.send(buf.capacity());
-        });
-        let wait = std::time::Duration::from_millis(100);
-        assert!(
-            draws.recv_timeout(wait).is_err(),
-            "a dry pool lent a buffer"
-        );
-        drop(held.pop());
-        let capacity = draws
-            .recv_timeout(std::time::Duration::from_secs(10))
-            .expect("a retired update frees the draw");
-        assert!(capacity >= 8, "the retired buffer, not a new one");
-        drop(held);
-        within_watchdog(move || pool.flush());
+    /// [`lend_to`] a home nobody waits on.
+    fn lend(flat: &[f32]) -> GradBuffer {
+        lend_to(&crossbeam_channel::unbounded().0, flat)
     }
 
-    /// A buffer comes home from every exit: an update that unwinds on its
-    /// actor, and a malformed gradient refused before any buffer is drawn.
-    /// With one buffer in all, a lost one hangs the next draw.
+    /// A lent gradient comes home from every exit: an update that unwinds
+    /// on its actor, and a malformed gradient refused before any actor
+    /// sees it. A ring that lost one would hang BP.
     #[test]
     fn no_exit_loses_a_buffer() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         within_watchdog(|| {
             // No Adam moments: every update panics on its actor.
-            let store = LayerStore::without_moments(vec![vec![0.25; 8]; 2], 8);
-            let pool = OptimizerPool::with_telemetry(store, 1, 1, &Telemetry::disabled());
+            let store = LayerStore::without_moments(vec![vec![0.25; B2]; 2], B2);
+            let pool = OptimizerPool::with_telemetry(store, 1, &Telemetry::disabled());
+            let (home, back) = crossbeam_channel::bounded(1);
             for l in 0..2 {
-                pool.submit_with(l, &[0.5; 8], AdamParams::default());
+                pool.submit(l, lend_to(&home, &[0.5; B2]), AdamParams::default());
                 let failed = catch_unwind(AssertUnwindSafe(|| pool.flush()));
                 assert!(failed.is_err(), "the update's panic reaches flush");
+                assert!(
+                    back.try_recv().is_ok(),
+                    "layer {l}: the accumulator came home"
+                );
             }
-            let held = pool.recycled_buffer();
             let refused = catch_unwind(AssertUnwindSafe(|| {
-                pool.submit_with(0, &[0.5; 5], AdamParams::default())
+                pool.submit(0, lend_to(&home, &[0.5; B1]), AdamParams::default())
             }));
             assert!(refused.is_err(), "a short gradient is refused");
-            drop(held);
-            drop(pool.recycled_buffer());
+            assert!(back.try_recv().is_ok(), "the refused accumulator came home");
         });
     }
 
@@ -1443,27 +1293,26 @@ mod tests {
     fn pool_matches_sequential_adam_any_worker_count() {
         let hp = AdamParams::default();
         let grads: Vec<Vec<f32>> = (0..6)
-            .map(|l| (0..32).map(|i| ((l + i) as f32).cos()).collect())
+            .map(|l| (0..B2).map(|i| ((l + i) as f32).cos()).collect())
             .collect();
 
         // Sequential reference.
-        let seq = store_with(6, 32);
+        let seq = store_with(6, B2);
         for (l, g) in grads.iter().enumerate() {
             seq.apply_update(l, g, &hp);
         }
 
         for workers in [1, 2, 4, 8] {
-            let spilled = fully_spilled((0..6).map(|l| layer_init(l, 32)).collect());
-            for (kind, store) in [("resident", store_with(6, 32)), ("spilled", spilled)] {
+            let spilled = fully_spilled((0..6).map(|l| layer_init(l, B2)).collect());
+            for (kind, store) in [("resident", store_with(6, B2)), ("spilled", spilled)] {
                 let pool = OptimizerPool::with_telemetry(
                     Arc::clone(&store),
-                    workers,
                     workers,
                     &Telemetry::disabled(),
                 );
                 for (l, g) in grads.iter().enumerate() {
                     store.mark_pending(l);
-                    pool.submit_with(l, g, hp);
+                    pool.submit(l, lend(g), hp);
                 }
                 pool.flush();
                 for l in 0..6 {
@@ -1660,8 +1509,8 @@ mod tests {
     #[test]
     fn a_failed_spilled_update_wakes_flush_and_reraises_on_the_caller() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        let store = fully_spilled(vec![vec![0.25; 64]; 2]);
-        let pool = OptimizerPool::with_telemetry(Arc::clone(&store), 1, 1, &Telemetry::disabled());
+        let store = fully_spilled(vec![vec![0.25; B2]; 2]);
+        let pool = OptimizerPool::with_telemetry(Arc::clone(&store), 1, &Telemetry::disabled());
         let nvme = store.tier_store().unwrap().nvme();
         std::fs::OpenOptions::new()
             .write(true)
@@ -1670,7 +1519,7 @@ mod tests {
             .set_len(0)
             .unwrap();
         store.mark_pending(1);
-        pool.submit_with(1, &[0.5; 64], AdamParams::default());
+        pool.submit(1, lend(&[0.5; B2]), AdamParams::default());
         pool.flush();
         assert_eq!(pool.updates_applied(), 1, "the actor survived");
         let message = |f: &dyn Fn()| {
@@ -1690,16 +1539,13 @@ mod tests {
 
     #[test]
     fn many_updates_across_layers_complete() {
-        let store = store_with(16, 64);
-        let pool = OptimizerPool::with_telemetry(Arc::clone(&store), 4, 4, &Telemetry::disabled());
+        let store = store_with(16, B2);
+        let pool = OptimizerPool::with_telemetry(Arc::clone(&store), 4, &Telemetry::disabled());
         for iter in 0..10 {
             for l in 0..16 {
                 store.mark_pending(l);
-                pool.submit_with(
-                    l,
-                    &vec![0.01 * (iter + 1) as f32; 64],
-                    AdamParams::default(),
-                );
+                let g = lend(&[0.01 * (iter + 1) as f32; B2]);
+                pool.submit(l, g, AdamParams::default());
             }
             pool.flush();
         }
@@ -1709,27 +1555,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "gradient length mismatch")]
     fn malformed_gradient_rejected_at_submit() {
-        let store = store_with(2, 8);
-        let pool = OptimizerPool::with_telemetry(Arc::clone(&store), 2, 2, &Telemetry::disabled());
+        let store = store_with(2, B2);
+        let pool = OptimizerPool::with_telemetry(Arc::clone(&store), 2, &Telemetry::disabled());
         store.mark_pending(0);
-        pool.submit_with(0, &[1.0; 5], AdamParams::default()); // wrong length: panics here, not in a worker
+        pool.submit(0, lend(&[1.0; B1]), AdamParams::default()); // wrong length: panics here, not in a worker
     }
 
-    /// Three steps of 4 layers: one latency sample per update, and the
-    /// pool allocates no gradient buffer until the first draw and never
-    /// more than one per actor.
+    /// Three steps of 4 layers: one latency sample per update.
     #[test]
     fn telemetry_counts_updates_and_latency() {
         let tel = Telemetry::enabled();
-        let (layers, workers) = (4, 2);
-        let store = store_with(layers, 32);
-        let pool = OptimizerPool::with_telemetry(Arc::clone(&store), workers, workers, &tel);
-        let buffers = tel.gauge("optim.grad_buffers");
-        assert_eq!(buffers.get(), 0, "none allocated before a draw");
+        let layers = 4;
+        let store = store_with(layers, B2);
+        let pool = OptimizerPool::with_telemetry(Arc::clone(&store), 2, &tel);
         for _ in 0..3 {
             for l in 0..layers {
                 store.mark_pending(l);
-                pool.submit_with(l, &[0.5; 32], AdamParams::default());
+                pool.submit(l, lend(&[0.5; B2]), AdamParams::default());
             }
             pool.flush();
         }
@@ -1743,11 +1585,6 @@ mod tests {
         let depth = tel.gauge("optim.queue_depth");
         assert_eq!(depth.get(), 0, "queue drained");
         assert!(depth.peak() >= 1);
-        assert!(buffers.get() >= 1, "the draws allocated");
-        assert!(
-            buffers.peak() <= workers as i64,
-            "one buffer per actor at most"
-        );
     }
 
     /// A flat gradient laid out as a block's gradient tensors (canonical
@@ -1832,8 +1669,8 @@ mod tests {
             let mut rng = stronghold_tensor::init::seeded_rng(seed ^ 0x5eed);
             for step in 0..2u64 {
                 let acc = ring_grads(hidden, heads, &gradient(n, seed + 1 + step));
-                let mut flat = Vec::new();
-                acc.flatten_into_as(&mut flat, precision);
+                let mut flat = acc.flatten();
+                PackedHalf::new(precision).round_through(&mut flat);
                 want.step(&mut want_p, &flat, &hp);
 
                 let source = if ring == 1 {
@@ -1885,7 +1722,10 @@ mod tests {
     /// The pool deals a lent accumulator's chunks to its actors and steps
     /// the layer as `AdamState::step` does on the rounded flat gradient;
     /// the accumulator comes home when the update retires, and the flat
-    /// gradient's norm partial reads the same through the loan.
+    /// gradient's norm partial reads the same through the loan. So it does
+    /// once the lent values are rounded onto the grid in place, and once
+    /// they are scaled there (a clipped step), against the scaled flat
+    /// gradient.
     #[test]
     fn a_lent_accumulator_is_stepped_by_every_actor_and_comes_home() {
         let (hidden, heads) = SHAPES[1];
@@ -1893,40 +1733,52 @@ mod tests {
         let hp = AdamParams::default();
         let init = gradient(n, 7);
         let flat_in = gradient(n, 8);
+        let preps = [
+            ("as lent", 1.0),
+            ("rounded in place", 1.0),
+            ("scaled on the grid", 0.37),
+        ];
         for workers in [1, 2, 4] {
             for precision in [Precision::F32, Precision::Bf16] {
-                let ctx = format!("{workers} actors, {}", precision.name());
-                let mut flat = Vec::new();
-                ring_grads(hidden, heads, &flat_in).flatten_into_as(&mut flat, precision);
-                let (mut want_p, mut want) = (init.clone(), AdamState::new(n));
-                want.step(&mut want_p, &flat, &hp);
-                let spilled = fully_spilled(vec![init.clone()]);
-                for store in [LayerStore::new(vec![init.clone()]), spilled] {
-                    let pool = OptimizerPool::with_telemetry(
-                        Arc::clone(&store),
-                        workers,
-                        workers,
-                        &Telemetry::disabled(),
-                    );
-                    let (home, back) = crossbeam_channel::bounded(1);
-                    let lent =
-                        GradBuffer::ring(ring_grads(hidden, heads, &flat_in), n, precision, home);
-                    assert_eq!(
-                        lent.sum_sq().to_bits(),
-                        GlobalNorm::layer_sum_sq(&flat).to_bits(),
-                        "{ctx}: norm partial"
-                    );
-                    store.mark_pending(0);
-                    pool.submit_owned(0, lent, hp);
-                    pool.flush();
-                    assert!(back.try_recv().is_ok(), "{ctx}: the accumulator came home");
-                    let got = store.adam_snapshot(0);
-                    assert_eq!(bits(&store.snapshot(0)), bits(&want_p), "{ctx}");
-                    assert_eq!(
-                        (bits(&got.m), bits(&got.v), got.t),
-                        (bits(&want.m), bits(&want.v), 1)
-                    );
-                    assert_eq!(pool.updates_applied(), 1);
+                for (prep, s) in preps {
+                    let ctx = format!("{workers} actors, {}, {prep}", precision.name());
+                    let mut flat = flat_in.clone();
+                    PackedHalf::new(precision).round_through(&mut flat);
+                    flat.iter_mut().for_each(|x| *x *= s);
+                    let (mut want_p, mut want) = (init.clone(), AdamState::new(n));
+                    want.step(&mut want_p, &flat, &hp);
+                    let spilled = fully_spilled(vec![init.clone()]);
+                    for store in [LayerStore::new(vec![init.clone()]), spilled] {
+                        let pool = OptimizerPool::with_telemetry(
+                            Arc::clone(&store),
+                            workers,
+                            &Telemetry::disabled(),
+                        );
+                        let (home, back) = crossbeam_channel::bounded(1);
+                        let acc = ring_grads(hidden, heads, &flat_in);
+                        let mut lent = GradBuffer::ring(acc, n, precision, home);
+                        match prep {
+                            "rounded in place" => lent.round_in_place(),
+                            "scaled on the grid" => lent.scale(s),
+                            _ => {}
+                        }
+                        assert_eq!(
+                            lent.sum_sq().to_bits(),
+                            GlobalNorm::layer_sum_sq(&flat).to_bits(),
+                            "{ctx}: norm partial"
+                        );
+                        store.mark_pending(0);
+                        pool.submit(0, lent, hp);
+                        pool.flush();
+                        assert!(back.try_recv().is_ok(), "{ctx}: the accumulator came home");
+                        let got = store.adam_snapshot(0);
+                        assert_eq!(bits(&store.snapshot(0)), bits(&want_p), "{ctx}");
+                        assert_eq!(
+                            (bits(&got.m), bits(&got.v), got.t),
+                            (bits(&want.m), bits(&want.v), 1)
+                        );
+                        assert_eq!(pool.updates_applied(), 1);
+                    }
                 }
             }
         }
@@ -1949,13 +1801,12 @@ mod tests {
                 let pool = OptimizerPool::with_telemetry(
                     Arc::clone(&store),
                     workers,
-                    workers,
                     &Telemetry::disabled(),
                 );
                 let (home, back) = crossbeam_channel::bounded(1);
                 let acc = ring_grads(hidden, heads, &gradient(n, 10));
                 store.mark_pending(0);
-                pool.submit_owned(
+                pool.submit(
                     0,
                     GradBuffer::ring(acc, n, Precision::F32, home),
                     AdamParams::default(),

@@ -11,7 +11,7 @@ use stronghold_tensor::ops::{
     layernorm_into, LayerNormCache,
 };
 use stronghold_tensor::scratch;
-use stronghold_tensor::simd::{round_copy, round_extend};
+use stronghold_tensor::simd::round_copy;
 use stronghold_tensor::{Precision, Tensor};
 
 /// Parameters of one pre-norm transformer block:
@@ -450,22 +450,8 @@ impl Block {
     /// # Panics
     /// Panics if `flat.len() != self.flat_len()`.
     pub fn load_flat_params(&mut self, flat: &[f32]) {
-        self.load_flat_params_as(flat, Precision::F32);
-    }
-
-    /// [`Block::load_flat_params`] at a device precision: each value is
-    /// rounded through `precision` while it is scattered into its tensor —
-    /// one pass, and the block ends up holding exactly what
-    /// [`stronghold_tensor::PackedHalf::round_through`] would have made of
-    /// `flat` first. A plain copy at [`Precision::F32`]. The rounding is
-    /// element-wise, so it commutes with a serving-form block's panel
-    /// layout (padding zeros round to themselves).
-    ///
-    /// # Panics
-    /// Panics if `flat.len() != self.flat_len()`.
-    pub fn load_flat_params_as(&mut self, flat: &[f32], precision: Precision) {
         assert_eq!(flat.len(), self.flat_len());
-        self.load_flat_params_with(|off, p| round_copy(precision, &flat[off..off + p.len()], p));
+        self.load_flat_params_with(|off, p| p.copy_from_slice(&flat[off..off + p.len()]));
     }
 
     /// Fills every parameter's storage in canonical order: `fill(off, p)`
@@ -535,33 +521,21 @@ impl BlockGrads {
     }
 
     /// Flattens all gradients into a reusable vector (canonical order),
-    /// clearing it first. The offloaded trainer's D2H/optimizer path calls
-    /// this once per layer per step into one persistent buffer.
+    /// clearing it first: the resident trainer's Adam step reads each
+    /// layer's gradient from one persistent buffer this way.
     pub fn flatten_into(&self, out: &mut Vec<f32>) {
-        self.flatten_into_as(out, Precision::F32);
-    }
-
-    /// [`BlockGrads::flatten_into`] at a transfer precision: each value is
-    /// rounded through `precision` while it is gathered — one pass, leaving
-    /// in `out` exactly what
-    /// [`stronghold_tensor::PackedHalf::round_through`] would have made of
-    /// the flat gradient. Writes into `out`'s existing capacity (no
-    /// zero-fill, no reallocation once it has held a block). A plain copy
-    /// at [`Precision::F32`].
-    pub fn flatten_into_as(&self, out: &mut Vec<f32>, precision: Precision) {
         out.clear();
-        let tensors = self.tensors();
-        out.reserve(tensors.iter().map(|t| t.numel()).sum());
-        for t in tensors {
-            round_extend(precision, t.data(), out);
+        for t in self.tensors() {
+            out.extend_from_slice(t.data());
         }
     }
 
     /// Reads floats `off..off + out.len()` of the flat gradient (canonical
     /// order) into `out`, each rounded through `precision` on the way: the
-    /// values [`BlockGrads::flatten_into_as`] leaves at those positions,
-    /// without the flat vector ever existing. The offloaded trainer's
-    /// optimizer reads a ring accumulator this way, a piece at a time.
+    /// values [`stronghold_tensor::PackedHalf::round_through`] would make of
+    /// those positions of [`BlockGrads::flatten`], without the flat vector
+    /// ever existing. The offloaded trainer's optimizer reads a ring
+    /// accumulator this way, a piece at a time.
     ///
     /// # Panics
     /// Panics if the range passes the gradient's end.
@@ -772,10 +746,11 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
-        /// The precision-aware load and flatten are the one-pass forms of
-        /// "round the flat vector through the packed format, then copy":
-        /// same bits for every value class (NaN payloads, ±Inf, subnormals,
-        /// ±0).
+        /// The stream's half load (each tensor filled by a round-copy of its
+        /// range, as `stream::load` does) and the ranged gradient read are
+        /// the one-pass forms of "round the flat vector through the packed
+        /// format, then copy": same bits for every value class (NaN
+        /// payloads, ±Inf, subnormals, ±0).
         #[test]
         fn prop_fused_passes_match_their_two_pass_forms(
             mut flat in proptest::collection::vec(proptest::num::f32::ANY, 872..873),
@@ -788,23 +763,24 @@ mod tests {
             prop_assert_eq!(block.param_count(), flat.len());
             let grads = grads_from_flat(&block, &flat);
             prop_assert_eq!(bits(&grads.flatten()), bits(&flat));
+            // Into a recycled (cleared) buffer: same allocation, no growth.
+            let mut out = Vec::with_capacity(flat.len());
+            out.extend_from_slice(&[1.0; 5]);
+            let at = out.as_ptr();
+            grads.flatten_into(&mut out);
+            prop_assert_eq!(out.as_ptr(), at);
+            prop_assert_eq!(bits(&out), bits(&flat));
 
             for precision in [Precision::Bf16, Precision::F16, Precision::F32] {
                 let mut grid = flat.clone();
                 PackedHalf::new(precision).round_through(&mut grid);
 
-                block.load_flat_params_as(&flat, precision);
+                block.load_flat_params_with(|off, p| {
+                    round_copy(precision, &flat[off..off + p.len()], p)
+                });
                 let mut want = block.clone();
                 want.load_flat_params(&grid);
                 prop_assert_eq!(bits(&block.flatten_params()), bits(&want.flatten_params()));
-
-                // Into a recycled (cleared) buffer: same allocation, no growth.
-                let mut out = Vec::with_capacity(flat.len());
-                out.extend_from_slice(&[1.0; 5]);
-                let at = out.as_ptr();
-                grads.flatten_into_as(&mut out, precision);
-                prop_assert_eq!(out.as_ptr(), at);
-                prop_assert_eq!(bits(&out), bits(&grid));
 
                 // Read as ranges cut anywhere — inside a tensor, across
                 // tensor edges, empty — the same values again.
@@ -890,7 +866,9 @@ mod tests {
         let image = served.flatten_params();
         for precision in [Precision::Bf16, Precision::F16, Precision::F32] {
             let mut shell = served.clone();
-            shell.load_flat_params_as(&image, precision);
+            shell.load_flat_params_with(|off, p| {
+                round_copy(precision, &image[off..off + p.len()], p)
+            });
             let mut grid = block.flatten_params();
             PackedHalf::new(precision).round_through(&mut grid);
             let mut want = block.clone();

@@ -1401,10 +1401,10 @@ pub mod stats {
     pub const CVT_F32_F16: usize = 14;
     /// Op index: `cvt_f16_to_f32` (unpack from binary16; flops = elements).
     pub const CVT_F16_F32: usize = 15;
-    /// Op index: `round_copy` / `round_extend` at bf16 (round through bf16
+    /// Op index: `round_copy` at bf16 (round through bf16
     /// while copying; flops = elements).
     pub const ROUND_BF16: usize = 16;
-    /// Op index: `round_copy` / `round_extend` at binary16 (flops =
+    /// Op index: `round_copy` at binary16 (flops =
     /// elements).
     pub const ROUND_F16: usize = 17;
     /// Number of tracked ops.

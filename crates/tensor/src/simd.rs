@@ -24,7 +24,6 @@
 //! the operand shape alone — never of thread count or scheduling — which
 //! is the same contract `matmul.rs` established for the GEMM engine.
 
-use std::mem::MaybeUninit;
 use std::sync::OnceLock;
 
 use crate::half::Precision;
@@ -296,14 +295,13 @@ cvt_wrapper!(
 // destination. The packed `u16` payload is never materialised — the bytes
 // it would occupy are accounted by the caller — and the values are the
 // [`crate::half::PackedHalf::round_through`] grid bit for bit (both go
-// through `crate::half::round_through_{bf16,f16}`). The destination is
-// `MaybeUninit` so the same kernel fills a `Vec`'s spare capacity.
+// through `crate::half::round_through_{bf16,f16}`).
 
 dispatch! {
     /// `dst[i] = f32(bf16(src[i]))`.
-    fn k_round_bf16(src: &[f32], dst: &mut [MaybeUninit<f32>]) {
+    fn k_round_bf16(src: &[f32], dst: &mut [f32]) {
         for (d, s) in dst.iter_mut().zip(src) {
-            d.write(crate::half::round_through_bf16(*s));
+            *d = crate::half::round_through_bf16(*s);
         }
     }
 }
@@ -311,9 +309,9 @@ dispatch! {
 dispatch! {
     /// `dst[i] = f32(f16(src[i]))` through the scalar encoder: the portable
     /// tier, and the oracle of the F16C path below.
-    fn k_round_f16(src: &[f32], dst: &mut [MaybeUninit<f32>]) {
+    fn k_round_f16(src: &[f32], dst: &mut [f32]) {
         for (d, s) in dst.iter_mut().zip(src) {
-            d.write(crate::half::round_through_f16(*s));
+            *d = crate::half::round_through_f16(*s);
         }
     }
 }
@@ -334,7 +332,7 @@ fn has_f16c() -> bool {
 /// of fewer than eight goes through the scalar encoder.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,f16c")]
-fn k_round_f16_f16c(src: &[f32], dst: &mut [MaybeUninit<f32>]) {
+fn k_round_f16_f16c(src: &[f32], dst: &mut [f32]) {
     use std::arch::x86_64::*;
     let n = src.len().min(dst.len());
     let body = n - n % 8;
@@ -349,7 +347,7 @@ fn k_round_f16_f16c(src: &[f32], dst: &mut [MaybeUninit<f32>]) {
     );
     for i in (0..body).step_by(8) {
         // SAFETY: `i + 8 <= n`, so eight floats are in bounds of both
-        // slices; `MaybeUninit<f32>` has the layout of `f32`.
+        // slices.
         let x = unsafe { _mm256_loadu_ps(src.as_ptr().add(i)) };
         let grid = _mm256_cvtph_ps(_mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(x));
         let bits = _mm256_castps_si256(x);
@@ -363,12 +361,12 @@ fn k_round_f16_f16c(src: &[f32], dst: &mut [MaybeUninit<f32>]) {
         unsafe { _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), out) };
     }
     for (d, s) in dst[body..n].iter_mut().zip(&src[body..n]) {
-        d.write(crate::half::round_through_f16(*s));
+        *d = crate::half::round_through_f16(*s);
     }
 }
 
 /// `dst[i] = f32(f16(src[i]))` on the fastest path this CPU has.
-fn round_f16(src: &[f32], dst: &mut [MaybeUninit<f32>]) {
+fn round_f16(src: &[f32], dst: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if has_f16c() {
         // SAFETY: `has_f16c` verified AVX2 and F16C.
@@ -377,11 +375,11 @@ fn round_f16(src: &[f32], dst: &mut [MaybeUninit<f32>]) {
     k_round_f16(src, dst)
 }
 
-/// Initialises every element of `dst` with `src` rounded through the half
+/// Overwrites every element of `dst` with `src` rounded through the half
 /// format `precision`, recording `op.round_{bf16,f16}.*` telemetry
 /// (elements per call). Runs on the calling thread: its callers are the
 /// copy engines, and the kernel fork-join pool belongs to compute.
-fn round_into(precision: Precision, src: &[f32], dst: &mut [MaybeUninit<f32>]) {
+fn round_into(precision: Precision, src: &[f32], dst: &mut [f32]) {
     debug_assert_eq!(src.len(), dst.len());
     let t0 = std::time::Instant::now();
     let stat = match precision {
@@ -408,26 +406,7 @@ pub fn round_copy(precision: Precision, src: &[f32], dst: &mut [f32]) {
     if !precision.is_half() {
         return dst.copy_from_slice(src);
     }
-    // SAFETY: `MaybeUninit<f32>` has the layout of `f32`, and `round_into`
-    // only writes initialised values through this view, so `dst` holds
-    // nothing but initialised elements when the borrow ends.
-    let dst = unsafe { &mut *(dst as *mut [f32] as *mut [MaybeUninit<f32>]) };
     round_into(precision, src, dst);
-}
-
-/// Appends `src`, rounded as by [`round_copy`], to `out` — straight into
-/// its spare capacity, so a recycled (cleared) buffer is neither
-/// zero-filled first nor reallocated. A plain `extend_from_slice` at
-/// [`Precision::F32`].
-pub fn round_extend(precision: Precision, src: &[f32], out: &mut Vec<f32>) {
-    if !precision.is_half() {
-        return out.extend_from_slice(src);
-    }
-    out.reserve(src.len());
-    round_into(precision, src, &mut out.spare_capacity_mut()[..src.len()]);
-    // SAFETY: `reserve` made room for `src.len()` more elements and
-    // `round_into` initialised exactly those.
-    unsafe { out.set_len(out.len() + src.len()) };
 }
 
 /// Raw-pointer wrapper asserting to the compiler that disjoint parts of
@@ -623,12 +602,10 @@ mod tests {
         // The fused round-copy, on whatever ISA tier this host selects, is
         // the pack → unpack oracle bit for bit: NaN payloads, infinities,
         // subnormals and signed zeros included, over lengths that exercise
-        // full vector chunks and the scalar remainder, in both its
-        // overwrite and its append form.
+        // full vector chunks and the scalar remainder.
         #[test]
         fn prop_round_copy_matches_round_through(
             mut src in proptest::collection::vec(proptest::num::f32::ANY, 0..130),
-            kept in 0usize..3,
         ) {
             // The classes uniform bits all but never draw, wherever the
             // length leaves room for them.
@@ -644,16 +621,6 @@ mod tests {
                 let mut copied = vec![f32::NAN; src.len()];
                 round_copy(precision, &src, &mut copied);
                 prop_assert_eq!(bits(&copied), bits(&want));
-
-                // Appending leaves what the vector already held alone and,
-                // with the room reserved, does not move it.
-                let mut out = Vec::with_capacity(kept + src.len());
-                out.resize(kept, 7.0f32);
-                let at = out.as_ptr();
-                round_extend(precision, &src, &mut out);
-                prop_assert_eq!(out.as_ptr(), at);
-                prop_assert_eq!(&out[..kept], &vec![7.0f32; kept][..]);
-                prop_assert_eq!(bits(&out[kept..]), bits(&want));
             }
         }
     }
@@ -699,12 +666,10 @@ mod tests {
         ) {
             let src: Vec<f32> = draws.iter().map(|(c, x, h)| f16_edge(*c, x.to_bits(), *h)).collect();
             if has_f16c() {
-                let mut fast = vec![MaybeUninit::new(f32::NAN); src.len()];
+                let mut fast = vec![f32::NAN; src.len()];
                 // SAFETY: `has_f16c` verified AVX2 and F16C.
                 unsafe { k_round_f16_f16c(&src, &mut fast) };
                 for (i, (s, f)) in src.iter().zip(&fast).enumerate() {
-                    // SAFETY: the kernel initialised every element.
-                    let f = unsafe { f.assume_init() };
                     let want = crate::half::round_through_f16(*s);
                     prop_assert_eq!(f.to_bits(), want.to_bits(), "element {} of {:e}", i, s);
                 }
